@@ -3,11 +3,19 @@
 `symmetric_eig` and `generalized_eig` wrap library eigensolvers behind a
 fixed contract (descending eigenvalues, checked symmetry, B-orthonormal
 generalized eigenvectors). `nnls` is a hand-written Lawson-Hanson active-set
-solver; `nnls_rows` adds a vectorized fast path for batches.
+solver for one target. `nnls_rows` solves a batch without looping over rows:
+an unconstrained normal-equations fast path, then, for up to NNLS_ENUM_MAX_K
+basis vectors, exact enumeration of every linearly independent support for
+all remaining rows at once (the combinatorial scheme of Van Benthem & Keenan,
+J. Chemometrics 2004, on the Gram-matrix form of Bro & De Jong's FNNLS). Every
+enumerated row is certified by the KKT conditions; only rows that fail the
+certificate, or every row when the basis has more vectors than the cap, reach
+the scalar solver.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
@@ -18,6 +26,14 @@ SYMMETRY_TOL = 1e-10
 #: KKT tolerance for the active-set solver: a solution is accepted when every
 #: inactive coordinate has gradient <= KKT_TOL * max(1, |A^T b|_inf).
 KKT_TOL = 1e-8
+
+#: Largest basis size whose supports nnls_rows enumerates (2^k - 1 of them);
+#: above it the rows the fast path leaves go to the scalar solver.
+NNLS_ENUM_MAX_K = 10
+
+#: Per-support solutions held at once while enumerating, in floats; rows are
+#: enumerated in blocks that fit, so memory does not grow with the batch.
+_ENUM_BLOCK_FLOATS = 1 << 18
 
 
 def symmetric_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,22 +151,81 @@ def nnls(
     raise RuntimeError("nnls: iteration cap exceeded without reaching KKT conditions")
 
 
+def _independent_supports(basis: np.ndarray) -> list[np.ndarray]:
+    """Index arrays (n_supports, size) of the linearly independent row subsets.
+
+    One array per support size, in lexicographic order. A support whose rows
+    are dependent has a singular sub-Gram; some optimal NNLS solution always
+    has an independent support, so dropping these loses nothing. Independence
+    follows `np.linalg.matrix_rank`; when the whole basis has full row rank,
+    every subset does too (a subset's condition number is no larger).
+    """
+    k = basis.shape[0]
+    full_rank = np.linalg.matrix_rank(basis) == k
+    out = []
+    for size in range(1, k + 1):
+        idx = np.array(list(itertools.combinations(range(k), size)), dtype=np.intp)
+        if not full_rank:
+            idx = idx[np.linalg.matrix_rank(basis[idx]) == size]
+        if len(idx):
+            out.append(idx)
+    return out
+
+
+def _enumerate_supports(
+    gram: np.ndarray, rhs: np.ndarray, supports: list[np.ndarray]
+) -> np.ndarray:
+    """Exact NNLS for every row of `rhs` (m, k) = targets @ basis.T.
+
+    For each support S, all of its rows at once solve G[S,S] z = rhs[:, S].
+    A feasible solution (z > 0) is stationary on S, so its objective relative
+    to |target|^2 is -z . rhs[S]; the empty support scores 0, and each row
+    keeps the lowest score, the first found on ties.
+    """
+    m, k = rhs.shape
+    rows = np.arange(m)
+    best = np.zeros((m, k))
+    best_obj = np.zeros(m)
+    for idx in supports:
+        sub_rhs = rhs[:, idx].transpose(1, 2, 0)  # (n_supports, size, m)
+        z = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]], sub_rhs)
+        obj = -np.sum(z * sub_rhs, axis=1)
+        obj[~np.all(z > 0, axis=1)] = np.inf
+        pick = np.argmin(obj, axis=0)
+        better = obj[pick, rows] < best_obj
+        r, p = rows[better], pick[better]
+        best[r] = 0.0
+        best[r[:, None], idx[p]] = z[p, :, r]
+        best_obj[r] = obj[p, r]
+    return best
+
+
 def nnls_rows(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Row-wise NNLS: solve nnls(basis, row) for every row of `targets`.
 
     Fast path: the unconstrained normal-equations solution for all rows at
     once; any row whose solution is already non-negative is optimal as-is.
-    Remaining rows fall back to the active-set solver.
+    When the basis has at most NNLS_ENUM_MAX_K vectors, the remaining rows are
+    solved exactly by enumerating supports: for each support size, one
+    batched solve covers every linearly independent support and every row
+    (see `_enumerate_supports`). Supports with a singular sub-Gram depend only
+    on the basis and are found once per call. Each enumerated row must then
+    pass the KKT certificate, with tol = KKT_TOL * max(1, |basis @ row|_inf):
+    |gradient| <= tol on the support and gradient <= tol off it. Rows that
+    fail it, and every remaining row when the basis exceeds the cap, are
+    solved one at a time by the scalar active-set `nnls`.
     """
     v = np.asarray(basis, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim != 2 or v.ndim != 2 or t.shape[1] != v.shape[1]:
         raise ValueError(f"incompatible shapes {v.shape} and {t.shape}")
     n, k = t.shape[0], v.shape[0]
-    out = np.empty((n, k))
+    out = np.zeros((n, k))
     gram = v @ v.T
-    rhs = t @ v.T
-    solved = np.zeros(n, dtype=bool)
+    # einsum, unlike a BLAS product, sums each row in the same order wherever
+    # it sits in the batch, so permuting the rows permutes the result bitwise.
+    rhs = np.einsum("nd,kd->nk", t, v)
+    pending = np.arange(n)
     try:
         candidate = np.linalg.solve(gram, rhs.T).T
     except np.linalg.LinAlgError:
@@ -158,7 +233,19 @@ def nnls_rows(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
     if candidate is not None:
         ok = np.all(candidate >= 0, axis=1)
         out[ok] = candidate[ok]
-        solved[ok] = True
-    for i in np.flatnonzero(~solved):
+        pending = pending[~ok]
+    if len(pending) and k <= NNLS_ENUM_MAX_K:
+        supports = _independent_supports(v)
+        block = max(1, _ENUM_BLOCK_FLOATS // max((s.size for s in supports), default=1))
+        # Near-equal blocks: a block of one row takes a different LAPACK route,
+        # so splitting one off would tie a row's bits to its position.
+        for rows in np.array_split(pending, -(-len(pending) // block)):
+            out[rows] = _enumerate_supports(gram, rhs[rows], supports)
+        sub = out[pending]
+        grad = rhs[pending] - np.einsum("mj,jk->mk", sub, gram)
+        tol = KKT_TOL * np.maximum(1.0, np.max(np.abs(rhs[pending]), axis=1))
+        violation = np.where(sub > 0, np.abs(grad), grad)
+        pending = pending[np.any(violation > tol[:, None], axis=1)]
+    for i in pending:
         out[i] = nnls(v, t[i])
     return out

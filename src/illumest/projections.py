@@ -19,7 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .illuminants import IlluminantSet
-from .linalg import generalized_eig, nnls, nnls_rows, symmetric_eig
+# `nnls` is not called here; it stays a module attribute because
+# bench/spans.py traces the scalar solver at this site as well.
+from .linalg import generalized_eig, nnls, nnls_rows, symmetric_eig  # noqa: F401
 from .spectral import SensitivityFunctions
 
 KIND_RGB = "rgb"
@@ -109,12 +111,10 @@ class Projection:
         return rows @ self.basis.T
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Project a single input vector."""
+        """Project a single input vector, as the one-row batch of `apply_rows`."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.ndim != 1:
             raise ValueError("apply takes a 1-D vector; use apply_rows for batches")
-        if self.kind == KIND_NNMF:
-            return nnls(self.basis, vec)
         return self.apply_rows(vec[None, :])[0]
 
 

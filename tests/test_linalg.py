@@ -4,8 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from illumest.linalg import generalized_eig, nnls, nnls_rows, symmetric_eig
+from illumest import linalg
+from illumest.linalg import (
+    KKT_TOL,
+    NNLS_ENUM_MAX_K,
+    generalized_eig,
+    nnls,
+    nnls_rows,
+    symmetric_eig,
+)
 
 
 def brute_force_nnls(basis, target):
@@ -29,6 +39,50 @@ def brute_force_nnls(basis, target):
             if obj < best_obj - 1e-12:
                 best, best_obj = z, obj
     return best, best_obj
+
+
+def objective(basis, targets, z):
+    return np.sum((targets - z @ basis) ** 2, axis=-1)
+
+
+def assert_kkt(basis, targets, z, support_tol=KKT_TOL):
+    """z >= 0, gradient <= tol off the support, |gradient| small on it.
+
+    tol = KKT_TOL * max(1, |basis @ row|_inf), the certificate nnls_rows
+    applies; `support_tol` loosens stationarity for rows the scalar solver
+    returns, whose subproblems go through lstsq.
+    """
+    rhs = targets @ basis.T
+    grad = rhs - z @ (basis @ basis.T)
+    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=1, keepdims=True))
+    assert np.all(z >= 0)
+    assert np.all(np.where(z == 0, grad, 0.0) <= KKT_TOL * scale)
+    assert np.all(np.where(z > 0, np.abs(grad), 0.0) <= support_tol * scale)
+
+
+def clipped_targets(basis, z_support, clip, mu):
+    """Targets whose unique NNLS optimum is z_support with `clip` zeroed.
+
+    t = z* basis + w with basis @ w = -mu, where mu > 0 exactly on the clipped
+    coordinates: then z* satisfies the KKT conditions with those coordinates
+    at zero and strictly positive multipliers on them.
+    """
+    z = np.where(clip, 0.0, z_support)
+    multipliers = np.where(clip, mu, 0.0)
+    w = -np.linalg.solve(basis @ basis.T, multipliers.T).T @ basis
+    return z, z @ basis + w
+
+
+def counting_scalar_solver(monkeypatch):
+    calls = []
+    scalar = linalg.nnls
+
+    def counted(basis, target, *args, **kwargs):
+        calls.append(1)
+        return scalar(basis, target, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "nnls", counted)
+    return calls
 
 
 class TestSymmetricEig:
@@ -166,3 +220,118 @@ class TestNnlsRows:
         targets = weights @ basis
         sol = nnls_rows(basis, targets)
         np.testing.assert_allclose(sol @ basis, targets, atol=1e-8)
+
+    def test_clipped_coordinates_match_enumeration_oracle(self, monkeypatch):
+        calls = counting_scalar_solver(monkeypatch)
+        rng = np.random.default_rng(9)
+        for k in range(1, 7):
+            for n_clip in range(1, k + 1):
+                d = int(rng.integers(k, 32))
+                basis = rng.random((k, d))
+                clip = np.zeros((6, k), dtype=bool)
+                for row in clip:
+                    row[rng.choice(k, size=n_clip, replace=False)] = True
+                z_want, targets = clipped_targets(
+                    basis,
+                    rng.uniform(0.2, 1.5, size=(6, k)),
+                    clip,
+                    rng.uniform(0.1, 1.0, size=(6, k)),
+                )
+                z = nnls_rows(basis, targets)
+                assert_kkt(basis, targets, z)
+                np.testing.assert_allclose(z, z_want, atol=1e-9)
+                assert np.array_equal(z == 0, clip)
+                got = objective(basis, targets, z)
+                for i in range(len(targets)):
+                    _, best_obj = brute_force_nnls(basis, targets[i])
+                    assert got[i] <= best_obj + 1e-9 * max(1.0, best_obj)
+        assert not calls  # every row was solved by enumeration and certified
+
+    def test_zero_and_negative_targets_give_exact_zeros(self):
+        rng = np.random.default_rng(10)
+        for k in range(1, 7):
+            basis = rng.random((k, 31))
+            targets = np.vstack([np.zeros((2, 31)), -rng.random((5, 31))])
+            np.testing.assert_array_equal(nnls_rows(basis, targets), 0.0)
+
+    def test_duplicated_basis_row_matches_scalar_objective(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        basis = rng.random((4, 9))
+        basis = np.vstack([basis, basis[1]])  # rank 4 with 5 rows
+        targets = rng.standard_normal((40, 9)) + rng.random((40, 5)) @ basis
+        scalar = np.array([nnls(basis, t) for t in targets])
+        calls = counting_scalar_solver(monkeypatch)
+        z = nnls_rows(basis, targets)
+        assert not calls
+        assert_kkt(basis, targets, z)
+        np.testing.assert_allclose(
+            objective(basis, targets, z),
+            objective(basis, targets, scalar),
+            rtol=1e-10,
+            atol=1e-12,
+        )
+
+    def test_row_blocks_do_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        basis = rng.random((5, 12))
+        targets = rng.standard_normal((50, 12))
+        whole = nnls_rows(basis, targets)
+        # the largest support layer at k = 5 holds 10 supports of 3: 30 floats
+        # a row, so this allows 7 rows a block
+        monkeypatch.setattr(linalg, "_ENUM_BLOCK_FLOATS", 7 * 30)
+        np.testing.assert_array_equal(nnls_rows(basis, targets), whole)
+
+    def test_basis_above_cap_uses_scalar_solver(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        k = NNLS_ENUM_MAX_K + 1
+        basis = rng.random((k, 31))
+        targets = rng.standard_normal((8, 31))
+        unconstrained = np.linalg.solve(basis @ basis.T, basis @ targets.T).T
+        clipped = np.flatnonzero(np.any(unconstrained < 0, axis=1))
+        calls = counting_scalar_solver(monkeypatch)
+        z = nnls_rows(basis, targets)
+        assert len(calls) == len(clipped) > 0
+        for i in clipped:
+            np.testing.assert_array_equal(z[i], nnls(basis, targets[i]))
+
+
+@st.composite
+def nnls_batches(draw):
+    """A basis (k <= 6, d <= 31), up to 300 targets and a row permutation.
+
+    Half the draws put every entry on a coarse dyadic grid, so that exact
+    ties, zero and duplicated rows and dependent supports come up often;
+    batches this large also reach the blocked, multi-threaded BLAS kernels.
+    """
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 31))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        basis = rng.integers(-8, 9, size=(k, d)) / 4.0
+        targets = rng.integers(-8, 9, size=(n, d)) / 4.0
+    else:
+        basis = rng.standard_normal((k, d))
+        targets = rng.standard_normal((n, d))
+    return basis, targets, rng.permutation(n)
+
+
+class TestNnlsRowsProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(nnls_batches())
+    def test_feasible_certified_and_no_worse_than_scalar(self, batch):
+        basis, targets, _ = batch
+        z = nnls_rows(basis, targets)
+        assert_kkt(basis, targets, z, support_tol=1e-6)
+        scalar = np.array([nnls(basis, t) for t in targets])
+        scale = np.maximum(1.0, np.sum(targets**2, axis=1))
+        got = objective(basis, targets, z)
+        assert np.all(got <= objective(basis, targets, scalar) + 1e-9 * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nnls_batches())
+    def test_permuting_rows_permutes_solutions_bitwise(self, batch):
+        basis, targets, perm = batch
+        np.testing.assert_array_equal(
+            nnls_rows(basis, targets[perm]), nnls_rows(basis, targets)[perm]
+        )

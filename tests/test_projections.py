@@ -116,6 +116,15 @@ class TestApply:
         # target = 1*row0 + 2*row1 exactly, so the encoding is (1, 2)
         np.testing.assert_allclose(p.apply(np.array([3.0, 2.0])), [1.0, 2.0], atol=1e-9)
 
+    def test_nnmf_apply_is_the_one_row_batch(self):
+        rng = np.random.default_rng(1)
+        basis = rng.random((4, 9))
+        p = Projection(KIND_NNMF, 9, 4, basis=basis)
+        # rows inside the basis cone take the fast path; the shifted ones clip
+        vecs = np.vstack([rng.random((15, 4)) @ basis, rng.random((15, 9)) - 0.25])
+        for vec in vecs:
+            np.testing.assert_array_equal(p.apply(vec), p.apply_rows(vec[None])[0])
+
     def test_input_dim_checked(self):
         p = Projection(KIND_RAND, 3, 1, basis=np.ones((1, 3)))
         with pytest.raises(ValueError):
