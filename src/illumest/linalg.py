@@ -28,12 +28,11 @@ SYMMETRY_TOL = 1e-10
 KKT_TOL = 1e-8
 
 #: Largest basis size whose supports nnls_rows enumerates (2^k - 1 of them);
-#: above it the rows the fast path leaves go to the scalar solver.
-NNLS_ENUM_MAX_K = 10
-
-#: Per-support solutions held at once while enumerating, in floats; rows are
-#: enumerated in blocks that fit, so memory does not grow with the batch.
-_ENUM_BLOCK_FLOATS = 1 << 18
+#: above it the rows the fast path leaves go to the scalar solver. It covers
+#: the d' = 1..5 that the experiments use, where a row needs at most 30
+#: floats of per-support solutions, so enumeration memory stays a small
+#: multiple of the batch's. scripts/nnls_enum_cap.py measures larger k.
+NNLS_ENUM_MAX_K = 5
 
 
 def symmetric_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,22 +150,27 @@ def nnls(
     raise RuntimeError("nnls: iteration cap exceeded without reaching KKT conditions")
 
 
-def _independent_supports(basis: np.ndarray) -> list[np.ndarray]:
-    """Index arrays (n_supports, size) of the linearly independent row subsets.
+def _independent_supports(gram: np.ndarray) -> list[np.ndarray]:
+    """Index arrays (n_supports, size) of the supports with a regular sub-Gram.
 
-    One array per support size, in lexicographic order. A support whose rows
-    are dependent has a singular sub-Gram; some optimal NNLS solution always
-    has an independent support, so dropping these loses nothing. Independence
-    follows `np.linalg.matrix_rank`; when the whole basis has full row rank,
-    every subset does too (a subset's condition number is no larger).
+    One array per support size, in lexicographic order. Regularity is judged
+    by `np.linalg.matrix_rank` on the sub-Gram G[S,S] that
+    `_enumerate_supports` solves, not on the basis rows: the Gram's condition
+    number is the square of theirs, so independent rows can still give a
+    sub-Gram that rounds to singular. Some optimal NNLS solution always has an
+    independent support, so dropping dependent ones loses nothing; a row whose
+    optimum needs a support dropped only for rounding fails the certificate
+    in `nnls_rows`. When the whole Gram has full rank every sub-Gram does too
+    (its eigenvalues interlace), and no subset check runs.
     """
-    k = basis.shape[0]
-    full_rank = np.linalg.matrix_rank(basis) == k
+    k = gram.shape[0]
+    full_rank = np.linalg.matrix_rank(gram, hermitian=True) == k
     out = []
     for size in range(1, k + 1):
         idx = np.array(list(itertools.combinations(range(k), size)), dtype=np.intp)
         if not full_rank:
-            idx = idx[np.linalg.matrix_rank(basis[idx]) == size]
+            sub = gram[idx[:, :, None], idx[:, None, :]]
+            idx = idx[np.linalg.matrix_rank(sub, hermitian=True) == size]
         if len(idx):
             out.append(idx)
     return out
@@ -188,7 +192,12 @@ def _enumerate_supports(
     best_obj = np.zeros(m)
     for idx in supports:
         sub_rhs = rhs[:, idx].transpose(1, 2, 0)  # (n_supports, size, m)
-        z = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]], sub_rhs)
+        try:
+            z = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]], sub_rhs)
+        except np.linalg.LinAlgError:
+            # a sub-Gram that passed the rank test but not the LU pivots: skip
+            # the layer; rows that needed it fail the certificate later
+            continue
         obj = -np.sum(z * sub_rhs, axis=1)
         obj[~np.all(z > 0, axis=1)] = np.inf
         pick = np.argmin(obj, axis=0)
@@ -207,9 +216,10 @@ def nnls_rows(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
     once; any row whose solution is already non-negative is optimal as-is.
     When the basis has at most NNLS_ENUM_MAX_K vectors, the remaining rows are
     solved exactly by enumerating supports: for each support size, one
-    batched solve covers every linearly independent support and every row
-    (see `_enumerate_supports`). Supports with a singular sub-Gram depend only
-    on the basis and are found once per call. Each enumerated row must then
+    batched solve covers every support with a regular sub-Gram and every row
+    (see `_enumerate_supports`). Supports with a numerically singular sub-Gram
+    depend only on the basis and are found once per call (see
+    `_independent_supports`). Each enumerated row must then
     pass the KKT certificate, with tol = KKT_TOL * max(1, |basis @ row|_inf):
     |gradient| <= tol on the support and gradient <= tol off it. Rows that
     fail it, and every remaining row when the basis exceeds the cap, are
@@ -235,13 +245,8 @@ def nnls_rows(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
         out[ok] = candidate[ok]
         pending = pending[~ok]
     if len(pending) and k <= NNLS_ENUM_MAX_K:
-        supports = _independent_supports(v)
-        block = max(1, _ENUM_BLOCK_FLOATS // max((s.size for s in supports), default=1))
-        # Near-equal blocks: a block of one row takes a different LAPACK route,
-        # so splitting one off would tie a row's bits to its position.
-        for rows in np.array_split(pending, -(-len(pending) // block)):
-            out[rows] = _enumerate_supports(gram, rhs[rows], supports)
-        sub = out[pending]
+        sub = _enumerate_supports(gram, rhs[pending], _independent_supports(gram))
+        out[pending] = sub
         grad = rhs[pending] - np.einsum("mj,jk->mk", sub, gram)
         tol = KKT_TOL * np.maximum(1.0, np.max(np.abs(rhs[pending]), axis=1))
         violation = np.where(sub > 0, np.abs(grad), grad)

@@ -226,6 +226,7 @@ class TestNnlsRows:
         rng = np.random.default_rng(9)
         for k in range(1, 7):
             for n_clip in range(1, k + 1):
+                calls.clear()
                 d = int(rng.integers(k, 32))
                 basis = rng.random((k, d))
                 clip = np.zeros((6, k), dtype=bool)
@@ -245,7 +246,8 @@ class TestNnlsRows:
                 for i in range(len(targets)):
                     _, best_obj = brute_force_nnls(basis, targets[i])
                     assert got[i] <= best_obj + 1e-9 * max(1.0, best_obj)
-        assert not calls  # every row was solved by enumeration and certified
+                # within the cap every row is solved by enumeration and certified
+                assert bool(calls) == (k > NNLS_ENUM_MAX_K)
 
     def test_zero_and_negative_targets_give_exact_zeros(self):
         rng = np.random.default_rng(10)
@@ -271,15 +273,33 @@ class TestNnlsRows:
             atol=1e-12,
         )
 
-    def test_row_blocks_do_not_change_the_result(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        basis = rng.random((5, 12))
-        targets = rng.standard_normal((50, 12))
-        whole = nnls_rows(basis, targets)
-        # the largest support layer at k = 5 holds 10 supports of 3: 30 floats
-        # a row, so this allows 7 rows a block
-        monkeypatch.setattr(linalg, "_ENUM_BLOCK_FLOATS", 7 * 30)
-        np.testing.assert_array_equal(nnls_rows(basis, targets), whole)
+    def test_gram_that_rounds_singular_matches_scalar_objective(self):
+        # independent rows (sigma_min ~ 7e-10), but the Gram rounds to [[1,1],[1,1]]
+        basis = np.array([[1.0, 0.0], [1.0, 1e-9]])
+        targets = np.array([[1.0, -1.0], [0.5, 0.5], [2.0, 1e-9], [1.0, 2.0], [-1.0, 1.0]])
+        z = nnls_rows(basis, targets)
+        scalar = np.array([nnls(basis, t) for t in targets])
+        assert np.all(z >= 0)
+        np.testing.assert_allclose(
+            objective(basis, targets, z), objective(basis, targets, scalar), atol=1e-12
+        )
+
+    def test_singular_layer_leaves_its_rows_to_the_scalar_solver(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        # integer entries keep the Gram exact, so every sub-Gram holding the
+        # duplicated rows 0 and 3 is exactly singular and its layer's solve raises
+        basis = rng.integers(0, 4, size=(3, 7)).astype(float)
+        basis = np.vstack([basis, basis[0]])
+        targets = rng.standard_normal((30, 7))
+        want = objective(basis, targets, nnls_rows(basis, targets))
+        every_support = [
+            np.array(list(itertools.combinations(range(4), size)))
+            for size in range(1, 5)
+        ]
+        monkeypatch.setattr(linalg, "_independent_supports", lambda gram: every_support)
+        z = nnls_rows(basis, targets)
+        assert_kkt(basis, targets, z, support_tol=1e-6)
+        np.testing.assert_allclose(objective(basis, targets, z), want, atol=1e-12)
 
     def test_basis_above_cap_uses_scalar_solver(self, monkeypatch):
         rng = np.random.default_rng(12)
