@@ -10,7 +10,7 @@ the best-scoring candidate.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -19,10 +19,6 @@ import numpy as np
 from .illuminants import IlluminantSet
 from .projections import KIND_RGB, Projection, projection_hash
 from .spectral import SpectralImage, ZERO_NORM_EPS
-
-#: Grids at or below this many cells are held as dense arrays in memory;
-#: larger grids use the sorted sparse representation. Files are always sparse.
-DENSE_CELL_LIMIT = 2**24
 
 DEFAULT_SMOOTHING = 1e-9
 
@@ -36,6 +32,10 @@ MODE_DOT = "dot"
 SCORE_MODES = (MODE_LOG, MODE_DOT)
 
 CBCM_MAGIC = b"CBCM1"
+
+#: A stored candidate's probabilities, including the base mass of its unseen
+#: cells, must sum to 1 within this tolerance.
+MASS_TOL = 1e-9
 
 #: Soft cap (in float64 counts) for caching training features during model
 #: construction; past it the feature stream is recomputed for the second pass.
@@ -118,32 +118,26 @@ def bin_indices(
 class HistogramGrid:
     """Smoothed probability mass over the flat cells of one candidate.
 
-    Cells never observed in training share one `base_prob`. Dense grids keep
-    the full probability vector; sparse grids keep sorted occupied cell
-    indices with their probabilities.
+    Holds the sorted cells observed in training with their probabilities;
+    every other cell of the grid has `base_prob`.
     """
 
     n_dims: int
     n_bins: int
     base_prob: float
-    dense: Optional[np.ndarray] = None
-    cells: Optional[np.ndarray] = None
-    cell_probs: Optional[np.ndarray] = None
+    cells: np.ndarray
+    cell_probs: np.ndarray
+
+    #: Not a field: read only by bench/spans.py, which sizes each grid's arrays.
+    dense = None
 
     def __post_init__(self) -> None:
-        if (self.dense is None) == (self.cells is None):
-            raise ValueError("grid needs exactly one of dense / sparse storage")
-        if self.dense is not None:
-            self.dense = np.asarray(self.dense, dtype=np.float64)
-            if self.dense.shape != (self.n_bins**self.n_dims,):
-                raise ValueError("dense grid has the wrong cell count")
-        else:
-            self.cells = np.asarray(self.cells, dtype=np.int64)
-            self.cell_probs = np.asarray(self.cell_probs, dtype=np.float64)
-            if self.cells.shape != self.cell_probs.shape or self.cells.ndim != 1:
-                raise ValueError("sparse cells and probabilities must align")
-            if self.cells.size and np.any(np.diff(self.cells) <= 0):
-                raise ValueError("sparse cells must be strictly increasing")
+        self.cells = np.asarray(self.cells, dtype=np.int64)
+        self.cell_probs = np.asarray(self.cell_probs, dtype=np.float64)
+        if self.cells.shape != self.cell_probs.shape or self.cells.ndim != 1:
+            raise ValueError("sparse cells and probabilities must align")
+        if self.cells.size and np.any(np.diff(self.cells) <= 0):
+            raise ValueError("sparse cells must be strictly increasing")
 
     @classmethod
     def from_counts(
@@ -160,47 +154,27 @@ class HistogramGrid:
         normalization, so unobserved cells end with probability
         smoothing / (total + smoothing * n_cells).
         """
-        total_cells = n_bins**n_dims
         total = float(counts.sum())
         if total <= 0:
             raise ValueError("histogram has no observations")
-        denom = total + smoothing * total_cells
-        base = smoothing / denom
-        probs = (counts + smoothing) / denom
-        if total_cells <= DENSE_CELL_LIMIT:
-            dense = np.full(total_cells, base)
-            dense[occupied_cells] = probs
-            return cls(n_dims, n_bins, base, dense=dense)
+        denom = total + smoothing * n_bins**n_dims
         return cls(
             n_dims,
             n_bins,
-            base,
-            cells=np.asarray(occupied_cells, dtype=np.int64),
-            cell_probs=probs,
+            smoothing / denom,
+            cells=occupied_cells,
+            cell_probs=(counts + smoothing) / denom,
         )
 
     def prob_at(self, flat_cells: np.ndarray) -> np.ndarray:
-        """Probability of each queried flat cell."""
+        """Probability of each queried flat cell (the reference for `score`)."""
         q = np.asarray(flat_cells, dtype=np.int64)
-        if self.dense is not None:
-            return self.dense[q]
         pos = np.searchsorted(self.cells, q)
-        pos_clamped = np.minimum(pos, self.cells.size - 1) if self.cells.size else pos
-        found = (
-            (pos < self.cells.size) & (self.cells[pos_clamped] == q)
-            if self.cells.size
-            else np.zeros(q.shape, dtype=bool)
-        )
+        found = pos < self.cells.size
+        found[found] = self.cells[pos[found]] == q[found]
         out = np.full(q.shape, self.base_prob)
-        out[found] = self.cell_probs[pos_clamped[found]]
+        out[found] = self.cell_probs[pos[found]]
         return out
-
-    def occupied(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted (cells, probabilities) for cells observed in training."""
-        if self.dense is not None:
-            cells = np.flatnonzero(self.dense != self.base_prob)
-            return cells.astype(np.int64), self.dense[cells]
-        return self.cells.copy(), self.cell_probs.copy()
 
 
 @dataclass
@@ -221,6 +195,12 @@ class CorrelationModel:
     grids: tuple[HistogramGrid, ...]
     projection_digest: bytes
     projection: Optional[Projection] = None
+    # Scoring index, derived from `grids`: the sorted union of every
+    # candidate's occupied cells closed by a sentinel past any real cell, and
+    # per score mode a C-contiguous (candidates x cells) table of
+    # probabilities or their logs whose sentinel column holds the base values.
+    _cells: np.ndarray = field(init=False, repr=False, compare=False)
+    _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.lo = np.asarray(self.lo, dtype=np.float64)
@@ -239,6 +219,14 @@ class CorrelationModel:
             projection_hash(self.projection) != self.projection_digest
         ):
             raise ValueError("projection does not match the model's digest")
+        union = np.unique(np.concatenate([g.cells for g in self.grids]))
+        self._cells = np.append(union, np.iinfo(np.int64).max)
+        probs = np.empty((len(self.grids), self._cells.size))
+        for row, grid in zip(probs, self.grids):
+            row[:] = grid.base_prob
+            row[np.searchsorted(union, grid.cells)] = grid.cell_probs
+        with np.errstate(divide="ignore"):
+            self._tables = {MODE_DOT: probs, MODE_LOG: np.log(probs)}
 
     def with_projection(self, projection: Projection) -> "CorrelationModel":
         """Attach the projection this model was built with (digest-checked)."""
@@ -367,14 +355,14 @@ def score(
     flat = bin_indices(feats, model.lo, model.hi, model.n_bins)
     occupied, counts = np.unique(flat, return_counts=True)
     weights = counts / counts.sum()
+    pos = np.searchsorted(model._cells, occupied)
+    pos[model._cells[pos] != occupied] = model._cells.size - 1
+    # np.take keeps each candidate's row C-contiguous, and one dot per row
+    # rounds exactly as a dot over that candidate's own probability vector.
+    vals = np.take(model._tables[mode], pos, axis=1)
     out = np.empty(len(model.grids))
-    for j, grid in enumerate(model.grids):
-        probs = grid.prob_at(occupied)
-        if mode == MODE_LOG:
-            with np.errstate(divide="ignore"):
-                out[j] = float(weights @ np.log(probs))
-        else:
-            out[j] = float(weights @ probs)
+    for j in range(out.size):
+        out[j] = float(weights @ vals[j])
     return out
 
 
@@ -410,10 +398,9 @@ def write_model(path, model: CorrelationModel) -> None:
         raw = name.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
-        cells, probs = grid.occupied()
-        parts.append(struct.pack("<dQ", grid.base_prob, cells.size))
-        parts.append(cells.astype("<u8").tobytes())
-        parts.append(probs.astype("<f8", copy=False).tobytes())
+        parts.append(struct.pack("<dQ", grid.base_prob, grid.cells.size))
+        parts.append(grid.cells.astype("<u8").tobytes())
+        parts.append(grid.cell_probs.astype("<f8", copy=False).tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -427,23 +414,24 @@ def read_model(path) -> CorrelationModel:
     try:
         n_dims, n_bins, n_candidates = struct.unpack_from("<III", blob, 5)
         offset = 5 + 12
-        lo = np.empty(n_dims)
-        hi = np.empty(n_dims)
-        for j in range(n_dims):
-            lo[j], hi[j] = struct.unpack_from("<dd", blob, offset)
-            offset += 16
+        bounds = np.frombuffer(blob, dtype="<f8", count=2 * n_dims, offset=offset)
+        lo, hi = bounds[0::2].copy(), bounds[1::2].copy()
+        offset += 16 * n_dims
         (smoothing,) = struct.unpack_from("<d", blob, offset)
         offset += 8
         digest = blob[offset : offset + 32]
         if len(digest) != 32:
             raise FormatError(f"{path}: truncated projection digest")
         offset += 32
+        total_cells = n_bins**n_dims
+        if total_cells > np.iinfo(np.int64).max:
+            raise FormatError(f"{path}: histogram cell space is too large to index")
         names = []
         grids = []
         for _ in range(n_candidates):
             (name_len,) = struct.unpack_from("<I", blob, offset)
             offset += 4
-            names.append(blob[offset : offset + name_len].decode("utf-8"))
+            name = blob[offset : offset + name_len].decode("utf-8")
             offset += name_len
             base_prob, n_cells = struct.unpack_from("<dQ", blob, offset)
             offset += 16
@@ -451,21 +439,27 @@ def read_model(path) -> CorrelationModel:
             offset += 8 * n_cells
             probs = np.frombuffer(blob, dtype="<f8", count=n_cells, offset=offset)
             offset += 8 * n_cells
-            total_cells = n_bins**n_dims
-            if total_cells <= DENSE_CELL_LIMIT:
-                dense = np.full(total_cells, base_prob)
-                dense[cells.astype(np.int64)] = probs
-                grids.append(HistogramGrid(n_dims, n_bins, base_prob, dense=dense))
-            else:
-                grids.append(
-                    HistogramGrid(
-                        n_dims,
-                        n_bins,
-                        base_prob,
-                        cells=cells.astype(np.int64),
-                        cell_probs=probs.copy(),
-                    )
+            if np.any(cells[1:] <= cells[:-1]):
+                raise FormatError(f"{path}: {name!r} cells are not strictly increasing")
+            if n_cells and int(cells[-1]) >= total_cells:
+                raise FormatError(f"{path}: {name!r} has a cell outside the grid")
+            if not np.all((probs > 0) & (probs <= 1)):
+                raise FormatError(f"{path}: {name!r} has a probability outside (0, 1]")
+            if not 0 <= base_prob < 1:
+                raise FormatError(f"{path}: {name!r} base probability outside [0, 1)")
+            mass = float(probs.sum()) + base_prob * (total_cells - n_cells)
+            if not abs(mass - 1.0) <= MASS_TOL:
+                raise FormatError(f"{path}: {name!r} has total mass {mass!r}, not 1")
+            names.append(name)
+            grids.append(
+                HistogramGrid(
+                    n_dims,
+                    n_bins,
+                    base_prob,
+                    cells=cells.astype(np.int64),
+                    cell_probs=probs.astype(np.float64),
                 )
+            )
         if offset != len(blob):
             raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
         return CorrelationModel(

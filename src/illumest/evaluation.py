@@ -464,6 +464,11 @@ class _Runner:
             downsample(self._sources[p], config.downsample_eval) for p in test_paths
         ]
         self.test_names = [p.stem for p in test_paths]
+        # Angular error of each predicted candidate (by name) against each true one.
+        self._errors = {
+            pred.name: [angular_error_deg(pred.spd, true.spd) for true in self.full]
+            for pred in self.full
+        }
         self._cameras: Optional[dict] = None
         self._fit_matrix: Optional[TrainingMatrix] = None
         self._lda_matrix: Optional[TrainingMatrix] = None
@@ -592,9 +597,7 @@ class _Runner:
                 if noise_db is not None:
                     radiance = add_noise(radiance, noise_db, mix_seed(master, i, j))
                 predicted = predictor(radiance)
-                err = angular_error_deg(
-                    self.full[self.full.index_of(predicted)].spd, ill.spd
-                )
+                err = self._errors[predicted][j]
                 errors.append(err)
                 cases.append(CaseResult(scene, ill.name, predicted, err))
         return np.asarray(errors), cases

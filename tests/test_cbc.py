@@ -1,9 +1,12 @@
 """Histogram calibration, binning, scoring, and model serialization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illumest.cbc import (
     CorrelationModel,
@@ -115,7 +118,8 @@ class TestHistogramGrid:
             grid.prob_at(np.array([0, 1, 2, 3])), [0.5, 0.1, 0.1, 0.3], atol=1e-15
         )
         assert grid.base_prob == pytest.approx(0.1, abs=1e-15)
-        assert grid.dense.sum() == pytest.approx(1.0, abs=1e-12)
+        mass = grid.cell_probs.sum() + grid.base_prob * (4 - grid.cells.size)
+        assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_smoothing_keeps_plain_frequencies(self):
         grid = HistogramGrid.from_counts(
@@ -125,27 +129,20 @@ class TestHistogramGrid:
             grid.prob_at(np.array([0, 1, 2, 3])), [0.0, 1.0, 0.0, 0.0], atol=1e-15
         )
 
-    def test_sparse_storage_matches_dense(self):
+    def test_prob_at_reads_occupied_cells_and_base(self):
         cells = np.array([2, 7, 11])
         probs = np.array([0.3, 0.2, 0.1])
-        sparse = HistogramGrid(2, 4, base_prob=0.025, cells=cells, cell_probs=probs)
-        dense_vec = np.full(16, 0.025)
-        dense_vec[cells] = probs
-        dense = HistogramGrid(2, 4, base_prob=0.025, dense=dense_vec)
-        q = np.arange(16)
-        np.testing.assert_allclose(sparse.prob_at(q), dense.prob_at(q), atol=1e-15)
-        sc, sp = sparse.occupied()
-        dc, dp = dense.occupied()
-        np.testing.assert_array_equal(sc, dc)
-        np.testing.assert_allclose(sp, dp, atol=1e-15)
+        grid = HistogramGrid(2, 4, base_prob=0.025, cells=cells, cell_probs=probs)
+        expected = np.full(16, 0.025)
+        expected[cells] = probs
+        np.testing.assert_array_equal(grid.prob_at(np.arange(16)), expected)
 
-    def test_storage_must_be_exclusive(self):
+    def test_sparse_storage_must_align(self):
         with pytest.raises(ValueError):
-            HistogramGrid(1, 2, 0.1)
+            HistogramGrid(1, 2, 0.1, cells=np.array([0]), cell_probs=np.ones(2))
         with pytest.raises(ValueError):
             HistogramGrid(
-                1, 2, 0.1, dense=np.ones(2), cells=np.array([0]),
-                cell_probs=np.array([1.0]),
+                1, 2, 0.1, cells=np.array([[0]]), cell_probs=np.array([[1.0]])
             )
 
     def test_sparse_cells_must_increase(self):
@@ -159,9 +156,13 @@ def hand_model():
     """1-D model over two candidates with hand-picked histograms."""
     proj = Projection("rand", 2, 1, basis=np.array([[1.0, 0.0]]))
     grid_a = HistogramGrid(
-        1, 4, base_prob=0.025, dense=np.array([0.7, 0.1, 0.1, 0.1])
+        1, 4, base_prob=0.025, cells=np.arange(4),
+        cell_probs=np.array([0.7, 0.1, 0.1, 0.1]),
     )
-    grid_b = HistogramGrid(1, 4, base_prob=0.25, dense=np.full(4, 0.25))
+    # every cell unseen: 0.25 each
+    grid_b = HistogramGrid(
+        1, 4, base_prob=0.25, cells=np.empty(0), cell_probs=np.empty(0)
+    )
     return CorrelationModel(
         n_dims=1,
         n_bins=4,
@@ -231,7 +232,9 @@ class TestScore:
 
     def test_classify_breaks_ties_toward_lowest_index(self):
         proj = Projection("rand", 2, 1, basis=np.array([[1.0, 0.0]]))
-        grid = HistogramGrid(1, 2, base_prob=0.5, dense=np.full(2, 0.5))
+        grid = HistogramGrid(
+            1, 2, base_prob=0.5, cells=np.empty(0), cell_probs=np.empty(0)
+        )
         model = CorrelationModel(
             n_dims=1, n_bins=2, lo=np.zeros(1), hi=np.ones(1), smoothing=0.0,
             candidate_names=("first", "second"), grids=(grid, grid),
@@ -240,6 +243,57 @@ class TestScore:
         name, scores = classify(model, image_from_pixels([[1.0, 3.0]]))
         assert name == "first"
         assert scores[0] == scores[1]
+
+
+@st.composite
+def sparse_models(draw):
+    """Identity-projection model over random sparse grids, plus a test image.
+
+    Candidates draw their cells from a shared pool at most half the grid, so
+    cells are shared, unique to one candidate, or in no candidate at all;
+    smoothing 0 gives base probability 0 (log -inf) in unseen cells.
+    """
+    n_dims = draw(st.integers(1, 3))
+    n_bins = draw(st.integers(2, 6))
+    n_cand = draw(st.integers(1, 6))
+    smoothing = draw(st.sampled_from([0.0, 1e-9, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cells = n_bins**n_dims
+    pool = rng.choice(n_cells, size=max(1, n_cells // 2), replace=False)
+    grids = []
+    for _ in range(n_cand):
+        cells = np.unique(rng.choice(pool, size=rng.integers(1, pool.size + 1)))
+        counts = rng.integers(1, 50, size=cells.size)
+        grids.append(
+            HistogramGrid.from_counts(cells, counts, n_dims, n_bins, smoothing)
+        )
+    proj = Projection("rand", n_dims + 1, n_dims, basis=np.eye(n_dims, n_dims + 1))
+    model = CorrelationModel(
+        n_dims=n_dims, n_bins=n_bins, lo=np.zeros(n_dims), hi=np.ones(n_dims),
+        smoothing=smoothing, candidate_names=tuple(f"c{j}" for j in range(n_cand)),
+        grids=tuple(grids), projection_digest=projection_hash(proj), projection=proj,
+    )
+    image = image_from_pixels(rng.random((draw(st.integers(1, 40)), n_dims + 1)))
+    return model, image
+
+
+class TestScoreOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_models(), st.sampled_from(["log", "dot"]))
+    def test_score_is_bitwise_per_candidate_dot(self, case, mode):
+        model, image = case
+        feats = pixel_features(model.projection, image.valid_pixels())
+        flat = bin_indices(feats, model.lo, model.hi, model.n_bins)
+        occ, counts = np.unique(flat, return_counts=True)
+        weights = counts / counts.sum()
+        expected = np.empty(len(model.grids))
+        for j, grid in enumerate(model.grids):
+            probs = grid.prob_at(occ)
+            if mode == "log":
+                with np.errstate(divide="ignore"):
+                    probs = np.log(probs)
+            expected[j] = float(weights @ probs)
+        assert score(model, image, mode=mode).tobytes() == expected.tobytes()
 
 
 def tiny_problem():
@@ -338,6 +392,45 @@ class TestModelSerialization:
         write_model(path, model)
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "cells, probs, base, match",
+        [
+            ([1, 64], [0.5, 0.4], 0.1 / 62, "outside the grid"),  # 8x8 grid
+            ([1, 2], [0.5, np.nan], 0.1 / 62, r"outside \(0, 1\]"),
+            ([2, 1], [0.5, 0.4], 0.1 / 62, "strictly increasing"),
+            ([1, 2], [0.0, 0.9], 0.1 / 62, r"outside \(0, 1\]"),
+            ([1, 2], [0.5, 0.4], np.inf, "base probability"),
+            ([1, 2], [0.5, 0.4], 0.2, "total mass"),  # 0.9 + 62 * 0.2
+        ],
+    )
+    def test_bad_candidate_table_rejected(self, tmp_path, cells, probs, base, match):
+        proj, model = self.build()
+        path = tmp_path / "m.cbcm"
+        write_model(path, model)
+        blob = bytearray(path.read_bytes())
+        # first candidate: header, digest, name, then (base, count) and its table
+        at = 5 + 12 + 16 * model.n_dims + 8 + 32 + 4 + len(model.candidate_names[0])
+        n_old = struct.unpack_from("<Q", blob, at + 8)[0]
+        table = (
+            struct.pack("<dQ", base, len(cells))
+            + np.asarray(cells, dtype="<u8").tobytes()
+            + np.asarray(probs, dtype="<f8").tobytes()
+        )
+        blob[at : at + 16 + 16 * n_old] = table
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=match):
+            read_model(path)
+
+    def test_dimension_count_past_the_file_rejected(self, tmp_path):
+        proj, model = self.build()
+        path = tmp_path / "m.cbcm"
+        write_model(path, model)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 5, 2**32 - 1)  # n_dims
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             read_model(path)
