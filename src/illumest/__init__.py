@@ -44,11 +44,13 @@ from .projections import (
 from .cbc import (
     CorrelationModel,
     HistogramGrid,
+    TrainingFeatures,
     build_model,
     calibrate_bounds,
     classify,
     read_model,
     score,
+    training_features,
     write_model,
 )
 from .baselines import spectral_gray_world
@@ -99,11 +101,13 @@ __all__ = [
     "write_projection",
     "CorrelationModel",
     "HistogramGrid",
+    "TrainingFeatures",
     "build_model",
     "calibrate_bounds",
     "classify",
     "read_model",
     "score",
+    "training_features",
     "write_model",
     "spectral_gray_world",
     "EvalReport",

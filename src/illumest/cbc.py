@@ -18,7 +18,7 @@ import numpy as np
 
 from .illuminants import IlluminantSet
 from .projections import KIND_RGB, Projection, projection_hash
-from .spectral import SpectralImage, ZERO_NORM_EPS
+from .spectral import SpectralImage, chromaticity_rows
 
 DEFAULT_SMOOTHING = 1e-9
 
@@ -37,10 +37,6 @@ CBCM_MAGIC = b"CBCM1"
 #: cells, must sum to 1 within this tolerance.
 MASS_TOL = 1e-9
 
-#: Soft cap (in float64 counts) for caching training features during model
-#: construction; past it the feature stream is recomputed for the second pass.
-_CACHE_LIMIT_FLOATS = 50_000_000
-
 
 def pixel_features(projection: Projection, pixels: np.ndarray) -> np.ndarray:
     """Histogram coordinates for raw radiance pixel rows, black rows dropped.
@@ -56,15 +52,10 @@ def pixel_features(projection: Projection, pixels: np.ndarray) -> np.ndarray:
             f"expected (N, {projection.input_dim}) pixels, got {pixels.shape}"
         )
     if projection.kind == KIND_RGB:
-        response = pixels @ projection.basis.T
-        sums = response.sum(axis=1)
-        keep = sums > ZERO_NORM_EPS
-        return response[keep] / sums[keep][:, None]
-    sums = pixels.sum(axis=1)
-    keep = sums > ZERO_NORM_EPS
-    if not np.any(keep):
+        return chromaticity_rows(pixels @ projection.basis.T)
+    chroma = chromaticity_rows(pixels)
+    if not chroma.shape[0]:
         return np.empty((0, projection.output_dim))
-    chroma = pixels[keep] / sums[keep][:, None]
     return projection.apply_rows(chroma)
 
 
@@ -235,48 +226,33 @@ class CorrelationModel:
         return replace(self, projection=projection)
 
 
-def _candidate_feature_stream(
+@dataclass(frozen=True)
+class TrainingFeatures:
+    """Per-candidate training features of one projection and their bounds.
+
+    `blocks` holds one (N_j, d') array per candidate, in candidate order;
+    `lo`/`hi` are `calibrate_bounds` over all of them. `training_features`
+    computes it once and `build_model` bins it at any resolution.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def training_features(
     images: Sequence[SpectralImage],
     candidates: IlluminantSet,
     projection: Projection,
-):
-    """Yield one (N_j, d') feature block per candidate, in candidate order."""
-    pixel_blocks = [img.valid_pixels() for img in images]
-    for ill in candidates:
-        spd = ill.spd.values
-        feats = [pixel_features(projection, block * spd) for block in pixel_blocks]
-        feats = [f for f in feats if f.shape[0]]
-        if not feats:
-            raise ValueError(
-                f"no usable training pixels under candidate {ill.name!r}"
-            )
-        yield np.concatenate(feats, axis=0)
+) -> TrainingFeatures:
+    """Features of the training images under every candidate, with bounds.
 
-
-def build_model(
-    images: Sequence[SpectralImage],
-    candidates: IlluminantSet,
-    projection: Projection,
-    n_bins: int,
-    smoothing: float = DEFAULT_SMOOTHING,
-    bounds: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    feature_blocks: Optional[Sequence[np.ndarray]] = None,
-) -> CorrelationModel:
-    """Build the per-candidate histogram model from training reflectances.
-
-    Each training image is relit by each candidate's raw SPD; the projected
-    chromaticities fill that candidate's histogram. Bounds are calibrated
-    from the pooled training features unless given explicitly.
-    `feature_blocks` may carry per-candidate feature arrays computed ahead of
-    time (exactly what the internal stream would produce) so repeated builds
-    at different resolutions skip the projection work.
+    Each image's valid pixels are relit by each candidate's raw SPD and
+    passed through `pixel_features`; the bounds are calibrated over all
+    candidates' features pooled.
     """
     if not images:
         raise ValueError("need at least one training image")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
     for img in images:
         if img.n_bands != projection.input_dim:
             raise ValueError(
@@ -285,39 +261,53 @@ def build_model(
             )
         if img.axis != candidates.axis:
             raise ValueError("training images and candidates must share a grid")
+    pixel_blocks = [img.valid_pixels() for img in images]
+    blocks = []
+    for ill in candidates:
+        spd = ill.spd.values
+        feats = [pixel_features(projection, block * spd) for block in pixel_blocks]
+        feats = [f for f in feats if f.shape[0]]
+        if not feats:
+            raise ValueError(
+                f"no usable training pixels under candidate {ill.name!r}"
+            )
+        blocks.append(np.concatenate(feats, axis=0))
+    lo, hi = calibrate_bounds(blocks, projection.output_dim)
+    return TrainingFeatures(tuple(blocks), lo, hi)
+
+
+def build_model(
+    images: Sequence[SpectralImage],
+    candidates: IlluminantSet,
+    projection: Projection,
+    n_bins: int,
+    smoothing: float = DEFAULT_SMOOTHING,
+    features: Optional[TrainingFeatures] = None,
+) -> CorrelationModel:
+    """Build the per-candidate histogram model from training reflectances.
+
+    Each candidate's histogram is filled from its block of
+    `training_features(images, candidates, projection)` on the calibrated
+    bounds. `features` may carry that value computed ahead of time, so
+    builds of one projection at several resolutions share it.
+    """
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    if not (np.isfinite(smoothing) and smoothing > 0):
+        raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
     d_out = projection.output_dim
     if n_bins**d_out > np.iinfo(np.int64).max:
         raise ValueError("histogram cell space is too large to index")
-
-    if feature_blocks is not None:
-        cached = list(feature_blocks)
-        if len(cached) != len(candidates):
-            raise ValueError("need one feature block per candidate")
-    else:
-        cached = None
-    if bounds is None:
-        if cached is None:
-            est_rows = (
-                sum(img.valid_pixels().shape[0] for img in images) * len(candidates)
-            )
-            if est_rows * d_out <= _CACHE_LIMIT_FLOATS:
-                cached = list(_candidate_feature_stream(images, candidates, projection))
-        if cached is not None:
-            lo, hi = calibrate_bounds(cached, d_out)
-        else:
-            lo, hi = calibrate_bounds(
-                _candidate_feature_stream(images, candidates, projection), d_out
-            )
-    else:
-        lo, hi = bounds
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-
-    stream = cached if cached is not None else _candidate_feature_stream(
-        images, candidates, projection
-    )
+    if features is None:
+        features = training_features(images, candidates, projection)
+    lo = np.asarray(features.lo, dtype=np.float64)
+    hi = np.asarray(features.hi, dtype=np.float64)
+    if len(features.blocks) != len(candidates) or lo.shape != (d_out,):
+        raise ValueError(
+            f"features must hold {len(candidates)} blocks of {d_out} dimensions"
+        )
     grids = []
-    for feats in stream:
+    for feats in features.blocks:
         flat = bin_indices(feats, lo, hi, n_bins)
         occupied, counts = np.unique(flat, return_counts=True)
         grids.append(

@@ -22,9 +22,11 @@ from .cbc import (
     SCORE_MODES,
     CorrelationModel,
     build_model,
-    calibrate_bounds,
+    # Not called here; it stays a module attribute because bench/spans.py
+    # traces it at this site as well (ROADMAP item 6).
+    calibrate_bounds,  # noqa: F401
     classify,
-    _candidate_feature_stream,
+    training_features,
 )
 from .illuminants import IlluminantSet, load_illuminants, select_projection_set
 from .io import (
@@ -55,10 +57,11 @@ from .spectral import (
     SpectralImage,
     Spectrum,
     add_noise,
-    chromaticity_pixels,
+    chromaticity_rows,
     downsample,
     mix_seed,
     relight,
+    require_same_axis,
 )
 
 METHOD_SGW = "sgw"
@@ -289,8 +292,8 @@ class GridConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.score_mode not in SCORE_MODES:
             raise ValueError(f"score_mode must be one of {SCORE_MODES}")
-        if self.smoothing < 0:
-            raise ValueError("smoothing must be non-negative")
+        if not (np.isfinite(self.smoothing) and self.smoothing > 0):
+            raise ValueError(f"smoothing must be finite and > 0, got {self.smoothing}")
         if self.projection_set is not None:
             self.projection_set = Path(self.projection_set)
         if self.projection_set_k < 2:
@@ -407,11 +410,14 @@ def training_chromaticities(
     candidate 1, ...). With `labelled=True` each row carries its candidate's
     index as the class label, which is what the supervised fit needs.
     """
+    for img in images:
+        require_same_axis(img.axis, candidates.axis, "training_chromaticities")
+    pixel_blocks = [img.valid_pixels() for img in images]
     blocks = []
     labels = []
     for idx, ill in enumerate(candidates):
-        for img in images:
-            chroma = chromaticity_pixels(relight(img, ill.spd))
+        for pixels in pixel_blocks:
+            chroma = chromaticity_rows(pixels * ill.spd.values)
             if chroma.shape[0]:
                 blocks.append(chroma)
                 labels.append(np.full(chroma.shape[0], idx, dtype=np.int64))
@@ -472,14 +478,9 @@ class _Runner:
         self._cameras: Optional[dict] = None
         self._fit_matrix: Optional[TrainingMatrix] = None
         self._lda_matrix: Optional[TrainingMatrix] = None
-        self._projections: dict = {}
-        self._bounds: dict = {}
-        # Single-slot cache of per-candidate training features for the
-        # projection currently being evaluated (shared across its B values).
-        self._feature_slot: Optional[tuple] = None
-        self._train_eval_pixels = sum(
-            img.valid_pixels().shape[0] for img in self.train_eval
-        )
+        # (key, projection, training features) of the projection being
+        # evaluated; the runners visit each key's B values contiguously.
+        self._slot: Optional[tuple] = None
 
     # -- lazy inputs --------------------------------------------------------
 
@@ -520,67 +521,40 @@ class _Runner:
         return [NO_VARIANT]
 
     def projection_for(self, method: str, d_prime: int, variant: str) -> Projection:
-        key = (method, d_prime, variant)
-        if key not in self._projections:
-            cfg = self.config
-            if method == KIND_RGB:
-                proj = fit_rgb(self.cameras()[variant])
-            elif method == KIND_RAND:
-                proj = fit_rand(self.full.axis.count, d_prime, seed=int(variant))
-            elif method == KIND_PCA:
-                proj = fit_pca(self.fit_matrix(), d_prime)
-            elif method == KIND_ILL_PCA:
-                proj = fit_ill_pca(self.proj_set, d_prime)
-            elif method == KIND_NNMF:
-                proj = fit_nnmf(
-                    self.fit_matrix(),
-                    d_prime,
-                    seed=cfg.nnmf_seed,
-                    max_iter=cfg.nnmf_max_iter,
-                )
-            elif method == KIND_LDA:
-                proj = fit_lda(self.lda_matrix(), d_prime)
-            else:
-                raise ValueError(f"method {method!r} has no projection")
-            self._projections[key] = proj
-        return self._projections[key]
-
-    def _features_for(self, key, projection: Projection):
-        """Cached per-candidate training features, or None when too large."""
-        if self._feature_slot is not None and self._feature_slot[0] == key:
-            return self._feature_slot[1]
-        est = self._train_eval_pixels * len(self.full) * projection.output_dim
-        if est > 50_000_000:
-            return None
-        blocks = list(
-            _candidate_feature_stream(self.train_eval, self.full, projection)
-        )
-        self._feature_slot = (key, blocks)
-        return blocks
-
-    def bounds_for(self, key, projection: Projection):
-        if key not in self._bounds:
-            blocks = self._features_for(key, projection)
-            source = (
-                blocks
-                if blocks is not None
-                else _candidate_feature_stream(self.train_eval, self.full, projection)
+        cfg = self.config
+        if method == KIND_RGB:
+            return fit_rgb(self.cameras()[variant])
+        if method == KIND_RAND:
+            return fit_rand(self.full.axis.count, d_prime, seed=int(variant))
+        if method == KIND_PCA:
+            return fit_pca(self.fit_matrix(), d_prime)
+        if method == KIND_ILL_PCA:
+            return fit_ill_pca(self.proj_set, d_prime)
+        if method == KIND_NNMF:
+            return fit_nnmf(
+                self.fit_matrix(),
+                d_prime,
+                seed=cfg.nnmf_seed,
+                max_iter=cfg.nnmf_max_iter,
             )
-            self._bounds[key] = calibrate_bounds(source, projection.output_dim)
-        return self._bounds[key]
+        if method == KIND_LDA:
+            return fit_lda(self.lda_matrix(), d_prime)
+        raise ValueError(f"method {method!r} has no projection")
 
     def model_for(self, method: str, d_prime: int, variant: str, n_bins: int):
-        proj = self.projection_for(method, d_prime, variant)
         key = (method, d_prime, variant)
-        bounds = self.bounds_for(key, proj)
+        if self._slot is None or self._slot[0] != key:
+            proj = self.projection_for(method, d_prime, variant)
+            features = training_features(self.train_eval, self.full, proj)
+            self._slot = (key, proj, features)
+        _, proj, features = self._slot
         return build_model(
             self.train_eval,
             self.full,
             proj,
             n_bins,
             smoothing=self.config.smoothing,
-            bounds=bounds,
-            feature_blocks=self._features_for(key, proj),
+            features=features,
         )
 
     # -- evaluation ---------------------------------------------------------

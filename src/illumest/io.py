@@ -122,6 +122,8 @@ def read_spd_csv(path) -> tuple[SpectralAxis, np.ndarray]:
     if len(rows) < 2:
         raise FormatError(f"{path}: need at least two wavelength rows")
     table = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(table)):
+        raise FormatError(f"{path}: non-finite value")
     wl = table[:, 0]
     if np.any(np.diff(wl) <= 0):
         raise FormatError(f"{path}: wavelengths must be strictly increasing")
@@ -129,10 +131,11 @@ def read_spd_csv(path) -> tuple[SpectralAxis, np.ndarray]:
     ideal = wl[0] + step * np.arange(len(wl))
     if np.max(np.abs(wl - ideal)) > _AXIS_TOL_NM:
         raise FormatError(f"{path}: wavelengths are not on a uniform grid")
-    values = table[:, 1:]
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: non-finite value")
-    return SpectralAxis(float(wl[0]), float(step), len(wl)), values
+    try:
+        axis = SpectralAxis(float(wl[0]), float(step), len(wl))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return axis, table[:, 1:]
 
 
 def write_spd_csv(path, axis: SpectralAxis, values: np.ndarray) -> None:

@@ -91,6 +91,8 @@ class Projection:
                 raise ValueError(
                     f"mean must have shape ({self.input_dim},), got {self.mean.shape}"
                 )
+            if not np.all(np.isfinite(self.mean)):
+                raise ValueError("mean must be finite")
             gram = self.basis.T @ self.basis
             if np.max(np.abs(gram - np.eye(self.output_dim))) > _ORTHO_TOL:
                 raise ValueError(f"{self.kind} basis columns must be orthonormal")

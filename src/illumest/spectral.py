@@ -192,19 +192,24 @@ def sensor_project(image: SpectralImage, sens: SensitivityFunctions) -> np.ndarr
     return image.data @ sens.rows.T * image.axis.step_nm
 
 
+def chromaticity_rows(rows: np.ndarray) -> np.ndarray:
+    """L1 chromaticities of the non-black rows of an (N, k) array, in order.
+
+    Rows whose L1 sum is at or below ZERO_NORM_EPS are dropped; every other
+    row is divided by its sum. This is the one place pixels are normalized.
+    """
+    sums = rows.sum(axis=1)
+    keep = sums > ZERO_NORM_EPS
+    return rows[keep] / sums[keep][:, None]
+
+
 def chromaticity_pixels(image: SpectralImage) -> np.ndarray:
     """L1 chromaticities of all valid, non-black pixels, (N, bands).
 
     Pixels outside the mask or with L1 norm <= ZERO_NORM_EPS are dropped.
     Row order follows the row-major pixel scan, so output is deterministic.
     """
-    pixels = image.valid_pixels()
-    sums = pixels.sum(axis=1)
-    keep = sums > ZERO_NORM_EPS
-    pixels = pixels[keep]
-    if pixels.shape[0] == 0:
-        return pixels.reshape(0, image.n_bands)
-    return pixels / sums[keep][:, None]
+    return chromaticity_rows(image.valid_pixels())
 
 
 def downsample(image: SpectralImage, factor: int) -> SpectralImage:

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from illumest.cbc import (
     pixel_features,
     read_model,
     score,
+    training_features,
     write_model,
 )
 from illumest.illuminants import Illuminant, IlluminantSet
@@ -324,24 +326,42 @@ class TestBuildAndClassify:
         axis, candidates, images = tiny_problem()
         proj = fit_rand(4, 2, seed=42)
         lo, hi = np.full(2, -2.0), np.full(2, 2.0)
-        model = build_model(images, candidates, proj, n_bins=8, bounds=(lo, hi))
+        feats = replace(training_features(images, candidates, proj), lo=lo, hi=hi)
+        model = build_model(images, candidates, proj, n_bins=8, features=feats)
         np.testing.assert_array_equal(model.lo, lo)
         np.testing.assert_array_equal(model.hi, hi)
 
     def test_precomputed_features_give_identical_model(self, tmp_path):
-        from illumest.cbc import _candidate_feature_stream
-
         axis, candidates, images = tiny_problem()
         proj = fit_rand(4, 2, seed=42)
         direct = build_model(images, candidates, proj, n_bins=8)
-        blocks = list(_candidate_feature_stream(images, candidates, proj))
-        via_blocks = build_model(
-            images, candidates, proj, n_bins=8, feature_blocks=blocks
-        )
+        feats = training_features(images, candidates, proj)
+        via_features = build_model(images, candidates, proj, n_bins=8, features=feats)
         p1, p2 = tmp_path / "a.cbcm", tmp_path / "b.cbcm"
         write_model(p1, direct)
-        write_model(p2, via_blocks)
+        write_model(p2, via_features)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_features_must_match_candidates_and_projection(self):
+        axis, candidates, images = tiny_problem()
+        proj = fit_rand(4, 2, seed=42)
+        feats = training_features(images, candidates, proj)
+        with pytest.raises(ValueError, match="blocks"):
+            build_model(
+                images, candidates, proj, n_bins=8,
+                features=replace(feats, blocks=feats.blocks[:1]),
+            )
+        with pytest.raises(ValueError, match="blocks"):
+            build_model(
+                images, candidates, fit_rand(4, 3, seed=42), n_bins=8, features=feats
+            )
+
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, 0.0, -1.0])
+    def test_degenerate_smoothing_rejected(self, smoothing):
+        axis, candidates, images = tiny_problem()
+        proj = fit_rand(4, 2, seed=42)
+        with pytest.raises(ValueError, match="smoothing"):
+            build_model(images, candidates, proj, n_bins=8, smoothing=smoothing)
 
     def test_band_count_mismatch_rejected(self):
         axis, candidates, images = tiny_problem()

@@ -181,6 +181,24 @@ class TestModelAndClassify:
         assert np.isfinite(float(err_lines[0].split(",")[1]))
 
 
+    def test_degenerate_smoothing_is_an_error(self, fitted, tmp_path, capsys):
+        proj_path, _, dataset = fitted
+        rc = main(
+            [
+                "build-model",
+                "--projection", str(proj_path),
+                "--dataset", str(dataset),
+                "--bins", "8",
+                "--smoothing", "0",
+                "--out", str(tmp_path / "m.cbcm"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "smoothing" in err
+        assert not (tmp_path / "m.cbcm").exists()
+
+
 class TestReports:
     def test_grid_and_noise_runs(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

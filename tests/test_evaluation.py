@@ -19,7 +19,7 @@ from illumest.evaluation import (
 )
 from illumest.illuminants import Illuminant, IlluminantSet
 from illumest.io import FormatError
-from illumest.spectral import SpectralAxis, SpectralImage, Spectrum
+from illumest.spectral import SpectralAxis, SpectralImage, Spectrum, chromaticity_rows
 
 
 class TestAngularError:
@@ -258,6 +258,15 @@ class TestParseConfig:
             parse_config(p)
         assert "illuminants" in str(exc.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_degenerate_smoothing_rejected(self, tmp_path, value):
+        p = self.write(
+            tmp_path,
+            f"dataset = d.txt\nilluminants = i.txt\nmethods = pca\nsmoothing = {value}\n",
+        )
+        with pytest.raises(FormatError, match="smoothing"):
+            parse_config(p)
+
     def test_bad_bool_rejected(self, tmp_path):
         p = self.write(
             tmp_path,
@@ -291,6 +300,31 @@ class TestTrainingChromaticities:
         cands = IlluminantSet((Illuminant("c", Spectrum(axis, [1.0, 3.0])),))
         t = training_chromaticities([img], cands)
         assert t.labels is None
+
+    def test_rows_are_the_shared_l1_step_renormalized(self):
+        axis = SpectralAxis(400, 10, 5)
+        rng = np.random.default_rng(3)
+        data = rng.random((4, 3, 5)) * rng.integers(0, 2, (4, 3, 1))  # black pixels
+        images = [
+            SpectralImage(axis, data, rng.random((4, 3)) > 0.2),
+            SpectralImage(axis, rng.random((2, 2, 5)) * 7.0, np.ones((2, 2), bool)),
+        ]
+        cands = IlluminantSet(
+            tuple(
+                Illuminant(f"c{j}", Spectrum(axis, rng.random(5) + 0.01))
+                for j in range(3)
+            )
+        )
+        expected = np.concatenate(
+            [
+                chromaticity_rows(img.valid_pixels() * ill.spd.values)
+                for ill in cands
+                for img in images
+            ]
+        )
+        expected = expected / expected.sum(axis=1, keepdims=True)
+        rows = training_chromaticities(images, cands).rows
+        assert rows.tobytes() == expected.tobytes()
 
 
 def demo_config(demo_data, **overrides):

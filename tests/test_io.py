@@ -122,6 +122,23 @@ class TestSpdCsv:
         with pytest.raises(FormatError):
             read_spd_csv(p)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "nan,1\n410,1\n420,1\n",
+            "400,1\n410,1\ninf,1\n",
+            "-1e308,1\n1e308,1\n",
+        ],
+        ids=["nan_first", "inf_last", "step_overflow"],
+    )
+    # the overflowing span warns in the grid arithmetic before it is rejected
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_grid_rejected(self, tmp_path, rows):
+        p = tmp_path / "bad.csv"
+        p.write_text("wavelength_nm,value\n" + rows)
+        with pytest.raises(FormatError):
+            read_spd_csv(p)
+
     def test_needs_two_rows(self, tmp_path):
         p = tmp_path / "short.csv"
         p.write_text("wavelength_nm,value\n400,1\n")

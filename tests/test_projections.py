@@ -1,5 +1,7 @@
 """Projection fitting, application, and serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,16 @@ class TestSerialization:
             projection_from_bytes(b"XXXX" + blob[4:])
         with pytest.raises(FormatError):
             projection_from_bytes(blob[:12])
+
+    def test_non_finite_mean_rejected(self, tmp_path):
+        p = self.sample_projections()[2]  # pca, carries a mean
+        path = tmp_path / "nan_mean.proj"
+        write_projection(path, p)
+        blob = bytearray(path.read_bytes())
+        blob[15:23] = struct.pack("<d", float("nan"))  # first mean entry
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="mean"):
+            read_projection(path)
 
     def test_unknown_kind_code_rejected(self):
         blob = bytearray(projection_to_bytes(fit_rand(4, 2, seed=0)))
