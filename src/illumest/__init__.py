@@ -50,6 +50,7 @@ from .cbc import (
     classify,
     read_model,
     score,
+    score_blocks,
     training_features,
     write_model,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "classify",
     "read_model",
     "score",
+    "score_blocks",
     "training_features",
     "write_model",
     "spectral_gray_world",

@@ -37,14 +37,19 @@ CBCM_MAGIC = b"CBCM1"
 #: cells, must sum to 1 within this tolerance.
 MASS_TOL = 1e-9
 
+_INT64_MAX = np.iinfo(np.int64).max
 
-def pixel_features(projection: Projection, pixels: np.ndarray) -> np.ndarray:
+
+def pixel_features(
+    projection: Projection, pixels: np.ndarray, return_kept: bool = False
+):
     """Histogram coordinates for raw radiance pixel rows, black rows dropped.
 
     Camera-sensitivity projections integrate the raw radiance first and then
     L1-normalize the 3-channel response; every other kind L1-normalizes the
     spectral pixel first and projects the chromaticity. Rows whose relevant
-    L1 norm is at or below ZERO_NORM_EPS are skipped.
+    L1 norm is at or below ZERO_NORM_EPS are skipped; with
+    `return_kept=True` the (N,) boolean mask of kept rows comes too.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.ndim != 2 or pixels.shape[1] != projection.input_dim:
@@ -52,11 +57,14 @@ def pixel_features(projection: Projection, pixels: np.ndarray) -> np.ndarray:
             f"expected (N, {projection.input_dim}) pixels, got {pixels.shape}"
         )
     if projection.kind == KIND_RGB:
-        return chromaticity_rows(pixels @ projection.basis.T)
-    chroma = chromaticity_rows(pixels)
-    if not chroma.shape[0]:
-        return np.empty((0, projection.output_dim))
-    return projection.apply_rows(chroma)
+        feats, kept = chromaticity_rows(pixels @ projection.basis.T, return_kept=True)
+    else:
+        chroma, kept = chromaticity_rows(pixels, return_kept=True)
+        if chroma.shape[0]:
+            feats = projection.apply_rows(chroma)
+        else:
+            feats = np.empty((0, projection.output_dim))
+    return (feats, kept) if return_kept else feats
 
 
 def calibrate_bounds(
@@ -211,7 +219,7 @@ class CorrelationModel:
         ):
             raise ValueError("projection does not match the model's digest")
         union = np.unique(np.concatenate([g.cells for g in self.grids]))
-        self._cells = np.append(union, np.iinfo(np.int64).max)
+        self._cells = np.append(union, _INT64_MAX)
         probs = np.empty((len(self.grids), self._cells.size))
         for row, grid in zip(probs, self.grids):
             row[:] = grid.base_prob
@@ -296,7 +304,7 @@ def build_model(
     if not (np.isfinite(smoothing) and smoothing > 0):
         raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
     d_out = projection.output_dim
-    if n_bins**d_out > np.iinfo(np.int64).max:
+    if n_bins**d_out > _INT64_MAX:
         raise ValueError("histogram cell space is too large to index")
     if features is None:
         features = training_features(images, candidates, projection)
@@ -326,34 +334,69 @@ def build_model(
     )
 
 
-def score(
-    model: CorrelationModel, image: SpectralImage, mode: str = MODE_LOG
+def score_blocks(
+    model: CorrelationModel,
+    pixel_blocks: Sequence[np.ndarray],
+    mode: str = MODE_LOG,
 ) -> np.ndarray:
-    """Correlation score of the image against every candidate.
+    """Scores of each block of radiance pixel rows, (n_blocks, n_candidates).
 
-    The test histogram is normalized without smoothing; `log` mode returns
-    sum(h_test * log(h_candidate)) over test-occupied cells, `dot` mode the
-    plain dot product of the two histograms.
+    Row k is the score of an image whose valid pixels are block k: its
+    histogram is normalized without smoothing; `log` mode gives
+    sum(h_test * log(h_candidate)) over the block's occupied cells, `dot`
+    mode the plain dot product of the two histograms. All blocks share one
+    `pixel_features` and one `bin_indices` call; each block's row is one
+    gather from the model's union table and one dot per candidate. BLAS may
+    round a batched product's row by its position in the batch, which can
+    change a row only where a coordinate lies exactly on a bin edge.
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     if model.projection is None:
         raise ValueError("model has no projection attached; call with_projection")
-    feats = pixel_features(model.projection, image.valid_pixels())
-    if feats.shape[0] == 0:
+    n_blocks = len(pixel_blocks)
+    # A single block is featurized as it is, without a concatenated copy.
+    pixels = pixel_blocks[0] if n_blocks == 1 else np.concatenate(pixel_blocks)
+    feats, kept = pixel_features(model.projection, pixels, return_kept=True)
+    block = np.repeat(np.arange(n_blocks), [len(b) for b in pixel_blocks])[kept]
+    totals = np.bincount(block, minlength=n_blocks)
+    if not totals.all():
         raise ValueError("test image has no usable pixels")
     flat = bin_indices(feats, model.lo, model.hi, model.n_bins)
-    occupied, counts = np.unique(flat, return_counts=True)
-    weights = counts / counts.sum()
-    pos = np.searchsorted(model._cells, occupied)
-    pos[model._cells[pos] != occupied] = model._cells.size - 1
-    # np.take keeps each candidate's row C-contiguous, and one dot per row
-    # rounds exactly as a dot over that candidate's own probability vector.
-    vals = np.take(model._tables[mode], pos, axis=1)
-    out = np.empty(len(model.grids))
-    for j in range(out.size):
-        out[j] = float(weights @ vals[j])
+    # One key per (block, cell) pair, sorted by block and then by cell. When
+    # block * n_cells could overflow int64, the cells are ranked first.
+    n_cells = int(model.n_bins) ** int(model.n_dims)
+    ranked = n_blocks * n_cells > _INT64_MAX
+    if ranked:
+        cells, flat = np.unique(flat, return_inverse=True)
+        n_cells = cells.size
+    keys, counts = np.unique(block * n_cells + flat, return_counts=True)
+    key_block, key_cell = np.divmod(keys, n_cells)
+    if ranked:
+        key_cell = cells[key_cell]
+    pos = np.searchsorted(model._cells, key_cell)
+    pos[model._cells[pos] != key_cell] = model._cells.size - 1
+    weights = counts / totals[key_block]
+    bounds = np.searchsorted(key_block, np.arange(n_blocks + 1))
+    table = model._tables[mode]
+    out = np.empty((n_blocks, len(model.grids)))
+    for k, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        # np.take keeps each candidate's row C-contiguous, and vecdot does
+        # one dot per row, which rounds exactly as a dot over that
+        # candidate's own probability vector.
+        vals = np.take(table, pos[start:stop], axis=1)
+        out[k] = np.vecdot(vals, weights[start:stop])
     return out
+
+
+def score(
+    model: CorrelationModel, image: SpectralImage, mode: str = MODE_LOG
+) -> np.ndarray:
+    """Correlation score of the image against every candidate.
+
+    The one-block case of `score_blocks`, on the image's valid pixels.
+    """
+    return score_blocks(model, [image.valid_pixels()], mode)[0]
 
 
 def classify(
@@ -409,12 +452,14 @@ def read_model(path) -> CorrelationModel:
         offset += 16 * n_dims
         (smoothing,) = struct.unpack_from("<d", blob, offset)
         offset += 8
+        if not (np.isfinite(smoothing) and smoothing >= 0):
+            raise FormatError(f"{path}: smoothing {smoothing!r} is not finite and >= 0")
         digest = blob[offset : offset + 32]
         if len(digest) != 32:
             raise FormatError(f"{path}: truncated projection digest")
         offset += 32
         total_cells = n_bins**n_dims
-        if total_cells > np.iinfo(np.int64).max:
+        if total_cells > _INT64_MAX:
             raise FormatError(f"{path}: histogram cell space is too large to index")
         names = []
         grids = []
@@ -425,6 +470,10 @@ def read_model(path) -> CorrelationModel:
             offset += name_len
             base_prob, n_cells = struct.unpack_from("<dQ", blob, offset)
             offset += 16
+            if n_cells > (len(blob) - offset) // 16:
+                raise FormatError(
+                    f"{path}: {name!r} claims {n_cells} cells, more than the file holds"
+                )
             cells = np.frombuffer(blob, dtype="<u8", count=n_cells, offset=offset)
             offset += 8 * n_cells
             probs = np.frombuffer(blob, dtype="<f8", count=n_cells, offset=offset)

@@ -22,10 +22,11 @@ from .cbc import (
     SCORE_MODES,
     CorrelationModel,
     build_model,
-    # Not called here; it stays a module attribute because bench/spans.py
-    # traces it at this site as well (ROADMAP item 6).
+    # Not called here; they stay module attributes because bench/spans.py
+    # traces them at this site as well (ROADMAP item 6).
     calibrate_bounds,  # noqa: F401
-    classify,
+    classify,  # noqa: F401
+    score_blocks,
     training_features,
 )
 from .illuminants import IlluminantSet, load_illuminants, select_projection_set
@@ -470,6 +471,9 @@ class _Runner:
             downsample(self._sources[p], config.downsample_eval) for p in test_paths
         ]
         self.test_names = [p.stem for p in test_paths]
+        self._test_pixels = [img.valid_pixels() for img in self.test_eval]
+        self._spds = [ill.normalized_spd() for ill in self.full]
+        self._spd_rows = np.array([spd.values for spd in self._spds])
         # Angular error of each predicted candidate (by name) against each true one.
         self._errors = {
             pred.name: [angular_error_deg(pred.spd, true.spd) for true in self.full]
@@ -559,33 +563,56 @@ class _Runner:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _evaluate(self, predictor, noise_db: Optional[float]):
-        """Errors and per-case records over (test scene x candidate)."""
+    def _evaluate(self, predict_scene):
+        """Errors and per-case records over (test scene x candidate).
+
+        `predict_scene(i)` names the predicted candidate for each case of
+        test scene i: the scene lit by each candidate in turn.
+        """
         errors = []
         cases = []
-        master = self.config.noise_master_seed
-        for i, img in enumerate(self.test_eval):
-            scene = self.test_names[i]
-            for j, ill in enumerate(self.full):
-                radiance = relight(img, ill.normalized_spd())
-                if noise_db is not None:
-                    radiance = add_noise(radiance, noise_db, mix_seed(master, i, j))
-                predicted = predictor(radiance)
+        for i, scene in enumerate(self.test_names):
+            for j, (ill, predicted) in enumerate(zip(self.full, predict_scene(i))):
                 err = self._errors[predicted][j]
                 errors.append(err)
                 cases.append(CaseResult(scene, ill.name, predicted, err))
         return np.asarray(errors), cases
 
+    def _case_pixels(self, i: int, noise_db: Optional[float]):
+        """Valid pixels of test scene i under each candidate's normalized SPD.
+
+        One (N, bands) block per candidate; with a noise level, each case's
+        radiance gets noise from its own (scene, candidate) seed.
+        """
+        if noise_db is None:
+            return self._test_pixels[i][None, :, :] * self._spd_rows[:, None, :]
+        img = self.test_eval[i]
+        master = self.config.noise_master_seed
+        noisy = (
+            add_noise(relight(img, spd), noise_db, mix_seed(master, i, j))
+            for j, spd in enumerate(self._spds)
+        )
+        return [radiance.valid_pixels() for radiance in noisy]
+
     def evaluate_model(self, model: CorrelationModel, noise_db: Optional[float]):
         mode = self.config.score_mode
-        return self._evaluate(
-            lambda image: classify(model, image, mode=mode)[0], noise_db
-        )
+        names = model.candidate_names
+
+        def predict_scene(i):
+            scores = score_blocks(model, self._case_pixels(i, noise_db), mode)
+            return [names[k] for k in np.argmax(scores, axis=1)]
+
+        return self._evaluate(predict_scene)
 
     def evaluate_sgw(self):
-        return self._evaluate(
-            lambda image: spectral_gray_world(image, self.full)[0], None
-        )
+        def predict_scene(i):
+            img = self.test_eval[i]
+            return [
+                spectral_gray_world(relight(img, spd), self.full)[0]
+                for spd in self._spds
+            ]
+
+        return self._evaluate(predict_scene)
 
     # -- entry points -------------------------------------------------------
 

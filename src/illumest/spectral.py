@@ -192,15 +192,17 @@ def sensor_project(image: SpectralImage, sens: SensitivityFunctions) -> np.ndarr
     return image.data @ sens.rows.T * image.axis.step_nm
 
 
-def chromaticity_rows(rows: np.ndarray) -> np.ndarray:
+def chromaticity_rows(rows: np.ndarray, return_kept: bool = False):
     """L1 chromaticities of the non-black rows of an (N, k) array, in order.
 
     Rows whose L1 sum is at or below ZERO_NORM_EPS are dropped; every other
     row is divided by its sum. This is the one place pixels are normalized.
+    With `return_kept=True` the (N,) boolean mask of kept rows comes too.
     """
     sums = rows.sum(axis=1)
     keep = sums > ZERO_NORM_EPS
-    return rows[keep] / sums[keep][:, None]
+    chroma = rows[keep] / sums[keep][:, None]
+    return (chroma, keep) if return_kept else chroma
 
 
 def chromaticity_pixels(image: SpectralImage) -> np.ndarray:

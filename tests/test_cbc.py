@@ -19,12 +19,21 @@ from illumest.cbc import (
     pixel_features,
     read_model,
     score,
+    score_blocks,
     training_features,
     write_model,
 )
+from illumest.evaluation import training_chromaticities
 from illumest.illuminants import Illuminant, IlluminantSet
-from illumest.io import FormatError
-from illumest.projections import Projection, fit_rand, fit_rgb, projection_hash
+from illumest.io import FormatError, read_sensitivities
+from illumest.projections import (
+    Projection,
+    fit_ill_pca,
+    fit_nnmf,
+    fit_rand,
+    fit_rgb,
+    projection_hash,
+)
 from illumest.spectral import (
     SensitivityFunctions,
     SpectralAxis,
@@ -298,6 +307,85 @@ class TestScoreOracle:
         assert score(model, image, mode=mode).tobytes() == expected.tobytes()
 
 
+def blocks_with_black_rows(rng, n_bands, sizes):
+    """Radiance blocks of the given usable-row counts, with black rows mixed in."""
+    blocks = []
+    for n in sizes:
+        usable = rng.random((n, n_bands)) * rng.uniform(0.1, 10.0)
+        black = np.zeros((rng.integers(0, 3), n_bands))
+        rows = np.concatenate([usable, black])
+        blocks.append(rows[rng.permutation(rows.shape[0])])
+    return blocks
+
+
+def assert_rows_match_single_blocks(model, blocks, mode):
+    batched = score_blocks(model, blocks, mode)
+    assert batched.shape == (len(blocks), len(model.grids))
+    for k, block in enumerate(blocks):
+        alone = score(model, image_from_pixels(block), mode=mode)
+        assert batched[k].tobytes() == alone.tobytes()
+
+
+class TestScoreBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_models(), st.sampled_from(["log", "dot"]), st.data())
+    def test_each_row_is_the_score_of_its_block(self, case, mode, data):
+        model, image = case
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sizes = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+        blocks = blocks_with_black_rows(rng, model.projection.input_dim, sizes)
+        assert_rows_match_single_blocks(model, [image.valid_pixels()] + blocks, mode)
+
+    @pytest.fixture(scope="class")
+    def fitted_models(self, bundled_set, bundled_cameras):
+        rng = np.random.default_rng(5)
+        axis = bundled_set.axis
+        mask = np.ones((6, 6), dtype=bool)
+        images = [
+            SpectralImage(axis, 0.05 + rng.random((6, 6, axis.count)), mask)
+            for _ in range(3)
+        ]
+        rows = training_chromaticities(images, bundled_set)
+        projections = {
+            "rand": fit_rand(axis.count, 3, seed=1),
+            "rgb": fit_rgb(read_sensitivities(bundled_cameras[0])),
+            "ill_pca": fit_ill_pca(bundled_set, 3),
+            "nnmf": fit_nnmf(rows, 2, max_iter=50),
+        }
+        return {
+            kind: build_model(images, bundled_set, proj, n_bins=10)
+            for kind, proj in projections.items()
+        }
+
+    @pytest.mark.parametrize("kind", ["rand", "rgb", "ill_pca", "nnmf"])
+    @pytest.mark.parametrize("mode", ["log", "dot"])
+    def test_fitted_projections_match_single_blocks(self, fitted_models, kind, mode):
+        model = fitted_models[kind]
+        rng = np.random.default_rng(11)
+        sizes = [64, 1, 17, 64, 5]
+        blocks = blocks_with_black_rows(rng, model.projection.input_dim, sizes)
+        assert_rows_match_single_blocks(model, blocks, mode)
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 2)), np.empty((0, 2))])
+    def test_block_without_usable_pixels_raises_as_score_does(self, bad):
+        model = hand_model()
+        good = np.array([[0.2, 1.8], [1.2, 0.8]])
+        with pytest.raises(ValueError, match="no usable pixels"):
+            score_blocks(model, [good, bad, good])
+        with pytest.raises(ValueError, match="no usable pixels"):
+            score(model, image_from_pixels(bad))
+
+    def test_cell_space_too_large_for_block_keys(self):
+        # 2^31 bins per axis in two dimensions is 2^62 cells: three blocks of
+        # (block, cell) keys would overflow int64, a single block would not.
+        axis, candidates, images = tiny_problem()
+        model = build_model(images, candidates, fit_rand(4, 2, seed=42), n_bins=2**31)
+        rng = np.random.default_rng(3)
+        blocks = blocks_with_black_rows(rng, 4, [9, 4, 12])
+        for mode in ("log", "dot"):
+            assert_rows_match_single_blocks(model, blocks, mode)
+
+
 def tiny_problem():
     """Two sharply different candidates and reflectances that expose them."""
     axis = SpectralAxis(400, 10, 4)
@@ -453,6 +541,32 @@ class TestModelSerialization:
         struct.pack_into("<I", blob, 5, 2**32 - 1)  # n_dims
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
+            read_model(path)
+
+    def test_cell_count_past_the_file_rejected(self, tmp_path):
+        proj, model = self.build()
+        path = tmp_path / "m.cbcm"
+        write_model(path, model)
+        blob = bytearray(path.read_bytes())
+        # top bit of the first candidate's u64 cell count: 2^63 + n cells
+        at = 5 + 12 + 16 * model.n_dims + 8 + 32 + 4 + len(model.candidate_names[0])
+        blob[at + 8 + 7] ^= 0x80
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="more than the file holds"):
+            read_model(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+    def test_stored_smoothing_must_be_finite_and_non_negative(self, tmp_path, value):
+        proj, model = self.build()
+        path = tmp_path / "m.cbcm"
+        write_model(path, model)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, 5 + 12 + 16 * model.n_dims, value)
+        path.write_bytes(bytes(blob))
+        if value == 0.0:  # the oracle models use no smoothing
+            assert read_model(path).smoothing == 0.0
+            return
+        with pytest.raises(FormatError, match="smoothing"):
             read_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -1,9 +1,12 @@
 """Metrics, report formatting, configuration, and the evaluation runners."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from illumest.bundled import bundled_illuminant_manifest
+from illumest.cbc import classify
 from illumest.evaluation import (
     CaseResult,
     ErrorSummary,
@@ -15,11 +18,20 @@ from illumest.evaluation import (
     run_grid,
     run_noise,
     summarize,
+    _Runner,
     training_chromaticities,
 )
 from illumest.illuminants import Illuminant, IlluminantSet
 from illumest.io import FormatError
-from illumest.spectral import SpectralAxis, SpectralImage, Spectrum, chromaticity_rows
+from illumest.spectral import (
+    SpectralAxis,
+    SpectralImage,
+    Spectrum,
+    add_noise,
+    chromaticity_rows,
+    mix_seed,
+    relight,
+)
 
 
 class TestAngularError:
@@ -428,3 +440,42 @@ class TestRunners:
         with pytest.raises(ValueError):
             run_grid(demo_config(demo_data, dataset=bad))
         run_grid(demo_config(demo_data, dataset=bad, allow_overlap=True))
+
+
+class TestBatchedEvaluation:
+    """The runner scores each test scene's cases in one batch; these pin it
+    to the per-case relight / add_noise / classify pipeline."""
+
+    def per_case_predictions(self, runner, model, noise_db):
+        master = runner.config.noise_master_seed
+        out = []
+        for i, img in enumerate(runner.test_eval):
+            for j, ill in enumerate(runner.full):
+                radiance = relight(img, ill.normalized_spd())
+                if noise_db is not None:
+                    radiance = add_noise(radiance, noise_db, mix_seed(master, i, j))
+                out.append(classify(model, radiance)[0])
+        return out
+
+    @pytest.mark.parametrize("noise_db", [None, 20.0])
+    def test_cases_match_per_case_classify(self, demo_data, noise_db):
+        runner = _Runner(demo_config(demo_data))
+        model = runner.model_for("ill_pca", 2, "-", 5)
+        _, cases = runner.evaluate_model(model, noise_db)
+        assert [c.predicted for c in cases] == self.per_case_predictions(
+            runner, model, noise_db
+        )
+        assert [(c.scene, c.true_name) for c in cases] == [
+            (scene, ill.name) for scene in runner.test_names for ill in runner.full
+        ]
+
+    def test_ties_resolve_to_the_lowest_index(self, demo_data):
+        runner = _Runner(demo_config(demo_data))
+        model = runner.model_for("ill_pca", 2, "-", 5)
+        # every candidate shares the first one's histogram, so all scores tie
+        tied = replace(model, grids=(model.grids[0],) * len(model.grids))
+        _, cases = runner.evaluate_model(tied, None)
+        assert {c.predicted for c in cases} == {tied.candidate_names[0]}
+        assert [c.predicted for c in cases] == self.per_case_predictions(
+            runner, tied, None
+        )
