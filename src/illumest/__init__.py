@@ -50,7 +50,6 @@ from .cbc import (
     classify,
     read_model,
     score,
-    score_blocks,
     training_features,
     write_model,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "classify",
     "read_model",
     "score",
-    "score_blocks",
     "training_features",
     "write_model",
     "spectral_gray_world",

@@ -9,6 +9,7 @@ the best-scoring candidate.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,19 +38,17 @@ CBCM_MAGIC = b"CBCM1"
 #: cells, must sum to 1 within this tolerance.
 MASS_TOL = 1e-9
 
-_INT64_MAX = np.iinfo(np.int64).max
-
 
 def pixel_features(
-    projection: Projection, pixels: np.ndarray, return_kept: bool = False
-):
-    """Histogram coordinates for raw radiance pixel rows, black rows dropped.
+    projection: Projection, pixels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram coordinates for raw radiance pixel rows, black rows dropped,
+    and the (N,) boolean mask of the rows kept.
 
     Camera-sensitivity projections integrate the raw radiance first and then
     L1-normalize the 3-channel response; every other kind L1-normalizes the
     spectral pixel first and projects the chromaticity. Rows whose relevant
-    L1 norm is at or below ZERO_NORM_EPS are skipped; with
-    `return_kept=True` the (N,) boolean mask of kept rows comes too.
+    L1 norm is at or below ZERO_NORM_EPS are skipped.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.ndim != 2 or pixels.shape[1] != projection.input_dim:
@@ -57,14 +56,11 @@ def pixel_features(
             f"expected (N, {projection.input_dim}) pixels, got {pixels.shape}"
         )
     if projection.kind == KIND_RGB:
-        feats, kept = chromaticity_rows(pixels @ projection.basis.T, return_kept=True)
-    else:
-        chroma, kept = chromaticity_rows(pixels, return_kept=True)
-        if chroma.shape[0]:
-            feats = projection.apply_rows(chroma)
-        else:
-            feats = np.empty((0, projection.output_dim))
-    return (feats, kept) if return_kept else feats
+        return chromaticity_rows(pixels @ projection.basis.T)
+    chroma, kept = chromaticity_rows(pixels)
+    if not chroma.shape[0]:
+        return np.empty((0, projection.output_dim)), kept
+    return projection.apply_rows(chroma), kept
 
 
 def calibrate_bounds(
@@ -219,7 +215,7 @@ class CorrelationModel:
         ):
             raise ValueError("projection does not match the model's digest")
         union = np.unique(np.concatenate([g.cells for g in self.grids]))
-        self._cells = np.append(union, _INT64_MAX)
+        self._cells = np.append(union, np.iinfo(np.int64).max)
         probs = np.empty((len(self.grids), self._cells.size))
         for row, grid in zip(probs, self.grids):
             row[:] = grid.base_prob
@@ -273,7 +269,7 @@ def training_features(
     blocks = []
     for ill in candidates:
         spd = ill.spd.values
-        feats = [pixel_features(projection, block * spd) for block in pixel_blocks]
+        feats = [pixel_features(projection, block * spd)[0] for block in pixel_blocks]
         feats = [f for f in feats if f.shape[0]]
         if not feats:
             raise ValueError(
@@ -304,7 +300,7 @@ def build_model(
     if not (np.isfinite(smoothing) and smoothing > 0):
         raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
     d_out = projection.output_dim
-    if n_bins**d_out > _INT64_MAX:
+    if n_bins**d_out > np.iinfo(np.int64).max:
         raise ValueError("histogram cell space is too large to index")
     if features is None:
         features = training_features(images, candidates, projection)
@@ -334,77 +330,82 @@ def build_model(
     )
 
 
-def score_blocks(
+def score(
     model: CorrelationModel,
-    pixel_blocks: Sequence[np.ndarray],
+    pixels: SpectralImage | np.ndarray,
     mode: str = MODE_LOG,
 ) -> np.ndarray:
-    """Scores of each block of radiance pixel rows, (n_blocks, n_candidates).
+    """Correlation scores against every candidate, shape (..., n_candidates).
 
-    Row k is the score of an image whose valid pixels are block k: its
-    histogram is normalized without smoothing; `log` mode gives
-    sum(h_test * log(h_candidate)) over the block's occupied cells, `dot`
-    mode the plain dot product of the two histograms. All blocks share one
-    `pixel_features` and one `bin_indices` call; each block's row is one
-    gather from the model's union table and one dot per candidate. BLAS may
-    round a batched product's row by its position in the batch, which can
-    change a row only where a coordinate lies exactly on a bin edge.
+    `pixels` is an image, whose valid pixels are scored, or radiance rows of
+    shape (..., N, bands): every (N, bands) block along the leading axes is
+    scored as one image. A block's histogram is normalized without smoothing
+    over its usable rows; `log` mode gives sum(h_test * log(h_candidate))
+    over the block's occupied cells, `dot` mode the plain dot product of the
+    two histograms. All blocks share one `pixel_features`, one
+    `bin_indices` and one sort call; each block's scores are one gather from
+    the model's union table and one dot per candidate. BLAS may round a row
+    of a batched product by its position in the batch, so a block's scores
+    can differ from its scores alone only where a coordinate lies on a bin
+    edge.
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     if model.projection is None:
         raise ValueError("model has no projection attached; call with_projection")
-    n_blocks = len(pixel_blocks)
-    # A single block is featurized as it is, without a concatenated copy.
-    pixels = pixel_blocks[0] if n_blocks == 1 else np.concatenate(pixel_blocks)
-    feats, kept = pixel_features(model.projection, pixels, return_kept=True)
-    block = np.repeat(np.arange(n_blocks), [len(b) for b in pixel_blocks])[kept]
-    totals = np.bincount(block, minlength=n_blocks)
+    if isinstance(pixels, SpectralImage):
+        pixels = pixels.valid_pixels()
+    pixels = np.asarray(pixels, dtype=np.float64)
+    if pixels.ndim < 2:
+        raise ValueError(f"expected (..., N, bands) pixels, got {pixels.shape}")
+    batch, n_rows = pixels.shape[:-2], pixels.shape[-2]
+    n_blocks = math.prod(batch)
+    rows = pixels.reshape(-1, pixels.shape[-1])
+    feats, kept = pixel_features(model.projection, rows)
+    totals = kept.reshape(n_blocks, n_rows).sum(axis=1)
     if not totals.all():
         raise ValueError("test image has no usable pixels")
-    flat = bin_indices(feats, model.lo, model.hi, model.n_bins)
-    # One key per (block, cell) pair, sorted by block and then by cell. When
-    # block * n_cells could overflow int64, the cells are ranked first.
-    n_cells = int(model.n_bins) ** int(model.n_dims)
-    ranked = n_blocks * n_cells > _INT64_MAX
-    if ranked:
-        cells, flat = np.unique(flat, return_inverse=True)
-        n_cells = cells.size
-    keys, counts = np.unique(block * n_cells + flat, return_counts=True)
-    key_block, key_cell = np.divmod(keys, n_cells)
-    if ranked:
-        key_cell = cells[key_cell]
-    pos = np.searchsorted(model._cells, key_cell)
-    pos[model._cells[pos] != key_cell] = model._cells.size - 1
-    weights = counts / totals[key_block]
+    # Each block's cells sorted along its own row, black rows (-1) first;
+    # the runs of equal cells are the block's occupied cells, in order.
+    cells = np.full(kept.shape, -1, dtype=np.int64)
+    cells[kept] = bin_indices(feats, model.lo, model.hi, model.n_bins)
+    cells = np.sort(cells.reshape(n_blocks, n_rows), axis=1)
+    first = np.empty(cells.shape, dtype=bool)
+    first[:, :1] = True
+    first[:, 1:] = cells[:, 1:] != cells[:, :-1]
+    start = np.flatnonzero(first & (cells >= 0))
+    key_block = start // n_rows
+    # A run ends where the next one starts or where its block ends.
+    stop = np.minimum(np.append(start[1:], cells.size), (key_block + 1) * n_rows)
+    occupied = cells.ravel()[start]
+    pos = np.searchsorted(model._cells, occupied)
+    pos[model._cells[pos] != occupied] = model._cells.size - 1
+    weights = (stop - start) / totals[key_block]
     bounds = np.searchsorted(key_block, np.arange(n_blocks + 1))
     table = model._tables[mode]
     out = np.empty((n_blocks, len(model.grids)))
-    for k, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+    for k in range(n_blocks):
+        run = slice(bounds[k], bounds[k + 1])
         # np.take keeps each candidate's row C-contiguous, and vecdot does
         # one dot per row, which rounds exactly as a dot over that
         # candidate's own probability vector.
-        vals = np.take(table, pos[start:stop], axis=1)
-        out[k] = np.vecdot(vals, weights[start:stop])
-    return out
-
-
-def score(
-    model: CorrelationModel, image: SpectralImage, mode: str = MODE_LOG
-) -> np.ndarray:
-    """Correlation score of the image against every candidate.
-
-    The one-block case of `score_blocks`, on the image's valid pixels.
-    """
-    return score_blocks(model, [image.valid_pixels()], mode)[0]
+        out[k] = np.vecdot(np.take(table, pos[run], axis=1), weights[run])
+    return out.reshape(batch + out.shape[1:])
 
 
 def classify(
-    model: CorrelationModel, image: SpectralImage, mode: str = MODE_LOG
-) -> tuple[str, np.ndarray]:
-    """Best-scoring candidate name (lowest index on ties) plus all scores."""
-    scores = score(model, image, mode=mode)
-    return model.candidate_names[int(np.argmax(scores))], scores
+    model: CorrelationModel,
+    pixels: SpectralImage | np.ndarray,
+    mode: str = MODE_LOG,
+) -> tuple[str | np.ndarray, np.ndarray]:
+    """Best-scoring candidate name (lowest index on ties) plus all scores.
+
+    For a stack of pixel blocks (see `score`) the names come as an object
+    array of the stack's leading shape.
+    """
+    scores = score(model, pixels, mode=mode)
+    names = np.array(model.candidate_names, dtype=object)
+    return names[np.argmax(scores, axis=-1)], scores
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +460,7 @@ def read_model(path) -> CorrelationModel:
             raise FormatError(f"{path}: truncated projection digest")
         offset += 32
         total_cells = n_bins**n_dims
-        if total_cells > _INT64_MAX:
+        if total_cells > np.iinfo(np.int64).max:
             raise FormatError(f"{path}: histogram cell space is too large to index")
         names = []
         grids = []

@@ -22,11 +22,10 @@ from .cbc import (
     SCORE_MODES,
     CorrelationModel,
     build_model,
-    # Not called here; they stay module attributes because bench/spans.py
-    # traces them at this site as well (ROADMAP item 6).
+    # Not called here; it stays a module attribute because bench/spans.py
+    # traces it at this site as well (ROADMAP item 6).
     calibrate_bounds,  # noqa: F401
-    classify,  # noqa: F401
-    score_blocks,
+    classify,
     training_features,
 )
 from .illuminants import IlluminantSet, load_illuminants, select_projection_set
@@ -71,6 +70,12 @@ ALL_METHODS = GRID_METHODS + (METHOD_SGW,)
 
 AVG_VARIANT = "avg"
 NO_VARIANT = "-"
+
+#: Most radiance rows one scoring call takes. A test scene's cases are
+#: scored together up to this many rows, so a call's relit stack stays near
+#: 2 MB (at 31 bands) whatever the scene size; a scene larger than this is
+#: scored one case per call.
+SCORE_BATCH_ROWS = 8192
 
 
 def angular_error_deg(
@@ -418,7 +423,7 @@ def training_chromaticities(
     labels = []
     for idx, ill in enumerate(candidates):
         for pixels in pixel_blocks:
-            chroma = chromaticity_rows(pixels * ill.spd.values)
+            chroma, _ = chromaticity_rows(pixels * ill.spd.values)
             if chroma.shape[0]:
                 blocks.append(chroma)
                 labels.append(np.full(chroma.shape[0], idx, dtype=np.int64))
@@ -578,29 +583,39 @@ class _Runner:
                 cases.append(CaseResult(scene, ill.name, predicted, err))
         return np.asarray(errors), cases
 
-    def _case_pixels(self, i: int, noise_db: Optional[float]):
-        """Valid pixels of test scene i under each candidate's normalized SPD.
+    def _case_pixels(self, i: int, cases: range, noise_db: Optional[float]):
+        """Valid pixels of test scene i under the normalized SPDs of the
+        candidates in `cases`, (len(cases), N, bands).
 
-        One (N, bands) block per candidate; with a noise level, each case's
-        radiance gets noise from its own (scene, candidate) seed.
+        With a noise level, each case's radiance gets noise from its own
+        (scene, candidate) seed.
         """
         if noise_db is None:
-            return self._test_pixels[i][None, :, :] * self._spd_rows[:, None, :]
+            return self._test_pixels[i] * self._spd_rows[cases, None]
         img = self.test_eval[i]
         master = self.config.noise_master_seed
-        noisy = (
-            add_noise(relight(img, spd), noise_db, mix_seed(master, i, j))
-            for j, spd in enumerate(self._spds)
+        return np.stack(
+            [
+                add_noise(
+                    relight(img, self._spds[j]), noise_db, mix_seed(master, i, j)
+                ).valid_pixels()
+                for j in cases
+            ]
         )
-        return [radiance.valid_pixels() for radiance in noisy]
 
     def evaluate_model(self, model: CorrelationModel, noise_db: Optional[float]):
         mode = self.config.score_mode
-        names = model.candidate_names
+        n_cases = len(self.full)
 
         def predict_scene(i):
-            scores = score_blocks(model, self._case_pixels(i, noise_db), mode)
-            return [names[k] for k in np.argmax(scores, axis=1)]
+            # As many of the scene's cases per call as fit in SCORE_BATCH_ROWS.
+            step = max(1, SCORE_BATCH_ROWS // max(1, len(self._test_pixels[i])))
+            names = []
+            for start in range(0, n_cases, step):
+                cases = range(start, min(start + step, n_cases))
+                pixels = self._case_pixels(i, cases, noise_db)
+                names.extend(classify(model, pixels, mode=mode)[0])
+            return names
 
         return self._evaluate(predict_scene)
 

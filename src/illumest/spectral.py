@@ -192,17 +192,16 @@ def sensor_project(image: SpectralImage, sens: SensitivityFunctions) -> np.ndarr
     return image.data @ sens.rows.T * image.axis.step_nm
 
 
-def chromaticity_rows(rows: np.ndarray, return_kept: bool = False):
-    """L1 chromaticities of the non-black rows of an (N, k) array, in order.
+def chromaticity_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L1 chromaticities of the non-black rows of an (N, k) array, in order,
+    and the (N,) boolean mask of the rows kept.
 
     Rows whose L1 sum is at or below ZERO_NORM_EPS are dropped; every other
     row is divided by its sum. This is the one place pixels are normalized.
-    With `return_kept=True` the (N,) boolean mask of kept rows comes too.
     """
     sums = rows.sum(axis=1)
     keep = sums > ZERO_NORM_EPS
-    chroma = rows[keep] / sums[keep][:, None]
-    return (chroma, keep) if return_kept else chroma
+    return rows[keep] / sums[keep][:, None], keep
 
 
 def chromaticity_pixels(image: SpectralImage) -> np.ndarray:
@@ -211,7 +210,7 @@ def chromaticity_pixels(image: SpectralImage) -> np.ndarray:
     Pixels outside the mask or with L1 norm <= ZERO_NORM_EPS are dropped.
     Row order follows the row-major pixel scan, so output is deterministic.
     """
-    return chromaticity_rows(image.valid_pixels())
+    return chromaticity_rows(image.valid_pixels())[0]
 
 
 def downsample(image: SpectralImage, factor: int) -> SpectralImage:

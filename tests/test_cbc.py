@@ -19,7 +19,6 @@ from illumest.cbc import (
     pixel_features,
     read_model,
     score,
-    score_blocks,
     training_features,
     write_model,
 )
@@ -55,8 +54,9 @@ class TestPixelFeatures:
         basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         p = Projection("rand", 3, 2, basis=basis)
         pixels = np.array([[2.0, 3.0, 5.0], [0.0, 0.0, 0.0]])
-        feats = pixel_features(p, pixels)
+        feats, kept = pixel_features(p, pixels)
         assert feats.shape == (1, 2)  # black row skipped
+        assert kept.tolist() == [True, False]
         np.testing.assert_allclose(feats[0], [0.2, 0.3], atol=1e-15)
 
     def test_camera_route_integrates_then_normalizes(self):
@@ -65,15 +65,16 @@ class TestPixelFeatures:
         sens = SensitivityFunctions(axis, rows, "ident")
         p = fit_rgb(sens)
         pixels = np.array([[2.0, 3.0, 5.0]])
-        feats = pixel_features(p, pixels)
+        feats, _ = pixel_features(p, pixels)
         # channel responses are (20, 30, 50) after the grid-step weight;
         # L1 normalization of the 3-vector gives (0.2, 0.3, 0.5)
         np.testing.assert_allclose(feats[0], [0.2, 0.3, 0.5], atol=1e-12)
 
     def test_all_black_returns_empty(self):
         p = fit_rand(3, 2, seed=0)
-        feats = pixel_features(p, np.zeros((4, 3)))
+        feats, kept = pixel_features(p, np.zeros((4, 3)))
         assert feats.shape == (0, 2)
+        assert not kept.any()
 
 
 class TestCalibrateBounds:
@@ -293,7 +294,7 @@ class TestScoreOracle:
     @given(sparse_models(), st.sampled_from(["log", "dot"]))
     def test_score_is_bitwise_per_candidate_dot(self, case, mode):
         model, image = case
-        feats = pixel_features(model.projection, image.valid_pixels())
+        feats, _ = pixel_features(model.projection, image.valid_pixels())
         flat = bin_indices(feats, model.lo, model.hi, model.n_bins)
         occ, counts = np.unique(flat, return_counts=True)
         weights = counts / counts.sum()
@@ -307,34 +308,47 @@ class TestScoreOracle:
         assert score(model, image, mode=mode).tobytes() == expected.tobytes()
 
 
-def blocks_with_black_rows(rng, n_bands, sizes):
-    """Radiance blocks of the given usable-row counts, with black rows mixed in."""
-    blocks = []
-    for n in sizes:
-        usable = rng.random((n, n_bands)) * rng.uniform(0.1, 10.0)
-        black = np.zeros((rng.integers(0, 3), n_bands))
-        rows = np.concatenate([usable, black])
-        blocks.append(rows[rng.permutation(rows.shape[0])])
-    return blocks
+def stack_with_black_rows(rng, shape, n_rows, n_bands):
+    """Radiance blocks of n_rows rows each, stacked to shape + (n_rows, n_bands).
+
+    Each block turns a random number of its rows black (any but the last),
+    so the blocks have different usable-row counts.
+    """
+    stack = rng.random(shape + (n_rows, n_bands)) * rng.uniform(0.1, 10.0)
+    for block in stack.reshape(-1, n_rows, n_bands):
+        black = rng.permutation(n_rows)[: rng.integers(0, n_rows)]
+        block[black] = 0.0
+    return stack
 
 
-def assert_rows_match_single_blocks(model, blocks, mode):
-    batched = score_blocks(model, blocks, mode)
-    assert batched.shape == (len(blocks), len(model.grids))
-    for k, block in enumerate(blocks):
-        alone = score(model, image_from_pixels(block), mode=mode)
-        assert batched[k].tobytes() == alone.tobytes()
+def assert_rows_match_single_blocks(model, stack, mode):
+    """Row k of the stack's scores is the score of block k's non-black rows."""
+    batched = score(model, stack, mode)
+    assert batched.shape == stack.shape[:-2] + (len(model.grids),)
+    blocks = stack.reshape(-1, *stack.shape[-2:])
+    for row, block in zip(batched.reshape(len(blocks), -1), blocks):
+        alone = score(model, image_from_pixels(block[block.any(axis=1)]), mode=mode)
+        assert row.tobytes() == alone.tobytes()
 
 
-class TestScoreBlocks:
+def bin_edge_distance(model, feats):
+    """Smallest distance of any feature coordinate to a bin edge."""
+    width = (model.hi - model.lo) / model.n_bins
+    steps = (feats - model.lo) / width
+    return float(np.min(np.abs(steps - np.round(steps)) * width))
+
+
+class TestBatchedScore:
     @settings(max_examples=100, deadline=None)
     @given(sparse_models(), st.sampled_from(["log", "dot"]), st.data())
     def test_each_row_is_the_score_of_its_block(self, case, mode, data):
-        model, image = case
+        # identity bases: every product is exact, so rows match bit for bit
+        model, _ = case
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        sizes = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
-        blocks = blocks_with_black_rows(rng, model.projection.input_dim, sizes)
-        assert_rows_match_single_blocks(model, [image.valid_pixels()] + blocks, mode)
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+        n_rows = data.draw(st.integers(1, 30))
+        stack = stack_with_black_rows(rng, shape, n_rows, model.projection.input_dim)
+        assert_rows_match_single_blocks(model, stack, mode)
 
     @pytest.fixture(scope="class")
     def fitted_models(self, bundled_set, bundled_cameras):
@@ -360,30 +374,48 @@ class TestScoreBlocks:
     @pytest.mark.parametrize("kind", ["rand", "rgb", "ill_pca", "nnmf"])
     @pytest.mark.parametrize("mode", ["log", "dot"])
     def test_fitted_projections_match_single_blocks(self, fitted_models, kind, mode):
+        # A fitted basis's batched product may round a row differently from
+        # the same row alone (BLAS blocks by batch size), so the features
+        # agree only to rounding, and the scores bit for bit only where no
+        # coordinate lies on a bin edge: these inputs are checked for that.
         model = fitted_models[kind]
         rng = np.random.default_rng(11)
-        sizes = [64, 1, 17, 64, 5]
-        blocks = blocks_with_black_rows(rng, model.projection.input_dim, sizes)
-        assert_rows_match_single_blocks(model, blocks, mode)
+        stack = stack_with_black_rows(rng, (5,), 64, model.projection.input_dim)
+        batched, kept = pixel_features(model.projection, stack.reshape(-1, stack.shape[-1]))
+        owner = np.repeat(np.arange(5), 64)[kept]
+        for k, block in enumerate(stack):
+            alone, _ = pixel_features(model.projection, block)
+            np.testing.assert_allclose(batched[owner == k], alone, rtol=0, atol=1e-12)
+            assert bin_edge_distance(model, alone) > 1e-9
+        assert_rows_match_single_blocks(model, stack, mode)
 
-    @pytest.mark.parametrize("bad", [np.zeros((3, 2)), np.empty((0, 2))])
-    def test_block_without_usable_pixels_raises_as_score_does(self, bad):
+    def test_block_without_usable_pixels_raises_as_an_image_does(self):
         model = hand_model()
         good = np.array([[0.2, 1.8], [1.2, 0.8]])
         with pytest.raises(ValueError, match="no usable pixels"):
-            score_blocks(model, [good, bad, good])
+            score(model, np.stack([good, np.zeros((2, 2)), good]))
         with pytest.raises(ValueError, match="no usable pixels"):
-            score(model, image_from_pixels(bad))
+            score(model, np.empty((3, 0, 2)))
+        for bad in (np.zeros((3, 2)), np.empty((0, 2))):
+            with pytest.raises(ValueError, match="no usable pixels"):
+                score(model, image_from_pixels(bad))
 
-    def test_cell_space_too_large_for_block_keys(self):
-        # 2^31 bins per axis in two dimensions is 2^62 cells: three blocks of
-        # (block, cell) keys would overflow int64, a single block would not.
+    def test_classify_names_each_block(self):
+        model = hand_model()
+        stack = stack_with_black_rows(np.random.default_rng(2), (2, 3), 4, 2)
+        names, scores = classify(model, stack)
+        assert names.shape == (2, 3) and scores.shape == (2, 3, len(model.grids))
+        for name, block in zip(names.ravel(), stack.reshape(6, 4, 2)):
+            assert name == classify(model, image_from_pixels(block))[0]
+
+    def test_huge_cell_space(self):
+        # 2^31 bins per axis in two dimensions is 2^62 cells: a key that
+        # combined block and cell over three blocks would overflow int64.
         axis, candidates, images = tiny_problem()
         model = build_model(images, candidates, fit_rand(4, 2, seed=42), n_bins=2**31)
-        rng = np.random.default_rng(3)
-        blocks = blocks_with_black_rows(rng, 4, [9, 4, 12])
+        stack = stack_with_black_rows(np.random.default_rng(3), (3,), 12, 4)
         for mode in ("log", "dot"):
-            assert_rows_match_single_blocks(model, blocks, mode)
+            assert_rows_match_single_blocks(model, stack, mode)
 
 
 def tiny_problem():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from illumest import evaluation
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cbc import classify
 from illumest.evaluation import (
@@ -329,7 +330,7 @@ class TestTrainingChromaticities:
         )
         expected = np.concatenate(
             [
-                chromaticity_rows(img.valid_pixels() * ill.spd.values)
+                chromaticity_rows(img.valid_pixels() * ill.spd.values)[0]
                 for ill in cands
                 for img in images
             ]
@@ -457,8 +458,15 @@ class TestBatchedEvaluation:
                 out.append(classify(model, radiance)[0])
         return out
 
+    @pytest.mark.parametrize("batch_rows", [None, 1, 100])
     @pytest.mark.parametrize("noise_db", [None, 20.0])
-    def test_cases_match_per_case_classify(self, demo_data, noise_db):
+    def test_cases_match_per_case_classify(
+        self, demo_data, noise_db, batch_rows, monkeypatch
+    ):
+        # None keeps the default (one call per scene here); 1 scores one case
+        # per call and 100 rows splits each scene's cases unevenly.
+        if batch_rows is not None:
+            monkeypatch.setattr(evaluation, "SCORE_BATCH_ROWS", batch_rows)
         runner = _Runner(demo_config(demo_data))
         model = runner.model_for("ill_pca", 2, "-", 5)
         _, cases = runner.evaluate_model(model, noise_db)
