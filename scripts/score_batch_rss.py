@@ -1,4 +1,4 @@
-"""Peak memory of batched scoring on large scenes, by batch-row cap.
+"""Peak memory of relit stacks on large scenes, by batch-row cap.
 
 Run from the repository root:  python scripts/score_batch_rss.py [--sides 256,512]
 
@@ -6,10 +6,13 @@ For each scene side the script writes a small synthetic dataset (31 bands;
 six scenes at side 256, three at 512 and above, so two or one test scenes),
 builds one ill_pca model (d' = 3, B = 20) and scores every test case with
 `_Runner.evaluate_model` at the default eval downsample of 4, once per
-`SCORE_BATCH_ROWS` value. Each measurement runs in a fresh interpreter, so
-the reported peak RSS (ru_maxrss) is that run's own. "uncapped" scores all
-28 cases of a scene in one call: its relit stack and chromaticity copy grow
-28x with the scene's pixel count, which is what the cap prevents.
+`cbc.BATCH_ROWS` value. Training features and scoring share that cap, so
+"RSS before" (after the model build) moves with it as well as the peak.
+Each measurement runs in a fresh interpreter, so the reported peak RSS
+(ru_maxrss) is that run's own. "uncapped" relights the training pixels and
+each test scene under all 28 candidates in one call: those stacks and their
+chromaticity copies grow 28x with the pixel count, which is what the cap
+prevents.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ CAPS = (2048, 8192, 32768, None)
 def measure(side: int, cap, work: Path) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import illumest
-    from illumest import evaluation, spectral
+    from illumest import cbc, evaluation, spectral
     from illumest.bundled import bundled_illuminant_manifest
 
-    evaluation.SCORE_BATCH_ROWS = cap if cap is not None else 1 << 62
+    cbc.BATCH_ROWS = cap if cap is not None else 1 << 62
     n_scenes = 6 if side < 512 else 3
     manifest, _ = illumest.synth_dataset(
         work, n_scenes, spectral.SpectralAxis(), base_seed=1, width=side, height=side

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .illuminants import IlluminantSet
 from .projections import KIND_RGB, Projection, projection_hash
-from .spectral import SpectralImage, chromaticity_rows
+from .spectral import SpectralImage, chromaticity_rows, require_same_axis
 
 DEFAULT_SMOOTHING = 1e-9
 
@@ -37,6 +38,10 @@ CBCM_MAGIC = b"CBCM1"
 #: A stored candidate's probabilities, including the base mass of its unseen
 #: cells, must sum to 1 within this tolerance.
 MASS_TOL = 1e-9
+
+#: Most pixel rows one relit stack holds: training and the runners relight
+#: pixels under as many consecutive candidates per call as fit, at least one.
+BATCH_ROWS = 2048
 
 
 def pixel_features(
@@ -61,6 +66,36 @@ def pixel_features(
     if not chroma.shape[0]:
         return np.empty((0, projection.output_dim)), kept
     return projection.apply_rows(chroma), kept
+
+
+def batch_runs(n_cases: int, rows_per_case: int) -> list[range]:
+    """Consecutive runs over range(n_cases) of at most BATCH_ROWS rows each,
+    at `rows_per_case` rows a case, and of at least one case."""
+    step = max(1, BATCH_ROWS // max(1, rows_per_case))
+    return [range(s, min(s + step, n_cases)) for s in range(0, n_cases, step)]
+
+
+def relit_rows(featurize, images: Sequence[SpectralImage], candidates: IlluminantSet):
+    """Per candidate, `featurize(rows) -> (features, kept mask)` over the
+    images' valid pixels relit by its raw SPD, in pixel order. Each call takes
+    a `batch_runs` run of candidates, cut into runs of pixels when one
+    candidate's pass BATCH_ROWS; the kept mask splits the features."""
+    for img in images:
+        require_same_axis(img.axis, candidates.axis, "training images")
+    bands = candidates.axis.count
+    pixels = np.concatenate([np.empty((0, bands))] + [i.valid_pixels() for i in images])
+    spds = np.array([ill.spd.values for ill in candidates])
+    blocks = []
+    for run in batch_runs(len(spds), len(pixels)):
+        parts = []
+        # with no pixels, one empty run still gives each candidate a block
+        for rows in batch_runs(len(pixels), len(run)) or [range(0)]:
+            stack = pixels[rows.start : rows.stop] * spds[run, None]
+            feats, kept = featurize(stack.reshape(-1, bands))
+            counts = kept.reshape(len(run), len(rows)).sum(axis=1)
+            parts.append(np.split(feats, np.cumsum(counts)[:-1]))
+        blocks.extend(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
+    return blocks
 
 
 def calibrate_bounds(
@@ -101,6 +136,8 @@ def bin_indices(
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != lo.shape[0]:
         raise ValueError(f"expected (N, {lo.shape[0]}) coords, got {coords.shape}")
+    if not np.isfinite(coords).all():
+        raise ValueError("coordinates must be finite")
     scaled = (coords - lo) / (hi - lo) * n_bins
     idx = np.clip(np.floor(scaled).astype(np.int64), 0, n_bins - 1)
     flat = np.zeros(coords.shape[0], dtype=np.int64)
@@ -208,6 +245,8 @@ class CorrelationModel:
         self.grids = tuple(self.grids)
         if len(self.candidate_names) != len(self.grids) or not self.grids:
             raise ValueError("need one grid per candidate name")
+        if len(set(self.candidate_names)) != len(self.candidate_names):
+            raise ValueError("candidate names must be unique")
         if len(self.projection_digest) != 32:
             raise ValueError("projection digest must be 32 bytes")
         if self.projection is not None and (
@@ -251,31 +290,15 @@ def training_features(
 ) -> TrainingFeatures:
     """Features of the training images under every candidate, with bounds.
 
-    Each image's valid pixels are relit by each candidate's raw SPD and
-    passed through `pixel_features`; the bounds are calibrated over all
-    candidates' features pooled.
+    The blocks are `relit_rows` of `pixel_features`; the bounds are
+    calibrated over all candidates' features pooled.
     """
     if not images:
         raise ValueError("need at least one training image")
-    for img in images:
-        if img.n_bands != projection.input_dim:
-            raise ValueError(
-                f"image has {img.n_bands} bands, projection expects "
-                f"{projection.input_dim}"
-            )
-        if img.axis != candidates.axis:
-            raise ValueError("training images and candidates must share a grid")
-    pixel_blocks = [img.valid_pixels() for img in images]
-    blocks = []
-    for ill in candidates:
-        spd = ill.spd.values
-        feats = [pixel_features(projection, block * spd)[0] for block in pixel_blocks]
-        feats = [f for f in feats if f.shape[0]]
-        if not feats:
-            raise ValueError(
-                f"no usable training pixels under candidate {ill.name!r}"
-            )
-        blocks.append(np.concatenate(feats, axis=0))
+    blocks = relit_rows(partial(pixel_features, projection), images, candidates)
+    for ill, block in zip(candidates, blocks):
+        if not len(block):
+            raise ValueError(f"no usable training pixels under candidate {ill.name!r}")
     lo, hi = calibrate_bounds(blocks, projection.output_dim)
     return TrainingFeatures(tuple(blocks), lo, hi)
 
@@ -347,15 +370,18 @@ def score(
     the model's union table and one dot per candidate. BLAS may round a row
     of a batched product by its position in the batch, so a block's scores
     can differ from its scores alone only where a coordinate lies on a bin
-    edge.
+    edge. Non-finite radiance raises ValueError.
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     if model.projection is None:
         raise ValueError("model has no projection attached; call with_projection")
     if isinstance(pixels, SpectralImage):
-        pixels = pixels.valid_pixels()
-    pixels = np.asarray(pixels, dtype=np.float64)
+        pixels = pixels.valid_pixels()  # finite by construction
+    else:
+        pixels = np.asarray(pixels, dtype=np.float64)
+        if not np.isfinite(pixels).all():
+            raise ValueError("radiance must be finite")
     if pixels.ndim < 2:
         raise ValueError(f"expected (..., N, bands) pixels, got {pixels.shape}")
     batch, n_rows = pixels.shape[:-2], pixels.shape[-2]

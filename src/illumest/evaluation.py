@@ -21,11 +21,13 @@ from .cbc import (
     MODE_LOG,
     SCORE_MODES,
     CorrelationModel,
+    batch_runs,
     build_model,
     # Not called here; it stays a module attribute because bench/spans.py
-    # traces it at this site as well (ROADMAP item 6).
+    # traces it at this site as well (ROADMAP item 4).
     calibrate_bounds,  # noqa: F401
     classify,
+    relit_rows,
     training_features,
 )
 from .illuminants import IlluminantSet, load_illuminants, select_projection_set
@@ -61,7 +63,6 @@ from .spectral import (
     downsample,
     mix_seed,
     relight,
-    require_same_axis,
 )
 
 METHOD_SGW = "sgw"
@@ -70,12 +71,6 @@ ALL_METHODS = GRID_METHODS + (METHOD_SGW,)
 
 AVG_VARIANT = "avg"
 NO_VARIANT = "-"
-
-#: Most radiance rows one scoring call takes. A test scene's cases are
-#: scored together up to this many rows, so a call's relit stack stays near
-#: 2 MB (at 31 bands) whatever the scene size; a scene larger than this is
-#: scored one case per call.
-SCORE_BATCH_ROWS = 8192
 
 
 def angular_error_deg(
@@ -416,26 +411,16 @@ def training_chromaticities(
     candidate 1, ...). With `labelled=True` each row carries its candidate's
     index as the class label, which is what the supervised fit needs.
     """
-    for img in images:
-        require_same_axis(img.axis, candidates.axis, "training_chromaticities")
-    pixel_blocks = [img.valid_pixels() for img in images]
-    blocks = []
-    labels = []
-    for idx, ill in enumerate(candidates):
-        for pixels in pixel_blocks:
-            chroma, _ = chromaticity_rows(pixels * ill.spd.values)
-            if chroma.shape[0]:
-                blocks.append(chroma)
-                labels.append(np.full(chroma.shape[0], idx, dtype=np.int64))
-    if not blocks:
+    blocks = relit_rows(chromaticity_rows, images, candidates)
+    counts = [len(block) for block in blocks]
+    if not any(counts):
         raise ValueError("training scenes contain no usable pixels")
-    rows = np.concatenate(blocks, axis=0)
+    rows = np.concatenate(blocks)
     rows = rows / rows.sum(axis=1, keepdims=True)  # force exact unit row sums
     if labelled:
-        lab = np.concatenate(labels)
-        if np.unique(lab).size < len(candidates):
+        if not all(counts):
             raise ValueError("every candidate needs at least one training pixel")
-        return TrainingMatrix(rows, labels=lab)
+        return TrainingMatrix(rows, labels=np.repeat(np.arange(len(counts)), counts))
     return TrainingMatrix(rows)
 
 
@@ -605,14 +590,10 @@ class _Runner:
 
     def evaluate_model(self, model: CorrelationModel, noise_db: Optional[float]):
         mode = self.config.score_mode
-        n_cases = len(self.full)
 
         def predict_scene(i):
-            # As many of the scene's cases per call as fit in SCORE_BATCH_ROWS.
-            step = max(1, SCORE_BATCH_ROWS // max(1, len(self._test_pixels[i])))
             names = []
-            for start in range(0, n_cases, step):
-                cases = range(start, min(start + step, n_cases))
+            for cases in batch_runs(len(self.full), len(self._test_pixels[i])):
                 pixels = self._case_pixels(i, cases, noise_db)
                 names.extend(classify(model, pixels, mode=mode)[0])
             return names

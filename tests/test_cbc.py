@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from illumest import cbc
 from illumest.cbc import (
     CorrelationModel,
     HistogramGrid,
+    batch_runs,
     bin_indices,
     build_model,
     calibrate_bounds,
@@ -38,6 +40,7 @@ from illumest.spectral import (
     SpectralAxis,
     SpectralImage,
     Spectrum,
+    chromaticity_rows,
     relight,
 )
 
@@ -117,6 +120,82 @@ class TestBinIndices:
         lo, hi = np.zeros(1), np.ones(1)
         flat = bin_indices(np.array([[1.0]]), lo, hi, 4)
         assert flat[0] == 3
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [[math.inf, 0.5], [math.nan, 0.5], [-math.inf, 0.5]],
+            [[math.inf, 0.5]],
+            [[0.2, 0.5], [0.5, math.nan]],
+            [[0.2, -math.inf]],
+        ],
+    )
+    def test_non_finite_coordinates_rejected(self, coords):
+        with pytest.raises(ValueError, match="finite"):
+            bin_indices(np.array(coords), np.zeros(2), np.ones(2), 4)
+
+
+@st.composite
+def binning_cases(draw):
+    """Coordinates around random bounds (inside, on edges, clamped), with
+    the grid: (coords, lo, hi, n_bins)."""
+    n_dims = draw(st.integers(1, 4))
+    n_bins = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.uniform(-5.0, 5.0, n_dims)
+    hi = lo + rng.uniform(1e-3, 10.0, n_dims)
+    n_rows = draw(st.integers(0, 30))
+    frac = rng.uniform(-0.5, 1.5, (n_rows, n_dims))
+    # some coordinates on bin edges (up to rounding), including lo and hi
+    edges = rng.random((n_rows, n_dims)) < 0.3
+    frac[edges] = rng.integers(0, n_bins + 1, edges.sum()) / n_bins
+    return lo + frac * (hi - lo), lo, hi, n_bins
+
+
+def reference_cells(coords, lo, hi, n_bins):
+    """Per-dimension floor and clip, then the row-major flat index, in scalars."""
+    out = []
+    for row in coords.tolist():
+        flat = 0
+        for x, l, h in zip(row, lo.tolist(), hi.tolist()):
+            idx = math.floor((x - l) / (h - l) * n_bins)
+            flat = flat * n_bins + min(max(idx, 0), n_bins - 1)
+        out.append(flat)
+    return out
+
+
+class TestBinIndicesProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(binning_cases())
+    def test_cells_lie_in_the_grid_and_match_the_reference(self, case):
+        coords, lo, hi, n_bins = case
+        flat = bin_indices(coords, lo, hi, n_bins)
+        assert flat.dtype == np.int64 and flat.shape == (coords.shape[0],)
+        assert np.all((flat >= 0) & (flat < n_bins ** lo.size))
+        assert flat.tolist() == reference_cells(coords, lo, hi, n_bins)
+
+    @settings(max_examples=200, deadline=None)
+    @given(binning_cases(), st.data())
+    def test_cells_are_monotone_in_each_coordinate(self, case, data):
+        coords, lo, hi, n_bins = case
+        flat = bin_indices(coords, lo, hi, n_bins)
+        dim = data.draw(st.integers(0, lo.size - 1))
+        step = data.draw(st.floats(0.0, 20.0, allow_nan=False))
+        moved = coords.copy()
+        moved[:, dim] += step
+        assert np.all(bin_indices(moved, lo, hi, n_bins) >= flat)
+
+    @settings(max_examples=200, deadline=None)
+    @given(binning_cases(), st.data())
+    def test_a_row_bins_alike_wherever_it_sits(self, case, data):
+        coords, lo, hi, n_bins = case
+        flat = bin_indices(coords, lo, hi, n_bins)
+        order = np.array(data.draw(st.permutations(range(coords.shape[0]))), dtype=int)
+        np.testing.assert_array_equal(
+            bin_indices(coords[order], lo, hi, n_bins), flat[order]
+        )
+        for k, row in enumerate(coords):
+            assert bin_indices(row[None], lo, hi, n_bins)[0] == flat[k]
 
 
 class TestHistogramGrid:
@@ -241,6 +320,11 @@ class TestScore:
         )
         with pytest.raises(ValueError):
             score(detached, image_from_pixels([[1.0, 1.0]]))
+
+    def test_duplicate_candidate_names_rejected(self):
+        model = hand_model()
+        with pytest.raises(ValueError, match="unique"):
+            replace(model, candidate_names=("warm", "warm"))
 
     def test_classify_breaks_ties_toward_lowest_index(self):
         proj = Projection("rand", 2, 1, basis=np.array([[1.0, 0.0]]))
@@ -408,6 +492,29 @@ class TestBatchedScore:
         for name, block in zip(names.ravel(), stack.reshape(6, 4, 2)):
             assert name == classify(model, image_from_pixels(block))[0]
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_radiance_rejected(self, bad):
+        model = hand_model()
+        good = np.array([[0.2, 1.8], [1.2, 0.8]])
+        one_bad = good.copy()
+        one_bad[1, 0] = bad
+        for pixels in (one_bad, np.stack([good, one_bad])):
+            for call in (score, classify):
+                with pytest.raises(ValueError, match="finite"):
+                    call(model, pixels)
+
+    def test_block_with_an_inf_band_in_every_row_rejected(self):
+        # Each row's L1 sum is inf, so every feature would be NaN and every
+        # score would tie on the first candidate.
+        axis, candidates, images = tiny_problem()
+        model = build_model(images, candidates, fit_rand(4, 2, seed=42), n_bins=8)
+        block = np.random.default_rng(4).random((5, 4))
+        block[np.arange(5), np.arange(5) % 4] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            classify(model, block)
+        with pytest.raises(ValueError, match="finite"):
+            classify(model, np.stack([np.ones((5, 4)), block]))
+
     def test_huge_cell_space(self):
         # 2^31 bins per axis in two dimensions is 2^62 cells: a key that
         # combined block and cell over three blocks would overflow int64.
@@ -488,6 +595,192 @@ class TestBuildAndClassify:
         proj = fit_rand(5, 2, seed=0)
         with pytest.raises(ValueError):
             build_model(images, candidates, proj, n_bins=8)
+
+
+def training_scenes(axis, seed):
+    """Masked scenes with black pixels and pixels that reflect only the first
+    ten bands, plus one scene that is black under every candidate, so some
+    (candidate, image) blocks are empty."""
+    rng = np.random.default_rng(seed)
+    images = []
+    for h, w in ((5, 4), (3, 6), (4, 4)):
+        data = (0.05 + rng.random((h, w, axis.count))) * rng.integers(0, 2, (h, w, 1))
+        data[rng.random((h, w)) < 0.3, 10:] = 0.0
+        images.append(SpectralImage(axis, data, rng.random((h, w)) > 0.2))
+    images.insert(1, SpectralImage(axis, np.zeros((2, 3, axis.count)), np.ones((2, 3), bool)))
+    return images
+
+
+def reference_training_blocks(images, candidates, featurize):
+    """Per candidate, `featurize` of each image relit alone, concatenated."""
+    return [
+        np.concatenate(
+            [featurize(img.valid_pixels() * ill.spd.values)[0] for img in images]
+        )
+        for ill in candidates
+    ]
+
+
+#: Caps under test: the default; one row a call; runs of three candidates,
+#: which split the 28 bundled candidates unevenly (9 x 3 + 1); and runs of
+#: pixels, which split each candidate's pixels unevenly in three.
+CAPS = ("default", "one", "uneven", "pixel_runs")
+
+
+def set_cap(monkeypatch, cap, n_pixels):
+    rows = {"one": 1, "uneven": 3 * n_pixels + 2, "pixel_runs": n_pixels // 3 + 1}
+    if cap in rows:
+        monkeypatch.setattr(cbc, "BATCH_ROWS", rows[cap])
+
+
+class TestBatchRuns:
+    @pytest.mark.parametrize(
+        "n_cases, rows_per_case, cap",
+        [(28, 64, 2048), (28, 1024, 2048), (28, 5000, 2048), (7, 0, 2048), (5, 3, 7),
+         (1, 10, 1), (0, 10, 2048)],
+    )
+    def test_runs_cover_the_cases_within_the_cap(
+        self, n_cases, rows_per_case, cap, monkeypatch
+    ):
+        monkeypatch.setattr(cbc, "BATCH_ROWS", cap)
+        runs = batch_runs(n_cases, rows_per_case)
+        assert [j for run in runs for j in run] == list(range(n_cases))
+        for run in runs:
+            assert len(run) == 1 or len(run) * rows_per_case <= cap
+            assert len(run) >= 1
+        # runs are as long as the cap allows, save the last
+        if len(runs) > 1:
+            assert (len(runs[0]) + 1) * rows_per_case > cap
+
+
+class TestRelitTrainingStacks:
+    """Training features and chromaticities from relit stacks, pinned to a
+    per-(candidate, image) reference at several caps."""
+
+    @pytest.fixture(scope="class")
+    def scenes(self, bundled_set):
+        return training_scenes(bundled_set.axis, seed=7)
+
+    @pytest.fixture(scope="class")
+    def candidates(self, bundled_set):
+        """The bundled candidates with every third one dark in the first ten
+        bands, so candidates keep different numbers of pixels."""
+        members = []
+        for j, ill in enumerate(bundled_set):
+            spd = ill.spd.values.copy()
+            if j % 3 == 1:
+                spd[:10] = 0.0
+            members.append(Illuminant(ill.name, Spectrum(ill.spd.axis, spd)))
+        return IlluminantSet(tuple(members))
+
+    @pytest.fixture(scope="class")
+    def projections(self, candidates, bundled_cameras, scenes):
+        n = candidates.axis.count
+        return {
+            "identity": Projection("rand", n, 3, basis=np.eye(3, n)),
+            "nnmf": fit_nnmf(training_chromaticities(scenes, candidates), 3, max_iter=30),
+            "rand": fit_rand(n, 3, seed=2),
+            "rgb": fit_rgb(read_sensitivities(bundled_cameras[0])),
+            "ill_pca": fit_ill_pca(candidates, 4),
+        }
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("kind", ["identity", "nnmf", "rand", "rgb", "ill_pca"])
+    def test_feature_blocks_match_per_image_features(
+        self, candidates, scenes, projections, kind, cap, monkeypatch
+    ):
+        proj = projections[kind]
+        n_pixels = sum(len(img.valid_pixels()) for img in scenes)
+        set_cap(monkeypatch, cap, n_pixels)
+        calls = []
+        original = cbc.pixel_features
+        monkeypatch.setattr(
+            cbc, "pixel_features", lambda *a: calls.append(len(a[1])) or original(*a)
+        )
+        feats = training_features(scenes, candidates, proj)
+        monkeypatch.setattr(cbc, "pixel_features", original)
+        if n_pixels <= cbc.BATCH_ROWS:
+            # one call per run of candidates, on all of their pixels
+            assert calls == [len(run) * n_pixels for run in batch_runs(28, n_pixels)]
+        else:
+            # one candidate a call, its pixels in runs within the cap
+            assert sum(calls) == 28 * n_pixels and max(calls) <= cbc.BATCH_ROWS
+        expected = reference_training_blocks(
+            scenes, candidates, lambda rows: pixel_features(proj, rows)
+        )
+        assert len({len(b) for b in expected}) > 1
+        # Only the identity basis makes exact products. The linear kinds'
+        # BLAS products and the LAPACK solve in nnmf's NNLS round a row by
+        # its position in the batch, so those agree to rounding.
+        assert len(feats.blocks) == len(expected) == 28
+        for got, want in zip(feats.blocks, expected):
+            assert got.shape == want.shape
+            if kind == "identity":
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        lo, hi = calibrate_bounds(expected, proj.output_dim)
+        if kind == "identity":
+            assert (feats.lo.tobytes(), feats.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
+        else:
+            np.testing.assert_allclose(np.r_[feats.lo, feats.hi], np.r_[lo, hi], atol=1e-12)
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_chromaticities_match_per_image_rows(
+        self, candidates, scenes, cap, labelled, monkeypatch
+    ):
+        set_cap(monkeypatch, cap, sum(len(img.valid_pixels()) for img in scenes))
+        blocks = reference_training_blocks(scenes, candidates, chromaticity_rows)
+        rows = np.concatenate(blocks)
+        rows = rows / rows.sum(axis=1, keepdims=True)
+        got = training_chromaticities(scenes, candidates, labelled=labelled)
+        assert got.rows.tobytes() == rows.tobytes()
+        if labelled:
+            labels = np.concatenate([np.full(len(b), j) for j, b in enumerate(blocks)])
+            np.testing.assert_array_equal(got.labels, labels)
+        else:
+            assert got.labels is None
+
+    def dark_problem(self):
+        """Scenes that reflect only the first band, and candidates of which
+        two emit nothing there."""
+        axis = SpectralAxis(400, 10, 4)
+        data = np.zeros((3, 3, 4))
+        data[..., 0] = np.random.default_rng(0).random((3, 3)) + 0.1
+        images = [SpectralImage(axis, data, np.ones((3, 3), bool))] * 2
+        candidates = IlluminantSet(
+            tuple(
+                Illuminant(name, Spectrum(axis, spd))
+                for name, spd in (
+                    ("lit", [1.0, 1.0, 1.0, 1.0]),
+                    ("dark", [0.0, 1.0, 1.0, 1.0]),
+                    ("also_dark", [0.0, 2.0, 1.0, 1.0]),
+                )
+            )
+        )
+        return axis, images, candidates
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_candidate_without_usable_pixels_is_named(self, cap, monkeypatch):
+        axis, images, candidates = self.dark_problem()
+        set_cap(monkeypatch, cap, 18)
+        with pytest.raises(ValueError, match="under candidate 'dark'"):
+            training_features(images, candidates, fit_rand(4, 2, seed=0))
+        with pytest.raises(ValueError, match="every candidate needs"):
+            training_chromaticities(images, candidates, labelled=True)
+        assert training_chromaticities(images, candidates).n_rows == 18
+
+    def test_scenes_without_usable_pixels_rejected(self):
+        axis, _, candidates = self.dark_problem()
+        black = SpectralImage(axis, np.zeros((2, 2, 4)), np.ones((2, 2), bool))
+        masked = SpectralImage(axis, np.ones((2, 2, 4)), np.zeros((2, 2), bool))
+        for images in ([black], [black, masked], []):
+            with pytest.raises(ValueError, match="no usable pixels"):
+                training_chromaticities(images, candidates)
+        for images in ([black, masked], [masked]):
+            with pytest.raises(ValueError, match="no usable training pixels under candidate 'lit'"):
+                training_features(images, candidates, fit_rand(4, 2, seed=0))
 
 
 class TestModelSerialization:

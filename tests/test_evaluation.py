@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from illumest import evaluation
+from illumest import cbc
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cbc import classify
 from illumest.evaluation import (
@@ -466,7 +466,7 @@ class TestBatchedEvaluation:
         # None keeps the default (one call per scene here); 1 scores one case
         # per call and 100 rows splits each scene's cases unevenly.
         if batch_rows is not None:
-            monkeypatch.setattr(evaluation, "SCORE_BATCH_ROWS", batch_rows)
+            monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
         runner = _Runner(demo_config(demo_data))
         model = runner.model_for("ill_pca", 2, "-", 5)
         _, cases = runner.evaluate_model(model, noise_db)

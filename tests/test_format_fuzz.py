@@ -4,6 +4,8 @@ Each file is small, so random flips land in headers and counts as often as
 in payload.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -58,6 +60,14 @@ def model_bytes(tmp):
     return (tmp / "src.cbcm").read_bytes()
 
 
+def duplicate_name_model_bytes(tmp):
+    """`model_bytes` with the second candidate renamed "a", like the first."""
+    blob = model_bytes(tmp)
+    second = struct.pack("<I", 1) + b"b"
+    assert blob.count(second) == 1
+    return blob.replace(second, struct.pack("<I", 1) + b"a")
+
+
 #: Byte holding the top bit of the first candidate's u64 cell count in
 #: `model_bytes`: magic, three u32, two (lo, hi) pairs, smoothing, digest,
 #: name length and the name "a", then the base probability.
@@ -105,6 +115,7 @@ def sources(work):
         "scube": scube_bytes(work),
         "proj": projection_bytes(work),
         "cbcm": model_bytes(work),
+        "cbcm_duplicate_name": duplicate_name_model_bytes(work),
     }
 
 
@@ -132,3 +143,10 @@ def test_corrupted_projection(work, sources, which, corruption):
 def test_corrupted_model(work, sources, corruption):
     blob = corrupt(sources["cbcm"], corruption)
     load_or_format_error(read_model, work / "x.cbcm", blob)
+
+
+def test_repeated_candidate_name_rejected(work, sources):
+    path = work / "dup.cbcm"
+    path.write_bytes(sources["cbcm_duplicate_name"])
+    with pytest.raises(FormatError, match="unique"):
+        read_model(path)
