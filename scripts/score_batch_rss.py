@@ -52,7 +52,7 @@ def measure(side: int, cap, work: Path) -> dict:
     model = runner.model_for("ill_pca", 3, "-", 20)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     start = time.perf_counter()
-    errors, _ = runner.evaluate_model(model, None)
+    summary, _ = runner.evaluate_model(model, None)
     return {
         "side": side,
         "cap": cap,
@@ -60,7 +60,7 @@ def measure(side: int, cap, work: Path) -> dict:
         "rss_before_eval_mb": round(before, 1),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "eval_s": round(time.perf_counter() - start, 3),
-        "mean_error_deg": float(errors.mean()),
+        "mean_error_deg": summary.mean,
     }
 
 

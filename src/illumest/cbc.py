@@ -63,8 +63,6 @@ def pixel_features(
     if projection.kind == KIND_RGB:
         return chromaticity_rows(pixels @ projection.basis.T)
     chroma, kept = chromaticity_rows(pixels)
-    if not chroma.shape[0]:
-        return np.empty((0, projection.output_dim)), kept
     return projection.apply_rows(chroma), kept
 
 

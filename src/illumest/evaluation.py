@@ -9,9 +9,10 @@ configuration reproduces the report files byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -166,13 +167,14 @@ class ReportRow:
             noise_rank,
         )
 
+    def key_columns(self) -> list[str]:
+        """The method, d', B, variant and noise columns both CSVs start with."""
+        dims = (NO_VARIANT if v is None else str(v) for v in (self.d_prime, self.n_bins))
+        return [self.method, *dims, self.variant, self.noise_label]
+
 
 _REPORT_HEADER = "method,d_prime,B,variant,noise_db,mean,median,trimean,best25,worst25,n"
 _RAW_HEADER = "method,d_prime,B,variant,noise_db,scene,true_illuminant,predicted,error_deg"
-
-
-def _opt_int(v: Optional[int]) -> str:
-    return NO_VARIANT if v is None else str(v)
 
 
 @dataclass
@@ -188,44 +190,19 @@ class EvalReport:
         lines = [_REPORT_HEADER]
         for r in self.sorted_rows():
             s = r.summary
+            stats = (s.mean, s.median, s.trimean, s.best25, s.worst25)
             lines.append(
-                ",".join(
-                    [
-                        r.method,
-                        _opt_int(r.d_prime),
-                        _opt_int(r.n_bins),
-                        r.variant,
-                        r.noise_label,
-                        format_float(s.mean),
-                        format_float(s.median),
-                        format_float(s.trimean),
-                        format_float(s.best25),
-                        format_float(s.worst25),
-                        str(s.n),
-                    ]
-                )
+                ",".join(r.key_columns() + [format_float(v) for v in stats] + [str(s.n)])
             )
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def write_raw_csv(self, path) -> None:
         lines = [_RAW_HEADER]
         for r in self.sorted_rows():
-            if r.cases is None:
-                continue
-            prefix = [
-                r.method,
-                _opt_int(r.d_prime),
-                _opt_int(r.n_bins),
-                r.variant,
-                r.noise_label,
-            ]
-            for c in r.cases:
-                lines.append(
-                    ",".join(
-                        prefix
-                        + [c.scene, c.true_name, c.predicted, format_float(c.error_deg)]
-                    )
-                )
+            key = r.key_columns()
+            for c in r.cases or ():
+                case = [c.scene, c.true_name, c.predicted, format_float(c.error_deg)]
+                lines.append(",".join(key + case))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -311,39 +288,62 @@ def _split_list(raw: str) -> list[str]:
     return [p.strip() for p in raw.split(",") if p.strip()]
 
 
-_CONFIG_KEYS = {
-    "dataset": ("path", "dataset"),
-    "illuminants": ("path", "illuminants"),
-    "methods": ("strs", "methods"),
-    "d_primes": ("ints", "d_primes"),
-    "bins": ("ints", "bins"),
-    "cameras": ("paths", "cameras"),
-    "rand_seeds": ("ints", "rand_seeds"),
-    "projection_set": ("path", "projection_set"),
-    "projection_set_k": ("int", "projection_set_k"),
-    "projection_set_seed": ("int", "projection_set_seed"),
-    "downsample_fit": ("int", "downsample_fit"),
-    "downsample_lda": ("int", "downsample_lda"),
-    "downsample_eval": ("int", "downsample_eval"),
-    "nnmf_seed": ("int", "nnmf_seed"),
-    "nnmf_max_iter": ("int", "nnmf_max_iter"),
-    "score_mode": ("str", "score_mode"),
-    "smoothing": ("float", "smoothing"),
-    "allow_overlap": ("bool", "allow_overlap"),
-    "noise_master_seed": ("int", "noise_master_seed"),
-    "noise_levels": ("floats", "noise_levels"),
-    "noise_method": ("str", "noise_method"),
-    "noise_d_prime": ("int", "noise_d_prime"),
-    "noise_bins": ("int", "noise_bins"),
+def _parse_path(rhs: str, base: Path) -> Path:
+    if not rhs:
+        raise ValueError("expected a path, got nothing")
+    return (base / rhs).resolve()
+
+
+def _parse_bool(rhs: str, base: Path) -> bool:
+    low = rhs.lower()
+    if low not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {rhs!r}")
+    return low == "true"
+
+
+_SCALAR_PARSERS = {
+    Path: _parse_path,
+    str: lambda rhs, base: rhs,
+    int: lambda rhs, base: int(rhs),
+    float: lambda rhs, base: float(rhs),
+    bool: _parse_bool,
 }
+
+
+def _field_parser(annotation):
+    """The `(value text, config directory) -> value` parser for a GridConfig
+    field type: a scalar, Optional[scalar], or tuple[scalar, ...] as a
+    comma-separated list."""
+    args = get_args(annotation)
+    if get_origin(annotation) is tuple and args[1:] == (Ellipsis,):
+        item = _field_parser(args[0])
+        return lambda rhs, base: tuple(item(p, base) for p in _split_list(rhs))
+    if get_origin(annotation) is Union and args[1:] == (type(None),):
+        return _field_parser(args[0])  # a config spells no None; omit the key
+    if annotation not in _SCALAR_PARSERS:
+        raise TypeError(f"no config parser for GridConfig field type {annotation}")
+    return _SCALAR_PARSERS[annotation]
+
+
+# Config keys are GridConfig's fields; an unparseable field type fails here.
+_FIELD_PARSERS = {
+    name: _field_parser(annotation)
+    for name, annotation in get_type_hints(GridConfig).items()
+}
+_REQUIRED_KEYS = [
+    f.name
+    for f in fields(GridConfig)
+    if f.default is MISSING and f.default_factory is MISSING
+]
 
 
 def parse_config(path) -> GridConfig:
     """Parse a `key = value` run configuration file.
 
-    Unknown or duplicate keys are errors. Relative paths resolve against the
-    config file's directory. Lists are comma-separated; booleans are
-    true/false. Lines starting with '#' and blank lines are skipped.
+    The keys are GridConfig's fields. Unknown or duplicate keys and empty
+    paths are errors. Relative paths resolve against the config file's
+    directory. Lists are comma-separated; booleans are true/false. Lines
+    starting with '#' and blank lines are skipped.
     """
     path = Path(path)
     base = path.parent
@@ -356,37 +356,15 @@ def parse_config(path) -> GridConfig:
             raise FormatError(f"{path}:{lineno}: expected 'key = value'")
         key, _, rhs = line.partition("=")
         key = key.strip()
-        rhs = rhs.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELD_PARSERS:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
-        typ, attr = _CONFIG_KEYS[key]
         try:
-            if typ == "path":
-                values[attr] = (base / rhs).resolve()
-            elif typ == "paths":
-                values[attr] = tuple((base / p).resolve() for p in _split_list(rhs))
-            elif typ == "strs":
-                values[attr] = tuple(_split_list(rhs))
-            elif typ == "str":
-                values[attr] = rhs
-            elif typ == "ints":
-                values[attr] = tuple(int(p) for p in _split_list(rhs))
-            elif typ == "int":
-                values[attr] = int(rhs)
-            elif typ == "floats":
-                values[attr] = tuple(float(p) for p in _split_list(rhs))
-            elif typ == "float":
-                values[attr] = float(rhs)
-            elif typ == "bool":
-                low = rhs.lower()
-                if low not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {rhs!r}")
-                values[attr] = low == "true"
+            values[key] = _FIELD_PARSERS[key](rhs.strip(), base)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    for required in ("dataset", "illuminants", "methods"):
+    for required in _REQUIRED_KEYS:
         if required not in values:
             raise FormatError(f"{path}: missing required key {required!r}")
     try:
@@ -469,47 +447,41 @@ class _Runner:
             pred.name: [angular_error_deg(pred.spd, true.spd) for true in self.full]
             for pred in self.full
         }
-        self._cameras: Optional[dict] = None
-        self._fit_matrix: Optional[TrainingMatrix] = None
-        self._lda_matrix: Optional[TrainingMatrix] = None
         # (key, projection, training features) of the projection being
         # evaluated; the runners visit each key's B values contiguously.
         self._slot: Optional[tuple] = None
 
     # -- lazy inputs --------------------------------------------------------
 
+    @cached_property
     def cameras(self) -> dict:
-        if self._cameras is None:
-            cams = {}
-            for path in self.config.cameras:
-                sens = read_sensitivities(path)
-                if sens.axis != self.full.axis:
-                    raise ValueError(f"{path}: camera grid does not match illuminants")
-                if sens.camera_name in cams:
-                    raise ValueError(f"duplicate camera name {sens.camera_name!r}")
-                cams[sens.camera_name] = sens
-            self._cameras = cams
-        return self._cameras
+        cams = {}
+        for path in self.config.cameras:
+            sens = read_sensitivities(path)
+            if sens.axis != self.full.axis:
+                raise ValueError(f"{path}: camera grid does not match illuminants")
+            if sens.camera_name in cams:
+                raise ValueError(f"duplicate camera name {sens.camera_name!r}")
+            cams[sens.camera_name] = sens
+        return cams
 
     def _training_rows(self, factor: int, labelled: bool) -> TrainingMatrix:
         images = [downsample(self._sources[p], factor) for p in self.train_paths]
         return training_chromaticities(images, self.proj_set, labelled=labelled)
 
+    @cached_property
     def fit_matrix(self) -> TrainingMatrix:
-        if self._fit_matrix is None:
-            self._fit_matrix = self._training_rows(self.config.downsample_fit, False)
-        return self._fit_matrix
+        return self._training_rows(self.config.downsample_fit, False)
 
+    @cached_property
     def lda_matrix(self) -> TrainingMatrix:
-        if self._lda_matrix is None:
-            self._lda_matrix = self._training_rows(self.config.downsample_lda, True)
-        return self._lda_matrix
+        return self._training_rows(self.config.downsample_lda, True)
 
     # -- fitting ------------------------------------------------------------
 
     def variants_for(self, method: str) -> list[str]:
         if method == KIND_RGB:
-            return sorted(self.cameras())
+            return sorted(self.cameras)
         if method == KIND_RAND:
             return [str(s) for s in self.config.rand_seeds]
         return [NO_VARIANT]
@@ -517,22 +489,22 @@ class _Runner:
     def projection_for(self, method: str, d_prime: int, variant: str) -> Projection:
         cfg = self.config
         if method == KIND_RGB:
-            return fit_rgb(self.cameras()[variant])
+            return fit_rgb(self.cameras[variant])
         if method == KIND_RAND:
             return fit_rand(self.full.axis.count, d_prime, seed=int(variant))
         if method == KIND_PCA:
-            return fit_pca(self.fit_matrix(), d_prime)
+            return fit_pca(self.fit_matrix, d_prime)
         if method == KIND_ILL_PCA:
             return fit_ill_pca(self.proj_set, d_prime)
         if method == KIND_NNMF:
             return fit_nnmf(
-                self.fit_matrix(),
+                self.fit_matrix,
                 d_prime,
                 seed=cfg.nnmf_seed,
                 max_iter=cfg.nnmf_max_iter,
             )
         if method == KIND_LDA:
-            return fit_lda(self.lda_matrix(), d_prime)
+            return fit_lda(self.lda_matrix, d_prime)
         raise ValueError(f"method {method!r} has no projection")
 
     def model_for(self, method: str, d_prime: int, variant: str, n_bins: int):
@@ -553,8 +525,8 @@ class _Runner:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _evaluate(self, predict_scene):
-        """Errors and per-case records over (test scene x candidate).
+    def _evaluate(self, predict_scene) -> tuple[ErrorSummary, list[CaseResult]]:
+        """Error summary and per-case records over (test scene x candidate).
 
         `predict_scene(i)` names the predicted candidate for each case of
         test scene i: the scene lit by each candidate in turn.
@@ -566,7 +538,7 @@ class _Runner:
                 err = self._errors[predicted][j]
                 errors.append(err)
                 cases.append(CaseResult(scene, ill.name, predicted, err))
-        return np.asarray(errors), cases
+        return summarize(np.asarray(errors)), cases
 
     def _case_pixels(self, i: int, cases: range, noise_db: Optional[float]):
         """Valid pixels of test scene i under the normalized SPDs of the
@@ -612,30 +584,41 @@ class _Runner:
 
     # -- entry points -------------------------------------------------------
 
+    def check_fittable(self, method: str, d_primes: Sequence[int]) -> None:
+        """Reject a d' beyond what `method` can fit, before any fit runs.
+
+        With k projection-set candidates: lda fits at most k - 1 dimensions,
+        ill_pca min(k - 1, bands), the other projections at most the band
+        count; rgb is pinned to its three channels and sgw has no projection.
+        """
+        if method in (KIND_RGB, METHOD_SGW):
+            return
+        k, bands = len(self.proj_set), self.full.axis.count
+        limit = {KIND_LDA: k - 1, KIND_ILL_PCA: min(k - 1, bands)}.get(method, bands)
+        for d_prime in d_primes:
+            if d_prime > limit:
+                raise ValueError(
+                    f"{method} cannot fit d' = {d_prime}: at most {limit} with "
+                    f"{k} projection-set candidates and {bands} bands"
+                )
+
     def grid(self) -> EvalReport:
         cfg = self.config
+        for method in cfg.methods:
+            self.check_fittable(method, cfg.d_primes)
         rows = []
         for method in cfg.methods:
             if method == METHOD_SGW:
-                errors, cases = self.evaluate_sgw()
-                rows.append(
-                    ReportRow(
-                        method, None, None, NO_VARIANT, NO_VARIANT,
-                        summarize(errors), cases,
-                    )
-                )
+                sgw = self.evaluate_sgw()
+                rows.append(ReportRow(method, None, None, NO_VARIANT, NO_VARIANT, *sgw))
                 continue
-            d_primes = (3,) if method == KIND_RGB else cfg.d_primes
-            for d_prime in d_primes:
+            for d_prime in (3,) if method == KIND_RGB else cfg.d_primes:
                 for variant in self.variants_for(method):
                     for n_bins in cfg.bins:
                         model = self.model_for(method, d_prime, variant, n_bins)
-                        errors, cases = self.evaluate_model(model, None)
+                        result = self.evaluate_model(model, None)
                         rows.append(
-                            ReportRow(
-                                method, d_prime, n_bins, variant, NO_VARIANT,
-                                summarize(errors), cases,
-                            )
+                            ReportRow(method, d_prime, n_bins, variant, NO_VARIANT, *result)
                         )
         rows.extend(_average_rows(rows))
         return EvalReport(rows)
@@ -643,24 +626,15 @@ class _Runner:
     def noise(self) -> EvalReport:
         cfg = self.config
         method, d_prime, n_bins = cfg.noise_method, cfg.noise_d_prime, cfg.noise_bins
+        self.check_fittable(method, (d_prime,))
+        levels = [("clean", None)]
+        levels += [(_noise_label(db), float(db)) for db in cfg.noise_levels]
         rows = []
         for variant in self.variants_for(method):
             model = self.model_for(method, d_prime, variant, n_bins)
-            errors, cases = self.evaluate_model(model, None)
-            rows.append(
-                ReportRow(
-                    method, d_prime, n_bins, variant, "clean",
-                    summarize(errors), cases,
-                )
-            )
-            for level in cfg.noise_levels:
-                errors, cases = self.evaluate_model(model, float(level))
-                rows.append(
-                    ReportRow(
-                        method, d_prime, n_bins, variant, _noise_label(level),
-                        summarize(errors), cases,
-                    )
-                )
+            for label, noise_db in levels:
+                result = self.evaluate_model(model, noise_db)
+                rows.append(ReportRow(method, d_prime, n_bins, variant, label, *result))
         rows.extend(_average_rows(rows))
         return EvalReport(rows)
 

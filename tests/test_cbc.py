@@ -30,7 +30,9 @@ from illumest.io import FormatError, read_sensitivities
 from illumest.projections import (
     Projection,
     fit_ill_pca,
+    fit_lda,
     fit_nnmf,
+    fit_pca,
     fit_rand,
     fit_rgb,
     projection_hash,
@@ -69,15 +71,30 @@ class TestPixelFeatures:
         p = fit_rgb(sens)
         pixels = np.array([[2.0, 3.0, 5.0]])
         feats, _ = pixel_features(p, pixels)
-        # channel responses are (20, 30, 50) after the grid-step weight;
+        # the identity sensitivities give channel responses (2, 3, 5);
         # L1 normalization of the 3-vector gives (0.2, 0.3, 0.5)
         np.testing.assert_allclose(feats[0], [0.2, 0.3, 0.5], atol=1e-12)
 
-    def test_all_black_returns_empty(self):
-        p = fit_rand(3, 2, seed=0)
-        feats, kept = pixel_features(p, np.zeros((4, 3)))
-        assert feats.shape == (0, 2)
-        assert not kept.any()
+    def test_all_black_returns_empty(self, bundled_set, bundled_cameras):
+        rng = np.random.default_rng(3)
+        axis = bundled_set.axis
+        mask = np.ones((4, 4), dtype=bool)
+        images = [
+            SpectralImage(axis, 0.05 + rng.random((4, 4, axis.count)), mask)
+            for _ in range(2)
+        ]
+        rows = training_chromaticities(images, bundled_set, labelled=True)
+        for p in (
+            fit_rgb(read_sensitivities(bundled_cameras[0])),
+            fit_rand(axis.count, 2, seed=0),
+            fit_pca(rows, 2),
+            fit_ill_pca(bundled_set, 2),
+            fit_nnmf(rows, 2, max_iter=20),
+            fit_lda(rows, 2),
+        ):
+            feats, kept = pixel_features(p, np.zeros((4, axis.count)))
+            assert feats.shape == (0, p.output_dim), p.kind
+            assert not kept.any()
 
 
 class TestCalibrateBounds:

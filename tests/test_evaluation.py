@@ -1,11 +1,11 @@
 """Metrics, report formatting, configuration, and the evaluation runners."""
 
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
-from illumest import cbc
+from illumest import cbc, evaluation
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cbc import classify
 from illumest.evaluation import (
@@ -289,6 +289,66 @@ class TestParseConfig:
         with pytest.raises(FormatError):
             parse_config(p)
 
+    def test_every_key_set_matches_the_direct_config(self, tmp_path):
+        text = (
+            "dataset = d.txt\nilluminants = i.txt\nmethods = rgb, lda\n"
+            "d_primes = 2, 3\nbins = 7\ncameras = cams/a.csv, b.csv\n"
+            "rand_seeds = 9\nprojection_set = names.txt\nprojection_set_k = 12\n"
+            "projection_set_seed = 3\ndownsample_fit = 2\ndownsample_lda = 4\n"
+            "downsample_eval = 1\nnnmf_seed = 5\nnnmf_max_iter = 40\n"
+            "score_mode = dot\nsmoothing = 0.01\nallow_overlap = true\n"
+            "noise_master_seed = 99\nnoise_levels = 35, 12.5\n"
+            "noise_method = pca\nnoise_d_prime = 2\nnoise_bins = 8\n"
+        )
+        cfg = parse_config(self.write(tmp_path, text))
+        base = tmp_path.resolve()
+        assert cfg == GridConfig(
+            dataset=base / "d.txt",
+            illuminants=base / "i.txt",
+            methods=("rgb", "lda"),
+            d_primes=(2, 3),
+            bins=(7,),
+            cameras=(base / "cams/a.csv", base / "b.csv"),
+            rand_seeds=(9,),
+            projection_set=base / "names.txt",
+            projection_set_k=12,
+            projection_set_seed=3,
+            downsample_fit=2,
+            downsample_lda=4,
+            downsample_eval=1,
+            nnmf_seed=5,
+            nnmf_max_iter=40,
+            score_mode="dot",
+            smoothing=0.01,
+            allow_overlap=True,
+            noise_master_seed=99,
+            noise_levels=(35.0, 12.5),
+            noise_method="pca",
+            noise_d_prime=2,
+            noise_bins=8,
+        )
+        # the file sets every field, each away from its default
+        keys = {line.partition("=")[0].strip() for line in text.splitlines()}
+        assert keys == {f.name for f in fields(GridConfig)}
+        for f in fields(GridConfig):
+            assert f.default is MISSING or getattr(cfg, f.name) != f.default, f.name
+
+    def test_accepted_keys_are_the_config_fields(self):
+        assert set(evaluation._FIELD_PARSERS) == {f.name for f in fields(GridConfig)}
+        # a field type without a parser fails when the module builds its table
+        with pytest.raises(TypeError, match="no config parser"):
+            evaluation._field_parser(complex)
+
+    @pytest.mark.parametrize("key", ["dataset", "projection_set"])
+    def test_empty_path_rejected(self, tmp_path, key):
+        values = {"dataset": "d.txt", "illuminants": "i.txt", "methods": "pca"}
+        values[key] = ""
+        text = "".join(f"{k} = {v}\n" for k, v in values.items())
+        lineno = list(values).index(key) + 1
+        p = self.write(tmp_path, text)
+        with pytest.raises(FormatError, match=rf"run\.cfg:{lineno}: .*path"):
+            parse_config(p)
+
 
 class TestTrainingChromaticities:
     def test_candidate_major_rows_and_labels(self):
@@ -441,6 +501,58 @@ class TestRunners:
         with pytest.raises(ValueError):
             run_grid(demo_config(demo_data, dataset=bad))
         run_grid(demo_config(demo_data, dataset=bad, allow_overlap=True))
+
+
+class TestUnfittableDPrime:
+    """A d' beyond a method's structural limit is rejected before any fit;
+    the demo runs use 31 bands and a 10-candidate projection set."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+        for kind in ("rgb", "rand", "pca", "ill_pca", "nnmf", "lda"):
+            fit = getattr(evaluation, f"fit_{kind}")
+
+            def recorded(*args, _fit=fit, _kind=kind, **kwargs):
+                calls.append(_kind)
+                return _fit(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, f"fit_{kind}", recorded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "methods, d_primes, bad",
+        [
+            (("pca", "lda"), (5, 10), ("lda", 10)),
+            (("ill_pca",), (5, 10), ("ill_pca", 10)),
+            (("rand",), (3, 32), ("rand", 32)),
+            (("pca",), (32,), ("pca", 32)),
+            (("nnmf",), (2, 32), ("nnmf", 32)),
+        ],
+        ids=["lda", "ill_pca", "rand", "pca", "nnmf"],
+    )
+    def test_grid_rejects_before_the_first_fit(
+        self, demo_data, fits, methods, d_primes, bad
+    ):
+        cfg = demo_config(demo_data, methods=methods, d_primes=d_primes)
+        with pytest.raises(ValueError, match=rf"{bad[0]} cannot fit d' = {bad[1]}"):
+            run_grid(cfg)
+        assert fits == []
+
+    def test_noise_settings_checked_only_by_the_noise_run(self, demo_data, fits):
+        cfg = demo_config(demo_data, noise_method="lda", noise_d_prime=10)
+        with pytest.raises(ValueError, match="lda cannot fit d' = 10"):
+            run_noise(cfg)
+        assert fits == []
+        run_grid(cfg)
+        assert fits == ["ill_pca"]
+
+    def test_rgb_ignores_d_primes(self, demo_data, bundled_cameras, fits):
+        cfg = demo_config(
+            demo_data, methods=("rgb",), d_primes=(40,), cameras=(bundled_cameras[0],)
+        )
+        assert [r.d_prime for r in run_grid(cfg).rows] == [3]
+        assert fits == ["rgb"]
 
 
 class TestBatchedEvaluation:
