@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +38,9 @@ CBCM_MAGIC = b"CBCM1"
 #: A stored candidate's probabilities, including the base mass of its unseen
 #: cells, must sum to 1 within this tolerance.
 MASS_TOL = 1e-9
+
+#: Closes a model's cell union, past any real cell: unseen cells read the base column.
+SENTINEL_CELL = np.iinfo(np.int64).max
 
 #: Most pixel rows one relit stack holds: training and the runners relight
 #: pixels under as many consecutive candidates per call as fit, at least one.
@@ -74,51 +77,40 @@ def batch_runs(n_cases: int, rows_per_case: int) -> list[range]:
 
 
 def relit_rows(featurize, images: Sequence[SpectralImage], candidates: IlluminantSet):
-    """Per candidate, `featurize(rows) -> (features, kept mask)` over the
-    images' valid pixels relit by its raw SPD, in pixel order. Each call takes
-    a `batch_runs` run of candidates, cut into runs of pixels when one
-    candidate's pass BATCH_ROWS; the kept mask splits the features."""
+    """`featurize(rows) -> (features, kept mask)` over the images' valid pixels
+    relit by each candidate's raw SPD: the features candidate-major in pixel
+    order, and the rows kept per candidate. Each call takes a `batch_runs` run
+    of candidates, or of one candidate's pixels when they pass BATCH_ROWS."""
     for img in images:
         require_same_axis(img.axis, candidates.axis, "training images")
     bands = candidates.axis.count
     pixels = np.concatenate([np.empty((0, bands))] + [i.valid_pixels() for i in images])
     spds = np.array([ill.spd.values for ill in candidates])
-    blocks = []
+    feats = []
+    counts = np.zeros(len(spds), dtype=np.int64)
     for run in batch_runs(len(spds), len(pixels)):
-        parts = []
-        # with no pixels, one empty run still gives each candidate a block
+        # with no pixels, one empty run still gives the features their width
         for rows in batch_runs(len(pixels), len(run)) or [range(0)]:
             stack = pixels[rows.start : rows.stop] * spds[run, None]
-            feats, kept = featurize(stack.reshape(-1, bands))
-            counts = kept.reshape(len(run), len(rows)).sum(axis=1)
-            parts.append(np.split(feats, np.cumsum(counts)[:-1]))
-        blocks.extend(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
-    return blocks
+            part, kept = featurize(stack.reshape(-1, bands))
+            feats.append(part)
+            counts[run.start : run.stop] += kept.reshape(len(run), len(rows)).sum(axis=1)
+    return np.concatenate(feats), counts
 
 
-def calibrate_bounds(
-    feature_blocks: Iterable[np.ndarray], n_dims: int
-) -> tuple[np.ndarray, np.ndarray]:
+def calibrate_bounds(rows: np.ndarray, n_dims: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension histogram bounds from observed training coordinates.
 
-    Bounds cover the global min/max over all blocks, widened by
+    Bounds cover the min/max over the (N, n_dims) rows, widened by
     BOUNDS_MARGIN of the span per side; a degenerate (constant) dimension
     gets a DEGENERATE_WIDTH window centered on the constant.
     """
-    lo = np.full(n_dims, np.inf)
-    hi = np.full(n_dims, -np.inf)
-    seen = False
-    for block in feature_blocks:
-        block = np.asarray(block, dtype=np.float64)
-        if block.size == 0:
-            continue
-        if block.ndim != 2 or block.shape[1] != n_dims:
-            raise ValueError(f"expected (N, {n_dims}) blocks, got {block.shape}")
-        seen = True
-        np.minimum(lo, block.min(axis=0), out=lo)
-        np.maximum(hi, block.max(axis=0), out=hi)
-    if not seen:
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != n_dims:
+        raise ValueError(f"expected (N, {n_dims}) rows, got {rows.shape}")
+    if not len(rows):
         raise ValueError("no feature rows to calibrate bounds from")
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
     span = hi - lo
     degenerate = span <= 0
     center = (lo + hi) / 2.0
@@ -136,11 +128,11 @@ def bin_indices(
         raise ValueError(f"expected (N, {lo.shape[0]}) coords, got {coords.shape}")
     if not np.isfinite(coords).all():
         raise ValueError("coordinates must be finite")
-    scaled = (coords - lo) / (hi - lo) * n_bins
-    idx = np.clip(np.floor(scaled).astype(np.int64), 0, n_bins - 1)
     flat = np.zeros(coords.shape[0], dtype=np.int64)
-    for j in range(coords.shape[1]):
-        flat = flat * n_bins + idx[:, j]
+    for x, l, h in zip(coords.T, lo, hi):  # a column at a time: no (N, d') temporaries
+        idx = np.floor((x - l) / (h - l) * n_bins).astype(np.int64)
+        flat *= n_bins
+        flat += np.minimum(np.maximum(idx, 0, out=idx), n_bins - 1, out=idx)
     return flat
 
 
@@ -169,33 +161,6 @@ class HistogramGrid:
         if self.cells.size and np.any(np.diff(self.cells) <= 0):
             raise ValueError("sparse cells must be strictly increasing")
 
-    @classmethod
-    def from_counts(
-        cls,
-        occupied_cells: np.ndarray,
-        counts: np.ndarray,
-        n_dims: int,
-        n_bins: int,
-        smoothing: float,
-    ) -> "HistogramGrid":
-        """Normalize raw cell counts into smoothed probabilities.
-
-        Every cell of the full grid receives `smoothing` pseudo-mass before
-        normalization, so unobserved cells end with probability
-        smoothing / (total + smoothing * n_cells).
-        """
-        total = float(counts.sum())
-        if total <= 0:
-            raise ValueError("histogram has no observations")
-        denom = total + smoothing * n_bins**n_dims
-        return cls(
-            n_dims,
-            n_bins,
-            smoothing / denom,
-            cells=occupied_cells,
-            cell_probs=(counts + smoothing) / denom,
-        )
-
     def prob_at(self, flat_cells: np.ndarray) -> np.ndarray:
         """Probability of each queried flat cell (the reference for `score`)."""
         q = np.asarray(flat_cells, dtype=np.int64)
@@ -209,7 +174,14 @@ class HistogramGrid:
 
 @dataclass
 class CorrelationModel:
-    """Calibrated per-candidate histograms plus the projection binding.
+    """Calibrated candidate histograms as one table, plus the projection binding.
+
+    `cells` is the sorted union of every candidate's occupied cells, closed by
+    SENTINEL_CELL; `probs` the C-contiguous (candidates, cells) table whose
+    sentinel column holds each candidate's base probability; `occupied` marks
+    the cells each candidate stores, which may hold its base probability.
+    `grids` views the table as per-candidate records; `from_grids` is the
+    only way back.
 
     The file format stores only a digest of the projection, so a loaded
     model starts with `projection=None`; `with_projection` re-attaches and
@@ -222,15 +194,11 @@ class CorrelationModel:
     hi: np.ndarray
     smoothing: float
     candidate_names: tuple[str, ...]
-    grids: tuple[HistogramGrid, ...]
+    cells: np.ndarray
+    probs: np.ndarray
+    occupied: np.ndarray
     projection_digest: bytes
     projection: Optional[Projection] = None
-    # Scoring index, derived from `grids`: the sorted union of every
-    # candidate's occupied cells closed by a sentinel past any real cell, and
-    # per score mode a C-contiguous (candidates x cells) table of
-    # probabilities or their logs whose sentinel column holds the base values.
-    _cells: np.ndarray = field(init=False, repr=False, compare=False)
-    _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.lo = np.asarray(self.lo, dtype=np.float64)
@@ -240,9 +208,9 @@ class CorrelationModel:
         if np.any(self.hi <= self.lo):
             raise ValueError("bounds must satisfy lo < hi")
         self.candidate_names = tuple(self.candidate_names)
-        self.grids = tuple(self.grids)
-        if len(self.candidate_names) != len(self.grids) or not self.grids:
-            raise ValueError("need one grid per candidate name")
+        n, n_cells = len(self.candidate_names), self.cells.size
+        if not n or self.probs.shape != (n, n_cells) or self.occupied.shape != (n, n_cells - 1):
+            raise ValueError("need one table row per candidate name")
         if len(set(self.candidate_names)) != len(self.candidate_names):
             raise ValueError("candidate names must be unique")
         if len(self.projection_digest) != 32:
@@ -251,14 +219,34 @@ class CorrelationModel:
             projection_hash(self.projection) != self.projection_digest
         ):
             raise ValueError("projection does not match the model's digest")
-        union = np.unique(np.concatenate([g.cells for g in self.grids]))
-        self._cells = np.append(union, np.iinfo(np.int64).max)
-        probs = np.empty((len(self.grids), self._cells.size))
-        for row, grid in zip(probs, self.grids):
+
+    @classmethod
+    def from_grids(cls, grids: Sequence[HistogramGrid], **fields) -> "CorrelationModel":
+        """The model whose table rows are these records; `fields` are the rest."""
+        union = np.unique(np.concatenate([np.empty(0, np.int64)] + [g.cells for g in grids]))
+        probs = np.empty((len(grids), union.size + 1))
+        occupied = np.zeros((len(grids), union.size), dtype=bool)
+        for row, occ, grid in zip(probs, occupied, grids):
+            pos = np.searchsorted(union, grid.cells)
             row[:] = grid.base_prob
-            row[np.searchsorted(union, grid.cells)] = grid.cell_probs
+            row[pos], occ[pos] = grid.cell_probs, True
+        cells = np.append(union, SENTINEL_CELL)
+        return cls(cells=cells, probs=probs, occupied=occupied, **fields)
+
+    @property
+    def grids(self) -> tuple[HistogramGrid, ...]:
+        """Read-only per-candidate records sliced out of the table."""
+        cells = self.cells[:-1]
+        return tuple(
+            HistogramGrid(self.n_dims, self.n_bins, float(p[-1]), cells[o], p[:-1][o])
+            for p, o in zip(self.probs, self.occupied)
+        )
+
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        """`probs` in log space, made once on first use (log mode)."""
         with np.errstate(divide="ignore"):
-            self._tables = {MODE_DOT: probs, MODE_LOG: np.log(probs)}
+            return np.log(self.probs)
 
     def with_projection(self, projection: Projection) -> "CorrelationModel":
         """Attach the projection this model was built with (digest-checked)."""
@@ -269,14 +257,16 @@ class CorrelationModel:
 
 @dataclass(frozen=True)
 class TrainingFeatures:
-    """Per-candidate training features of one projection and their bounds.
+    """Training features of one projection and their bounds.
 
-    `blocks` holds one (N_j, d') array per candidate, in candidate order;
-    `lo`/`hi` are `calibrate_bounds` over all of them. `training_features`
-    computes it once and `build_model` bins it at any resolution.
+    `rows` holds all candidates' (N, d') features candidate-major, `counts`
+    each candidate's number of rows; `lo`/`hi` are `calibrate_bounds` over
+    all rows. `training_features` computes it once and `build_model` bins it
+    at any resolution.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    rows: np.ndarray
+    counts: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
@@ -288,17 +278,17 @@ def training_features(
 ) -> TrainingFeatures:
     """Features of the training images under every candidate, with bounds.
 
-    The blocks are `relit_rows` of `pixel_features`; the bounds are
+    The rows are `relit_rows` of `pixel_features`; the bounds are
     calibrated over all candidates' features pooled.
     """
     if not images:
         raise ValueError("need at least one training image")
-    blocks = relit_rows(partial(pixel_features, projection), images, candidates)
-    for ill, block in zip(candidates, blocks):
-        if not len(block):
+    rows, counts = relit_rows(partial(pixel_features, projection), images, candidates)
+    for ill, n in zip(candidates, counts):
+        if not n:
             raise ValueError(f"no usable training pixels under candidate {ill.name!r}")
-    lo, hi = calibrate_bounds(blocks, projection.output_dim)
-    return TrainingFeatures(tuple(blocks), lo, hi)
+    lo, hi = calibrate_bounds(rows, projection.output_dim)
+    return TrainingFeatures(rows, counts, lo, hi)
 
 
 def build_model(
@@ -309,12 +299,14 @@ def build_model(
     smoothing: float = DEFAULT_SMOOTHING,
     features: Optional[TrainingFeatures] = None,
 ) -> CorrelationModel:
-    """Build the per-candidate histogram model from training reflectances.
+    """Build the candidates' histogram table from training reflectances.
 
-    Each candidate's histogram is filled from its block of
-    `training_features(images, candidates, projection)` on the calibrated
-    bounds. `features` may carry that value computed ahead of time, so
-    builds of one projection at several resolutions share it.
+    All rows of `training_features(images, candidates, projection)` are binned
+    on the calibrated bounds and counted in one pass. Each cell of the grid
+    gets `smoothing` pseudo-mass before normalization, so a candidate's unseen
+    cells get smoothing / (total + smoothing * n_cells). `features` may carry
+    that value computed ahead of time, so builds of one projection at several
+    resolutions share it.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
@@ -327,17 +319,17 @@ def build_model(
         features = training_features(images, candidates, projection)
     lo = np.asarray(features.lo, dtype=np.float64)
     hi = np.asarray(features.hi, dtype=np.float64)
-    if len(features.blocks) != len(candidates) or lo.shape != (d_out,):
-        raise ValueError(
-            f"features must hold {len(candidates)} blocks of {d_out} dimensions"
-        )
-    grids = []
-    for feats in features.blocks:
-        flat = bin_indices(feats, lo, hi, n_bins)
-        occupied, counts = np.unique(flat, return_counts=True)
-        grids.append(
-            HistogramGrid.from_counts(occupied, counts, d_out, n_bins, smoothing)
-        )
+    counts = np.asarray(features.counts, dtype=np.int64)
+    if counts.shape != (len(candidates),) or lo.shape != (d_out,):
+        raise ValueError(f"features must hold {d_out}-D rows of {len(candidates)} candidates")
+    if counts.sum() != len(features.rows) or not counts.all():
+        raise ValueError("every candidate needs rows, and the counts must cover them")
+    union, column = np.unique(bin_indices(features.rows, lo, hi, n_bins), return_inverse=True)
+    probs = np.zeros((len(counts), union.size + 1))
+    np.add.at(probs, (np.repeat(np.arange(len(counts)), counts), column), 1.0)
+    occupied = probs[:, :-1] > 0
+    probs += smoothing
+    probs /= (counts + smoothing * n_bins**d_out)[:, None]
     return CorrelationModel(
         n_dims=d_out,
         n_bins=n_bins,
@@ -345,7 +337,9 @@ def build_model(
         hi=hi,
         smoothing=smoothing,
         candidate_names=tuple(candidates.names()),
-        grids=tuple(grids),
+        cells=np.append(union, SENTINEL_CELL),
+        probs=probs,
+        occupied=occupied,
         projection_digest=projection_hash(projection),
         projection=projection,
     )
@@ -402,12 +396,12 @@ def score(
     # A run ends where the next one starts or where its block ends.
     stop = np.minimum(np.append(start[1:], cells.size), (key_block + 1) * n_rows)
     occupied = cells.ravel()[start]
-    pos = np.searchsorted(model._cells, occupied)
-    pos[model._cells[pos] != occupied] = model._cells.size - 1
+    pos = np.searchsorted(model.cells, occupied)
+    pos[model.cells[pos] != occupied] = model.cells.size - 1
     weights = (stop - start) / totals[key_block]
     bounds = np.searchsorted(key_block, np.arange(n_blocks + 1))
-    table = model._tables[mode]
-    out = np.empty((n_blocks, len(model.grids)))
+    table = model.log_probs if mode == MODE_LOG else model.probs
+    out = np.empty((n_blocks, len(model.candidate_names)))
     for k in range(n_blocks):
         run = slice(bounds[k], bounds[k + 1])
         # np.take keeps each candidate's row C-contiguous, and vecdot does
@@ -446,7 +440,7 @@ def classify(
 def write_model(path, model: CorrelationModel) -> None:
     parts = [
         CBCM_MAGIC,
-        struct.pack("<III", model.n_dims, model.n_bins, len(model.grids)),
+        struct.pack("<III", model.n_dims, model.n_bins, len(model.candidate_names)),
     ]
     for j in range(model.n_dims):
         parts.append(struct.pack("<dd", model.lo[j], model.hi[j]))
@@ -515,25 +509,17 @@ def read_model(path) -> CorrelationModel:
             if not abs(mass - 1.0) <= MASS_TOL:
                 raise FormatError(f"{path}: {name!r} has total mass {mass!r}, not 1")
             names.append(name)
-            grids.append(
-                HistogramGrid(
-                    n_dims,
-                    n_bins,
-                    base_prob,
-                    cells=cells.astype(np.int64),
-                    cell_probs=probs.astype(np.float64),
-                )
-            )
+            grids.append(HistogramGrid(n_dims, n_bins, base_prob, cells, probs))
         if offset != len(blob):
             raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
-        return CorrelationModel(
+        return CorrelationModel.from_grids(
+            grids,
             n_dims=n_dims,
             n_bins=n_bins,
             lo=lo,
             hi=hi,
             smoothing=smoothing,
             candidate_names=tuple(names),
-            grids=tuple(grids),
             projection_digest=digest,
         )
     except (struct.error, ValueError, UnicodeDecodeError) as exc:

@@ -250,8 +250,10 @@ class GridConfig:
                 raise ValueError(
                     f"unknown method {m!r}; valid: {', '.join(ALL_METHODS)}"
                 )
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("methods must be unique")
+        for name in ("methods", "d_primes", "bins", "rand_seeds", "noise_levels"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be unique, got {values}")
         if KIND_RGB in self.methods and not self.cameras:
             raise ValueError("the rgb method needs at least one camera file")
         self.cameras = tuple(Path(c) for c in self.cameras)
@@ -389,14 +391,12 @@ def training_chromaticities(
     candidate 1, ...). With `labelled=True` each row carries its candidate's
     index as the class label, which is what the supervised fit needs.
     """
-    blocks = relit_rows(chromaticity_rows, images, candidates)
-    counts = [len(block) for block in blocks]
-    if not any(counts):
+    rows, counts = relit_rows(chromaticity_rows, images, candidates)
+    if not counts.any():
         raise ValueError("training scenes contain no usable pixels")
-    rows = np.concatenate(blocks)
     rows = rows / rows.sum(axis=1, keepdims=True)  # force exact unit row sums
     if labelled:
-        if not all(counts):
+        if not counts.all():
             raise ValueError("every candidate needs at least one training pixel")
         return TrainingMatrix(rows, labels=np.repeat(np.arange(len(counts)), counts))
     return TrainingMatrix(rows)
@@ -625,7 +625,8 @@ class _Runner:
 
     def noise(self) -> EvalReport:
         cfg = self.config
-        method, d_prime, n_bins = cfg.noise_method, cfg.noise_d_prime, cfg.noise_bins
+        method, n_bins = cfg.noise_method, cfg.noise_bins
+        d_prime = 3 if method == KIND_RGB else cfg.noise_d_prime  # as in grid()
         self.check_fittable(method, (d_prime,))
         levels = [("clean", None)]
         levels += [(_noise_label(db), float(db)) for db in cfg.noise_levels]

@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -44,3 +46,33 @@ def test_every_traced_site_resolves():
             missing.append(site)
     assert len(sites) > 20
     assert not missing, f"trace sites that no longer resolve: {missing}"
+
+
+def test_model_sizing_reads_every_stored_cell(tmp_path):
+    """The benchmark sizes models through their per-candidate `grids` view."""
+    from illumest.cbc import build_model, read_model, write_model
+    from illumest.illuminants import Illuminant, IlluminantSet
+    from illumest.projections import fit_rand
+    from illumest.spectral import SpectralAxis, SpectralImage, Spectrum
+
+    axis = SpectralAxis(400, 10, 4)
+    candidates = IlluminantSet(
+        (
+            Illuminant("blue", Spectrum(axis, [8.0, 4.0, 1.0, 0.5])),
+            Illuminant("red", Spectrum(axis, [0.5, 1.0, 4.0, 8.0])),
+        )
+    )
+    rng = np.random.default_rng(0)
+    images = [
+        SpectralImage(axis, 0.1 + rng.random((6, 6, 4)), np.ones((6, 6), bool))
+        for _ in range(2)
+    ]
+    built = build_model(images, candidates, fit_rand(4, 2, seed=1), n_bins=8)
+    write_model(tmp_path / "m.cbcm", built)
+    models = []
+    record = load_spans()._model_stats(models)
+    for model in (built, read_model(tmp_path / "m.cbcm")):
+        record(model)
+        cells, nbytes = models[-1]
+        assert cells == model.occupied.sum() > 0
+        assert nbytes > 0

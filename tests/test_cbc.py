@@ -1,8 +1,9 @@
 """Histogram calibration, binning, scoring, and model serialization."""
 
+import hashlib
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from illumest import cbc
 from illumest.cbc import (
     CorrelationModel,
     HistogramGrid,
+    TrainingFeatures,
     batch_runs,
     bin_indices,
     build_model,
@@ -99,18 +101,18 @@ class TestPixelFeatures:
 
 class TestCalibrateBounds:
     def test_margin_widening(self):
-        lo, hi = calibrate_bounds([np.array([[0.0], [1.0]])], 1)
+        lo, hi = calibrate_bounds(np.array([[0.0], [1.0]]), 1)
         assert lo[0] == pytest.approx(-0.001, abs=1e-15)
         assert hi[0] == pytest.approx(1.001, abs=1e-15)
 
     def test_degenerate_dimension_window(self):
-        lo, hi = calibrate_bounds([np.array([[0.5], [0.5]])], 1)
+        lo, hi = calibrate_bounds(np.array([[0.5], [0.5]]), 1)
         assert lo[0] == pytest.approx(0.5 - 5e-7, abs=1e-18)
         assert hi[0] == pytest.approx(0.5 + 5e-7, abs=1e-18)
 
     def test_pools_across_blocks(self):
-        blocks = [np.array([[0.2, 1.0]]), np.array([[0.8, -1.0]])]
-        lo, hi = calibrate_bounds(blocks, 2)
+        # one row from each of two candidates' blocks
+        lo, hi = calibrate_bounds(np.array([[0.2, 1.0], [0.8, -1.0]]), 2)
         span0, span1 = 0.6, 2.0
         assert lo[0] == pytest.approx(0.2 - 1e-3 * span0)
         assert hi[0] == pytest.approx(0.8 + 1e-3 * span0)
@@ -118,8 +120,12 @@ class TestCalibrateBounds:
         assert hi[1] == pytest.approx(1.0 + 1e-3 * span1)
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_bounds([np.empty((0, 2))], 2)
+        with pytest.raises(ValueError, match="no feature rows"):
+            calibrate_bounds(np.empty((0, 2)), 2)
+
+    def test_rows_of_the_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="expected"):
+            calibrate_bounds(np.zeros((3, 2)), 3)
 
 
 class TestBinIndices:
@@ -215,28 +221,26 @@ class TestBinIndicesProperties:
             assert bin_indices(row[None], lo, hi, n_bins)[0] == flat[k]
 
 
+def grid_from_counts(cells, counts, n_dims, n_bins, smoothing):
+    """A candidate's record from its occupied cells and their counts: every
+    cell of the grid gets `smoothing` pseudo-mass before normalization."""
+    denom = float(np.sum(counts)) + smoothing * n_bins**n_dims
+    return HistogramGrid(
+        n_dims, n_bins, smoothing / denom, cells=cells,
+        cell_probs=(np.asarray(counts) + smoothing) / denom,
+    )
+
+
+def table_fields(model):
+    """The constructor arguments of `model` other than its table."""
+    return {
+        f.name: getattr(model, f.name)
+        for f in fields(model)
+        if f.name not in ("cells", "probs", "occupied")
+    }
+
+
 class TestHistogramGrid:
-    def test_from_counts_smoothing_arithmetic(self):
-        # counts 2 and 1 over a 2x2 grid with smoothing 0.5:
-        # denom = 3 + 0.5*4 = 5, probs (0.5, 0.3), base 0.1, total mass 1
-        grid = HistogramGrid.from_counts(
-            np.array([0, 3]), np.array([2, 1]), n_dims=2, n_bins=2, smoothing=0.5
-        )
-        np.testing.assert_allclose(
-            grid.prob_at(np.array([0, 1, 2, 3])), [0.5, 0.1, 0.1, 0.3], atol=1e-15
-        )
-        assert grid.base_prob == pytest.approx(0.1, abs=1e-15)
-        mass = grid.cell_probs.sum() + grid.base_prob * (4 - grid.cells.size)
-        assert mass == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_smoothing_keeps_plain_frequencies(self):
-        grid = HistogramGrid.from_counts(
-            np.array([1]), np.array([4]), n_dims=1, n_bins=4, smoothing=0.0
-        )
-        np.testing.assert_allclose(
-            grid.prob_at(np.array([0, 1, 2, 3])), [0.0, 1.0, 0.0, 0.0], atol=1e-15
-        )
-
     def test_prob_at_reads_occupied_cells_and_base(self):
         cells = np.array([2, 7, 11])
         probs = np.array([0.3, 0.2, 0.1])
@@ -271,14 +275,14 @@ def hand_model():
     grid_b = HistogramGrid(
         1, 4, base_prob=0.25, cells=np.empty(0), cell_probs=np.empty(0)
     )
-    return CorrelationModel(
+    return CorrelationModel.from_grids(
+        (grid_a, grid_b),
         n_dims=1,
         n_bins=4,
         lo=np.zeros(1),
         hi=np.ones(1),
         smoothing=0.0,
         candidate_names=("warm", "flat"),
-        grids=(grid_a, grid_b),
         projection_digest=projection_hash(proj),
         projection=proj,
     )
@@ -315,9 +319,9 @@ class TestScore:
         sparse = HistogramGrid(
             1, 4, base_prob=0.025, cells=np.array([0]), cell_probs=np.array([0.9])
         )
-        model = CorrelationModel(
-            n_dims=1, n_bins=4, lo=np.zeros(1), hi=np.ones(1), smoothing=0.0,
-            candidate_names=("a",), grids=(sparse,),
+        model = CorrelationModel.from_grids(
+            (sparse,), n_dims=1, n_bins=4, lo=np.zeros(1), hi=np.ones(1),
+            smoothing=0.0, candidate_names=("a",),
             projection_digest=projection_hash(proj), projection=proj,
         )
         img = image_from_pixels([[1.8, 0.2]])  # chromaticity 0.9 -> cell 3
@@ -329,12 +333,7 @@ class TestScore:
             score(hand_model(), image_from_pixels([[1.0, 1.0]]), mode="cosine")
 
     def test_detached_model_cannot_score(self):
-        model = hand_model()
-        detached = CorrelationModel(
-            n_dims=model.n_dims, n_bins=model.n_bins, lo=model.lo, hi=model.hi,
-            smoothing=model.smoothing, candidate_names=model.candidate_names,
-            grids=model.grids, projection_digest=model.projection_digest,
-        )
+        detached = replace(hand_model(), projection=None)
         with pytest.raises(ValueError):
             score(detached, image_from_pixels([[1.0, 1.0]]))
 
@@ -348,9 +347,9 @@ class TestScore:
         grid = HistogramGrid(
             1, 2, base_prob=0.5, cells=np.empty(0), cell_probs=np.empty(0)
         )
-        model = CorrelationModel(
-            n_dims=1, n_bins=2, lo=np.zeros(1), hi=np.ones(1), smoothing=0.0,
-            candidate_names=("first", "second"), grids=(grid, grid),
+        model = CorrelationModel.from_grids(
+            (grid, grid), n_dims=1, n_bins=2, lo=np.zeros(1), hi=np.ones(1),
+            smoothing=0.0, candidate_names=("first", "second"),
             projection_digest=projection_hash(proj), projection=proj,
         )
         name, scores = classify(model, image_from_pixels([[1.0, 3.0]]))
@@ -360,7 +359,8 @@ class TestScore:
 
 @st.composite
 def sparse_models(draw):
-    """Identity-projection model over random sparse grids, plus a test image.
+    """Identity-projection model over random sparse grids, a test image, and
+    the grids the model's table was made from.
 
     Candidates draw their cells from a shared pool at most half the grid, so
     cells are shared, unique to one candidate, or in no candidate at all;
@@ -377,30 +377,28 @@ def sparse_models(draw):
     for _ in range(n_cand):
         cells = np.unique(rng.choice(pool, size=rng.integers(1, pool.size + 1)))
         counts = rng.integers(1, 50, size=cells.size)
-        grids.append(
-            HistogramGrid.from_counts(cells, counts, n_dims, n_bins, smoothing)
-        )
+        grids.append(grid_from_counts(cells, counts, n_dims, n_bins, smoothing))
     proj = Projection("rand", n_dims + 1, n_dims, basis=np.eye(n_dims, n_dims + 1))
-    model = CorrelationModel(
-        n_dims=n_dims, n_bins=n_bins, lo=np.zeros(n_dims), hi=np.ones(n_dims),
+    model = CorrelationModel.from_grids(
+        grids, n_dims=n_dims, n_bins=n_bins, lo=np.zeros(n_dims), hi=np.ones(n_dims),
         smoothing=smoothing, candidate_names=tuple(f"c{j}" for j in range(n_cand)),
-        grids=tuple(grids), projection_digest=projection_hash(proj), projection=proj,
+        projection_digest=projection_hash(proj), projection=proj,
     )
     image = image_from_pixels(rng.random((draw(st.integers(1, 40)), n_dims + 1)))
-    return model, image
+    return model, image, grids
 
 
 class TestScoreOracle:
     @settings(max_examples=200, deadline=None)
     @given(sparse_models(), st.sampled_from(["log", "dot"]))
     def test_score_is_bitwise_per_candidate_dot(self, case, mode):
-        model, image = case
+        model, image, grids = case
         feats, _ = pixel_features(model.projection, image.valid_pixels())
         flat = bin_indices(feats, model.lo, model.hi, model.n_bins)
         occ, counts = np.unique(flat, return_counts=True)
         weights = counts / counts.sum()
-        expected = np.empty(len(model.grids))
-        for j, grid in enumerate(model.grids):
+        expected = np.empty(len(grids))
+        for j, grid in enumerate(grids):
             probs = grid.prob_at(occ)
             if mode == "log":
                 with np.errstate(divide="ignore"):
@@ -425,7 +423,7 @@ def stack_with_black_rows(rng, shape, n_rows, n_bands):
 def assert_rows_match_single_blocks(model, stack, mode):
     """Row k of the stack's scores is the score of block k's non-black rows."""
     batched = score(model, stack, mode)
-    assert batched.shape == stack.shape[:-2] + (len(model.grids),)
+    assert batched.shape == stack.shape[:-2] + (len(model.candidate_names),)
     blocks = stack.reshape(-1, *stack.shape[-2:])
     for row, block in zip(batched.reshape(len(blocks), -1), blocks):
         alone = score(model, image_from_pixels(block[block.any(axis=1)]), mode=mode)
@@ -444,7 +442,7 @@ class TestBatchedScore:
     @given(sparse_models(), st.sampled_from(["log", "dot"]), st.data())
     def test_each_row_is_the_score_of_its_block(self, case, mode, data):
         # identity bases: every product is exact, so rows match bit for bit
-        model, _ = case
+        model, _, _ = case
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
         n_rows = data.draw(st.integers(1, 30))
@@ -505,7 +503,7 @@ class TestBatchedScore:
         model = hand_model()
         stack = stack_with_black_rows(np.random.default_rng(2), (2, 3), 4, 2)
         names, scores = classify(model, stack)
-        assert names.shape == (2, 3) and scores.shape == (2, 3, len(model.grids))
+        assert names.shape == (2, 3) and scores.shape == (2, 3, len(model.candidate_names))
         for name, block in zip(names.ravel(), stack.reshape(6, 4, 2)):
             assert name == classify(model, image_from_pixels(block))[0]
 
@@ -590,14 +588,26 @@ class TestBuildAndClassify:
         axis, candidates, images = tiny_problem()
         proj = fit_rand(4, 2, seed=42)
         feats = training_features(images, candidates, proj)
-        with pytest.raises(ValueError, match="blocks"):
+        with pytest.raises(ValueError, match="features must hold"):
             build_model(
                 images, candidates, proj, n_bins=8,
-                features=replace(feats, blocks=feats.blocks[:1]),
+                features=replace(feats, counts=feats.counts[:1]),
             )
-        with pytest.raises(ValueError, match="blocks"):
+        with pytest.raises(ValueError, match="features must hold"):
             build_model(
                 images, candidates, fit_rand(4, 3, seed=42), n_bins=8, features=feats
+            )
+        with pytest.raises(ValueError, match="counts must cover"):
+            build_model(
+                images, candidates, proj, n_bins=8,
+                features=replace(feats, counts=feats.counts - [1, 0]),
+            )
+        with pytest.raises(ValueError, match="every candidate needs rows"):
+            build_model(
+                images, candidates, proj, n_bins=8,
+                features=replace(
+                    feats, rows=feats.rows[feats.counts[0]:], counts=feats.counts * [0, 1]
+                ),
             )
 
     @pytest.mark.parametrize("smoothing", [math.nan, math.inf, 0.0, -1.0])
@@ -612,6 +622,95 @@ class TestBuildAndClassify:
         proj = fit_rand(5, 2, seed=0)
         with pytest.raises(ValueError):
             build_model(images, candidates, proj, n_bins=8)
+
+
+def model_from_rows(rows, counts, lo, hi, n_bins, smoothing):
+    """`build_model` from given training features, one candidate per count,
+    under an identity projection."""
+    n_dims = rows.shape[1]
+    axis = SpectralAxis(400, 10, n_dims + 1)
+    flat_spd = Spectrum(axis, np.ones(axis.count))
+    candidates = IlluminantSet(tuple(Illuminant(f"c{j}", flat_spd) for j in range(len(counts))))
+    proj = Projection("rand", n_dims + 1, n_dims, basis=np.eye(n_dims, n_dims + 1))
+    features = TrainingFeatures(rows, np.asarray(counts), lo, hi)
+    return build_model([], candidates, proj, n_bins, smoothing=smoothing, features=features)
+
+
+class TestBuildTable:
+    def test_smoothing_arithmetic(self):
+        # counts 2 and 1 over a 2x2 grid with smoothing 0.5:
+        # denom = 3 + 0.5*4 = 5, probs (0.5, 0.3), base 0.1, total mass 1
+        rows = np.array([[0.1, 0.1], [0.2, 0.4], [0.9, 0.6]])
+        model = model_from_rows(rows, [3], np.zeros(2), np.ones(2), 2, 0.5)
+        (grid,) = model.grids
+        assert grid.cells.tolist() == [0, 3]
+        np.testing.assert_allclose(
+            grid.prob_at(np.array([0, 1, 2, 3])), [0.5, 0.1, 0.1, 0.3], atol=1e-15
+        )
+        assert grid.base_prob == pytest.approx(0.1, abs=1e-15)
+        mass = grid.cell_probs.sum() + grid.base_prob * (4 - grid.cells.size)
+        assert mass == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(binning_cases(), st.data())
+    def test_table_is_bitwise_the_per_candidate_histograms(self, case, data):
+        coords, lo, hi, n_bins = case
+        n_cand = data.draw(st.integers(1, 4))
+        # 1e17 swamps a count of 1, so an occupied cell can equal the base
+        smoothing = data.draw(st.sampled_from([1e-9, 0.3, 2.5, 1e17]))
+        cuts = data.draw(
+            st.lists(st.integers(0, len(coords)), min_size=n_cand - 1, max_size=n_cand - 1)
+        )
+        counts = np.diff([0, *sorted(cuts), len(coords)])
+        if not counts.all():
+            with pytest.raises(ValueError, match="every candidate needs rows"):
+                model_from_rows(coords, counts, lo, hi, n_bins, smoothing)
+            return
+        model = model_from_rows(coords, counts, lo, hi, n_bins, smoothing)
+        starts = np.cumsum(counts) - counts
+        flat = np.array(reference_cells(coords, lo, hi, n_bins), dtype=np.int64)
+        union = np.unique(flat)
+        assert model.cells.tobytes() == np.append(union, np.iinfo(np.int64).max).tobytes()
+        for j, (start, n) in enumerate(zip(starts, counts)):
+            cells, cell_counts = np.unique(flat[start : start + n], return_counts=True)
+            denom = float(n) + smoothing * n_bins**lo.size
+            expected = np.full(union.size + 1, smoothing / denom)
+            pos = np.searchsorted(union, cells)
+            expected[pos] = (cell_counts + smoothing) / denom
+            assert model.probs[j].tobytes() == expected.tobytes()
+            assert np.flatnonzero(model.occupied[j]).tolist() == pos.tolist()
+
+    @pytest.mark.parametrize("source", ["built", "read"])
+    def test_from_grids_gives_back_the_table(self, tmp_path, source):
+        axis, candidates, images = tiny_problem()
+        model = build_model(images, candidates, fit_rand(4, 2, seed=42), n_bins=8)
+        if source == "read":
+            write_model(tmp_path / "m.cbcm", model)
+            model = read_model(tmp_path / "m.cbcm")
+        again = CorrelationModel.from_grids(model.grids, **table_fields(model))
+        for name in ("cells", "probs", "occupied"):
+            got, want = getattr(again, name), getattr(model, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_log_table_is_made_once(self):
+        model = hand_model()
+        assert "log_probs" not in vars(model)
+        score(model, image_from_pixels([[0.2, 1.8]]), mode="dot")
+        assert "log_probs" not in vars(model)
+        score(model, image_from_pixels([[0.2, 1.8]]), mode="log")
+        table = model.log_probs
+        score(model, image_from_pixels([[1.2, 0.8]]), mode="log")
+        assert model.log_probs is table
+
+    def test_table_shapes_are_checked(self):
+        model = hand_model()
+        with pytest.raises(ValueError, match="one table row per candidate"):
+            replace(model, probs=model.probs[:1])
+        with pytest.raises(ValueError, match="one table row per candidate"):
+            replace(model, occupied=model.occupied[:, :-1])
+        with pytest.raises(ValueError, match="one table row per candidate"):
+            replace(model, cells=model.cells[1:])
 
 
 def training_scenes(axis, seed):
@@ -729,14 +828,17 @@ class TestRelitTrainingStacks:
         # Only the identity basis makes exact products. The linear kinds'
         # BLAS products and the LAPACK solve in nnmf's NNLS round a row by
         # its position in the batch, so those agree to rounding.
-        assert len(feats.blocks) == len(expected) == 28
-        for got, want in zip(feats.blocks, expected):
+        assert feats.counts.tolist() == [len(b) for b in expected]
+        assert len(feats.rows) == feats.counts.sum()
+        blocks = np.split(feats.rows, np.cumsum(feats.counts)[:-1])
+        assert len(blocks) == len(expected) == 28
+        for got, want in zip(blocks, expected):
             assert got.shape == want.shape
             if kind == "identity":
                 assert got.tobytes() == want.tobytes()
             else:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        lo, hi = calibrate_bounds(expected, proj.output_dim)
+        lo, hi = calibrate_bounds(np.concatenate(expected), proj.output_dim)
         if kind == "identity":
             assert (feats.lo.tobytes(), feats.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
         else:
@@ -817,6 +919,42 @@ class TestModelSerialization:
         np.testing.assert_array_equal(loaded.hi, model.hi)
         assert loaded.smoothing == model.smoothing
         p2 = tmp_path / "m2.cbcm"
+        write_model(p2, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "n_dims, n_bins, sha256",
+        [
+            (2, 8, "f3d39d4bc5a39b83c101d0c854921af895b27f25a4eeeb8c5191f3da56065332"),
+            (3, 5, "f77fe256d94cbeadf678e1044b22a6ba692b175fd12ba6c435c2af1b25500bb3"),
+        ],
+    )
+    def test_bytes_match_the_per_candidate_build(self, tmp_path, n_dims, n_bins, sha256):
+        # Digests of the files written when each candidate's histogram was
+        # built on its own; the identity basis makes every product exact.
+        axis, candidates, images = tiny_problem()
+        proj = Projection("rand", 4, n_dims, basis=np.eye(n_dims, 4))
+        path = tmp_path / "m.cbcm"
+        write_model(path, build_model(images, candidates, proj, n_bins=n_bins))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_stored_cell_at_the_base_probability_round_trips(self, tmp_path):
+        # cell 1 is stored although its probability equals the base
+        proj = Projection("rand", 2, 1, basis=np.array([[1.0, 0.0]]))
+        grids = (
+            HistogramGrid(1, 4, 0.25, cells=np.array([1]), cell_probs=np.array([0.25])),
+            HistogramGrid(1, 4, 0.1, cells=np.array([2]), cell_probs=np.array([0.7])),
+        )
+        model = CorrelationModel.from_grids(
+            grids, n_dims=1, n_bins=4, lo=np.zeros(1), hi=np.ones(1), smoothing=0.5,
+            candidate_names=("even", "peaked"), projection_digest=projection_hash(proj),
+        )
+        p1, p2 = tmp_path / "a.cbcm", tmp_path / "b.cbcm"
+        write_model(p1, model)
+        loaded = read_model(p1)
+        assert loaded.occupied.tolist() == [[True, False], [False, True]]
+        assert loaded.probs[0].tolist() == [0.25, 0.25, 0.25]
+        assert [g.cells.tolist() for g in loaded.grids] == [[1], [2]]
         write_model(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 

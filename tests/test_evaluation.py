@@ -211,6 +211,20 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(**self.base_kwargs(tmp_path), score_mode="cosine")
 
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("methods", ("pca", "pca")),
+            ("d_primes", (2, 3, 2)),
+            ("bins", (5, 5)),
+            ("rand_seeds", (42, 42)),
+            ("noise_levels", (20.0, 20)),
+        ],
+    )
+    def test_repeated_sweep_values_rejected(self, tmp_path, key, values):
+        with pytest.raises(ValueError, match=f"{key} must be unique"):
+            GridConfig(**{**self.base_kwargs(tmp_path), key: values})
+
 
 class TestParseConfig:
     def write(self, tmp_path, text):
@@ -278,6 +292,25 @@ class TestParseConfig:
             f"dataset = d.txt\nilluminants = i.txt\nmethods = pca\nsmoothing = {value}\n",
         )
         with pytest.raises(FormatError, match="smoothing"):
+            parse_config(p)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "methods = ill_pca, pca, ill_pca",
+            "d_primes = 2, 2",
+            "bins = 5, 10, 5",
+            "rand_seeds = 7, 7",
+            "noise_levels = 20, 20.0",
+        ],
+    )
+    def test_repeated_sweep_values_rejected(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        text = f"dataset = d.txt\nilluminants = i.txt\n{line}\n"
+        if key != "methods":
+            text += "methods = pca\n"
+        p = self.write(tmp_path, text)
+        with pytest.raises(FormatError, match=f"run.cfg: {key} must be unique"):
             parse_config(p)
 
     def test_bad_bool_rejected(self, tmp_path):
@@ -477,6 +510,28 @@ class TestRunners:
         assert clean.summary == grid_row.summary
         assert clean.cases == grid_row.cases
 
+    def test_rgb_noise_rows_pinned_to_three_dims(self, demo_data, bundled_cameras):
+        cfg = demo_config(
+            demo_data,
+            methods=("rgb",),
+            cameras=tuple(bundled_cameras[:2]),
+            bins=(5,),
+            noise_method="rgb",
+            noise_d_prime=7,
+            noise_bins=5,
+            noise_levels=(20.0,),
+        )
+        noise_rows = run_noise(cfg).sorted_rows()
+        assert {r.d_prime for r in noise_rows} == {3}
+        grid_rows = {r.variant: r for r in run_grid(cfg).sorted_rows()}
+        cleans = [r for r in noise_rows if r.noise_label == "clean"]
+        assert [r.variant for r in cleans] == ["camera_a", "camera_b", "avg"]
+        for clean in cleans:
+            grid_row = grid_rows[clean.variant]
+            assert (clean.d_prime, clean.n_bins) == (grid_row.d_prime, grid_row.n_bins)
+            assert clean.summary == grid_row.summary
+            assert clean.cases == grid_row.cases
+
     def test_noise_rows_labeled_and_ordered(self, demo_data):
         cfg = demo_config(
             demo_data,
@@ -593,7 +648,12 @@ class TestBatchedEvaluation:
         runner = _Runner(demo_config(demo_data))
         model = runner.model_for("ill_pca", 2, "-", 5)
         # every candidate shares the first one's histogram, so all scores tie
-        tied = replace(model, grids=(model.grids[0],) * len(model.grids))
+        n = len(model.candidate_names)
+        tied = replace(
+            model,
+            probs=np.repeat(model.probs[:1], n, axis=0),
+            occupied=np.repeat(model.occupied[:1], n, axis=0),
+        )
         _, cases = runner.evaluate_model(tied, None)
         assert {c.predicted for c in cases} == {tied.candidate_names[0]}
         assert [c.predicted for c in cases] == self.per_case_predictions(

@@ -47,14 +47,14 @@ def projection_bytes(tmp):
 
 def model_bytes(tmp):
     proj = fit_rand(3, 2, seed=0)
+    # counts (3, 1) and (2,) on a 3x3 grid, smoothed by 0.1
     grids = (
-        HistogramGrid.from_counts(np.array([0, 4]), np.array([3, 1]), 2, 3, 0.1),
-        HistogramGrid.from_counts(np.array([8]), np.array([2]), 2, 3, 0.1),
+        HistogramGrid(2, 3, 0.1 / 4.9, np.array([0, 4]), np.array([3.1, 1.1]) / 4.9),
+        HistogramGrid(2, 3, 0.1 / 2.9, np.array([8]), np.array([2.1]) / 2.9),
     )
-    model = CorrelationModel(
-        n_dims=2, n_bins=3, lo=np.zeros(2), hi=np.ones(2), smoothing=0.1,
-        candidate_names=("a", "b"), grids=grids,
-        projection_digest=projection_hash(proj),
+    model = CorrelationModel.from_grids(
+        grids, n_dims=2, n_bins=3, lo=np.zeros(2), hi=np.ones(2), smoothing=0.1,
+        candidate_names=("a", "b"), projection_digest=projection_hash(proj),
     )
     write_model(tmp / "src.cbcm", model)
     return (tmp / "src.cbcm").read_bytes()
