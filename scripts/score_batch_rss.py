@@ -4,10 +4,11 @@ Run from the repository root:  python scripts/score_batch_rss.py [--sides 256,51
 
 For each scene side the script writes a small synthetic dataset (31 bands;
 six scenes at side 256, three at 512 and above, so two or one test scenes),
-builds one ill_pca model (d' = 3, B = 20) and scores every test case with
-`_Runner.evaluate_model` at the default eval downsample of 4, once per
-`cbc.BATCH_ROWS` value. Training features and scoring share that cap, so
-"RSS before" (after the model build) moves with it as well as the peak.
+builds one ill_pca model (d' = 3, B = 20) from the grid runner's inputs and
+scores every test case with `_Runner.evaluate_model` at the default eval
+downsample of 4, once per `cbc.BATCH_ROWS` value. Training features and
+scoring share that cap, so "RSS before" (after the model build) moves with
+it as well as the peak.
 Each measurement runs in a fresh interpreter, so the reported peak RSS
 (ru_maxrss) is that run's own. "uncapped" relights the training pixels and
 each test scene under all 28 candidates in one call: those stacks and their
@@ -35,6 +36,7 @@ def measure(side: int, cap, work: Path) -> dict:
     import illumest
     from illumest import cbc, evaluation, spectral
     from illumest.bundled import bundled_illuminant_manifest
+    from illumest.projections import fit_ill_pca
 
     cbc.BATCH_ROWS = cap if cap is not None else 1 << 62
     n_scenes = 6 if side < 512 else 3
@@ -49,7 +51,8 @@ def measure(side: int, cap, work: Path) -> dict:
         bins=(20,),
     )
     runner = evaluation._Runner(config)
-    model = runner.model_for("ill_pca", 3, "-", 20)
+    proj = fit_ill_pca(runner.proj_set, 3)
+    model = cbc.build_model(runner.train_eval, runner.full, proj, 20)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     start = time.perf_counter()
     summary, _ = runner.evaluate_model(model, None)

@@ -119,6 +119,16 @@ def calibrate_bounds(rows: np.ndarray, n_dims: int) -> tuple[np.ndarray, np.ndar
     return lo, hi
 
 
+def _check_bounds(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Reject bounds that cannot bin: each width hi - lo must be finite and
+    positive, which also rules out a non-finite lo or hi."""
+    widths = [h - l for l, h in zip(lo.tolist(), hi.tolist())]  # floats: no overflow warning
+    if not all(map(math.isfinite, widths)):
+        raise ValueError("bounds must be finite, and so must each width hi - lo")
+    if not all(w > 0 for w in widths):
+        raise ValueError("bounds must satisfy lo < hi")
+
+
 def bin_indices(
     coords: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_bins: int
 ) -> np.ndarray:
@@ -126,13 +136,16 @@ def bin_indices(
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != lo.shape[0]:
         raise ValueError(f"expected (N, {lo.shape[0]}) coords, got {coords.shape}")
+    _check_bounds(lo, hi)
     if not np.isfinite(coords).all():
         raise ValueError("coordinates must be finite")
     flat = np.zeros(coords.shape[0], dtype=np.int64)
     for x, l, h in zip(coords.T, lo, hi):  # a column at a time: no (N, d') temporaries
-        idx = np.floor((x - l) / (h - l) * n_bins).astype(np.int64)
+        # clamp before the cast: a scaled value past the int64 range casts to int64 min
+        t = (x - l) / (h - l) * n_bins
         flat *= n_bins
-        flat += np.minimum(np.maximum(idx, 0, out=idx), n_bins - 1, out=idx)
+        np.minimum(np.maximum(t, 0, out=t), n_bins - 1, out=t)
+        flat += np.floor(t, out=t).astype(np.int64)
     return flat
 
 
@@ -205,8 +218,7 @@ class CorrelationModel:
         self.hi = np.asarray(self.hi, dtype=np.float64)
         if self.lo.shape != (self.n_dims,) or self.hi.shape != (self.n_dims,):
             raise ValueError("bounds must have one (lo, hi) pair per dimension")
-        if np.any(self.hi <= self.lo):
-            raise ValueError("bounds must satisfy lo < hi")
+        _check_bounds(self.lo, self.hi)
         self.candidate_names = tuple(self.candidate_names)
         n, n_cells = len(self.candidate_names), self.cells.size
         if not n or self.probs.shape != (n, n_cells) or self.occupied.shape != (n, n_cells - 1):

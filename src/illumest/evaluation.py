@@ -47,7 +47,6 @@ from .projections import (
     KIND_PCA,
     KIND_RAND,
     KIND_RGB,
-    Projection,
     TrainingMatrix,
     fit_ill_pca,
     fit_lda,
@@ -403,7 +402,8 @@ def training_chromaticities(
 
 
 class _Runner:
-    """Shared machinery for grid and noise runs (caching, deterministic order)."""
+    """Loads a run's inputs once, then sweeps (method, d', variant, B) cells
+    in report order, scoring each cell's model at every noise level."""
 
     def __init__(self, config: GridConfig):
         self.config = config
@@ -447,9 +447,6 @@ class _Runner:
             pred.name: [angular_error_deg(pred.spd, true.spd) for true in self.full]
             for pred in self.full
         }
-        # (key, projection, training features) of the projection being
-        # evaluated; the runners visit each key's B values contiguously.
-        self._slot: Optional[tuple] = None
 
     # -- lazy inputs --------------------------------------------------------
 
@@ -479,66 +476,44 @@ class _Runner:
 
     # -- fitting ------------------------------------------------------------
 
-    def variants_for(self, method: str) -> list[str]:
-        if method == KIND_RGB:
-            return sorted(self.cameras)
-        if method == KIND_RAND:
-            return [str(s) for s in self.config.rand_seeds]
-        return [NO_VARIANT]
-
-    def projection_for(self, method: str, d_prime: int, variant: str) -> Projection:
+    def _projections(self, method: str, d_prime: int):
+        """Yield (variant, projection) for each variant of `method` at d', in
+        report order: cameras by name, rand seeds as configured, else one
+        unnamed variant. Each projection is fitted when it is reached."""
         cfg = self.config
         if method == KIND_RGB:
-            return fit_rgb(self.cameras[variant])
-        if method == KIND_RAND:
-            return fit_rand(self.full.axis.count, d_prime, seed=int(variant))
-        if method == KIND_PCA:
-            return fit_pca(self.fit_matrix, d_prime)
-        if method == KIND_ILL_PCA:
-            return fit_ill_pca(self.proj_set, d_prime)
-        if method == KIND_NNMF:
-            return fit_nnmf(
-                self.fit_matrix,
-                d_prime,
-                seed=cfg.nnmf_seed,
-                max_iter=cfg.nnmf_max_iter,
+            for name, sens in sorted(self.cameras.items()):
+                yield name, fit_rgb(sens)
+        elif method == KIND_RAND:
+            for seed in cfg.rand_seeds:
+                yield str(seed), fit_rand(self.full.axis.count, d_prime, seed=seed)
+        elif method == KIND_PCA:
+            yield NO_VARIANT, fit_pca(self.fit_matrix, d_prime)
+        elif method == KIND_ILL_PCA:
+            yield NO_VARIANT, fit_ill_pca(self.proj_set, d_prime)
+        elif method == KIND_NNMF:
+            yield NO_VARIANT, fit_nnmf(
+                self.fit_matrix, d_prime, seed=cfg.nnmf_seed, max_iter=cfg.nnmf_max_iter
             )
-        if method == KIND_LDA:
-            return fit_lda(self.lda_matrix, d_prime)
-        raise ValueError(f"method {method!r} has no projection")
-
-    def model_for(self, method: str, d_prime: int, variant: str, n_bins: int):
-        key = (method, d_prime, variant)
-        if self._slot is None or self._slot[0] != key:
-            proj = self.projection_for(method, d_prime, variant)
-            features = training_features(self.train_eval, self.full, proj)
-            self._slot = (key, proj, features)
-        _, proj, features = self._slot
-        return build_model(
-            self.train_eval,
-            self.full,
-            proj,
-            n_bins,
-            smoothing=self.config.smoothing,
-            features=features,
-        )
+        elif method == KIND_LDA:
+            yield NO_VARIANT, fit_lda(self.lda_matrix, d_prime)
+        else:
+            raise ValueError(f"method {method!r} has no projection")
 
     # -- evaluation ---------------------------------------------------------
 
-    def _evaluate(self, predict_scene) -> tuple[ErrorSummary, list[CaseResult]]:
+    def _evaluate(self, predicted: list) -> tuple[ErrorSummary, list[CaseResult]]:
         """Error summary and per-case records over (test scene x candidate).
 
-        `predict_scene(i)` names the predicted candidate for each case of
-        test scene i: the scene lit by each candidate in turn.
+        `predicted[i]` names the predicted candidate for each case of test
+        scene i: the scene lit by each candidate in turn.
         """
-        errors = []
-        cases = []
-        for i, scene in enumerate(self.test_names):
-            for j, (ill, predicted) in enumerate(zip(self.full, predict_scene(i))):
-                err = self._errors[predicted][j]
-                errors.append(err)
-                cases.append(CaseResult(scene, ill.name, predicted, err))
-        return summarize(np.asarray(errors)), cases
+        cases = [
+            CaseResult(scene, ill.name, name, self._errors[name][j])
+            for scene, names in zip(self.test_names, predicted)
+            for j, (ill, name) in enumerate(zip(self.full, names))
+        ]
+        return summarize(np.asarray([c.error_deg for c in cases])), cases
 
     def _case_pixels(self, i: int, cases: range, noise_db: Optional[float]):
         """Valid pixels of test scene i under the normalized SPDs of the
@@ -562,25 +537,21 @@ class _Runner:
 
     def evaluate_model(self, model: CorrelationModel, noise_db: Optional[float]):
         mode = self.config.score_mode
-
-        def predict_scene(i):
+        predicted = []
+        for i, pixels in enumerate(self._test_pixels):
             names = []
-            for cases in batch_runs(len(self.full), len(self._test_pixels[i])):
-                pixels = self._case_pixels(i, cases, noise_db)
-                names.extend(classify(model, pixels, mode=mode)[0])
-            return names
-
-        return self._evaluate(predict_scene)
+            for cases in batch_runs(len(self.full), len(pixels)):
+                stack = self._case_pixels(i, cases, noise_db)
+                names.extend(classify(model, stack, mode=mode)[0])
+            predicted.append(names)
+        return self._evaluate(predicted)
 
     def evaluate_sgw(self):
-        def predict_scene(i):
-            img = self.test_eval[i]
-            return [
-                spectral_gray_world(relight(img, spd), self.full)[0]
-                for spd in self._spds
-            ]
-
-        return self._evaluate(predict_scene)
+        predicted = [
+            [spectral_gray_world(relight(img, spd), self.full)[0] for spd in self._spds]
+            for img in self.test_eval
+        ]
+        return self._evaluate(predicted)
 
     # -- entry points -------------------------------------------------------
 
@@ -602,42 +573,43 @@ class _Runner:
                     f"{k} projection-set candidates and {bands} bands"
                 )
 
-    def grid(self) -> EvalReport:
-        cfg = self.config
-        for method in cfg.methods:
-            self.check_fittable(method, cfg.d_primes)
+    def _sweep(self, methods, d_primes, bins, levels) -> EvalReport:
+        """One row per (method, d', variant, B, noise level), then the
+        variant averages. `levels` holds (noise label, dB or None) pairs;
+        each projection's training features serve all of its B values."""
+        for method in methods:
+            self.check_fittable(method, d_primes)
         rows = []
-        for method in cfg.methods:
+        for method in methods:
             if method == METHOD_SGW:
                 sgw = self.evaluate_sgw()
                 rows.append(ReportRow(method, None, None, NO_VARIANT, NO_VARIANT, *sgw))
                 continue
-            for d_prime in (3,) if method == KIND_RGB else cfg.d_primes:
-                for variant in self.variants_for(method):
-                    for n_bins in cfg.bins:
-                        model = self.model_for(method, d_prime, variant, n_bins)
-                        result = self.evaluate_model(model, None)
-                        rows.append(
-                            ReportRow(method, d_prime, n_bins, variant, NO_VARIANT, *result)
+            for d_prime in (3,) if method == KIND_RGB else d_primes:
+                for variant, proj in self._projections(method, d_prime):
+                    features = training_features(self.train_eval, self.full, proj)
+                    for n_bins in bins:
+                        model = build_model(
+                            self.train_eval, self.full, proj, n_bins,
+                            smoothing=self.config.smoothing, features=features,
                         )
+                        for label, noise_db in levels:
+                            result = self.evaluate_model(model, noise_db)
+                            rows.append(
+                                ReportRow(method, d_prime, n_bins, variant, label, *result)
+                            )
         rows.extend(_average_rows(rows))
         return EvalReport(rows)
 
+    def grid(self) -> EvalReport:
+        cfg = self.config
+        return self._sweep(cfg.methods, cfg.d_primes, cfg.bins, [(NO_VARIANT, None)])
+
     def noise(self) -> EvalReport:
         cfg = self.config
-        method, n_bins = cfg.noise_method, cfg.noise_bins
-        d_prime = 3 if method == KIND_RGB else cfg.noise_d_prime  # as in grid()
-        self.check_fittable(method, (d_prime,))
-        levels = [("clean", None)]
-        levels += [(_noise_label(db), float(db)) for db in cfg.noise_levels]
-        rows = []
-        for variant in self.variants_for(method):
-            model = self.model_for(method, d_prime, variant, n_bins)
-            for label, noise_db in levels:
-                result = self.evaluate_model(model, noise_db)
-                rows.append(ReportRow(method, d_prime, n_bins, variant, label, *result))
-        rows.extend(_average_rows(rows))
-        return EvalReport(rows)
+        levels = [(_noise_label(db), float(db)) for db in cfg.noise_levels]
+        cell = (cfg.noise_method,), (cfg.noise_d_prime,), (cfg.noise_bins,)
+        return self._sweep(*cell, [("clean", None)] + levels)
 
 
 def _noise_label(level: float) -> str:

@@ -17,9 +17,6 @@ from .spectral import SensitivityFunctions, SpectralAxis, SpectralImage
 
 SCUBE_MAGIC = b"SCUB1"
 
-_U32 = struct.Struct("<I")
-_F64 = struct.Struct("<d")
-
 
 class FormatError(ValueError):
     """Raised when a file does not match its declared format."""

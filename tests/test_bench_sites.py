@@ -76,3 +76,30 @@ def test_model_sizing_reads_every_stored_cell(tmp_path):
         cells, nbytes = models[-1]
         assert cells == model.occupied.sum() > 0
         assert nbytes > 0
+
+
+def test_grid_latency_hook_sees_both_runners(demo_data, monkeypatch):
+    """bench/run.py times grid latency by replacing `evaluation.classify`, so
+    both runners must score through that module global."""
+    from illumest import evaluation
+    from illumest.bundled import bundled_illuminant_manifest
+
+    calls = []
+    classify = evaluation.classify
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "classify", counted)
+    manifest, _ = demo_data
+    config = evaluation.GridConfig(
+        dataset=manifest, illuminants=bundled_illuminant_manifest(),
+        methods=("ill_pca",), d_primes=(2,), bins=(5,), downsample_eval=8,
+        noise_d_prime=2, noise_bins=5, noise_levels=(20.0,),
+    )
+    evaluation.run_grid(config)
+    assert len(calls) > 0
+    calls.clear()
+    evaluation.run_noise(config)
+    assert len(calls) > 0

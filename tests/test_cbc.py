@@ -144,6 +144,28 @@ class TestBinIndices:
         flat = bin_indices(np.array([[1.0]]), lo, hi, 4)
         assert flat[0] == 3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_values_past_the_int64_range_clamp_to_edge_bins(self):
+        # scaled by 4 / 1e-6 these pass 2**63, the range of the integer cast
+        lo, hi = np.zeros(1), np.full(1, 1e-6)
+        coords = np.array([[1e300], [-1e300], [1e15], [-1e15]])
+        np.testing.assert_array_equal(bin_indices(coords, lo, hi, 4), [3, 0, 3, 0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "lo, hi, match",
+        [
+            (-1e308, 1e308, "finite"),
+            (math.nan, 1.0, "finite"),
+            (0.0, math.inf, "finite"),
+            (0.5, 0.5, "lo < hi"),
+            (1.0, 0.0, "lo < hi"),
+        ],
+    )
+    def test_bounds_that_cannot_bin_rejected(self, lo, hi, match):
+        with pytest.raises(ValueError, match=match):
+            bin_indices(np.array([[0.5]]), np.array([lo]), np.array([hi]), 4)
+
     @pytest.mark.parametrize(
         "coords",
         [
@@ -172,7 +194,12 @@ def binning_cases(draw):
     # some coordinates on bin edges (up to rounding), including lo and hi
     edges = rng.random((n_rows, n_dims)) < 0.3
     frac[edges] = rng.integers(0, n_bins + 1, edges.sum()) / n_bins
-    return lo + frac * (hi - lo), lo, hi, n_bins
+    coords = lo + frac * (hi - lo)
+    # some far outside the window, up to past the int64 range once scaled
+    far = rng.random((n_rows, n_dims)) < 0.1
+    sign = rng.choice([-1.0, 1.0], far.sum())
+    coords[far] = sign * 10.0 ** rng.uniform(1, 300, far.sum())
+    return coords, lo, hi, n_bins
 
 
 def reference_cells(coords, lo, hi, n_bins):
@@ -188,6 +215,7 @@ def reference_cells(coords, lo, hi, n_bins):
 
 
 class TestBinIndicesProperties:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(binning_cases())
     def test_cells_lie_in_the_grid_and_match_the_reference(self, case):
@@ -1047,6 +1075,32 @@ class TestModelSerialization:
             assert read_model(path).smoothing == 0.0
             return
         with pytest.raises(FormatError, match="smoothing"):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "lo0, hi0",
+        [
+            (math.nan, None), (math.inf, None), (-math.inf, None),
+            (None, math.nan), (None, math.inf), (None, -math.inf),
+            (-1e308, 1e308),
+        ],
+        ids=["lo-nan", "lo-inf", "lo--inf", "hi-nan", "hi-inf", "hi--inf", "wide"],
+    )
+    def test_non_finite_bounds_rejected(self, tmp_path, lo0, hi0):
+        # None keeps the built bound; "wide" is finite but hi - lo overflows
+        proj, model = self.build()
+        lo, hi = model.lo.copy(), model.hi.copy()
+        lo[0] = lo[0] if lo0 is None else lo0
+        hi[0] = hi[0] if hi0 is None else hi0
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            replace(model, lo=lo, hi=hi)
+        path = tmp_path / "m.cbcm"
+        write_model(path, model)
+        blob = bytearray(path.read_bytes())
+        # the first (lo, hi) pair follows the magic and three u32 counts
+        struct.pack_into("<dd", blob, 5 + 12, lo[0], hi[0])
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="bounds must be finite"):
             read_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from illumest import cbc, evaluation
 from illumest.bundled import bundled_illuminant_manifest
-from illumest.cbc import classify
+from illumest.cbc import build_model, classify
 from illumest.evaluation import (
     CaseResult,
     ErrorSummary,
@@ -24,6 +24,7 @@ from illumest.evaluation import (
 )
 from illumest.illuminants import Illuminant, IlluminantSet
 from illumest.io import FormatError
+from illumest.projections import fit_ill_pca
 from illumest.spectral import (
     SpectralAxis,
     SpectralImage,
@@ -447,6 +448,12 @@ def demo_config(demo_data, **overrides):
     return GridConfig(**kw)
 
 
+def ill_pca_model(runner, d_prime, n_bins):
+    """The runner's ill_pca model at (d', B), built outside the sweep."""
+    proj = fit_ill_pca(runner.proj_set, d_prime)
+    return build_model(runner.train_eval, runner.full, proj, n_bins)
+
+
 class TestRunners:
     def test_grid_report_is_reproducible_byte_for_byte(self, demo_data, tmp_path):
         cfg = demo_config(demo_data)
@@ -497,18 +504,26 @@ class TestRunners:
         assert rows[0].variant == "camera_a"
 
     def test_noise_clean_row_matches_grid_row(self, demo_data):
-        cfg = demo_config(
-            demo_data,
-            noise_method="ill_pca",
-            noise_d_prime=2,
-            noise_bins=5,
-            noise_levels=(20.0,),
-        )
-        grid_row = run_grid(cfg).sorted_rows()[0]
-        noise_rows = run_noise(cfg).sorted_rows()
-        clean = next(r for r in noise_rows if r.noise_label == "clean")
-        assert clean.summary == grid_row.summary
-        assert clean.cases == grid_row.cases
+        # rand has variants, so its clean rows include their average
+        for method, variants in (("ill_pca", ["-"]), ("rand", ["42", "43", "avg"])):
+            cfg = demo_config(
+                demo_data,
+                methods=(method,),
+                rand_seeds=(42, 43),
+                noise_method=method,
+                noise_d_prime=2,
+                noise_bins=5,
+                noise_levels=(20.0,),
+            )
+            grid_rows = {r.variant: r for r in run_grid(cfg).sorted_rows()}
+            noise_rows = run_noise(cfg).sorted_rows()
+            cleans = [r for r in noise_rows if r.noise_label == "clean"]
+            assert [r.variant for r in cleans] == list(grid_rows) == variants
+            for clean in cleans:
+                grid_row = grid_rows[clean.variant]
+                assert (clean.d_prime, clean.n_bins) == (grid_row.d_prime, grid_row.n_bins)
+                assert clean.summary == grid_row.summary
+                assert clean.cases == grid_row.cases
 
     def test_rgb_noise_rows_pinned_to_three_dims(self, demo_data, bundled_cameras):
         cfg = demo_config(
@@ -610,6 +625,67 @@ class TestUnfittableDPrime:
         assert fits == ["rgb"]
 
 
+class TestSweepCalls:
+    """The sweep fits and featurizes each (method, d', variant) once, builds
+    one model per B from those features, and scores each test scene once per
+    model and noise level: the counts the benchmark's traces rely on."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        log = []
+        names = [f"fit_{kind}" for kind in ("rgb", "rand", "pca", "ill_pca", "nnmf", "lda")]
+        for name in names + ["training_features", "build_model", "classify"]:
+            original = getattr(evaluation, name)
+
+            def recorded(*args, _original=original, _name=name, **kwargs):
+                result = _original(*args, **kwargs)
+                log.append((_name, kwargs.get("features"), result))
+                return result
+
+            monkeypatch.setattr(evaluation, name, recorded)
+        return log
+
+    @staticmethod
+    def expected(fits, n_bins, n_levels, n_scenes):
+        per_model = ["build_model"] + ["classify"] * (n_scenes * n_levels)
+        return [
+            name
+            for fit in fits
+            for name in [fit, "training_features"] + per_model * n_bins
+        ]
+
+    def test_one_fit_and_featurization_per_projection(
+        self, demo_data, bundled_cameras, events
+    ):
+        cfg = demo_config(
+            demo_data,
+            methods=("rand", "rgb", "ill_pca"),
+            d_primes=(2, 3),
+            bins=(5, 10),
+            rand_seeds=(42, 43),
+            cameras=tuple(bundled_cameras[:2]),
+            noise_method="rand",
+            noise_d_prime=2,
+            noise_bins=5,
+            noise_levels=(30.0, 10.0),
+        )
+        n_scenes = 8  # held-out demo scenes of 16 pixels: one classify call each
+        report = run_grid(cfg)
+        fits = ["fit_rand"] * 4 + ["fit_rgb"] * 2 + ["fit_ill_pca"] * 2
+        assert [e[0] for e in events] == self.expected(fits, 2, 1, n_scenes)
+        assert len(report.rows) == 8 * 2 + 4 + 2  # cells, rand and rgb averages per (d', B)
+        # each model is built from the features computed just before it
+        features = None
+        for name, passed, result in events:
+            if name == "training_features":
+                features = result
+            elif name == "build_model":
+                assert passed is features
+        events.clear()
+        run_noise(cfg)
+        assert [e[0] for e in events] == self.expected(["fit_rand"] * 2, 1, 3, n_scenes)
+
+
 class TestBatchedEvaluation:
     """The runner scores each test scene's cases in one batch; these pin it
     to the per-case relight / add_noise / classify pipeline."""
@@ -635,7 +711,7 @@ class TestBatchedEvaluation:
         if batch_rows is not None:
             monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
         runner = _Runner(demo_config(demo_data))
-        model = runner.model_for("ill_pca", 2, "-", 5)
+        model = ill_pca_model(runner, 2, 5)
         _, cases = runner.evaluate_model(model, noise_db)
         assert [c.predicted for c in cases] == self.per_case_predictions(
             runner, model, noise_db
@@ -646,7 +722,7 @@ class TestBatchedEvaluation:
 
     def test_ties_resolve_to_the_lowest_index(self, demo_data):
         runner = _Runner(demo_config(demo_data))
-        model = runner.model_for("ill_pca", 2, "-", 5)
+        model = ill_pca_model(runner, 2, 5)
         # every candidate shares the first one's histogram, so all scores tie
         n = len(model.candidate_names)
         tied = replace(

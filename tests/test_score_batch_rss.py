@@ -1,6 +1,6 @@
 """Smoke test of scripts/score_batch_rss.py, which drives the grid runner's
-internals (`_Runner.model_for`, `_Runner.evaluate_model`) directly, so a
-runner change that breaks it fails here rather than at its next manual run."""
+internals (its inputs and `_Runner.evaluate_model`) directly, so a runner
+change that breaks it fails here rather than at its next manual run."""
 
 import importlib.util
 import math
