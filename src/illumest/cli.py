@@ -11,10 +11,14 @@ import sys
 from pathlib import Path
 
 from .bundled import bundled_illuminant_manifest
-from .cbc import DEFAULT_SMOOTHING, MODE_LOG, SCORE_MODES, build_model, classify, read_model, write_model
+from .cbc import MODE_LOG, SCORE_MODES, build_model, classify, read_model, write_model
 from .evaluation import (
+    GridConfig,
     angular_error_deg,
+    check_fittable,
+    fit_projection,
     parse_config,
+    projection_set,
     run_grid,
     run_noise,
     training_chromaticities,
@@ -30,18 +34,8 @@ from .io import (
 )
 from .projections import (
     ALL_KINDS,
-    KIND_ILL_PCA,
-    KIND_LDA,
-    KIND_NNMF,
-    KIND_PCA,
-    KIND_RAND,
     KIND_RGB,
     fit_ill_pca,
-    fit_lda,
-    fit_nnmf,
-    fit_pca,
-    fit_rand,
-    fit_rgb,
     read_projection,
     write_projection,
 )
@@ -60,14 +54,6 @@ def _add_illuminants_arg(p: argparse.ArgumentParser) -> None:
 
 def _illuminants(args) -> Path:
     return args.illuminants if args.illuminants is not None else bundled_illuminant_manifest()
-
-
-def _projection_subset(full, args):
-    if getattr(args, "projection_set", None) is not None:
-        return full.subset(read_name_list(args.projection_set))
-    return select_projection_set(
-        full, k=args.projection_set_k, seed=args.projection_set_seed
-    )
 
 
 def _cmd_synth(args) -> int:
@@ -96,46 +82,28 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _fit_training(args, full):
-    proj_set = _projection_subset(full, args)
-    train_paths, _ = read_dataset_manifest(args.dataset)
-    images = [downsample(read_scube(p), args.downsample) for p in train_paths]
-    return proj_set, images
-
-
 def _cmd_fit(args) -> int:
     full = load_illuminants(_illuminants(args))
-    method = args.method
-    if method == KIND_RGB:
-        if args.camera is None:
-            raise ValueError("--camera is required for the rgb method")
-        proj = fit_rgb(read_sensitivities(args.camera))
-    elif method == KIND_RAND:
-        proj = fit_rand(full.axis.count, args.d_prime, seed=args.seed)
-    elif method == KIND_ILL_PCA:
-        proj = fit_ill_pca(_projection_subset(full, args), args.d_prime)
-    else:
+    proj_set = projection_set(
+        full, args.projection_set, args.projection_set_k, args.projection_set_seed
+    )
+    check_fittable(args.method, (args.d_prime,), proj_set)
+    if args.method == KIND_RGB and args.camera is None:
+        raise ValueError("--camera is required for the rgb method")
+    camera = read_sensitivities(args.camera) if args.method == KIND_RGB else None
+
+    def training(labelled):
         if args.dataset is None:
-            raise ValueError(f"--dataset is required for the {method} method")
-        if args.downsample is None:
-            args.downsample = 16 if method == KIND_LDA else 8
-        proj_set, images = _fit_training(args, full)
-        if method == KIND_PCA:
-            proj = fit_pca(training_chromaticities(images, proj_set), args.d_prime)
-        elif method == KIND_NNMF:
-            proj = fit_nnmf(
-                training_chromaticities(images, proj_set),
-                args.d_prime,
-                seed=args.seed,
-                max_iter=args.nnmf_max_iter,
-            )
-        elif method == KIND_LDA:
-            proj = fit_lda(
-                training_chromaticities(images, proj_set, labelled=True),
-                args.d_prime,
-            )
-        else:
-            raise ValueError(f"unknown method {method!r}")
+            raise ValueError(f"--dataset is required for the {args.method} method")
+        default = GridConfig.downsample_lda if labelled else GridConfig.downsample_fit
+        factor = default if args.downsample is None else args.downsample
+        train_paths, _ = read_dataset_manifest(args.dataset)
+        images = [downsample(read_scube(p), factor) for p in train_paths]
+        return training_chromaticities(images, proj_set, labelled=labelled)
+
+    proj = fit_projection(
+        args.method, args.d_prime, proj_set, training, args.seed, args.nnmf_max_iter, camera
+    )
     write_projection(args.out, proj)
     print(f"wrote {proj.kind} projection ({proj.input_dim} -> {proj.output_dim}): {args.out}")
     return 0
@@ -237,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         "select-projection-set", help="cluster candidates into a reduced set"
     )
     _add_illuminants_arg(p)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=int, default=GridConfig.projection_set_k)
+    p.add_argument("--seed", type=int, default=GridConfig.projection_set_seed)
     p.add_argument("--out", type=Path, required=True, help="names file to write")
     p.set_defaults(func=_cmd_select)
 
@@ -248,18 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_illuminants_arg(p)
     p.add_argument("--dataset", type=Path, default=None, help="dataset manifest")
     p.add_argument("--projection-set", type=Path, default=None, help="names file")
-    p.add_argument("--projection-set-k", type=int, default=10)
-    p.add_argument("--projection-set-seed", type=int, default=0)
+    p.add_argument("--projection-set-k", type=int, default=GridConfig.projection_set_k)
+    p.add_argument("--projection-set-seed", type=int, default=GridConfig.projection_set_seed)
     p.add_argument("--d-prime", type=int, default=3, help="output dimensionality")
     p.add_argument("--seed", type=int, default=42, help="rand/nnmf seed")
     p.add_argument(
         "--downsample",
         type=int,
         default=None,
-        help="training downsample factor (default 8, or 16 for lda)",
+        help=f"training downsample factor (default {GridConfig.downsample_fit}, "
+        f"or {GridConfig.downsample_lda} for lda)",
     )
     p.add_argument("--camera", type=Path, default=None, help="sensitivity CSV (rgb)")
-    p.add_argument("--nnmf-max-iter", type=int, default=300)
+    p.add_argument("--nnmf-max-iter", type=int, default=GridConfig.nnmf_max_iter)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("build-model", help="histogram model for a projection")
@@ -267,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=Path, required=True)
     _add_illuminants_arg(p)
     p.add_argument("--bins", type=int, required=True, help="bins per dimension")
-    p.add_argument("--smoothing", type=float, default=DEFAULT_SMOOTHING)
-    p.add_argument("--downsample", type=int, default=4)
+    p.add_argument("--smoothing", type=float, default=GridConfig.smoothing)
+    p.add_argument("--downsample", type=int, default=GridConfig.downsample_eval)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_build_model)
 

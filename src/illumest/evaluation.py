@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -401,6 +401,54 @@ def training_chromaticities(
     return TrainingMatrix(rows)
 
 
+def projection_set(full: IlluminantSet, names_file, k: int, seed: int) -> IlluminantSet:
+    """The candidates named in `names_file`, or else k-means picks from `full`."""
+    if names_file is not None:
+        return full.subset(read_name_list(names_file))
+    return select_projection_set(full, k=k, seed=seed)
+
+
+def check_fittable(method: str, d_primes: Sequence[int], proj_set: IlluminantSet) -> None:
+    """Reject a d' beyond what `method` can fit, before any fit runs.
+
+    With k projection-set candidates: lda fits at most k - 1 dimensions,
+    ill_pca min(k - 1, bands), the other projections at most the band
+    count; rgb is pinned to its three channels and sgw has no projection.
+    """
+    if method in (KIND_RGB, METHOD_SGW):
+        return
+    k, bands = len(proj_set), proj_set.axis.count
+    limit = {KIND_LDA: k - 1, KIND_ILL_PCA: min(k - 1, bands)}.get(method, bands)
+    for d_prime in d_primes:
+        if d_prime > limit:
+            raise ValueError(
+                f"{method} cannot fit d' = {d_prime}: at most {limit} with "
+                f"{k} projection-set candidates and {bands} bands"
+            )
+
+
+def fit_projection(method, d_prime, proj_set, training, seed, max_iter, camera):
+    """Fit `method` at d': rgb from the `camera` sensitivities (on the set's
+    grid), rand from `seed`, ill_pca from the projection set's SPDs, pca and
+    nnmf (`seed`, `max_iter`) from `training(False)` and lda from
+    `training(True)`, the set's relit training chromaticities (labelled)."""
+    if method == KIND_RGB:
+        if camera.axis != proj_set.axis:
+            raise ValueError(f"{camera.camera_name}: camera grid does not match illuminants")
+        return fit_rgb(camera)
+    if method == KIND_RAND:
+        return fit_rand(proj_set.axis.count, d_prime, seed=seed)
+    if method == KIND_PCA:
+        return fit_pca(training(False), d_prime)
+    if method == KIND_ILL_PCA:
+        return fit_ill_pca(proj_set, d_prime)
+    if method == KIND_NNMF:
+        return fit_nnmf(training(False), d_prime, seed=seed, max_iter=max_iter)
+    if method == KIND_LDA:
+        return fit_lda(training(True), d_prime)
+    raise ValueError(f"method {method!r} has no projection")
+
+
 class _Runner:
     """Loads a run's inputs once, then sweeps (method, d', variant, B) cells
     in report order, scoring each cell's model at every noise level."""
@@ -408,13 +456,9 @@ class _Runner:
     def __init__(self, config: GridConfig):
         self.config = config
         self.full = load_illuminants(config.illuminants)
-        if config.projection_set is not None:
-            names = read_name_list(config.projection_set)
-            self.proj_set = self.full.subset(names)
-        else:
-            self.proj_set = select_projection_set(
-                self.full, k=config.projection_set_k, seed=config.projection_set_seed
-            )
+        self.proj_set = projection_set(
+            self.full, config.projection_set, config.projection_set_k, config.projection_set_seed
+        )
         train_paths, test_paths = read_dataset_manifest(config.dataset)
         if not config.allow_overlap:
             overlap = set(train_paths) & set(test_paths)
@@ -455,8 +499,6 @@ class _Runner:
         cams = {}
         for path in self.config.cameras:
             sens = read_sensitivities(path)
-            if sens.axis != self.full.axis:
-                raise ValueError(f"{path}: camera grid does not match illuminants")
             if sens.camera_name in cams:
                 raise ValueError(f"duplicate camera name {sens.camera_name!r}")
             cams[sens.camera_name] = sens
@@ -479,26 +521,19 @@ class _Runner:
     def _projections(self, method: str, d_prime: int):
         """Yield (variant, projection) for each variant of `method` at d', in
         report order: cameras by name, rand seeds as configured, else one
-        unnamed variant. Each projection is fitted when it is reached."""
+        unnamed variant. Each is fitted by `fit_projection` when it is
+        reached, from the cached `fit_matrix` or `lda_matrix`."""
         cfg = self.config
+        training = lambda labelled: self.lda_matrix if labelled else self.fit_matrix
+        fit = partial(fit_projection, method, d_prime, self.proj_set, training)
         if method == KIND_RGB:
             for name, sens in sorted(self.cameras.items()):
-                yield name, fit_rgb(sens)
+                yield name, fit(None, cfg.nnmf_max_iter, sens)
         elif method == KIND_RAND:
             for seed in cfg.rand_seeds:
-                yield str(seed), fit_rand(self.full.axis.count, d_prime, seed=seed)
-        elif method == KIND_PCA:
-            yield NO_VARIANT, fit_pca(self.fit_matrix, d_prime)
-        elif method == KIND_ILL_PCA:
-            yield NO_VARIANT, fit_ill_pca(self.proj_set, d_prime)
-        elif method == KIND_NNMF:
-            yield NO_VARIANT, fit_nnmf(
-                self.fit_matrix, d_prime, seed=cfg.nnmf_seed, max_iter=cfg.nnmf_max_iter
-            )
-        elif method == KIND_LDA:
-            yield NO_VARIANT, fit_lda(self.lda_matrix, d_prime)
+                yield str(seed), fit(seed, cfg.nnmf_max_iter, None)
         else:
-            raise ValueError(f"method {method!r} has no projection")
+            yield NO_VARIANT, fit(cfg.nnmf_seed, cfg.nnmf_max_iter, None)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -555,30 +590,12 @@ class _Runner:
 
     # -- entry points -------------------------------------------------------
 
-    def check_fittable(self, method: str, d_primes: Sequence[int]) -> None:
-        """Reject a d' beyond what `method` can fit, before any fit runs.
-
-        With k projection-set candidates: lda fits at most k - 1 dimensions,
-        ill_pca min(k - 1, bands), the other projections at most the band
-        count; rgb is pinned to its three channels and sgw has no projection.
-        """
-        if method in (KIND_RGB, METHOD_SGW):
-            return
-        k, bands = len(self.proj_set), self.full.axis.count
-        limit = {KIND_LDA: k - 1, KIND_ILL_PCA: min(k - 1, bands)}.get(method, bands)
-        for d_prime in d_primes:
-            if d_prime > limit:
-                raise ValueError(
-                    f"{method} cannot fit d' = {d_prime}: at most {limit} with "
-                    f"{k} projection-set candidates and {bands} bands"
-                )
-
     def _sweep(self, methods, d_primes, bins, levels) -> EvalReport:
         """One row per (method, d', variant, B, noise level), then the
         variant averages. `levels` holds (noise label, dB or None) pairs;
         each projection's training features serve all of its B values."""
         for method in methods:
-            self.check_fittable(method, d_primes)
+            check_fittable(method, d_primes, self.proj_set)
         rows = []
         for method in methods:
             if method == METHOD_SGW:

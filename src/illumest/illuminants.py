@@ -11,9 +11,6 @@ import numpy as np
 from .io import FormatError, read_illuminant_manifest, read_spd_csv
 from .spectral import SpectralAxis, Spectrum, require_same_axis
 
-ROLE_FULL = "full"
-ROLE_PROJECTION = "projection"
-
 
 @dataclass
 class Illuminant:
@@ -39,21 +36,14 @@ class Illuminant:
 
 @dataclass
 class IlluminantSet:
-    """An ordered collection of candidates on a shared wavelength grid.
-
-    `role` distinguishes the full candidate pool from the reduced set used
-    to drive projection training.
-    """
+    """An ordered collection of candidates on a shared wavelength grid."""
 
     members: tuple[Illuminant, ...]
-    role: str = ROLE_FULL
 
     def __post_init__(self) -> None:
         self.members = tuple(self.members)
         if not self.members:
             raise ValueError("illuminant set cannot be empty")
-        if self.role not in (ROLE_FULL, ROLE_PROJECTION):
-            raise ValueError(f"unknown role {self.role!r}")
         axis = self.members[0].spd.axis
         for m in self.members[1:]:
             require_same_axis(axis, m.spd.axis, f"illuminant {m.name!r}")
@@ -92,17 +82,17 @@ class IlluminantSet:
         mat = self.spd_matrix()
         return mat / mat.sum(axis=1, keepdims=True)
 
-    def subset(self, names: Sequence[str], role: str = ROLE_PROJECTION) -> "IlluminantSet":
+    def subset(self, names: Sequence[str]) -> "IlluminantSet":
         """Members with the given names, kept in this set's order."""
         wanted = set(names)
         missing = wanted - set(self.names())
         if missing:
             raise KeyError(f"names not in set: {sorted(missing)}")
         picked = tuple(m for m in self.members if m.name in wanted)
-        return IlluminantSet(picked, role=role)
+        return IlluminantSet(picked)
 
 
-def load_illuminants(manifest_path, role: str = ROLE_FULL) -> IlluminantSet:
+def load_illuminants(manifest_path) -> IlluminantSet:
     """Load a `path,name` manifest of single-column SPD CSVs."""
     entries = read_illuminant_manifest(manifest_path)
     members = []
@@ -117,7 +107,7 @@ def load_illuminants(manifest_path, role: str = ROLE_FULL) -> IlluminantSet:
         if neg.size:
             raise FormatError(f"{csv_path}:{neg[0] + 2}: negative SPD value")
         members.append(Illuminant(name, Spectrum(axis, col)))
-    return IlluminantSet(tuple(members), role=role)
+    return IlluminantSet(tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +200,7 @@ def select_projection_set(
 
     Clusters the L1-normalized SPDs with k-means and keeps, per cluster, the
     member closest to the centroid (lowest manifest index on ties). The
-    result keeps the original ordering and carries role="projection".
+    result keeps the original ordering.
     """
     if len(full_set) < k:
         raise ValueError(f"cannot pick {k} from {len(full_set)} illuminants")
@@ -227,4 +217,4 @@ def select_projection_set(
     if len(picked_idx) != k:
         raise RuntimeError("clustering produced duplicate representatives")
     members = tuple(full_set[i] for i in picked_idx)
-    return IlluminantSet(members, role=ROLE_PROJECTION)
+    return IlluminantSet(members)

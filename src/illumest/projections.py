@@ -44,6 +44,8 @@ PROJ_MAGIC = b"PROJ1"
 ROW_SUM_TOL = 1e-9
 _ORTHO_TOL = 1e-8
 _RANK_TOL = 1e-10
+#: LDA's within-scatter shrinkage, relative to its mean variance.
+_LDA_GAMMA_SCALE = 1e-6
 
 
 @dataclass
@@ -315,9 +317,7 @@ def fit_nnmf(
     )
 
 
-def fit_lda(
-    training: TrainingMatrix, output_dim: int, gamma_scale: float = 1e-6
-) -> Projection:
+def fit_lda(training: TrainingMatrix, output_dim: int) -> Projection:
     """Supervised directions separating the labelled illuminant classes.
 
     Solves the generalized eigenproblem of between-class scatter against
@@ -344,7 +344,7 @@ def fit_lda(
         offset = (mc - mean)[:, None]
         s_between += xc.shape[0] * (offset @ offset.T)
     base = float(np.trace(s_within)) / d
-    gamma = gamma_scale * (base if base > 0 else 1.0)
+    gamma = _LDA_GAMMA_SCALE * (base if base > 0 else 1.0)
     evals, vecs = generalized_eig(s_between, s_within + gamma * np.eye(d))
     if evals[output_dim - 1] < -1e-8:
         raise ValueError("discriminant eigenvalues are not non-negative")

@@ -103,3 +103,33 @@ def test_grid_latency_hook_sees_both_runners(demo_data, monkeypatch):
     calls.clear()
     evaluation.run_noise(config)
     assert len(calls) > 0
+
+
+def test_cli_fit_calls_the_traced_fit_sites(demo_data, bundled_cameras, tmp_path, monkeypatch):
+    """bench/spans.py traces fitting at `evaluation.fit_*` and
+    `evaluation.select_projection_set`; `illumest fit` must call through them."""
+    from illumest import evaluation
+    from illumest.cli import main
+
+    spans = load_spans()
+    names = [f"fit_{kind}" for kind in spans.FIT_KINDS] + ["select_projection_set"]
+    traced = {s for group, _ in spans.SPAN_SITES.values() for s in group}
+    assert {f"illumest.evaluation:{name}" for name in names} <= traced
+    calls = {}
+    for name in names:
+        original = getattr(evaluation, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, counted)
+    manifest, _ = demo_data
+    for kind in spans.FIT_KINDS:
+        calls.clear()
+        argv = [
+            "fit", "--method", kind, "--dataset", str(manifest),
+            "--camera", str(bundled_cameras[0]), "--out", str(tmp_path / f"{kind}.proj"),
+        ]
+        assert main(argv) == 0
+        assert calls == {f"fit_{kind}": 1, "select_projection_set": 1}

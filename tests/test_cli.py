@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
+from illumest import cli
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cli import main
+from illumest.evaluation import GridConfig, _Runner, run_grid
 from illumest.illuminants import load_illuminants
-from illumest.io import read_dataset_manifest, read_name_list, read_scube, write_scube
-from illumest.projections import read_projection
-from illumest.spectral import relight
+from illumest.io import (
+    read_dataset_manifest,
+    read_name_list,
+    read_scube,
+    read_sensitivities,
+    write_scube,
+    write_spd_csv,
+)
+from illumest.projections import projection_to_bytes, read_projection
+from illumest.spectral import SpectralAxis, relight
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +132,85 @@ class TestFit:
         proj = read_projection(out_path)
         assert proj.kind == "rgb" and proj.output_dim == 3
         assert proj.metadata["camera"] == "camera_a"
+
+
+class TestFitSharesTheRunnersPath:
+    """`fit` goes through the grid runner's projection set, d' check and fit
+    dispatch; the demo scenes (32 x 32) take the grid's fit downsampling."""
+
+    def config(self, demo_data, **overrides):
+        return GridConfig(
+            dataset=demo_data[0], illuminants=bundled_illuminant_manifest(), **overrides
+        )
+
+    @pytest.mark.parametrize("method", ["rgb", "rand", "pca", "ill_pca", "nnmf", "lda"])
+    def test_proj_bytes_equal_the_runners(
+        self, method, demo_data, bundled_cameras, tmp_path, capsys
+    ):
+        out = tmp_path / f"{method}.proj"
+        camera = bundled_cameras[0]
+        run_ok(
+            capsys,
+            [
+                "fit", "--method", method, "--d-prime", "3", "--seed", "0",
+                "--dataset", str(demo_data[0]), "--camera", str(camera),
+                "--out", str(out),
+            ],
+        )
+        cfg = self.config(
+            demo_data, methods=(method,), cameras=(camera,), rand_seeds=(0,)
+        )
+        [(_, proj)] = _Runner(cfg)._projections(method, 3)
+        assert out.read_bytes() == projection_to_bytes(proj)
+
+    def test_camera_on_another_grid_rejected_by_both(
+        self, demo_data, bundled_cameras, tmp_path, capsys
+    ):
+        sens = read_sensitivities(bundled_cameras[0])
+        shifted = tmp_path / "shifted.csv"
+        write_spd_csv(shifted, SpectralAxis(410.0, 10.0, sens.axis.count), sens.rows.T)
+        out = tmp_path / "rgb.proj"
+        rc = main(["fit", "--method", "rgb", "--camera", str(shifted), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "shifted: camera grid does not match illuminants" in err
+        assert not out.exists()
+        cfg = self.config(demo_data, methods=("rgb",), cameras=(shifted,))
+        with pytest.raises(ValueError, match="camera grid does not match illuminants"):
+            run_grid(cfg)
+
+    def test_lda_beyond_the_set_rejected_before_any_scene_read(
+        self, demo_data, tmp_path, capsys, monkeypatch
+    ):
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_scube(path)
+
+        monkeypatch.setattr(cli, "read_scube", counted)
+        argv = ["fit", "--method", "lda", "--dataset", str(demo_data[0])]
+        rc = main(argv + ["--d-prime", "10", "--out", str(tmp_path / "bad.proj")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "lda cannot fit d' = 10: at most 9 with 10 projection-set candidates" in err
+        assert reads == []
+        run_ok(capsys, argv + ["--d-prime", "9", "--out", str(tmp_path / "ok.proj")])
+        assert len(reads) == 16  # the counter sees the training scenes of a valid fit
+
+    @pytest.mark.parametrize("method", ["pca", "lda"])
+    def test_zero_downsample_is_an_error(self, method, demo_data, tmp_path, capsys):
+        out = tmp_path / "p.proj"
+        rc = main(
+            [
+                "fit", "--method", method, "--dataset", str(demo_data[0]),
+                "--downsample", "0", "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "factor must be a positive integer" in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

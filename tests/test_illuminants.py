@@ -14,13 +14,12 @@ from illumest.io import FormatError, write_illuminant_manifest, write_spd_csv
 from illumest.spectral import SpectralAxis, Spectrum
 
 
-def make_set(rows, names=None, role="full"):
+def make_set(rows, names=None):
     rows = np.asarray(rows, dtype=np.float64)
     axis = SpectralAxis(400, 10, rows.shape[1])
     names = names or [f"L{i}" for i in range(rows.shape[0])]
     return IlluminantSet(
-        tuple(Illuminant(n, Spectrum(axis, r)) for n, r in zip(names, rows)),
-        role=role,
+        tuple(Illuminant(n, Spectrum(axis, r)) for n, r in zip(names, rows))
     )
 
 
@@ -60,11 +59,10 @@ class TestIlluminantSet:
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-15)
         np.testing.assert_allclose(m[0], [0.25, 0.75], atol=1e-15)
 
-    def test_subset_keeps_order_and_sets_role(self):
+    def test_subset_keeps_order(self):
         s = make_set(np.eye(4) + 0.1, names=["A", "B", "C", "D"])
         sub = s.subset(["D", "B"])
         assert sub.names() == ["B", "D"]
-        assert sub.role == "projection"
         with pytest.raises(KeyError):
             s.subset(["B", "Q"])
 
@@ -79,7 +77,6 @@ class TestLoadIlluminants:
         s = load_illuminants(man)
         assert s.names() == ["One", "Two"]
         assert s.axis == axis
-        assert s.role == "full"
         np.testing.assert_array_equal(s[1].spd.values, [4.0, 3.0, 2.0, 1.0])
 
     def test_multi_column_file_rejected(self, tmp_path):
@@ -152,7 +149,6 @@ class TestSelectProjectionSet:
         b = select_projection_set(bundled_set, k=10, seed=0)
         assert a.names() == b.names()
         assert len(a) == 10
-        assert a.role == "projection"
         # original manifest ordering is preserved
         order = {n: i for i, n in enumerate(bundled_set.names())}
         idx = [order[n] for n in a.names()]
