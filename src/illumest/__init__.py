@@ -42,9 +42,11 @@ from .projections import (
     write_projection,
 )
 from .cbc import (
+    BlockFeatures,
     CorrelationModel,
     HistogramGrid,
     TrainingFeatures,
+    block_features,
     build_model,
     calibrate_bounds,
     classify,
@@ -99,9 +101,11 @@ __all__ = [
     "nnmf_factorize",
     "read_projection",
     "write_projection",
+    "BlockFeatures",
     "CorrelationModel",
     "HistogramGrid",
     "TrainingFeatures",
+    "block_features",
     "build_model",
     "calibrate_bounds",
     "classify",

@@ -357,29 +357,19 @@ def build_model(
     )
 
 
-def score(
-    model: CorrelationModel,
-    pixels: SpectralImage | np.ndarray,
-    mode: str = MODE_LOG,
-) -> np.ndarray:
-    """Correlation scores against every candidate, shape (..., n_candidates).
+@dataclass(frozen=True)
+class BlockFeatures:
+    """A stack's histogram coordinates under `projection`: `feats` holds the
+    kept rows' coordinates in row order, and `kept` (..., N) marks them."""
 
-    `pixels` is an image, whose valid pixels are scored, or radiance rows of
-    shape (..., N, bands): every (N, bands) block along the leading axes is
-    scored as one image. A block's histogram is normalized without smoothing
-    over its usable rows; `log` mode gives sum(h_test * log(h_candidate))
-    over the block's occupied cells, `dot` mode the plain dot product of the
-    two histograms. All blocks share one `pixel_features`, one
-    `bin_indices` and one sort call; each block's scores are one gather from
-    the model's union table and one dot per candidate. BLAS may round a row
-    of a batched product by its position in the batch, so a block's scores
-    can differ from its scores alone only where a coordinate lies on a bin
-    edge. Non-finite radiance raises ValueError.
-    """
-    if mode not in SCORE_MODES:
-        raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
-    if model.projection is None:
-        raise ValueError("model has no projection attached; call with_projection")
+    projection: Projection
+    feats: np.ndarray
+    kept: np.ndarray
+
+
+def block_features(projection: Projection, pixels: SpectralImage | np.ndarray) -> BlockFeatures:
+    """One `pixel_features` call over an image's valid pixels or over radiance
+    rows of shape (..., N, bands). Non-finite radiance raises ValueError."""
     if isinstance(pixels, SpectralImage):
         pixels = pixels.valid_pixels()  # finite by construction
     else:
@@ -388,10 +378,44 @@ def score(
             raise ValueError("radiance must be finite")
     if pixels.ndim < 2:
         raise ValueError(f"expected (..., N, bands) pixels, got {pixels.shape}")
-    batch, n_rows = pixels.shape[:-2], pixels.shape[-2]
+    feats, kept = pixel_features(projection, pixels.reshape(-1, pixels.shape[-1]))
+    return BlockFeatures(projection, feats, kept.reshape(pixels.shape[:-1]))
+
+
+def score(
+    model: CorrelationModel,
+    pixels: SpectralImage | np.ndarray | BlockFeatures,
+    mode: str = MODE_LOG,
+) -> np.ndarray:
+    """Correlation scores against every candidate, shape (..., n_candidates).
+
+    `pixels` is an image, whose valid pixels are scored, or radiance rows of
+    shape (..., N, bands): every (N, bands) block along the leading axes is
+    scored as one image. Both are featurized by `block_features` first, or
+    `pixels` is its value made ahead of time, so that models of every B share
+    one featurization; features of another projection raise ValueError. A
+    block's histogram is normalized without smoothing over its usable rows;
+    `log` mode gives sum(h_test * log(h_candidate)) over the block's occupied
+    cells, `dot` mode the plain dot product of the two histograms. All blocks
+    share one `pixel_features`, one `bin_indices` and one sort call; each
+    block's scores are one gather from the model's union table and one dot
+    per candidate. BLAS may round a row of a batched product by its position
+    in the batch, so a block's scores can differ from its scores alone only
+    where a coordinate lies on a bin edge.
+    """
+    if mode not in SCORE_MODES:
+        raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
+    if model.projection is None:
+        raise ValueError("model has no projection attached; call with_projection")
+    if not isinstance(pixels, BlockFeatures):
+        pixels = block_features(model.projection, pixels)
+    if pixels.projection is not model.projection and (
+        projection_hash(pixels.projection) != model.projection_digest
+    ):
+        raise ValueError("features come from another projection than the model's")
+    feats, kept = pixels.feats, pixels.kept
+    batch, n_rows = kept.shape[:-1], kept.shape[-1]
     n_blocks = math.prod(batch)
-    rows = pixels.reshape(-1, pixels.shape[-1])
-    feats, kept = pixel_features(model.projection, rows)
     totals = kept.reshape(n_blocks, n_rows).sum(axis=1)
     if not totals.all():
         raise ValueError("test image has no usable pixels")

@@ -87,10 +87,10 @@ def _cmd_fit(args) -> int:
     proj_set = projection_set(
         full, args.projection_set, args.projection_set_k, args.projection_set_seed
     )
-    check_fittable(args.method, (args.d_prime,), proj_set)
     if args.method == KIND_RGB and args.camera is None:
         raise ValueError("--camera is required for the rgb method")
     camera = read_sensitivities(args.camera) if args.method == KIND_RGB else None
+    check_fittable(args.method, (args.d_prime,), proj_set, [camera] if camera else [])
 
     def training(labelled):
         if args.dataset is None:

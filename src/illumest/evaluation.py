@@ -23,6 +23,7 @@ from .cbc import (
     SCORE_MODES,
     CorrelationModel,
     batch_runs,
+    block_features,
     build_model,
     # Not called here; it stays a module attribute because bench/spans.py
     # traces it at this site as well (ROADMAP item 4).
@@ -408,13 +409,19 @@ def projection_set(full: IlluminantSet, names_file, k: int, seed: int) -> Illumi
     return select_projection_set(full, k=k, seed=seed)
 
 
-def check_fittable(method: str, d_primes: Sequence[int], proj_set: IlluminantSet) -> None:
-    """Reject a d' beyond what `method` can fit, before any fit runs.
+def check_fittable(
+    method: str, d_primes: Sequence[int], proj_set: IlluminantSet, cameras=()
+) -> None:
+    """Reject a d' beyond what `method` can fit, or a camera of `cameras`
+    off the set's wavelength grid, before any fit runs.
 
     With k projection-set candidates: lda fits at most k - 1 dimensions,
     ill_pca min(k - 1, bands), the other projections at most the band
     count; rgb is pinned to its three channels and sgw has no projection.
     """
+    for camera in cameras:
+        if camera.axis != proj_set.axis:
+            raise ValueError(f"{camera.camera_name}: camera grid does not match illuminants")
     if method in (KIND_RGB, METHOD_SGW):
         return
     k, bands = len(proj_set), proj_set.axis.count
@@ -428,13 +435,11 @@ def check_fittable(method: str, d_primes: Sequence[int], proj_set: IlluminantSet
 
 
 def fit_projection(method, d_prime, proj_set, training, seed, max_iter, camera):
-    """Fit `method` at d': rgb from the `camera` sensitivities (on the set's
-    grid), rand from `seed`, ill_pca from the projection set's SPDs, pca and
-    nnmf (`seed`, `max_iter`) from `training(False)` and lda from
+    """Fit `method` at d' that `check_fittable` passed: rgb from `camera`,
+    rand from `seed`, ill_pca from the projection set's SPDs, pca and nnmf
+    (`seed`, `max_iter`) from `training(False)` and lda from
     `training(True)`, the set's relit training chromaticities (labelled)."""
     if method == KIND_RGB:
-        if camera.axis != proj_set.axis:
-            raise ValueError(f"{camera.camera_name}: camera grid does not match illuminants")
         return fit_rgb(camera)
     if method == KIND_RAND:
         return fit_rand(proj_set.axis.count, d_prime, seed=seed)
@@ -466,22 +471,18 @@ class _Runner:
                 raise ValueError(
                     f"train/test scenes overlap: {sorted(str(p) for p in overlap)}"
                 )
-        self._sources = {
-            p: read_scube(p) for p in dict.fromkeys(train_paths + test_paths)
-        }
-        for p, img in self._sources.items():
+        # Only the downsample_eval scenes stay; training fits re-read theirs.
+        scenes = {}
+        for p in dict.fromkeys(train_paths + test_paths):
+            img = read_scube(p)
             if img.axis != self.full.axis:
                 raise ValueError(
                     f"{p}: scene grid [{img.axis}] does not match illuminants"
                 )
+            scenes[p] = downsample(img, config.downsample_eval)
         self.train_paths = train_paths
-        self.test_paths = test_paths
-        self.train_eval = [
-            downsample(self._sources[p], config.downsample_eval) for p in train_paths
-        ]
-        self.test_eval = [
-            downsample(self._sources[p], config.downsample_eval) for p in test_paths
-        ]
+        self.train_eval = [scenes[p] for p in train_paths]
+        self.test_eval = [scenes[p] for p in test_paths]
         self.test_names = [p.stem for p in test_paths]
         self._test_pixels = [img.valid_pixels() for img in self.test_eval]
         self._spds = [ill.normalized_spd() for ill in self.full]
@@ -505,7 +506,7 @@ class _Runner:
         return cams
 
     def _training_rows(self, factor: int, labelled: bool) -> TrainingMatrix:
-        images = [downsample(self._sources[p], factor) for p in self.train_paths]
+        images = [downsample(read_scube(p), factor) for p in self.train_paths]
         return training_chromaticities(images, self.proj_set, labelled=labelled)
 
     @cached_property
@@ -570,15 +571,25 @@ class _Runner:
             ]
         )
 
-    def evaluate_model(self, model: CorrelationModel, noise_db: Optional[float]):
-        mode = self.config.score_mode
-        predicted = []
+    def test_features(self, projection, noise_db: Optional[float]):
+        """Per test scene, the `block_features` of each `batch_runs` run of
+        its cases, made as they are iterated."""
         for i, pixels in enumerate(self._test_pixels):
-            names = []
-            for cases in batch_runs(len(self.full), len(pixels)):
-                stack = self._case_pixels(i, cases, noise_db)
-                names.extend(classify(model, stack, mode=mode)[0])
-            predicted.append(names)
+            yield (
+                block_features(projection, self._case_pixels(i, cases, noise_db))
+                for cases in batch_runs(len(self.full), len(pixels))
+            )
+
+    def evaluate_model(self, model: CorrelationModel, noise_db: Optional[float], features=None):
+        """Score every test case at `noise_db`, from `features` when given: the
+        model projection's `test_features` at that level, made ahead of time."""
+        if features is None:
+            features = self.test_features(model.projection, noise_db)
+        mode = self.config.score_mode
+        predicted = [
+            [name for run in runs for name in classify(model, run, mode=mode)[0]]
+            for runs in features
+        ]
         return self._evaluate(predicted)
 
     def evaluate_sgw(self):
@@ -593,9 +604,11 @@ class _Runner:
     def _sweep(self, methods, d_primes, bins, levels) -> EvalReport:
         """One row per (method, d', variant, B, noise level), then the
         variant averages. `levels` holds (noise label, dB or None) pairs;
-        each projection's training features serve all of its B values."""
+        each projection's training features, and its test features at each
+        level, serve all of its B values."""
         for method in methods:
-            check_fittable(method, d_primes, self.proj_set)
+            cameras = self.cameras.values() if method == KIND_RGB else ()
+            check_fittable(method, d_primes, self.proj_set, cameras)
         rows = []
         for method in methods:
             if method == METHOD_SGW:
@@ -605,13 +618,17 @@ class _Runner:
             for d_prime in (3,) if method == KIND_RGB else d_primes:
                 for variant, proj in self._projections(method, d_prime):
                     features = training_features(self.train_eval, self.full, proj)
+                    level_features = [
+                        [list(runs) for runs in self.test_features(proj, noise_db)]
+                        for _, noise_db in levels
+                    ]
                     for n_bins in bins:
                         model = build_model(
                             self.train_eval, self.full, proj, n_bins,
                             smoothing=self.config.smoothing, features=features,
                         )
-                        for label, noise_db in levels:
-                            result = self.evaluate_model(model, noise_db)
+                        for (label, noise_db), test in zip(levels, level_features):
+                            result = self.evaluate_model(model, noise_db, test)
                             rows.append(
                                 ReportRow(method, d_prime, n_bins, variant, label, *result)
                             )

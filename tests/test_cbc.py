@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from illumest import cbc
 from illumest.cbc import (
+    BlockFeatures,
     CorrelationModel,
     HistogramGrid,
     TrainingFeatures,
     batch_runs,
     bin_indices,
+    block_features,
     build_model,
     calibrate_bounds,
     classify,
@@ -37,7 +39,9 @@ from illumest.projections import (
     fit_pca,
     fit_rand,
     fit_rgb,
+    projection_from_bytes,
     projection_hash,
+    projection_to_bytes,
 )
 from illumest.spectral import (
     SensitivityFunctions,
@@ -566,6 +570,91 @@ class TestBatchedScore:
         stack = stack_with_black_rows(np.random.default_rng(3), (3,), 12, 4)
         for mode in ("log", "dot"):
             assert_rows_match_single_blocks(model, stack, mode)
+
+
+class TestBlockFeatures:
+    """`score` featurizes a stack with `block_features` and then bins it; a
+    stack featurized ahead of time scores bit for bit as the stack itself,
+    at every resolution of its projection."""
+
+    @pytest.fixture(scope="class")
+    def models(self, bundled_set, bundled_cameras):
+        rng = np.random.default_rng(7)
+        mask = np.ones((6, 6), dtype=bool)
+        images = [
+            SpectralImage(bundled_set.axis, 0.05 + rng.random((6, 6, 31)), mask)
+            for _ in range(3)
+        ]
+        projections = {
+            "rand": fit_rand(31, 3, seed=1),
+            "rgb": fit_rgb(read_sensitivities(bundled_cameras[0])),
+            "ill_pca": fit_ill_pca(bundled_set, 4),
+        }
+        return {
+            kind: [build_model(images, bundled_set, proj, n_bins=b) for b in (5, 10, 20)]
+            for kind, proj in projections.items()
+        }
+
+    @pytest.mark.parametrize("kind", ["rand", "rgb", "ill_pca"])
+    @pytest.mark.parametrize("mode", ["log", "dot"])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 4)])
+    def test_features_score_as_the_stack_at_every_resolution(self, models, kind, mode, shape):
+        proj = models[kind][0].projection
+        stack = stack_with_black_rows(np.random.default_rng(9), shape, 40, 31)
+        if not shape:
+            stack = stack[stack.any(axis=1)]
+        features = block_features(proj, stack)
+        assert isinstance(features, BlockFeatures) and features.kept.shape == stack.shape[:-1]
+        for model in models[kind]:
+            assert model.projection is proj
+            expected = score(model, stack, mode)
+            assert score(model, features, mode).tobytes() == expected.tobytes()
+            names, scores = classify(model, features, mode)
+            assert scores.tobytes() == expected.tobytes()
+            assert np.array_equal(names, classify(model, stack, mode)[0])
+
+    def test_an_image_featurizes_its_valid_pixels(self, models):
+        model = models["ill_pca"][1]
+        rng = np.random.default_rng(3)
+        pixels, mask = rng.random((5, 5, 31)), rng.random((5, 5)) > 0.3
+        image = SpectralImage(SpectralAxis(400, 10, 31), pixels, mask)
+        features = block_features(model.projection, image)
+        assert features.kept.shape == (mask.sum(),)
+        assert score(model, features).tobytes() == score(model, image).tobytes()
+
+    def test_features_of_another_projection_rejected(self, models):
+        model = models["rand"][0]
+        stack = stack_with_black_rows(np.random.default_rng(4), (2,), 10, 31)
+        for other in (fit_rand(31, 3, seed=2), models["ill_pca"][0].projection):
+            with pytest.raises(ValueError, match="another projection"):
+                score(model, block_features(other, stack))
+            with pytest.raises(ValueError, match="another projection"):
+                classify(model, block_features(other, stack))
+
+    def test_an_equal_projection_read_back_is_accepted(self, models, tmp_path):
+        model = models["ill_pca"][2]
+        copy = projection_from_bytes(projection_to_bytes(model.projection))
+        assert copy is not model.projection
+        write_model(tmp_path / "m.cbcm", model)
+        loaded = read_model(tmp_path / "m.cbcm").with_projection(copy)
+        stack = stack_with_black_rows(np.random.default_rng(6), (3,), 12, 31)
+        expected = score(model, stack).tobytes()
+        assert score(model, block_features(copy, stack)).tobytes() == expected
+        assert score(loaded, block_features(model.projection, stack)).tobytes() == expected
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_radiance_rejected_at_featurization(self, models, bad):
+        stack = np.ones((2, 3, 31))
+        stack[1, 2, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            block_features(models["rand"][0].projection, stack)
+
+    def test_shape_checks(self, models):
+        proj = models["rand"][0].projection
+        with pytest.raises(ValueError, match="pixels"):
+            block_features(proj, np.ones(31))
+        with pytest.raises(ValueError, match="pixels"):
+            block_features(proj, np.ones((2, 5, 30)))
 
 
 def tiny_problem():

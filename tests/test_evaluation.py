@@ -7,7 +7,7 @@ import pytest
 
 from illumest import cbc, evaluation
 from illumest.bundled import bundled_illuminant_manifest
-from illumest.cbc import build_model, classify
+from illumest.cbc import build_model, classify, score
 from illumest.evaluation import (
     CaseResult,
     ErrorSummary,
@@ -23,7 +23,7 @@ from illumest.evaluation import (
     training_chromaticities,
 )
 from illumest.illuminants import Illuminant, IlluminantSet
-from illumest.io import FormatError
+from illumest.io import FormatError, read_sensitivities, write_spd_csv
 from illumest.projections import fit_ill_pca
 from illumest.spectral import (
     SpectralAxis,
@@ -617,6 +617,27 @@ class TestUnfittableDPrime:
         run_grid(cfg)
         assert fits == ["ill_pca"]
 
+    def test_camera_off_the_grid_rejected_before_any_work(
+        self, demo_data, bundled_cameras, fits, tmp_path, monkeypatch
+    ):
+        sens = read_sensitivities(bundled_cameras[0])
+        shifted = tmp_path / "shifted.csv"
+        write_spd_csv(shifted, SpectralAxis(410.0, 10.0, sens.axis.count), sens.rows.T)
+        calls = []
+        classify = evaluation.classify
+        monkeypatch.setattr(
+            evaluation, "classify", lambda *a, **k: calls.append(1) or classify(*a, **k)
+        )
+        cfg = demo_config(
+            demo_data, methods=("ill_pca", "rgb"), d_primes=(2, 3), bins=(5, 10),
+            cameras=(bundled_cameras[1], shifted),
+        )
+        with pytest.raises(ValueError, match="shifted: camera grid does not match"):
+            run_grid(cfg)
+        assert calls == [] and fits == []
+        run_grid(replace(cfg, cameras=cfg.cameras[:1]))
+        assert len(calls) == 8 * 2 * 2 + 8 * 2 and fits == ["ill_pca", "ill_pca", "rgb"]
+
     def test_rgb_ignores_d_primes(self, demo_data, bundled_cameras, fits):
         cfg = demo_config(
             demo_data, methods=("rgb",), d_primes=(40,), cameras=(bundled_cameras[0],)
@@ -626,20 +647,24 @@ class TestUnfittableDPrime:
 
 
 class TestSweepCalls:
-    """The sweep fits and featurizes each (method, d', variant) once, builds
-    one model per B from those features, and scores each test scene once per
-    model and noise level: the counts the benchmark's traces rely on."""
+    """The sweep fits and featurizes each (method, d', variant) once, and
+    featurizes each test scene's batch runs once per noise level; it builds
+    one model per B from those training features, and scores each test scene
+    once per model and noise level from those test features: the counts the
+    benchmark's traces rely on."""
 
     @pytest.fixture
     def events(self, monkeypatch):
         log = []
         names = [f"fit_{kind}" for kind in ("rgb", "rand", "pca", "ill_pca", "nnmf", "lda")]
-        for name in names + ["training_features", "build_model", "classify"]:
+        names += ["training_features", "block_features", "build_model", "classify"]
+        for name in names:
             original = getattr(evaluation, name)
 
             def recorded(*args, _original=original, _name=name, **kwargs):
                 result = _original(*args, **kwargs)
-                log.append((_name, kwargs.get("features"), result))
+                passed = kwargs.get("features", args[1] if _name == "classify" else None)
+                log.append((_name, passed, result))
                 return result
 
             monkeypatch.setattr(evaluation, name, recorded)
@@ -648,10 +673,11 @@ class TestSweepCalls:
     @staticmethod
     def expected(fits, n_bins, n_levels, n_scenes):
         per_model = ["build_model"] + ["classify"] * (n_scenes * n_levels)
+        tests = ["block_features"] * (n_scenes * n_levels)
         return [
             name
             for fit in fits
-            for name in [fit, "training_features"] + per_model * n_bins
+            for name in [fit, "training_features"] + tests + per_model * n_bins
         ]
 
     def test_one_fit_and_featurization_per_projection(
@@ -674,16 +700,30 @@ class TestSweepCalls:
         fits = ["fit_rand"] * 4 + ["fit_rgb"] * 2 + ["fit_ill_pca"] * 2
         assert [e[0] for e in events] == self.expected(fits, 2, 1, n_scenes)
         assert len(report.rows) == 8 * 2 + 4 + 2  # cells, rand and rgb averages per (d', B)
-        # each model is built from the features computed just before it
-        features = None
-        for name, passed, result in events:
-            if name == "training_features":
-                features = result
-            elif name == "build_model":
-                assert passed is features
+        self.assert_features_reused(events, n_bins=2)
         events.clear()
         run_noise(cfg)
         assert [e[0] for e in events] == self.expected(["fit_rand"] * 2, 1, 3, n_scenes)
+        self.assert_features_reused(events, n_bins=1)
+
+    @staticmethod
+    def assert_features_reused(events, n_bins):
+        """Each model is built from the training features computed just
+        before it, and each projection's models score the test features made
+        once for that projection, in the order they were made, once per B."""
+        features, tests, scored = None, [], []
+        for name, passed, result in events + [("fit_end", None, None)]:
+            if name.startswith("fit_"):
+                assert scored == tests * n_bins
+                tests, scored = [], []
+            elif name == "training_features":
+                features = result
+            elif name == "block_features":
+                tests.append(id(result))
+            elif name == "build_model":
+                assert passed is features
+            elif name == "classify":
+                scored.append(id(passed))
 
 
 class TestBatchedEvaluation:
@@ -719,6 +759,31 @@ class TestBatchedEvaluation:
         assert [(c.scene, c.true_name) for c in cases] == [
             (scene, ill.name) for scene in runner.test_names for ill in runner.full
         ]
+
+    @pytest.mark.parametrize("batch_rows", [None, 1, 100])
+    @pytest.mark.parametrize("noise_db", [None, 20.0])
+    def test_test_features_score_as_their_stacks(
+        self, demo_data, noise_db, batch_rows, monkeypatch
+    ):
+        # The runner featurizes each batch run once and scores it at every B;
+        # that must equal scoring the run's relit (and noisy) stack itself.
+        if batch_rows is not None:
+            monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
+        runner = _Runner(demo_config(demo_data))
+        proj = fit_ill_pca(runner.proj_set, 2)
+        models = [build_model(runner.train_eval, runner.full, proj, b) for b in (5, 10)]
+        features = [list(runs) for runs in runner.test_features(proj, noise_db)]
+        assert len(features) == len(runner.test_eval)
+        for model in models:
+            for i, runs in enumerate(features):
+                cases = cbc.batch_runs(len(runner.full), len(runner._test_pixels[i]))
+                assert len(runs) == len(cases)
+                for run, feats in zip(cases, runs):
+                    stack = runner._case_pixels(i, run, noise_db)
+                    assert score(model, feats).tobytes() == score(model, stack).tobytes()
+            assert runner.evaluate_model(model, noise_db, features) == (
+                runner.evaluate_model(model, noise_db)
+            )
 
     def test_ties_resolve_to_the_lowest_index(self, demo_data):
         runner = _Runner(demo_config(demo_data))
