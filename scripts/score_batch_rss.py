@@ -3,12 +3,12 @@
 Run from the repository root:  python scripts/score_batch_rss.py [--sides 256,512]
 
 For each scene side the script writes a small synthetic dataset (31 bands;
-six scenes at side 256, three at 512 and above, so two or one test scenes),
-builds one ill_pca model (d' = 3, B = 20) from the grid runner's inputs and
-scores every test case with `_Runner.evaluate_model` at the default eval
-downsample of 4, once per `cbc.BATCH_ROWS` value. Training features and
-scoring share that cap, so "RSS before" (after the model build) moves with
-it as well as the peak.
+six scenes at side 256, three at 512 and above, so two or one test scenes)
+and runs the grid runner on one cell (ill_pca, d' = 3, B = 20) at the
+default eval downsample of 4, once per `cbc.BATCH_ROWS` value: the fit,
+training features, model build and the per-scene test features the sweep
+holds while it scores. "RSS before" is taken after the runner has loaded
+its scenes.
 Each measurement runs in a fresh interpreter, so the reported peak RSS
 (ru_maxrss) is that run's own. "uncapped" relights the training pixels and
 each test scene under all 28 candidates in one call: those stacks and their
@@ -36,7 +36,6 @@ def measure(side: int, cap, work: Path) -> dict:
     import illumest
     from illumest import cbc, evaluation, spectral
     from illumest.bundled import bundled_illuminant_manifest
-    from illumest.projections import fit_ill_pca
 
     cbc.BATCH_ROWS = cap if cap is not None else 1 << 62
     n_scenes = 6 if side < 512 else 3
@@ -51,19 +50,17 @@ def measure(side: int, cap, work: Path) -> dict:
         bins=(20,),
     )
     runner = evaluation._Runner(config)
-    proj = fit_ill_pca(runner.proj_set, 3)
-    model = cbc.build_model(runner.train_eval, runner.full, proj, 20)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     start = time.perf_counter()
-    summary, _ = runner.evaluate_model(model, None)
+    (row,) = runner.grid().rows
     return {
         "side": side,
         "cap": cap,
         "test_pixels": [len(img.valid_pixels()) for img in runner.test_eval],
-        "rss_before_eval_mb": round(before, 1),
+        "rss_before_grid_mb": round(before, 1),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "eval_s": round(time.perf_counter() - start, 3),
-        "mean_error_deg": summary.mean,
+        "grid_s": round(time.perf_counter() - start, 3),
+        "mean_error_deg": row.summary.mean,
     }
 
 
@@ -77,7 +74,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as work:
             print(json.dumps(measure(side, cap, Path(work))))
         return 0
-    print(f"{'side':>5} {'cap':>9} {'test px':>12} {'RSS before':>11} {'peak RSS':>9} {'eval s':>7}")
+    print(f"{'side':>5} {'cap':>9} {'test px':>12} {'RSS before':>11} {'peak RSS':>9} {'grid s':>7}")
     for side in (int(s) for s in args.sides.split(",")):
         for cap in CAPS:
             done = subprocess.run(
@@ -88,7 +85,7 @@ def main(argv=None) -> int:
             label = "uncapped" if cap is None else str(cap)
             print(
                 f"{side:5d} {label:>9} {str(r['test_pixels']):>12} "
-                f"{r['rss_before_eval_mb']:9.1f}MB {r['peak_rss_mb']:7.1f}MB {r['eval_s']:7.3f}"
+                f"{r['rss_before_grid_mb']:9.1f}MB {r['peak_rss_mb']:7.1f}MB {r['grid_s']:7.3f}"
             )
     return 0
 

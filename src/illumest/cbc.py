@@ -47,6 +47,14 @@ SENTINEL_CELL = np.iinfo(np.int64).max
 BATCH_ROWS = 2048
 
 
+def cell_count(n_bins: int, n_dims: int) -> int:
+    """Cells of an n_bins ** n_dims grid, which flat int64 indices must address."""
+    n_cells = n_bins**n_dims
+    if n_cells > np.iinfo(np.int64).max:
+        raise ValueError("histogram cell space is too large to index")
+    return n_cells
+
+
 def pixel_features(
     projection: Projection, pixels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +118,10 @@ def calibrate_bounds(rows: np.ndarray, n_dims: int) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"expected (N, {n_dims}) rows, got {rows.shape}")
     if not len(rows):
         raise ValueError("no feature rows to calibrate bounds from")
-    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    # a contiguous row per dimension reduces far faster than the tall array's
+    # strided columns; min and max are exact either way
+    cols = np.ascontiguousarray(rows.T)
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
     span = hi - lo
     degenerate = span <= 0
     center = (lo + hi) / 2.0
@@ -214,6 +225,8 @@ class CorrelationModel:
     projection: Optional[Projection] = None
 
     def __post_init__(self) -> None:
+        if self.n_dims < 1 or self.n_bins < 1:
+            raise ValueError(f"n_dims and n_bins must be >= 1, got {self.n_dims}, {self.n_bins}")
         self.lo = np.asarray(self.lo, dtype=np.float64)
         self.hi = np.asarray(self.hi, dtype=np.float64)
         if self.lo.shape != (self.n_dims,) or self.hi.shape != (self.n_dims,):
@@ -223,13 +236,14 @@ class CorrelationModel:
         n, n_cells = len(self.candidate_names), self.cells.size
         if not n or self.probs.shape != (n, n_cells) or self.occupied.shape != (n, n_cells - 1):
             raise ValueError("need one table row per candidate name")
-        if len(set(self.candidate_names)) != len(self.candidate_names):
-            raise ValueError("candidate names must be unique")
+        if len(set(self.candidate_names)) != n or not all(self.candidate_names):
+            raise ValueError("candidate names must be unique and non-empty")
         if len(self.projection_digest) != 32:
             raise ValueError("projection digest must be 32 bytes")
-        if self.projection is not None and (
-            projection_hash(self.projection) != self.projection_digest
-        ):
+        proj = self.projection
+        if proj is not None and proj.output_dim != self.n_dims:
+            raise ValueError(f"{proj.output_dim}-D projection for a {self.n_dims}-D model")
+        if proj is not None and projection_hash(proj) != self.projection_digest:
             raise ValueError("projection does not match the model's digest")
 
     @classmethod
@@ -261,9 +275,7 @@ class CorrelationModel:
             return np.log(self.probs)
 
     def with_projection(self, projection: Projection) -> "CorrelationModel":
-        """Attach the projection this model was built with (digest-checked)."""
-        if projection_hash(projection) != self.projection_digest:
-            raise ValueError("projection does not match the model's digest")
+        """Attach the projection this model was built with (dimension- and digest-checked)."""
         return replace(self, projection=projection)
 
 
@@ -325,8 +337,7 @@ def build_model(
     if not (np.isfinite(smoothing) and smoothing > 0):
         raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
     d_out = projection.output_dim
-    if n_bins**d_out > np.iinfo(np.int64).max:
-        raise ValueError("histogram cell space is too large to index")
+    n_cells = cell_count(n_bins, d_out)
     if features is None:
         features = training_features(images, candidates, projection)
     lo = np.asarray(features.lo, dtype=np.float64)
@@ -341,7 +352,7 @@ def build_model(
     np.add.at(probs, (np.repeat(np.arange(len(counts)), counts), column), 1.0)
     occupied = probs[:, :-1] > 0
     probs += smoothing
-    probs /= (counts + smoothing * n_bins**d_out)[:, None]
+    probs /= (counts + smoothing * n_cells)[:, None]
     return CorrelationModel(
         n_dims=d_out,
         n_bins=n_bins,
@@ -513,9 +524,7 @@ def read_model(path) -> CorrelationModel:
         if len(digest) != 32:
             raise FormatError(f"{path}: truncated projection digest")
         offset += 32
-        total_cells = n_bins**n_dims
-        if total_cells > np.iinfo(np.int64).max:
-            raise FormatError(f"{path}: histogram cell space is too large to index")
+        total_cells = cell_count(n_bins, n_dims)
         names = []
         grids = []
         for _ in range(n_candidates):

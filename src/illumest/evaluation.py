@@ -21,13 +21,14 @@ from .cbc import (
     DEFAULT_SMOOTHING,
     MODE_LOG,
     SCORE_MODES,
-    CorrelationModel,
+    BlockFeatures,
     batch_runs,
     block_features,
     build_model,
     # Not called here; it stays a module attribute because bench/spans.py
     # traces it at this site as well (ROADMAP item 4).
     calibrate_bounds,  # noqa: F401
+    cell_count,
     classify,
     relit_rows,
     training_features,
@@ -211,6 +212,15 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
+#: The least value of each integer GridConfig field, or of every value of a
+#: list field; an empty list has none and is rejected too.
+_LEAST = {
+    "d_primes": 1, "bins": 1, "rand_seeds": 0, "projection_set_k": 2, "projection_set_seed": 0,
+    "downsample_fit": 1, "downsample_lda": 1, "downsample_eval": 1, "nnmf_seed": 0,
+    "nnmf_max_iter": 1, "noise_master_seed": 0, "noise_d_prime": 1, "noise_bins": 1,
+}
+
+
 @dataclass
 class GridConfig:
     """Everything a grid or noise run needs; parseable from `key = value` text."""
@@ -257,31 +267,18 @@ class GridConfig:
         if KIND_RGB in self.methods and not self.cameras:
             raise ValueError("the rgb method needs at least one camera file")
         self.cameras = tuple(Path(c) for c in self.cameras)
-        if not self.d_primes or any(d < 1 for d in self.d_primes):
-            raise ValueError("d_primes must be positive")
-        if not self.bins or any(b < 1 for b in self.bins):
-            raise ValueError("bins must be positive")
-        if not self.rand_seeds:
-            raise ValueError("rand_seeds cannot be empty")
-        for name, v in (
-            ("downsample_fit", self.downsample_fit),
-            ("downsample_lda", self.downsample_lda),
-            ("downsample_eval", self.downsample_eval),
-        ):
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if min(np.atleast_1d(value), default=least - 1) < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
         if self.score_mode not in SCORE_MODES:
             raise ValueError(f"score_mode must be one of {SCORE_MODES}")
         if not (np.isfinite(self.smoothing) and self.smoothing > 0):
             raise ValueError(f"smoothing must be finite and > 0, got {self.smoothing}")
         if self.projection_set is not None:
             self.projection_set = Path(self.projection_set)
-        if self.projection_set_k < 2:
-            raise ValueError("projection_set_k must be >= 2")
         if self.noise_method not in GRID_METHODS:
             raise ValueError(f"noise_method must be one of {GRID_METHODS}")
-        if self.noise_d_prime < 1 or self.noise_bins < 1:
-            raise ValueError("noise_d_prime and noise_bins must be positive")
         if any(not np.isfinite(l) for l in self.noise_levels):
             raise ValueError("noise_levels must be finite dB values")
 
@@ -571,64 +568,63 @@ class _Runner:
             ]
         )
 
-    def test_features(self, projection, noise_db: Optional[float]):
-        """Per test scene, the `block_features` of each `batch_runs` run of
-        its cases, made as they are iterated."""
+    def test_features(self, projection, noise_db: Optional[float]) -> list[BlockFeatures]:
+        """One `BlockFeatures` per test scene over its cases at `noise_db`, `kept`
+        (n_candidates, N): each `batch_runs` run of cases is featurized by its
+        own call, which keeps the rows it has alone, and the runs are joined."""
+        out = []
         for i, pixels in enumerate(self._test_pixels):
-            yield (
+            runs = [
                 block_features(projection, self._case_pixels(i, cases, noise_db))
                 for cases in batch_runs(len(self.full), len(pixels))
-            )
-
-    def evaluate_model(self, model: CorrelationModel, noise_db: Optional[float], features=None):
-        """Score every test case at `noise_db`, from `features` when given: the
-        model projection's `test_features` at that level, made ahead of time."""
-        if features is None:
-            features = self.test_features(model.projection, noise_db)
-        mode = self.config.score_mode
-        predicted = [
-            [name for run in runs for name in classify(model, run, mode=mode)[0]]
-            for runs in features
-        ]
-        return self._evaluate(predicted)
-
-    def evaluate_sgw(self):
-        predicted = [
-            [spectral_gray_world(relight(img, spd), self.full)[0] for spd in self._spds]
-            for img in self.test_eval
-        ]
-        return self._evaluate(predicted)
+            ]
+            feats = np.concatenate([run.feats for run in runs])
+            kept = np.concatenate([run.kept for run in runs])
+            out.append(BlockFeatures(projection, feats, kept))
+        return out
 
     # -- entry points -------------------------------------------------------
 
     def _sweep(self, methods, d_primes, bins, levels) -> EvalReport:
         """One row per (method, d', variant, B, noise level), then the
-        variant averages. `levels` holds (noise label, dB or None) pairs;
-        each projection's training features, and its test features at each
-        level, serve all of its B values."""
+        variant averages. `levels` holds (noise label, dB or None) pairs.
+        Each method's settings are checked before the first fit. Each
+        projection's training and `test_features` serve all of its B values."""
+        cfg = self.config
+        # downsample_eval divided every scene, so these are the training scenes' sides
+        sides = {n * cfg.downsample_eval for im in self.train_eval for n in (im.height, im.width)}
         for method in methods:
             cameras = self.cameras.values() if method == KIND_RGB else ()
             check_fittable(method, d_primes, self.proj_set, cameras)
+            if method != METHOD_SGW:
+                cell_count(max(bins), 3 if method == KIND_RGB else max(d_primes))
+            # pca and nnmf fit from `fit_matrix`, lda from `lda_matrix`
+            key = "downsample_lda" if method == KIND_LDA else "downsample_fit"
+            factor = getattr(cfg, key) if method in (KIND_PCA, KIND_NNMF, KIND_LDA) else 1
+            if any(n % factor for n in sides):
+                raise ValueError(f"{key} {factor} does not divide every training scene side")
         rows = []
         for method in methods:
             if method == METHOD_SGW:
-                sgw = self.evaluate_sgw()
+                predicted = [
+                    [spectral_gray_world(relight(img, spd), self.full)[0] for spd in self._spds]
+                    for img in self.test_eval
+                ]
+                sgw = self._evaluate(predicted)
                 rows.append(ReportRow(method, None, None, NO_VARIANT, NO_VARIANT, *sgw))
                 continue
             for d_prime in (3,) if method == KIND_RGB else d_primes:
                 for variant, proj in self._projections(method, d_prime):
                     features = training_features(self.train_eval, self.full, proj)
-                    level_features = [
-                        [list(runs) for runs in self.test_features(proj, noise_db)]
-                        for _, noise_db in levels
-                    ]
+                    tests = [self.test_features(proj, noise_db) for _, noise_db in levels]
                     for n_bins in bins:
                         model = build_model(
                             self.train_eval, self.full, proj, n_bins,
-                            smoothing=self.config.smoothing, features=features,
+                            smoothing=cfg.smoothing, features=features,
                         )
-                        for (label, noise_db), test in zip(levels, level_features):
-                            result = self.evaluate_model(model, noise_db, test)
+                        for (label, _), scenes in zip(levels, tests):
+                            predicted = [classify(model, f, mode=cfg.score_mode)[0] for f in scenes]
+                            result = self._evaluate(predicted)
                             rows.append(
                                 ReportRow(method, d_prime, n_bins, variant, label, *result)
                             )

@@ -276,6 +276,8 @@ def nnmf_factorize(
     n, d = x.shape
     if not 1 <= rank <= min(n, d):
         raise ValueError(f"need 1 <= rank <= {min(n, d)}, got {rank}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rng = np.random.default_rng(seed)
     amp = float(np.sqrt(max(x.mean(), np.finfo(np.float64).tiny) / rank))
     u = rng.random((n, rank)) * amp

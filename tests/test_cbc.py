@@ -123,6 +123,20 @@ class TestCalibrateBounds:
         assert lo[1] == pytest.approx(-1.0 - 1e-3 * span1)
         assert hi[1] == pytest.approx(1.0 + 1e-3 * span1)
 
+    @pytest.mark.parametrize("d_prime", [1, 2, 3, 5])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bounds_match_the_row_reduction_bit_for_bit(self, d_prime, layout):
+        # the reference reduces the tall (N, d') array along axis 0
+        rng = np.random.default_rng(d_prime)
+        rows = rng.standard_normal((28_672, d_prime)) * 10.0 ** rng.integers(-3, 3, d_prime)
+        rows[rng.integers(0, len(rows), 50)] = 0.0
+        rows = {"C": rows, "F": np.asfortranarray(rows), "strided": rows[::3]}[layout]
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+        span = hi - lo
+        want = (lo - cbc.BOUNDS_MARGIN * span, hi + cbc.BOUNDS_MARGIN * span)
+        got = calibrate_bounds(rows, d_prime)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no feature rows"):
             calibrate_bounds(np.empty((0, 2)), 2)
@@ -1191,6 +1205,51 @@ class TestModelSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="bounds must be finite"):
             read_model(path)
+
+    @staticmethod
+    def header_model(path, n_dims, n_bins, names, digest=bytes(32)):
+        """Write a .cbcm whose candidates each hold all their mass in cell 0."""
+        parts = [cbc.CBCM_MAGIC, struct.pack("<III", n_dims, n_bins, len(names))]
+        parts += [struct.pack("<dd", 0.0, 1.0)] * n_dims + [struct.pack("<d", 0.5), digest]
+        for name in names:
+            raw = name.encode("utf-8")
+            parts += [struct.pack("<I", len(raw)), raw, struct.pack("<dQQd", 0.0, 1, 0, 1.0)]
+        path.write_bytes(b"".join(parts))
+        return path
+
+    def test_one_cell_model_loads(self, tmp_path):
+        model = read_model(self.header_model(tmp_path / "m.cbcm", 1, 1, ("a", "b")))
+        assert model.probs.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "n_dims, n_bins, names, match",
+        [
+            (0, 4, ("a", "b"), "n_dims and n_bins must be >= 1"),
+            (1, 4, ("a", ""), "names must be unique and non-empty"),
+        ],
+        ids=["no-dimensions", "empty-name"],
+    )
+    def test_degenerate_model_file_rejected(self, tmp_path, n_dims, n_bins, names, match):
+        path = self.header_model(tmp_path / "m.cbcm", n_dims, n_bins, names)
+        with pytest.raises(FormatError, match=match):
+            read_model(path)
+
+    @pytest.mark.parametrize("key", ["n_dims", "n_bins"])
+    def test_model_needs_a_dimension_and_a_bin(self, key):
+        proj, model = self.build()
+        lo_hi = {"lo": np.zeros(0), "hi": np.zeros(0)} if key == "n_dims" else {}
+        with pytest.raises(ValueError, match="n_dims and n_bins must be >= 1"):
+            replace(model, **{key: 0}, **lo_hi)
+
+    def test_projection_of_another_dimension_rejected(self, tmp_path):
+        # a 2-D model whose digest names a 3-D projection
+        proj = fit_rand(4, 3, seed=0)
+        path = self.header_model(tmp_path / "m.cbcm", 2, 4, ("a", "b"), projection_hash(proj))
+        loaded = read_model(path)
+        with pytest.raises(ValueError, match="3-D projection for a 2-D model"):
+            loaded.with_projection(proj)
+        with pytest.raises(ValueError, match="3-D projection"):
+            replace(loaded, projection=proj)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         proj, model = self.build()

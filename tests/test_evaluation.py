@@ -213,6 +213,23 @@ class TestGridConfig:
             GridConfig(**self.base_kwargs(tmp_path), score_mode="cosine")
 
     @pytest.mark.parametrize(
+        "key, least",
+        [
+            ("d_primes", 1), ("bins", 1), ("rand_seeds", 0), ("projection_set_k", 2),
+            ("projection_set_seed", 0), ("downsample_fit", 1), ("downsample_lda", 1),
+            ("downsample_eval", 1), ("nnmf_seed", 0), ("nnmf_max_iter", 1),
+            ("noise_master_seed", 0), ("noise_d_prime", 1), ("noise_bins", 1),
+        ],
+    )
+    def test_values_below_their_least_rejected(self, tmp_path, key, least):
+        below = (2, least - 1) if key in ("d_primes", "bins", "rand_seeds") else least - 1
+        with pytest.raises(ValueError, match=f"{key} must be >= {least}"):
+            GridConfig(**{**self.base_kwargs(tmp_path), key: below})
+        if key in ("d_primes", "bins", "rand_seeds"):
+            with pytest.raises(ValueError, match=f"{key} must be >= {least}, got \\(\\)"):
+                GridConfig(**{**self.base_kwargs(tmp_path), key: ()})
+
+    @pytest.mark.parametrize(
         "key, values",
         [
             ("methods", ("pca", "pca")),
@@ -646,20 +663,91 @@ class TestUnfittableDPrime:
         assert fits == ["rgb"]
 
 
+class TestRejectedBeforeAnyWork:
+    """Settings that would fail part way through a run, or quietly change
+    what it computes, are rejected before the first fit or classify call;
+    the demo scenes are 32x32."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        names = [f"fit_{kind}" for kind in ("rgb", "rand", "pca", "ill_pca", "nnmf", "lda")]
+        for name in names + ["classify"]:
+            original = getattr(evaluation, name)
+
+            def recorded(*args, _original=original, _name=name, **kwargs):
+                log.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, recorded)
+        return log
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(methods=("ill_pca", "rand"), rand_seeds=(42, -1)), "rand_seeds must be >= 0"),
+            (dict(methods=("ill_pca", "nnmf"), nnmf_seed=-1), "nnmf_seed must be >= 0"),
+            (dict(projection_set_seed=-1), "projection_set_seed must be >= 0"),
+            (dict(noise_master_seed=-1), "noise_master_seed must be >= 0"),
+            (dict(methods=("ill_pca", "nnmf"), nnmf_max_iter=0), "nnmf_max_iter must be >= 1"),
+        ],
+        ids=["rand_seeds", "nnmf_seed", "projection_set_seed", "noise_master_seed", "max_iter"],
+    )
+    def test_bad_seed_or_iteration_count(self, demo_data, calls, overrides, match):
+        for run in (run_grid, run_noise):
+            with pytest.raises(ValueError, match=match):
+                run(demo_config(demo_data, **overrides))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(methods=("ill_pca", "pca"), downsample_fit=5), "downsample_fit 5 does not"),
+            (dict(methods=("ill_pca", "nnmf"), downsample_fit=3), "downsample_fit 3 does not"),
+            (dict(methods=("ill_pca", "lda"), downsample_lda=3), "downsample_lda 3 does not"),
+            (dict(d_primes=(1, 5), bins=(5, 10**4)), "cell space is too large to index"),
+        ],
+        ids=["pca", "nnmf", "lda", "cell-space"],
+    )
+    def test_sweep_rejects_before_the_first_fit(self, demo_data, calls, overrides, match):
+        cfg = demo_config(demo_data, **overrides)
+        with pytest.raises(ValueError, match=match):
+            run_grid(cfg)
+        assert calls == []
+
+    def test_rgb_cell_space_counts_three_dimensions(self, demo_data, bundled_cameras, calls):
+        # (3 * 10**6) ** 3 passes the int64 range; d' = 1 alone would not
+        cfg = demo_config(
+            demo_data, methods=("ill_pca", "rgb"), d_primes=(1,), bins=(5, 3 * 10**6),
+            cameras=(bundled_cameras[0],),
+        )
+        with pytest.raises(ValueError, match="histogram cell space is too large to index"):
+            run_grid(cfg)
+        assert calls == []
+
+    def test_factors_checked_only_for_methods_that_fit_from_training(self, demo_data, calls):
+        cfg = demo_config(
+            demo_data, methods=("ill_pca", "rand"), downsample_fit=5, downsample_lda=3
+        )
+        assert len(run_grid(cfg).rows) == 5  # ill_pca, three rand seeds and their average
+        assert len(calls) == 4 + 4 * 8
+
+
 class TestSweepCalls:
     """The sweep fits and featurizes each (method, d', variant) once, and
-    featurizes each test scene's batch runs once per noise level; it builds
-    one model per B from those training features, and scores each test scene
-    once per model and noise level from those test features: the counts the
-    benchmark's traces rely on."""
+    featurizes each test scene once per noise level, one `block_features`
+    call per batch run; it builds one model per B from those training
+    features, and scores each test scene once per model and noise level from
+    its joined test features: the counts the benchmark's traces rely on."""
 
     @pytest.fixture
     def events(self, monkeypatch):
         log = []
         names = [f"fit_{kind}" for kind in ("rgb", "rand", "pca", "ill_pca", "nnmf", "lda")]
         names += ["training_features", "block_features", "build_model", "classify"]
-        for name in names:
-            original = getattr(evaluation, name)
+        owners = [(evaluation, name) for name in names] + [(_Runner, "test_features")]
+        for owner, name in owners:
+            original = getattr(owner, name)
 
             def recorded(*args, _original=original, _name=name, **kwargs):
                 result = _original(*args, **kwargs)
@@ -667,22 +755,32 @@ class TestSweepCalls:
                 log.append((_name, passed, result))
                 return result
 
-            monkeypatch.setattr(evaluation, name, recorded)
+            monkeypatch.setattr(owner, name, recorded)
         return log
 
     @staticmethod
-    def expected(fits, n_bins, n_levels, n_scenes):
+    def expected(fits, n_bins, n_levels, n_scenes, n_runs):
         per_model = ["build_model"] + ["classify"] * (n_scenes * n_levels)
-        tests = ["block_features"] * (n_scenes * n_levels)
+        tests = ["block_features"] * (n_scenes * n_runs) + ["test_features"]
         return [
             name
             for fit in fits
-            for name in [fit, "training_features"] + tests + per_model * n_bins
+            for name in [fit, "training_features"] + tests * n_levels + per_model * n_bins
         ]
 
     def test_one_fit_and_featurization_per_projection(
         self, demo_data, bundled_cameras, events
     ):
+        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=1)
+
+    def test_one_classify_per_scene_when_its_cases_split_into_runs(
+        self, demo_data, bundled_cameras, events, monkeypatch
+    ):
+        # at 100 rows a scene's 28 cases of 16 pixels split into runs of 6
+        monkeypatch.setattr(cbc, "BATCH_ROWS", 100)
+        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=5)
+
+    def check_sweeps(self, demo_data, bundled_cameras, events, n_runs):
         cfg = demo_config(
             demo_data,
             methods=("rand", "rgb", "ill_pca"),
@@ -695,22 +793,24 @@ class TestSweepCalls:
             noise_bins=5,
             noise_levels=(30.0, 10.0),
         )
-        n_scenes = 8  # held-out demo scenes of 16 pixels: one classify call each
+        n_scenes = 8  # held-out demo scenes of 16 pixels
+        assert len(cbc.batch_runs(28, 16)) == n_runs
         report = run_grid(cfg)
         fits = ["fit_rand"] * 4 + ["fit_rgb"] * 2 + ["fit_ill_pca"] * 2
-        assert [e[0] for e in events] == self.expected(fits, 2, 1, n_scenes)
+        assert [e[0] for e in events] == self.expected(fits, 2, 1, n_scenes, n_runs)
         assert len(report.rows) == 8 * 2 + 4 + 2  # cells, rand and rgb averages per (d', B)
         self.assert_features_reused(events, n_bins=2)
         events.clear()
         run_noise(cfg)
-        assert [e[0] for e in events] == self.expected(["fit_rand"] * 2, 1, 3, n_scenes)
+        assert [e[0] for e in events] == self.expected(["fit_rand"] * 2, 1, 3, n_scenes, n_runs)
         self.assert_features_reused(events, n_bins=1)
 
     @staticmethod
     def assert_features_reused(events, n_bins):
         """Each model is built from the training features computed just
-        before it, and each projection's models score the test features made
-        once for that projection, in the order they were made, once per B."""
+        before it, and each projection's models score the per-scene test
+        features made once for that projection, in the order they were made,
+        once per B."""
         features, tests, scored = None, [], []
         for name, passed, result in events + [("fit_end", None, None)]:
             if name.startswith("fit_"):
@@ -718,8 +818,8 @@ class TestSweepCalls:
                 tests, scored = [], []
             elif name == "training_features":
                 features = result
-            elif name == "block_features":
-                tests.append(id(result))
+            elif name == "test_features":
+                tests.extend(id(scene) for scene in result)
             elif name == "build_model":
                 assert passed is features
             elif name == "classify":
@@ -727,8 +827,9 @@ class TestSweepCalls:
 
 
 class TestBatchedEvaluation:
-    """The runner scores each test scene's cases in one batch; these pin it
-    to the per-case relight / add_noise / classify pipeline."""
+    """The sweep scores each test scene's cases in one batch, from the
+    scene's `test_features`; these pin that to the per-case relight /
+    add_noise / classify pipeline."""
 
     def per_case_predictions(self, runner, model, noise_db):
         master = runner.config.noise_master_seed
@@ -741,22 +842,34 @@ class TestBatchedEvaluation:
                 out.append(classify(model, radiance)[0])
         return out
 
+    @staticmethod
+    def sweep_predictions(runner, model, noise_db):
+        """What the sweep predicts: one `evaluation.classify` call per scene."""
+        return [
+            name
+            for scene in runner.test_features(model.projection, noise_db)
+            for name in evaluation.classify(model, scene)[0]
+        ]
+
     @pytest.mark.parametrize("batch_rows", [None, 1, 100])
     @pytest.mark.parametrize("noise_db", [None, 20.0])
     def test_cases_match_per_case_classify(
         self, demo_data, noise_db, batch_rows, monkeypatch
     ):
-        # None keeps the default (one call per scene here); 1 scores one case
-        # per call and 100 rows splits each scene's cases unevenly.
+        # None keeps the default (one run per scene here); 1 featurizes one
+        # case per call and 100 rows splits each scene's cases unevenly.
         if batch_rows is not None:
             monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
-        runner = _Runner(demo_config(demo_data))
+        cfg = demo_config(demo_data, noise_d_prime=2, noise_bins=5, noise_levels=(20.0,))
+        runner = _Runner(cfg)
         model = ill_pca_model(runner, 2, 5)
-        _, cases = runner.evaluate_model(model, noise_db)
-        assert [c.predicted for c in cases] == self.per_case_predictions(
-            runner, model, noise_db
-        )
-        assert [(c.scene, c.true_name) for c in cases] == [
+        expected = self.per_case_predictions(runner, model, noise_db)
+        assert self.sweep_predictions(runner, model, noise_db) == expected
+        # the sweep's report carries the same predictions, in scene-major order
+        report = runner.noise() if noise_db else runner.grid()
+        (row,) = [r for r in report.rows if r.noise_label in ("-", "20")]
+        assert [c.predicted for c in row.cases] == expected
+        assert [(c.scene, c.true_name) for c in row.cases] == [
             (scene, ill.name) for scene in runner.test_names for ill in runner.full
         ]
 
@@ -765,25 +878,23 @@ class TestBatchedEvaluation:
     def test_test_features_score_as_their_stacks(
         self, demo_data, noise_db, batch_rows, monkeypatch
     ):
-        # The runner featurizes each batch run once and scores it at every B;
-        # that must equal scoring the run's relit (and noisy) stack itself.
+        # The runner featurizes each batch run by its own call, joins a
+        # scene's runs and scores the scene at every B; that must equal
+        # scoring each run's relit (and noisy) stack itself.
         if batch_rows is not None:
             monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
         runner = _Runner(demo_config(demo_data))
         proj = fit_ill_pca(runner.proj_set, 2)
         models = [build_model(runner.train_eval, runner.full, proj, b) for b in (5, 10)]
-        features = [list(runs) for runs in runner.test_features(proj, noise_db)]
-        assert len(features) == len(runner.test_eval)
-        for model in models:
-            for i, runs in enumerate(features):
-                cases = cbc.batch_runs(len(runner.full), len(runner._test_pixels[i]))
-                assert len(runs) == len(cases)
-                for run, feats in zip(cases, runs):
-                    stack = runner._case_pixels(i, run, noise_db)
-                    assert score(model, feats).tobytes() == score(model, stack).tobytes()
-            assert runner.evaluate_model(model, noise_db, features) == (
-                runner.evaluate_model(model, noise_db)
-            )
+        scenes = runner.test_features(proj, noise_db)
+        assert len(scenes) == len(runner.test_eval)
+        for i, scene in enumerate(scenes):
+            assert scene.projection is proj
+            assert scene.kept.shape == (len(runner.full), len(runner._test_pixels[i]))
+            runs = cbc.batch_runs(len(runner.full), len(runner._test_pixels[i]))
+            for model in models:
+                stacks = [score(model, runner._case_pixels(i, run, noise_db)) for run in runs]
+                assert score(model, scene).tobytes() == np.concatenate(stacks).tobytes()
 
     def test_ties_resolve_to_the_lowest_index(self, demo_data):
         runner = _Runner(demo_config(demo_data))
@@ -795,8 +906,6 @@ class TestBatchedEvaluation:
             probs=np.repeat(model.probs[:1], n, axis=0),
             occupied=np.repeat(model.occupied[:1], n, axis=0),
         )
-        _, cases = runner.evaluate_model(tied, None)
-        assert {c.predicted for c in cases} == {tied.candidate_names[0]}
-        assert [c.predicted for c in cases] == self.per_case_predictions(
-            runner, tied, None
-        )
+        predicted = self.sweep_predictions(runner, tied, None)
+        assert set(predicted) == {tied.candidate_names[0]}
+        assert predicted == self.per_case_predictions(runner, tied, None)

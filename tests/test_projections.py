@@ -275,6 +275,8 @@ class TestNnmf:
             nnmf_factorize(np.array([[1.0, -1.0]]), 1)
         with pytest.raises(ValueError):
             nnmf_factorize(np.ones((3, 3)), 4)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            nnmf_factorize(np.ones((3, 3)), 2, max_iter=0)
 
     def test_fit_nnmf_projection(self):
         # Rows built as an exact rank-3 non-negative product (then scaled to

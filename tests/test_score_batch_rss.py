@@ -1,6 +1,6 @@
-"""Smoke test of scripts/score_batch_rss.py, which drives the grid runner's
-internals (its inputs and `_Runner.evaluate_model`) directly, so a runner
-change that breaks it fails here rather than at its next manual run."""
+"""Smoke test of scripts/score_batch_rss.py, which drives the grid runner
+(`_Runner(config)` and its one-cell `grid()`) directly, so a runner change
+that breaks it fails here rather than at its next manual run."""
 
 import importlib.util
 import math
@@ -33,4 +33,4 @@ def test_measure_runs_on_small_scenes(tmp_path, monkeypatch):
     # six 32x32 scenes split into test scenes of 8x8 pixels after downsampling
     assert r["test_pixels"] and all(n == 64 for n in r["test_pixels"])
     assert math.isfinite(r["mean_error_deg"]) and r["mean_error_deg"] >= 0
-    assert r["peak_rss_mb"] >= r["rss_before_eval_mb"] > 0
+    assert r["peak_rss_mb"] >= r["rss_before_grid_mb"] > 0 and r["grid_s"] > 0
