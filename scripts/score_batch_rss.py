@@ -8,7 +8,8 @@ and runs the grid runner on one cell (ill_pca, d' = 3, B = 20) at the
 default eval downsample of 4, once per `cbc.BATCH_ROWS` value: the fit,
 training features, model build and the per-scene test features the sweep
 holds while it scores. "RSS before" is taken after the runner has loaded
-its scenes.
+its scenes. "report sha256" hashes the cell's report CSV followed by its
+raw CSV, so that the report bytes of two source trees can be compared.
 Each measurement runs in a fresh interpreter, so the reported peak RSS
 (ru_maxrss) is that run's own. "uncapped" relights the training pixels and
 each test scene under all 28 candidates in one call: those stacks and their
@@ -19,6 +20,7 @@ prevents.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import resource
 import subprocess
@@ -52,15 +54,22 @@ def measure(side: int, cap, work: Path) -> dict:
     runner = evaluation._Runner(config)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     start = time.perf_counter()
-    (row,) = runner.grid().rows
+    report = runner.grid()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    grid_s = time.perf_counter() - start
+    (row,) = report.rows
+    report.write_csv(work / "report.csv")
+    report.write_raw_csv(work / "report_raw.csv")
+    csvs = (work / "report.csv").read_bytes() + (work / "report_raw.csv").read_bytes()
     return {
         "side": side,
         "cap": cap,
         "test_pixels": [len(img.valid_pixels()) for img in runner.test_eval],
         "rss_before_grid_mb": round(before, 1),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "grid_s": round(time.perf_counter() - start, 3),
+        "peak_rss_mb": round(peak, 1),
+        "grid_s": round(grid_s, 3),
         "mean_error_deg": row.summary.mean,
+        "report_sha256": hashlib.sha256(csvs).hexdigest(),
     }
 
 
@@ -74,7 +83,10 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as work:
             print(json.dumps(measure(side, cap, Path(work))))
         return 0
-    print(f"{'side':>5} {'cap':>9} {'test px':>12} {'RSS before':>11} {'peak RSS':>9} {'grid s':>7}")
+    print(
+        f"{'side':>5} {'cap':>9} {'test px':>12} {'RSS before':>11} {'peak RSS':>9} "
+        f"{'grid s':>7}  report sha256"
+    )
     for side in (int(s) for s in args.sides.split(",")):
         for cap in CAPS:
             done = subprocess.run(
@@ -86,6 +98,7 @@ def main(argv=None) -> int:
             print(
                 f"{side:5d} {label:>9} {str(r['test_pixels']):>12} "
                 f"{r['rss_before_grid_mb']:9.1f}MB {r['peak_rss_mb']:7.1f}MB {r['grid_s']:7.3f}"
+                f"  {r['report_sha256']}"
             )
     return 0
 

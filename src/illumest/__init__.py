@@ -45,7 +45,6 @@ from .cbc import (
     BlockFeatures,
     CorrelationModel,
     HistogramGrid,
-    TrainingFeatures,
     block_features,
     build_model,
     calibrate_bounds,
@@ -104,7 +103,6 @@ __all__ = [
     "BlockFeatures",
     "CorrelationModel",
     "HistogramGrid",
-    "TrainingFeatures",
     "block_features",
     "build_model",
     "calibrate_bounds",

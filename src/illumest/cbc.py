@@ -42,8 +42,8 @@ MASS_TOL = 1e-9
 #: Closes a model's cell union, past any real cell: unseen cells read the base column.
 SENTINEL_CELL = np.iinfo(np.int64).max
 
-#: Most pixel rows one relit stack holds: training and the runners relight
-#: pixels under as many consecutive candidates per call as fit, at least one.
+#: Most pixel rows one featurize call takes: `relit_rows` relights as many
+#: consecutive cases per stack as fit, and cuts a case that alone passes it.
 BATCH_ROWS = 2048
 
 
@@ -84,26 +84,33 @@ def batch_runs(n_cases: int, rows_per_case: int) -> list[range]:
     return [range(s, min(s + step, n_cases)) for s in range(0, n_cases, step)]
 
 
-def relit_rows(featurize, images: Sequence[SpectralImage], candidates: IlluminantSet):
-    """`featurize(rows) -> (features, kept mask)` over the images' valid pixels
-    relit by each candidate's raw SPD: the features candidate-major in pixel
-    order, and the rows kept per candidate. Each call takes a `batch_runs` run
-    of candidates, or of one candidate's pixels when they pass BATCH_ROWS."""
+def relit_rows(featurize, relit, n_cases: int, n_rows: int):
+    """`featurize(rows) -> (features, kept mask)` over `relit(cases)`, the
+    (len(cases), n_rows, bands) radiance of a run of cases: the features
+    case-major in row order, and the (n_cases, n_rows) kept mask. Each call
+    takes a `batch_runs` run of cases, or of one case's rows when they alone
+    pass BATCH_ROWS."""
+    feats = []
+    kept = np.zeros((n_cases, n_rows), dtype=bool)
+    for cases in batch_runs(n_cases, n_rows):
+        stack = relit(cases)
+        # with no rows, one empty run still gives the features their width
+        for rows in batch_runs(n_rows, len(cases)) or [range(0)]:
+            part, mask = featurize(stack[:, rows.start : rows.stop].reshape(-1, stack.shape[-1]))
+            feats.append(part)
+            kept[cases.start : cases.stop, rows.start : rows.stop] = mask.reshape(len(cases), -1)
+    return np.concatenate(feats), kept
+
+
+def training_rows(featurize, images: Sequence[SpectralImage], candidates: IlluminantSet):
+    """`relit_rows` over the images' valid pixels relit by each candidate's
+    raw SPD: the features candidate-major, and the (candidates, N) kept mask."""
     for img in images:
         require_same_axis(img.axis, candidates.axis, "training images")
     bands = candidates.axis.count
     pixels = np.concatenate([np.empty((0, bands))] + [i.valid_pixels() for i in images])
     spds = np.array([ill.spd.values for ill in candidates])
-    feats = []
-    counts = np.zeros(len(spds), dtype=np.int64)
-    for run in batch_runs(len(spds), len(pixels)):
-        # with no pixels, one empty run still gives the features their width
-        for rows in batch_runs(len(pixels), len(run)) or [range(0)]:
-            stack = pixels[rows.start : rows.stop] * spds[run, None]
-            part, kept = featurize(stack.reshape(-1, bands))
-            feats.append(part)
-            counts[run.start : run.stop] += kept.reshape(len(run), len(rows)).sum(axis=1)
-    return np.concatenate(feats), counts
+    return relit_rows(featurize, lambda run: pixels * spds[run, None], len(spds), len(pixels))
 
 
 def calibrate_bounds(rows: np.ndarray, n_dims: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,40 +286,20 @@ class CorrelationModel:
         return replace(self, projection=projection)
 
 
-@dataclass(frozen=True)
-class TrainingFeatures:
-    """Training features of one projection and their bounds.
-
-    `rows` holds all candidates' (N, d') features candidate-major, `counts`
-    each candidate's number of rows; `lo`/`hi` are `calibrate_bounds` over
-    all rows. `training_features` computes it once and `build_model` bins it
-    at any resolution.
-    """
-
-    rows: np.ndarray
-    counts: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-
 def training_features(
     images: Sequence[SpectralImage],
     candidates: IlluminantSet,
     projection: Projection,
-) -> TrainingFeatures:
-    """Features of the training images under every candidate, with bounds.
-
-    The rows are `relit_rows` of `pixel_features`; the bounds are
-    calibrated over all candidates' features pooled.
-    """
+) -> BlockFeatures:
+    """Features of the training images under every candidate: the
+    `training_rows` of `pixel_features`, with `kept` of shape (candidates, N)."""
     if not images:
         raise ValueError("need at least one training image")
-    rows, counts = relit_rows(partial(pixel_features, projection), images, candidates)
-    for ill, n in zip(candidates, counts):
+    feats, kept = training_rows(partial(pixel_features, projection), images, candidates)
+    for ill, n in zip(candidates, kept.sum(axis=1)):
         if not n:
             raise ValueError(f"no usable training pixels under candidate {ill.name!r}")
-    lo, hi = calibrate_bounds(rows, projection.output_dim)
-    return TrainingFeatures(rows, counts, lo, hi)
+    return BlockFeatures(projection, feats, kept)
 
 
 def build_model(
@@ -321,16 +308,17 @@ def build_model(
     projection: Projection,
     n_bins: int,
     smoothing: float = DEFAULT_SMOOTHING,
-    features: Optional[TrainingFeatures] = None,
+    features: Optional[BlockFeatures] = None,
 ) -> CorrelationModel:
     """Build the candidates' histogram table from training reflectances.
 
     All rows of `training_features(images, candidates, projection)` are binned
-    on the calibrated bounds and counted in one pass. Each cell of the grid
-    gets `smoothing` pseudo-mass before normalization, so a candidate's unseen
-    cells get smoothing / (total + smoothing * n_cells). `features` may carry
-    that value computed ahead of time, so builds of one projection at several
-    resolutions share it.
+    on bounds calibrated over them and counted in one pass. Each cell of the
+    grid gets `smoothing` pseudo-mass before normalization, so a candidate's
+    unseen cells get smoothing / (total + smoothing * n_cells). `features`
+    may carry that value computed ahead of time, so builds of one projection
+    at several resolutions share it; features of another projection raise
+    ValueError.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
@@ -338,16 +326,17 @@ def build_model(
         raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
     d_out = projection.output_dim
     n_cells = cell_count(n_bins, d_out)
+    digest = projection_hash(projection)
     if features is None:
         features = training_features(images, candidates, projection)
-    lo = np.asarray(features.lo, dtype=np.float64)
-    hi = np.asarray(features.hi, dtype=np.float64)
-    counts = np.asarray(features.counts, dtype=np.int64)
-    if counts.shape != (len(candidates),) or lo.shape != (d_out,):
-        raise ValueError(f"features must hold {d_out}-D rows of {len(candidates)} candidates")
-    if counts.sum() != len(features.rows) or not counts.all():
+    _require_projection(features, projection, digest)
+    if features.kept.shape[:-1] != (len(candidates),):
+        raise ValueError(f"features must hold the rows of {len(candidates)} candidates")
+    counts = features.kept.sum(axis=-1)
+    if counts.sum() != len(features.feats) or not counts.all():
         raise ValueError("every candidate needs rows, and the counts must cover them")
-    union, column = np.unique(bin_indices(features.rows, lo, hi, n_bins), return_inverse=True)
+    lo, hi = calibrate_bounds(features.feats, d_out)
+    union, column = np.unique(bin_indices(features.feats, lo, hi, n_bins), return_inverse=True)
     probs = np.zeros((len(counts), union.size + 1))
     np.add.at(probs, (np.repeat(np.arange(len(counts)), counts), column), 1.0)
     occupied = probs[:, :-1] > 0
@@ -363,7 +352,7 @@ def build_model(
         cells=np.append(union, SENTINEL_CELL),
         probs=probs,
         occupied=occupied,
-        projection_digest=projection_hash(projection),
+        projection_digest=digest,
         projection=projection,
     )
 
@@ -393,6 +382,12 @@ def block_features(projection: Projection, pixels: SpectralImage | np.ndarray) -
     return BlockFeatures(projection, feats, kept.reshape(pixels.shape[:-1]))
 
 
+def _require_projection(features: BlockFeatures, projection: Projection, digest: bytes) -> None:
+    """Reject features made under a projection other than `projection` or one equal to it."""
+    if features.projection is not projection and projection_hash(features.projection) != digest:
+        raise ValueError("features come from another projection than the model's")
+
+
 def score(
     model: CorrelationModel,
     pixels: SpectralImage | np.ndarray | BlockFeatures,
@@ -420,10 +415,7 @@ def score(
         raise ValueError("model has no projection attached; call with_projection")
     if not isinstance(pixels, BlockFeatures):
         pixels = block_features(model.projection, pixels)
-    if pixels.projection is not model.projection and (
-        projection_hash(pixels.projection) != model.projection_digest
-    ):
-        raise ValueError("features come from another projection than the model's")
+    _require_projection(pixels, model.projection, model.projection_digest)
     feats, kept = pixels.feats, pixels.kept
     batch, n_rows = kept.shape[:-1], kept.shape[-1]
     n_blocks = math.prod(batch)

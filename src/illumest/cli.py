@@ -7,11 +7,12 @@ on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .bundled import bundled_illuminant_manifest
-from .cbc import MODE_LOG, SCORE_MODES, build_model, classify, read_model, write_model
+from .cbc import MODE_LOG, SCORE_MODES, build_model, cell_count, classify, read_model, write_model
 from .evaluation import (
     GridConfig,
     angular_error_deg,
@@ -110,8 +111,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_build_model(args) -> int:
-    full = load_illuminants(_illuminants(args))
+    if not (math.isfinite(args.smoothing) and args.smoothing > 0):
+        raise ValueError(f"--smoothing must be finite and > 0, got {args.smoothing}")
     proj = read_projection(args.projection)
+    try:
+        cell_count(args.bins, proj.output_dim)
+    except ValueError as exc:
+        raise ValueError(f"--bins {args.bins} at d' = {proj.output_dim}: {exc}") from None
+    full = load_illuminants(_illuminants(args))
     train_paths, _ = read_dataset_manifest(args.dataset)
     images = [downsample(read_scube(p), args.downsample) for p in train_paths]
     model = build_model(
@@ -275,10 +282,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The least value of each integer option, by subcommand: `main` rejects a
+#: smaller one before the command reads any file.
+_LEAST = {
+    "select-projection-set": {"k": 2, "seed": 0},
+    "fit": {
+        "projection_set_k": 2, "projection_set_seed": 0, "d_prime": 1, "seed": 0,
+        "downsample": 1, "nnmf_max_iter": 1,
+    },
+    "build-model": {"bins": 1, "downsample": 1},
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, least in _LEAST.get(args.command, {}).items():
+            value = getattr(args, dest)
+            if value is not None and value < least:
+                raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
         return args.func(args)
     except Exception as exc:  # surface one-line diagnostics, not tracebacks
         print(f"error: {exc}", file=sys.stderr)

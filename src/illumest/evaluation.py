@@ -17,13 +17,12 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 import numpy as np
 
 from .baselines import spectral_gray_world
+from . import cbc
 from .cbc import (
     DEFAULT_SMOOTHING,
     MODE_LOG,
     SCORE_MODES,
     BlockFeatures,
-    batch_runs,
-    block_features,
     build_model,
     # Not called here; it stays a module attribute because bench/spans.py
     # traces it at this site as well (ROADMAP item 4).
@@ -32,6 +31,7 @@ from .cbc import (
     classify,
     relit_rows,
     training_features,
+    training_rows,
 )
 from .illuminants import IlluminantSet, load_illuminants, select_projection_set
 from .io import (
@@ -388,7 +388,8 @@ def training_chromaticities(
     candidate 1, ...). With `labelled=True` each row carries its candidate's
     index as the class label, which is what the supervised fit needs.
     """
-    rows, counts = relit_rows(chromaticity_rows, images, candidates)
+    rows, kept = training_rows(chromaticity_rows, images, candidates)
+    counts = kept.sum(axis=1)
     if not counts.any():
         raise ValueError("training scenes contain no usable pixels")
     rows = rows / rows.sum(axis=1, keepdims=True)  # force exact unit row sums
@@ -569,19 +570,14 @@ class _Runner:
         )
 
     def test_features(self, projection, noise_db: Optional[float]) -> list[BlockFeatures]:
-        """One `BlockFeatures` per test scene over its cases at `noise_db`, `kept`
-        (n_candidates, N): each `batch_runs` run of cases is featurized by its
-        own call, which keeps the rows it has alone, and the runs are joined."""
-        out = []
-        for i, pixels in enumerate(self._test_pixels):
-            runs = [
-                block_features(projection, self._case_pixels(i, cases, noise_db))
-                for cases in batch_runs(len(self.full), len(pixels))
-            ]
-            feats = np.concatenate([run.feats for run in runs])
-            kept = np.concatenate([run.kept for run in runs])
-            out.append(BlockFeatures(projection, feats, kept))
-        return out
+        """One `BlockFeatures` per test scene over its cases at `noise_db`,
+        `kept` (n_candidates, N): the `relit_rows` of its `_case_pixels`."""
+        featurize = partial(cbc.pixel_features, projection)  # the module global, traced
+        relit = lambda i: partial(self._case_pixels, i, noise_db=noise_db)
+        return [
+            BlockFeatures(projection, *relit_rows(featurize, relit(i), len(self.full), len(px)))
+            for i, px in enumerate(self._test_pixels)
+        ]
 
     # -- entry points -------------------------------------------------------
 

@@ -4,6 +4,7 @@ import hashlib
 import math
 import struct
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from illumest.cbc import (
     BlockFeatures,
     CorrelationModel,
     HistogramGrid,
-    TrainingFeatures,
     batch_runs,
     bin_indices,
     block_features,
@@ -695,15 +695,6 @@ class TestBuildAndClassify:
             name, _ = classify(model, test)
             assert name == ill.name
 
-    def test_explicit_bounds_respected(self):
-        axis, candidates, images = tiny_problem()
-        proj = fit_rand(4, 2, seed=42)
-        lo, hi = np.full(2, -2.0), np.full(2, 2.0)
-        feats = replace(training_features(images, candidates, proj), lo=lo, hi=hi)
-        model = build_model(images, candidates, proj, n_bins=8, features=feats)
-        np.testing.assert_array_equal(model.lo, lo)
-        np.testing.assert_array_equal(model.hi, hi)
-
     def test_precomputed_features_give_identical_model(self, tmp_path):
         axis, candidates, images = tiny_problem()
         proj = fit_rand(4, 2, seed=42)
@@ -722,24 +713,37 @@ class TestBuildAndClassify:
         with pytest.raises(ValueError, match="features must hold"):
             build_model(
                 images, candidates, proj, n_bins=8,
-                features=replace(feats, counts=feats.counts[:1]),
+                features=replace(feats, kept=feats.kept[:1]),
             )
-        with pytest.raises(ValueError, match="features must hold"):
+        with pytest.raises(ValueError, match="another projection"):
             build_model(
                 images, candidates, fit_rand(4, 3, seed=42), n_bins=8, features=feats
             )
         with pytest.raises(ValueError, match="counts must cover"):
             build_model(
                 images, candidates, proj, n_bins=8,
-                features=replace(feats, counts=feats.counts - [1, 0]),
+                features=replace(feats, feats=feats.feats[1:]),
             )
+        kept = feats.kept.copy()
+        kept[0] = False
         with pytest.raises(ValueError, match="every candidate needs rows"):
             build_model(
                 images, candidates, proj, n_bins=8,
-                features=replace(
-                    feats, rows=feats.rows[feats.counts[0]:], counts=feats.counts * [0, 1]
-                ),
+                features=replace(feats, feats=feats.feats[feats.kept[0].sum():], kept=kept),
             )
+
+    def test_features_of_another_projection_of_equal_dimension_rejected(self, tmp_path):
+        axis, candidates, images = tiny_problem()
+        proj = fit_rand(4, 2, seed=1)
+        feats = training_features(images, candidates, fit_rand(4, 2, seed=2))
+        with pytest.raises(ValueError, match="another projection"):
+            build_model(images, candidates, proj, n_bins=8, features=feats)
+        # an equal projection, as a `.proj` file read back gives, is accepted
+        copy = projection_from_bytes(projection_to_bytes(proj))
+        feats = training_features(images, candidates, copy)
+        model = build_model(images, candidates, proj, n_bins=8, features=feats)
+        direct = build_model(images, candidates, proj, n_bins=8)
+        assert model.probs.tobytes() == direct.probs.tobytes()
 
     @pytest.mark.parametrize("smoothing", [math.nan, math.inf, 0.0, -1.0])
     def test_degenerate_smoothing_rejected(self, smoothing):
@@ -757,14 +761,18 @@ class TestBuildAndClassify:
 
 def model_from_rows(rows, counts, lo, hi, n_bins, smoothing):
     """`build_model` from given training features, one candidate per count,
-    under an identity projection."""
+    under an identity projection, binned on the given bounds in place of
+    the calibrated ones."""
     n_dims = rows.shape[1]
     axis = SpectralAxis(400, 10, n_dims + 1)
     flat_spd = Spectrum(axis, np.ones(axis.count))
     candidates = IlluminantSet(tuple(Illuminant(f"c{j}", flat_spd) for j in range(len(counts))))
     proj = Projection("rand", n_dims + 1, n_dims, basis=np.eye(n_dims, n_dims + 1))
-    features = TrainingFeatures(rows, np.asarray(counts), lo, hi)
-    return build_model([], candidates, proj, n_bins, smoothing=smoothing, features=features)
+    # candidate j keeps the first counts[j] rows of its block
+    kept = np.arange(max(counts, default=0)) < np.asarray(counts)[:, None]
+    features = BlockFeatures(proj, rows, kept)
+    with mock.patch.object(cbc, "calibrate_bounds", return_value=(lo, hi)):
+        return build_model([], candidates, proj, n_bins, smoothing=smoothing, features=features)
 
 
 class TestBuildTable:
@@ -959,9 +967,15 @@ class TestRelitTrainingStacks:
         # Only the identity basis makes exact products. The linear kinds'
         # BLAS products and the LAPACK solve in nnmf's NNLS round a row by
         # its position in the batch, so those agree to rounding.
-        assert feats.counts.tolist() == [len(b) for b in expected]
-        assert len(feats.rows) == feats.counts.sum()
-        blocks = np.split(feats.rows, np.cumsum(feats.counts)[:-1])
+        assert feats.projection is proj and feats.kept.shape == (28, n_pixels)
+        kept = reference_training_blocks(
+            scenes, candidates, lambda rows: (pixel_features(proj, rows)[1], None)
+        )
+        assert feats.kept.tobytes() == np.stack(kept).tobytes()
+        counts = feats.kept.sum(axis=1)
+        assert counts.tolist() == [len(b) for b in expected]
+        assert len(feats.feats) == counts.sum()
+        blocks = np.split(feats.feats, np.cumsum(counts)[:-1])
         assert len(blocks) == len(expected) == 28
         for got, want in zip(blocks, expected):
             assert got.shape == want.shape
@@ -969,11 +983,13 @@ class TestRelitTrainingStacks:
                 assert got.tobytes() == want.tobytes()
             else:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # a model calibrates its bounds over all candidates' rows
+        model = build_model(scenes, candidates, proj, n_bins=5, features=feats)
         lo, hi = calibrate_bounds(np.concatenate(expected), proj.output_dim)
         if kind == "identity":
-            assert (feats.lo.tobytes(), feats.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
+            assert (model.lo.tobytes(), model.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
         else:
-            np.testing.assert_allclose(np.r_[feats.lo, feats.hi], np.r_[lo, hi], atol=1e-12)
+            np.testing.assert_allclose(np.r_[model.lo, model.hi], np.r_[lo, hi], atol=1e-12)
 
     @pytest.mark.parametrize("cap", CAPS)
     @pytest.mark.parametrize("labelled", [False, True])

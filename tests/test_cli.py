@@ -134,6 +134,28 @@ class TestFit:
         assert proj.metadata["camera"] == "camera_a"
 
 
+#: Every file reader the commands call, by its name in `cli`.
+READERS = (
+    "load_illuminants", "parse_config", "read_dataset_manifest", "read_model",
+    "read_name_list", "read_projection", "read_scube", "read_sensitivities",
+)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The name of each file reader call the commands make, in order."""
+    log = []
+    for name in READERS:
+        original = getattr(cli, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            log.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return log
+
+
 class TestFitSharesTheRunnersPath:
     """`fit` goes through the grid runner's projection set, d' check and fit
     dispatch; the demo scenes (32 x 32) take the grid's fit downsampling."""
@@ -199,7 +221,7 @@ class TestFitSharesTheRunnersPath:
         assert len(reads) == 16  # the counter sees the training scenes of a valid fit
 
     @pytest.mark.parametrize("method", ["pca", "lda"])
-    def test_zero_downsample_is_an_error(self, method, demo_data, tmp_path, capsys):
+    def test_zero_downsample_is_an_error(self, method, demo_data, tmp_path, capsys, reads):
         out = tmp_path / "p.proj"
         rc = main(
             [
@@ -209,8 +231,8 @@ class TestFitSharesTheRunnersPath:
         )
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: ") and "factor must be a positive integer" in err
-        assert not out.exists()
+        assert err == "error: --downsample must be >= 1, got 0\n"
+        assert reads == [] and not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +255,83 @@ def fitted(workspace, tmp_path_factory):
         ]
     ) == 0
     return proj_path, model_path, dataset
+
+
+class TestSettingsRejectedBeforeAnyRead:
+    """An out-of-range setting fails with a one-line diagnostic that names
+    its option, before the command reads a file (or, for a cell space that
+    needs the projection's d', before it reads anything else)."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--method", "rand", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["fit", "--method", "nnmf", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (
+                ["fit", "--method", "ill_pca", "--projection-set-seed", "-1"],
+                "--projection-set-seed must be >= 0, got -1",
+            ),
+            (
+                ["fit", "--method", "ill_pca", "--projection-set-k", "1"],
+                "--projection-set-k must be >= 2, got 1",
+            ),
+            (["fit", "--method", "rand", "--d-prime", "0"], "--d-prime must be >= 1, got 0"),
+            (
+                ["fit", "--method", "nnmf", "--nnmf-max-iter", "0"],
+                "--nnmf-max-iter must be >= 1, got 0",
+            ),
+            (["select-projection-set", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["select-projection-set", "--k", "1"], "--k must be >= 2, got 1"),
+        ],
+        ids=[
+            "fit-rand-seed", "fit-nnmf-seed", "fit-projection-set-seed", "fit-projection-set-k",
+            "fit-d-prime", "fit-nnmf-max-iter", "select-seed", "select-k",
+        ],
+    )
+    def test_fit_and_select(self, demo_data, tmp_path, capsys, reads, argv, message):
+        out = tmp_path / "out"
+        if argv[0] == "fit":  # every fit method could read its scenes from here
+            argv = argv + ["--dataset", str(demo_data[0])]
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--bins", "0", "--bins must be >= 1, got 0"),
+            ("--downsample", "0", "--downsample must be >= 1, got 0"),
+            ("--smoothing", "nan", "--smoothing must be finite and > 0, got nan"),
+            ("--smoothing", "inf", "--smoothing must be finite and > 0, got inf"),
+            ("--smoothing", "0", "--smoothing must be finite and > 0, got 0.0"),
+            ("--smoothing", "-1", "--smoothing must be finite and > 0, got -1.0"),
+        ],
+        ids=["bins", "downsample", "smoothing-nan", "smoothing-inf", "smoothing-0", "smoothing-neg"],
+    )
+    def test_build_model(self, fitted, tmp_path, capsys, reads, option, value, message):
+        proj_path, _, dataset = fitted
+        out = tmp_path / "m.cbcm"
+        argv = ["build-model", "--projection", str(proj_path), "--dataset", str(dataset)]
+        rc = main(argv + ["--bins", "8", option, value, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert reads == [] and not out.exists()
+
+    def test_build_model_cell_space_needs_only_the_projection(
+        self, fitted, tmp_path, capsys, reads
+    ):
+        proj_path, _, dataset = fitted  # a 2-D projection: 2**32 bins give 2**64 cells
+        out = tmp_path / "m.cbcm"
+        argv = ["build-model", "--projection", str(proj_path), "--dataset", str(dataset)]
+        rc = main(argv + ["--bins", str(2**32), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --bins 4294967296 at d' = 2: histogram cell space is too large to index\n"
+        )
+        assert reads == ["read_projection"] and not out.exists()
+        run_ok(capsys, argv + ["--bins", str(2**31), "--downsample", "2", "--out", str(out)])
+        assert reads.count("read_scube") == 4  # the counter sees a valid build's scenes
 
 
 class TestModelAndClassify:

@@ -735,52 +735,65 @@ class TestRejectedBeforeAnyWork:
 
 class TestSweepCalls:
     """The sweep fits and featurizes each (method, d', variant) once, and
-    featurizes each test scene once per noise level, one `block_features`
-    call per batch run; it builds one model per B from those training
+    featurizes each test scene once per noise level, one `cbc.pixel_features`
+    call per `relit_rows` run; it builds one model per B from those training
     features, and scores each test scene once per model and noise level from
-    its joined test features: the counts the benchmark's traces rely on."""
+    its held test features: the counts the benchmark's traces rely on."""
 
     @pytest.fixture
     def events(self, monkeypatch):
         log = []
         names = [f"fit_{kind}" for kind in ("rgb", "rand", "pca", "ill_pca", "nnmf", "lda")]
-        names += ["training_features", "block_features", "build_model", "classify"]
-        owners = [(evaluation, name) for name in names] + [(_Runner, "test_features")]
+        names += ["training_features", "build_model", "classify"]
+        owners = [(evaluation, name) for name in names]
+        owners += [(cbc, "pixel_features"), (_Runner, "test_features")]
         for owner, name in owners:
             original = getattr(owner, name)
 
             def recorded(*args, _original=original, _name=name, **kwargs):
                 result = _original(*args, **kwargs)
-                passed = kwargs.get("features", args[1] if _name == "classify" else None)
-                log.append((_name, passed, result))
+                positional = args[1] if _name in ("classify", "pixel_features") else None
+                log.append((_name, kwargs.get("features", positional), result))
                 return result
 
             monkeypatch.setattr(owner, name, recorded)
         return log
 
     @staticmethod
-    def expected(fits, n_bins, n_levels, n_scenes, n_runs):
+    def expected(fits, n_bins, n_levels, n_scenes, n_runs, n_train_runs):
         per_model = ["build_model"] + ["classify"] * (n_scenes * n_levels)
-        tests = ["block_features"] * (n_scenes * n_runs) + ["test_features"]
+        training = ["pixel_features"] * n_train_runs + ["training_features"]
+        tests = ["pixel_features"] * (n_scenes * n_runs) + ["test_features"]
         return [
             name
             for fit in fits
-            for name in [fit, "training_features"] + tests * n_levels + per_model * n_bins
+            for name in [fit] + training + tests * n_levels + per_model * n_bins
         ]
 
     def test_one_fit_and_featurization_per_projection(
         self, demo_data, bundled_cameras, events
     ):
-        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=1)
+        # 28 candidates of 256 training rows in runs of 8; a scene's 28 cases
+        # of 16 rows in one run
+        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=1, n_train_runs=4)
 
     def test_one_classify_per_scene_when_its_cases_split_into_runs(
         self, demo_data, bundled_cameras, events, monkeypatch
     ):
-        # at 100 rows a scene's 28 cases of 16 pixels split into runs of 6
+        # at 100 rows a scene's cases split into runs of 6, and each
+        # candidate's training rows into runs of 100, 100 and 56
         monkeypatch.setattr(cbc, "BATCH_ROWS", 100)
-        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=5)
+        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=5, n_train_runs=28 * 3)
 
-    def check_sweeps(self, demo_data, bundled_cameras, events, n_runs):
+    def test_one_classify_per_scene_when_each_case_splits_into_row_runs(
+        self, demo_data, bundled_cameras, events, monkeypatch
+    ):
+        # at 10 rows each case's 16 rows split into runs of 10 and 6, and
+        # each candidate's 256 training rows into 26 runs
+        monkeypatch.setattr(cbc, "BATCH_ROWS", 10)
+        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=28 * 2, n_train_runs=28 * 26)
+
+    def check_sweeps(self, demo_data, bundled_cameras, events, n_runs, n_train_runs):
         cfg = demo_config(
             demo_data,
             methods=("rand", "rgb", "ill_pca"),
@@ -794,15 +807,15 @@ class TestSweepCalls:
             noise_levels=(30.0, 10.0),
         )
         n_scenes = 8  # held-out demo scenes of 16 pixels
-        assert len(cbc.batch_runs(28, 16)) == n_runs
         report = run_grid(cfg)
         fits = ["fit_rand"] * 4 + ["fit_rgb"] * 2 + ["fit_ill_pca"] * 2
-        assert [e[0] for e in events] == self.expected(fits, 2, 1, n_scenes, n_runs)
+        runs = dict(n_scenes=n_scenes, n_runs=n_runs, n_train_runs=n_train_runs)
+        assert [e[0] for e in events] == self.expected(fits, 2, 1, **runs)
         assert len(report.rows) == 8 * 2 + 4 + 2  # cells, rand and rgb averages per (d', B)
         self.assert_features_reused(events, n_bins=2)
         events.clear()
         run_noise(cfg)
-        assert [e[0] for e in events] == self.expected(["fit_rand"] * 2, 1, 3, n_scenes, n_runs)
+        assert [e[0] for e in events] == self.expected(["fit_rand"] * 2, 1, 3, **runs)
         self.assert_features_reused(events, n_bins=1)
 
     @staticmethod
@@ -810,10 +823,12 @@ class TestSweepCalls:
         """Each model is built from the training features computed just
         before it, and each projection's models score the per-scene test
         features made once for that projection, in the order they were made,
-        once per B."""
+        once per B; no featurize call passes the cap."""
         features, tests, scored = None, [], []
         for name, passed, result in events + [("fit_end", None, None)]:
-            if name.startswith("fit_"):
+            if name == "pixel_features":
+                assert 0 < len(passed) <= cbc.BATCH_ROWS
+            elif name.startswith("fit_"):
                 assert scored == tests * n_bins
                 tests, scored = [], []
             elif name == "training_features":
@@ -851,13 +866,14 @@ class TestBatchedEvaluation:
             for name in evaluation.classify(model, scene)[0]
         ]
 
-    @pytest.mark.parametrize("batch_rows", [None, 1, 100])
+    @pytest.mark.parametrize("batch_rows", [None, 1, 5, 100])
     @pytest.mark.parametrize("noise_db", [None, 20.0])
     def test_cases_match_per_case_classify(
         self, demo_data, noise_db, batch_rows, monkeypatch
     ):
         # None keeps the default (one run per scene here); 1 featurizes one
-        # case per call and 100 rows splits each scene's cases unevenly.
+        # row per call, 5 cuts each case's 16 rows into runs of 5, 5, 5 and
+        # 1, and 100 rows splits each scene's cases unevenly.
         if batch_rows is not None:
             monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
         cfg = demo_config(demo_data, noise_d_prime=2, noise_bins=5, noise_levels=(20.0,))
@@ -873,14 +889,14 @@ class TestBatchedEvaluation:
             (scene, ill.name) for scene in runner.test_names for ill in runner.full
         ]
 
-    @pytest.mark.parametrize("batch_rows", [None, 1, 100])
+    @pytest.mark.parametrize("batch_rows", [None, 1, 5, 100])
     @pytest.mark.parametrize("noise_db", [None, 20.0])
     def test_test_features_score_as_their_stacks(
         self, demo_data, noise_db, batch_rows, monkeypatch
     ):
-        # The runner featurizes each batch run by its own call, joins a
-        # scene's runs and scores the scene at every B; that must equal
-        # scoring each run's relit (and noisy) stack itself.
+        # The runner featurizes each run of cases, or of one case's rows, by
+        # its own call and scores the scene at every B; that must equal
+        # scoring each run of cases' relit (and noisy) stack itself.
         if batch_rows is not None:
             monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
         runner = _Runner(demo_config(demo_data))

@@ -34,3 +34,6 @@ def test_measure_runs_on_small_scenes(tmp_path, monkeypatch):
     assert r["test_pixels"] and all(n == 64 for n in r["test_pixels"])
     assert math.isfinite(r["mean_error_deg"]) and r["mean_error_deg"] >= 0
     assert r["peak_rss_mb"] >= r["rss_before_grid_mb"] > 0 and r["grid_s"] > 0
+    assert len(r["report_sha256"]) == 64
+    # the same cell and data give the same report bytes
+    assert load_script().measure(32, 2048, tmp_path / "again")["report_sha256"] == r["report_sha256"]
