@@ -44,7 +44,6 @@ from .projections import (
 from .cbc import (
     BlockFeatures,
     CorrelationModel,
-    HistogramGrid,
     block_features,
     build_model,
     calibrate_bounds,
@@ -102,7 +101,6 @@ __all__ = [
     "write_projection",
     "BlockFeatures",
     "CorrelationModel",
-    "HistogramGrid",
     "block_features",
     "build_model",
     "calibrate_bounds",

@@ -169,28 +169,16 @@ def bin_indices(
 
 @dataclass
 class HistogramGrid:
-    """Smoothed probability mass over the flat cells of one candidate.
+    """One candidate's row of a model's table, as `CorrelationModel.grids`
+    slices it out: the sorted cells it stores with their probabilities;
+    every other cell of the grid has `base_prob`."""
 
-    Holds the sorted cells observed in training with their probabilities;
-    every other cell of the grid has `base_prob`.
-    """
-
-    n_dims: int
-    n_bins: int
     base_prob: float
     cells: np.ndarray
     cell_probs: np.ndarray
 
     #: Not a field: read only by bench/spans.py, which sizes each grid's arrays.
     dense = None
-
-    def __post_init__(self) -> None:
-        self.cells = np.asarray(self.cells, dtype=np.int64)
-        self.cell_probs = np.asarray(self.cell_probs, dtype=np.float64)
-        if self.cells.shape != self.cell_probs.shape or self.cells.ndim != 1:
-            raise ValueError("sparse cells and probabilities must align")
-        if self.cells.size and np.any(np.diff(self.cells) <= 0):
-            raise ValueError("sparse cells must be strictly increasing")
 
     def prob_at(self, flat_cells: np.ndarray) -> np.ndarray:
         """Probability of each queried flat cell (the reference for `score`)."""
@@ -211,8 +199,7 @@ class CorrelationModel:
     SENTINEL_CELL; `probs` the C-contiguous (candidates, cells) table whose
     sentinel column holds each candidate's base probability; `occupied` marks
     the cells each candidate stores, which may hold its base probability.
-    `grids` views the table as per-candidate records; `from_grids` is the
-    only way back.
+    `grids` views the table as read-only per-candidate records.
 
     The file format stores only a digest of the projection, so a loaded
     model starts with `projection=None`; `with_projection` re-attaches and
@@ -253,25 +240,12 @@ class CorrelationModel:
         if proj is not None and projection_hash(proj) != self.projection_digest:
             raise ValueError("projection does not match the model's digest")
 
-    @classmethod
-    def from_grids(cls, grids: Sequence[HistogramGrid], **fields) -> "CorrelationModel":
-        """The model whose table rows are these records; `fields` are the rest."""
-        union = np.unique(np.concatenate([np.empty(0, np.int64)] + [g.cells for g in grids]))
-        probs = np.empty((len(grids), union.size + 1))
-        occupied = np.zeros((len(grids), union.size), dtype=bool)
-        for row, occ, grid in zip(probs, occupied, grids):
-            pos = np.searchsorted(union, grid.cells)
-            row[:] = grid.base_prob
-            row[pos], occ[pos] = grid.cell_probs, True
-        cells = np.append(union, SENTINEL_CELL)
-        return cls(cells=cells, probs=probs, occupied=occupied, **fields)
-
     @property
     def grids(self) -> tuple[HistogramGrid, ...]:
         """Read-only per-candidate records sliced out of the table."""
         cells = self.cells[:-1]
         return tuple(
-            HistogramGrid(self.n_dims, self.n_bins, float(p[-1]), cells[o], p[:-1][o])
+            HistogramGrid(float(p[-1]), cells[o], p[:-1][o])
             for p, o in zip(self.probs, self.occupied)
         )
 
@@ -485,13 +459,14 @@ def write_model(path, model: CorrelationModel) -> None:
         parts.append(struct.pack("<dd", model.lo[j], model.hi[j]))
     parts.append(struct.pack("<d", model.smoothing))
     parts.append(model.projection_digest)
-    for name, grid in zip(model.candidate_names, model.grids):
+    cells = model.cells[:-1]
+    for name, probs, occupied in zip(model.candidate_names, model.probs, model.occupied):
         raw = name.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
-        parts.append(struct.pack("<dQ", grid.base_prob, grid.cells.size))
-        parts.append(grid.cells.astype("<u8").tobytes())
-        parts.append(grid.cell_probs.astype("<f8", copy=False).tobytes())
+        parts.append(struct.pack("<dQ", probs[-1], occupied.sum()))
+        parts.append(cells[occupied].astype("<u8").tobytes())
+        parts.append(probs[:-1][occupied].astype("<f8", copy=False).tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -517,8 +492,7 @@ def read_model(path) -> CorrelationModel:
             raise FormatError(f"{path}: truncated projection digest")
         offset += 32
         total_cells = cell_count(n_bins, n_dims)
-        names = []
-        grids = []
+        names, bases, stored, stored_probs = [], [], [], []
         for _ in range(n_candidates):
             (name_len,) = struct.unpack_from("<I", blob, offset)
             offset += 4
@@ -546,17 +520,28 @@ def read_model(path) -> CorrelationModel:
             if not abs(mass - 1.0) <= MASS_TOL:
                 raise FormatError(f"{path}: {name!r} has total mass {mass!r}, not 1")
             names.append(name)
-            grids.append(HistogramGrid(n_dims, n_bins, base_prob, cells, probs))
+            bases.append(base_prob)
+            stored.append(cells.astype(np.int64))  # each below the cell count: exact
+            stored_probs.append(probs)
         if offset != len(blob):
             raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
-        return CorrelationModel.from_grids(
-            grids,
+        flat = np.concatenate([np.empty(0, np.int64), *stored])
+        union, column = np.unique(flat, return_inverse=True)
+        row = np.repeat(np.arange(len(names)), [c.size for c in stored])
+        table = np.repeat(np.array(bases)[:, None], union.size + 1, axis=1)
+        table[row, column] = np.concatenate([np.empty(0), *stored_probs])
+        occupied = np.zeros((len(names), union.size), dtype=bool)
+        occupied[row, column] = True
+        return CorrelationModel(
             n_dims=n_dims,
             n_bins=n_bins,
             lo=lo,
             hi=hi,
             smoothing=smoothing,
             candidate_names=tuple(names),
+            cells=np.append(union, SENTINEL_CELL),
+            probs=table,
+            occupied=occupied,
             projection_digest=digest,
         )
     except (struct.error, ValueError, UnicodeDecodeError) as exc:

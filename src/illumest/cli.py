@@ -134,16 +134,20 @@ def _cmd_build_model(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = read_model(args.model).with_projection(read_projection(args.projection))
+    if args.truth is not None:  # resolved before anything is printed
+        spds = {ill.name: ill.spd for ill in load_illuminants(_illuminants(args))}
+        if args.truth not in spds:
+            raise ValueError(f"--truth {args.truth!r} is not in the illuminant set")
+        missing = sorted(set(model.candidate_names) - spds.keys())
+        if missing:
+            raise ValueError(f"model candidates not in the illuminant set: {', '.join(missing)}")
     image = downsample(read_scube(args.cube), args.downsample)
     name, scores = classify(model, image, mode=args.mode)
     print(f"predicted: {name}")
     for cand, s in zip(model.candidate_names, scores):
         print(f"score,{cand},{format_float(float(s))}")
     if args.truth is not None:
-        full = load_illuminants(_illuminants(args))
-        err = angular_error_deg(
-            full[full.index_of(name)].spd, full[full.index_of(args.truth)].spd
-        )
+        err = angular_error_deg(spds[name], spds[args.truth])
         print(f"angular_error_deg,{format_float(err)}")
     return 0
 
@@ -283,14 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: The least value of each integer option, by subcommand: `main` rejects a
-#: smaller one before the command reads any file.
+#: smaller one before the command reads or writes any file.
 _LEAST = {
+    "synth": {
+        "seed": 0, "scenes": 3, "width": 1, "height": 1, "basis": 1, "bands": 1, "patches": 0,
+    },
     "select-projection-set": {"k": 2, "seed": 0},
     "fit": {
         "projection_set_k": 2, "projection_set_seed": 0, "d_prime": 1, "seed": 0,
         "downsample": 1, "nnmf_max_iter": 1,
     },
     "build-model": {"bins": 1, "downsample": 1},
+    "classify": {"downsample": 1},
 }
 
 

@@ -114,13 +114,6 @@ class Projection:
             return nnls_rows(self.basis, rows)
         return rows @ self.basis.T
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Project a single input vector, as the one-row batch of `apply_rows`."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError("apply takes a 1-D vector; use apply_rows for batches")
-        return self.apply_rows(vec[None, :])[0]
-
 
 @dataclass
 class TrainingMatrix:

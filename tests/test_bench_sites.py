@@ -7,6 +7,7 @@ one is `python3 bench/selftest.py`.
 """
 
 import importlib.util
+import struct
 import sys
 from pathlib import Path
 
@@ -49,8 +50,9 @@ def test_every_traced_site_resolves():
 
 
 def test_model_sizing_reads_every_stored_cell(tmp_path):
-    """The benchmark sizes models through their per-candidate `grids` view."""
-    from illumest.cbc import build_model, read_model, write_model
+    """The benchmark sizes models through their per-candidate `grids` view,
+    which counts a cell stored at its candidate's base probability."""
+    from illumest.cbc import CBCM_MAGIC, build_model, read_model, write_model
     from illumest.illuminants import Illuminant, IlluminantSet
     from illumest.projections import fit_rand
     from illumest.spectral import SpectralAxis, SpectralImage, Spectrum
@@ -69,13 +71,23 @@ def test_model_sizing_reads_every_stored_cell(tmp_path):
     ]
     built = build_model(images, candidates, fit_rand(4, 2, seed=1), n_bins=8)
     write_model(tmp_path / "m.cbcm", built)
+    # 1-D, 4 bins; each candidate stores one cell: "even" stores cell 1 at
+    # its base probability 0.25
+    header = [CBCM_MAGIC, struct.pack("<IIIddd", 1, 4, 2, 0.0, 1.0, 0.5), bytes(32)]
+    records = [(b"even", 0.25, 1, 0.25), (b"peaked", 0.1, 2, 0.7)]
+    body = [
+        struct.pack("<I", len(name)) + name + struct.pack("<dQQd", base, 1, cell, prob)
+        for name, base, cell, prob in records
+    ]
+    (tmp_path / "base.cbcm").write_bytes(b"".join(header + body))
     models = []
     record = load_spans()._model_stats(models)
-    for model in (built, read_model(tmp_path / "m.cbcm")):
+    for model in (built, read_model(tmp_path / "m.cbcm"), read_model(tmp_path / "base.cbcm")):
         record(model)
         cells, nbytes = models[-1]
         assert cells == model.occupied.sum() > 0
         assert nbytes > 0
+    assert models[-1][0] == 2  # the cell stored at the base probability counts
 
 
 def test_grid_latency_hook_sees_both_runners(demo_data, monkeypatch):

@@ -3,19 +3,18 @@
 import hashlib
 import math
 import struct
-from dataclasses import fields, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from illumest import cbc
 from illumest.cbc import (
     BlockFeatures,
     CorrelationModel,
-    HistogramGrid,
     batch_runs,
     bin_indices,
     block_features,
@@ -267,70 +266,39 @@ class TestBinIndicesProperties:
             assert bin_indices(row[None], lo, hi, n_bins)[0] == flat[k]
 
 
-def grid_from_counts(cells, counts, n_dims, n_bins, smoothing):
-    """A candidate's record from its occupied cells and their counts: every
-    cell of the grid gets `smoothing` pseudo-mass before normalization."""
-    denom = float(np.sum(counts)) + smoothing * n_bins**n_dims
-    return HistogramGrid(
-        n_dims, n_bins, smoothing / denom, cells=cells,
-        cell_probs=(np.asarray(counts) + smoothing) / denom,
+def table_model(proj, n_bins, names, cells, probs, occupied, smoothing=0.0):
+    """A model under `proj`, on bounds [0, 1] in each dimension, from its
+    table: `cells` without the sentinel, `probs` with the base column last."""
+    n_dims = proj.output_dim
+    return CorrelationModel(
+        n_dims=n_dims, n_bins=n_bins, lo=np.zeros(n_dims), hi=np.ones(n_dims),
+        smoothing=smoothing, candidate_names=tuple(names),
+        cells=np.append(np.asarray(cells, dtype=np.int64), cbc.SENTINEL_CELL),
+        probs=np.array(probs, dtype=np.float64), occupied=np.array(occupied, dtype=bool),
+        projection_digest=projection_hash(proj), projection=proj,
     )
-
-
-def table_fields(model):
-    """The constructor arguments of `model` other than its table."""
-    return {
-        f.name: getattr(model, f.name)
-        for f in fields(model)
-        if f.name not in ("cells", "probs", "occupied")
-    }
 
 
 class TestHistogramGrid:
     def test_prob_at_reads_occupied_cells_and_base(self):
         cells = np.array([2, 7, 11])
         probs = np.array([0.3, 0.2, 0.1])
-        grid = HistogramGrid(2, 4, base_prob=0.025, cells=cells, cell_probs=probs)
+        proj = Projection("rand", 3, 2, basis=np.eye(2, 3))
+        model = table_model(proj, 4, ("a",), cells, [[*probs, 0.025]], [[True] * 3])
         expected = np.full(16, 0.025)
         expected[cells] = probs
+        (grid,) = model.grids
         np.testing.assert_array_equal(grid.prob_at(np.arange(16)), expected)
-
-    def test_sparse_storage_must_align(self):
-        with pytest.raises(ValueError):
-            HistogramGrid(1, 2, 0.1, cells=np.array([0]), cell_probs=np.ones(2))
-        with pytest.raises(ValueError):
-            HistogramGrid(
-                1, 2, 0.1, cells=np.array([[0]]), cell_probs=np.array([[1.0]])
-            )
-
-    def test_sparse_cells_must_increase(self):
-        with pytest.raises(ValueError):
-            HistogramGrid(
-                1, 4, 0.1, cells=np.array([3, 1]), cell_probs=np.array([0.5, 0.5])
-            )
 
 
 def hand_model():
     """1-D model over two candidates with hand-picked histograms."""
     proj = Projection("rand", 2, 1, basis=np.array([[1.0, 0.0]]))
-    grid_a = HistogramGrid(
-        1, 4, base_prob=0.025, cells=np.arange(4),
-        cell_probs=np.array([0.7, 0.1, 0.1, 0.1]),
-    )
-    # every cell unseen: 0.25 each
-    grid_b = HistogramGrid(
-        1, 4, base_prob=0.25, cells=np.empty(0), cell_probs=np.empty(0)
-    )
-    return CorrelationModel.from_grids(
-        (grid_a, grid_b),
-        n_dims=1,
-        n_bins=4,
-        lo=np.zeros(1),
-        hi=np.ones(1),
-        smoothing=0.0,
-        candidate_names=("warm", "flat"),
-        projection_digest=projection_hash(proj),
-        projection=proj,
+    # "flat" stores no cell: 0.25 each
+    return table_model(
+        proj, 4, ("warm", "flat"), cells=np.arange(4),
+        probs=[[0.7, 0.1, 0.1, 0.1, 0.025], [0.25] * 5],
+        occupied=[[True] * 4, [False] * 4],
     )
 
 
@@ -362,14 +330,7 @@ class TestScore:
 
     def test_unseen_cell_uses_base_prob(self):
         proj = Projection("rand", 2, 1, basis=np.array([[1.0, 0.0]]))
-        sparse = HistogramGrid(
-            1, 4, base_prob=0.025, cells=np.array([0]), cell_probs=np.array([0.9])
-        )
-        model = CorrelationModel.from_grids(
-            (sparse,), n_dims=1, n_bins=4, lo=np.zeros(1), hi=np.ones(1),
-            smoothing=0.0, candidate_names=("a",),
-            projection_digest=projection_hash(proj), projection=proj,
-        )
+        model = table_model(proj, 4, ("a",), cells=[0], probs=[[0.9, 0.025]], occupied=[[True]])
         img = image_from_pixels([[1.8, 0.2]])  # chromaticity 0.9 -> cell 3
         s = score(model, img, mode="log")
         assert s[0] == pytest.approx(math.log(0.025))
@@ -390,13 +351,8 @@ class TestScore:
 
     def test_classify_breaks_ties_toward_lowest_index(self):
         proj = Projection("rand", 2, 1, basis=np.array([[1.0, 0.0]]))
-        grid = HistogramGrid(
-            1, 2, base_prob=0.5, cells=np.empty(0), cell_probs=np.empty(0)
-        )
-        model = CorrelationModel.from_grids(
-            (grid, grid), n_dims=1, n_bins=2, lo=np.zeros(1), hi=np.ones(1),
-            smoothing=0.0, candidate_names=("first", "second"),
-            projection_digest=projection_hash(proj), projection=proj,
+        model = table_model(
+            proj, 2, ("first", "second"), cells=[], probs=[[0.5], [0.5]], occupied=[[], []]
         )
         name, scores = classify(model, image_from_pixels([[1.0, 3.0]]))
         assert name == "first"
@@ -405,10 +361,9 @@ class TestScore:
 
 @st.composite
 def sparse_models(draw):
-    """Identity-projection model over random sparse grids, a test image, and
-    the grids the model's table was made from.
+    """Identity-projection model over a random sparse table, and a test image.
 
-    Candidates draw their cells from a shared pool at most half the grid, so
+    Candidates store cells from a shared pool at most half the grid, so
     cells are shared, unique to one candidate, or in no candidate at all;
     smoothing 0 gives base probability 0 (log -inf) in unseen cells.
     """
@@ -418,27 +373,30 @@ def sparse_models(draw):
     smoothing = draw(st.sampled_from([0.0, 1e-9, 0.3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_cells = n_bins**n_dims
-    pool = rng.choice(n_cells, size=max(1, n_cells // 2), replace=False)
-    grids = []
-    for _ in range(n_cand):
-        cells = np.unique(rng.choice(pool, size=rng.integers(1, pool.size + 1)))
-        counts = rng.integers(1, 50, size=cells.size)
-        grids.append(grid_from_counts(cells, counts, n_dims, n_bins, smoothing))
+    pool = np.sort(rng.choice(n_cells, size=max(1, n_cells // 2), replace=False))
+    counts = rng.integers(1, 50, size=(n_cand, pool.size))
+    counts *= rng.random(counts.shape) < rng.random()
+    counts[np.arange(n_cand), rng.integers(0, pool.size, n_cand)] += 1  # one cell at least
+    stored = counts.any(axis=0)  # the union: cells some candidate stores
+    counts = counts[:, stored]
+    # every cell of the grid gets `smoothing` pseudo-mass before normalization
+    denom = counts.sum(axis=1) + smoothing * n_cells
+    probs = np.append(counts + smoothing, np.full((n_cand, 1), smoothing), axis=1)
     proj = Projection("rand", n_dims + 1, n_dims, basis=np.eye(n_dims, n_dims + 1))
-    model = CorrelationModel.from_grids(
-        grids, n_dims=n_dims, n_bins=n_bins, lo=np.zeros(n_dims), hi=np.ones(n_dims),
-        smoothing=smoothing, candidate_names=tuple(f"c{j}" for j in range(n_cand)),
-        projection_digest=projection_hash(proj), projection=proj,
+    model = table_model(
+        proj, n_bins, [f"c{j}" for j in range(n_cand)], pool[stored],
+        probs / denom[:, None], counts > 0, smoothing,
     )
     image = image_from_pixels(rng.random((draw(st.integers(1, 40)), n_dims + 1)))
-    return model, image, grids
+    return model, image
 
 
 class TestScoreOracle:
     @settings(max_examples=200, deadline=None)
     @given(sparse_models(), st.sampled_from(["log", "dot"]))
     def test_score_is_bitwise_per_candidate_dot(self, case, mode):
-        model, image, grids = case
+        model, image = case
+        grids = model.grids
         feats, _ = pixel_features(model.projection, image.valid_pixels())
         flat = bin_indices(feats, model.lo, model.hi, model.n_bins)
         occ, counts = np.unique(flat, return_counts=True)
@@ -488,7 +446,7 @@ class TestBatchedScore:
     @given(sparse_models(), st.sampled_from(["log", "dot"]), st.data())
     def test_each_row_is_the_score_of_its_block(self, case, mode, data):
         # identity bases: every product is exact, so rows match bit for bit
-        model, _, _ = case
+        model, _ = case
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
         n_rows = data.draw(st.integers(1, 30))
@@ -819,19 +777,6 @@ class TestBuildTable:
             assert model.probs[j].tobytes() == expected.tobytes()
             assert np.flatnonzero(model.occupied[j]).tolist() == pos.tolist()
 
-    @pytest.mark.parametrize("source", ["built", "read"])
-    def test_from_grids_gives_back_the_table(self, tmp_path, source):
-        axis, candidates, images = tiny_problem()
-        model = build_model(images, candidates, fit_rand(4, 2, seed=42), n_bins=8)
-        if source == "read":
-            write_model(tmp_path / "m.cbcm", model)
-            model = read_model(tmp_path / "m.cbcm")
-        again = CorrelationModel.from_grids(model.grids, **table_fields(model))
-        for name in ("cells", "probs", "occupied"):
-            got, want = getattr(again, name), getattr(model, name)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
     def test_log_table_is_made_once(self):
         model = hand_model()
         assert "log_probs" not in vars(model)
@@ -1049,6 +994,66 @@ class TestRelitTrainingStacks:
                 training_features(images, candidates, fit_rand(4, 2, seed=0))
 
 
+def cbcm_bytes(n_dims, n_bins, records, lo=None, hi=None, smoothing=0.5, digest=bytes(32)):
+    """`.cbcm` bytes written one candidate record at a time: `records` holds
+    each candidate's (name, base probability, stored cells, their
+    probabilities); the bounds default to [0, 1] in each dimension."""
+    lo = np.zeros(n_dims) if lo is None else lo
+    hi = np.ones(n_dims) if hi is None else hi
+    parts = [cbc.CBCM_MAGIC, struct.pack("<III", n_dims, n_bins, len(records))]
+    parts += [struct.pack("<dd", l, h) for l, h in zip(lo, hi)]
+    parts += [struct.pack("<d", smoothing), digest]
+    for name, base, cells, probs in records:
+        raw = name.encode("utf-8")
+        parts += [struct.pack("<I", len(raw)), raw, struct.pack("<dQ", base, len(cells))]
+        parts += [np.asarray(cells, "<u8").tobytes(), np.asarray(probs, "<f8").tobytes()]
+    return b"".join(parts)
+
+
+@st.composite
+def stored_tables(draw):
+    """(n_dims, n_bins, candidates) for `table_from_counts`: 1-4 candidates,
+    each a (name, pseudo-count, {stored cell: count}) over cell spaces up to
+    2**62. A candidate may store no cell, and a stored count of 0 stores the
+    cell at the base probability."""
+    n_dims, n_bins = draw(st.sampled_from([(1, 2), (1, 6), (2, 5), (3, 4), (2, 2**31)]))
+    n_cells = n_bins**n_dims
+    pool = draw(
+        st.lists(st.integers(0, n_cells - 1) | st.just(n_cells - 1), min_size=1, max_size=6)
+    )
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    candidates = []
+    for name in names:
+        pseudo = draw(st.sampled_from([0.0, 0.5, 2.0]))
+        count = st.sampled_from([0.0, 1.0, 3.0] if pseudo else [1.0, 3.0])
+        stored = draw(st.dictionaries(st.sampled_from(pool), count, min_size=0 if pseudo else 1))
+        candidates.append((name, pseudo, stored))
+    return n_dims, n_bins, tuple(candidates)
+
+
+def table_from_counts(n_dims, n_bins, candidates):
+    """The model whose candidates hold these counts plus their pseudo-count in
+    every cell of the grid, normalized; bounds, smoothing and digest are
+    arbitrary."""
+    n_cells = n_bins**n_dims
+    union = sorted({cell for _, _, stored in candidates for cell in stored})
+    probs = np.empty((len(candidates), len(union) + 1))
+    occupied = np.zeros((len(candidates), len(union)), dtype=bool)
+    for j, (_, pseudo, stored) in enumerate(candidates):
+        total = sum(stored.values()) + pseudo * n_cells
+        probs[j] = pseudo / total
+        for cell, count in stored.items():
+            k = union.index(cell)
+            probs[j, k], occupied[j, k] = (count + pseudo) / total, True
+    return CorrelationModel(
+        n_dims=n_dims, n_bins=n_bins, lo=np.linspace(-1.0, 0.0, n_dims),
+        hi=np.linspace(0.5, 2.0, n_dims), smoothing=0.25,
+        candidate_names=tuple(name for name, _, _ in candidates),
+        cells=np.append(np.array(union, dtype=np.int64), cbc.SENTINEL_CELL),
+        probs=probs, occupied=occupied, projection_digest=hashlib.sha256(b"p").digest(),
+    )
+
+
 class TestModelSerialization:
     def build(self):
         axis, candidates, images = tiny_problem()
@@ -1087,23 +1092,45 @@ class TestModelSerialization:
 
     def test_stored_cell_at_the_base_probability_round_trips(self, tmp_path):
         # cell 1 is stored although its probability equals the base
-        proj = Projection("rand", 2, 1, basis=np.array([[1.0, 0.0]]))
-        grids = (
-            HistogramGrid(1, 4, 0.25, cells=np.array([1]), cell_probs=np.array([0.25])),
-            HistogramGrid(1, 4, 0.1, cells=np.array([2]), cell_probs=np.array([0.7])),
-        )
-        model = CorrelationModel.from_grids(
-            grids, n_dims=1, n_bins=4, lo=np.zeros(1), hi=np.ones(1), smoothing=0.5,
-            candidate_names=("even", "peaked"), projection_digest=projection_hash(proj),
-        )
+        records = [("even", 0.25, [1], [0.25]), ("peaked", 0.1, [2], [0.7])]
         p1, p2 = tmp_path / "a.cbcm", tmp_path / "b.cbcm"
-        write_model(p1, model)
+        p1.write_bytes(cbcm_bytes(1, 4, records))
         loaded = read_model(p1)
+        assert loaded.cells.tolist() == [1, 2, cbc.SENTINEL_CELL]
         assert loaded.occupied.tolist() == [[True, False], [False, True]]
-        assert loaded.probs[0].tolist() == [0.25, 0.25, 0.25]
+        assert loaded.probs.tolist() == [[0.25, 0.25, 0.25], [0.1, 0.7, 0.1]]
         assert [g.cells.tolist() for g in loaded.grids] == [[1], [2]]
         write_model(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(stored_tables())
+    @example(
+        # a 2**62-cell space, a candidate that stores no cell, and one cell
+        # (cell 3) stored at its candidate's base probability
+        (2, 2**31, (("empty", 1.0, {}), ("mixed", 0.5, {3: 0.0, 2**62 - 1: 4.0}))),
+    )
+    def test_table_round_trips_record_by_record(self, tmp_path_factory, spec):
+        model = table_from_counts(*spec)
+        path = tmp_path_factory.mktemp("cbcm") / "m.cbcm"
+        write_model(path, model)
+        assert path.read_bytes() == cbcm_bytes(
+            model.n_dims,
+            model.n_bins,
+            [
+                (name, grid.base_prob, grid.cells, grid.cell_probs)
+                for name, grid in zip(model.candidate_names, model.grids)
+            ],
+            model.lo,
+            model.hi,
+            model.smoothing,
+            model.projection_digest,
+        )
+        loaded = read_model(path)
+        for name in ("cells", "probs", "occupied", "lo", "hi"):
+            got, want = getattr(loaded, name), getattr(model, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_loaded_model_scores_after_reattaching(self, tmp_path):
         proj, model = self.build()
@@ -1225,12 +1252,8 @@ class TestModelSerialization:
     @staticmethod
     def header_model(path, n_dims, n_bins, names, digest=bytes(32)):
         """Write a .cbcm whose candidates each hold all their mass in cell 0."""
-        parts = [cbc.CBCM_MAGIC, struct.pack("<III", n_dims, n_bins, len(names))]
-        parts += [struct.pack("<dd", 0.0, 1.0)] * n_dims + [struct.pack("<d", 0.5), digest]
-        for name in names:
-            raw = name.encode("utf-8")
-            parts += [struct.pack("<I", len(raw)), raw, struct.pack("<dQQd", 0.0, 1, 0, 1.0)]
-        path.write_bytes(b"".join(parts))
+        records = [(name, 0.0, [0], [1.0]) for name in names]
+        path.write_bytes(cbcm_bytes(n_dims, n_bins, records, digest=digest))
         return path
 
     def test_one_cell_model_loads(self, tmp_path):

@@ -13,6 +13,7 @@ from illumest.io import (
     read_name_list,
     read_scube,
     read_sensitivities,
+    write_illuminant_manifest,
     write_scube,
     write_spd_csv,
 )
@@ -282,17 +283,34 @@ class TestSettingsRejectedBeforeAnyRead:
             ),
             (["select-projection-set", "--seed", "-1"], "--seed must be >= 0, got -1"),
             (["select-projection-set", "--k", "1"], "--k must be >= 2, got 1"),
+            (["synth", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["synth", "--scenes", "2"], "--scenes must be >= 3, got 2"),
+            (["synth", "--width", "0"], "--width must be >= 1, got 0"),
+            (["synth", "--height", "0"], "--height must be >= 1, got 0"),
+            (["synth", "--basis", "0"], "--basis must be >= 1, got 0"),
+            (["synth", "--bands", "0"], "--bands must be >= 1, got 0"),
+            (["synth", "--patches", "-1"], "--patches must be >= 0, got -1"),
+            (["classify", "--downsample", "0"], "--downsample must be >= 1, got 0"),
         ],
         ids=[
             "fit-rand-seed", "fit-nnmf-seed", "fit-projection-set-seed", "fit-projection-set-k",
-            "fit-d-prime", "fit-nnmf-max-iter", "select-seed", "select-k",
+            "fit-d-prime", "fit-nnmf-max-iter", "select-seed", "select-k", "synth-seed",
+            "synth-scenes", "synth-width", "synth-height", "synth-basis", "synth-bands",
+            "synth-patches", "classify-downsample",
         ],
     )
-    def test_fit_and_select(self, demo_data, tmp_path, capsys, reads, argv, message):
+    def test_fit_and_select(self, demo_data, fitted, tmp_path, capsys, reads, argv, message):
         out = tmp_path / "out"
-        if argv[0] == "fit":  # every fit method could read its scenes from here
-            argv = argv + ["--dataset", str(demo_data[0])]
-        rc = main(argv + ["--out", str(out)])
+        proj_path, model_path, dataset = fitted
+        rest = {
+            # every fit method could read its scenes from here
+            "fit": ["--dataset", str(demo_data[0]), "--out", str(out)],
+            "classify": [
+                "--model", str(model_path), "--projection", str(proj_path),
+                "--cube", str(read_dataset_manifest(dataset)[1][0]),
+            ],
+        }
+        rc = main(argv + rest.get(argv[0], ["--out", str(out)]))
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert reads == [] and not out.exists()
@@ -367,6 +385,35 @@ class TestModelAndClassify:
         assert len(err_lines) == 1
         assert np.isfinite(float(err_lines[0].split(",")[1]))
 
+
+    @pytest.mark.parametrize(
+        "truth, names, message",
+        [
+            ("bogus", None, "--truth 'bogus' is not in the illuminant set"),
+            ("D65", ("D65", "A"), "model candidates not in the illuminant set: D50, D55, "),
+        ],
+        ids=["unknown-truth", "unknown-candidates"],
+    )
+    def test_truth_resolved_before_any_output(
+        self, fitted, tmp_path, capsys, reads, truth, names, message
+    ):
+        proj_path, model_path, dataset = fitted
+        argv = [
+            "classify", "--model", str(model_path), "--projection", str(proj_path),
+            "--cube", str(read_dataset_manifest(dataset)[1][0]), "--truth", truth,
+        ]
+        if names is not None:  # an illuminant set without most of the model's candidates
+            bundled = bundled_illuminant_manifest().parent
+            manifest = tmp_path / "few.txt"
+            write_illuminant_manifest(
+                manifest, [(str(bundled / f"{n.lower()}.csv"), n) for n in names]
+            )
+            argv += ["--illuminants", str(manifest)]
+        rc = main(argv)
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        assert out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
+        assert "read_scube" not in reads
 
     def test_degenerate_smoothing_is_an_error(self, fitted, tmp_path, capsys):
         proj_path, _, dataset = fitted

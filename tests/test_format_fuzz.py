@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from illumest.cbc import CorrelationModel, HistogramGrid, read_model, write_model
+from illumest.cbc import SENTINEL_CELL, CorrelationModel, read_model, write_model
 from illumest.io import FormatError, read_scube, write_scube
 from illumest.projections import (
     Projection,
@@ -47,14 +47,15 @@ def projection_bytes(tmp):
 
 def model_bytes(tmp):
     proj = fit_rand(3, 2, seed=0)
-    # counts (3, 1) and (2,) on a 3x3 grid, smoothed by 0.1
-    grids = (
-        HistogramGrid(2, 3, 0.1 / 4.9, np.array([0, 4]), np.array([3.1, 1.1]) / 4.9),
-        HistogramGrid(2, 3, 0.1 / 2.9, np.array([8]), np.array([2.1]) / 2.9),
-    )
-    model = CorrelationModel.from_grids(
-        grids, n_dims=2, n_bins=3, lo=np.zeros(2), hi=np.ones(2), smoothing=0.1,
-        candidate_names=("a", "b"), projection_digest=projection_hash(proj),
+    # counts (3, 1) in cells 0 and 4, and 2 in cell 8, of a 3x3 grid,
+    # smoothed by 0.1
+    model = CorrelationModel(
+        n_dims=2, n_bins=3, lo=np.zeros(2), hi=np.ones(2), smoothing=0.1,
+        candidate_names=("a", "b"),
+        cells=np.array([0, 4, 8, SENTINEL_CELL]),
+        probs=np.array([[3.1, 1.1, 0.1, 0.1], [0.1, 0.1, 2.1, 0.1]]) / [[4.9], [2.9]],
+        occupied=np.array([[True, True, False], [False, False, True]]),
+        projection_digest=projection_hash(proj),
     )
     write_model(tmp / "src.cbcm", model)
     return (tmp / "src.cbcm").read_bytes()

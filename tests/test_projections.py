@@ -104,7 +104,7 @@ class TestApply:
         p = Projection(KIND_RAND, 3, 2, basis=basis)
         rows = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
         np.testing.assert_allclose(p.apply_rows(rows), [[4.0, 4.0], [0.0, 2.0]])
-        np.testing.assert_allclose(p.apply(rows[0]), [4.0, 4.0])
+        np.testing.assert_allclose(p.apply_rows(rows[0][None])[0], [4.0, 4.0])
 
     def test_centered_kinds_subtract_mean_first(self):
         basis = np.eye(3)[:, :1]
@@ -116,16 +116,7 @@ class TestApply:
         basis = np.array([[1.0, 0.0], [1.0, 1.0]])
         p = Projection(KIND_NNMF, 2, 2, basis=basis)
         # target = 1*row0 + 2*row1 exactly, so the encoding is (1, 2)
-        np.testing.assert_allclose(p.apply(np.array([3.0, 2.0])), [1.0, 2.0], atol=1e-9)
-
-    def test_nnmf_apply_is_the_one_row_batch(self):
-        rng = np.random.default_rng(1)
-        basis = rng.random((4, 9))
-        p = Projection(KIND_NNMF, 9, 4, basis=basis)
-        # rows inside the basis cone take the fast path; the shifted ones clip
-        vecs = np.vstack([rng.random((15, 4)) @ basis, rng.random((15, 9)) - 0.25])
-        for vec in vecs:
-            np.testing.assert_array_equal(p.apply(vec), p.apply_rows(vec[None])[0])
+        np.testing.assert_allclose(p.apply_rows(np.array([[3.0, 2.0]]))[0], [1.0, 2.0], atol=1e-9)
 
     def test_input_dim_checked(self):
         p = Projection(KIND_RAND, 3, 1, basis=np.ones((1, 3)))
@@ -171,7 +162,7 @@ class TestFitPca:
         np.testing.assert_allclose(p.mean, [0.3, 0.3, 0.4], atol=1e-15)
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(p.basis[:, 0], [s, 0.0, -s], atol=1e-12)
-        z = p.apply(rows[0])
+        z = p.apply_rows(rows[0][None])[0]
         np.testing.assert_allclose(z, [-0.2 * s], atol=1e-12)
 
     def test_rank_deficient_request_rejected(self):
