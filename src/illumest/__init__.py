@@ -13,9 +13,8 @@ from .spectral import (
     SensitivityFunctions,
     ZERO_NORM_EPS,
     add_noise,
-    chromaticity_pixels,
+    chromaticity_rows,
     downsample,
-    l1_chromaticity,
     mix_seed,
     noise_sigma,
     relight,
@@ -76,9 +75,8 @@ __all__ = [
     "SensitivityFunctions",
     "ZERO_NORM_EPS",
     "add_noise",
-    "chromaticity_pixels",
+    "chromaticity_rows",
     "downsample",
-    "l1_chromaticity",
     "mix_seed",
     "noise_sigma",
     "relight",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .illuminants import IlluminantSet
-from .spectral import SpectralImage, Spectrum, ZERO_NORM_EPS, require_same_axis
+from .spectral import SpectralImage, Spectrum, chromaticity_rows, require_same_axis
 
 
 def spectral_gray_world(
@@ -19,8 +19,7 @@ def spectral_gray_world(
     """
     require_same_axis(image.axis, candidates.axis, "spectral_gray_world")
     pixels = image.valid_pixels()
-    sums = pixels.sum(axis=1)
-    pixels = pixels[sums > ZERO_NORM_EPS]
+    pixels = pixels[chromaticity_rows(pixels)[1]]
     if pixels.shape[0] == 0:
         raise ValueError("image has no usable pixels")
     mean = pixels.mean(axis=0)

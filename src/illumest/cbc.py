@@ -109,7 +109,7 @@ def training_rows(featurize, images: Sequence[SpectralImage], candidates: Illumi
         require_same_axis(img.axis, candidates.axis, "training images")
     bands = candidates.axis.count
     pixels = np.concatenate([np.empty((0, bands))] + [i.valid_pixels() for i in images])
-    spds = np.array([ill.spd.values for ill in candidates])
+    spds = candidates.spd_matrix()
     return relit_rows(featurize, lambda run: pixels * spds[run, None], len(spds), len(pixels))
 
 

@@ -58,6 +58,14 @@ def _illuminants(args) -> Path:
 
 
 def _cmd_synth(args) -> int:
+    if not 0 <= args.mask_fraction < 1:
+        raise ValueError(f"--mask-fraction must be in [0, 1), got {args.mask_fraction}")
+    if not (math.isfinite(args.texture) and args.texture >= 0):
+        raise ValueError(f"--texture must be finite and >= 0, got {args.texture}")
+    if not math.isfinite(args.start):
+        raise ValueError(f"--start must be finite, got {args.start}")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ValueError(f"--step must be finite and > 0, got {args.step}")
     axis = SpectralAxis(args.start, args.step, args.bands)
     manifest, paths = synth_dataset(
         args.out,
@@ -299,6 +307,7 @@ _LEAST = {
     },
     "build-model": {"bins": 1, "downsample": 1},
     "classify": {"downsample": 1},
+    "export-pca-coords": {"components": 1},
 }
 
 

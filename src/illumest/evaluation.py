@@ -484,7 +484,7 @@ class _Runner:
         self.test_names = [p.stem for p in test_paths]
         self._test_pixels = [img.valid_pixels() for img in self.test_eval]
         self._spds = [ill.normalized_spd() for ill in self.full]
-        self._spd_rows = np.array([spd.values for spd in self._spds])
+        self._spd_rows = self.full.chromaticity_matrix()
         # Angular error of each predicted candidate (by name) against each true one.
         self._errors = {
             pred.name: [angular_error_deg(pred.spd, true.spd) for true in self.full]

@@ -77,9 +77,8 @@ class IlluminantSet:
         return np.stack([m.spd.values for m in self.members])
 
     def chromaticity_matrix(self) -> np.ndarray:
-        """L1-normalized SPDs stacked as rows."""
-        mat = self.spd_matrix()
-        return mat / mat.sum(axis=1, keepdims=True)
+        """L1-normalized SPDs (`normalized_spd`) stacked as rows."""
+        return np.stack([m.normalized_spd().values for m in self.members])
 
     def subset(self, names: Sequence[str]) -> "IlluminantSet":
         """Members with the given names, kept in this set's order."""

@@ -6,13 +6,13 @@ the types defined here. All arrays are float64; wavelength grids are uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-#: Pixels whose L1 norm falls at or below this are treated as black and are
-#: skipped by chromaticity conversion, fitting, and histogram accumulation.
+#: Pixels whose L1 norm falls at or below this are black: `chromaticity_rows`
+#: drops them, so fitting, histogram accumulation and gray world skip them.
 ZERO_NORM_EPS = 1e-12
 
 DEFAULT_START_NM = 400.0
@@ -84,22 +84,6 @@ class Spectrum:
 
     def copy(self) -> "Spectrum":
         return Spectrum(self.axis, self.values.copy())
-
-
-def l1_chromaticity(spectrum: Spectrum) -> Optional[Spectrum]:
-    """Normalize a non-negative spectrum to unit L1 norm.
-
-    Returns None for an effectively black input (L1 norm <= ZERO_NORM_EPS),
-    which callers must treat as "skip this pixel". Negative inputs are a
-    contract violation and raise.
-    """
-    v = spectrum.values
-    if np.any(v < 0):
-        raise ValueError("chromaticity requires non-negative values")
-    total = float(v.sum())
-    if total <= ZERO_NORM_EPS:
-        return None
-    return Spectrum(spectrum.axis, v / total)
 
 
 @dataclass
@@ -197,20 +181,12 @@ def chromaticity_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and the (N,) boolean mask of the rows kept.
 
     Rows whose L1 sum is at or below ZERO_NORM_EPS are dropped; every other
-    row is divided by its sum. This is the one place pixels are normalized.
+    row is divided by its sum. This is the one place pixels are judged black
+    and normalized.
     """
     sums = rows.sum(axis=1)
     keep = sums > ZERO_NORM_EPS
     return rows[keep] / sums[keep][:, None], keep
-
-
-def chromaticity_pixels(image: SpectralImage) -> np.ndarray:
-    """L1 chromaticities of all valid, non-black pixels, (N, bands).
-
-    Pixels outside the mask or with L1 norm <= ZERO_NORM_EPS are dropped.
-    Row order follows the row-major pixel scan, so output is deterministic.
-    """
-    return chromaticity_rows(image.valid_pixels())[0]
 
 
 def downsample(image: SpectralImage, factor: int) -> SpectralImage:

@@ -7,9 +7,8 @@ low-dimensional manifold the projection fitters can learn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +39,8 @@ class SceneRecipe:
             raise ValueError("basis_count must be >= 1 and patch_count >= 0")
         if not 0 <= self.mask_fraction < 1:
             raise ValueError("mask_fraction must be in [0, 1)")
-        if self.texture < 0:
-            raise ValueError("texture must be non-negative")
+        if not (np.isfinite(self.texture) and self.texture >= 0):
+            raise ValueError("texture must be finite and non-negative")
 
 
 def generate_scene(recipe: SceneRecipe, axis: SpectralAxis) -> SpectralImage:
@@ -109,20 +108,19 @@ def synth_dataset(
     """
     if n_scenes < 3:
         raise ValueError("need at least 3 scenes for a train/test split")
+    recipe = SceneRecipe(
+        width=width,
+        height=height,
+        basis_count=basis_count,
+        patch_count=patch_count,
+        mask_fraction=mask_fraction,
+        texture=texture,
+    )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train, test, paths = [], [], []
     for i in range(n_scenes):
-        recipe = SceneRecipe(
-            width=width,
-            height=height,
-            basis_count=basis_count,
-            patch_count=patch_count,
-            mask_fraction=mask_fraction,
-            texture=texture,
-            seed=base_seed + i,
-        )
-        scene = generate_scene(recipe, axis)
+        scene = generate_scene(replace(recipe, seed=base_seed + i), axis)
         name = f"scene_{i:03d}.scube"
         write_scube(out_dir / name, scene)
         paths.append(out_dir / name)

@@ -291,12 +291,25 @@ class TestSettingsRejectedBeforeAnyRead:
             (["synth", "--bands", "0"], "--bands must be >= 1, got 0"),
             (["synth", "--patches", "-1"], "--patches must be >= 0, got -1"),
             (["classify", "--downsample", "0"], "--downsample must be >= 1, got 0"),
+            (["synth", "--mask-fraction", "1.5"], "--mask-fraction must be in [0, 1), got 1.5"),
+            (["synth", "--mask-fraction", "-1"], "--mask-fraction must be in [0, 1), got -1.0"),
+            (["synth", "--mask-fraction", "nan"], "--mask-fraction must be in [0, 1), got nan"),
+            (["synth", "--texture", "-1"], "--texture must be finite and >= 0, got -1.0"),
+            (["synth", "--texture", "nan"], "--texture must be finite and >= 0, got nan"),
+            (["synth", "--texture", "inf"], "--texture must be finite and >= 0, got inf"),
+            (["synth", "--start", "nan"], "--start must be finite, got nan"),
+            (["synth", "--step", "0"], "--step must be finite and > 0, got 0.0"),
+            (["synth", "--step", "nan"], "--step must be finite and > 0, got nan"),
+            (["export-pca-coords", "--components", "0"], "--components must be >= 1, got 0"),
         ],
         ids=[
             "fit-rand-seed", "fit-nnmf-seed", "fit-projection-set-seed", "fit-projection-set-k",
             "fit-d-prime", "fit-nnmf-max-iter", "select-seed", "select-k", "synth-seed",
             "synth-scenes", "synth-width", "synth-height", "synth-basis", "synth-bands",
-            "synth-patches", "classify-downsample",
+            "synth-patches", "classify-downsample", "synth-mask-fraction-high",
+            "synth-mask-fraction-negative", "synth-mask-fraction-nan", "synth-texture-negative",
+            "synth-texture-nan", "synth-texture-inf", "synth-start-nan", "synth-step-0",
+            "synth-step-nan", "export-pca-components",
         ],
     )
     def test_fit_and_select(self, demo_data, fitted, tmp_path, capsys, reads, argv, message):

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from illumest.baselines import spectral_gray_world
+from illumest.illuminants import Illuminant, IlluminantSet
 from illumest.spectral import (
+    ZERO_NORM_EPS,
     AxisMismatchError,
     SensitivityFunctions,
     SpectralAxis,
     SpectralImage,
     Spectrum,
     add_noise,
-    chromaticity_pixels,
+    chromaticity_rows,
     downsample,
-    l1_chromaticity,
     mix_seed,
     noise_sigma,
     relight,
@@ -67,31 +69,64 @@ class TestSpectrum:
             Spectrum(axis, [1.0, float("inf")])
 
 
-class TestL1Chromaticity:
+class TestChromaticityRows:
+    """The one rule that judges a row black and L1-normalizes the rest."""
+
     def test_known_values(self):
-        axis = SpectralAxis(400, 10, 3)
-        c = l1_chromaticity(Spectrum(axis, [2.0, 3.0, 5.0]))
-        np.testing.assert_allclose(c.values, [0.2, 0.3, 0.5], rtol=0, atol=0)
-        assert c.values.sum() == 1.0
+        rows, keep = chromaticity_rows(np.array([[2.0, 3.0, 5.0]]))
+        np.testing.assert_array_equal(rows, [[0.2, 0.3, 0.5]])
+        assert rows.sum() == 1.0
+        np.testing.assert_array_equal(keep, [True])
 
-    def test_black_input_returns_none(self):
-        axis = SpectralAxis(400, 10, 3)
-        assert l1_chromaticity(Spectrum(axis, [0.0, 0.0, 0.0])) is None
-        tiny = [1e-13, 0.0, 0.0]
-        assert l1_chromaticity(Spectrum(axis, tiny)) is None
+    def test_black_rows_dropped(self):
+        rows, keep = chromaticity_rows(
+            np.array([[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0], [1.0, 1.0, 2.0]])
+        )
+        np.testing.assert_array_equal(rows, [[0.25, 0.25, 0.5]])
+        np.testing.assert_array_equal(keep, [False, False, True])
 
-    def test_negative_input_raises(self):
-        axis = SpectralAxis(400, 10, 3)
-        with pytest.raises(ValueError):
-            l1_chromaticity(Spectrum(axis, [0.5, -0.1, 0.6]))
+    def test_threshold_is_exclusive(self):
+        above = np.nextafter(ZERO_NORM_EPS, 1.0)
+        rows, keep = chromaticity_rows(np.array([[ZERO_NORM_EPS, 0.0], [above, 0.0]]))
+        np.testing.assert_array_equal(rows, [[1.0, 0.0]])
+        np.testing.assert_array_equal(keep, [False, True])
 
     def test_scale_invariant(self):
-        axis = SpectralAxis(400, 10, 5)
         rng = np.random.default_rng(7)
-        v = rng.random(5) + 0.01
-        a = l1_chromaticity(Spectrum(axis, v)).values
-        b = l1_chromaticity(Spectrum(axis, 37.5 * v)).values
+        v = rng.random((1, 5)) + 0.01
+        a, _ = chromaticity_rows(v)
+        b, _ = chromaticity_rows(37.5 * v)
         np.testing.assert_allclose(a, b, atol=1e-15)
+
+    def test_black_and_masked_pixels_skipped(self):
+        data = np.zeros((2, 2, 3))
+        data[0, 0] = [2.0, 3.0, 5.0]
+        data[0, 1] = [1.0, 1.0, 2.0]
+        data[1, 1] = [4.0, 4.0, 4.0]  # masked below
+        mask = np.array([[True, True], [True, False]])
+        rows, keep = chromaticity_rows(make_image(data, mask).valid_pixels())
+        np.testing.assert_array_equal(keep, [True, True, False])  # (1, 0) is black
+        np.testing.assert_allclose(rows, [[0.2, 0.3, 0.5], [0.25, 0.25, 0.5]], atol=1e-15)
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_gray_world_keeps_exactly_the_kept_rows(self):
+        above = np.nextafter(ZERO_NORM_EPS, 1.0)
+        data = np.array(
+            [[[1.0, 2.0, 3.0], [ZERO_NORM_EPS, 0.0, 0.0], [above, 0.0, 0.0]],
+             [[0.0, 0.0, 0.0], [3.0, 1.0, 1.0], [5.0, 0.0, 5.0]]]
+        )
+        mask = np.array([[True, True, True], [True, True, False]])
+        img = make_image(data, mask)
+        cands = IlluminantSet((Illuminant("flat", Spectrum(img.axis, np.ones(3))),))
+        _, estimate = spectral_gray_world(img, cands)
+        mean = np.array([[1.0, 2.0, 3.0], [above, 0.0, 0.0], [3.0, 1.0, 1.0]]).mean(axis=0)
+        np.testing.assert_allclose(estimate.values, mean / np.linalg.norm(mean), rtol=1e-15)
+
+    def test_candidate_chromaticities_are_normalized_spds(self, bundled_set):
+        m = bundled_set.chromaticity_matrix()
+        assert m.shape == (len(bundled_set), bundled_set.axis.count)
+        for row, ill in zip(m, bundled_set):
+            np.testing.assert_array_equal(row, ill.normalized_spd().values)
 
 
 class TestSpectralImage:
@@ -160,21 +195,6 @@ class TestSensorProject:
         sens = SensitivityFunctions(img.axis, rows, "delta")
         rgb = sensor_project(img, sens)
         np.testing.assert_allclose(rgb[0, 0], [10.0, 20.0, 30.0], atol=1e-12)
-
-
-class TestChromaticityPixels:
-    def test_black_and_masked_pixels_skipped(self):
-        data = np.zeros((2, 2, 3))
-        data[0, 0] = [2.0, 3.0, 5.0]
-        data[0, 1] = [1.0, 1.0, 2.0]
-        data[1, 1] = [4.0, 4.0, 4.0]  # masked below
-        mask = np.array([[True, True], [True, False]])
-        img = make_image(data, mask)
-        rows = chromaticity_pixels(img)
-        assert rows.shape == (2, 3)
-        np.testing.assert_allclose(rows[0], [0.2, 0.3, 0.5], atol=1e-15)
-        np.testing.assert_allclose(rows[1], [0.25, 0.25, 0.5], atol=1e-15)
-        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestDownsample:

@@ -54,6 +54,8 @@ class TestGenerateScene:
             SceneRecipe(mask_fraction=1.0)
         with pytest.raises(ValueError):
             SceneRecipe(texture=-0.1)
+        with pytest.raises(ValueError, match="texture must be finite"):
+            SceneRecipe(texture=float("nan"))
 
 
 class TestWhiteScene:
@@ -87,6 +89,15 @@ class TestSynthDataset:
     def test_minimum_size_enforced(self, tmp_path):
         with pytest.raises(ValueError):
             synth_dataset(tmp_path, 2, SpectralAxis())
+
+    @pytest.mark.parametrize(
+        "option", [{"mask_fraction": 1.5}, {"texture": -1.0}, {"texture": float("nan")}]
+    )
+    def test_bad_recipe_rejected_before_the_directory_is_made(self, tmp_path, option):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError):
+            synth_dataset(out, 3, SpectralAxis(), **option)
+        assert not out.exists()
 
 
 class TestDemoDataset:
