@@ -20,7 +20,7 @@ import numpy as np
 
 from .illuminants import IlluminantSet
 from .projections import KIND_RGB, Projection, projection_hash
-from .spectral import SpectralImage, chromaticity_rows, require_same_axis
+from .spectral import SpectralImage, chromaticity_rows, noisy_rows, require_same_axis
 
 DEFAULT_SMOOTHING = 1e-9
 
@@ -84,16 +84,21 @@ def batch_runs(n_cases: int, rows_per_case: int) -> list[range]:
     return [range(s, min(s + step, n_cases)) for s in range(0, n_cases, step)]
 
 
-def relit_rows(featurize, relit, n_cases: int, n_rows: int):
-    """`featurize(rows) -> (features, kept mask)` over `relit(cases)`, the
-    (len(cases), n_rows, bands) radiance of a run of cases: the features
-    case-major in row order, and the (n_cases, n_rows) kept mask. Each call
-    takes a `batch_runs` run of cases, or of one case's rows when they alone
-    pass BATCH_ROWS."""
+def relit_rows(featurize, pixels: np.ndarray, spds: np.ndarray, noise=None):
+    """`featurize(rows) -> (features, kept mask)` over the (N, bands) `pixels`
+    relit by each row of `spds`, a case each: the features case-major in row
+    order, and the (cases, N) kept mask. Each call takes a `batch_runs` run of
+    cases, or of one case's rows past BATCH_ROWS. With `noise=(mask, snr_db,
+    seeds)`, case j's radiance is `noisy_rows(radiance, mask, snr_db, seeds[j])`."""
+    n_cases, n_rows = len(spds), len(pixels)
     feats = []
     kept = np.zeros((n_cases, n_rows), dtype=bool)
     for cases in batch_runs(n_cases, n_rows):
-        stack = relit(cases)
+        stack = pixels * spds[cases, None]
+        if noise is not None:
+            valid, snr_db, seeds = noise
+            for radiance, j in zip(stack, cases):
+                radiance[:] = noisy_rows(radiance, valid, snr_db, seeds[j])
         # with no rows, one empty run still gives the features their width
         for rows in batch_runs(n_rows, len(cases)) or [range(0)]:
             part, mask = featurize(stack[:, rows.start : rows.stop].reshape(-1, stack.shape[-1]))
@@ -109,8 +114,7 @@ def training_rows(featurize, images: Sequence[SpectralImage], candidates: Illumi
         require_same_axis(img.axis, candidates.axis, "training images")
     bands = candidates.axis.count
     pixels = np.concatenate([np.empty((0, bands))] + [i.valid_pixels() for i in images])
-    spds = candidates.spd_matrix()
-    return relit_rows(featurize, lambda run: pixels * spds[run, None], len(spds), len(pixels))
+    return relit_rows(featurize, pixels, candidates.spd_matrix())
 
 
 def calibrate_bounds(rows: np.ndarray, n_dims: int) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,7 @@ from .io import (
 )
 from .projections import (
     ALL_KINDS,
+    KIND_ILL_PCA,
     KIND_RGB,
     fit_ill_pca,
     read_projection,
@@ -85,7 +86,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_select(args) -> int:
     full = load_illuminants(_illuminants(args))
-    picked = select_projection_set(full, k=args.k, seed=args.seed)
+    try:
+        picked = select_projection_set(full, k=args.k, seed=args.seed)
+    except ValueError as exc:
+        raise ValueError(f"--k {args.k}: {exc}") from None
     write_name_list(args.out, picked.names())
     print(f"selected {len(picked)} of {len(full)}: {', '.join(picked.names())}")
     return 0
@@ -186,7 +190,11 @@ def _cmd_export_pca(args) -> int:
         if args.projection_set is not None
         else full
     )
-    proj = fit_ill_pca(fitted_on, args.components)
+    try:  # the bound, or a set whose SPDs span fewer dimensions
+        check_fittable(KIND_ILL_PCA, (args.components,), fitted_on)
+        proj = fit_ill_pca(fitted_on, args.components)
+    except ValueError as exc:
+        raise ValueError(f"--components {args.components}: {exc}") from None
     coords = proj.apply_rows(full.chromaticity_matrix())
     header = "name," + ",".join(f"c{i + 1}" for i in range(args.components))
     lines = [header]

@@ -24,9 +24,7 @@ from .cbc import (
     SCORE_MODES,
     BlockFeatures,
     build_model,
-    # Not called here; it stays a module attribute because bench/spans.py
-    # traces it at this site as well (ROADMAP item 4).
-    calibrate_bounds,  # noqa: F401
+    calibrate_bounds,  # noqa: F401  (not called here: a bench/spans.py trace site)
     cell_count,
     classify,
     relit_rows,
@@ -60,7 +58,7 @@ from .projections import (
 from .spectral import (
     SpectralImage,
     Spectrum,
-    add_noise,
+    add_noise,  # noqa: F401  (not called here: a bench/spans.py trace site)
     chromaticity_rows,
     downsample,
     mix_seed,
@@ -482,8 +480,6 @@ class _Runner:
         self.train_eval = [scenes[p] for p in train_paths]
         self.test_eval = [scenes[p] for p in test_paths]
         self.test_names = [p.stem for p in test_paths]
-        self._test_pixels = [img.valid_pixels() for img in self.test_eval]
-        self._spds = [ill.normalized_spd() for ill in self.full]
         self._spd_rows = self.full.chromaticity_matrix()
         # Angular error of each predicted candidate (by name) against each true one.
         self._errors = {
@@ -549,35 +545,20 @@ class _Runner:
         ]
         return summarize(np.asarray([c.error_deg for c in cases])), cases
 
-    def _case_pixels(self, i: int, cases: range, noise_db: Optional[float]):
-        """Valid pixels of test scene i under the normalized SPDs of the
-        candidates in `cases`, (len(cases), N, bands).
-
-        With a noise level, each case's radiance gets noise from its own
-        (scene, candidate) seed.
-        """
-        if noise_db is None:
-            return self._test_pixels[i] * self._spd_rows[cases, None]
-        img = self.test_eval[i]
-        master = self.config.noise_master_seed
-        return np.stack(
-            [
-                add_noise(
-                    relight(img, self._spds[j]), noise_db, mix_seed(master, i, j)
-                ).valid_pixels()
-                for j in cases
-            ]
-        )
-
     def test_features(self, projection, noise_db: Optional[float]) -> list[BlockFeatures]:
-        """One `BlockFeatures` per test scene over its cases at `noise_db`,
-        `kept` (n_candidates, N): the `relit_rows` of its `_case_pixels`."""
+        """One `BlockFeatures` per test scene, `kept` (n_candidates, N): the
+        `relit_rows` of its valid pixels under the normalized SPDs, each case
+        with noise at `noise_db` from its own (scene, candidate) seed."""
         featurize = partial(cbc.pixel_features, projection)  # the module global, traced
-        relit = lambda i: partial(self._case_pixels, i, noise_db=noise_db)
-        return [
-            BlockFeatures(projection, *relit_rows(featurize, relit(i), len(self.full), len(px)))
-            for i, px in enumerate(self._test_pixels)
-        ]
+        master, n = self.config.noise_master_seed, len(self.full)
+        out = []
+        for i, img in enumerate(self.test_eval):
+            noise = None
+            if noise_db is not None:
+                noise = (img.mask, noise_db, [mix_seed(master, i, j) for j in range(n)])
+            px = img.valid_pixels()
+            out.append(BlockFeatures(projection, *relit_rows(featurize, px, self._spd_rows, noise)))
+        return out
 
     # -- entry points -------------------------------------------------------
 
@@ -602,8 +583,9 @@ class _Runner:
         rows = []
         for method in methods:
             if method == METHOD_SGW:
+                spds = [ill.normalized_spd() for ill in self.full]
                 predicted = [
-                    [spectral_gray_world(relight(img, spd), self.full)[0] for spd in self._spds]
+                    [spectral_gray_world(relight(img, spd), self.full)[0] for spd in spds]
                     for img in self.test_eval
                 ]
                 sgw = self._evaluate(predicted)

@@ -232,24 +232,28 @@ def mix_seed(master_seed: int, *stream_keys: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def noisy_rows(
+    rows: np.ndarray, mask: np.ndarray, snr_db: Optional[float], seed: int
+) -> np.ndarray:
+    """The (N, bands) valid rows of an image with validity `mask`, plus noise
+    clipped at 0: sigma = mean(rows) / 10^(snr_db / 20) times the masked-in part
+    of a whole-image `standard_normal` draw seeded with `seed`. `snr_db=None`
+    (or +inf) gives a clean copy."""
+    if snr_db is None or snr_db == np.inf:
+        return rows.copy()
+    if not np.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db!r}")
+    if rows.size == 0:
+        raise ValueError("cannot set a noise level on a fully masked image")
+    sigma = noise_sigma(float(rows.mean()), snr_db)
+    noise = np.random.default_rng(seed).standard_normal(mask.shape + rows.shape[1:])[mask]
+    return np.clip(rows + noise * sigma, 0.0, None)
+
+
 def add_noise(
     image: SpectralImage, snr_db: Optional[float], seed: int
 ) -> SpectralImage:
-    """Add zero-clipped Gaussian sensor noise at a signal-relative level.
-
-    sigma = mean(valid-pixel values over all bands) / 10^(snr_db / 20).
-    `snr_db=None` (or +inf) means a clean pass-through copy. Noise is drawn
-    from a Generator seeded with `seed`, so a fixed (image, seed) pair gives
-    a reproducible noisy image. Masked-out pixels are left untouched.
-    """
-    if snr_db is None or np.isinf(snr_db):
-        return image.copy()
-    valid = image.valid_pixels()
-    if valid.size == 0:
-        raise ValueError("cannot set a noise level on a fully masked image")
-    sigma = noise_sigma(float(valid.mean()), snr_db)
-    rng = np.random.default_rng(seed)
-    noisy = image.data + rng.standard_normal(image.data.shape) * sigma
-    np.clip(noisy, 0.0, None, out=noisy)
-    noisy[~image.mask] = image.data[~image.mask]
-    return SpectralImage(image.axis, noisy, image.mask.copy())
+    """`noisy_rows` on the image's valid pixels; masked-out pixels stay as they are."""
+    noisy = image.copy()
+    noisy.data[noisy.mask] = noisy_rows(image.valid_pixels(), image.mask, snr_db, seed)
+    return noisy

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from test_imports import SRC, unread_imports
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -47,6 +48,22 @@ def test_every_traced_site_resolves():
             missing.append(site)
     assert len(sites) > 20
     assert not missing, f"trace sites that no longer resolve: {missing}"
+
+
+def test_every_marked_import_is_a_traced_site():
+    """An import that its module never reads carries `# noqa: F401` only to
+    stay an attribute the benchmark traces, so it must be a traced site."""
+    spans = load_spans()
+    traced = {s for group, _ in spans.SPAN_SITES.values() for s in group}
+    traced.update(s for group in spans.COUNT_SITES.values() for s in group)
+    marked = [
+        f"illumest.{path.stem}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for _, name, is_marked in unread_imports(path.read_text(encoding="utf-8"))
+        if is_marked
+    ]
+    assert "illumest.evaluation:add_noise" in marked
+    assert [site for site in marked if site not in traced] == []
 
 
 def test_model_sizing_reads_every_stored_cell(tmp_path):

@@ -14,6 +14,7 @@ from illumest.io import (
     read_scube,
     read_sensitivities,
     write_illuminant_manifest,
+    write_name_list,
     write_scube,
     write_spd_csv,
 )
@@ -363,6 +364,46 @@ class TestSettingsRejectedBeforeAnyRead:
         assert reads == ["read_projection"] and not out.exists()
         run_ok(capsys, argv + ["--bins", str(2**31), "--downsample", "2", "--out", str(out)])
         assert reads.count("read_scube") == 4  # the counter sees a valid build's scenes
+
+
+class TestBoundsFromTheIlluminantsNameTheirOption:
+    """A setting past a bound that only the illuminant set fixes fails with
+    a one-line diagnostic that names its option, before any output."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["export-pca-coords", "--components", "32"],
+                "--components 32: ill_pca cannot fit d' = 32: "
+                "at most 27 with 28 projection-set candidates and 31 bands",
+            ),
+            (
+                ["export-pca-coords", "--components", "28"],
+                "--components 28: ill_pca cannot fit d' = 28: "
+                "at most 27 with 28 projection-set candidates and 31 bands",
+            ),
+            (
+                ["export-pca-coords", "--components", "27"],
+                "--components 27: sample covariance supports fewer than 27 components",
+            ),
+            (
+                ["export-pca-coords", "--components", "4", "--projection-set", "four"],
+                "--components 4: ill_pca cannot fit d' = 4: "
+                "at most 3 with 4 projection-set candidates and 31 bands",
+            ),
+            (["select-projection-set", "--k", "40"], "--k 40: cannot pick 40 from 28 illuminants"),
+        ],
+        ids=["components-32", "components-28", "components-27", "components-set", "select-k"],
+    )
+    def test_upper_bound(self, tmp_path, capsys, reads, argv, message):
+        out = tmp_path / "out"
+        write_name_list(tmp_path / "four", ["A", "D65", "F2", "LED-B1"])
+        argv = [str(tmp_path / a) if a == "four" else a for a in argv]
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert reads[0] == "load_illuminants" and not out.exists()
 
 
 class TestModelAndClassify:

@@ -896,20 +896,28 @@ class TestBatchedEvaluation:
     ):
         # The runner featurizes each run of cases, or of one case's rows, by
         # its own call and scores the scene at every B; that must equal
-        # scoring each run of cases' relit (and noisy) stack itself.
+        # scoring each run of the per-case relit (and noisy) images' stack.
         if batch_rows is not None:
             monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
         runner = _Runner(demo_config(demo_data))
+        master = runner.config.noise_master_seed
         proj = fit_ill_pca(runner.proj_set, 2)
         models = [build_model(runner.train_eval, runner.full, proj, b) for b in (5, 10)]
         scenes = runner.test_features(proj, noise_db)
         assert len(scenes) == len(runner.test_eval)
-        for i, scene in enumerate(scenes):
+        for i, (img, scene) in enumerate(zip(runner.test_eval, scenes)):
+            cases = []
+            for j, ill in enumerate(runner.full):
+                radiance = relight(img, ill.normalized_spd())
+                if noise_db is not None:
+                    radiance = add_noise(radiance, noise_db, mix_seed(master, i, j))
+                cases.append(radiance.valid_pixels())
+            stack = np.stack(cases)
             assert scene.projection is proj
-            assert scene.kept.shape == (len(runner.full), len(runner._test_pixels[i]))
-            runs = cbc.batch_runs(len(runner.full), len(runner._test_pixels[i]))
+            assert scene.kept.shape == stack.shape[:2]
+            runs = cbc.batch_runs(*stack.shape[:2])
             for model in models:
-                stacks = [score(model, runner._case_pixels(i, run, noise_db)) for run in runs]
+                stacks = [score(model, stack[run.start : run.stop]) for run in runs]
                 assert score(model, scene).tobytes() == np.concatenate(stacks).tobytes()
 
     def test_ties_resolve_to_the_lowest_index(self, demo_data):

@@ -10,8 +10,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "illumest"
 
 
-def unused_imports(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each imported name the source never reads."""
+def unread_imports(source: str) -> list[tuple[int, str, bool]]:
+    """(line, name, marked) of each imported name the source never reads;
+    `marked` when its import line carries `# noqa: F401`."""
     tree = ast.parse(source)
     lines = source.splitlines()
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -20,7 +21,7 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
-    unused = []
+    unread = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound = [(a, (a.asname or a.name).split(".")[0]) for a in node.names]
@@ -29,9 +30,15 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
         else:
             continue
         for alias, name in bound:
-            if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
-                unused.append((alias.lineno, name))
-    return sorted(unused)
+            if name not in used:
+                marked = "# noqa: F401" in lines[alias.lineno - 1]
+                unread.append((alias.lineno, name, marked))
+    return sorted(unread)
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported name the source never reads, unless marked."""
+    return [(line, name) for line, name, marked in unread_imports(source) if not marked]
 
 
 def test_every_imported_name_is_used():

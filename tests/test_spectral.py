@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illumest.baselines import spectral_gray_world
 from illumest.illuminants import Illuminant, IlluminantSet
@@ -17,6 +19,7 @@ from illumest.spectral import (
     downsample,
     mix_seed,
     noise_sigma,
+    noisy_rows,
     relight,
     sensor_project,
 )
@@ -282,3 +285,46 @@ class TestNoise:
         rng = np.random.default_rng(9)
         wanted = np.clip(2.0 + 0.02 * rng.standard_normal((1, 2, 2)), 0.0, None)
         np.testing.assert_array_equal(out.data[0, 0], wanted[0, 0])
+
+    @pytest.mark.parametrize("level", [None, np.inf])
+    def test_clean_levels_copy(self, level):
+        img = make_image(np.full((2, 2, 3), 2.0), np.array([[True, False], [True, True]]))
+        out = add_noise(img, level, 1)
+        assert out is not img and out.data is not img.data
+        np.testing.assert_array_equal(out.data, img.data)
+        rows = img.valid_pixels()
+        clean = noisy_rows(rows, img.mask, level, 1)
+        assert clean is not rows
+        np.testing.assert_array_equal(clean, rows)
+
+    @pytest.mark.parametrize("level", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_non_finite_level_rejected(self, level):
+        # -inf is the noisiest level of all, not a clean one
+        img = make_image(np.full((2, 2, 3), 2.0))
+        with pytest.raises(ValueError, match="snr_db must be finite, \\+inf or None"):
+            add_noise(img, level, 1)
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            noisy_rows(img.valid_pixels(), img.mask, level, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.floats(-30.0, 80.0),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_rows_match_the_noisy_image(self, h, w, bands, draw, snr, seed):
+        rng = np.random.default_rng(draw)
+        mask = rng.random((h, w)) < 0.7
+        mask.flat[rng.integers(h * w)] = True
+        img = make_image(rng.random((h, w, bands)) * rng.choice([1e-3, 1.0, 1e3]), mask)
+        rows = noisy_rows(img.valid_pixels(), img.mask, snr, seed)
+        noisy = add_noise(img, snr, seed)
+        assert rows.tobytes() == noisy.valid_pixels().tobytes()
+        np.testing.assert_array_equal(noisy.data[~mask], img.data[~mask])
+        # the same stream and arithmetic as noising every pixel of the image
+        sigma = noise_sigma(float(img.valid_pixels().mean()), snr)
+        whole = img.data + np.random.default_rng(seed).standard_normal(img.data.shape) * sigma
+        assert rows.tobytes() == np.clip(whole, 0.0, None)[mask].tobytes()
