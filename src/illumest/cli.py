@@ -98,7 +98,8 @@ def _cmd_select(args) -> int:
 def _cmd_fit(args) -> int:
     full = load_illuminants(_illuminants(args))
     proj_set = projection_set(
-        full, args.projection_set, args.projection_set_k, args.projection_set_seed
+        full, args.projection_set, args.projection_set_k, args.projection_set_seed,
+        k_option="--projection-set-k",
     )
     if args.method == KIND_RGB and args.camera is None:
         raise ValueError("--camera is required for the rgb method")
@@ -190,11 +191,11 @@ def _cmd_export_pca(args) -> int:
         if args.projection_set is not None
         else full
     )
-    try:  # the bound, or a set whose SPDs span fewer dimensions
+    try:
         check_fittable(KIND_ILL_PCA, (args.components,), fitted_on)
-        proj = fit_ill_pca(fitted_on, args.components)
     except ValueError as exc:
         raise ValueError(f"--components {args.components}: {exc}") from None
+    proj = fit_ill_pca(fitted_on, args.components)
     coords = proj.apply_rows(full.chromaticity_matrix())
     header = "name," + ",".join(f"c{i + 1}" for i in range(args.components))
     lines = [header]

@@ -48,6 +48,7 @@ from .projections import (
     KIND_RAND,
     KIND_RGB,
     TrainingMatrix,
+    covariance_components,
     fit_ill_pca,
     fit_lda,
     fit_nnmf,
@@ -398,11 +399,17 @@ def training_chromaticities(
     return TrainingMatrix(rows)
 
 
-def projection_set(full: IlluminantSet, names_file, k: int, seed: int) -> IlluminantSet:
-    """The candidates named in `names_file`, or else k-means picks from `full`."""
+def projection_set(
+    full: IlluminantSet, names_file, k: int, seed: int, k_option: str = "projection_set_k"
+) -> IlluminantSet:
+    """The candidates named in `names_file`, or else k-means picks from `full`;
+    a k past the set fails naming `k_option`."""
     if names_file is not None:
         return full.subset(read_name_list(names_file))
-    return select_projection_set(full, k=k, seed=seed)
+    try:
+        return select_projection_set(full, k=k, seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"{k_option} {k}: {exc}") from None
 
 
 def check_fittable(
@@ -412,8 +419,9 @@ def check_fittable(
     off the set's wavelength grid, before any fit runs.
 
     With k projection-set candidates: lda fits at most k - 1 dimensions,
-    ill_pca min(k - 1, bands), the other projections at most the band
-    count; rgb is pinned to its three channels and sgw has no projection.
+    ill_pca the components its fit's sample covariance of the set's SPDs
+    supports (`covariance_components`), the other projections at most the
+    band count; rgb is pinned to its three channels and sgw has no projection.
     """
     for camera in cameras:
         if camera.axis != proj_set.axis:
@@ -421,13 +429,15 @@ def check_fittable(
     if method in (KIND_RGB, METHOD_SGW):
         return
     k, bands = len(proj_set), proj_set.axis.count
-    limit = {KIND_LDA: k - 1, KIND_ILL_PCA: min(k - 1, bands)}.get(method, bands)
+    if method == KIND_ILL_PCA:
+        limit = covariance_components(proj_set.chromaticity_matrix())[2] if k > 1 else 0
+        why = f"the {k} projection-set SPDs support at most {limit} components"
+    else:
+        limit = k - 1 if method == KIND_LDA else bands
+        why = f"at most {limit} with {k} projection-set candidates and {bands} bands"
     for d_prime in d_primes:
         if d_prime > limit:
-            raise ValueError(
-                f"{method} cannot fit d' = {d_prime}: at most {limit} with "
-                f"{k} projection-set candidates and {bands} bands"
-            )
+            raise ValueError(f"{method} cannot fit d' = {d_prime}: {why}")
 
 
 def fit_projection(method, d_prime, proj_set, training, seed, max_iter, camera):
@@ -455,6 +465,8 @@ class _Runner:
     in report order, scoring each cell's model at every noise level."""
 
     def __init__(self, config: GridConfig):
+        """Read the illuminants and the dataset manifest; scenes are read
+        when the sweep first needs them, after its settings are checked."""
         self.config = config
         self.full = load_illuminants(config.illuminants)
         self.proj_set = projection_set(
@@ -467,18 +479,7 @@ class _Runner:
                 raise ValueError(
                     f"train/test scenes overlap: {sorted(str(p) for p in overlap)}"
                 )
-        # Only the downsample_eval scenes stay; training fits re-read theirs.
-        scenes = {}
-        for p in dict.fromkeys(train_paths + test_paths):
-            img = read_scube(p)
-            if img.axis != self.full.axis:
-                raise ValueError(
-                    f"{p}: scene grid [{img.axis}] does not match illuminants"
-                )
-            scenes[p] = downsample(img, config.downsample_eval)
-        self.train_paths = train_paths
-        self.train_eval = [scenes[p] for p in train_paths]
-        self.test_eval = [scenes[p] for p in test_paths]
+        self.train_paths, self.test_paths = train_paths, test_paths
         self.test_names = [p.stem for p in test_paths]
         self._spd_rows = self.full.chromaticity_matrix()
         # Angular error of each predicted candidate (by name) against each true one.
@@ -488,6 +489,28 @@ class _Runner:
         }
 
     # -- lazy inputs --------------------------------------------------------
+
+    @cached_property
+    def _scenes(self) -> tuple[list[SpectralImage], list[SpectralImage]]:
+        """The training and the test scenes at downsample_eval, each read
+        once. Only these stay; training fits re-read theirs."""
+        scenes = {}
+        for p in dict.fromkeys(self.train_paths + self.test_paths):
+            img = read_scube(p)
+            if img.axis != self.full.axis:
+                raise ValueError(
+                    f"{p}: scene grid [{img.axis}] does not match illuminants"
+                )
+            scenes[p] = downsample(img, self.config.downsample_eval)
+        return [scenes[p] for p in self.train_paths], [scenes[p] for p in self.test_paths]
+
+    @property
+    def train_eval(self) -> list[SpectralImage]:
+        return self._scenes[0]
+
+    @property
+    def test_eval(self) -> list[SpectralImage]:
+        return self._scenes[1]
 
     @cached_property
     def cameras(self) -> dict:
@@ -565,16 +588,18 @@ class _Runner:
     def _sweep(self, methods, d_primes, bins, levels) -> EvalReport:
         """One row per (method, d', variant, B, noise level), then the
         variant averages. `levels` holds (noise label, dB or None) pairs.
-        Each method's settings are checked before the first fit. Each
-        projection's training and `test_features` serve all of its B values."""
+        Each method's settings are checked before the first fit, and all but
+        the downsampling factors before any scene is read. Each projection's
+        training and `test_features` serve all of its B values."""
         cfg = self.config
-        # downsample_eval divided every scene, so these are the training scenes' sides
-        sides = {n * cfg.downsample_eval for im in self.train_eval for n in (im.height, im.width)}
         for method in methods:
             cameras = self.cameras.values() if method == KIND_RGB else ()
             check_fittable(method, d_primes, self.proj_set, cameras)
             if method != METHOD_SGW:
                 cell_count(max(bins), 3 if method == KIND_RGB else max(d_primes))
+        # downsample_eval divided every scene, so these are the training scenes' sides
+        sides = {n * cfg.downsample_eval for im in self.train_eval for n in (im.height, im.width)}
+        for method in methods:
             # pca and nnmf fit from `fit_matrix`, lda from `lda_matrix`
             key = "downsample_lda" if method == KIND_LDA else "downsample_fit"
             factor = getattr(cfg, key) if method in (KIND_PCA, KIND_NNMF, KIND_LDA) else 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -203,18 +204,26 @@ def fit_rand(input_dim: int, output_dim: int, seed: int) -> Projection:
     )
 
 
+def covariance_components(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Mean and eigenvectors (in columns, eigenvalues descending) of the
+    (N-1)-normalized sample covariance of rows x (N >= 2), and how many
+    components it supports: those whose eigenvalue passes _RANK_TOL times the
+    largest, none if no eigenvalue is positive."""
+    mean = x.mean(axis=0)
+    centered = x - mean
+    evals, evecs = symmetric_eig(centered.T @ centered / (x.shape[0] - 1))
+    supported = int(np.count_nonzero(evals > max(float(evals[0]), 0.0) * _RANK_TOL))
+    return mean, evecs, supported
+
+
 def _pca_core(x: np.ndarray, output_dim: int, kind: str, metadata: dict) -> Projection:
     n, d = x.shape
     if n < 2:
         raise ValueError("PCA needs at least two samples")
     if not 1 <= output_dim <= d:
         raise ValueError(f"need 1 <= output_dim <= {d}, got {output_dim}")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (n - 1)
-    evals, evecs = symmetric_eig(cov)
-    floor = max(float(evals[0]), 0.0) * _RANK_TOL
-    if evals[0] <= 0 or evals[output_dim - 1] <= floor:
+    mean, evecs, supported = covariance_components(x)
+    if output_dim > supported:
         raise ValueError(
             f"sample covariance supports fewer than {output_dim} components"
         )
@@ -259,10 +268,22 @@ def nnmf_factorize(
     """Multiplicative-update factorization X ~ U V with U, V >= 0.
 
     Returns (U (n, rank), V (rank, d), losses) where losses[t] is the squared
-    Frobenius reconstruction error before iteration t (losses[0] is the
-    initial loss); the sequence is non-increasing. Iteration stops when the
-    relative loss improvement drops below `tol` or after `max_iter` rounds.
+    Frobenius reconstruction error before iteration t; the sequence is
+    non-increasing. Iteration stops when the relative loss improvement drops
+    to `tol` (finite, >= 0) or after `max_iter` rounds.
+
+    losses[0] and losses[-1] are ||X - U V||^2 computed directly; those in
+    between come from the Gram terms the V update forms, ||X||^2 -
+    2 <U^T X, V> + <U^T U, V V^T> (Lee & Seung, NIPS 2001), and each lies
+    within err = 4 (n + rank)(d + rank) eps (||X||^2 + ||U V||^2) of the direct
+    value. A round whose Gram loss is at most err, or whose stopping margin is
+    within err plus (1 + tol) times the previous loss's err of the threshold,
+    takes the direct loss; so losses are non-negative, and a stopping decision
+    can differ from the direct loss's only where that margin is within
+    (1 + tol) times the previous loss's err of the threshold.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or np.any(x < 0):
         raise ValueError("x must be a non-negative 2-D array")
@@ -271,20 +292,33 @@ def nnmf_factorize(
         raise ValueError(f"need 1 <= rank <= {min(n, d)}, got {rank}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    tiny = np.finfo(np.float64).tiny
     rng = np.random.default_rng(seed)
-    amp = float(np.sqrt(max(x.mean(), np.finfo(np.float64).tiny) / rank))
+    amp = float(np.sqrt(max(x.mean(), tiny) / rank))
     u = rng.random((n, rank)) * amp
     v = rng.random((rank, d)) * amp
     guard = 1e-9  # keeps multiplicative denominators away from zero
-    losses = [float(np.linalg.norm(x - u @ v) ** 2)]
+    xx = float(np.vdot(x, x))
+    err_scale = 4 * (n + rank) * (d + rank) * np.finfo(np.float64).eps
+
+    def direct() -> float:
+        return float(np.linalg.norm(x - u @ v) ** 2)
+
+    losses, err = [direct()], 0.0  # err bounds losses[-1]'s distance to direct()
     for _ in range(max_iter):
         u *= (x @ v.T) / (u @ (v @ v.T) + guard)
-        v *= (u.T @ x) / ((u.T @ u) @ v + guard)
-        loss = float(np.linalg.norm(x - u @ v) ** 2)
+        utx, utu = u.T @ x, u.T @ u
+        v *= utx / (utu @ v + guard)
+        uvuv = float(np.vdot(utu, v @ v.T))
+        loss = xx - 2.0 * float(np.vdot(utx, v)) + uvuv
+        prev, prev_err, err = losses[-1], err, err_scale * (xx + uvuv)
+        margin = prev - loss - tol * max(prev, tiny)
+        if loss <= err or abs(margin) <= err + (1.0 + tol) * prev_err:
+            loss, err = direct(), 0.0
         losses.append(loss)
-        prev = losses[-2]
-        if prev - loss <= tol * max(prev, np.finfo(np.float64).tiny):
+        if prev - loss <= tol * max(prev, tiny):
             break
+    losses[-1] = direct()
     return u, v, losses
 
 

@@ -376,25 +376,38 @@ class TestBoundsFromTheIlluminantsNameTheirOption:
             (
                 ["export-pca-coords", "--components", "32"],
                 "--components 32: ill_pca cannot fit d' = 32: "
-                "at most 27 with 28 projection-set candidates and 31 bands",
+                "the 28 projection-set SPDs support at most 18 components",
             ),
             (
                 ["export-pca-coords", "--components", "28"],
                 "--components 28: ill_pca cannot fit d' = 28: "
-                "at most 27 with 28 projection-set candidates and 31 bands",
+                "the 28 projection-set SPDs support at most 18 components",
             ),
             (
                 ["export-pca-coords", "--components", "27"],
-                "--components 27: sample covariance supports fewer than 27 components",
+                "--components 27: ill_pca cannot fit d' = 27: "
+                "the 28 projection-set SPDs support at most 18 components",
             ),
             (
                 ["export-pca-coords", "--components", "4", "--projection-set", "four"],
                 "--components 4: ill_pca cannot fit d' = 4: "
-                "at most 3 with 4 projection-set candidates and 31 bands",
+                "the 4 projection-set SPDs support at most 3 components",
             ),
             (["select-projection-set", "--k", "40"], "--k 40: cannot pick 40 from 28 illuminants"),
+            (
+                ["fit", "--method", "ill_pca", "--projection-set-k", "40", "--d-prime", "2"],
+                "--projection-set-k 40: cannot pick 40 from 28 illuminants",
+            ),
+            (
+                ["fit", "--method", "ill_pca", "--projection-set-k", "28", "--d-prime", "19"],
+                "ill_pca cannot fit d' = 19: "
+                "the 28 projection-set SPDs support at most 18 components",
+            ),
         ],
-        ids=["components-32", "components-28", "components-27", "components-set", "select-k"],
+        ids=[
+            "components-32", "components-28", "components-27", "components-set", "select-k",
+            "fit-projection-set-k", "fit-ill-pca-19",
+        ],
     )
     def test_upper_bound(self, tmp_path, capsys, reads, argv, message):
         out = tmp_path / "out"

@@ -715,6 +715,32 @@ class TestRejectedBeforeAnyWork:
             run_grid(cfg)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(projection_set_k=40), "projection_set_k 40: cannot pick 40 from 28 illuminants"),
+            (
+                # the 28 bundled SPDs span 18 centered dimensions, not min(k - 1, bands)
+                dict(projection_set_k=28, d_primes=(2, 19)),
+                "ill_pca cannot fit d' = 19: "
+                "the 28 projection-set SPDs support at most 18 components",
+            ),
+        ],
+        ids=["projection-set-k", "ill-pca-spd-rank"],
+    )
+    def test_projection_set_bounds_before_any_scene_is_read(
+        self, demo_data, calls, monkeypatch, overrides, message
+    ):
+        reads = []
+        read_scube = evaluation.read_scube
+        monkeypatch.setattr(
+            evaluation, "read_scube", lambda *a, **k: reads.append(1) or read_scube(*a, **k)
+        )
+        with pytest.raises(ValueError) as info:
+            run_grid(demo_config(demo_data, **overrides))
+        assert str(info.value) == message
+        assert reads == [] and calls == []
+
     def test_rgb_cell_space_counts_three_dimensions(self, demo_data, bundled_cameras, calls):
         # (3 * 10**6) ** 3 passes the int64 range; d' = 1 alone would not
         cfg = demo_config(

@@ -1,12 +1,17 @@
 """Projection fitting, application, and serialization."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from illumest import synth_dataset
+from illumest.evaluation import training_chromaticities
 from illumest.illuminants import Illuminant, IlluminantSet
-from illumest.io import FormatError
+from illumest.io import FormatError, read_dataset_manifest, read_scube
 from illumest.projections import (
     ALL_KINDS,
     KIND_ILL_PCA,
@@ -269,6 +274,13 @@ class TestNnmf:
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             nnmf_factorize(np.ones((3, 3)), 2, max_iter=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_bad_tol(self, tol):
+        with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol}"):
+            nnmf_factorize(np.ones((3, 3)), 2, tol=tol)
+        with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol}"):
+            fit_nnmf(simplex_rows(6, 4), 2, tol=tol)
+
     def test_fit_nnmf_projection(self):
         # Rows built as an exact rank-3 non-negative product (then scaled to
         # unit sum, which preserves the rank) are representable, so the
@@ -289,6 +301,102 @@ class TestNnmf:
         assert np.all(z >= 0)
         rel = np.linalg.norm(t.rows - z @ p.basis) ** 2 / np.linalg.norm(t.rows) ** 2
         assert rel < 1e-3
+
+
+TINY = np.finfo(np.float64).tiny
+
+
+def direct_nnmf(x, rank, seed, max_iter, tol):
+    """The multiplicative updates of `nnmf_factorize`, run for all `max_iter`
+    rounds with ||X - U V||^2 formed directly each round. Returns per round
+    t (0 = start) the direct loss, the bound `err` the fit's docstring states
+    for a Gram-form loss there, the stopping margin (the fit stops at round
+    t when margins[t] <= 0) and V."""
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    amp = float(np.sqrt(max(x.mean(), TINY) / rank))
+    u = rng.random((n, rank)) * amp
+    v = rng.random((rank, d)) * amp
+    xx = float(np.sum(x * x))
+    ulp = 4 * (n + rank) * (d + rank) * np.finfo(np.float64).eps
+    losses, errs, margins, vs = [float(np.linalg.norm(x - u @ v) ** 2)], [0.0], [None], [v]
+    for _ in range(max_iter):
+        u = u * ((x @ v.T) / (u @ (v @ v.T) + 1e-9))
+        v = v * ((u.T @ x) / ((u.T @ u) @ v + 1e-9))
+        uv = u @ v
+        prev = losses[-1]
+        losses.append(float(np.linalg.norm(x - uv) ** 2))
+        errs.append(ulp * (xx + float(np.vdot(uv, uv))))
+        margins.append(prev - losses[-1] - tol * max(prev, TINY))
+        vs.append(v)
+    return losses, errs, margins, vs
+
+
+@st.composite
+def nnmf_problems(draw):
+    """(x, rank, seed, tol, max_iter): dense, sparse or exactly low-rank
+    non-negative matrices at three scales."""
+    n, d = draw(st.integers(1, 24)), draw(st.integers(1, 12))
+    rank = draw(st.integers(1, min(n, d)))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    shape = draw(st.sampled_from(["dense", "sparse", "low-rank"]))
+    if shape == "low-rank":
+        x = rng.random((n, rank)) @ rng.random((rank, d))
+    else:
+        x = rng.random((n, d)) * (rng.random((n, d)) < (0.3 if shape == "sparse" else 1.0))
+    x *= draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    tol = draw(
+        st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.5])
+        | st.floats(0.0, 1.0, allow_nan=False)
+    )
+    return x, rank, seed, tol, draw(st.integers(1, 150))
+
+
+class TestNnmfGramLoss:
+    """`nnmf_factorize` takes its stopping-test losses from Gram terms; each
+    is non-negative and within the stated `err` of the direct loss, the first
+    and last are the direct loss, and a stopping decision is the direct
+    loss's wherever its margin is clear of the previous loss's bound."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(nnmf_problems())
+    def test_losses_and_stopping_match_the_direct_loss(self, problem):
+        x, rank, seed, tol, max_iter = problem
+        _, v, losses = nnmf_factorize(x, rank, seed=seed, max_iter=max_iter, tol=tol)
+        ref, errs, margins, vs = direct_nnmf(x, rank, seed, max_iter, tol)
+        end = len(losses) - 1
+        np.testing.assert_array_equal(v, vs[end])
+        assert losses[0] == ref[0] and losses[end] == ref[end]
+        for t in range(1, end):
+            assert 0.0 <= losses[t] and abs(losses[t] - ref[t]) <= errs[t]
+        # the fit went on past every round before `end` and stopped at `end`,
+        # unless max_iter ended it; only a margin within the previous loss's
+        # bound may take the other decision
+        for t in range(1, min(end + 1, max_iter)):
+            if abs(margins[t]) > (1.0 + tol) * errs[t - 1]:
+                assert (margins[t] <= 0) == (t == end)
+
+    def test_proj_bytes_pinned(self, tmp_path, bundled_set):
+        # sha256 of each `.proj` from the direct-loss fit, on numpy's
+        # scipy-openblas build; another BLAS may round the products apart
+        manifest, _ = synth_dataset(
+            tmp_path, 3, bundled_set.axis, base_seed=17, width=8, height=8
+        )
+        train, _ = read_dataset_manifest(manifest)
+        rows = training_chromaticities([read_scube(p) for p in train], bundled_set)
+        pinned = {
+            1: "930755ccc9f57baa716a4550fda25499ef3b6164b3fb7c76655080a4a4e69790",
+            2: "96f3a7ead0e3c17399f18265268ec6738c7cc982c2ca95712f63318b380fe4e5",
+            3: "3299f3c99295b852e46120cffc7c90c1201b749db84fed5798495b0e84a138d9",
+            4: "ae381273483bde8a54f30d96874f760bb1fb4e1e8c765d6155243d9ad7930ac2",
+            5: "5b1b30e106206d41b1dacc73a5e4da11c264589d9ba849742f2458b6882d501d",
+        }
+        for d_prime, digest in pinned.items():
+            path = tmp_path / f"nnmf{d_prime}.proj"
+            write_projection(path, fit_nnmf(rows, d_prime, seed=d_prime))
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestFitLda:
