@@ -139,7 +139,34 @@ class CaseResult:
     error_deg: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class CaseTable:
+    """A runner's test scene and candidate names, and errors[p, t]: the angular
+    error of predicting candidate p when candidate t is true."""
+
+    scenes: tuple[str, ...]
+    candidates: tuple[str, ...]
+    errors: np.ndarray
+
+    def row(self, predicted: np.ndarray, *key) -> "ReportRow":
+        """The row at `key` of `predicted`, summarizing its errors scene-major."""
+        errors = self.errors[predicted, np.arange(len(self.candidates))]
+        return ReportRow(*key, summarize(errors.ravel()), predicted, self)
+
+    @cached_property
+    def error_rows(self) -> list[list[float]]:
+        """`errors` as lists of floats, made once so that every case shares them."""
+        return self.errors.tolist()
+
+    @cached_property
+    def raw_fields(self) -> list[list[str]]:
+        """The raw CSV's "true,predicted,error" text of each (p, t) pair."""
+        names = self.candidates
+        return [[f"{t},{p},{format_float(e)}" for t, e in zip(names, row)]
+                for p, row in zip(names, self.error_rows)]
+
+
+@dataclass(eq=False)
 class ReportRow:
     """One aggregate line of a report."""
 
@@ -149,7 +176,19 @@ class ReportRow:
     variant: str
     noise_label: str  # "-" for grid rows, "clean" or a dB figure for noise rows
     summary: ErrorSummary
-    cases: Optional[list[CaseResult]] = None  # None on averaged rows
+    # (test scene, true candidate) indices into table.candidates; None on averaged rows
+    predicted: Optional[np.ndarray] = None
+    table: Optional[CaseTable] = None
+
+    @property
+    def cases(self) -> Optional[list[CaseResult]]:
+        """One `CaseResult` per case, scene-major; None on averaged rows."""
+        t = self.table
+        return None if t is None else [
+            CaseResult(scene, t.candidates[j], t.candidates[p], t.error_rows[p][j])
+            for scene, preds in zip(t.scenes, self.predicted.tolist())
+            for j, p in enumerate(preds)
+        ]
 
     def sort_key(self):
         if self.noise_label == NO_VARIANT:
@@ -199,10 +238,10 @@ class EvalReport:
     def write_raw_csv(self, path) -> None:
         lines = [_RAW_HEADER]
         for r in self.sorted_rows():
-            key = r.key_columns()
-            for c in r.cases or ():
-                case = [c.scene, c.true_name, c.predicted, format_float(c.error_deg)]
-                lines.append(",".join(key + case))
+            if r.table is not None:
+                key, texts = ",".join(r.key_columns()), r.table.raw_fields
+                for scene, preds in zip(r.table.scenes, r.predicted.tolist()):
+                    lines.extend(f"{key},{scene},{texts[p][t]}" for t, p in enumerate(preds))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -480,13 +519,10 @@ class _Runner:
                     f"train/test scenes overlap: {sorted(str(p) for p in overlap)}"
                 )
         self.train_paths, self.test_paths = train_paths, test_paths
-        self.test_names = [p.stem for p in test_paths]
         self._spd_rows = self.full.chromaticity_matrix()
-        # Angular error of each predicted candidate (by name) against each true one.
-        self._errors = {
-            pred.name: [angular_error_deg(pred.spd, true.spd) for true in self.full]
-            for pred in self.full
-        }
+        errors = [[angular_error_deg(p.spd, t.spd) for t in self.full] for p in self.full]
+        scenes = tuple(p.stem for p in test_paths)
+        self.table = CaseTable(scenes, tuple(self.full.names()), np.array(errors))
 
     # -- lazy inputs --------------------------------------------------------
 
@@ -555,19 +591,6 @@ class _Runner:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _evaluate(self, predicted: list) -> tuple[ErrorSummary, list[CaseResult]]:
-        """Error summary and per-case records over (test scene x candidate).
-
-        `predicted[i]` names the predicted candidate for each case of test
-        scene i: the scene lit by each candidate in turn.
-        """
-        cases = [
-            CaseResult(scene, ill.name, name, self._errors[name][j])
-            for scene, names in zip(self.test_names, predicted)
-            for j, (ill, name) in enumerate(zip(self.full, names))
-        ]
-        return summarize(np.asarray([c.error_deg for c in cases])), cases
-
     def test_features(self, projection, noise_db: Optional[float]) -> list[BlockFeatures]:
         """One `BlockFeatures` per test scene, `kept` (n_candidates, N): the
         `relit_rows` of its valid pixels under the normalized SPDs, each case
@@ -605,16 +628,16 @@ class _Runner:
             factor = getattr(cfg, key) if method in (KIND_PCA, KIND_NNMF, KIND_LDA) else 1
             if any(n % factor for n in sides):
                 raise ValueError(f"{key} {factor} does not divide every training scene side")
-        rows = []
+        rows, table = [], self.table
         for method in methods:
             if method == METHOD_SGW:
                 spds = [ill.normalized_spd() for ill in self.full]
-                predicted = [
-                    [spectral_gray_world(relight(img, spd), self.full)[0] for spd in spds]
+                predicted = np.array([
+                    [self.full.index_of(spectral_gray_world(relight(img, spd), self.full)[0])
+                     for spd in spds]
                     for img in self.test_eval
-                ]
-                sgw = self._evaluate(predicted)
-                rows.append(ReportRow(method, None, None, NO_VARIANT, NO_VARIANT, *sgw))
+                ])
+                rows.append(table.row(predicted, method, None, None, NO_VARIANT, NO_VARIANT))
                 continue
             for d_prime in (3,) if method == KIND_RGB else d_primes:
                 for variant, proj in self._projections(method, d_prime):
@@ -626,11 +649,10 @@ class _Runner:
                             smoothing=cfg.smoothing, features=features,
                         )
                         for (label, _), scenes in zip(levels, tests):
-                            predicted = [classify(model, f, mode=cfg.score_mode)[0] for f in scenes]
-                            result = self._evaluate(predicted)
-                            rows.append(
-                                ReportRow(method, d_prime, n_bins, variant, label, *result)
-                            )
+                            scores = [classify(model, f, mode=cfg.score_mode)[1] for f in scenes]
+                            predicted = np.argmax(scores, axis=-1)  # classify's tie rule
+                            key = (method, d_prime, n_bins, variant, label)
+                            rows.append(table.row(predicted, *key))
         rows.extend(_average_rows(rows))
         return EvalReport(rows)
 
@@ -668,7 +690,7 @@ def _average_rows(rows: Sequence[ReportRow]) -> list[ReportRow]:
             worst25=float(np.mean([m.summary.worst25 for m in members])),
             n=int(sum(m.summary.n for m in members)),
         )
-        out.append(ReportRow(method, d_prime, n_bins, AVG_VARIANT, noise_label, s, None))
+        out.append(ReportRow(method, d_prime, n_bins, AVG_VARIANT, noise_label, s))
     return out
 
 

@@ -285,8 +285,8 @@ def nnmf_factorize(
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or np.any(x < 0):
-        raise ValueError("x must be a non-negative 2-D array")
+    if x.ndim != 2 or not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise ValueError("x must be a finite, non-negative 2-D array")
     n, d = x.shape
     if not 1 <= rank <= min(n, d):
         raise ValueError(f"need 1 <= rank <= {min(n, d)}, got {rank}")

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 from test_imports import SRC, unread_imports
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
-    """Import bench/spans.py by path, writing no bytecode next to it."""
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench(name):
+    """Import bench/<name>.py by path, writing no bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     saved = sys.dont_write_bytecode
@@ -33,7 +33,7 @@ def load_spans():
 
 
 def test_every_traced_site_resolves():
-    spans = load_spans()
+    spans = load_bench("spans")
     sites = [s for group, _ in spans.SPAN_SITES.values() for s in group]
     sites += [s for group in spans.COUNT_SITES.values() for s in group]
     missing = []
@@ -53,7 +53,7 @@ def test_every_traced_site_resolves():
 def test_every_marked_import_is_a_traced_site():
     """An import that its module never reads carries `# noqa: F401` only to
     stay an attribute the benchmark traces, so it must be a traced site."""
-    spans = load_spans()
+    spans = load_bench("spans")
     traced = {s for group, _ in spans.SPAN_SITES.values() for s in group}
     traced.update(s for group in spans.COUNT_SITES.values() for s in group)
     marked = [
@@ -98,7 +98,7 @@ def test_model_sizing_reads_every_stored_cell(tmp_path):
     ]
     (tmp_path / "base.cbcm").write_bytes(b"".join(header + body))
     models = []
-    record = load_spans()._model_stats(models)
+    record = load_bench("spans")._model_stats(models)
     for model in (built, read_model(tmp_path / "m.cbcm"), read_model(tmp_path / "base.cbcm")):
         record(model)
         cells, nbytes = models[-1]
@@ -140,7 +140,7 @@ def test_cli_fit_calls_the_traced_fit_sites(demo_data, bundled_cameras, tmp_path
     from illumest import evaluation
     from illumest.cli import main
 
-    spans = load_spans()
+    spans = load_bench("spans")
     names = [f"fit_{kind}" for kind in spans.FIT_KINDS] + ["select_projection_set"]
     traced = {s for group, _ in spans.SPAN_SITES.values() for s in group}
     assert {f"illumest.evaluation:{name}" for name in names} <= traced
@@ -162,3 +162,16 @@ def test_cli_fit_calls_the_traced_fit_sites(demo_data, bundled_cameras, tmp_path
         ]
         assert main(argv) == 0
         assert calls == {f"fit_{kind}": 1, "select_projection_set": 1}
+
+
+def test_smoke_grid_pass_passes_the_bench_case_checks(tmp_path):
+    """bench/workloads.py checks every report case (a known candidate and the
+    right error) and that the noise run's clean row repeats its grid row,
+    through `ReportRow.cases`; one SMOKE grid_hist pass must pass them."""
+    workloads = load_bench("workloads")
+    inputs = workloads.make_inputs(tmp_path, seed=3, size=workloads.SMOKE)
+    workload = workloads.make_workload("grid_hist", inputs)
+    workload.setup()
+    result = workload.run_pass(tmp_path)
+    assert result.attempted > 0
+    assert result.failed == 0 and result.breaches == []

@@ -1,15 +1,17 @@
 """Metrics, report formatting, configuration, and the evaluation runners."""
 
+import hashlib
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
-from illumest import cbc, evaluation
+from illumest import cbc, evaluation, synth_dataset
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cbc import build_model, classify, score
 from illumest.evaluation import (
     CaseResult,
+    CaseTable,
     ErrorSummary,
     EvalReport,
     GridConfig,
@@ -110,14 +112,34 @@ class TestSummarize:
 
 
 class TestReport:
+    # errors[p, t]: predicting B when A is true is 3.25 degrees off
+    table = CaseTable(("s0",), ("A", "B"), np.array([[0.0, 7.5], [3.25, 0.0]]))
+
     def row(self, **kw):
         base = dict(
             method="pca", d_prime=3, n_bins=30, variant="-", noise_label="-",
             summary=ErrorSummary(1.5, 1.25, 1.0, 0.5, 2.5, 8),
-            cases=[CaseResult("s0", "A", "B", 3.25)],
+            predicted=np.array([[1, 1]]), table=self.table,
         )
         base.update(kw)
         return ReportRow(**base)
+
+    def test_cases_view(self):
+        assert self.row().cases == [
+            CaseResult("s0", "A", "B", 3.25), CaseResult("s0", "B", "B", 0.0)
+        ]
+        assert self.row(variant="avg", predicted=None, table=None).cases is None
+
+    def test_row_summary_gathers_the_error_table(self):
+        table = CaseTable(("s0", "s1"), ("A", "B"), np.array([[0.0, 7.5], [3.25, 0.0]]))
+        predicted = np.array([[1, 0], [0, 0]])
+        row = table.row(predicted, "pca", 3, 30, "-", "-")
+        assert (row.method, row.d_prime, row.n_bins, row.variant, row.noise_label) == (
+            "pca", 3, 30, "-", "-"
+        )
+        assert row.predicted is predicted and row.table is table
+        # scene-major: s0 (A -> B, B -> A), then s1 (A -> A, B -> A)
+        assert row.summary == summarize(np.array([3.25, 7.5, 0.0, 7.5]))
 
     def test_csv_golden_lines(self, tmp_path):
         report = EvalReport([self.row()])
@@ -138,17 +160,18 @@ class TestReport:
             "method,d_prime,B,variant,noise_db,scene,true_illuminant,predicted,error_deg"
         )
         assert lines[1] == "pca,3,30,-,-,s0,A,B,3.25"
+        assert lines[2] == "pca,3,30,-,-,s0,B,B,0.0"
 
     def test_averaged_rows_skipped_in_raw(self, tmp_path):
-        rows = [self.row(), self.row(variant="avg", cases=None)]
+        rows = [self.row(), self.row(variant="avg", predicted=None, table=None)]
         p = tmp_path / "raw.csv"
         EvalReport(rows).write_raw_csv(p)
-        assert len(p.read_text().splitlines()) == 2
+        assert len(p.read_text().splitlines()) == 3
 
     def test_sort_order(self):
         mk = self.row
         rows = [
-            mk(method="rand", variant="avg", cases=None),
+            mk(method="rand", variant="avg", predicted=None, table=None),
             mk(method="rand", variant="43"),
             mk(method="rand", variant="42"),
             mk(method="pca", d_prime=5),
@@ -564,6 +587,27 @@ class TestRunners:
             assert clean.summary == grid_row.summary
             assert clean.cases == grid_row.cases
 
+    def test_no_case_objects_in_the_sweep_or_the_writers(self, demo_data, tmp_path, monkeypatch):
+        # rows hold index arrays; a `CaseResult` is made only when `cases` is read
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return CaseResult(*args)
+
+        monkeypatch.setattr(evaluation, "CaseResult", counted)
+        cfg = demo_config(
+            demo_data, methods=("rand", "sgw"), rand_seeds=(42, 43),
+            noise_method="rand", noise_levels=(20.0,),
+        )
+        reports = [run_grid(cfg), run_noise(cfg)]
+        for report in reports:
+            report.write_csv(tmp_path / "report.csv")
+            report.write_raw_csv(tmp_path / "raw.csv")
+        assert made == []
+        row = reports[0].sorted_rows()[0]
+        assert len(row.cases) == len(made) == row.summary.n
+
     def test_noise_rows_labeled_and_ordered(self, demo_data):
         cfg = demo_config(
             demo_data,
@@ -912,7 +956,7 @@ class TestBatchedEvaluation:
         (row,) = [r for r in report.rows if r.noise_label in ("-", "20")]
         assert [c.predicted for c in row.cases] == expected
         assert [(c.scene, c.true_name) for c in row.cases] == [
-            (scene, ill.name) for scene in runner.test_names for ill in runner.full
+            (scene, ill.name) for scene in runner.table.scenes for ill in runner.full
         ]
 
     @pytest.mark.parametrize("batch_rows", [None, 1, 5, 100])
@@ -959,3 +1003,46 @@ class TestBatchedEvaluation:
         predicted = self.sweep_predictions(runner, tied, None)
         assert set(predicted) == {tied.candidate_names[0]}
         assert predicted == self.per_case_predictions(runner, tied, None)
+
+
+def report_config(tmp_path, cameras):
+    """Every projection and sgw, rand and rgb with two variants each (so
+    with `avg` rows), on a small synthetic split; noise on rand at 20 dB."""
+    manifest, _ = synth_dataset(
+        tmp_path / "scenes", 6, SpectralAxis(), base_seed=5, width=16, height=16
+    )
+    return GridConfig(
+        dataset=manifest,
+        illuminants=bundled_illuminant_manifest(),
+        methods=("rgb", "rand", "pca", "ill_pca", "nnmf", "lda", "sgw"),
+        d_primes=(1, 2),
+        bins=(5,),
+        cameras=tuple(cameras[:2]),
+        rand_seeds=(42, 43),
+        downsample_fit=4,
+        downsample_lda=8,
+        nnmf_max_iter=40,
+        noise_method="rand",
+        noise_d_prime=2,
+        noise_bins=5,
+        noise_levels=(20.0,),
+    )
+
+
+class TestReportBytes:
+    def test_report_bytes_pinned(self, tmp_path, bundled_cameras):
+        # sha256 of both CSVs of a grid and a noise report, on numpy's
+        # scipy-openblas build; another BLAS may round the fits apart
+        cfg = report_config(tmp_path, bundled_cameras)
+        digests = []
+        for report in (run_grid(cfg), run_noise(cfg)):
+            for write in (report.write_csv, report.write_raw_csv):
+                path = tmp_path / "out.csv"
+                write(path)
+                digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests == [
+            "d3609392960e477235560fa49364cfcf592343d840faae6bd580b13e10c0a055",
+            "9ff257a1e56200c75087cefeb93e7208cf484cfdda13650e4636ff1066d2ec07",
+            "a6df9405b4aa5d927d2c158eb0629dd9227144946650c36880179200a0f7eeff",
+            "fa7b7194c9a945ac21a20e348b6c2cb1efce851dc5cb6982c0239756f495d213",
+        ]

@@ -269,6 +269,9 @@ class TestNnmf:
     def test_rejects_negative_input_and_bad_rank(self):
         with pytest.raises(ValueError):
             nnmf_factorize(np.array([[1.0, -1.0]]), 1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="x must be a finite"):
+                nnmf_factorize(np.array([[bad, 1.0], [0.5, 0.2]]), 1, max_iter=20)
         with pytest.raises(ValueError):
             nnmf_factorize(np.ones((3, 3)), 4)
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
@@ -377,6 +380,24 @@ class TestNnmfGramLoss:
         for t in range(1, min(end + 1, max_iter)):
             if abs(margins[t]) > (1.0 + tol) * errs[t - 1]:
                 assert (margins[t] <= 0) == (t == end)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_margin_at_zero_takes_the_direct_decision(self, seed):
+        # Round 1's previous loss is the direct starting loss, so when the
+        # fit takes the direct loss there its stopping test is the direct
+        # loop's, bit for bit. A tol within a few ulps of round 1's relative
+        # improvement puts that margin at about 0, where the Gram-form loss,
+        # a few ulps of ||X||^2 off, would decide some of them the other way.
+        x = np.random.default_rng(seed).random((20, 9))
+        ref = direct_nnmf(x, 2, 0, 1, 0.0)[0]
+        edge = (ref[0] - ref[1]) / ref[0]
+        for step in range(-16, 17):
+            tol = edge + step * np.spacing(edge)
+            _, v, losses = nnmf_factorize(x, 2, seed=0, max_iter=3, tol=tol)
+            _, _, margins, vs = direct_nnmf(x, 2, 0, 3, tol)
+            end = next((t for t in (1, 2) if margins[t] <= 0), 3)
+            assert len(losses) - 1 == end, f"tol {step} ulps from round 1's edge"
+            np.testing.assert_array_equal(v, vs[end])
 
     def test_proj_bytes_pinned(self, tmp_path, bundled_set):
         # sha256 of each `.proj` from the direct-loss fit, on numpy's
