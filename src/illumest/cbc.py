@@ -1,10 +1,11 @@
 """Correlation-based illuminant classification over binned chromaticities.
 
-For every candidate light source, training scenes are relit by its SPD and
-the projected chromaticities of all usable pixels are histogrammed on a
-shared, calibrated grid. A test image is classified by correlating its own
-histogram against each candidate's (log-likelihood by default) and taking
-the best-scoring candidate.
+For every candidate light source, the projected chromaticities of all usable
+training pixels under its SPD are histogrammed on a shared, calibrated grid.
+A linear projection folds each SPD into its basis, so one product of the
+training pixels with the folded bases gives every candidate's features.
+A test image is classified by correlating its own histogram against each
+candidate's (log-likelihood by default) and taking the best-scoring candidate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .illuminants import IlluminantSet
-from .projections import KIND_RGB, Projection, projection_hash
+from .projections import KIND_NNMF, KIND_RGB, Projection, projection_hash
 from .spectral import SpectralImage, chromaticity_rows, noisy_rows, require_same_axis
 
 DEFAULT_SMOOTHING = 1e-9
@@ -42,7 +43,7 @@ MASS_TOL = 1e-9
 #: Closes a model's cell union, past any real cell: unseen cells read the base column.
 SENTINEL_CELL = np.iinfo(np.int64).max
 
-#: Most pixel rows one featurize call takes: `relit_rows` relights as many
+#: Most relit rows one `relit_rows` featurize call takes: it relights as many
 #: consecutive cases per stack as fit, and cuts a case that alone passes it.
 BATCH_ROWS = 2048
 
@@ -56,25 +57,53 @@ def cell_count(n_bins: int, n_dims: int) -> int:
 
 
 def pixel_features(
-    projection: Projection, pixels: np.ndarray
+    projection: Projection, rows: np.ndarray, spds: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram coordinates for raw radiance pixel rows, black rows dropped,
-    and the (N,) boolean mask of the rows kept.
+    """Histogram coordinates of pixel rows, black rows dropped, and the mask
+    of the rows kept.
 
+    Without `spds`, `rows` are (N, bands) radiance and the mask is (N,).
     Camera-sensitivity projections integrate the raw radiance first and then
     L1-normalize the 3-channel response; every other kind L1-normalizes the
-    spectral pixel first and projects the chromaticity. Rows whose relevant
-    L1 norm is at or below ZERO_NORM_EPS are skipped.
+    spectral pixel first and projects the chromaticity.
+
+    With `spds`, a (C, bands) table, `rows` are reflectances lit by each SPD
+    in turn: the features come candidate-major and the mask is (C, N). A
+    linear kind folds each SPD s into its basis B, so one product of the rows
+    with the C * (d' + 1) columns of s * B and s gives every candidate's
+    features: (r . (s * B)) / (r . s), minus mean . B for a centered kind,
+    with r . s the L1 sum the black test reads. rgb folds s into its three
+    channels and normalizes their responses. nnmf, whose coordinates are
+    NNLS solutions, goes through `relit_rows`.
+
+    Rows whose L1 sum is at or below ZERO_NORM_EPS are skipped.
     """
-    pixels = np.asarray(pixels, dtype=np.float64)
-    if pixels.ndim != 2 or pixels.shape[1] != projection.input_dim:
-        raise ValueError(
-            f"expected (N, {projection.input_dim}) pixels, got {pixels.shape}"
-        )
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != projection.input_dim:
+        raise ValueError(f"expected (N, {projection.input_dim}) pixels, got {rows.shape}")
+    if spds is None:
+        if projection.kind == KIND_RGB:
+            return chromaticity_rows(rows @ projection.basis.T)
+        chroma, kept = chromaticity_rows(rows)
+        return projection.apply_rows(chroma), kept
+    spds = np.asarray(spds, dtype=np.float64)
+    if spds.ndim != 2 or spds.shape[1] != rows.shape[1]:
+        raise ValueError(f"expected (C, {rows.shape[1]}) SPDs, got {spds.shape}")
+    if projection.kind == KIND_NNMF:
+        return relit_rows(partial(pixel_features, projection), rows, spds)
+    # the basis as (bands, d') columns: the centered kinds, with a mean, store it so
+    columns = projection.basis if projection.mean is not None else projection.basis.T
+    if projection.kind != KIND_RGB:
+        columns = np.hstack([columns, np.ones((len(columns), 1))])
+    product = rows @ (spds[:, :, None] * columns)  # (C, N, width), one product per SPD
+    flat = product.reshape(-1, product.shape[-1])
     if projection.kind == KIND_RGB:
-        return chromaticity_rows(pixels @ projection.basis.T)
-    chroma, kept = chromaticity_rows(pixels)
-    return projection.apply_rows(chroma), kept
+        feats, kept = chromaticity_rows(flat)
+    else:
+        feats, kept = chromaticity_rows(flat[:, :-1], flat[:, -1])
+        if projection.mean is not None:
+            feats -= projection.mean @ projection.basis
+    return feats, kept.reshape(product.shape[:2])
 
 
 def batch_runs(n_cases: int, rows_per_case: int) -> list[range]:
@@ -89,7 +118,11 @@ def relit_rows(featurize, pixels: np.ndarray, spds: np.ndarray, noise=None):
     relit by each row of `spds`, a case each: the features case-major in row
     order, and the (cases, N) kept mask. Each call takes a `batch_runs` run of
     cases, or of one case's rows past BATCH_ROWS. With `noise=(mask, snr_db,
-    seeds)`, case j's radiance is `noisy_rows(radiance, mask, snr_db, seeds[j])`."""
+    seeds)`, case j's radiance is `noisy_rows(radiance, mask, snr_db, seeds[j])`.
+
+    The folded `pixel_features` builds no relit stack; this loop remains for
+    nnmf's features, for noisy cases and for the fit matrices
+    (`training_chromaticities`), which need the relit rows themselves."""
     n_cases, n_rows = len(spds), len(pixels)
     feats = []
     kept = np.zeros((n_cases, n_rows), dtype=bool)
@@ -107,14 +140,13 @@ def relit_rows(featurize, pixels: np.ndarray, spds: np.ndarray, noise=None):
     return np.concatenate(feats), kept
 
 
-def training_rows(featurize, images: Sequence[SpectralImage], candidates: IlluminantSet):
-    """`relit_rows` over the images' valid pixels relit by each candidate's
-    raw SPD: the features candidate-major, and the (candidates, N) kept mask."""
+def training_pixels(images: Sequence[SpectralImage], candidates: IlluminantSet) -> np.ndarray:
+    """The images' valid pixels stacked in order, (N, bands); each image must
+    share the candidates' wavelength grid."""
     for img in images:
         require_same_axis(img.axis, candidates.axis, "training images")
     bands = candidates.axis.count
-    pixels = np.concatenate([np.empty((0, bands))] + [i.valid_pixels() for i in images])
-    return relit_rows(featurize, pixels, candidates.spd_matrix())
+    return np.concatenate([np.empty((0, bands))] + [i.valid_pixels() for i in images])
 
 
 def calibrate_bounds(rows: np.ndarray, n_dims: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,11 +301,12 @@ def training_features(
     candidates: IlluminantSet,
     projection: Projection,
 ) -> BlockFeatures:
-    """Features of the training images under every candidate: the
-    `training_rows` of `pixel_features`, with `kept` of shape (candidates, N)."""
+    """Features of the training images under every candidate's raw SPD: one
+    `pixel_features` call on their valid pixels, `kept` of shape (candidates, N)."""
     if not images:
         raise ValueError("need at least one training image")
-    feats, kept = training_rows(partial(pixel_features, projection), images, candidates)
+    pixels = training_pixels(images, candidates)
+    feats, kept = pixel_features(projection, pixels, candidates.spd_matrix())
     for ill, n in zip(candidates, kept.sum(axis=1)):
         if not n:
             raise ValueError(f"no usable training pixels under candidate {ill.name!r}")
@@ -315,8 +348,10 @@ def build_model(
         raise ValueError("every candidate needs rows, and the counts must cover them")
     lo, hi = calibrate_bounds(features.feats, d_out)
     union, column = np.unique(bin_indices(features.feats, lo, hi, n_bins), return_inverse=True)
-    probs = np.zeros((len(counts), union.size + 1))
-    np.add.at(probs, (np.repeat(np.arange(len(counts)), counts), column), 1.0)
+    width = union.size + 1
+    row = np.repeat(np.arange(len(counts)) * width, counts)
+    probs = np.bincount(row + column, minlength=len(counts) * width).reshape(-1, width)
+    probs = probs.astype(np.float64)
     occupied = probs[:, :-1] > 0
     probs += smoothing
     probs /= (counts + smoothing * n_cells)[:, None]

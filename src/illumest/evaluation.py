@@ -29,7 +29,7 @@ from .cbc import (
     classify,
     relit_rows,
     training_features,
-    training_rows,
+    training_pixels,
 )
 from .illuminants import IlluminantSet, load_illuminants, select_projection_set
 from .io import (
@@ -129,7 +129,7 @@ def summarize(errors: np.ndarray) -> ErrorSummary:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseResult:
     """One (test scene, true illuminant) classification outcome."""
 
@@ -236,13 +236,16 @@ class EvalReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def write_raw_csv(self, path) -> None:
-        lines = [_RAW_HEADER]
-        for r in self.sorted_rows():
-            if r.table is not None:
-                key, texts = ",".join(r.key_columns()), r.table.raw_fields
-                for scene, preds in zip(r.table.scenes, r.predicted.tolist()):
-                    lines.extend(f"{key},{scene},{texts[p][t]}" for t, p in enumerate(preds))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        """One line per case, written a scene at a time rather than joined."""
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(_RAW_HEADER + "\n")
+            for r in self.sorted_rows():
+                if r.table is not None:
+                    key, texts = ",".join(r.key_columns()), r.table.raw_fields
+                    for scene, preds in zip(r.table.scenes, r.predicted.tolist()):
+                        out.writelines(
+                            f"{key},{scene},{texts[p][t]}\n" for t, p in enumerate(preds)
+                        )
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +429,8 @@ def training_chromaticities(
     candidate 1, ...). With `labelled=True` each row carries its candidate's
     index as the class label, which is what the supervised fit needs.
     """
-    rows, kept = training_rows(chromaticity_rows, images, candidates)
+    spds = candidates.spd_matrix()
+    rows, kept = relit_rows(chromaticity_rows, training_pixels(images, candidates), spds)
     counts = kept.sum(axis=1)
     if not counts.any():
         raise ValueError("training scenes contain no usable pixels")
@@ -592,18 +596,21 @@ class _Runner:
     # -- evaluation ---------------------------------------------------------
 
     def test_features(self, projection, noise_db: Optional[float]) -> list[BlockFeatures]:
-        """One `BlockFeatures` per test scene, `kept` (n_candidates, N): the
-        `relit_rows` of its valid pixels under the normalized SPDs, each case
-        with noise at `noise_db` from its own (scene, candidate) seed."""
+        """One `BlockFeatures` per test scene, `kept` (n_candidates, N): its
+        valid pixels under the normalized SPDs, clean in one folded
+        `pixel_features` call, or each case relit by `relit_rows` with noise
+        at `noise_db` from its own (scene, candidate) seed."""
         featurize = partial(cbc.pixel_features, projection)  # the module global, traced
         master, n = self.config.noise_master_seed, len(self.full)
         out = []
         for i, img in enumerate(self.test_eval):
-            noise = None
-            if noise_db is not None:
-                noise = (img.mask, noise_db, [mix_seed(master, i, j) for j in range(n)])
             px = img.valid_pixels()
-            out.append(BlockFeatures(projection, *relit_rows(featurize, px, self._spd_rows, noise)))
+            if noise_db is None:
+                feats = featurize(px, self._spd_rows)
+            else:
+                noise = (img.mask, noise_db, [mix_seed(master, i, j) for j in range(n)])
+                feats = relit_rows(featurize, px, self._spd_rows, noise)
+            out.append(BlockFeatures(projection, *feats))
         return out
 
     # -- entry points -------------------------------------------------------
@@ -628,7 +635,7 @@ class _Runner:
             factor = getattr(cfg, key) if method in (KIND_PCA, KIND_NNMF, KIND_LDA) else 1
             if any(n % factor for n in sides):
                 raise ValueError(f"{key} {factor} does not divide every training scene side")
-        rows, table = [], self.table
+        rows = []
         for method in methods:
             if method == METHOD_SGW:
                 spds = [ill.normalized_spd() for ill in self.full]
@@ -637,24 +644,32 @@ class _Runner:
                      for spd in spds]
                     for img in self.test_eval
                 ])
-                rows.append(table.row(predicted, method, None, None, NO_VARIANT, NO_VARIANT))
+                rows.append(self.table.row(predicted, method, None, None, NO_VARIANT, NO_VARIANT))
                 continue
             for d_prime in (3,) if method == KIND_RGB else d_primes:
                 for variant, proj in self._projections(method, d_prime):
-                    features = training_features(self.train_eval, self.full, proj)
-                    tests = [self.test_features(proj, noise_db) for _, noise_db in levels]
-                    for n_bins in bins:
-                        model = build_model(
-                            self.train_eval, self.full, proj, n_bins,
-                            smoothing=cfg.smoothing, features=features,
-                        )
-                        for (label, _), scenes in zip(levels, tests):
-                            scores = [classify(model, f, mode=cfg.score_mode)[1] for f in scenes]
-                            predicted = np.argmax(scores, axis=-1)  # classify's tie rule
-                            key = (method, d_prime, n_bins, variant, label)
-                            rows.append(table.row(predicted, *key))
+                    rows += self._projection_rows(proj, bins, levels, method, d_prime, variant)
         rows.extend(_average_rows(rows))
         return EvalReport(rows)
+
+    def _projection_rows(self, proj, bins, levels, *key) -> list[ReportRow]:
+        """The rows of one projection at every B and noise level, `key`
+        (method, d', variant). Its training and `test_features` serve all of
+        them, and go with its models when this returns, before the next fit."""
+        method, d_prime, variant = key
+        features = training_features(self.train_eval, self.full, proj)
+        tests = [self.test_features(proj, noise_db) for _, noise_db in levels]
+        rows = []
+        for n_bins in bins:
+            model = build_model(
+                self.train_eval, self.full, proj, n_bins,
+                smoothing=self.config.smoothing, features=features,
+            )
+            for (label, _), scenes in zip(levels, tests):
+                scores = [classify(model, f, mode=self.config.score_mode)[1] for f in scenes]
+                predicted = np.argmax(scores, axis=-1)  # classify's tie rule
+                rows.append(self.table.row(predicted, method, d_prime, n_bins, variant, label))
+        return rows
 
     def grid(self) -> EvalReport:
         cfg = self.config

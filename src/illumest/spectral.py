@@ -176,17 +176,23 @@ def sensor_project(image: SpectralImage, sens: SensitivityFunctions) -> np.ndarr
     return image.data @ sens.rows.T * image.axis.step_nm
 
 
-def chromaticity_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def chromaticity_rows(
+    rows: np.ndarray, sums: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """L1 chromaticities of the non-black rows of an (N, k) array, in order,
     and the (N,) boolean mask of the rows kept.
 
-    Rows whose L1 sum is at or below ZERO_NORM_EPS are dropped; every other
-    row is divided by its sum. This is the one place pixels are judged black
-    and normalized.
+    `sums` defaults to the rows' own L1 sums; a caller whose rows are a linear
+    image of wider pixels passes those pixels' sums. Rows whose sum is at or
+    below ZERO_NORM_EPS are dropped; every other row is divided by its sum.
+    This is the one place pixels are judged black and normalized.
     """
-    sums = rows.sum(axis=1)
+    if sums is None:
+        sums = rows.sum(axis=1)
     keep = sums > ZERO_NORM_EPS
-    return rows[keep] / sums[keep][:, None], keep
+    chroma = rows[keep]
+    chroma /= sums[keep][:, None]
+    return chroma, keep
 
 
 def downsample(image: SpectralImage, factor: int) -> SpectralImage:

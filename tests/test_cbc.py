@@ -4,6 +4,7 @@ import hashlib
 import math
 import struct
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -821,6 +822,26 @@ def reference_training_blocks(images, candidates, featurize):
     ]
 
 
+#: Folded and relit features of a linear kind each round within 2 (bands + 2)
+#: ulps of their column's scale (dot-product error bounds over the bands).
+FOLD_ULPS = 4
+
+
+def fold_bound(proj):
+    """Largest folded-versus-relit difference per feature column: FOLD_ULPS
+    (bands + 2) ulps of the column's scale, max |B| plus sum |mean * B| for a
+    centered kind; rgb's chromaticities lie in [0, 1], so their scale is 1."""
+    bands = proj.input_dim
+    if proj.kind == "rgb":
+        scale = np.ones(3)
+    else:
+        columns = proj.basis if proj.mean is not None else proj.basis.T
+        scale = np.abs(columns).max(axis=0)
+        if proj.mean is not None:
+            scale += np.abs(proj.mean[:, None] * columns).sum(axis=0)
+    return FOLD_ULPS * (bands + 2) * np.finfo(float).eps * scale
+
+
 #: Caps under test: the default; one row a call; runs of three candidates,
 #: which split the 28 bundled candidates unevenly (9 x 3 + 1); and runs of
 #: pixels, which split each candidate's pixels unevenly in three.
@@ -854,8 +875,9 @@ class TestBatchRuns:
 
 
 class TestRelitTrainingStacks:
-    """Training features and chromaticities from relit stacks, pinned to a
-    per-(candidate, image) reference at several caps."""
+    """Training features and chromaticities pinned to a per-(candidate,
+    image) relit reference at several caps: the linear kinds' features come
+    from one folded product, nnmf's and the chromaticities from relit stacks."""
 
     @pytest.fixture(scope="class")
     def scenes(self, bundled_set):
@@ -895,23 +917,25 @@ class TestRelitTrainingStacks:
         calls = []
         original = cbc.pixel_features
         monkeypatch.setattr(
-            cbc, "pixel_features", lambda *a: calls.append(len(a[1])) or original(*a)
+            cbc, "pixel_features", lambda *a: calls.append((len(a[1]), len(a))) or original(*a)
         )
         feats = training_features(scenes, candidates, proj)
         monkeypatch.setattr(cbc, "pixel_features", original)
-        if n_pixels <= cbc.BATCH_ROWS:
-            # one call per run of candidates, on all of their pixels
-            assert calls == [len(run) * n_pixels for run in batch_runs(28, n_pixels)]
+        # one folded call on all training pixels, whatever the cap
+        assert calls[0] == (n_pixels, 3)
+        relit = [rows for rows, _ in calls[1:]]
+        if kind != "nnmf":
+            assert relit == []
+        elif n_pixels <= cbc.BATCH_ROWS:
+            # nnmf relights: one call per run of candidates, on all of their pixels
+            assert relit == [len(run) * n_pixels for run in batch_runs(28, n_pixels)]
         else:
             # one candidate a call, its pixels in runs within the cap
-            assert sum(calls) == 28 * n_pixels and max(calls) <= cbc.BATCH_ROWS
+            assert sum(relit) == 28 * n_pixels and max(relit) <= cbc.BATCH_ROWS
         expected = reference_training_blocks(
             scenes, candidates, lambda rows: pixel_features(proj, rows)
         )
         assert len({len(b) for b in expected}) > 1
-        # Only the identity basis makes exact products. The linear kinds'
-        # BLAS products and the LAPACK solve in nnmf's NNLS round a row by
-        # its position in the batch, so those agree to rounding.
         assert feats.projection is proj and feats.kept.shape == (28, n_pixels)
         kept = reference_training_blocks(
             scenes, candidates, lambda rows: (pixel_features(proj, rows)[1], None)
@@ -922,19 +946,17 @@ class TestRelitTrainingStacks:
         assert len(feats.feats) == counts.sum()
         blocks = np.split(feats.feats, np.cumsum(counts)[:-1])
         assert len(blocks) == len(expected) == 28
+        # Folding reassociates each feature's sums: within FOLD_ULPS of its
+        # column's scale. nnmf's LAPACK solve rounds a row by its position in
+        # the batch, so it agrees to 1e-12.
+        bound = 1e-12 if kind == "nnmf" else fold_bound(proj)
         for got, want in zip(blocks, expected):
             assert got.shape == want.shape
-            if kind == "identity":
-                assert got.tobytes() == want.tobytes()
-            else:
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert np.all(np.abs(got - want) <= bound)
         # a model calibrates its bounds over all candidates' rows
         model = build_model(scenes, candidates, proj, n_bins=5, features=feats)
         lo, hi = calibrate_bounds(np.concatenate(expected), proj.output_dim)
-        if kind == "identity":
-            assert (model.lo.tobytes(), model.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
-        else:
-            np.testing.assert_allclose(np.r_[model.lo, model.hi], np.r_[lo, hi], atol=1e-12)
+        np.testing.assert_allclose(np.r_[model.lo, model.hi], np.r_[lo, hi], atol=1e-12)
 
     @pytest.mark.parametrize("cap", CAPS)
     @pytest.mark.parametrize("labelled", [False, True])
@@ -992,6 +1014,53 @@ class TestRelitTrainingStacks:
         for images in ([black, masked], [masked]):
             with pytest.raises(ValueError, match="no usable training pixels under candidate 'lit'"):
                 training_features(images, candidates, fit_rand(4, 2, seed=0))
+
+
+@st.composite
+def folding_cases(draw):
+    """A linear projection, reflectance rows and an SPD table: (projection,
+    rows, spds). Entries are 0 or at least 1e-3, so every L1 sum the black
+    test reads is exactly 0 or above 1e-9, far from ZERO_NORM_EPS."""
+    kind = draw(st.sampled_from(["rand", "lda", "pca", "ill_pca", "rgb"]))
+    bands = draw(st.integers(2, 31))
+    d_prime = 3 if kind == "rgb" else draw(st.integers(1, min(5, bands)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sparse(shape, zeros):
+        return rng.uniform(1e-3, 1.0, shape) * (rng.random(shape) >= zeros)
+
+    rows = sparse((draw(st.integers(0, 40)), bands), draw(st.sampled_from([0.0, 0.3, 0.9])))
+    rows[rng.random(len(rows)) < 0.2] = 0.0
+    spds = sparse((draw(st.integers(1, 6)), bands), draw(st.sampled_from([0.0, 0.5])))
+    if kind == "rgb":
+        proj = Projection("rgb", bands, 3, basis=sparse((3, bands), 0.3))
+    elif kind in ("pca", "ill_pca"):
+        basis = np.linalg.qr(rng.standard_normal((bands, d_prime)))[0]
+        mean = rng.uniform(-1.0, 1.0, bands) * draw(st.sampled_from([0.0, 1.0 / bands, 1.0]))
+        proj = Projection(kind, bands, d_prime, basis=basis, mean=mean)
+    else:
+        proj = Projection(kind, bands, d_prime, basis=rng.uniform(-1.0, 1.0, (d_prime, bands)))
+    return proj, rows, spds
+
+
+class TestFoldedFeatures:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(folding_cases())
+    def test_folded_features_match_the_relit_stack(self, case):
+        proj, rows, spds = case
+        feats, kept = pixel_features(proj, rows, spds)
+        want, want_kept = cbc.relit_rows(partial(pixel_features, proj), rows, spds)
+        assert kept.shape == (len(spds), len(rows))
+        assert kept.tobytes() == want_kept.tobytes()
+        assert feats.shape == want.shape == (kept.sum(), proj.output_dim)
+        assert np.all(np.abs(feats - want) <= fold_bound(proj))
+
+    def test_spd_table_shape_checked(self):
+        proj = fit_rand(4, 2, seed=0)
+        for spds in (np.ones(4), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="SPDs"):
+                pixel_features(proj, np.ones((5, 4)), spds)
 
 
 def cbcm_bytes(n_dims, n_bins, records, lo=None, hi=None, smoothing=0.5, digest=bytes(32)):

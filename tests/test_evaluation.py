@@ -804,11 +804,12 @@ class TestRejectedBeforeAnyWork:
 
 
 class TestSweepCalls:
-    """The sweep fits and featurizes each (method, d', variant) once, and
-    featurizes each test scene once per noise level, one `cbc.pixel_features`
-    call per `relit_rows` run; it builds one model per B from those training
-    features, and scores each test scene once per model and noise level from
-    its held test features: the counts the benchmark's traces rely on."""
+    """The sweep fits and featurizes each (method, d', variant) once: one
+    folded `cbc.pixel_features` call on the training pixels and one per clean
+    test scene, plus one call per `relit_rows` run for nnmf and for noisy
+    cases only. It builds one model per B from those training features, and
+    scores each test scene once per model and noise level from its held test
+    features: the counts the benchmark's traces rely on."""
 
     @pytest.fixture
     def events(self, monkeypatch):
@@ -822,7 +823,9 @@ class TestSweepCalls:
 
             def recorded(*args, _original=original, _name=name, **kwargs):
                 result = _original(*args, **kwargs)
-                positional = args[1] if _name in ("classify", "pixel_features") else None
+                positional = args[1] if _name == "classify" else None
+                if _name == "pixel_features":  # rows, and the SPDs of a folded call
+                    positional = (args[1], args[2] if len(args) > 2 else None)
                 log.append((_name, kwargs.get("features", positional), result))
                 return result
 
@@ -830,47 +833,53 @@ class TestSweepCalls:
         return log
 
     @staticmethod
-    def expected(fits, n_bins, n_levels, n_scenes, n_runs, n_train_runs):
-        per_model = ["build_model"] + ["classify"] * (n_scenes * n_levels)
-        training = ["pixel_features"] * n_train_runs + ["training_features"]
-        tests = ["pixel_features"] * (n_scenes * n_runs) + ["test_features"]
-        return [
-            name
-            for fit in fits
-            for name in [fit] + training + tests * n_levels + per_model * n_bins
-        ]
+    def expected(fits, n_bins, n_noisy, n_scenes, n_runs, n_train_runs):
+        """Per fit: its training features, one folded call (nnmf adds its
+        relit runs); the clean test features, one folded call per scene (nnmf
+        adds each scene's relit runs); each noisy level's relit runs; then per
+        B a model and one classify per scene and level."""
+        out = []
+        for fit in fits:
+            relit = fit == "fit_nnmf"
+            training = ["pixel_features"] * (1 + relit * n_train_runs) + ["training_features"]
+            clean = ["pixel_features"] * (n_scenes * (1 + relit * n_runs)) + ["test_features"]
+            noisy = ["pixel_features"] * (n_scenes * n_runs) + ["test_features"]
+            per_model = ["build_model"] + ["classify"] * (n_scenes * (1 + n_noisy))
+            out += [fit] + training + clean + noisy * n_noisy + per_model * n_bins
+        return out
 
     def test_one_fit_and_featurization_per_projection(
         self, demo_data, bundled_cameras, events
     ):
-        # 28 candidates of 256 training rows in runs of 8; a scene's 28 cases
-        # of 16 rows in one run
+        # nnmf relights 28 candidates of 256 training rows in runs of 8; a
+        # scene's 28 cases of 16 rows in one run
         self.check_sweeps(demo_data, bundled_cameras, events, n_runs=1, n_train_runs=4)
 
     def test_one_classify_per_scene_when_its_cases_split_into_runs(
         self, demo_data, bundled_cameras, events, monkeypatch
     ):
-        # at 100 rows a scene's cases split into runs of 6, and each
-        # candidate's training rows into runs of 100, 100 and 56
+        # at 100 rows a scene's relit cases split into runs of 6, and each
+        # candidate's relit training rows into runs of 100, 100 and 56
         monkeypatch.setattr(cbc, "BATCH_ROWS", 100)
         self.check_sweeps(demo_data, bundled_cameras, events, n_runs=5, n_train_runs=28 * 3)
 
     def test_one_classify_per_scene_when_each_case_splits_into_row_runs(
         self, demo_data, bundled_cameras, events, monkeypatch
     ):
-        # at 10 rows each case's 16 rows split into runs of 10 and 6, and
-        # each candidate's 256 training rows into 26 runs
+        # at 10 rows each relit case's 16 rows split into runs of 10 and 6,
+        # and each candidate's 256 relit training rows into 26 runs
         monkeypatch.setattr(cbc, "BATCH_ROWS", 10)
         self.check_sweeps(demo_data, bundled_cameras, events, n_runs=28 * 2, n_train_runs=28 * 26)
 
     def check_sweeps(self, demo_data, bundled_cameras, events, n_runs, n_train_runs):
         cfg = demo_config(
             demo_data,
-            methods=("rand", "rgb", "ill_pca"),
+            methods=("rand", "rgb", "ill_pca", "nnmf"),
             d_primes=(2, 3),
             bins=(5, 10),
             rand_seeds=(42, 43),
             cameras=tuple(bundled_cameras[:2]),
+            nnmf_max_iter=20,
             noise_method="rand",
             noise_d_prime=2,
             noise_bins=5,
@@ -878,14 +887,14 @@ class TestSweepCalls:
         )
         n_scenes = 8  # held-out demo scenes of 16 pixels
         report = run_grid(cfg)
-        fits = ["fit_rand"] * 4 + ["fit_rgb"] * 2 + ["fit_ill_pca"] * 2
+        fits = ["fit_rand"] * 4 + ["fit_rgb"] * 2 + ["fit_ill_pca"] * 2 + ["fit_nnmf"] * 2
         runs = dict(n_scenes=n_scenes, n_runs=n_runs, n_train_runs=n_train_runs)
-        assert [e[0] for e in events] == self.expected(fits, 2, 1, **runs)
-        assert len(report.rows) == 8 * 2 + 4 + 2  # cells, rand and rgb averages per (d', B)
+        assert [e[0] for e in events] == self.expected(fits, 2, 0, **runs)
+        assert len(report.rows) == 10 * 2 + 4 + 2  # cells, rand and rgb averages per (d', B)
         self.assert_features_reused(events, n_bins=2)
         events.clear()
         run_noise(cfg)
-        assert [e[0] for e in events] == self.expected(["fit_rand"] * 2, 1, 3, **runs)
+        assert [e[0] for e in events] == self.expected(["fit_rand"] * 2, 1, 2, **runs)
         self.assert_features_reused(events, n_bins=1)
 
     @staticmethod
@@ -893,11 +902,17 @@ class TestSweepCalls:
         """Each model is built from the training features computed just
         before it, and each projection's models score the per-scene test
         features made once for that projection, in the order they were made,
-        once per B; no featurize call passes the cap."""
+        once per B. A folded call takes the 256 training pixels or a test
+        scene's 16 under all 28 SPDs; no relit run passes the cap."""
         features, tests, scored = None, [], []
         for name, passed, result in events + [("fit_end", None, None)]:
             if name == "pixel_features":
-                assert 0 < len(passed) <= cbc.BATCH_ROWS
+                rows, spds = passed
+                if spds is None:
+                    assert 0 < len(rows) <= cbc.BATCH_ROWS
+                else:
+                    assert len(rows) in (256, 16) and spds.shape == (28, rows.shape[1])
+                    assert result[1].shape == (28, len(rows))
             elif name.startswith("fit_"):
                 assert scored == tests * n_bins
                 tests, scored = [], []
