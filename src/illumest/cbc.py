@@ -69,8 +69,8 @@ def pixel_features(
 
     With `spds`, a (C, bands) table, `rows` are reflectances lit by each SPD
     in turn: the features come candidate-major and the mask is (C, N). A
-    linear kind folds each SPD s into its basis B, so one product of the rows
-    with the C * (d' + 1) columns of s * B and s gives every candidate's
+    linear kind folds each SPD s into its basis B, so one matmul of the rows
+    with the (C, bands, d' + 1) stack of s * B and s gives every candidate's
     features: (r . (s * B)) / (r . s), minus mean . B for a centered kind,
     with r . s the L1 sum the black test reads. rgb folds s into its three
     channels and normalizes their responses. nnmf, whose coordinates are

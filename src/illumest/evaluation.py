@@ -236,16 +236,17 @@ class EvalReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def write_raw_csv(self, path) -> None:
-        """One line per case, written a scene at a time rather than joined."""
+        """One line per case, written a report row at a time, not joined whole."""
         with open(path, "w", encoding="utf-8") as out:
             out.write(_RAW_HEADER + "\n")
             for r in self.sorted_rows():
                 if r.table is not None:
                     key, texts = ",".join(r.key_columns()), r.table.raw_fields
-                    for scene, preds in zip(r.table.scenes, r.predicted.tolist()):
-                        out.writelines(
-                            f"{key},{scene},{texts[p][t]}\n" for t, p in enumerate(preds)
-                        )
+                    out.write("".join(
+                        f"{key},{scene},{texts[p][t]}\n"
+                        for scene, preds in zip(r.table.scenes, r.predicted.tolist())
+                        for t, p in enumerate(preds)
+                    ))
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +653,10 @@ class _Runner:
         rows.extend(_average_rows(rows))
         return EvalReport(rows)
 
-    def _projection_rows(self, proj, bins, levels, *key) -> list[ReportRow]:
-        """The rows of one projection at every B and noise level, `key`
-        (method, d', variant). Its training and `test_features` serve all of
-        them, and go with its models when this returns, before the next fit."""
-        method, d_prime, variant = key
+    def _projection_rows(self, proj, bins, levels, method, d_prime, variant) -> list[ReportRow]:
+        """The rows of one projection at every B and noise level. Its training
+        and `test_features` serve all of them, and go with its models when
+        this returns, before the sweep fits the next projection."""
         features = training_features(self.train_eval, self.full, proj)
         tests = [self.test_features(proj, noise_db) for _, noise_db in levels]
         rows = []
