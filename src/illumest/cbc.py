@@ -416,11 +416,14 @@ def score(
     block's histogram is normalized without smoothing over its usable rows;
     `log` mode gives sum(h_test * log(h_candidate)) over the block's occupied
     cells, `dot` mode the plain dot product of the two histograms. All blocks
-    share one `pixel_features`, one `bin_indices` and one sort call; each
-    block's scores are one gather from the model's union table and one dot
-    per candidate. BLAS may round a row of a batched product by its position
-    in the batch, so a block's scores can differ from its scores alone only
-    where a coordinate lies on a bin edge.
+    share one `pixel_features`, one `bin_indices` and one sort call. Blocks
+    with the same number of occupied cells share one gather from the model's
+    union table and one `np.vecdot`, which dots each (candidate, block) pair
+    on its own, so a block's scores are bitwise its scores alone. Unkept
+    rows pad blocks of fewer rows and are skipped. BLAS may round a row of
+    a batched product by its position in the batch, so radiance blocks
+    featurized together can score apart from one alone only where a
+    coordinate lies on a bin edge.
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
@@ -451,15 +454,17 @@ def score(
     pos = np.searchsorted(model.cells, occupied)
     pos[model.cells[pos] != occupied] = model.cells.size - 1
     weights = (stop - start) / totals[key_block]
-    bounds = np.searchsorted(key_block, np.arange(n_blocks + 1))
+    n_runs = np.bincount(key_block, minlength=n_blocks)  # each block's occupied cells
+    run_counts = n_runs[key_block]
     table = model.log_probs if mode == MODE_LOG else model.probs
     out = np.empty((n_blocks, len(model.candidate_names)))
-    for k in range(n_blocks):
-        run = slice(bounds[k], bounds[k + 1])
-        # np.take keeps each candidate's row C-contiguous, and vecdot does
-        # one dot per row, which rounds exactly as a dot over that
-        # candidate's own probability vector.
-        out[k] = np.vecdot(np.take(table, pos[run], axis=1), weights[run])
+    for n in set(n_runs.tolist()):  # a set, not np.unique: cheap for one block
+        runs = run_counts == n  # the runs of every block with n of them, block by block
+        # np.take keeps each (candidate, block) row C-contiguous, and vecdot
+        # does one dot per row, which rounds exactly as a dot over that
+        # candidate's own probability vector for that block alone.
+        gathered = np.take(table, pos[runs].reshape(-1, n), axis=1)
+        out[n_runs == n] = np.vecdot(gathered, weights[runs].reshape(-1, n)).T
     return out.reshape(batch + out.shape[1:])
 
 

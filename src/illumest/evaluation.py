@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property, partial
+from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -525,9 +526,12 @@ class _Runner:
                 )
         self.train_paths, self.test_paths = train_paths, test_paths
         self._spd_rows = self.full.chromaticity_matrix()
-        errors = [[angular_error_deg(p.spd, t.spd) for t in self.full] for p in self.full]
+        # the angle is symmetric bit for bit and exactly 0 on the diagonal
+        errors = np.zeros((len(self.full), len(self.full)))
+        for (p, a), (t, b) in combinations(enumerate(self.full), 2):
+            errors[p, t] = errors[t, p] = angular_error_deg(a.spd, b.spd)
         scenes = tuple(p.stem for p in test_paths)
-        self.table = CaseTable(scenes, tuple(self.full.names()), np.array(errors))
+        self.table = CaseTable(scenes, tuple(self.full.names()), errors)
 
     # -- lazy inputs --------------------------------------------------------
 
@@ -596,23 +600,29 @@ class _Runner:
 
     # -- evaluation ---------------------------------------------------------
 
-    def test_features(self, projection, noise_db: Optional[float]) -> list[BlockFeatures]:
-        """One `BlockFeatures` per test scene, `kept` (n_candidates, N): its
-        valid pixels under the normalized SPDs, clean in one folded
-        `pixel_features` call, or each case relit by `relit_rows` with noise
-        at `noise_db` from its own (scene, candidate) seed."""
+    def test_features(self, projection, noise_db: Optional[float]) -> BlockFeatures:
+        """The test scenes' features as one `BlockFeatures`, `kept` (scenes,
+        n_candidates, N_max) with each scene's rows padded by unkept ones and
+        `feats` the scenes' features in order. Each scene's valid pixels under
+        the normalized SPDs come clean from one folded `pixel_features` call,
+        or each case relit by `relit_rows` with noise at `noise_db` from its
+        own (scene, candidate) seed."""
         featurize = partial(cbc.pixel_features, projection)  # the module global, traced
         master, n = self.config.noise_master_seed, len(self.full)
-        out = []
+        feats, masks = [], []
         for i, img in enumerate(self.test_eval):
             px = img.valid_pixels()
             if noise_db is None:
-                feats = featurize(px, self._spd_rows)
+                part, mask = featurize(px, self._spd_rows)
             else:
                 noise = (img.mask, noise_db, [mix_seed(master, i, j) for j in range(n)])
-                feats = relit_rows(featurize, px, self._spd_rows, noise)
-            out.append(BlockFeatures(projection, *feats))
-        return out
+                part, mask = relit_rows(featurize, px, self._spd_rows, noise)
+            feats.append(part)
+            masks.append(mask)
+        kept = np.zeros((len(masks), n, max(m.shape[1] for m in masks)), dtype=bool)
+        for scene, mask in zip(kept, masks):
+            scene[:, : mask.shape[1]] = mask
+        return BlockFeatures(projection, np.concatenate(feats), kept)
 
     # -- entry points -------------------------------------------------------
 
@@ -654,9 +664,11 @@ class _Runner:
         return EvalReport(rows)
 
     def _projection_rows(self, proj, bins, levels, method, d_prime, variant) -> list[ReportRow]:
-        """The rows of one projection at every B and noise level. Its training
-        and `test_features` serve all of them, and go with its models when
-        this returns, before the sweep fits the next projection."""
+        """The rows of one projection at every B and noise level, each from
+        one `classify` call over every test scene's cases. Its training and
+        `test_features` serve all of them, and go when this returns, before
+        the sweep fits the next projection; each B's model goes before the
+        next B's is built."""
         features = training_features(self.train_eval, self.full, proj)
         tests = [self.test_features(proj, noise_db) for _, noise_db in levels]
         rows = []
@@ -666,9 +678,10 @@ class _Runner:
                 smoothing=self.config.smoothing, features=features,
             )
             for (label, _), scenes in zip(levels, tests):
-                scores = [classify(model, f, mode=self.config.score_mode)[1] for f in scenes]
+                scores = classify(model, scenes, mode=self.config.score_mode)[1]
                 predicted = np.argmax(scores, axis=-1)  # classify's tie rule
                 rows.append(self.table.row(predicted, method, d_prime, n_bins, variant, label))
+            del model, scores  # before the next B's build
         return rows
 
     def grid(self) -> EvalReport:

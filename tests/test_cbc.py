@@ -392,23 +392,29 @@ def sparse_models(draw):
     return model, image
 
 
+def oracle_score(model, feats, mode):
+    """Each candidate's score of one block's feature rows as one dot of the
+    block's cell frequencies with `HistogramGrid.prob_at` of its cells."""
+    occ, counts = np.unique(bin_indices(feats, model.lo, model.hi, model.n_bins),
+                            return_counts=True)
+    weights = counts / counts.sum()
+    out = np.empty(len(model.candidate_names))
+    for j, grid in enumerate(model.grids):
+        probs = grid.prob_at(occ)
+        if mode == "log":
+            with np.errstate(divide="ignore"):
+                probs = np.log(probs)
+        out[j] = float(weights @ probs)
+    return out
+
+
 class TestScoreOracle:
     @settings(max_examples=200, deadline=None)
     @given(sparse_models(), st.sampled_from(["log", "dot"]))
     def test_score_is_bitwise_per_candidate_dot(self, case, mode):
         model, image = case
-        grids = model.grids
         feats, _ = pixel_features(model.projection, image.valid_pixels())
-        flat = bin_indices(feats, model.lo, model.hi, model.n_bins)
-        occ, counts = np.unique(flat, return_counts=True)
-        weights = counts / counts.sum()
-        expected = np.empty(len(grids))
-        for j, grid in enumerate(grids):
-            probs = grid.prob_at(occ)
-            if mode == "log":
-                with np.errstate(divide="ignore"):
-                    probs = np.log(probs)
-            expected[j] = float(weights @ probs)
+        expected = oracle_score(model, feats, mode)
         assert score(model, image, mode=mode).tobytes() == expected.tobytes()
 
 
@@ -543,6 +549,74 @@ class TestBatchedScore:
         stack = stack_with_black_rows(np.random.default_rng(3), (3,), 12, 4)
         for mode in ("log", "dot"):
             assert_rows_match_single_blocks(model, stack, mode)
+
+
+@st.composite
+def padded_blocks(draw):
+    """A sparse model and a (scenes, candidates, N_max) `BlockFeatures` of
+    coordinates inside chosen cells, each scene with its own row count N and
+    unkept rows past it, plus each block's (features, kept) alone. `layout`
+    gives every block the same number of occupied cells ("one"), a number of
+    its own ("many"), or one kept row ("single")."""
+    model, _ = draw(sparse_models())
+    layout = draw(st.sampled_from(["one", "many", "single"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_scenes, n_cand = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n_cells = model.n_bins**model.n_dims
+    n_occupied = int(rng.integers(1, min(n_cells, 6) + 1))
+    sizes = rng.integers(n_occupied, n_occupied + 8, size=n_scenes)
+    kept = np.zeros((n_scenes, n_cand, sizes.max()), dtype=bool)
+    feats, blocks = [], []
+    for i, n_rows in enumerate(sizes.tolist()):
+        for c in range(n_cand):
+            if layout == "single":
+                n_kept, k = 1, 1
+            else:
+                k = n_occupied if layout == "one" else int(rng.integers(1, n_occupied + 1))
+                n_kept = int(rng.integers(k, n_rows + 1))
+            cells = rng.choice(n_cells, size=k, replace=False)
+            cells = np.concatenate([cells, rng.choice(cells, size=n_kept - k)])
+            shape = (model.n_bins,) * model.n_dims
+            digits = np.stack(np.unravel_index(rng.permutation(cells), shape), axis=1)
+            coords = (digits + rng.uniform(0.05, 0.95, digits.shape)) / model.n_bins
+            mask = np.zeros(n_rows, dtype=bool)
+            mask[rng.choice(n_rows, size=n_kept, replace=False)] = True
+            kept[i, c, :n_rows] = mask
+            feats.append(coords)
+            blocks.append((coords, mask))
+    stacked = BlockFeatures(model.projection, np.concatenate(feats), kept)
+    return model, stacked, blocks
+
+
+class TestStackedScore:
+    """The sweep scores every test scene's cases in one call, over features
+    padded to the largest scene; each block must score as it does alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(padded_blocks(), st.sampled_from(["log", "dot"]))
+    def test_each_block_of_a_padded_stack_scores_as_it_does_alone(self, case, mode):
+        model, stacked, blocks = case
+        scores = score(model, stacked, mode)
+        assert scores.shape == stacked.kept.shape[:2] + (len(model.candidate_names),)
+        for row, (feats, mask) in zip(scores.reshape(len(blocks), -1), blocks):
+            name, alone = classify(model, BlockFeatures(model.projection, feats, mask), mode)
+            assert np.array_equal(row, alone) and row.tobytes() == alone.tobytes()
+            assert name == model.candidate_names[int(np.argmax(row))]
+            assert row.tobytes() == oracle_score(model, feats, mode).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_models(), st.sampled_from(["log", "dot"]), st.integers(0, 5))
+    def test_a_one_block_image_classifies_as_its_padded_block(self, case, mode, pad):
+        model, image = case
+        name, scores = classify(model, image, mode)
+        features = block_features(model.projection, image)
+        n_rows = len(features.kept)
+        kept = np.zeros((1, 1, n_rows + pad), dtype=bool)
+        kept[0, 0, :n_rows] = features.kept
+        padded = score(model, BlockFeatures(model.projection, features.feats, kept), mode)
+        assert padded[0, 0].tobytes() == scores.tobytes()
+        assert scores.tobytes() == oracle_score(model, features.feats, mode).tobytes()
+        assert name == model.candidate_names[int(np.argmax(scores))]
 
 
 class TestBlockFeatures:

@@ -697,7 +697,8 @@ class TestUnfittableDPrime:
             run_grid(cfg)
         assert calls == [] and fits == []
         run_grid(replace(cfg, cameras=cfg.cameras[:1]))
-        assert len(calls) == 8 * 2 * 2 + 8 * 2 and fits == ["ill_pca", "ill_pca", "rgb"]
+        # one classify per model: ill_pca at two d' and two B, rgb at two B
+        assert len(calls) == 2 * 2 + 2 and fits == ["ill_pca", "ill_pca", "rgb"]
 
     def test_rgb_ignores_d_primes(self, demo_data, bundled_cameras, fits):
         cfg = demo_config(
@@ -800,7 +801,16 @@ class TestRejectedBeforeAnyWork:
             demo_data, methods=("ill_pca", "rand"), downsample_fit=5, downsample_lda=3
         )
         assert len(run_grid(cfg).rows) == 5  # ill_pca, three rand seeds and their average
-        assert len(calls) == 4 + 4 * 8
+        assert len(calls) == 4 + 4  # four fits, and one classify per model
+
+
+class TestCaseTable:
+    def test_errors_are_the_full_pairwise_angles(self, demo_data):
+        # the runner fills the upper triangle and mirrors it
+        runner = _Runner(demo_config(demo_data))
+        spds = [ill.spd for ill in runner.full]
+        full = np.array([[angular_error_deg(p, t) for t in spds] for p in spds])
+        assert runner.table.errors.tobytes() == full.tobytes()
 
 
 class TestSweepCalls:
@@ -808,8 +818,8 @@ class TestSweepCalls:
     folded `cbc.pixel_features` call on the training pixels and one per clean
     test scene, plus one call per `relit_rows` run for nnmf and for noisy
     cases only. It builds one model per B from those training features, and
-    scores each test scene once per model and noise level from its held test
-    features: the counts the benchmark's traces rely on."""
+    scores every test scene in one classify call per model and noise level
+    from the held test features: the counts the benchmark's traces rely on."""
 
     @pytest.fixture
     def events(self, monkeypatch):
@@ -837,14 +847,14 @@ class TestSweepCalls:
         """Per fit: its training features, one folded call (nnmf adds its
         relit runs); the clean test features, one folded call per scene (nnmf
         adds each scene's relit runs); each noisy level's relit runs; then per
-        B a model and one classify per scene and level."""
+        B a model and one classify per level."""
         out = []
         for fit in fits:
             relit = fit == "fit_nnmf"
             training = ["pixel_features"] * (1 + relit * n_train_runs) + ["training_features"]
             clean = ["pixel_features"] * (n_scenes * (1 + relit * n_runs)) + ["test_features"]
             noisy = ["pixel_features"] * (n_scenes * n_runs) + ["test_features"]
-            per_model = ["build_model"] + ["classify"] * (n_scenes * (1 + n_noisy))
+            per_model = ["build_model"] + ["classify"] * (1 + n_noisy)
             out += [fit] + training + clean + noisy * n_noisy + per_model * n_bins
         return out
 
@@ -855,7 +865,7 @@ class TestSweepCalls:
         # scene's 28 cases of 16 rows in one run
         self.check_sweeps(demo_data, bundled_cameras, events, n_runs=1, n_train_runs=4)
 
-    def test_one_classify_per_scene_when_its_cases_split_into_runs(
+    def test_one_classify_per_level_when_cases_split_into_runs(
         self, demo_data, bundled_cameras, events, monkeypatch
     ):
         # at 100 rows a scene's relit cases split into runs of 6, and each
@@ -863,7 +873,7 @@ class TestSweepCalls:
         monkeypatch.setattr(cbc, "BATCH_ROWS", 100)
         self.check_sweeps(demo_data, bundled_cameras, events, n_runs=5, n_train_runs=28 * 3)
 
-    def test_one_classify_per_scene_when_each_case_splits_into_row_runs(
+    def test_one_classify_per_level_when_cases_split_into_row_runs(
         self, demo_data, bundled_cameras, events, monkeypatch
     ):
         # at 10 rows each relit case's 16 rows split into runs of 10 and 6,
@@ -900,8 +910,8 @@ class TestSweepCalls:
     @staticmethod
     def assert_features_reused(events, n_bins):
         """Each model is built from the training features computed just
-        before it, and each projection's models score the per-scene test
-        features made once for that projection, in the order they were made,
+        before it, and each projection's models score the test features made
+        once for that projection at each level, in the order they were made,
         once per B. A folded call takes the 256 training pixels or a test
         scene's 16 under all 28 SPDs; no relit run passes the cap."""
         features, tests, scored = None, [], []
@@ -919,7 +929,7 @@ class TestSweepCalls:
             elif name == "training_features":
                 features = result
             elif name == "test_features":
-                tests.extend(id(scene) for scene in result)
+                tests.append(id(result))
             elif name == "build_model":
                 assert passed is features
             elif name == "classify":
@@ -927,8 +937,8 @@ class TestSweepCalls:
 
 
 class TestBatchedEvaluation:
-    """The sweep scores each test scene's cases in one batch, from the
-    scene's `test_features`; these pin that to the per-case relight /
+    """The sweep scores every test scene's cases in one batch, from the
+    runner's `test_features`; these pin that to the per-case relight /
     add_noise / classify pipeline."""
 
     def per_case_predictions(self, runner, model, noise_db):
@@ -944,12 +954,9 @@ class TestBatchedEvaluation:
 
     @staticmethod
     def sweep_predictions(runner, model, noise_db):
-        """What the sweep predicts: one `evaluation.classify` call per scene."""
-        return [
-            name
-            for scene in runner.test_features(model.projection, noise_db)
-            for name in evaluation.classify(model, scene)[0]
-        ]
+        """What the sweep predicts: one `evaluation.classify` call over every scene."""
+        scenes = runner.test_features(model.projection, noise_db)
+        return evaluation.classify(model, scenes)[0].ravel().tolist()
 
     @pytest.mark.parametrize("batch_rows", [None, 1, 5, 100])
     @pytest.mark.parametrize("noise_db", [None, 20.0])
@@ -974,14 +981,36 @@ class TestBatchedEvaluation:
             (scene, ill.name) for scene in runner.table.scenes for ill in runner.full
         ]
 
+    @pytest.mark.parametrize("noise_db", [None, 20.0])
+    def test_scenes_of_different_sizes_match_per_case_classify(self, demo_data, noise_db):
+        # Masking a different number of each 16-pixel test scene's pixels (one
+        # scene keeps one) pads the stacked features' rows scene by scene.
+        runner = _Runner(demo_config(demo_data))
+        train, test = runner._scenes
+        ragged = []
+        for i, img in enumerate(test):
+            mask = img.mask.copy()
+            mask.reshape(-1)[: i * 5 % 16] = False
+            ragged.append(replace(img, mask=mask))
+        runner.__dict__["_scenes"] = (train, ragged)
+        sizes = [16, 11, 6, 1, 12, 7, 2, 13]
+        assert [len(img.valid_pixels()) for img in runner.test_eval] == sizes
+        model = ill_pca_model(runner, 2, 5)
+        scenes = runner.test_features(model.projection, noise_db)
+        assert scenes.kept.shape == (8, len(runner.full), 16)
+        assert scenes.kept.sum(axis=(1, 2)).tolist() == [len(runner.full) * n for n in sizes]
+        expected = self.per_case_predictions(runner, model, noise_db)
+        assert self.sweep_predictions(runner, model, noise_db) == expected
+
     @pytest.mark.parametrize("batch_rows", [None, 1, 5, 100])
     @pytest.mark.parametrize("noise_db", [None, 20.0])
     def test_test_features_score_as_their_stacks(
         self, demo_data, noise_db, batch_rows, monkeypatch
     ):
         # The runner featurizes each run of cases, or of one case's rows, by
-        # its own call and scores the scene at every B; that must equal
-        # scoring each run of the per-case relit (and noisy) images' stack.
+        # its own call and scores every scene at every B in one call; scene
+        # i's scores must equal scoring each run of its per-case relit (and
+        # noisy) images' stack.
         if batch_rows is not None:
             monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
         runner = _Runner(demo_config(demo_data))
@@ -989,8 +1018,10 @@ class TestBatchedEvaluation:
         proj = fit_ill_pca(runner.proj_set, 2)
         models = [build_model(runner.train_eval, runner.full, proj, b) for b in (5, 10)]
         scenes = runner.test_features(proj, noise_db)
-        assert len(scenes) == len(runner.test_eval)
-        for i, (img, scene) in enumerate(zip(runner.test_eval, scenes)):
+        assert scenes.projection is proj
+        assert scenes.kept.shape[:2] == (len(runner.test_eval), len(runner.full))
+        scores = [score(model, scenes) for model in models]
+        for i, img in enumerate(runner.test_eval):
             cases = []
             for j, ill in enumerate(runner.full):
                 radiance = relight(img, ill.normalized_spd())
@@ -998,12 +1029,11 @@ class TestBatchedEvaluation:
                     radiance = add_noise(radiance, noise_db, mix_seed(master, i, j))
                 cases.append(radiance.valid_pixels())
             stack = np.stack(cases)
-            assert scene.projection is proj
-            assert scene.kept.shape == stack.shape[:2]
+            assert not scenes.kept[i, :, stack.shape[1] :].any()  # padding is unkept
             runs = cbc.batch_runs(*stack.shape[:2])
-            for model in models:
+            for model, scored in zip(models, scores):
                 stacks = [score(model, stack[run.start : run.stop]) for run in runs]
-                assert score(model, scene).tobytes() == np.concatenate(stacks).tobytes()
+                assert scored[i].tobytes() == np.concatenate(stacks).tobytes()
 
     def test_ties_resolve_to_the_lowest_index(self, demo_data):
         runner = _Runner(demo_config(demo_data))
