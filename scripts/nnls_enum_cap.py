@@ -4,14 +4,14 @@ Run from the repository root:  python scripts/nnls_enum_cap.py [--rows N]
 
 Targets are smooth random spectra (31 bands, L1-normalised like the
 chromaticities the nnmf projection encodes); each basis is an NNMF fit of
-2,000 of them. For k = 4..10 the script times `nnls_rows` on the rows the
-unconstrained fast path leaves, once by support enumeration
-(NNLS_ENUM_MAX_K raised to k) and once by the scalar Lawson-Hanson solver
-(NNLS_ENUM_MAX_K set to 0), and checks that the two reach the same
-objective. The last column is the traced peak memory of enumerating one
-large batch, which grows with the largest support layer (about
-C(k, k/2) * k/2 floats a row); raising the cap past 5 would need the rows
-enumerated in blocks.
+2,000 of them. For k = 4..10 the script times `nnls_rows` on the right-hand
+sides V . t of the rows the unconstrained fast path leaves, once by support
+enumeration (NNLS_ENUM_MAX_K raised to k) and once by the Gram-form scalar
+Lawson-Hanson solver (NNLS_ENUM_MAX_K set to 0), and checks that the two
+reach the same objective. The last column is the traced peak memory of
+solving one large batch. `nnls_rows` enumerates it in blocks of BATCH_ROWS
+rows, so the peak grows with the largest support layer of one block (about
+C(k, k/2) * k/2 floats a row), not with the batch.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ def smooth_spectra(rng: np.random.Generator, n: int) -> np.ndarray:
     return x / x.sum(axis=1, keepdims=True)
 
 
+def rhs_of(v: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """targets @ v.T by the fixed-order einsum `Projection.apply_rows` uses."""
+    return np.einsum("nd,kd->nk", targets, v)
+
+
 def timed(fn, *args) -> tuple[float, np.ndarray]:
     start = time.perf_counter()
     out = fn(*args)
@@ -68,7 +73,10 @@ def main() -> None:
     targets = smooth_spectra(rng, args.rows)
     big = smooth_spectra(rng, args.big_rows)
     cap = linalg.NNLS_ENUM_MAX_K
-    print(f"input of the memory column: {big.nbytes / 2**20:.1f} MiB")
+    print(
+        f"input of the memory column: {big.nbytes / 2**20:.1f} MiB of targets, "
+        f"solved in blocks of {linalg.BATCH_ROWS} rows"
+    )
     print(
         f"{'k':>2} {'clipped':>8} {'enum ms':>9} {'scalar ms':>10} {'ratio':>6} "
         f"{'obj diff':>9} {'peak MiB':>9}"
@@ -77,11 +85,12 @@ def main() -> None:
         v = nnmf_factorize(train, k, seed=0)[1]
         unconstrained = np.linalg.solve(v @ v.T, v @ targets.T).T
         clipped = targets[np.any(unconstrained < 0, axis=1)]
+        rhs, big_rhs = rhs_of(v, clipped), rhs_of(v, big)
         linalg.NNLS_ENUM_MAX_K = k
-        t_enum, z_enum = timed(linalg.nnls_rows, v, clipped)
-        peak = traced_peak_mib(linalg.nnls_rows, v, big)
+        t_enum, z_enum = timed(linalg.nnls_rows, v, rhs)
+        peak = traced_peak_mib(linalg.nnls_rows, v, big_rhs)
         linalg.NNLS_ENUM_MAX_K = 0
-        t_scalar, z_scalar = timed(linalg.nnls_rows, v, clipped)
+        t_scalar, z_scalar = timed(linalg.nnls_rows, v, rhs)
         linalg.NNLS_ENUM_MAX_K = cap
         obj = [np.sum((clipped - z @ v) ** 2, axis=1) for z in (z_enum, z_scalar)]
         print(

@@ -2,8 +2,9 @@
 
 For every candidate light source, the projected chromaticities of all usable
 training pixels under its SPD are histogrammed on a shared, calibrated grid.
-A linear projection folds each SPD into its basis, so one product of the
-training pixels with the folded bases gives every candidate's features.
+Each projection folds each SPD into its basis, so one product of the training
+pixels with the folded bases gives every candidate's features (nnmf's NNLS
+then solves on that product).
 A test image is classified by correlating its own histogram against each
 candidate's (log-likelihood by default) and taking the best-scoring candidate.
 """
@@ -13,13 +14,15 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import linalg
 from .illuminants import IlluminantSet
+from .linalg import BATCH_ROWS
 from .projections import KIND_NNMF, KIND_RGB, Projection, projection_hash
 from .spectral import SpectralImage, chromaticity_rows, noisy_rows, require_same_axis
 
@@ -43,10 +46,6 @@ MASS_TOL = 1e-9
 #: Closes a model's cell union, past any real cell: unseen cells read the base column.
 SENTINEL_CELL = np.iinfo(np.int64).max
 
-#: Most relit rows one `relit_rows` featurize call takes: it relights as many
-#: consecutive cases per stack as fit, and cuts a case that alone passes it.
-BATCH_ROWS = 2048
-
 
 def cell_count(n_bins: int, n_dims: int) -> int:
     """Cells of an n_bins ** n_dims grid, which flat int64 indices must address."""
@@ -68,13 +67,14 @@ def pixel_features(
     spectral pixel first and projects the chromaticity.
 
     With `spds`, a (C, bands) table, `rows` are reflectances lit by each SPD
-    in turn: the features come candidate-major and the mask is (C, N). A
-    linear kind folds each SPD s into its basis B, so one matmul of the rows
-    with the (C, bands, d' + 1) stack of s * B and s gives every candidate's
-    features: (r . (s * B)) / (r . s), minus mean . B for a centered kind,
-    with r . s the L1 sum the black test reads. rgb folds s into its three
-    channels and normalizes their responses. nnmf, whose coordinates are
-    NNLS solutions, goes through `relit_rows`.
+    in turn: the features come candidate-major and the mask is (C, N). Each
+    SPD s folds into the basis B, so one matmul of the rows with the
+    (C, bands, d' + 1) stack of s * B and s gives every candidate's
+    (r . (s * B)) / (r . s), with r . s the L1 sum the black test reads: the
+    B . c of the chromaticity c = (r * s) / (r . s). A linear kind's features
+    are those, minus mean . B for a centered kind; nnmf's are their NNLS
+    solutions, from one `nnls_rows` call. rgb folds s into its three channels
+    and normalizes their responses. No kind builds a relit stack.
 
     Rows whose L1 sum is at or below ZERO_NORM_EPS are skipped.
     """
@@ -89,8 +89,6 @@ def pixel_features(
     spds = np.asarray(spds, dtype=np.float64)
     if spds.ndim != 2 or spds.shape[1] != rows.shape[1]:
         raise ValueError(f"expected (C, {rows.shape[1]}) SPDs, got {spds.shape}")
-    if projection.kind == KIND_NNMF:
-        return relit_rows(partial(pixel_features, projection), rows, spds)
     # the basis as (bands, d') columns: the centered kinds, with a mean, store it so
     columns = projection.basis if projection.mean is not None else projection.basis.T
     if projection.kind != KIND_RGB:
@@ -103,6 +101,8 @@ def pixel_features(
         feats, kept = chromaticity_rows(flat[:, :-1], flat[:, -1])
         if projection.mean is not None:
             feats -= projection.mean @ projection.basis
+        elif projection.kind == KIND_NNMF:
+            feats = linalg.nnls_rows(projection.basis, feats)  # bench/spans.py wraps it there
     return feats, kept.reshape(product.shape[:2])
 
 
@@ -120,8 +120,8 @@ def relit_rows(featurize, pixels: np.ndarray, spds: np.ndarray, noise=None):
     cases, or of one case's rows past BATCH_ROWS. With `noise=(mask, snr_db,
     seeds)`, case j's radiance is `noisy_rows(radiance, mask, snr_db, seeds[j])`.
 
-    The folded `pixel_features` builds no relit stack; this loop remains for
-    nnmf's features, for noisy cases and for the fit matrices
+    The folded `pixel_features` builds no relit stack for any kind; this loop
+    remains for noisy cases and for the fit matrices
     (`training_chromaticities`), which need the relit rows themselves."""
     n_cases, n_rows = len(spds), len(pixels)
     feats = []

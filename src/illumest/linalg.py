@@ -2,15 +2,15 @@
 
 `symmetric_eig` and `generalized_eig` wrap library eigensolvers behind a
 fixed contract (descending eigenvalues, checked symmetry, B-orthonormal
-generalized eigenvectors). `nnls` is a hand-written Lawson-Hanson active-set
-solver for one target. `nnls_rows` solves a batch without looping over rows:
-an unconstrained normal-equations fast path, then, for up to NNLS_ENUM_MAX_K
-basis vectors, exact enumeration of every linearly independent support for
-all remaining rows at once (the combinatorial scheme of Van Benthem & Keenan,
-J. Chemometrics 2004, on the Gram-matrix form of Bro & De Jong's FNNLS). Every
-enumerated row is certified by the KKT conditions; only rows that fail the
-certificate, or every row when the basis has more vectors than the cap, reach
-the scalar solver.
+generalized eigenvectors). NNLS sees only the Gram V V^T of a basis V and
+right-hand sides V . t: `nnls` is Lawson-Hanson for one of them, in the Gram
+form of Bro & De Jong's FNNLS. `nnls_rows` solves blocks of BATCH_ROWS rows
+without looping over rows: an unconstrained normal-equations fast path, then,
+for up to NNLS_ENUM_MAX_K basis vectors, exact enumeration of every linearly
+independent support for all remaining rows at once (Van Benthem & Keenan,
+J. Chemometrics 2004). Every enumerated row is certified by the KKT
+conditions; only rows that fail the certificate, or every row when the basis
+has more vectors than the cap, reach the scalar solver.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ KKT_TOL = 1e-8
 #: floats of per-support solutions, so enumeration memory stays a small
 #: multiple of the batch's. scripts/nnls_enum_cap.py measures larger k.
 NNLS_ENUM_MAX_K = 5
+
+#: Most rows one batched step takes: `nnls_rows` solves blocks of this many
+#: rows, and `cbc.relit_rows` featurizes runs of this many relit rows.
+BATCH_ROWS = 2048
 
 
 def symmetric_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,28 +84,23 @@ def generalized_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return evals, vecs
 
 
-def nnls(
-    basis: np.ndarray,
-    target: np.ndarray,
-    max_iter: Optional[int] = None,
-) -> np.ndarray:
-    """Non-negative least squares: argmin_{z >= 0} || target - z @ basis ||^2.
+def nnls(gram: np.ndarray, atb: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
+    """Non-negative least squares from Gram terms: argmin_{z >= 0} || t - z @ V ||^2.
 
-    `basis` is (k, d), `target` is (d,), the result z is (k,). Lawson-Hanson
-    active-set iteration: grow the passive set by the most violated gradient
-    coordinate, solve the unconstrained subproblem on it, and step back along
-    the segment to the feasible region when the subproblem goes negative.
-    Terminates when the KKT conditions hold to KKT_TOL.
+    `gram` is the (k, k) V V^T of a (k, d) basis V, `atb` the (k,) V @ t, and
+    the result z is (k,). Lawson-Hanson in the Gram form of FNNLS (Bro & De
+    Jong, J. Chemometrics 11(5), 1997): grow the passive set P by the most
+    violated gradient coordinate, solve G[P,P] z = atb[P] by least squares,
+    and step back along the segment to the feasible region when that goes
+    negative. Terminates when the KKT conditions hold to KKT_TOL.
     """
-    v = np.asarray(basis, dtype=np.float64)
-    c = np.asarray(target, dtype=np.float64)
-    if v.ndim != 2 or c.ndim != 1 or v.shape[1] != c.shape[0]:
-        raise ValueError(f"incompatible shapes {v.shape} and {c.shape}")
-    k = v.shape[0]
-    if max_iter is None:
-        max_iter = 3 * k + 30
-    atb = v @ c
-    gram = v @ v.T
+    g = np.asarray(gram, dtype=np.float64)
+    atb = np.asarray(atb, dtype=np.float64)
+    if atb.ndim != 1 or g.shape != (len(atb), len(atb)):
+        raise ValueError(f"incompatible shapes {g.shape} and {atb.shape}")
+    if not np.all(np.isfinite(atb)):
+        raise ValueError("right-hand side must be finite")
+    k = len(atb)
     tol = KKT_TOL * max(1.0, float(np.max(np.abs(atb))) if k else 1.0)
 
     z = np.zeros(k)
@@ -110,8 +109,8 @@ def nnls(
     # straight back out stay blocked until z actually moves.
     blocked = np.zeros(k, dtype=bool)
 
-    for _ in range(max_iter):
-        grad = atb - gram @ z
+    for _ in range(3 * k + 30 if max_iter is None else max_iter):
+        grad = atb - g @ z
         candidates = ~passive & ~blocked & (grad > tol)
         if not np.any(candidates):
             return z
@@ -121,7 +120,7 @@ def nnls(
         # Inner loop: solve on the passive set, clip back while infeasible.
         while np.any(passive):
             idx = np.flatnonzero(passive)
-            sub, *_ = np.linalg.lstsq(v[idx].T, c, rcond=None)
+            sub, *_ = np.linalg.lstsq(g[idx[:, None], idx], atb[idx], rcond=None)
             if np.all(sub > 0):
                 z = np.zeros(k)
                 z[idx] = sub
@@ -209,48 +208,47 @@ def _enumerate_supports(
     return best
 
 
-def nnls_rows(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Row-wise NNLS: solve nnls(basis, row) for every row of `targets`.
+def nnls_rows(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Row-wise NNLS from right-hand sides: row i is nnls(V V^T, rhs[i]) for
+    the (k, d) `basis` V and the (n, k) `rhs` = targets @ V^T.
 
-    Fast path: the unconstrained normal-equations solution for all rows at
-    once; any row whose solution is already non-negative is optimal as-is.
-    When the basis has at most NNLS_ENUM_MAX_K vectors, the remaining rows are
-    solved exactly by enumerating supports: for each support size, one
-    batched solve covers every support with a regular sub-Gram and every row
-    (see `_enumerate_supports`). Supports with a numerically singular sub-Gram
-    depend only on the basis and are found once per call (see
-    `_independent_supports`). Each enumerated row must then
-    pass the KKT certificate, with tol = KKT_TOL * max(1, |basis @ row|_inf):
-    |gradient| <= tol on the support and gradient <= tol off it. Rows that
-    fail it, and every remaining row when the basis exceeds the cap, are
-    solved one at a time by the scalar active-set `nnls`.
+    Consecutive blocks of at most BATCH_ROWS rows are solved each on its own,
+    so a row's result depends only on its block. In a block, any row whose
+    unconstrained normal-equations solution is non-negative takes it. With at
+    most NNLS_ENUM_MAX_K basis vectors the other rows are solved exactly by
+    enumerating supports, one batched solve per support size over every
+    support with a regular sub-Gram (`_independent_supports`) and every row
+    (`_enumerate_supports`). Each enumerated row must then pass the KKT
+    certificate, with tol = KKT_TOL * max(1, |rhs row|_inf): |gradient| <= tol
+    on the support and gradient <= tol off it. Rows that fail it, and every
+    remaining row when the basis exceeds the cap, go to the scalar `nnls`.
     """
     v = np.asarray(basis, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.ndim != 2 or v.ndim != 2 or t.shape[1] != v.shape[1]:
-        raise ValueError(f"incompatible shapes {v.shape} and {t.shape}")
-    n, k = t.shape[0], v.shape[0]
-    out = np.zeros((n, k))
+    b = np.asarray(rhs, dtype=np.float64)
+    if v.ndim != 2 or b.ndim != 2 or b.shape[1] != v.shape[0]:
+        raise ValueError(f"incompatible shapes {v.shape} and {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand sides must be finite")
     gram = v @ v.T
-    # einsum, unlike a BLAS product, sums each row in the same order wherever
-    # it sits in the batch, so permuting the rows permutes the result bitwise.
-    rhs = np.einsum("nd,kd->nk", t, v)
-    pending = np.arange(n)
-    try:
-        candidate = np.linalg.solve(gram, rhs.T).T
-    except np.linalg.LinAlgError:
-        candidate = None
-    if candidate is not None:
-        ok = np.all(candidate >= 0, axis=1)
-        out[ok] = candidate[ok]
-        pending = pending[~ok]
-    if len(pending) and k <= NNLS_ENUM_MAX_K:
-        sub = _enumerate_supports(gram, rhs[pending], _independent_supports(gram))
-        out[pending] = sub
-        grad = rhs[pending] - np.einsum("mj,jk->mk", sub, gram)
-        tol = KKT_TOL * np.maximum(1.0, np.max(np.abs(rhs[pending]), axis=1))
-        violation = np.where(sub > 0, np.abs(grad), grad)
-        pending = pending[np.any(violation > tol[:, None], axis=1)]
-    for i in pending:
-        out[i] = nnls(v, t[i])
+    out = np.zeros(b.shape)
+    for start in range(0, len(b), BATCH_ROWS):
+        block, z = b[start : start + BATCH_ROWS], out[start : start + BATCH_ROWS]
+        pending = np.arange(len(block))
+        try:
+            candidate = np.linalg.solve(gram, block.T).T
+        except np.linalg.LinAlgError:  # a singular Gram: no fast path
+            pass
+        else:
+            ok = np.all(candidate >= 0, axis=1)
+            z[ok] = candidate[ok]
+            pending = pending[~ok]
+        if len(pending) and len(gram) <= NNLS_ENUM_MAX_K:
+            sub = _enumerate_supports(gram, block[pending], _independent_supports(gram))
+            z[pending] = sub
+            grad = block[pending] - np.einsum("mj,jk->mk", sub, gram)
+            tol = KKT_TOL * np.maximum(1.0, np.max(np.abs(block[pending]), axis=1))
+            violation = np.where(sub > 0, np.abs(grad), grad)
+            pending = pending[np.any(violation > tol[:, None], axis=1)]
+        for i in pending:
+            z[i] = nnls(gram, block[i])
     return out

@@ -112,7 +112,8 @@ class Projection:
         if self.kind in _CENTERED_KINDS:
             return (rows - self.mean) @ self.basis
         if self.kind == KIND_NNMF:
-            return nnls_rows(self.basis, rows)
+            # einsum, unlike BLAS, sums a row in one order wherever it sits
+            return nnls_rows(self.basis, np.einsum("nd,kd->nk", rows, self.basis))
         return rows @ self.basis.T
 
 

@@ -30,6 +30,7 @@ from illumest.io import (
     write_spd_csv,
 )
 from illumest.linalg import nnls
+from nnls_oracle import target_nnls
 from illumest.projections import (
     TrainingMatrix,
     fit_ill_pca,
@@ -104,8 +105,9 @@ def test_c03_nnls_and_nnmf_oracles():
         atb = basis @ target
         unconstrained = np.linalg.solve(gram, atb)
         if unconstrained.min() >= 0.0:
-            z = nnls(basis, target)
-            assert np.max(np.abs(z - unconstrained)) <= 1e-8
+            # the Gram-form solver and the target-form Lawson-Hanson oracle
+            for z in (nnls(gram, atb), target_nnls(basis, target)):
+                assert np.max(np.abs(z - unconstrained)) <= 1e-8
             compared += 1
     assert compared >= 25  # the oracle comparison must actually exercise cases
 

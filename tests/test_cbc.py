@@ -916,6 +916,23 @@ def fold_bound(proj):
     return FOLD_ULPS * (bands + 2) * np.finfo(float).eps * scale
 
 
+def norms(z):
+    return np.linalg.norm(z, axis=1)
+
+
+def nnmf_fold_bound(proj, z_norm):
+    """Largest folded-versus-relit difference of nnmf features of norm
+    `z_norm` (2-norm, per row). Their right-hand sides V . c differ by at most
+    fold_bound(proj) a coordinate, as a linear kind's features do; NNLS moves
+    its solution by at most the right-hand side's change over the Gram's least
+    eigenvalue, and each solve adds a backward error of FOLD_ULPS k ulps of
+    the Gram, amplified the same way."""
+    lam = np.linalg.eigvalsh(proj.basis @ proj.basis.T)
+    eps = np.finfo(float).eps
+    shift = np.linalg.norm(fold_bound(proj)) + FOLD_ULPS * len(lam) * eps * lam[-1] * z_norm
+    return shift / lam[0] if lam[0] > 0 else np.full_like(shift, np.inf)  # singular: no bound
+
+
 #: Caps under test: the default; one row a call; runs of three candidates,
 #: which split the 28 bundled candidates unevenly (9 x 3 + 1); and runs of
 #: pixels, which split each candidate's pixels unevenly in three.
@@ -950,8 +967,8 @@ class TestBatchRuns:
 
 class TestRelitTrainingStacks:
     """Training features and chromaticities pinned to a per-(candidate,
-    image) relit reference at several caps: the linear kinds' features come
-    from one folded product, nnmf's and the chromaticities from relit stacks."""
+    image) relit reference at several caps: every kind's features come from
+    one folded product, the chromaticities from relit stacks."""
 
     @pytest.fixture(scope="class")
     def scenes(self, bundled_set):
@@ -995,17 +1012,8 @@ class TestRelitTrainingStacks:
         )
         feats = training_features(scenes, candidates, proj)
         monkeypatch.setattr(cbc, "pixel_features", original)
-        # one folded call on all training pixels, whatever the cap
-        assert calls[0] == (n_pixels, 3)
-        relit = [rows for rows, _ in calls[1:]]
-        if kind != "nnmf":
-            assert relit == []
-        elif n_pixels <= cbc.BATCH_ROWS:
-            # nnmf relights: one call per run of candidates, on all of their pixels
-            assert relit == [len(run) * n_pixels for run in batch_runs(28, n_pixels)]
-        else:
-            # one candidate a call, its pixels in runs within the cap
-            assert sum(relit) == 28 * n_pixels and max(relit) <= cbc.BATCH_ROWS
+        # one folded call on all training pixels, whatever the cap, and no relit call
+        assert calls == [(n_pixels, 3)]
         expected = reference_training_blocks(
             scenes, candidates, lambda rows: pixel_features(proj, rows)
         )
@@ -1021,8 +1029,8 @@ class TestRelitTrainingStacks:
         blocks = np.split(feats.feats, np.cumsum(counts)[:-1])
         assert len(blocks) == len(expected) == 28
         # Folding reassociates each feature's sums: within FOLD_ULPS of its
-        # column's scale. nnmf's LAPACK solve rounds a row by its position in
-        # the batch, so it agrees to 1e-12.
+        # column's scale. nnmf solves its NNLS on such folded right-hand
+        # sides, and here agrees to 1e-12.
         bound = 1e-12 if kind == "nnmf" else fold_bound(proj)
         for got, want in zip(blocks, expected):
             assert got.shape == want.shape
@@ -1091,11 +1099,12 @@ class TestRelitTrainingStacks:
 
 
 @st.composite
-def folding_cases(draw):
-    """A linear projection, reflectance rows and an SPD table: (projection,
-    rows, spds). Entries are 0 or at least 1e-3, so every L1 sum the black
-    test reads is exactly 0 or above 1e-9, far from ZERO_NORM_EPS."""
-    kind = draw(st.sampled_from(["rand", "lda", "pca", "ill_pca", "rgb"]))
+def folding_cases(draw, kinds=("rand", "lda", "pca", "ill_pca", "rgb")):
+    """A projection of one of `kinds`, reflectance rows and an SPD table:
+    (projection, rows, spds). Entries are 0 or at least 1e-3, so every L1
+    sum the black test reads is exactly 0 or above 1e-9, far from
+    ZERO_NORM_EPS; an nnmf basis is non-negative the same way."""
+    kind = draw(st.sampled_from(kinds))
     bands = draw(st.integers(2, 31))
     d_prime = 3 if kind == "rgb" else draw(st.integers(1, min(5, bands)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1106,8 +1115,8 @@ def folding_cases(draw):
     rows = sparse((draw(st.integers(0, 40)), bands), draw(st.sampled_from([0.0, 0.3, 0.9])))
     rows[rng.random(len(rows)) < 0.2] = 0.0
     spds = sparse((draw(st.integers(1, 6)), bands), draw(st.sampled_from([0.0, 0.5])))
-    if kind == "rgb":
-        proj = Projection("rgb", bands, 3, basis=sparse((3, bands), 0.3))
+    if kind in ("rgb", "nnmf"):
+        proj = Projection(kind, bands, d_prime, basis=sparse((d_prime, bands), 0.3))
     elif kind in ("pca", "ill_pca"):
         basis = np.linalg.qr(rng.standard_normal((bands, d_prime)))[0]
         mean = rng.uniform(-1.0, 1.0, bands) * draw(st.sampled_from([0.0, 1.0 / bands, 1.0]))
@@ -1129,6 +1138,19 @@ class TestFoldedFeatures:
         assert kept.tobytes() == want_kept.tobytes()
         assert feats.shape == want.shape == (kept.sum(), proj.output_dim)
         assert np.all(np.abs(feats - want) <= fold_bound(proj))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(folding_cases(kinds=("nnmf",)))
+    def test_folded_nnmf_features_match_per_candidate_features(self, case):
+        proj, rows, spds = case
+        feats, kept = pixel_features(proj, rows, spds)
+        per_candidate = [pixel_features(proj, rows * s) for s in spds]
+        assert kept.tobytes() == np.stack([m for _, m in per_candidate]).tobytes()
+        want = np.concatenate([f for f, _ in per_candidate])
+        assert feats.shape == want.shape == (kept.sum(), proj.output_dim)
+        bound = nnmf_fold_bound(proj, np.maximum(norms(feats), norms(want)))
+        assert np.all(np.abs(feats - want) <= bound[:, None])
 
     def test_spd_table_shape_checked(self):
         proj = fit_rand(4, 2, seed=0)

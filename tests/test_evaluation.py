@@ -1,6 +1,7 @@
 """Metrics, report formatting, configuration, and the evaluation runners."""
 
 import hashlib
+import sys
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from illumest.evaluation import (
 )
 from illumest.illuminants import Illuminant, IlluminantSet
 from illumest.io import FormatError, read_sensitivities, write_spd_csv
-from illumest.projections import fit_ill_pca
+from illumest.projections import ALL_KINDS, fit_ill_pca
 from illumest.spectral import (
     SpectralAxis,
     SpectralImage,
@@ -816,8 +817,8 @@ class TestCaseTable:
 class TestSweepCalls:
     """The sweep fits and featurizes each (method, d', variant) once: one
     folded `cbc.pixel_features` call on the training pixels and one per clean
-    test scene, plus one call per `relit_rows` run for nnmf and for noisy
-    cases only. It builds one model per B from those training features, and
+    test scene for every kind, nnmf included, plus one call per `relit_rows`
+    run for noisy cases only. It builds one model per B from those training features, and
     scores every test scene in one classify call per model and noise level
     from the held test features: the counts the benchmark's traces rely on."""
 
@@ -843,16 +844,14 @@ class TestSweepCalls:
         return log
 
     @staticmethod
-    def expected(fits, n_bins, n_noisy, n_scenes, n_runs, n_train_runs):
-        """Per fit: its training features, one folded call (nnmf adds its
-        relit runs); the clean test features, one folded call per scene (nnmf
-        adds each scene's relit runs); each noisy level's relit runs; then per
-        B a model and one classify per level."""
+    def expected(fits, n_bins, n_noisy, n_scenes, n_runs):
+        """Per fit: its training features, one folded call; the clean test
+        features, one folded call per scene; each noisy level's relit runs;
+        then per B a model and one classify per level."""
         out = []
         for fit in fits:
-            relit = fit == "fit_nnmf"
-            training = ["pixel_features"] * (1 + relit * n_train_runs) + ["training_features"]
-            clean = ["pixel_features"] * (n_scenes * (1 + relit * n_runs)) + ["test_features"]
+            training = ["pixel_features", "training_features"]
+            clean = ["pixel_features"] * n_scenes + ["test_features"]
             noisy = ["pixel_features"] * (n_scenes * n_runs) + ["test_features"]
             per_model = ["build_model"] + ["classify"] * (1 + n_noisy)
             out += [fit] + training + clean + noisy * n_noisy + per_model * n_bins
@@ -861,27 +860,58 @@ class TestSweepCalls:
     def test_one_fit_and_featurization_per_projection(
         self, demo_data, bundled_cameras, events
     ):
-        # nnmf relights 28 candidates of 256 training rows in runs of 8; a
-        # scene's 28 cases of 16 rows in one run
-        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=1, n_train_runs=4)
+        # a scene's 28 noisy cases of 16 rows relight in one run
+        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=1)
 
     def test_one_classify_per_level_when_cases_split_into_runs(
         self, demo_data, bundled_cameras, events, monkeypatch
     ):
-        # at 100 rows a scene's relit cases split into runs of 6, and each
-        # candidate's relit training rows into runs of 100, 100 and 56
+        # at 100 rows a scene's relit cases split into runs of 6
         monkeypatch.setattr(cbc, "BATCH_ROWS", 100)
-        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=5, n_train_runs=28 * 3)
+        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=5)
 
     def test_one_classify_per_level_when_cases_split_into_row_runs(
         self, demo_data, bundled_cameras, events, monkeypatch
     ):
-        # at 10 rows each relit case's 16 rows split into runs of 10 and 6,
-        # and each candidate's 256 relit training rows into 26 runs
+        # at 10 rows each relit case's 16 rows split into runs of 10 and 6
         monkeypatch.setattr(cbc, "BATCH_ROWS", 10)
-        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=28 * 2, n_train_runs=28 * 26)
+        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=28 * 2)
 
-    def check_sweeps(self, demo_data, bundled_cameras, events, n_runs, n_train_runs):
+    def test_only_noisy_cases_and_fit_matrices_relight(
+        self, demo_data, bundled_cameras, monkeypatch
+    ):
+        # Every kind's clean features fold, nnmf's too: `relit_rows` serves
+        # the fit matrices (`training_chromaticities`) and the noisy test
+        # cases alone, whichever module's name for it a caller uses.
+        calls = []
+        original = cbc.relit_rows
+
+        def recorded(featurize, pixels, spds, noise=None):
+            calls.append((sys._getframe(1).f_code.co_name, featurize, noise is not None))
+            return original(featurize, pixels, spds, noise)
+
+        monkeypatch.setattr(cbc, "relit_rows", recorded)
+        monkeypatch.setattr(evaluation, "relit_rows", recorded)
+        cfg = demo_config(
+            demo_data,
+            methods=ALL_KINDS,
+            cameras=tuple(bundled_cameras[:1]),
+            nnmf_max_iter=20,
+            noise_method="nnmf",
+            noise_d_prime=2,
+            noise_bins=5,
+            noise_levels=(20.0,),
+        )
+        run_grid(cfg)
+        # the fit matrices alone: one pca and nnmf share, and lda's labelled one
+        assert calls == [("training_chromaticities", chromaticity_rows, False)] * 2
+        calls.clear()
+        run_noise(cfg)
+        names = [name for name, _, _ in calls]
+        assert names == ["training_chromaticities"] + ["test_features"] * 8  # one per scene
+        assert all(noisy for name, _, noisy in calls if name == "test_features")
+
+    def check_sweeps(self, demo_data, bundled_cameras, events, n_runs):
         cfg = demo_config(
             demo_data,
             methods=("rand", "rgb", "ill_pca", "nnmf"),
@@ -898,7 +928,7 @@ class TestSweepCalls:
         n_scenes = 8  # held-out demo scenes of 16 pixels
         report = run_grid(cfg)
         fits = ["fit_rand"] * 4 + ["fit_rgb"] * 2 + ["fit_ill_pca"] * 2 + ["fit_nnmf"] * 2
-        runs = dict(n_scenes=n_scenes, n_runs=n_runs, n_train_runs=n_train_runs)
+        runs = dict(n_scenes=n_scenes, n_runs=n_runs)
         assert [e[0] for e in events] == self.expected(fits, 2, 0, **runs)
         assert len(report.rows) == 10 * 2 + 4 + 2  # cells, rand and rgb averages per (d', B)
         self.assert_features_reused(events, n_bins=2)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illumest import linalg
+from illumest import cbc, linalg
 from illumest.linalg import (
+    BATCH_ROWS,
     KKT_TOL,
     NNLS_ENUM_MAX_K,
     generalized_eig,
@@ -16,6 +17,8 @@ from illumest.linalg import (
     nnls_rows,
     symmetric_eig,
 )
+from illumest.projections import KIND_NNMF, KIND_RAND, Projection
+from nnls_oracle import target_nnls
 
 
 def brute_force_nnls(basis, target):
@@ -39,6 +42,22 @@ def brute_force_nnls(basis, target):
             if obj < best_obj - 1e-12:
                 best, best_obj = z, obj
     return best, best_obj
+
+
+def rhs_of(basis, targets):
+    """targets @ basis.T by the fixed-order einsum `Projection.apply_rows`
+    uses, so a row's right-hand side does not depend on its batch."""
+    return np.einsum("nd,kd->nk", targets, basis)
+
+
+def gram_nnls(basis, target, **kwargs):
+    """The Gram-form scalar `nnls` of one target on a (k, d) basis."""
+    return nnls(basis @ basis.T, basis @ target, **kwargs)
+
+
+def solve_rows(basis, targets):
+    """`nnls_rows` of target rows, through their right-hand sides."""
+    return nnls_rows(basis, rhs_of(basis, targets))
 
 
 def objective(basis, targets, z):
@@ -77,9 +96,9 @@ def counting_scalar_solver(monkeypatch):
     calls = []
     scalar = linalg.nnls
 
-    def counted(basis, target, *args, **kwargs):
-        calls.append(1)
-        return scalar(basis, target, *args, **kwargs)
+    def counted(gram, atb, *args, **kwargs):
+        calls.append(atb.copy())
+        return scalar(gram, atb, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "nnls", counted)
     return calls
@@ -150,19 +169,19 @@ class TestNnls:
     def test_unconstrained_interior_solution(self):
         basis = np.array([[1.0, 1.0]])
         target = np.array([1.0, 3.0])
-        np.testing.assert_allclose(nnls(basis, target), [2.0], atol=1e-12)
+        np.testing.assert_allclose(gram_nnls(basis, target), [2.0], atol=1e-12)
 
     def test_active_constraint_hand_case(self):
         # Unconstrained solution is (1, -1); the optimum clips coordinate 2
         # to zero and re-solves to z = (0.5, 0).
         basis = np.array([[1.0, 1.0], [1.0, 0.0]])
         target = np.array([0.0, 1.0])
-        z = nnls(basis, target)
+        z = gram_nnls(basis, target)
         np.testing.assert_allclose(z, [0.5, 0.0], atol=1e-10)
 
     def test_zero_target_gives_zero(self):
         basis = np.eye(3)
-        np.testing.assert_array_equal(nnls(basis, np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(gram_nnls(basis, np.zeros(3)), np.zeros(3))
 
     def test_matches_active_set_enumeration(self):
         rng = np.random.default_rng(5)
@@ -171,7 +190,7 @@ class TestNnls:
             d = int(rng.integers(k, 6))
             basis = rng.standard_normal((k, d))
             target = rng.standard_normal(d)
-            z = nnls(basis, target)
+            z = gram_nnls(basis, target)
             assert np.all(z >= 0)
             obj = float(np.sum((target - z @ basis) ** 2))
             _, best_obj = brute_force_nnls(basis, target)
@@ -184,7 +203,7 @@ class TestNnls:
             d = int(rng.integers(2, 12))
             basis = rng.standard_normal((k, d))
             target = rng.standard_normal(d)
-            z = nnls(basis, target)
+            z = gram_nnls(basis, target)
             assert np.all(z >= 0)
             grad = basis @ target - (basis @ basis.T) @ z
             scale = max(1.0, float(np.max(np.abs(basis @ target))))
@@ -194,14 +213,24 @@ class TestNnls:
 
     def test_duplicate_rows_do_not_cycle(self):
         basis = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        z = nnls(basis, np.array([2.0, 3.0]))
+        z = gram_nnls(basis, np.array([2.0, 3.0]))
         np.testing.assert_allclose(z @ basis, [2.0, 3.0], atol=1e-10)
         assert np.all(z >= 0)
 
     def test_iteration_cap_raises(self):
         basis = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(RuntimeError):
-            nnls(basis, np.array([1.0, 1.0]), max_iter=0)
+            nnls(basis @ basis.T, np.array([1.0, 1.0]), max_iter=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_right_hand_side_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            nnls(np.eye(3), np.array([1.0, bad, 0.5]))
+
+    def test_shapes_checked(self):
+        for gram, atb in ((np.eye(3), np.ones(2)), (np.ones((2, 3)), np.ones(2))):
+            with pytest.raises(ValueError, match="incompatible shapes"):
+                nnls(gram, atb)
 
 
 class TestNnlsRows:
@@ -209,16 +238,17 @@ class TestNnlsRows:
         rng = np.random.default_rng(7)
         basis = rng.random((4, 9))
         targets = rng.standard_normal((12, 9))
-        batch = nnls_rows(basis, targets)
+        batch = solve_rows(basis, targets)
         for i in range(12):
-            np.testing.assert_allclose(batch[i], nnls(basis, targets[i]), atol=1e-9)
+            np.testing.assert_allclose(batch[i], gram_nnls(basis, targets[i]), atol=1e-9)
+            np.testing.assert_allclose(batch[i], target_nnls(basis, targets[i]), atol=1e-9)
 
     def test_nonnegative_targets_reconstruct_exactly_in_span(self):
         rng = np.random.default_rng(8)
         basis = rng.random((3, 8))
         weights = rng.random((10, 3))
         targets = weights @ basis
-        sol = nnls_rows(basis, targets)
+        sol = solve_rows(basis, targets)
         np.testing.assert_allclose(sol @ basis, targets, atol=1e-8)
 
     def test_clipped_coordinates_match_enumeration_oracle(self, monkeypatch):
@@ -238,7 +268,7 @@ class TestNnlsRows:
                     clip,
                     rng.uniform(0.1, 1.0, size=(6, k)),
                 )
-                z = nnls_rows(basis, targets)
+                z = solve_rows(basis, targets)
                 assert_kkt(basis, targets, z)
                 np.testing.assert_allclose(z, z_want, atol=1e-9)
                 assert np.array_equal(z == 0, clip)
@@ -254,35 +284,38 @@ class TestNnlsRows:
         for k in range(1, 7):
             basis = rng.random((k, 31))
             targets = np.vstack([np.zeros((2, 31)), -rng.random((5, 31))])
-            np.testing.assert_array_equal(nnls_rows(basis, targets), 0.0)
+            np.testing.assert_array_equal(solve_rows(basis, targets), 0.0)
 
     def test_duplicated_basis_row_matches_scalar_objective(self, monkeypatch):
         rng = np.random.default_rng(11)
         basis = rng.random((4, 9))
         basis = np.vstack([basis, basis[1]])  # rank 4 with 5 rows
         targets = rng.standard_normal((40, 9)) + rng.random((40, 5)) @ basis
-        scalar = np.array([nnls(basis, t) for t in targets])
+        scalar = np.array([gram_nnls(basis, t) for t in targets])
+        oracle = np.array([target_nnls(basis, t) for t in targets])
         calls = counting_scalar_solver(monkeypatch)
-        z = nnls_rows(basis, targets)
+        z = solve_rows(basis, targets)
         assert not calls
         assert_kkt(basis, targets, z)
-        np.testing.assert_allclose(
-            objective(basis, targets, z),
-            objective(basis, targets, scalar),
-            rtol=1e-10,
-            atol=1e-12,
-        )
+        for other in (scalar, oracle):
+            np.testing.assert_allclose(
+                objective(basis, targets, z),
+                objective(basis, targets, other),
+                rtol=1e-10,
+                atol=1e-12,
+            )
 
     def test_gram_that_rounds_singular_matches_scalar_objective(self):
         # independent rows (sigma_min ~ 7e-10), but the Gram rounds to [[1,1],[1,1]]
         basis = np.array([[1.0, 0.0], [1.0, 1e-9]])
         targets = np.array([[1.0, -1.0], [0.5, 0.5], [2.0, 1e-9], [1.0, 2.0], [-1.0, 1.0]])
-        z = nnls_rows(basis, targets)
-        scalar = np.array([nnls(basis, t) for t in targets])
+        z = solve_rows(basis, targets)
         assert np.all(z >= 0)
-        np.testing.assert_allclose(
-            objective(basis, targets, z), objective(basis, targets, scalar), atol=1e-12
-        )
+        for solver in (gram_nnls, target_nnls):
+            other = np.array([solver(basis, t) for t in targets])
+            np.testing.assert_allclose(
+                objective(basis, targets, z), objective(basis, targets, other), atol=1e-12
+            )
 
     def test_singular_layer_leaves_its_rows_to_the_scalar_solver(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -291,13 +324,13 @@ class TestNnlsRows:
         basis = rng.integers(0, 4, size=(3, 7)).astype(float)
         basis = np.vstack([basis, basis[0]])
         targets = rng.standard_normal((30, 7))
-        want = objective(basis, targets, nnls_rows(basis, targets))
+        want = objective(basis, targets, solve_rows(basis, targets))
         every_support = [
             np.array(list(itertools.combinations(range(4), size)))
             for size in range(1, 5)
         ]
         monkeypatch.setattr(linalg, "_independent_supports", lambda gram: every_support)
-        z = nnls_rows(basis, targets)
+        z = solve_rows(basis, targets)
         assert_kkt(basis, targets, z, support_tol=1e-6)
         np.testing.assert_allclose(objective(basis, targets, z), want, atol=1e-12)
 
@@ -306,13 +339,83 @@ class TestNnlsRows:
         k = NNLS_ENUM_MAX_K + 1
         basis = rng.random((k, 31))
         targets = rng.standard_normal((8, 31))
-        unconstrained = np.linalg.solve(basis @ basis.T, basis @ targets.T).T
+        gram, rhs = basis @ basis.T, rhs_of(basis, targets)
+        unconstrained = np.linalg.solve(gram, rhs.T).T
         clipped = np.flatnonzero(np.any(unconstrained < 0, axis=1))
         calls = counting_scalar_solver(monkeypatch)
-        z = nnls_rows(basis, targets)
+        z = nnls_rows(basis, rhs)
         assert len(calls) == len(clipped) > 0
-        for i in clipped:
-            np.testing.assert_array_equal(z[i], nnls(basis, targets[i]))
+        for i, atb in zip(clipped, calls):
+            assert atb.tobytes() == rhs[i].tobytes()
+            np.testing.assert_array_equal(z[i], nnls(gram, rhs[i]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("k", [2, NNLS_ENUM_MAX_K + 1])
+    def test_non_finite_right_hand_side_raises(self, bad, k):
+        rng = np.random.default_rng(15)
+        basis = rng.random((k, 7))
+        rhs = rhs_of(basis, rng.standard_normal((5, 7)))
+        rhs[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nnls_rows(basis, rhs)
+
+    def test_shapes_checked(self):
+        for rhs in (np.ones((4, 2)), np.ones(3)):
+            with pytest.raises(ValueError, match="incompatible shapes"):
+                nnls_rows(np.ones((3, 5)), rhs)
+
+    @pytest.mark.parametrize("k", [3, NNLS_ENUM_MAX_K + 1])
+    def test_rows_past_the_cap_solve_block_by_block(self, k, monkeypatch):
+        # the cap is the one `cbc` cuts its relit runs by
+        assert BATCH_ROWS == cbc.BATCH_ROWS == 2048
+        rng = np.random.default_rng(16)
+        basis = rng.random((k, 31))
+        n = 2 * BATCH_ROWS + 300
+        rhs = rhs_of(basis, rng.standard_normal((n, 31)) + rng.random((n, k)) @ basis)
+        enumerated = []
+        original = linalg._enumerate_supports
+
+        def recorded(gram, sub, supports):
+            enumerated.append(len(sub))
+            return original(gram, sub, supports)
+
+        monkeypatch.setattr(linalg, "_enumerate_supports", recorded)
+        z = nnls_rows(basis, rhs)
+        monkeypatch.undo()
+        assert 0 < np.count_nonzero(np.any(z == 0, axis=1)) < n  # some rows clip
+        # within the enumeration cap, one enumeration per block, of that block's rows
+        assert len(enumerated) == (3 if k <= NNLS_ENUM_MAX_K else 0)
+        assert all(0 < m <= BATCH_ROWS for m in enumerated)
+        blocks = [nnls_rows(basis, rhs[s : s + BATCH_ROWS]) for s in range(0, n, BATCH_ROWS)]
+        assert [len(b) for b in blocks] == [BATCH_ROWS, BATCH_ROWS, 300]
+        assert z.tobytes() == np.concatenate(blocks).tobytes()
+
+
+class TestApplyRowsNnmf:
+    def test_apply_rows_passes_the_einsum_right_hand_sides(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        basis = rng.random((3, 8))
+        rows = rng.random((20, 8))
+        seen = []
+        monkeypatch.setattr(
+            "illumest.projections.nnls_rows", lambda v, rhs: seen.append(rhs) or nnls_rows(v, rhs)
+        )
+        z = Projection(KIND_NNMF, 8, 3, basis=basis).apply_rows(rows)
+        assert seen[0].tobytes() == rhs_of(basis, rows).tobytes()
+        assert z.tobytes() == nnls_rows(basis, rhs_of(basis, rows)).tobytes()
+
+    def test_non_finite_row_raises_like_a_linear_kind_fails_binning(self):
+        rng = np.random.default_rng(18)
+        basis = rng.random((3, 31))
+        rows = rng.random((4, 31))
+        rows[2, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Projection(KIND_NNMF, 31, 3, basis=basis).apply_rows(rows)
+        # a linear kind carries the NaN into its features, which binning rejects
+        feats = Projection(KIND_RAND, 31, 3, basis=basis).apply_rows(rows)
+        assert np.isnan(feats[2]).all() and np.isfinite(np.delete(feats, 2, axis=0)).all()
+        with pytest.raises(ValueError, match="finite"):
+            cbc.bin_indices(feats, np.zeros(3), np.ones(3) * 30, 5)
 
 
 @st.composite
@@ -336,14 +439,33 @@ def nnls_batches(draw):
     return basis, targets, rng.permutation(n)
 
 
+@st.composite
+def fallback_batches(draw):
+    """A k = 6 basis, above the enumeration cap, and up to 60 targets: every
+    row the fast path leaves goes to the scalar solver. Half the bases are
+    dependent: rank 1..5 products of dyadic factors, so the Gram and its
+    singular sub-Grams are exact."""
+    k, d = 6, draw(st.integers(2, 31))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, 5))
+        basis = (rng.integers(-4, 5, size=(k, rank)) / 2.0) @ (
+            rng.integers(-4, 5, size=(rank, d)) / 2.0
+        )
+    else:
+        basis = rng.standard_normal((k, d))
+    return basis, rng.standard_normal((n, d))
+
+
 class TestNnlsRowsProperties:
     @settings(max_examples=100, deadline=None)
     @given(nnls_batches())
     def test_feasible_certified_and_no_worse_than_scalar(self, batch):
         basis, targets, _ = batch
-        z = nnls_rows(basis, targets)
+        z = solve_rows(basis, targets)
         assert_kkt(basis, targets, z, support_tol=1e-6)
-        scalar = np.array([nnls(basis, t) for t in targets])
+        scalar = np.array([gram_nnls(basis, t) for t in targets])
         scale = np.maximum(1.0, np.sum(targets**2, axis=1))
         got = objective(basis, targets, z)
         assert np.all(got <= objective(basis, targets, scalar) + 1e-9 * scale)
@@ -353,5 +475,23 @@ class TestNnlsRowsProperties:
     def test_permuting_rows_permutes_solutions_bitwise(self, batch):
         basis, targets, perm = batch
         np.testing.assert_array_equal(
-            nnls_rows(basis, targets[perm]), nnls_rows(basis, targets)[perm]
+            solve_rows(basis, targets[perm]), solve_rows(basis, targets)[perm]
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(fallback_batches())
+    def test_scalar_fallback_matches_the_target_form_oracle(self, batch):
+        # each row that reaches the Gram-form scalar solver, checked against
+        # the target-form Lawson-Hanson on its own target
+        basis, targets = batch
+        rhs = rhs_of(basis, targets)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = counting_scalar_solver(patch)
+            z = nnls_rows(basis, rhs)
+        rows = [int(np.flatnonzero((rhs == atb).all(axis=1))[0]) for atb in calls]
+        oracle = np.array([target_nnls(basis, targets[i]) for i in rows]).reshape(-1, 6)
+        assert_kkt(basis, targets[rows], z[rows], support_tol=1e-6)
+        scale = np.maximum(1.0, np.sum(targets[rows] ** 2, axis=1))
+        got = objective(basis, targets[rows], z[rows])
+        want = objective(basis, targets[rows], oracle)
+        assert np.all(np.abs(got - want) <= 1e-9 * scale)

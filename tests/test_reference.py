@@ -4,11 +4,12 @@ obviously correct.
 For each report row the reference takes the projection the runner fits, then
 rebuilds the row's model and its cases from first principles: every training
 scene relit by each candidate's SPD alone, each pixel featurized on its own
-(the scalar `linalg.nnls` for nnmf), one dense histogram per candidate over
-the whole cell grid, and a relight-and-score loop over the (scene,
-candidate) cases. It returns each case's tie set: every candidate whose
-score is within TIE_TOL of the best. A prediction of the sweep must lie in
-its case's tie set; sgw's snapped SPD is checked the same way.
+(nnmf by the target-form Lawson-Hanson of `nnls_oracle`), one dense
+histogram per candidate over the whole cell grid, and a relight-and-score
+loop over the (scene, candidate) cases. It returns each case's tie set:
+every candidate whose score is within TIE_TOL of the best. A prediction of
+the sweep must lie in its case's tie set; sgw's snapped SPD is checked the
+same way.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from illumest import synth_dataset
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cbc import BOUNDS_MARGIN, DEGENERATE_WIDTH, MODE_LOG
 from illumest.evaluation import AVG_VARIANT, METHOD_SGW, GridConfig, _Runner
-from illumest.linalg import nnls
 from illumest.spectral import ZERO_NORM_EPS, SpectralAxis, add_noise, mix_seed, relight
+from nnls_oracle import target_nnls
 
 #: Scores within this share of the best one (or of 1) tie with it: far above
 #: the rounding of a different summation order, far below a one-pixel change.
@@ -42,7 +43,7 @@ def reference_features(proj, radiance):
             continue
         c = v / total
         if proj.kind == "nnmf":
-            feats.append(nnls(proj.basis, c))
+            feats.append(target_nnls(proj.basis, c))
         elif proj.kind in ("pca", "ill_pca"):
             feats.append((c - proj.mean) @ proj.basis)
         elif proj.kind == "rgb":
