@@ -916,10 +916,6 @@ def fold_bound(proj):
     return FOLD_ULPS * (bands + 2) * np.finfo(float).eps * scale
 
 
-def norms(z):
-    return np.linalg.norm(z, axis=1)
-
-
 def nnmf_fold_bound(proj, z_norm):
     """Largest folded-versus-relit difference of nnmf features of norm
     `z_norm` (2-norm, per row). Their right-hand sides V . c differ by at most
@@ -1149,7 +1145,8 @@ class TestFoldedFeatures:
         assert kept.tobytes() == np.stack([m for _, m in per_candidate]).tobytes()
         want = np.concatenate([f for f, _ in per_candidate])
         assert feats.shape == want.shape == (kept.sum(), proj.output_dim)
-        bound = nnmf_fold_bound(proj, np.maximum(norms(feats), norms(want)))
+        z_norm = np.maximum(np.linalg.norm(feats, axis=1), np.linalg.norm(want, axis=1))
+        bound = nnmf_fold_bound(proj, z_norm)
         assert np.all(np.abs(feats - want) <= bound[:, None])
 
     def test_spd_table_shape_checked(self):

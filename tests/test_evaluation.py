@@ -818,9 +818,10 @@ class TestSweepCalls:
     """The sweep fits and featurizes each (method, d', variant) once: one
     folded `cbc.pixel_features` call on the training pixels and one per clean
     test scene for every kind, nnmf included, plus one call per `relit_rows`
-    run for noisy cases only. It builds one model per B from those training features, and
-    scores every test scene in one classify call per model and noise level
-    from the held test features: the counts the benchmark's traces rely on."""
+    run for noisy cases only. It builds one model per B from those training
+    features, and scores every test scene in one classify call per model and
+    noise level from the held test features: the counts the benchmark's
+    traces rely on."""
 
     @pytest.fixture
     def events(self, monkeypatch):

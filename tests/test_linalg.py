@@ -17,7 +17,6 @@ from illumest.linalg import (
     nnls_rows,
     symmetric_eig,
 )
-from illumest.projections import KIND_NNMF, KIND_RAND, Projection
 from nnls_oracle import target_nnls
 
 
@@ -50,9 +49,9 @@ def rhs_of(basis, targets):
     return np.einsum("nd,kd->nk", targets, basis)
 
 
-def gram_nnls(basis, target, **kwargs):
+def gram_nnls(basis, target):
     """The Gram-form scalar `nnls` of one target on a (k, d) basis."""
-    return nnls(basis @ basis.T, basis @ target, **kwargs)
+    return nnls(basis @ basis.T, basis @ target)
 
 
 def solve_rows(basis, targets):
@@ -389,33 +388,6 @@ class TestNnlsRows:
         blocks = [nnls_rows(basis, rhs[s : s + BATCH_ROWS]) for s in range(0, n, BATCH_ROWS)]
         assert [len(b) for b in blocks] == [BATCH_ROWS, BATCH_ROWS, 300]
         assert z.tobytes() == np.concatenate(blocks).tobytes()
-
-
-class TestApplyRowsNnmf:
-    def test_apply_rows_passes_the_einsum_right_hand_sides(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        basis = rng.random((3, 8))
-        rows = rng.random((20, 8))
-        seen = []
-        monkeypatch.setattr(
-            "illumest.projections.nnls_rows", lambda v, rhs: seen.append(rhs) or nnls_rows(v, rhs)
-        )
-        z = Projection(KIND_NNMF, 8, 3, basis=basis).apply_rows(rows)
-        assert seen[0].tobytes() == rhs_of(basis, rows).tobytes()
-        assert z.tobytes() == nnls_rows(basis, rhs_of(basis, rows)).tobytes()
-
-    def test_non_finite_row_raises_like_a_linear_kind_fails_binning(self):
-        rng = np.random.default_rng(18)
-        basis = rng.random((3, 31))
-        rows = rng.random((4, 31))
-        rows[2, 5] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            Projection(KIND_NNMF, 31, 3, basis=basis).apply_rows(rows)
-        # a linear kind carries the NaN into its features, which binning rejects
-        feats = Projection(KIND_RAND, 31, 3, basis=basis).apply_rows(rows)
-        assert np.isnan(feats[2]).all() and np.isfinite(np.delete(feats, 2, axis=0)).all()
-        with pytest.raises(ValueError, match="finite"):
-            cbc.bin_indices(feats, np.zeros(3), np.ones(3) * 30, 5)
 
 
 @st.composite

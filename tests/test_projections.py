@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illumest import synth_dataset
+from illumest import projections, synth_dataset
+from illumest.cbc import bin_indices
 from illumest.evaluation import training_chromaticities
 from illumest.illuminants import Illuminant, IlluminantSet
 from illumest.io import FormatError, read_dataset_manifest, read_scube
+from illumest.linalg import nnls_rows
 from illumest.projections import (
     ALL_KINDS,
     KIND_ILL_PCA,
@@ -122,6 +124,33 @@ class TestApply:
         p = Projection(KIND_NNMF, 2, 2, basis=basis)
         # target = 1*row0 + 2*row1 exactly, so the encoding is (1, 2)
         np.testing.assert_allclose(p.apply_rows(np.array([[3.0, 2.0]]))[0], [1.0, 2.0], atol=1e-9)
+
+    def test_nnmf_passes_the_einsum_right_hand_sides(self, monkeypatch):
+        # a fixed-order einsum sums a row the same way wherever it sits
+        rng = np.random.default_rng(17)
+        basis = rng.random((3, 8))
+        rows = rng.random((20, 8))
+        rhs = np.einsum("nd,kd->nk", rows, basis)
+        seen = []
+        monkeypatch.setattr(
+            projections, "nnls_rows", lambda v, b: seen.append(b) or nnls_rows(v, b)
+        )
+        z = Projection(KIND_NNMF, 8, 3, basis=basis).apply_rows(rows)
+        assert seen[0].tobytes() == rhs.tobytes()
+        assert z.tobytes() == nnls_rows(basis, rhs).tobytes()
+
+    def test_nnmf_rejects_a_non_finite_row(self):
+        rng = np.random.default_rng(18)
+        basis = rng.random((3, 31))
+        rows = rng.random((4, 31))
+        rows[2, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Projection(KIND_NNMF, 31, 3, basis=basis).apply_rows(rows)
+        # a linear kind carries the NaN into its features, which binning rejects
+        feats = Projection(KIND_RAND, 31, 3, basis=basis).apply_rows(rows)
+        assert np.isnan(feats[2]).all() and np.isfinite(np.delete(feats, 2, axis=0)).all()
+        with pytest.raises(ValueError, match="finite"):
+            bin_indices(feats, np.full(3, -30.0), np.full(3, 30.0), 5)
 
     def test_input_dim_checked(self):
         p = Projection(KIND_RAND, 3, 1, basis=np.ones((1, 3)))
