@@ -102,7 +102,7 @@ def pixel_features(
         if projection.mean is not None:
             feats -= projection.mean @ projection.basis
         elif projection.kind == KIND_NNMF:
-            feats = linalg.nnls_rows(projection.basis, feats)  # bench/spans.py wraps it there
+            feats = linalg.nnls_rows(projection.basis, feats)  # the site bench/spans.py wraps
     return feats, kept.reshape(product.shape[:2])
 
 
