@@ -117,8 +117,8 @@ def relit_rows(featurize, pixels: np.ndarray, spds: np.ndarray, noise=None):
     """`featurize(rows) -> (features, kept mask)` over the (N, bands) `pixels`
     relit by each row of `spds`, a case each: the features case-major in row
     order, and the (cases, N) kept mask. Each call takes a `batch_runs` run of
-    cases, or of one case's rows past BATCH_ROWS. With `noise=(mask, snr_db,
-    seeds)`, case j's radiance is `noisy_rows(radiance, mask, snr_db, seeds[j])`.
+    cases, or of one case's rows past BATCH_ROWS. With `noise=(draws, snr_db)`,
+    case j's radiance is `noisy_rows(radiance, draws[j], snr_db)`.
 
     The folded `pixel_features` builds no relit stack for any kind; this loop
     remains for noisy cases and for the fit matrices
@@ -129,9 +129,9 @@ def relit_rows(featurize, pixels: np.ndarray, spds: np.ndarray, noise=None):
     for cases in batch_runs(n_cases, n_rows):
         stack = pixels * spds[cases, None]
         if noise is not None:
-            valid, snr_db, seeds = noise
-            for radiance, j in zip(stack, cases):
-                radiance[:] = noisy_rows(radiance, valid, snr_db, seeds[j])
+            draws, snr_db = noise
+            for radiance, draw in zip(stack, draws[cases.start : cases.stop]):
+                radiance[:] = noisy_rows(radiance, draw, snr_db)
         # with no rows, one empty run still gives the features their width
         for rows in batch_runs(n_rows, len(cases)) or [range(0)]:
             part, mask = featurize(stack[:, rows.start : rows.stop].reshape(-1, stack.shape[-1]))
@@ -183,24 +183,65 @@ def _check_bounds(lo: np.ndarray, hi: np.ndarray) -> None:
         raise ValueError("bounds must satisfy lo < hi")
 
 
-def bin_indices(
-    coords: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_bins: int
-) -> np.ndarray:
-    """Flat row-major cell index per coordinate row, clamping to edge bins."""
-    coords = np.asarray(coords, dtype=np.float64)
+def _check_coords(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Reject coordinates that are not finite (N, d') rows, or bounds that cannot bin them."""
     if coords.ndim != 2 or coords.shape[1] != lo.shape[0]:
         raise ValueError(f"expected (N, {lo.shape[0]}) coords, got {coords.shape}")
     _check_bounds(lo, hi)
     if not np.isfinite(coords).all():
         raise ValueError("coordinates must be finite")
-    flat = np.zeros(coords.shape[0], dtype=np.int64)
-    for x, l, h in zip(coords.T, lo, hi):  # a column at a time: no (N, d') temporaries
-        # clamp before the cast: a scaled value past the int64 range casts to int64 min
-        t = (x - l) / (h - l) * n_bins
-        flat *= n_bins
-        np.minimum(np.maximum(t, 0, out=t), n_bins - 1, out=t)
-        flat += np.floor(t, out=t).astype(np.int64)
-    return flat
+
+
+def _bin_digits(scaled: np.ndarray, n_bins: int) -> np.ndarray:
+    """The int64 bin of each coordinate scaled to n_bins bins per unit,
+    clamped to the edge bins; `scaled` is overwritten."""
+    # clamp before the cast: a scaled value past the int64 range casts to int64 min
+    np.minimum(np.maximum(scaled, 0, out=scaled), n_bins - 1, out=scaled)
+    return np.floor(scaled, out=scaled).astype(np.int64)
+
+
+def bin_indices(
+    coords: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_bins: int
+) -> np.ndarray:
+    """Flat row-major cell index per coordinate row, clamping to edge bins:
+    one whole-array pass of `(x - lo) / (hi - lo) * n_bins` left to right,
+    clamped, floored and folded into int64. `unit_features` stores the
+    quotient, so unit coordinates bin to these cells at any B, bit for bit."""
+    coords = np.asarray(coords, dtype=np.float64)
+    _check_coords(coords, lo, hi)
+    scaled = coords - lo
+    scaled /= hi - lo
+    scaled *= n_bins
+    powers = n_bins ** np.arange(lo.size - 1, -1, -1, dtype=np.int64)
+    return _bin_digits(scaled, n_bins) @ powers
+
+
+def cell_union(cells: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(cells, return_inverse=True)` of flat int64 cells below
+    `n_cells`. Where the space has at most three cells per row, an occupancy
+    flag and an index per cell give it in O(N + n_cells) with no sort, in 9
+    bytes a cell: less than the 33 a row np.unique holds (its flattened copy,
+    sort order, sorted copy, run flags and their cumsum). A larger space
+    keeps np.unique."""
+    if n_cells > 3 * cells.size:
+        return np.unique(cells, return_inverse=True)
+    seen = np.zeros(n_cells, dtype=bool)
+    seen[cells] = True
+    union = np.flatnonzero(seen)
+    index = np.empty(n_cells, dtype=np.intp)  # read only at the union's cells
+    index[union] = np.arange(union.size)
+    return union, index[cells]
+
+
+def _union_slots(
+    cells: np.ndarray, counts: Sequence[int], n_cells: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The `cell_union` of flat `cells` below `n_cells`, closed by
+    SENTINEL_CELL, and each cell's flat slot in a model's (candidates,
+    union) table, the cells stored candidate-major, counts[i] of candidate i."""
+    union, slots = cell_union(cells, n_cells)
+    slots += np.repeat(np.arange(len(counts)) * (union.size + 1), counts)
+    return np.append(union, SENTINEL_CELL), slots
 
 
 @dataclass
@@ -329,7 +370,8 @@ def build_model(
     unseen cells get smoothing / (total + smoothing * n_cells). `features`
     may carry that value computed ahead of time, so builds of one projection
     at several resolutions share it; features of another projection raise
-    ValueError.
+    ValueError. Unit coordinates (`unit_features`) carry their bounds, which
+    the model takes instead of calibrating, so a build only bins and counts.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
@@ -346,13 +388,14 @@ def build_model(
     counts = features.kept.sum(axis=-1)
     if counts.sum() != len(features.feats) or not counts.all():
         raise ValueError("every candidate needs rows, and the counts must cover them")
-    lo, hi = calibrate_bounds(features.feats, d_out)
-    union, column = np.unique(bin_indices(features.feats, lo, hi, n_bins), return_inverse=True)
-    width = union.size + 1
-    row = np.repeat(np.arange(len(counts)) * width, counts)
-    probs = np.bincount(row + column, minlength=len(counts) * width).reshape(-1, width)
-    probs = probs.astype(np.float64)
+    if features.bounds is None:
+        lo, hi = calibrate_bounds(features.feats, d_out)
+    else:
+        lo, hi = features.bounds
+    cells, slots = _union_slots(feature_cells(features, lo, hi, n_bins), counts, n_cells)
+    probs = np.bincount(slots, minlength=len(counts) * cells.size).reshape(-1, cells.size)
     occupied = probs[:, :-1] > 0
+    probs = probs.astype(np.float64)
     probs += smoothing
     probs /= (counts + smoothing * n_cells)[:, None]
     return CorrelationModel(
@@ -362,7 +405,7 @@ def build_model(
         hi=hi,
         smoothing=smoothing,
         candidate_names=tuple(candidates.names()),
-        cells=np.append(union, SENTINEL_CELL),
+        cells=cells,
         probs=probs,
         occupied=occupied,
         projection_digest=digest,
@@ -373,11 +416,47 @@ def build_model(
 @dataclass(frozen=True)
 class BlockFeatures:
     """A stack's histogram coordinates under `projection`: `feats` holds the
-    kept rows' coordinates in row order, and `kept` (..., N) marks them."""
+    kept rows' coordinates in row order, and `kept` (..., N) marks them.
+    With `bounds=(lo, hi)` they are unit coordinates on those bounds
+    (`unit_features`), which bin only for a model with those bounds."""
 
     projection: Projection
     feats: np.ndarray
     kept: np.ndarray
+    bounds: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+
+def unit_features(features: BlockFeatures, lo: np.ndarray, hi: np.ndarray) -> BlockFeatures:
+    """`features` as unit coordinates u = (x - lo) / (hi - lo), converted in
+    place, so `features` holds raw ones no longer. Binning u at any B only
+    multiplies, clamps and floors, and gives `bin_indices`' cells bit for
+    bit. Unit or non-finite coordinates raise ValueError."""
+    if features.bounds is not None:
+        raise ValueError("features are unit coordinates already")
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    _check_coords(features.feats, lo, hi)
+    for x, l, w in zip(features.feats.T, lo, hi - lo):  # long strided columns beat short rows
+        x -= l
+        x /= w
+    return replace(features, bounds=(lo, hi))
+
+
+def feature_cells(
+    features: BlockFeatures, lo: np.ndarray, hi: np.ndarray, n_bins: int
+) -> np.ndarray:
+    """The flat cell of each row of `features` on the bounds (lo, hi), raw
+    or unit coordinates; unit coordinates on other bounds raise ValueError."""
+    if features.bounds is None:
+        return bin_indices(features.feats, lo, hi, n_bins)
+    if not all(map(np.array_equal, features.bounds, (lo, hi))):
+        raise ValueError("features are unit coordinates on other bounds than the model's")
+    # a column at a time: at a training set's rows, whole-array temporaries
+    # cost more time and memory than their fewer calls save
+    flat = np.zeros(len(features.feats), dtype=np.int64)
+    for units in features.feats.T:
+        flat *= n_bins
+        flat += _bin_digits(units * n_bins, n_bins)
+    return flat
 
 
 def block_features(projection: Projection, pixels: SpectralImage | np.ndarray) -> BlockFeatures:
@@ -412,11 +491,12 @@ def score(
     shape (..., N, bands): every (N, bands) block along the leading axes is
     scored as one image. Both are featurized by `block_features` first, or
     `pixels` is its value made ahead of time, so that models of every B share
-    one featurization; features of another projection raise ValueError. A
+    one featurization (as unit coordinates on the model's bounds, if at
+    all); features of another projection raise ValueError. A
     block's histogram is normalized without smoothing over its usable rows;
     `log` mode gives sum(h_test * log(h_candidate)) over the block's occupied
     cells, `dot` mode the plain dot product of the two histograms. All blocks
-    share one `pixel_features`, one `bin_indices` and one sort call. Blocks
+    share one `pixel_features`, one binning and one sort call. Blocks
     with the same number of occupied cells share one gather from the model's
     union table and one `np.vecdot`, which dots each (candidate, block) pair
     on its own, so a block's scores are bitwise its scores alone. Unkept
@@ -432,7 +512,7 @@ def score(
     if not isinstance(pixels, BlockFeatures):
         pixels = block_features(model.projection, pixels)
     _require_projection(pixels, model.projection, model.projection_digest)
-    feats, kept = pixels.feats, pixels.kept
+    kept = pixels.kept
     batch, n_rows = kept.shape[:-1], kept.shape[-1]
     n_blocks = math.prod(batch)
     totals = kept.reshape(n_blocks, n_rows).sum(axis=1)
@@ -441,7 +521,7 @@ def score(
     # Each block's cells sorted along its own row, black rows (-1) first;
     # the runs of equal cells are the block's occupied cells, in order.
     cells = np.full(kept.shape, -1, dtype=np.int64)
-    cells[kept] = bin_indices(feats, model.lo, model.hi, model.n_bins)
+    cells[kept] = feature_cells(pixels, model.lo, model.hi, model.n_bins)
     cells = np.sort(cells.reshape(n_blocks, n_rows), axis=1)
     first = np.empty(cells.shape, dtype=bool)
     first[:, :1] = True
@@ -570,12 +650,11 @@ def read_model(path) -> CorrelationModel:
         if offset != len(blob):
             raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
         flat = np.concatenate([np.empty(0, np.int64), *stored])
-        union, column = np.unique(flat, return_inverse=True)
-        row = np.repeat(np.arange(len(names)), [c.size for c in stored])
-        table = np.repeat(np.array(bases)[:, None], union.size + 1, axis=1)
-        table[row, column] = np.concatenate([np.empty(0), *stored_probs])
-        occupied = np.zeros((len(names), union.size), dtype=bool)
-        occupied[row, column] = True
+        union, slots = _union_slots(flat, [c.size for c in stored], total_cells)
+        table = np.repeat(np.array(bases)[:, None], union.size, axis=1)
+        table.reshape(-1)[slots] = np.concatenate([np.empty(0), *stored_probs])
+        occupied = np.zeros(table.shape, dtype=bool)
+        occupied.reshape(-1)[slots] = True
         return CorrelationModel(
             n_dims=n_dims,
             n_bins=n_bins,
@@ -583,9 +662,9 @@ def read_model(path) -> CorrelationModel:
             hi=hi,
             smoothing=smoothing,
             candidate_names=tuple(names),
-            cells=np.append(union, SENTINEL_CELL),
+            cells=union,
             probs=table,
-            occupied=occupied,
+            occupied=occupied[:, :-1],
             projection_digest=digest,
         )
     except (struct.error, ValueError, UnicodeDecodeError) as exc:

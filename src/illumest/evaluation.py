@@ -25,12 +25,13 @@ from .cbc import (
     SCORE_MODES,
     BlockFeatures,
     build_model,
-    calibrate_bounds,  # noqa: F401  (not called here: a bench/spans.py trace site)
+    calibrate_bounds,
     cell_count,
     classify,
     relit_rows,
     training_features,
     training_pixels,
+    unit_features,
 )
 from .illuminants import IlluminantSet, load_illuminants, select_projection_set
 from .io import (
@@ -64,6 +65,7 @@ from .spectral import (
     chromaticity_rows,
     downsample,
     mix_seed,
+    noise_draw,
     relight,
 )
 
@@ -600,29 +602,40 @@ class _Runner:
 
     # -- evaluation ---------------------------------------------------------
 
-    def test_features(self, projection, noise_db: Optional[float]) -> BlockFeatures:
-        """The test scenes' features as one `BlockFeatures`, `kept` (scenes,
-        n_candidates, N_max) with each scene's rows padded by unkept ones and
-        `feats` the scenes' features in order. Each scene's valid pixels under
-        the normalized SPDs come clean from one folded `pixel_features` call,
-        or each case relit by `relit_rows` with noise at `noise_db` from its
-        own (scene, candidate) seed."""
+    def test_features(
+        self, projection, noise_dbs: Sequence[Optional[float]]
+    ) -> list[BlockFeatures]:
+        """The test scenes' features as one `BlockFeatures` per level of
+        `noise_dbs` (None: clean), `kept` (scenes, n_candidates, N_max) with
+        each scene's rows padded by unkept ones and `feats` the scenes'
+        features in order. Each scene's valid pixels under the normalized
+        SPDs come clean from one folded `pixel_features` call, or each case
+        relit by `relit_rows` with noise drawn once from its own (scene,
+        candidate) seed for every level, one scene's draws held at a time."""
         featurize = partial(cbc.pixel_features, projection)  # the module global, traced
         master, n = self.config.noise_master_seed, len(self.full)
-        feats, masks = [], []
+        parts = [([], []) for _ in noise_dbs]
         for i, img in enumerate(self.test_eval):
             px = img.valid_pixels()
-            if noise_db is None:
-                part, mask = featurize(px, self._spd_rows)
-            else:
-                noise = (img.mask, noise_db, [mix_seed(master, i, j) for j in range(n)])
-                part, mask = relit_rows(featurize, px, self._spd_rows, noise)
-            feats.append(part)
-            masks.append(mask)
-        kept = np.zeros((len(masks), n, max(m.shape[1] for m in masks)), dtype=bool)
-        for scene, mask in zip(kept, masks):
-            scene[:, : mask.shape[1]] = mask
-        return BlockFeatures(projection, np.concatenate(feats), kept)
+            draws = None
+            for noise_db, (feats, masks) in zip(noise_dbs, parts):
+                if noise_db is None:
+                    part, mask = featurize(px, self._spd_rows)
+                else:
+                    if draws is None:
+                        draws = [noise_draw(img.mask, px.shape[1], mix_seed(master, i, j))
+                                 for j in range(n)]
+                    part, mask = relit_rows(featurize, px, self._spd_rows, (draws, noise_db))
+                feats.append(part)
+                masks.append(mask)
+        out = []
+        for feats, masks in parts:
+            kept = np.zeros((len(masks), n, max(m.shape[1] for m in masks)), dtype=bool)
+            for scene, mask in zip(kept, masks):
+                scene[:, : mask.shape[1]] = mask
+            out.append(BlockFeatures(projection, np.concatenate(feats), kept))
+            feats.clear()  # each level's parts go once it is stacked
+        return out
 
     # -- entry points -------------------------------------------------------
 
@@ -665,18 +678,25 @@ class _Runner:
 
     def _projection_rows(self, proj, bins, levels, method, d_prime, variant) -> list[ReportRow]:
         """The rows of one projection at every B and noise level, each from
-        one `classify` call over every test scene's cases. Its training and
-        `test_features` serve all of them, and go when this returns, before
-        the sweep fits the next projection; each B's model goes before the
-        next B's is built."""
+        one `classify` call over every test scene's cases. Its training
+        features fix the bounds once, and they and each level's
+        `test_features` become unit coordinates on them once, in place, so
+        each B only bins. The training features go after the last build,
+        the test features when this returns, before the sweep fits the next
+        projection; each B's model goes before the next B's is built."""
         features = training_features(self.train_eval, self.full, proj)
-        tests = [self.test_features(proj, noise_db) for _, noise_db in levels]
+        lo, hi = calibrate_bounds(features.feats, proj.output_dim)
+        features = unit_features(features, lo, hi)
+        tests = self.test_features(proj, [noise_db for _, noise_db in levels])
+        tests = [unit_features(scenes, lo, hi) for scenes in tests]
         rows = []
         for n_bins in bins:
             model = build_model(
                 self.train_eval, self.full, proj, n_bins,
                 smoothing=self.config.smoothing, features=features,
             )
+            if n_bins == bins[-1]:
+                del features  # scoring needs only the test features
             for (label, _), scenes in zip(levels, tests):
                 scores = classify(model, scenes, mode=self.config.score_mode)[1]
                 predicted = np.argmax(scores, axis=-1)  # classify's tie rule

@@ -238,28 +238,35 @@ def mix_seed(master_seed: int, *stream_keys: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def noisy_rows(
-    rows: np.ndarray, mask: np.ndarray, snr_db: Optional[float], seed: int
-) -> np.ndarray:
-    """The (N, bands) valid rows of an image with validity `mask`, plus noise
-    clipped at 0: sigma = mean(rows) / 10^(snr_db / 20) times the masked-in part
-    of a whole-image `standard_normal` draw seeded with `seed`. `snr_db=None`
-    (or +inf) gives a clean copy."""
+def noise_draw(mask: np.ndarray, bands: int, seed: int) -> np.ndarray:
+    """The masked-in (N, bands) part of a whole-image `standard_normal(
+    mask.shape + (bands,))` draw seeded with `seed`: each valid pixel gets
+    the noise it would get in the whole image, at any level (`noisy_rows`)."""
+    return np.random.default_rng(seed).standard_normal(mask.shape + (bands,))[mask]
+
+
+def noisy_rows(rows: np.ndarray, draw: np.ndarray, snr_db: Optional[float]) -> np.ndarray:
+    """The (N, bands) valid rows of an image plus noise clipped at 0: sigma =
+    mean(rows) / 10^(snr_db / 20) times `draw`, the image's `noise_draw`, so
+    one draw serves every level. `snr_db=None` (or +inf) gives a clean copy."""
     if snr_db is None or snr_db == np.inf:
         return rows.copy()
     if not np.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db!r}")
     if rows.size == 0:
         raise ValueError("cannot set a noise level on a fully masked image")
+    if draw.shape != rows.shape:
+        raise ValueError(f"expected a {rows.shape} noise draw, got {draw.shape}")
     sigma = noise_sigma(float(rows.mean()), snr_db)
-    noise = np.random.default_rng(seed).standard_normal(mask.shape + rows.shape[1:])[mask]
-    return np.clip(rows + noise * sigma, 0.0, None)
+    return np.clip(rows + draw * sigma, 0.0, None)
 
 
 def add_noise(
     image: SpectralImage, snr_db: Optional[float], seed: int
 ) -> SpectralImage:
-    """`noisy_rows` on the image's valid pixels; masked-out pixels stay as they are."""
+    """`noisy_rows` of the image's valid pixels and their `noise_draw` from
+    `seed`; masked-out pixels stay as they are."""
     noisy = image.copy()
-    noisy.data[noisy.mask] = noisy_rows(image.valid_pixels(), image.mask, snr_db, seed)
+    draw = noise_draw(image.mask, image.n_bands, seed)
+    noisy.data[noisy.mask] = noisy_rows(image.valid_pixels(), draw, snr_db)
     return noisy

@@ -872,6 +872,110 @@ class TestBuildTable:
             replace(model, cells=model.cells[1:])
 
 
+def identity_setup(n_dims, counts):
+    """The identity projection, flat candidates and kept mask `model_from_rows` uses."""
+    axis = SpectralAxis(400, 10, n_dims + 1)
+    flat_spd = Spectrum(axis, np.ones(axis.count))
+    candidates = IlluminantSet(tuple(Illuminant(f"c{j}", flat_spd) for j in range(len(counts))))
+    proj = Projection("rand", n_dims + 1, n_dims, basis=np.eye(n_dims, n_dims + 1))
+    kept = np.arange(max(counts, default=0)) < np.asarray(counts)[:, None]
+    return proj, candidates, kept
+
+
+@st.composite
+def edge_cases(draw):
+    """Coordinates exactly on bin edges, inside and outside dyadic bounds, so
+    that (x - lo) / (hi - lo) * B is an exact integer: (coords, lo, hi, B)."""
+    n_dims = draw(st.integers(1, 4))
+    n_bins = 2 ** draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.integers(-8, 8, n_dims).astype(np.float64)
+    hi = lo + 2.0 ** rng.integers(-3, 4, n_dims)
+    steps = rng.integers(-n_bins, 2 * n_bins + 1, (draw(st.integers(1, 20)), n_dims))
+    return lo + steps * (hi - lo) / n_bins, lo, hi, n_bins
+
+
+class TestUnitCoordinates:
+    """Unit coordinates on a projection's bounds bin at every B exactly as
+    the raw coordinates do through `bin_indices`; the occupancy union is
+    np.unique's; and a model built or scored from them is the raw one's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(binning_cases(), edge_cases()), st.integers(1, 40))
+    def test_unit_binning_is_bin_indices(self, case, other_bins):
+        coords, lo, hi, n_bins = case
+        proj, _, kept = identity_setup(lo.size, [len(coords)])
+        unit = cbc.unit_features(BlockFeatures(proj, coords.copy(), kept), lo, hi)
+        assert unit.feats.tobytes() == ((coords - lo) / (hi - lo)).tobytes()
+        for b in (n_bins, other_bins):
+            want = bin_indices(coords, lo, hi, b)
+            assert cbc.feature_cells(unit, lo, hi, b).tobytes() == want.tobytes()
+            assert want.tolist() == reference_cells(coords, lo, hi, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 300), st.lists(st.integers(0, 10**6), max_size=80), st.booleans())
+    @example(n_cells=3, picks=[2], last=False)  # one cell, the space's last: dense
+    @example(n_cells=4, picks=[3], last=False)  # one cell, the space's last: np.unique
+    @example(n_cells=7, picks=[5, 5, 5], last=True)
+    def test_cell_union_is_np_unique(self, n_cells, picks, last):
+        cells = np.array([p % n_cells for p in picks] + [n_cells - 1] * last, dtype=np.int64)
+        want = np.unique(cells, return_inverse=True)
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            got = cbc.cell_union(cells, n_cells)
+        assert unique.called == (n_cells > 3 * cells.size)  # the switch rule
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(binning_cases(), edge_cases()), st.data())
+    def test_model_from_unit_features_is_the_raw_model(self, case, data):
+        coords, _, _, n_bins = case
+        n_cand = data.draw(st.integers(1, 3))
+        counts = [len(coords) // n_cand] * (n_cand - 1)
+        counts.append(len(coords) - sum(counts))
+        if not all(counts):
+            return
+        proj, candidates, kept = identity_setup(coords.shape[1], counts)
+        try:
+            raw = build_model([], candidates, proj, n_bins, features=BlockFeatures(proj, coords, kept))
+        except ValueError as exc:  # bounds of far coordinates can span past the float range
+            with pytest.raises(ValueError, match=str(exc)):
+                cbc.unit_features(
+                    BlockFeatures(proj, coords.copy(), kept), *calibrate_bounds(coords, coords.shape[1])
+                )
+            return
+        lo, hi = calibrate_bounds(coords, coords.shape[1])
+        unit = cbc.unit_features(BlockFeatures(proj, coords.copy(), kept), lo, hi)
+        with mock.patch.object(cbc, "calibrate_bounds", side_effect=AssertionError):
+            model = build_model([], candidates, proj, n_bins, features=unit)
+        for name in ("lo", "hi", "cells", "probs", "occupied"):
+            a, b = getattr(model, name), getattr(raw, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_score_takes_unit_coordinates_on_the_model_bounds_only(self):
+        axis, candidates, images = tiny_problem()
+        proj = fit_rand(4, 2, seed=42)
+        model = build_model(images, candidates, proj, n_bins=8)
+        stack = np.stack([relight(img, ill.spd).valid_pixels() for img in images for ill in candidates])
+        want = score(model, stack)
+        unit = cbc.unit_features(block_features(proj, stack), model.lo, model.hi)
+        assert score(model, unit).tobytes() == want.tobytes()
+        copies = (model.lo.copy(), model.hi.copy())  # equal bounds, other arrays
+        assert score(model, cbc.unit_features(block_features(proj, stack), *copies)).tobytes() == want.tobytes()
+        for lo, hi in ((model.lo - 0.5, model.hi), (model.lo, np.nextafter(model.hi, np.inf))):
+            other = cbc.unit_features(block_features(proj, stack), lo, hi)
+            with pytest.raises(ValueError, match="other bounds"):
+                score(model, other)
+        with pytest.raises(ValueError, match="already"):
+            cbc.unit_features(unit, model.lo, model.hi)
+
+    def test_unit_features_reject_non_finite_coordinates(self):
+        proj, _, kept = identity_setup(2, [2])
+        feats = np.array([[0.5, np.nan], [0.1, 0.2]])
+        with pytest.raises(ValueError, match="finite"):
+            cbc.unit_features(BlockFeatures(proj, feats, kept), np.zeros(2), np.ones(2))
+
+
 def training_scenes(axis, seed):
     """Masked scenes with black pixels and pixels that reflect only the first
     ten bands, plus one scene that is black under every candidate, so some

@@ -818,18 +818,26 @@ class TestSweepCalls:
     """The sweep fits and featurizes each (method, d', variant) once: one
     folded `cbc.pixel_features` call on the training pixels and one per clean
     test scene for every kind, nnmf included, plus one call per `relit_rows`
-    run for noisy cases only. It builds one model per B from those training
-    features, and scores every test scene in one classify call per model and
-    noise level from the held test features: the counts the benchmark's
-    traces rely on."""
+    run for noisy cases only. It calibrates the projection's bounds once,
+    from its training features, and turns those and each level's test
+    features into unit coordinates on them once. It builds one model per B
+    from those training features, without calibrating again, and scores
+    every test scene in one classify call per model and noise level from
+    the held test features. Each noisy case's noise is drawn once, from its
+    own (scene, candidate) seed, and serves every level: the counts the
+    benchmark's traces rely on."""
+
+    N_CANDIDATES = 28  # bundled illuminants
 
     @pytest.fixture
     def events(self, monkeypatch):
         log = []
         names = [f"fit_{kind}" for kind in ("rgb", "rand", "pca", "ill_pca", "nnmf", "lda")]
-        names += ["training_features", "build_model", "classify"]
+        names += ["training_features", "calibrate_bounds", "unit_features", "build_model"]
+        names += ["classify", "mix_seed", "noise_draw"]
         owners = [(evaluation, name) for name in names]
-        owners += [(cbc, "pixel_features"), (_Runner, "test_features")]
+        # cbc's own calibrate_bounds is the one a build that calibrates would call
+        owners += [(cbc, "pixel_features"), (cbc, "calibrate_bounds"), (_Runner, "test_features")]
         for owner, name in owners:
             original = getattr(owner, name)
 
@@ -838,24 +846,31 @@ class TestSweepCalls:
                 positional = args[1] if _name == "classify" else None
                 if _name == "pixel_features":  # rows, and the SPDs of a folded call
                     positional = (args[1], args[2] if len(args) > 2 else None)
+                elif _name in ("unit_features", "mix_seed"):
+                    positional = args
+                elif _name == "test_features":
+                    positional = args[2]
                 log.append((_name, kwargs.get("features", positional), result))
                 return result
 
             monkeypatch.setattr(owner, name, recorded)
         return log
 
-    @staticmethod
-    def expected(fits, n_bins, n_noisy, n_scenes, n_runs):
-        """Per fit: its training features, one folded call; the clean test
-        features, one folded call per scene; each noisy level's relit runs;
-        then per B a model and one classify per level."""
+    @classmethod
+    def expected(cls, fits, n_bins, n_noisy, n_scenes, n_runs):
+        """Per fit: its training features, one folded call, then the bounds
+        and their unit coordinates; per test scene one folded clean call,
+        and for noisy levels one seed and one draw per case, then each noisy
+        level's relit runs; the levels' unit coordinates; then per B a model
+        and one classify per level."""
         out = []
+        draws = ["mix_seed", "noise_draw"] * cls.N_CANDIDATES if n_noisy else []
+        scene = ["pixel_features"] + draws + ["pixel_features"] * (n_runs * n_noisy)
         for fit in fits:
-            training = ["pixel_features", "training_features"]
-            clean = ["pixel_features"] * n_scenes + ["test_features"]
-            noisy = ["pixel_features"] * (n_scenes * n_runs) + ["test_features"]
+            training = ["pixel_features", "training_features", "calibrate_bounds", "unit_features"]
+            tests = scene * n_scenes + ["test_features"] + ["unit_features"] * (1 + n_noisy)
             per_model = ["build_model"] + ["classify"] * (1 + n_noisy)
-            out += [fit] + training + clean + noisy * n_noisy + per_model * n_bins
+            out += [fit] + training + tests + per_model * n_bins
         return out
 
     def test_one_fit_and_featurization_per_projection(
@@ -912,6 +927,33 @@ class TestSweepCalls:
         assert names == ["training_chromaticities"] + ["test_features"] * 8  # one per scene
         assert all(noisy for name, _, noisy in calls if name == "test_features")
 
+    def test_sweeps_keep_no_module_state_and_add_no_setting(self, demo_data, bundled_cameras):
+        # The shared work is held by the sweep for one projection, not cached
+        # by a module: no module global is rebound, added or grown by a run,
+        # and the run's settings are the config fields they were.
+        from illumest import linalg, projections, spectral
+
+        def state():
+            return {
+                (m.__name__, name): (id(value), len(value) if isinstance(value, (dict, list, set)) else None)
+                for m in (cbc, evaluation, spectral, projections, linalg)
+                for name, value in vars(m).items()
+            }
+
+        cfg = demo_config(demo_data, methods=("rgb", "rand"), cameras=tuple(bundled_cameras[:1]),
+                          noise_method="rand", noise_levels=(30.0, 10.0))
+        before = state()
+        run_grid(cfg)
+        run_noise(cfg)
+        assert state() == before
+        assert tuple(f.name for f in fields(GridConfig)) == (
+            "dataset", "illuminants", "methods", "d_primes", "bins", "cameras", "rand_seeds",
+            "projection_set", "projection_set_k", "projection_set_seed", "downsample_fit",
+            "downsample_lda", "downsample_eval", "nnmf_seed", "nnmf_max_iter", "score_mode",
+            "smoothing", "allow_overlap", "noise_master_seed", "noise_levels", "noise_method",
+            "noise_d_prime", "noise_bins",
+        )
+
     def check_sweeps(self, demo_data, bundled_cameras, events, n_runs):
         cfg = demo_config(
             demo_data,
@@ -932,20 +974,28 @@ class TestSweepCalls:
         runs = dict(n_scenes=n_scenes, n_runs=n_runs)
         assert [e[0] for e in events] == self.expected(fits, 2, 0, **runs)
         assert len(report.rows) == 10 * 2 + 4 + 2  # cells, rand and rgb averages per (d', B)
-        self.assert_features_reused(events, n_bins=2)
+        self.assert_features_reused(events, n_bins=2, n_levels=1)
         events.clear()
         run_noise(cfg)
         assert [e[0] for e in events] == self.expected(["fit_rand"] * 2, 1, 2, **runs)
-        self.assert_features_reused(events, n_bins=1)
+        self.assert_features_reused(events, n_bins=1, n_levels=3)
+        # each rand variant draws each (scene, candidate) case's noise once,
+        # for both noisy levels, from that case's own seed
+        seeds = [passed for name, passed, _ in events if name == "mix_seed"]
+        cases = [(cfg.noise_master_seed, i, j) for i in range(n_scenes) for j in range(28)]
+        assert seeds == cases * 2
 
     @staticmethod
-    def assert_features_reused(events, n_bins):
-        """Each model is built from the training features computed just
-        before it, and each projection's models score the test features made
-        once for that projection at each level, in the order they were made,
-        once per B. A folded call takes the 256 training pixels or a test
-        scene's 16 under all 28 SPDs; no relit run passes the cap."""
-        features, tests, scored = None, [], []
+    def assert_features_reused(events, n_bins, n_levels):
+        """Each projection's bounds are calibrated once, from its training
+        features, and those features become unit coordinates on them in
+        place once; so does each level's test features, made by one
+        `test_features` call. Each model is built from the training unit
+        coordinates, and each projection's models score the levels' unit
+        coordinates, in the order they were made, once per B. A folded call
+        takes the 256 training pixels or a test scene's 16 under all 28
+        SPDs; no relit run passes the cap."""
+        training, bounds, units, tests, scored = None, None, [], [], []
         for name, passed, result in events + [("fit_end", None, None)]:
             if name == "pixel_features":
                 rows, spds = passed
@@ -955,17 +1005,34 @@ class TestSweepCalls:
                     assert len(rows) in (256, 16) and spds.shape == (28, rows.shape[1])
                     assert result[1].shape == (28, len(rows))
             elif name.startswith("fit_"):
-                assert scored == tests * n_bins
-                tests, scored = [], []
+                assert scored == [id(t) for t in tests] * n_bins
+                assert units == []  # every held feature set was converted, once
+                training, tests, scored = None, [], []
             elif name == "training_features":
-                features = result
+                training = result
+                units = [result]
+            elif name == "calibrate_bounds":
+                assert passed is None and bounds is None
+                bounds = result
             elif name == "test_features":
-                tests.append(id(result))
+                assert len(passed) == len(result) == n_levels
+                units += result
+            elif name == "unit_features":
+                raw, lo, hi = passed
+                assert raw is units.pop(0)
+                assert lo is bounds[0] and hi is bounds[1]
+                assert result.bounds[0] is lo and result.bounds[1] is hi
+                assert result.feats is raw.feats  # converted in place, no copy
+                if raw is training:
+                    training = result
+                else:
+                    tests.append(result)
             elif name == "build_model":
-                assert passed is features
+                assert passed is training and training.bounds[0] is bounds[0]
             elif name == "classify":
                 scored.append(id(passed))
-
+            if name.startswith("fit_"):
+                bounds = None
 
 class TestBatchedEvaluation:
     """The sweep scores every test scene's cases in one batch, from the
@@ -986,7 +1053,7 @@ class TestBatchedEvaluation:
     @staticmethod
     def sweep_predictions(runner, model, noise_db):
         """What the sweep predicts: one `evaluation.classify` call over every scene."""
-        scenes = runner.test_features(model.projection, noise_db)
+        (scenes,) = runner.test_features(model.projection, [noise_db])
         return evaluation.classify(model, scenes)[0].ravel().tolist()
 
     @pytest.mark.parametrize("batch_rows", [None, 1, 5, 100])
@@ -1012,6 +1079,23 @@ class TestBatchedEvaluation:
             (scene, ill.name) for scene in runner.table.scenes for ill in runner.full
         ]
 
+    @pytest.mark.parametrize("batch_rows", [None, 1, 5, 100])
+    def test_every_level_matches_per_case_classify(self, demo_data, batch_rows, monkeypatch):
+        # One test_features call draws each case's noise once and scales it to
+        # every level; each level, and each row of the noise report, must
+        # still predict as per-case relight / add_noise / classify does.
+        if batch_rows is not None:
+            monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
+        levels = (50.0, 30.0, 20.0, 10.0)
+        cfg = demo_config(demo_data, noise_d_prime=2, noise_bins=5, noise_levels=levels)
+        runner = _Runner(cfg)
+        model = ill_pca_model(runner, 2, 5)
+        expected = [self.per_case_predictions(runner, model, db) for db in (None, *levels)]
+        scenes = runner.test_features(model.projection, [None, *levels])
+        assert [evaluation.classify(model, level)[0].ravel().tolist() for level in scenes] == expected
+        rows = {r.noise_label: [c.predicted for c in r.cases] for r in runner.noise().rows}
+        assert [rows[label] for label in ("clean", "50", "30", "20", "10")] == expected
+
     @pytest.mark.parametrize("noise_db", [None, 20.0])
     def test_scenes_of_different_sizes_match_per_case_classify(self, demo_data, noise_db):
         # Masking a different number of each 16-pixel test scene's pixels (one
@@ -1027,7 +1111,7 @@ class TestBatchedEvaluation:
         sizes = [16, 11, 6, 1, 12, 7, 2, 13]
         assert [len(img.valid_pixels()) for img in runner.test_eval] == sizes
         model = ill_pca_model(runner, 2, 5)
-        scenes = runner.test_features(model.projection, noise_db)
+        (scenes,) = runner.test_features(model.projection, [noise_db])
         assert scenes.kept.shape == (8, len(runner.full), 16)
         assert scenes.kept.sum(axis=(1, 2)).tolist() == [len(runner.full) * n for n in sizes]
         expected = self.per_case_predictions(runner, model, noise_db)
@@ -1048,7 +1132,7 @@ class TestBatchedEvaluation:
         master = runner.config.noise_master_seed
         proj = fit_ill_pca(runner.proj_set, 2)
         models = [build_model(runner.train_eval, runner.full, proj, b) for b in (5, 10)]
-        scenes = runner.test_features(proj, noise_db)
+        (scenes,) = runner.test_features(proj, [noise_db])
         assert scenes.projection is proj
         assert scenes.kept.shape[:2] == (len(runner.test_eval), len(runner.full))
         scores = [score(model, scenes) for model in models]

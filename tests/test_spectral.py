@@ -1,5 +1,7 @@
 """Core spectral types: grids, chromaticity, relighting, noise."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from illumest.spectral import (
     chromaticity_rows,
     downsample,
     mix_seed,
+    noise_draw,
     noise_sigma,
     noisy_rows,
     relight,
@@ -293,7 +296,7 @@ class TestNoise:
         assert out is not img and out.data is not img.data
         np.testing.assert_array_equal(out.data, img.data)
         rows = img.valid_pixels()
-        clean = noisy_rows(rows, img.mask, level, 1)
+        clean = noisy_rows(rows, noise_draw(img.mask, 3, 1), level)
         assert clean is not rows
         np.testing.assert_array_equal(clean, rows)
 
@@ -304,7 +307,7 @@ class TestNoise:
         with pytest.raises(ValueError, match="snr_db must be finite, \\+inf or None"):
             add_noise(img, level, 1)
         with pytest.raises(ValueError, match="snr_db must be finite"):
-            noisy_rows(img.valid_pixels(), img.mask, level, 1)
+            noisy_rows(img.valid_pixels(), noise_draw(img.mask, 3, 1), level)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -312,19 +315,41 @@ class TestNoise:
         st.integers(1, 5),
         st.integers(1, 4),
         st.integers(0, 2**32 - 1),
-        st.floats(-30.0, 80.0),
+        st.lists(st.floats(-30.0, 80.0), min_size=1, max_size=3),
         st.integers(0, 2**64 - 1),
     )
-    def test_rows_match_the_noisy_image(self, h, w, bands, draw, snr, seed):
+    def test_rows_match_the_noisy_image(self, h, w, bands, draw, snrs, seed):
         rng = np.random.default_rng(draw)
         mask = rng.random((h, w)) < 0.7
         mask.flat[rng.integers(h * w)] = True
         img = make_image(rng.random((h, w, bands)) * rng.choice([1e-3, 1.0, 1e3]), mask)
-        rows = noisy_rows(img.valid_pixels(), img.mask, snr, seed)
-        noisy = add_noise(img, snr, seed)
-        assert rows.tobytes() == noisy.valid_pixels().tobytes()
-        np.testing.assert_array_equal(noisy.data[~mask], img.data[~mask])
-        # the same stream and arithmetic as noising every pixel of the image
-        sigma = noise_sigma(float(img.valid_pixels().mean()), snr)
-        whole = img.data + np.random.default_rng(seed).standard_normal(img.data.shape) * sigma
-        assert rows.tobytes() == np.clip(whole, 0.0, None)[mask].tobytes()
+        noise = noise_draw(img.mask, bands, seed)
+        for snr in snrs:  # one draw serves every level
+            rows = noisy_rows(img.valid_pixels(), noise, snr)
+            noisy = add_noise(img, snr, seed)
+            assert rows.tobytes() == noisy.valid_pixels().tobytes()
+            np.testing.assert_array_equal(noisy.data[~mask], img.data[~mask])
+            # the same stream and arithmetic as noising every pixel of the image
+            sigma = noise_sigma(float(img.valid_pixels().mean()), snr)
+            whole = img.data + np.random.default_rng(seed).standard_normal(img.data.shape) * sigma
+            assert rows.tobytes() == np.clip(whole, 0.0, None)[mask].tobytes()
+
+    @pytest.mark.parametrize(
+        "snr, digest",
+        [
+            (50.0, "1441429dbb4bf591f9b7880e76f1d4dbdf0d169c4fcab19f1410f5da4448f201"),
+            (20.0, "6f9f2d035edd2905c5b7f927b0c2a134eeb49c2ac617fd9781eb6ea05272dfc8"),
+            (0.0, "9ba0ec63db9be0c3053eafc75146f95c9c9c0812807d21465059f18c3b405ef0"),
+            (-10.0, "91ab342e9262aaf5bd9d2bf11c92527ea35b11c7b78c100cddc4f599e774b479"),
+        ],
+    )
+    def test_add_noise_bytes_are_pinned(self, snr, digest):
+        # sha256 of add_noise's image bytes as the single-step noise rule made them
+        rng = np.random.default_rng(7)
+        img = make_image(rng.random((6, 5, 4)), rng.random((6, 5)) < 0.6)
+        assert hashlib.sha256(add_noise(img, snr, 1234).data.tobytes()).hexdigest() == digest
+
+    def test_draw_must_match_the_rows(self):
+        img = make_image(np.full((2, 2, 3), 2.0))
+        with pytest.raises(ValueError, match="noise draw"):
+            noisy_rows(img.valid_pixels(), noise_draw(img.mask, 2, 1), 20.0)
