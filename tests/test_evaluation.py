@@ -1206,3 +1206,20 @@ class TestReportBytes:
             "a6df9405b4aa5d927d2c158eb0629dd9227144946650c36880179200a0f7eeff",
             "fa7b7194c9a945ac21a20e348b6c2cb1efce851dc5cb6982c0239756f495d213",
         ]
+
+    def test_nnmf_report_bytes_pinned_at_larger_d_primes(self, tmp_path, bundled_cameras):
+        # at d' 3-5 `nnls_rows` enumerates 7 to 31 supports, against at most
+        # 3 in the grid above
+        cfg = replace(
+            report_config(tmp_path, bundled_cameras), methods=("nnmf",), d_primes=(3, 4, 5)
+        )
+        report = run_grid(cfg)
+        digests = []
+        for write in (report.write_csv, report.write_raw_csv):
+            path = tmp_path / "out.csv"
+            write(path)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests == [
+            "0979030ddd3fe9bdd98bff29c00a3541bbdac45a2071a8796e690ea75ab378cc",
+            "0d393058f7bf2470e497ea6f1884e8fc5dd30e7bb0764cc79f038752b8f728c3",
+        ]
