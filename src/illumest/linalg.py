@@ -5,12 +5,12 @@ fixed contract (descending eigenvalues, checked symmetry, B-orthonormal
 generalized eigenvectors). NNLS sees only the Gram V V^T of a basis V and
 right-hand sides V . t: `nnls` is Lawson-Hanson for one of them, in the Gram
 form of Bro & De Jong's FNNLS. `nnls_rows` solves blocks of BATCH_ROWS rows
-without looping over rows: an unconstrained normal-equations fast path, then,
-for up to NNLS_ENUM_MAX_K basis vectors, exact enumeration of every linearly
-independent support for all remaining rows at once (Van Benthem & Keenan,
-J. Chemometrics 2004). Every enumerated row is certified by the KKT
-conditions; only rows that fail the certificate, or every row when the basis
-has more vectors than the cap, reach the scalar solver.
+without looping over rows: a LAPACK normal-equations fast path, whose rows
+depend on their block, then, for up to NNLS_ENUM_MAX_K basis vectors, exact
+enumeration of every independent support by sub-Gram inverses made once a
+call (Van Benthem & Keenan, J. Chemometrics 2004), whose rows depend only on
+themselves. Every enumerated row is certified by the KKT conditions; rows
+that fail it, or every row when the basis passes the cap, reach `nnls`.
 """
 
 from __future__ import annotations
@@ -149,55 +149,63 @@ def nnls(gram: np.ndarray, atb: np.ndarray, max_iter: Optional[int] = None) -> n
     raise RuntimeError("nnls: iteration cap exceeded without reaching KKT conditions")
 
 
-def _independent_supports(gram: np.ndarray) -> list[np.ndarray]:
-    """Index arrays (n_supports, size) of the supports with a regular sub-Gram.
+def _support_layers(gram: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The supports with a regular sub-Gram and the inverses of those sub-Grams.
 
-    One array per support size, in lexicographic order. Regularity is judged
-    by `np.linalg.matrix_rank` on the sub-Gram G[S,S] that
-    `_enumerate_supports` solves, not on the basis rows: the Gram's condition
-    number is the square of theirs, so independent rows can still give a
-    sub-Gram that rounds to singular. Some optimal NNLS solution always has an
-    independent support, so dropping dependent ones loses nothing; a row whose
-    optimum needs a support dropped only for rounding fails the certificate
-    in `nnls_rows`. When the whole Gram has full rank every sub-Gram does too
-    (its eigenvalues interlace), and no subset check runs.
+    One layer per support size: the index arrays (n_supports, size) of its
+    supports in lexicographic order and the (n_supports, size, size) inverses
+    of their sub-Grams G[S,S]. Regularity is judged by `np.linalg.matrix_rank`
+    on the sub-Gram, not on the basis rows: the Gram's condition number is the
+    square of theirs, so independent rows can still give a sub-Gram that
+    rounds to singular. Some optimal NNLS solution always has an independent
+    support, so dropping dependent ones loses nothing; a row whose optimum
+    needs a support dropped only for rounding fails the certificate in
+    `nnls_rows`. When the whole Gram has full rank every sub-Gram does too
+    (its eigenvalues interlace), and no subset check runs. A layer whose
+    inversion raises, a sub-Gram that passed the rank test but not the LU
+    pivots, is left out; rows that needed it fail the certificate too.
     """
     k = gram.shape[0]
     full_rank = np.linalg.matrix_rank(gram, hermitian=True) == k
     out = []
     for size in range(1, k + 1):
         idx = np.array(list(itertools.combinations(range(k), size)), dtype=np.intp)
+        sub = gram[idx[:, :, None], idx[:, None, :]]
         if not full_rank:
-            sub = gram[idx[:, :, None], idx[:, None, :]]
-            idx = idx[np.linalg.matrix_rank(sub, hermitian=True) == size]
+            regular = np.linalg.matrix_rank(sub, hermitian=True) == size
+            idx, sub = idx[regular], sub[regular]
         if len(idx):
-            out.append(idx)
+            try:
+                out.append((idx, np.linalg.inv(sub)))
+            except np.linalg.LinAlgError:
+                continue
     return out
 
 
 def _enumerate_supports(
-    gram: np.ndarray, rhs: np.ndarray, supports: list[np.ndarray]
+    rhs: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
     """Exact NNLS for every row of `rhs` (m, k) = targets @ basis.T.
 
-    For each support S, all of its rows at once solve G[S,S] z = rhs[:, S].
-    A feasible solution (z > 0) is stationary on S, so its objective relative
-    to |target|^2 is -z . rhs[S]; the empty support scores 0, and each row
-    keeps the lowest score, the first found on ties.
+    For each support S of the `_support_layers`, all of its rows at once take
+    z = G[S,S]^-1 rhs[:, S]. A feasible solution (z > 0) is stationary on S,
+    so its objective relative to |target|^2 is -z . rhs[S]; the empty support
+    scores 0, and each row keeps the lowest score, the first found on ties.
+    Both sums are accumulated term by term in a fixed order, not by BLAS, so
+    a row's result depends only on that row.
     """
     m, k = rhs.shape
     rows = np.arange(m)
     best = np.zeros((m, k))
     best_obj = np.zeros(m)
-    for idx in supports:
-        sub_rhs = rhs[:, idx].transpose(1, 2, 0)  # (n_supports, size, m)
-        try:
-            z = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]], sub_rhs)
-        except np.linalg.LinAlgError:
-            # a sub-Gram that passed the rank test but not the LU pivots: skip
-            # the layer; rows that needed it fail the certificate later
-            continue
-        obj = -np.sum(z * sub_rhs, axis=1)
+    for idx, inv in layers:
+        sub_rhs = rhs.T[idx]  # (n_supports, size, m)
+        z = inv[:, :, :1] * sub_rhs[:, None, 0]
+        for j in range(1, idx.shape[1]):
+            z += inv[:, :, j, None] * sub_rhs[:, None, j]
+        obj = -z[:, 0] * sub_rhs[:, 0]
+        for j in range(1, idx.shape[1]):
+            obj -= z[:, j] * sub_rhs[:, j]
         obj[~np.all(z > 0, axis=1)] = np.inf
         pick = np.argmin(obj, axis=0)
         better = obj[pick, rows] < best_obj
@@ -212,13 +220,13 @@ def nnls_rows(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Row-wise NNLS from right-hand sides: row i is nnls(V V^T, rhs[i]) for
     the (k, d) `basis` V and the (n, k) `rhs` = targets @ V^T.
 
-    Consecutive blocks of at most BATCH_ROWS rows are solved each on its own,
-    so a row's result depends only on its block. In a block, any row whose
-    unconstrained normal-equations solution is non-negative takes it. With at
-    most NNLS_ENUM_MAX_K basis vectors the other rows are solved exactly by
-    enumerating supports, one batched solve per support size over every
-    support with a regular sub-Gram (`_independent_supports`) and every row
-    (`_enumerate_supports`). Each enumerated row must then pass the KKT
+    Consecutive blocks of at most BATCH_ROWS rows are solved each on its own.
+    In a block, any row whose unconstrained normal-equations solution is
+    non-negative takes it; that LAPACK solve rounds a row by its block. With
+    at most NNLS_ENUM_MAX_K basis vectors the other rows are solved exactly
+    from fixed-order products with the sub-Gram inverses of every regular
+    support, made once a call (`_support_layers`, `_enumerate_supports`), so
+    an enumerated row depends only on itself. It must then pass the KKT
     certificate, with tol = KKT_TOL * max(1, |rhs row|_inf): |gradient| <= tol
     on the support and gradient <= tol off it. Rows that fail it, and every
     remaining row when the basis exceeds the cap, go to the scalar `nnls`.
@@ -229,7 +237,7 @@ def nnls_rows(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"incompatible shapes {v.shape} and {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand sides must be finite")
-    gram = v @ v.T
+    gram, layers = v @ v.T, None
     out = np.zeros(b.shape)
     for start in range(0, len(b), BATCH_ROWS):
         block, z = b[start : start + BATCH_ROWS], out[start : start + BATCH_ROWS]
@@ -243,7 +251,8 @@ def nnls_rows(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             z[ok] = candidate[ok]
             pending = pending[~ok]
         if len(pending) and len(gram) <= NNLS_ENUM_MAX_K:
-            sub = _enumerate_supports(gram, block[pending], _independent_supports(gram))
+            layers = _support_layers(gram) if layers is None else layers
+            sub = _enumerate_supports(block[pending], layers)
             z[pending] = sub
             grad = block[pending] - np.einsum("mj,jk->mk", sub, gram)
             tol = KKT_TOL * np.maximum(1.0, np.max(np.abs(block[pending]), axis=1))

@@ -103,6 +103,19 @@ def counting_scalar_solver(monkeypatch):
     return calls
 
 
+def recorded_layers(monkeypatch):
+    """Every list of support layers `nnls_rows` builds, in build order."""
+    built = []
+    build = linalg._support_layers
+
+    def recorded(gram):
+        built.append(build(gram))
+        return built[-1]
+
+    monkeypatch.setattr(linalg, "_support_layers", recorded)
+    return built
+
+
 class TestSymmetricEig:
     def test_known_two_by_two(self):
         evals, evecs = symmetric_eig([[2.0, 1.0], [1.0, 2.0]])
@@ -319,17 +332,19 @@ class TestNnlsRows:
     def test_singular_layer_leaves_its_rows_to_the_scalar_solver(self, monkeypatch):
         rng = np.random.default_rng(14)
         # integer entries keep the Gram exact, so every sub-Gram holding the
-        # duplicated rows 0 and 3 is exactly singular and its layer's solve raises
+        # duplicated rows 0 and 3 is exactly singular and its layer's inversion
+        # raises once the rank test passes every support
         basis = rng.integers(0, 4, size=(3, 7)).astype(float)
         basis = np.vstack([basis, basis[0]])
         targets = rng.standard_normal((30, 7))
         want = objective(basis, targets, solve_rows(basis, targets))
-        every_support = [
-            np.array(list(itertools.combinations(range(4), size)))
-            for size in range(1, 5)
-        ]
-        monkeypatch.setattr(linalg, "_independent_supports", lambda gram: every_support)
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda a, hermitian: len(a))
+        built = recorded_layers(monkeypatch)
+        calls = counting_scalar_solver(monkeypatch)
         z = solve_rows(basis, targets)
+        # built once; only the size-1 layer inverts, every larger one holds 0 and 3
+        assert [[idx.shape[1] for idx, _ in layer] for layer in built] == [[1]]
+        assert calls
         assert_kkt(basis, targets, z, support_tol=1e-6)
         np.testing.assert_allclose(objective(basis, targets, z), want, atol=1e-12)
 
@@ -347,6 +362,20 @@ class TestNnlsRows:
         for i, atb in zip(clipped, calls):
             assert atb.tobytes() == rhs[i].tobytes()
             np.testing.assert_array_equal(z[i], nnls(gram, rhs[i]))
+
+    def test_no_support_layers_past_the_cap(self, monkeypatch):
+        # building them would enumerate 2^k - 1 supports
+        def refuse(gram):
+            raise AssertionError(f"support layers built for a basis of {len(gram)}")
+
+        monkeypatch.setattr(linalg, "_support_layers", refuse)
+        calls = counting_scalar_solver(monkeypatch)
+        rng = np.random.default_rng(17)
+        basis = rng.random((NNLS_ENUM_MAX_K + 1, 31))
+        targets = rng.standard_normal((40, 31))
+        z = solve_rows(basis, targets)
+        assert calls
+        assert_kkt(basis, targets, z, support_tol=1e-6)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("k", [2, NNLS_ENUM_MAX_K + 1])
@@ -372,19 +401,22 @@ class TestNnlsRows:
         n = 2 * BATCH_ROWS + 300
         rhs = rhs_of(basis, rng.standard_normal((n, 31)) + rng.random((n, k)) @ basis)
         enumerated = []
-        original = linalg._enumerate_supports
+        enumerate_supports = linalg._enumerate_supports
 
-        def recorded(gram, sub, supports):
-            enumerated.append(len(sub))
-            return original(gram, sub, supports)
+        def recorded(sub, layers):
+            enumerated.append((len(sub), layers))
+            return enumerate_supports(sub, layers)
 
         monkeypatch.setattr(linalg, "_enumerate_supports", recorded)
+        built = recorded_layers(monkeypatch)
         z = nnls_rows(basis, rhs)
         monkeypatch.undo()
         assert 0 < np.count_nonzero(np.any(z == 0, axis=1)) < n  # some rows clip
-        # within the enumeration cap, one enumeration per block, of that block's rows
+        # within the enumeration cap, one enumeration per block, of that block's
+        # rows, all on the one set of layers built for the call
         assert len(enumerated) == (3 if k <= NNLS_ENUM_MAX_K else 0)
-        assert all(0 < m <= BATCH_ROWS for m in enumerated)
+        assert len(built) == (1 if k <= NNLS_ENUM_MAX_K else 0)
+        assert all(0 < m <= BATCH_ROWS and layers is built[0] for m, layers in enumerated)
         blocks = [nnls_rows(basis, rhs[s : s + BATCH_ROWS]) for s in range(0, n, BATCH_ROWS)]
         assert [len(b) for b in blocks] == [BATCH_ROWS, BATCH_ROWS, 300]
         assert z.tobytes() == np.concatenate(blocks).tobytes()
@@ -449,6 +481,17 @@ class TestNnlsRowsProperties:
         np.testing.assert_array_equal(
             solve_rows(basis, targets[perm]), solve_rows(basis, targets)[perm]
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(nnls_batches())
+    def test_enumerated_rows_do_not_depend_on_their_batch(self, batch):
+        basis, targets, _ = batch
+        rhs = rhs_of(basis, targets)
+        layers = linalg._support_layers(basis @ basis.T)
+        z = linalg._enumerate_supports(rhs, layers)
+        for i in range(len(rhs)):
+            alone = linalg._enumerate_supports(rhs[i : i + 1], layers)
+            assert alone.tobytes() == z[i : i + 1].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(fallback_batches())
