@@ -393,9 +393,10 @@ def build_model(
     else:
         lo, hi = features.bounds
     cells, slots = _union_slots(feature_cells(features, lo, hi, n_bins), counts, n_cells)
-    probs = np.bincount(slots, minlength=len(counts) * cells.size).reshape(-1, cells.size)
+    # unit weights count exactly in float64, with no int64 table to convert
+    probs = np.bincount(slots, np.ones(slots.size), len(counts) * cells.size)
+    probs = probs.reshape(-1, cells.size)
     occupied = probs[:, :-1] > 0
-    probs = probs.astype(np.float64)
     probs += smoothing
     probs /= (counts + smoothing * n_cells)[:, None]
     return CorrelationModel(
@@ -416,14 +417,15 @@ def build_model(
 @dataclass(frozen=True)
 class BlockFeatures:
     """A stack's histogram coordinates under `projection`: `feats` holds the
-    kept rows' coordinates in row order, and `kept` (..., N) marks them.
-    With `bounds=(lo, hi)` they are unit coordinates on those bounds
-    (`unit_features`), which bin only for a model with those bounds."""
+    kept rows' coordinates in row order, and `kept` (..., N) marks them. With
+    `bounds=(lo, hi)` they are unit coordinates (`unit_features`) that bin only
+    for a model with those bounds, and `cells=(B, flat)` their flat cells at B."""
 
     projection: Projection
     feats: np.ndarray
     kept: np.ndarray
     bounds: Optional[tuple[np.ndarray, np.ndarray]] = None
+    cells: Optional[tuple[int, np.ndarray]] = None
 
 
 def unit_features(features: BlockFeatures, lo: np.ndarray, hi: np.ndarray) -> BlockFeatures:
@@ -441,22 +443,35 @@ def unit_features(features: BlockFeatures, lo: np.ndarray, hi: np.ndarray) -> Bl
     return replace(features, bounds=(lo, hi))
 
 
+def prefix_cells(units: np.ndarray, n_bins: int, ks: Sequence[int] = ()):
+    """Fold the (N, d') unit coordinates `units` a column at a time (cheaper
+    than whole-array passes at training sizes): after each column k in `ks`,
+    or every column, yield each row's flat cell on its first k coordinates at
+    B = n_bins, one array updated in place, so use it before the next."""
+    flat = np.zeros(len(units), dtype=np.int64)
+    for k, column in enumerate(units.T, 1):
+        flat *= n_bins
+        flat += _bin_digits(column * n_bins, n_bins)
+        if not ks or k in ks:
+            yield flat
+
+
 def feature_cells(
     features: BlockFeatures, lo: np.ndarray, hi: np.ndarray, n_bins: int
 ) -> np.ndarray:
-    """The flat cell of each row of `features` on the bounds (lo, hi), raw
-    or unit coordinates; unit coordinates on other bounds raise ValueError."""
+    """The flat cell of each row of `features` on the bounds (lo, hi), from raw
+    or unit coordinates or the cells they carry; unit coordinates on other
+    bounds, or cells of another B, raise ValueError."""
     if features.bounds is None:
         return bin_indices(features.feats, lo, hi, n_bins)
     if not all(map(np.array_equal, features.bounds, (lo, hi))):
         raise ValueError("features are unit coordinates on other bounds than the model's")
-    # a column at a time: at a training set's rows, whole-array temporaries
-    # cost more time and memory than their fewer calls save
-    flat = np.zeros(len(features.feats), dtype=np.int64)
-    for units in features.feats.T:
-        flat *= n_bins
-        flat += _bin_digits(units * n_bins, n_bins)
-    return flat
+    if features.cells is None:
+        *_, flat = prefix_cells(features.feats, n_bins)  # after the last column
+        return flat
+    if features.cells[0] != n_bins:
+        raise ValueError(f"features carry cells at B = {features.cells[0]}, not {n_bins}")
+    return features.cells[1]
 
 
 def block_features(projection: Projection, pixels: SpectralImage | np.ndarray) -> BlockFeatures:

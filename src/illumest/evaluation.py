@@ -28,6 +28,7 @@ from .cbc import (
     calibrate_bounds,
     cell_count,
     classify,
+    prefix_cells,
     relit_rows,
     training_features,
     training_pixels,
@@ -49,6 +50,7 @@ from .projections import (
     KIND_PCA,
     KIND_RAND,
     KIND_RGB,
+    NESTED_KINDS,
     TrainingMatrix,
     covariance_components,
     fit_ill_pca,
@@ -57,6 +59,7 @@ from .projections import (
     fit_pca,
     fit_rand,
     fit_rgb,
+    leading_projection,
 )
 from .spectral import (
     SpectralImage,
@@ -508,8 +511,8 @@ def fit_projection(method, d_prime, proj_set, training, seed, max_iter, camera):
 
 
 class _Runner:
-    """Loads a run's inputs once, then sweeps (method, d', variant, B) cells
-    in report order, scoring each cell's model at every noise level."""
+    """Loads a run's inputs once, then sweeps (method, variant, B, d') cells,
+    which the report writers sort, scoring each cell's model at every noise level."""
 
     def __init__(self, config: GridConfig):
         """Read the illuminants and the dataset manifest; scenes are read
@@ -640,11 +643,11 @@ class _Runner:
     # -- entry points -------------------------------------------------------
 
     def _sweep(self, methods, d_primes, bins, levels) -> EvalReport:
-        """One row per (method, d', variant, B, noise level), then the
+        """One row per (method, variant, B, d', noise level), then the
         variant averages. `levels` holds (noise label, dB or None) pairs.
         Each method's settings are checked before the first fit, and all but
-        the downsampling factors before any scene is read. Each projection's
-        training and `test_features` serve all of its B values."""
+        the downsampling factors before any scene is read. Each variant of a
+        nested kind is fitted once, at the largest d', and serves every d'."""
         cfg = self.config
         for method in methods:
             cameras = self.cameras.values() if method == KIND_RGB else ()
@@ -670,38 +673,47 @@ class _Runner:
                 ])
                 rows.append(self.table.row(predicted, method, None, None, NO_VARIANT, NO_VARIANT))
                 continue
-            for d_prime in (3,) if method == KIND_RGB else d_primes:
-                for variant, proj in self._projections(method, d_prime):
-                    rows += self._projection_rows(proj, bins, levels, method, d_prime, variant)
+            nested = [tuple(d_primes)] if method in NESTED_KINDS else [(d,) for d in d_primes]
+            for served in [(3,)] if method == KIND_RGB else nested:
+                for variant, proj in self._projections(method, max(served)):
+                    rows += self._projection_rows(proj, served, bins, levels, method, variant)
         rows.extend(_average_rows(rows))
         return EvalReport(rows)
 
-    def _projection_rows(self, proj, bins, levels, method, d_prime, variant) -> list[ReportRow]:
-        """The rows of one projection at every B and noise level, each from
-        one `classify` call over every test scene's cases. Its training
-        features fix the bounds once, and they and each level's
-        `test_features` become unit coordinates on them once, in place, so
-        each B only bins. The training features go after the last build,
-        the test features when this returns, before the sweep fits the next
-        projection; each B's model goes before the next B's is built."""
+    def _projection_rows(self, proj, d_primes, bins, levels, method, variant) -> list[ReportRow]:
+        """The rows of one fitted projection at every B, d' of `d_primes` and
+        noise level, each from one `classify` call over every test scene's
+        cases. Its training features fix the bounds once, and they and each
+        level's `test_features` become unit coordinates on them once, in
+        place. Each B folds each once (`prefix_cells`); prefix k serves d' = k
+        under `leading_projection`. The training features go after their last
+        fold, the test features when this returns; each model before the next."""
         features = training_features(self.train_eval, self.full, proj)
         lo, hi = calibrate_bounds(features.feats, proj.output_dim)
         features = unit_features(features, lo, hi)
         tests = self.test_features(proj, [noise_db for _, noise_db in levels])
         tests = [unit_features(scenes, lo, hi) for scenes in tests]
-        rows = []
+        rows, smoothing, mode = [], self.config.smoothing, self.config.score_mode
         for n_bins in bins:
-            model = build_model(
-                self.train_eval, self.full, proj, n_bins,
-                smoothing=self.config.smoothing, features=features,
-            )
-            if n_bins == bins[-1]:
-                del features  # scoring needs only the test features
-            for (label, _), scenes in zip(levels, tests):
-                scores = classify(model, scenes, mode=self.config.score_mode)[1]
-                predicted = np.argmax(scores, axis=-1)  # classify's tie rule
-                rows.append(self.table.row(predicted, method, d_prime, n_bins, variant, label))
-            del model, scores  # before the next B's build
+            trains = prefix_cells(features.feats, n_bins, d_primes)
+            folds = [prefix_cells(scenes.feats, n_bins, d_primes) for scenes in tests]
+            for k in sorted(d_primes):
+                sub = leading_projection(proj, k) if method in NESTED_KINDS else proj
+                prefix = lambda f, cells: BlockFeatures(
+                    sub, f.feats[:, :k], f.kept, (lo[:k], hi[:k]), (n_bins, cells))
+                model = build_model(self.train_eval, self.full, sub, n_bins, smoothing=smoothing,
+                                    features=prefix(features, next(trains)))
+                if (n_bins, k) == (bins[-1], proj.output_dim):
+                    trains.close()  # scoring needs only the test features
+                    del features
+                # a level folds on to k only now, and lets go of its last prefix once scored
+                for (label, _), scenes, fold in zip(levels, tests, folds):
+                    scores = classify(model, prefix(scenes, next(fold)), mode=mode)[1]
+                    if k == proj.output_dim:
+                        fold.close()
+                    predicted = np.argmax(scores, axis=-1)  # classify's tie rule
+                    rows.append(self.table.row(predicted, method, k, n_bins, variant, label))
+                del model, scores  # before the next build
         return rows
 
     def grid(self) -> EvalReport:

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -39,6 +39,9 @@ _CODE_KIND = {i: kind for kind, i in _KIND_CODE.items()}
 #: Kinds whose basis is stored with components in columns (d, d') and whose
 #: application subtracts a stored mean first.
 _CENTERED_KINDS = (KIND_PCA, KIND_ILL_PCA)
+
+#: Kinds whose fit at d' leads with their fit at each smaller d' (`leading_projection`).
+NESTED_KINDS = (KIND_RAND, KIND_PCA, KIND_ILL_PCA, KIND_LDA)
 
 PROJ_MAGIC = b"PROJ1"
 
@@ -388,6 +391,17 @@ def fit_lda(training: TrainingMatrix, output_dim: int) -> Projection:
         basis=w.T.copy(),
         metadata={"n_classes": k, "gamma": gamma},
     )
+
+
+def leading_projection(proj: Projection, k: int) -> Projection:
+    """The first k components of a nested kind's fit (basis columns of a
+    centered kind, rows otherwise; `proj` itself at k = output_dim). A fit at
+    d' = k is this bit for bit, but lda's at k = 1 may differ in the last bit:
+    `np.linalg.norm` sums its lone column in another order."""
+    if proj.kind not in NESTED_KINDS or not 1 <= k <= proj.output_dim:
+        raise ValueError(f"no leading {k} components of a {proj.output_dim}-D {proj.kind} fit")
+    basis = proj.basis[:, :k] if proj.mean is not None else proj.basis[:k]
+    return proj if k == proj.output_dim else replace(proj, output_dim=k, basis=basis.copy())
 
 
 # ---------------------------------------------------------------------------

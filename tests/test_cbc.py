@@ -913,6 +913,24 @@ class TestUnitCoordinates:
             assert want.tolist() == reference_cells(coords, lo, hi, b)
 
     @settings(max_examples=300, deadline=None)
+    @given(st.one_of(binning_cases(), edge_cases()), st.integers(1, 40), st.data())
+    def test_prefix_k_of_the_fold_is_bin_indices_of_the_leading_k(self, case, other_bins, data):
+        # the sweep serves d' = k from prefix k of one fold of the unit
+        # coordinates: the leading k raw columns binned on the leading k bounds
+        coords, lo, hi, n_bins = case
+        proj, _, kept = identity_setup(lo.size, [len(coords)])
+        units = cbc.unit_features(BlockFeatures(proj, coords.copy(), kept), lo, hi).feats
+        for b in (n_bins, other_bins):
+            prefixes = [flat.copy() for flat in cbc.prefix_cells(units, b)]  # one array, updated
+            assert len(prefixes) == lo.size
+            for k, got in enumerate(prefixes, 1):
+                want = bin_indices(coords[:, :k], lo[:k], hi[:k], b)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+            ks = sorted(data.draw(st.sets(st.integers(1, lo.size), min_size=1)))
+            served = [flat.copy() for flat in cbc.prefix_cells(units, b, ks)]
+            assert [c.tobytes() for c in served] == [prefixes[k - 1].tobytes() for k in ks]
+
+    @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 300), st.lists(st.integers(0, 10**6), max_size=80), st.booleans())
     @example(n_cells=3, picks=[2], last=False)  # one cell, the space's last: dense
     @example(n_cells=4, picks=[3], last=False)  # one cell, the space's last: np.unique
@@ -968,6 +986,29 @@ class TestUnitCoordinates:
                 score(model, other)
         with pytest.raises(ValueError, match="already"):
             cbc.unit_features(unit, model.lo, model.hi)
+
+    def test_carried_cells_are_taken_at_their_bounds_and_b_only(self):
+        axis, candidates, images = tiny_problem()
+        proj = fit_rand(4, 2, seed=42)
+        features = training_features(images, candidates, proj)
+        lo, hi = calibrate_bounds(features.feats, 2)
+        want = build_model(images, candidates, proj, 8, features=features)
+        unit = cbc.unit_features(features, lo, hi)
+        (cells,) = cbc.prefix_cells(unit.feats, 8, (2,))
+        carried = replace(unit, cells=(8, cells.copy()))
+        with mock.patch.object(cbc, "_bin_digits", side_effect=AssertionError):
+            model = build_model(images, candidates, proj, 8, features=carried)
+        for name in ("lo", "hi", "cells", "probs", "occupied"):
+            assert getattr(model, name).tobytes() == getattr(want, name).tobytes(), name
+        stack = np.stack([relight(img, ill.spd).valid_pixels() for img in images for ill in candidates])
+        tests = cbc.unit_features(block_features(proj, stack), lo, hi)
+        (test_cells,) = cbc.prefix_cells(tests.feats, 8, (2,))
+        scored = score(model, replace(tests, cells=(8, test_cells.copy())))
+        assert scored.tobytes() == score(want, stack).tobytes()
+        with pytest.raises(ValueError, match="cells at B = 8, not 9"):
+            build_model(images, candidates, proj, 9, features=carried)
+        with pytest.raises(ValueError, match="other bounds"):
+            cbc.feature_cells(carried, lo, np.nextafter(hi, np.inf), 8)
 
     def test_unit_features_reject_non_finite_coordinates(self):
         proj, _, kept = identity_setup(2, [2])

@@ -698,8 +698,9 @@ class TestUnfittableDPrime:
             run_grid(cfg)
         assert calls == [] and fits == []
         run_grid(replace(cfg, cameras=cfg.cameras[:1]))
-        # one classify per model: ill_pca at two d' and two B, rgb at two B
-        assert len(calls) == 2 * 2 + 2 and fits == ["ill_pca", "ill_pca", "rgb"]
+        # one classify per model: ill_pca at two d' and two B, rgb at two B;
+        # ill_pca is fitted once, at d' = 3, and serves d' = 2 from its leading component
+        assert len(calls) == 2 * 2 + 2 and fits == ["ill_pca", "rgb"]
 
     def test_rgb_ignores_d_primes(self, demo_data, bundled_cameras, fits):
         cfg = demo_config(
@@ -814,18 +815,26 @@ class TestCaseTable:
         assert runner.table.errors.tobytes() == full.tobytes()
 
 
+def leading_view(part: np.ndarray, whole: np.ndarray) -> bool:
+    """Whether `part` is a view of the leading columns of `whole`, no copy."""
+    data = lambda a: a.__array_interface__["data"][0]
+    return data(part) == data(whole) and part.strides == whole.strides and part.shape[0] == len(whole)
+
+
 class TestSweepCalls:
-    """The sweep fits and featurizes each (method, d', variant) once: one
-    folded `cbc.pixel_features` call on the training pixels and one per clean
-    test scene for every kind, nnmf included, plus one call per `relit_rows`
-    run for noisy cases only. It calibrates the projection's bounds once,
-    from its training features, and turns those and each level's test
-    features into unit coordinates on them once. It builds one model per B
-    from those training features, without calibrating again, and scores
-    every test scene in one classify call per model and noise level from
-    the held test features. Each noisy case's noise is drawn once, from its
-    own (scene, candidate) seed, and serves every level: the counts the
-    benchmark's traces rely on."""
+    """The sweep fits and featurizes each (family, variant) once: a nested
+    kind (rand, pca, ill_pca, lda) once at the largest d', nnmf at each d'
+    and rgb per camera. That is one folded `cbc.pixel_features` call on the
+    training pixels and one per clean test scene for every kind, nnmf
+    included, plus one call per `relit_rows` run for noisy cases only. It
+    calibrates the projection's bounds once, from its training features,
+    and turns those and each level's test features into unit coordinates on
+    them once. It builds one model per (B, served d') from the leading
+    columns of those training features, without calibrating again, and
+    scores every test scene in one classify call per model and noise level
+    from the held test features. Each noisy case's noise is drawn once,
+    from its own (scene, candidate) seed, and serves every level: the
+    counts the benchmark's traces rely on."""
 
     N_CANDIDATES = 28  # bundled illuminants
 
@@ -858,19 +867,20 @@ class TestSweepCalls:
 
     @classmethod
     def expected(cls, fits, n_bins, n_noisy, n_scenes, n_runs):
-        """Per fit: its training features, one folded call, then the bounds
-        and their unit coordinates; per test scene one folded clean call,
-        and for noisy levels one seed and one draw per case, then each noisy
-        level's relit runs; the levels' unit coordinates; then per B a model
-        and one classify per level."""
+        """Per (fit, number of d' it serves): its training features, one
+        folded call, then the bounds and their unit coordinates; per test
+        scene one folded clean call, and for noisy levels one seed and one
+        draw per case, then each noisy level's relit runs; the levels' unit
+        coordinates; then per B and served d' a model and one classify per
+        level."""
         out = []
         draws = ["mix_seed", "noise_draw"] * cls.N_CANDIDATES if n_noisy else []
         scene = ["pixel_features"] + draws + ["pixel_features"] * (n_runs * n_noisy)
-        for fit in fits:
+        for fit, n_served in fits:
             training = ["pixel_features", "training_features", "calibrate_bounds", "unit_features"]
             tests = scene * n_scenes + ["test_features"] + ["unit_features"] * (1 + n_noisy)
             per_model = ["build_model"] + ["classify"] * (1 + n_noisy)
-            out += [fit] + training + tests + per_model * n_bins
+            out += [fit] + training + tests + per_model * (n_bins * n_served)
         return out
 
     def test_one_fit_and_featurization_per_projection(
@@ -970,14 +980,17 @@ class TestSweepCalls:
         )
         n_scenes = 8  # held-out demo scenes of 16 pixels
         report = run_grid(cfg)
-        fits = ["fit_rand"] * 4 + ["fit_rgb"] * 2 + ["fit_ill_pca"] * 2 + ["fit_nnmf"] * 2
+        # rand per seed and ill_pca once at d' = 3, each serving d' 2 and 3;
+        # rgb per camera; nnmf at each d'
+        fits = [("fit_rand", 2)] * 2 + [("fit_rgb", 1)] * 2 + [("fit_ill_pca", 2)]
+        fits += [("fit_nnmf", 1)] * 2
         runs = dict(n_scenes=n_scenes, n_runs=n_runs)
         assert [e[0] for e in events] == self.expected(fits, 2, 0, **runs)
         assert len(report.rows) == 10 * 2 + 4 + 2  # cells, rand and rgb averages per (d', B)
         self.assert_features_reused(events, n_bins=2, n_levels=1)
         events.clear()
         run_noise(cfg)
-        assert [e[0] for e in events] == self.expected(["fit_rand"] * 2, 1, 2, **runs)
+        assert [e[0] for e in events] == self.expected([("fit_rand", 1)] * 2, 1, 2, **runs)
         self.assert_features_reused(events, n_bins=1, n_levels=3)
         # each rand variant draws each (scene, candidate) case's noise once,
         # for both noisy levels, from that case's own seed
@@ -990,12 +1003,13 @@ class TestSweepCalls:
         """Each projection's bounds are calibrated once, from its training
         features, and those features become unit coordinates on them in
         place once; so does each level's test features, made by one
-        `test_features` call. Each model is built from the training unit
-        coordinates, and each projection's models score the levels' unit
-        coordinates, in the order they were made, once per B. A folded call
-        takes the 256 training pixels or a test scene's 16 under all 28
-        SPDs; no relit run passes the cap."""
-        training, bounds, units, tests, scored = None, None, [], [], []
+        `test_features` call. Each model is built from the leading d'
+        columns of the training unit coordinates, at each B and served d' in
+        turn, carrying their cells at that B; each projection's models score
+        the same columns of the levels' unit coordinates, in the order they
+        were made. A folded call takes the 256 training pixels or a test
+        scene's 16 under all 28 SPDs; no relit run passes the cap."""
+        training, bounds, units, tests, scored, builds = None, None, [], [], [], []
         for name, passed, result in events + [("fit_end", None, None)]:
             if name == "pixel_features":
                 rows, spds = passed
@@ -1005,9 +1019,13 @@ class TestSweepCalls:
                     assert len(rows) in (256, 16) and spds.shape == (28, rows.shape[1])
                     assert result[1].shape == (28, len(rows))
             elif name.startswith("fit_"):
-                assert scored == [id(t) for t in tests] * n_bins
+                # B-major, then every served d' in ascending order
+                served = sorted({k for _, k in builds})
+                assert builds == [(b, k) for b in dict.fromkeys(b for b, _ in builds) for k in served]
+                assert len(builds) == n_bins * len(served)
+                assert scored == list(range(n_levels)) * len(builds)
                 assert units == []  # every held feature set was converted, once
-                training, tests, scored = None, [], []
+                training, tests, scored, builds = None, [], [], []
             elif name == "training_features":
                 training = result
                 units = [result]
@@ -1028,11 +1046,48 @@ class TestSweepCalls:
                 else:
                     tests.append(result)
             elif name == "build_model":
-                assert passed is training and training.bounds[0] is bounds[0]
+                k = passed.feats.shape[1]
+                assert leading_view(passed.feats, training.feats)
+                assert passed.kept is training.kept and training.bounds[0] is bounds[0]
+                assert all(b.base is whole and b.size == k for b, whole in zip(passed.bounds, bounds))
+                builds.append((passed.cells[0], k))
             elif name == "classify":
-                scored.append(id(passed))
+                (level,) = [i for i, t in enumerate(tests) if leading_view(passed.feats, t.feats)]
+                assert passed.kept is tests[level].kept
+                assert (passed.cells[0], passed.feats.shape[1]) == builds[-1]
+                scored.append(level)
             if name.startswith("fit_"):
                 bounds = None
+
+class TestNestedSweep:
+    """A sweep fits rand, pca, ill_pca and lda once, at its largest d', and
+    serves each smaller d' from the fit's leading components and the leading
+    columns of its features: every row must predict what a sweep run at
+    that d' alone predicts, clean and noisy."""
+
+    NESTED = ("rand", "pca", "ill_pca", "lda")
+
+    @pytest.mark.parametrize("data", ["demo", "report"])
+    def test_rows_equal_single_d_prime_sweeps(self, data, demo_data, bundled_cameras, tmp_path):
+        if data == "demo":
+            cfg = demo_config(demo_data, methods=self.NESTED, bins=(5, 10))
+        else:
+            cfg = replace(report_config(tmp_path, bundled_cameras), methods=self.NESTED)
+        levels = [("clean", None), ("20", 20.0)]
+        key = lambda r: (r.method, r.d_prime, r.n_bins, r.variant, r.noise_label)
+        swept = {key(r): r for r in _Runner(cfg)._sweep(cfg.methods, (1, 2, 3), cfg.bins, levels).rows}
+        alone = {}
+        for d_prime in (1, 2, 3):
+            rows = _Runner(cfg)._sweep(cfg.methods, (d_prime,), cfg.bins, levels).rows
+            alone.update((key(r), r) for r in rows)
+        assert swept.keys() == alone.keys()
+        # per (d', B, level): pca, ill_pca, lda, each rand seed and the rand average
+        assert len(swept) == 3 * len(cfg.bins) * len(levels) * (3 + len(cfg.rand_seeds) + 1)
+        for k, row in swept.items():
+            assert row.summary == alone[k].summary, k
+            if row.predicted is not None:
+                assert row.predicted.tobytes() == alone[k].predicted.tobytes(), k
+
 
 class TestBatchedEvaluation:
     """The sweep scores every test scene's cases in one batch, from the

@@ -12,7 +12,7 @@ from illumest import projections, synth_dataset
 from illumest.cbc import bin_indices
 from illumest.evaluation import training_chromaticities
 from illumest.illuminants import Illuminant, IlluminantSet
-from illumest.io import FormatError, read_dataset_manifest, read_scube
+from illumest.io import FormatError, read_dataset_manifest, read_scube, read_sensitivities
 from illumest.linalg import nnls_rows
 from illumest.projections import (
     ALL_KINDS,
@@ -30,6 +30,7 @@ from illumest.projections import (
     fit_pca,
     fit_rand,
     fit_rgb,
+    leading_projection,
     nnmf_factorize,
     projection_from_bytes,
     projection_hash,
@@ -488,6 +489,68 @@ class TestFitLda:
             np.linalg.norm(p1.basis, axis=1), np.ones(3), atol=1e-10
         )
         assert p1.metadata["n_classes"] == 4
+
+
+class TestLeadingProjection:
+    """`leading_projection(fit at D, k)` is what the sweep serves d' = k
+    from: a rand, pca or ill_pca fit at k bit for bit, and lda's within the
+    last bit at k = 1. Fitted on the bundled set and a synthetic split at
+    the sweep's sizes (31 bands, 28 candidates, D = 5)."""
+
+    D = 5
+
+    @pytest.fixture(scope="class")
+    def training(self, tmp_path_factory, bundled_set):
+        manifest, _ = synth_dataset(
+            tmp_path_factory.mktemp("leading"), 4, bundled_set.axis, base_seed=3,
+            width=16, height=16,
+        )
+        images = [read_scube(p) for p in read_dataset_manifest(manifest)[0]]
+        return {labelled: training_chromaticities(images, bundled_set, labelled=labelled)
+                for labelled in (False, True)}
+
+    def fits(self, kind, training, bundled_set):
+        """`kind`'s fit at each d' of 1..D, by d'."""
+        fit = {
+            KIND_RAND: lambda d: fit_rand(bundled_set.axis.count, d, seed=43),
+            KIND_PCA: lambda d: fit_pca(training[False], d),
+            KIND_ILL_PCA: lambda d: fit_ill_pca(bundled_set, d),
+            KIND_LDA: lambda d: fit_lda(training[True], d),
+        }[kind]
+        return {d: fit(d) for d in range(1, self.D + 1)}
+
+    @pytest.mark.parametrize("kind", [KIND_RAND, KIND_PCA, KIND_ILL_PCA])
+    def test_bytes_equal_the_direct_fit(self, kind, training, bundled_set):
+        fits = self.fits(kind, training, bundled_set)
+        assert leading_projection(fits[self.D], self.D) is fits[self.D]
+        for k in range(1, self.D):
+            got = leading_projection(fits[self.D], k)
+            assert projection_to_bytes(got) == projection_to_bytes(fits[k]), k
+
+    def test_lda_equal_but_in_the_last_bit_at_one(self, training, bundled_set):
+        fits = self.fits(KIND_LDA, training, bundled_set)
+        for k in range(2, self.D):
+            got = leading_projection(fits[self.D], k)
+            assert projection_to_bytes(got) == projection_to_bytes(fits[k]), k
+        # fit_lda divides each direction by `np.linalg.norm(w, axis=0)`, and
+        # numpy sums a (31, 1) array's column in another order than a
+        # (31, k > 1) one's, so the lone direction may round apart in the
+        # last bit; everything else is the d' = 1 fit's
+        got = leading_projection(fits[self.D], 1)
+        np.testing.assert_allclose(got.basis, fits[1].basis, rtol=0, atol=1e-15)
+        assert (got.input_dim, got.output_dim, got.metadata) == (31, 1, fits[1].metadata)
+
+    def test_rejects_other_kinds_and_k_outside_the_fit(self, training, bundled_set, bundled_cameras):
+        fits = self.fits(KIND_PCA, training, bundled_set)
+        for k in (0, -1, self.D + 1):
+            with pytest.raises(ValueError, match="no leading"):
+                leading_projection(fits[self.D], k)
+        rgb = fit_rgb(read_sensitivities(bundled_cameras[0]))
+        nnmf = fit_nnmf(training[False], 2, max_iter=5)
+        for proj in (rgb, nnmf):
+            for k in range(1, proj.output_dim + 1):
+                with pytest.raises(ValueError, match=f"{proj.kind} fit"):
+                    leading_projection(proj, k)
 
 
 class TestSerialization:

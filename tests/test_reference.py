@@ -1,7 +1,9 @@
 """An end-to-end reference for `run_grid` and `run_noise`: slow, dense and
 obviously correct.
 
-For each report row the reference takes the projection the runner fits, then
+For each report row the reference takes the projection the runner scores it
+under (for rand, pca, ill_pca and lda the leading d' components of the fit at
+the sweep's largest d', as the sweep serves every d' from that fit), then
 rebuilds the row's model and its cases from first principles: every training
 scene relit by each candidate's SPD alone, each pixel featurized on its own
 (nnmf by the target-form Lawson-Hanson of `nnls_oracle`), one dense
@@ -22,7 +24,8 @@ import pytest
 from illumest import synth_dataset
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cbc import BOUNDS_MARGIN, DEGENERATE_WIDTH, MODE_LOG
-from illumest.evaluation import AVG_VARIANT, METHOD_SGW, GridConfig, _Runner
+from illumest.evaluation import AVG_VARIANT, METHOD_SGW, NO_VARIANT, GridConfig, _Runner
+from illumest.projections import NESTED_KINDS, leading_projection
 from illumest.spectral import ZERO_NORM_EPS, SpectralAxis, add_noise, mix_seed, relight
 from nnls_oracle import target_nnls
 
@@ -125,7 +128,11 @@ def reference_ties(runner, row, radiance):
     if row.method == METHOD_SGW:
         return {case: sgw_ties(px, runner.full) for case, px in radiance.items()}
     d_prime = row.d_prime
+    if row.method in NESTED_KINDS:  # fitted once, at the largest d' of the row's sweep
+        d_prime = max(cfg.d_primes) if row.noise_label == NO_VARIANT else cfg.noise_d_prime
     (proj,) = [p for v, p in runner._projections(row.method, d_prime) if v == row.variant]
+    if row.method in NESTED_KINDS:
+        proj = leading_projection(proj, row.d_prime)
     train = [
         np.concatenate([
             reference_features(proj, img.valid_pixels() * ill.spd.values)[0]
