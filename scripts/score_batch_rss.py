@@ -1,20 +1,23 @@
-"""Peak memory of relit stacks on large scenes, by batch-row cap.
+"""Memory of the paths that relight pixels, on large scenes, per checkout.
 
-Run from the repository root:  python scripts/score_batch_rss.py [--sides 256,512]
+Run from the repository root:
 
-For each scene side the script writes a small synthetic dataset (31 bands;
-six scenes at side 256, three at 512 and above, so two or one test scenes)
-and runs the grid runner on one cell (ill_pca, d' = 3, B = 20) at the
-default eval downsample of 4, once per `cbc.BATCH_ROWS` value: the fit,
-training features, model build and the per-scene test features the sweep
-holds while it scores. "RSS before" is taken after the runner has loaded
-its scenes. "report sha256" hashes the cell's report CSV followed by its
-raw CSV, so that the report bytes of two source trees can be compared.
-Each measurement runs in a fresh interpreter, so the reported peak RSS
-(ru_maxrss) is that run's own. "uncapped" relights the training pixels and
-each test scene under all 28 candidates in one call: those stacks and their
-chromaticity copies grow 28x with the pixel count, which is what the cap
-prevents.
+    python scripts/score_batch_rss.py [--sides 256,512] [--checkouts ../parent,.]
+
+For each scene side the script writes one synthetic dataset (31 bands; six
+scenes at side 256, three at 512 and above, so two or one test scenes) that
+every checkout reads. Per checkout it runs, each in a fresh interpreter on
+that checkout's sources, the two paths that relight pixels under one
+candidate at a time:
+
+- `run_noise` on one cell (pca, d' = 3, B = 20, the default noise levels and
+  eval downsample of 4), which featurizes every noisy test case. An untraced
+  run gives its wall time, ru_maxrss and the sha256 of its report CSV
+  followed by its raw CSV; a second, traced run gives its tracemalloc peak.
+- the pca fit matrix (`training_chromaticities` of the training scenes at the
+  fit downsample of 8): its tracemalloc peak and the sha256 of its rows.
+
+Checkouts whose reports and fit matrices agree print the same shas.
 """
 
 from __future__ import annotations
@@ -27,48 +30,79 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CAPS = (2048, 8192, 32768, None)
+MIB = 1 << 20
 
 
-def measure(side: int, cap, work: Path) -> dict:
+def write_dataset(side: int, work: Path) -> Path:
+    """The side's synthetic dataset under `work`, written by this checkout;
+    returns its manifest."""
     sys.path.insert(0, str(ROOT / "src"))
     import illumest
-    from illumest import cbc, evaluation, spectral
-    from illumest.bundled import bundled_illuminant_manifest
 
-    cbc.BATCH_ROWS = cap if cap is not None else 1 << 62
     n_scenes = 6 if side < 512 else 3
     manifest, _ = illumest.synth_dataset(
-        work, n_scenes, spectral.SpectralAxis(), base_seed=1, width=side, height=side
+        work, n_scenes, illumest.SpectralAxis(), base_seed=1, width=side, height=side
     )
-    config = evaluation.GridConfig(
+    return manifest
+
+
+def config(manifest: Path):
+    from illumest import evaluation
+    from illumest.bundled import bundled_illuminant_manifest
+
+    return evaluation.GridConfig(
         dataset=manifest,
         illuminants=bundled_illuminant_manifest(),
-        methods=("ill_pca",),
+        methods=("pca",),
         d_primes=(3,),
         bins=(20,),
+        noise_method="pca",
+        noise_d_prime=3,
+        noise_bins=20,
     )
-    runner = evaluation._Runner(config)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+
+
+def measure(manifest: Path, path: str) -> dict:
+    """Measure `path` ("noise" or "fit") in this interpreter, with whichever
+    illumest it imports."""
+    from illumest import evaluation
+
+    cfg = config(manifest)
+    if path == "fit":
+        rows = []
+        peak = traced_peak_mib(lambda: rows.append(evaluation._Runner(cfg).fit_matrix.rows))
+        return {
+            "fit_peak_mib": round(peak, 2),
+            "fit_rows": len(rows[0]),
+            "fit_sha256": hashlib.sha256(rows[0].tobytes()).hexdigest(),
+        }
     start = time.perf_counter()
-    report = runner.grid()
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    grid_s = time.perf_counter() - start
-    (row,) = report.rows
-    report.write_csv(work / "report.csv")
-    report.write_raw_csv(work / "report_raw.csv")
-    csvs = (work / "report.csv").read_bytes() + (work / "report_raw.csv").read_bytes()
+    report = evaluation.run_noise(cfg)
+    noise_s = time.perf_counter() - start
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    with tempfile.TemporaryDirectory() as out:
+        report.write_csv(Path(out) / "report.csv")
+        report.write_raw_csv(Path(out) / "report_raw.csv")
+        csvs = b"".join((Path(out) / name).read_bytes() for name in ("report.csv", "report_raw.csv"))
+    peak = traced_peak_mib(lambda: evaluation.run_noise(cfg))
     return {
-        "side": side,
-        "cap": cap,
-        "test_pixels": [len(img.valid_pixels()) for img in runner.test_eval],
-        "rss_before_grid_mb": round(before, 1),
-        "peak_rss_mb": round(peak, 1),
-        "grid_s": round(grid_s, 3),
-        "mean_error_deg": row.summary.mean,
+        "noise_s": round(noise_s, 3),
+        "noise_maxrss_mb": round(maxrss, 1),
+        "noise_peak_mib": round(peak, 2),
+        "test_pixels": [len(img.valid_pixels()) for img in evaluation._Runner(cfg).test_eval],
         "report_sha256": hashlib.sha256(csvs).hexdigest(),
     }
 
@@ -76,30 +110,34 @@ def measure(side: int, cap, work: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sides", default="256,512")
-    parser.add_argument("--one", nargs=2, help=argparse.SUPPRESS)  # side, cap
+    parser.add_argument("--checkouts", default=".", help="comma-separated checkout roots")
+    parser.add_argument("--one", nargs=3, help=argparse.SUPPRESS)  # checkout, manifest, path
     args = parser.parse_args(argv)
     if args.one:
-        side, cap = int(args.one[0]), None if args.one[1] == "none" else int(args.one[1])
-        with tempfile.TemporaryDirectory() as work:
-            print(json.dumps(measure(side, cap, Path(work))))
+        checkout, manifest, path = args.one
+        sys.path.insert(0, str(Path(checkout).resolve() / "src"))
+        print(json.dumps(measure(Path(manifest), path)))
         return 0
     print(
-        f"{'side':>5} {'cap':>9} {'test px':>12} {'RSS before':>11} {'peak RSS':>9} "
-        f"{'grid s':>7}  report sha256"
+        f"{'side':>5} {'checkout':>12} {'test px':>13} {'noise s':>8} {'maxrss':>9} "
+        f"{'noise peak':>11} {'fit peak':>10}  report sha256 / fit sha256"
     )
     for side in (int(s) for s in args.sides.split(",")):
-        for cap in CAPS:
-            done = subprocess.run(
-                [sys.executable, __file__, "--one", str(side), str(cap).lower()],
-                capture_output=True, text=True, check=True,
-            )
-            r = json.loads(done.stdout.strip().splitlines()[-1])
-            label = "uncapped" if cap is None else str(cap)
-            print(
-                f"{side:5d} {label:>9} {str(r['test_pixels']):>12} "
-                f"{r['rss_before_grid_mb']:9.1f}MB {r['peak_rss_mb']:7.1f}MB {r['grid_s']:7.3f}"
-                f"  {r['report_sha256']}"
-            )
+        with tempfile.TemporaryDirectory() as work:
+            manifest = write_dataset(side, Path(work))
+            for checkout in args.checkouts.split(","):
+                r = {}
+                for path in ("noise", "fit"):
+                    done = subprocess.run(
+                        [sys.executable, __file__, "--one", checkout, str(manifest), path],
+                        capture_output=True, text=True, check=True,
+                    )
+                    r.update(json.loads(done.stdout.strip().splitlines()[-1]))
+                print(
+                    f"{side:5d} {checkout:>12} {str(r['test_pixels']):>13} {r['noise_s']:8.3f} "
+                    f"{r['noise_maxrss_mb']:7.1f}MB {r['noise_peak_mib']:8.2f}MiB "
+                    f"{r['fit_peak_mib']:7.2f}MiB  {r['report_sha256'][:16]} / {r['fit_sha256'][:16]}"
+                )
     return 0
 
 

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import linalg
 from .illuminants import IlluminantSet
-from .linalg import BATCH_ROWS
 from .projections import KIND_NNMF, KIND_RGB, Projection, projection_hash
-from .spectral import SpectralImage, chromaticity_rows, noisy_rows, require_same_axis
+from .spectral import SpectralImage, chromaticity_rows, require_same_axis
 
 DEFAULT_SMOOTHING = 1e-9
 
@@ -104,40 +103,6 @@ def pixel_features(
         elif projection.kind == KIND_NNMF:
             feats = linalg.nnls_rows(projection.basis, feats)  # the site bench/spans.py wraps
     return feats, kept.reshape(product.shape[:2])
-
-
-def batch_runs(n_cases: int, rows_per_case: int) -> list[range]:
-    """Consecutive runs over range(n_cases) of at most BATCH_ROWS rows each,
-    at `rows_per_case` rows a case, and of at least one case."""
-    step = max(1, BATCH_ROWS // max(1, rows_per_case))
-    return [range(s, min(s + step, n_cases)) for s in range(0, n_cases, step)]
-
-
-def relit_rows(featurize, pixels: np.ndarray, spds: np.ndarray, noise=None):
-    """`featurize(rows) -> (features, kept mask)` over the (N, bands) `pixels`
-    relit by each row of `spds`, a case each: the features case-major in row
-    order, and the (cases, N) kept mask. Each call takes a `batch_runs` run of
-    cases, or of one case's rows past BATCH_ROWS. With `noise=(draws, snr_db)`,
-    case j's radiance is `noisy_rows(radiance, draws[j], snr_db)`.
-
-    The folded `pixel_features` builds no relit stack for any kind; this loop
-    remains for noisy cases and for the fit matrices
-    (`training_chromaticities`), which need the relit rows themselves."""
-    n_cases, n_rows = len(spds), len(pixels)
-    feats = []
-    kept = np.zeros((n_cases, n_rows), dtype=bool)
-    for cases in batch_runs(n_cases, n_rows):
-        stack = pixels * spds[cases, None]
-        if noise is not None:
-            draws, snr_db = noise
-            for radiance, draw in zip(stack, draws[cases.start : cases.stop]):
-                radiance[:] = noisy_rows(radiance, draw, snr_db)
-        # with no rows, one empty run still gives the features their width
-        for rows in batch_runs(n_rows, len(cases)) or [range(0)]:
-            part, mask = featurize(stack[:, rows.start : rows.stop].reshape(-1, stack.shape[-1]))
-            feats.append(part)
-            kept[cases.start : cases.stop, rows.start : rows.stop] = mask.reshape(len(cases), -1)
-    return np.concatenate(feats), kept
 
 
 def training_pixels(images: Sequence[SpectralImage], candidates: IlluminantSet) -> np.ndarray:

@@ -29,7 +29,6 @@ from .cbc import (
     cell_count,
     classify,
     prefix_cells,
-    relit_rows,
     training_features,
     training_pixels,
     unit_features,
@@ -42,6 +41,7 @@ from .io import (
     read_name_list,
     read_scube,
     read_sensitivities,
+    read_text,
 )
 from .projections import (
     KIND_ILL_PCA,
@@ -69,6 +69,7 @@ from .spectral import (
     downsample,
     mix_seed,
     noise_draw,
+    noisy_rows,
     relight,
 )
 
@@ -395,7 +396,7 @@ def parse_config(path) -> GridConfig:
     path = Path(path)
     base = path.parent
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -436,12 +437,14 @@ def training_chromaticities(
     candidate 1, ...). With `labelled=True` each row carries its candidate's
     index as the class label, which is what the supervised fit needs.
     """
-    spds = candidates.spd_matrix()
-    rows, kept = relit_rows(chromaticity_rows, training_pixels(images, candidates), spds)
-    counts = kept.sum(axis=1)
+    pixels = training_pixels(images, candidates)
+    parts = [chromaticity_rows(pixels * spd)[0] for spd in candidates.spd_matrix()]
+    counts = np.array([len(part) for part in parts])
     if not counts.any():
         raise ValueError("training scenes contain no usable pixels")
-    rows = rows / rows.sum(axis=1, keepdims=True)  # force exact unit row sums
+    rows = np.concatenate(parts)
+    del parts
+    rows /= rows.sum(axis=1, keepdims=True)  # force exact unit row sums
     if labelled:
         if not counts.all():
             raise ValueError("every candidate needs at least one training pixel")
@@ -543,15 +546,19 @@ class _Runner:
     @cached_property
     def _scenes(self) -> tuple[list[SpectralImage], list[SpectralImage]]:
         """The training and the test scenes at downsample_eval, each read
-        once. Only these stay; training fits re-read theirs."""
-        scenes = {}
+        once; a test scene must keep a valid pixel. Only these stay;
+        training fits re-read theirs."""
+        scenes, factor = {}, self.config.downsample_eval
         for p in dict.fromkeys(self.train_paths + self.test_paths):
             img = read_scube(p)
             if img.axis != self.full.axis:
                 raise ValueError(
                     f"{p}: scene grid [{img.axis}] does not match illuminants"
                 )
-            scenes[p] = downsample(img, self.config.downsample_eval)
+            scenes[p] = downsample(img, factor)
+        for p in self.test_paths:
+            if not scenes[p].mask.any():
+                raise ValueError(f"{p}: test scene has no valid pixel at downsample_eval {factor}")
         return [scenes[p] for p in self.train_paths], [scenes[p] for p in self.test_paths]
 
     @property
@@ -612,30 +619,29 @@ class _Runner:
         `noise_dbs` (None: clean), `kept` (scenes, n_candidates, N_max) with
         each scene's rows padded by unkept ones and `feats` the scenes'
         features in order. Each scene's valid pixels under the normalized
-        SPDs come clean from one folded `pixel_features` call, or each case
-        relit by `relit_rows` with noise drawn once from its own (scene,
-        candidate) seed for every level, one scene's draws held at a time."""
+        SPDs come clean from one folded `pixel_features` call. A noisy case,
+        the pixels relit by one SPD, draws its noise once from its own
+        (scene, candidate) seed and is featurized by one call per noisy
+        level, so one case's draw is held at a time."""
         featurize = partial(cbc.pixel_features, projection)  # the module global, traced
-        master, n = self.config.noise_master_seed, len(self.full)
-        parts = [([], []) for _ in noise_dbs]
-        for i, img in enumerate(self.test_eval):
+        master, scenes = self.config.noise_master_seed, self.test_eval
+        shape = (len(scenes), len(self.full), max(int(img.mask.sum()) for img in scenes))
+        levels = [(noise_db, [], np.zeros(shape, dtype=bool)) for noise_db in noise_dbs]
+        noisy = [level for level in levels if level[0] is not None]
+        for i, img in enumerate(scenes):
             px = img.valid_pixels()
-            draws = None
-            for noise_db, (feats, masks) in zip(noise_dbs, parts):
+            for noise_db, feats, kept in levels:
                 if noise_db is None:
-                    part, mask = featurize(px, self._spd_rows)
-                else:
-                    if draws is None:
-                        draws = [noise_draw(img.mask, px.shape[1], mix_seed(master, i, j))
-                                 for j in range(n)]
-                    part, mask = relit_rows(featurize, px, self._spd_rows, (draws, noise_db))
-                feats.append(part)
-                masks.append(mask)
+                    part, kept[i, :, : len(px)] = featurize(px, self._spd_rows)
+                    feats.append(part)
+            for j, spd in enumerate(self._spd_rows if noisy else ()):
+                radiance = px * spd
+                draw = noise_draw(img.mask, px.shape[1], mix_seed(master, i, j))
+                for noise_db, feats, kept in noisy:
+                    part, kept[i, j, : len(px)] = featurize(noisy_rows(radiance, draw, noise_db))
+                    feats.append(part)
         out = []
-        for feats, masks in parts:
-            kept = np.zeros((len(masks), n, max(m.shape[1] for m in masks)), dtype=bool)
-            for scene, mask in zip(kept, masks):
-                scene[:, : mask.shape[1]] = mask
+        for _, feats, kept in levels:
             out.append(BlockFeatures(projection, np.concatenate(feats), kept))
             feats.clear()  # each level's parts go once it is stacked
         return out

@@ -22,6 +22,19 @@ class FormatError(ValueError):
     """Raised when a file does not match its declared format."""
 
 
+def read_text(path: Path) -> str:
+    """A UTF-8 text file's contents; bytes that do not decode, or a NUL
+    character, which no path or number may hold, raise FormatError."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    nul = text.find("\x00")
+    if nul >= 0:
+        raise FormatError(f"{path}: NUL character at offset {nul}")
+    return text
+
+
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips to the same float64."""
     return repr(float(x))
@@ -95,7 +108,7 @@ _AXIS_TOL_NM = 1e-6
 def read_spd_csv(path) -> tuple[SpectralAxis, np.ndarray]:
     """Read a spectral CSV. Returns (axis, values) with values (count, n_cols)."""
     path = Path(path)
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+    lines = [ln.strip() for ln in read_text(path).splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise FormatError(f"{path}: empty file")
@@ -176,7 +189,7 @@ def read_sensitivities(path, camera_name: Optional[str] = None) -> SensitivityFu
 
 def _content_lines(path: Path) -> list[tuple[int, str]]:
     out = []
-    for lineno, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, ln in enumerate(read_text(path).splitlines(), 1):
         ln = ln.strip()
         if ln and not ln.startswith("#"):
             out.append((lineno, ln))

@@ -34,8 +34,8 @@ KKT_TOL = 1e-8
 #: multiple of the batch's. scripts/nnls_enum_cap.py measures larger k.
 NNLS_ENUM_MAX_K = 5
 
-#: Most rows one batched step takes: `nnls_rows` solves blocks of this many
-#: rows, and `cbc.relit_rows` featurizes runs of this many relit rows.
+#: Most rows one `nnls_rows` block takes. Fast-path rows depend on their
+#: block, so this cap is part of what fixes nnmf features' bytes.
 BATCH_ROWS = 2048
 
 

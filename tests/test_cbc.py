@@ -4,7 +4,6 @@ import hashlib
 import math
 import struct
 from dataclasses import replace
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -12,11 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from illumest import cbc
+from illumest import cbc, linalg
 from illumest.cbc import (
     BlockFeatures,
     CorrelationModel,
-    batch_runs,
     bin_indices,
     block_features,
     build_model,
@@ -1074,42 +1072,25 @@ def nnmf_fold_bound(proj, z_norm):
     return shift / lam[0] if lam[0] > 0 else np.full_like(shift, np.inf)  # singular: no bound
 
 
-#: Caps under test: the default; one row a call; runs of three candidates,
-#: which split the 28 bundled candidates unevenly (9 x 3 + 1); and runs of
-#: pixels, which split each candidate's pixels unevenly in three.
+#: Caps on `linalg.nnls_rows` blocks under test, the one row cap left: the
+#: default; one row a block; blocks of three candidates' rows, which split
+#: the 28 bundled candidates unevenly (9 x 3 + 1); and blocks that split each
+#: candidate's rows unevenly in three. Only nnmf's features solve in such
+#: blocks; no featurization is cut by it.
 CAPS = ("default", "one", "uneven", "pixel_runs")
 
 
 def set_cap(monkeypatch, cap, n_pixels):
     rows = {"one": 1, "uneven": 3 * n_pixels + 2, "pixel_runs": n_pixels // 3 + 1}
     if cap in rows:
-        monkeypatch.setattr(cbc, "BATCH_ROWS", rows[cap])
-
-
-class TestBatchRuns:
-    @pytest.mark.parametrize(
-        "n_cases, rows_per_case, cap",
-        [(28, 64, 2048), (28, 1024, 2048), (28, 5000, 2048), (7, 0, 2048), (5, 3, 7),
-         (1, 10, 1), (0, 10, 2048)],
-    )
-    def test_runs_cover_the_cases_within_the_cap(
-        self, n_cases, rows_per_case, cap, monkeypatch
-    ):
-        monkeypatch.setattr(cbc, "BATCH_ROWS", cap)
-        runs = batch_runs(n_cases, rows_per_case)
-        assert [j for run in runs for j in run] == list(range(n_cases))
-        for run in runs:
-            assert len(run) == 1 or len(run) * rows_per_case <= cap
-            assert len(run) >= 1
-        # runs are as long as the cap allows, save the last
-        if len(runs) > 1:
-            assert (len(runs[0]) + 1) * rows_per_case > cap
+        monkeypatch.setattr(linalg, "BATCH_ROWS", rows[cap])
 
 
 class TestRelitTrainingStacks:
     """Training features and chromaticities pinned to a per-(candidate,
-    image) relit reference at several caps: every kind's features come from
-    one folded product, the chromaticities from relit stacks."""
+    image) relit reference at several NNLS block caps: every kind's features
+    come from one folded product, the chromaticities from one relit
+    candidate at a time."""
 
     @pytest.fixture(scope="class")
     def scenes(self, bundled_set):
@@ -1274,7 +1255,9 @@ class TestFoldedFeatures:
     def test_folded_features_match_the_relit_stack(self, case):
         proj, rows, spds = case
         feats, kept = pixel_features(proj, rows, spds)
-        want, want_kept = cbc.relit_rows(partial(pixel_features, proj), rows, spds)
+        per_candidate = [pixel_features(proj, rows * s) for s in spds]
+        want = np.concatenate([f for f, _ in per_candidate])
+        want_kept = np.stack([m for _, m in per_candidate])
         assert kept.shape == (len(spds), len(rows))
         assert kept.tobytes() == want_kept.tobytes()
         assert feats.shape == want.shape == (kept.sum(), proj.output_dim)

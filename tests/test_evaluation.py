@@ -7,7 +7,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
-from illumest import cbc, evaluation, synth_dataset
+from illumest import cbc, evaluation, linalg, synth_dataset
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cbc import build_model, classify, score
 from illumest.evaluation import (
@@ -26,7 +26,15 @@ from illumest.evaluation import (
     training_chromaticities,
 )
 from illumest.illuminants import Illuminant, IlluminantSet
-from illumest.io import FormatError, read_sensitivities, write_spd_csv
+from illumest.io import (
+    FormatError,
+    read_dataset_manifest,
+    read_scube,
+    read_sensitivities,
+    write_dataset_manifest,
+    write_scube,
+    write_spd_csv,
+)
 from illumest.projections import ALL_KINDS, fit_ill_pca
 from illumest.spectral import (
     SpectralAxis,
@@ -622,8 +630,6 @@ class TestRunners:
         assert all(r.method == "ill_pca" for r in rows)
 
     def test_overlapping_split_rejected_by_default(self, demo_data, tmp_path):
-        from illumest.io import read_dataset_manifest, write_dataset_manifest
-
         manifest, _ = demo_data
         train, test = read_dataset_manifest(manifest)
         bad = tmp_path / "overlap.txt"
@@ -669,6 +675,22 @@ class TestUnfittableDPrime:
         cfg = demo_config(demo_data, methods=methods, d_primes=d_primes)
         with pytest.raises(ValueError, match=rf"{bad[0]} cannot fit d' = {bad[1]}"):
             run_grid(cfg)
+        assert fits == []
+
+    @pytest.mark.parametrize("method", ["ill_pca", "sgw"])
+    def test_test_scene_without_valid_pixels_rejected_before_any_fit(
+        self, demo_data, fits, tmp_path, method
+    ):
+        train, test = read_dataset_manifest(demo_data[0])
+        img = read_scube(test[1])
+        write_scube(tmp_path / "masked.scube", replace(img, mask=np.zeros_like(img.mask)))
+        test[1] = tmp_path / "masked.scube"
+        manifest = tmp_path / "manifest.txt"
+        write_dataset_manifest(manifest, [str(p) for p in train], [str(p) for p in test])
+        cfg = demo_config((manifest, None), methods=(method,))
+        for run in (run_grid, run_noise):
+            with pytest.raises(ValueError, match="masked.scube: test scene has no valid pixel"):
+                run(cfg)
         assert fits == []
 
     def test_noise_settings_checked_only_by_the_noise_run(self, demo_data, fits):
@@ -826,7 +848,7 @@ class TestSweepCalls:
     kind (rand, pca, ill_pca, lda) once at the largest d', nnmf at each d'
     and rgb per camera. That is one folded `cbc.pixel_features` call on the
     training pixels and one per clean test scene for every kind, nnmf
-    included, plus one call per `relit_rows` run for noisy cases only. It
+    included, plus one call per noisy case and level for noisy cases only. It
     calibrates the projection's bounds once, from its training features,
     and turns those and each level's test features into unit coordinates on
     them once. It builds one model per (B, served d') from the leading
@@ -866,16 +888,16 @@ class TestSweepCalls:
         return log
 
     @classmethod
-    def expected(cls, fits, n_bins, n_noisy, n_scenes, n_runs):
+    def expected(cls, fits, n_bins, n_noisy, n_scenes):
         """Per (fit, number of d' it serves): its training features, one
         folded call, then the bounds and their unit coordinates; per test
-        scene one folded clean call, and for noisy levels one seed and one
-        draw per case, then each noisy level's relit runs; the levels' unit
+        scene one folded clean call, and for noisy levels per case one seed,
+        one draw and one relit call per noisy level; the levels' unit
         coordinates; then per B and served d' a model and one classify per
         level."""
         out = []
-        draws = ["mix_seed", "noise_draw"] * cls.N_CANDIDATES if n_noisy else []
-        scene = ["pixel_features"] + draws + ["pixel_features"] * (n_runs * n_noisy)
+        case = ["mix_seed", "noise_draw"] + ["pixel_features"] * n_noisy
+        scene = ["pixel_features"] + (case * cls.N_CANDIDATES if n_noisy else [])
         for fit, n_served in fits:
             training = ["pixel_features", "training_features", "calibrate_bounds", "unit_features"]
             tests = scene * n_scenes + ["test_features"] + ["unit_features"] * (1 + n_noisy)
@@ -886,38 +908,44 @@ class TestSweepCalls:
     def test_one_fit_and_featurization_per_projection(
         self, demo_data, bundled_cameras, events
     ):
-        # a scene's 28 noisy cases of 16 rows relight in one run
-        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=1)
+        # each of a scene's 28 noisy cases of 16 rows relights on its own
+        self.check_sweeps(demo_data, bundled_cameras, events)
 
     def test_one_classify_per_level_when_cases_split_into_runs(
         self, demo_data, bundled_cameras, events, monkeypatch
     ):
-        # at 100 rows a scene's relit cases split into runs of 6
-        monkeypatch.setattr(cbc, "BATCH_ROWS", 100)
-        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=5)
+        # NNLS blocks of 100 rows, fewer than a scene's 28 x 16 folded rows,
+        # cut no featurization
+        monkeypatch.setattr(linalg, "BATCH_ROWS", 100)
+        self.check_sweeps(demo_data, bundled_cameras, events)
 
     def test_one_classify_per_level_when_cases_split_into_row_runs(
         self, demo_data, bundled_cameras, events, monkeypatch
     ):
-        # at 10 rows each relit case's 16 rows split into runs of 10 and 6
-        monkeypatch.setattr(cbc, "BATCH_ROWS", 10)
-        self.check_sweeps(demo_data, bundled_cameras, events, n_runs=28 * 2)
+        # NNLS blocks of 10 rows, fewer than a noisy case's 16, cut no case
+        monkeypatch.setattr(linalg, "BATCH_ROWS", 10)
+        self.check_sweeps(demo_data, bundled_cameras, events)
 
     def test_only_noisy_cases_and_fit_matrices_relight(
         self, demo_data, bundled_cameras, monkeypatch
     ):
-        # Every kind's clean features fold, nnmf's too: `relit_rows` serves
-        # the fit matrices (`training_chromaticities`) and the noisy test
-        # cases alone, whichever module's name for it a caller uses.
+        # Every kind's clean features fold, nnmf's too: only the fit matrices
+        # (`training_chromaticities`, one candidate at a time) and the noisy
+        # test cases (one call per case and level) featurize relit rows,
+        # through `chromaticity_rows` or `pixel_features` without SPDs.
         calls = []
-        original = cbc.relit_rows
+        for owner, name in ((cbc, "pixel_features"), (evaluation, "chromaticity_rows")):
+            original = getattr(owner, name)
 
-        def recorded(featurize, pixels, spds, noise=None):
-            calls.append((sys._getframe(1).f_code.co_name, featurize, noise is not None))
-            return original(featurize, pixels, spds, noise)
+            def recorded(*args, _original=original, _name=name):
+                caller = sys._getframe(1)
+                while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+                    caller = caller.f_back
+                folded = _name == "pixel_features" and len(args) > 2
+                calls.append((_name, caller.f_code.co_name, folded))
+                return _original(*args)
 
-        monkeypatch.setattr(cbc, "relit_rows", recorded)
-        monkeypatch.setattr(evaluation, "relit_rows", recorded)
+            monkeypatch.setattr(owner, name, recorded)
         cfg = demo_config(
             demo_data,
             methods=ALL_KINDS,
@@ -928,14 +956,16 @@ class TestSweepCalls:
             noise_bins=5,
             noise_levels=(20.0,),
         )
+        relit = lambda: [(name, caller) for name, caller, folded in calls if not folded]
+        n_fit = len(_Runner(cfg).proj_set)
+        fit_matrix = [("chromaticity_rows", "training_chromaticities")] * n_fit
         run_grid(cfg)
         # the fit matrices alone: one pca and nnmf share, and lda's labelled one
-        assert calls == [("training_chromaticities", chromaticity_rows, False)] * 2
+        assert relit() == fit_matrix * 2
         calls.clear()
         run_noise(cfg)
-        names = [name for name, _, _ in calls]
-        assert names == ["training_chromaticities"] + ["test_features"] * 8  # one per scene
-        assert all(noisy for name, _, noisy in calls if name == "test_features")
+        # nnmf's fit matrix, then each of the 8 scenes' 28 cases at 20 dB
+        assert relit() == fit_matrix + [("pixel_features", "test_features")] * 8 * 28
 
     def test_sweeps_keep_no_module_state_and_add_no_setting(self, demo_data, bundled_cameras):
         # The shared work is held by the sweep for one projection, not cached
@@ -964,7 +994,7 @@ class TestSweepCalls:
             "noise_d_prime", "noise_bins",
         )
 
-    def check_sweeps(self, demo_data, bundled_cameras, events, n_runs):
+    def check_sweeps(self, demo_data, bundled_cameras, events):
         cfg = demo_config(
             demo_data,
             methods=("rand", "rgb", "ill_pca", "nnmf"),
@@ -984,13 +1014,12 @@ class TestSweepCalls:
         # rgb per camera; nnmf at each d'
         fits = [("fit_rand", 2)] * 2 + [("fit_rgb", 1)] * 2 + [("fit_ill_pca", 2)]
         fits += [("fit_nnmf", 1)] * 2
-        runs = dict(n_scenes=n_scenes, n_runs=n_runs)
-        assert [e[0] for e in events] == self.expected(fits, 2, 0, **runs)
+        assert [e[0] for e in events] == self.expected(fits, 2, 0, n_scenes)
         assert len(report.rows) == 10 * 2 + 4 + 2  # cells, rand and rgb averages per (d', B)
         self.assert_features_reused(events, n_bins=2, n_levels=1)
         events.clear()
         run_noise(cfg)
-        assert [e[0] for e in events] == self.expected([("fit_rand", 1)] * 2, 1, 2, **runs)
+        assert [e[0] for e in events] == self.expected([("fit_rand", 1)] * 2, 1, 2, n_scenes)
         self.assert_features_reused(events, n_bins=1, n_levels=3)
         # each rand variant draws each (scene, candidate) case's noise once,
         # for both noisy levels, from that case's own seed
@@ -1008,13 +1037,14 @@ class TestSweepCalls:
         turn, carrying their cells at that B; each projection's models score
         the same columns of the levels' unit coordinates, in the order they
         were made. A folded call takes the 256 training pixels or a test
-        scene's 16 under all 28 SPDs; no relit run passes the cap."""
+        scene's 16 under all 28 SPDs; a relit call takes one noisy case's 16
+        rows."""
         training, bounds, units, tests, scored, builds = None, None, [], [], [], []
         for name, passed, result in events + [("fit_end", None, None)]:
             if name == "pixel_features":
                 rows, spds = passed
                 if spds is None:
-                    assert 0 < len(rows) <= cbc.BATCH_ROWS
+                    assert len(rows) == 16 and result[1].shape == (16,)
                 else:
                     assert len(rows) in (256, 16) and spds.shape == (28, rows.shape[1])
                     assert result[1].shape == (28, len(rows))
@@ -1111,18 +1141,27 @@ class TestBatchedEvaluation:
         (scenes,) = runner.test_features(model.projection, [noise_db])
         return evaluation.classify(model, scenes)[0].ravel().tolist()
 
-    @pytest.mark.parametrize("batch_rows", [None, 1, 5, 100])
+    @staticmethod
+    def resize_test_scenes(runner, n_pixels):
+        """Give each of the runner's test scenes `n_pixels` valid pixels, its
+        own cycled in one row; None leaves the scenes as they are."""
+        if n_pixels is None:
+            return
+        train, test = runner._scenes
+        sized = []
+        for img in test:
+            rows = np.resize(img.valid_pixels(), (n_pixels, img.n_bands))
+            sized.append(SpectralImage(img.axis, rows[None], np.ones((1, n_pixels), bool)))
+        runner.__dict__["_scenes"] = (train, sized)
+
+    @pytest.mark.parametrize("n_pixels", [None, 1, 5, 100])
     @pytest.mark.parametrize("noise_db", [None, 20.0])
-    def test_cases_match_per_case_classify(
-        self, demo_data, noise_db, batch_rows, monkeypatch
-    ):
-        # None keeps the default (one run per scene here); 1 featurizes one
-        # row per call, 5 cuts each case's 16 rows into runs of 5, 5, 5 and
-        # 1, and 100 rows splits each scene's cases unevenly.
-        if batch_rows is not None:
-            monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
+    def test_cases_match_per_case_classify(self, demo_data, noise_db, n_pixels):
+        # None keeps the demo scenes' 16 pixels; the others give every test
+        # scene 1, 5 or 100 pixels: cases of any size match.
         cfg = demo_config(demo_data, noise_d_prime=2, noise_bins=5, noise_levels=(20.0,))
         runner = _Runner(cfg)
+        self.resize_test_scenes(runner, n_pixels)
         model = ill_pca_model(runner, 2, 5)
         expected = self.per_case_predictions(runner, model, noise_db)
         assert self.sweep_predictions(runner, model, noise_db) == expected
@@ -1134,16 +1173,15 @@ class TestBatchedEvaluation:
             (scene, ill.name) for scene in runner.table.scenes for ill in runner.full
         ]
 
-    @pytest.mark.parametrize("batch_rows", [None, 1, 5, 100])
-    def test_every_level_matches_per_case_classify(self, demo_data, batch_rows, monkeypatch):
+    @pytest.mark.parametrize("n_pixels", [None, 1, 5, 100])
+    def test_every_level_matches_per_case_classify(self, demo_data, n_pixels):
         # One test_features call draws each case's noise once and scales it to
         # every level; each level, and each row of the noise report, must
         # still predict as per-case relight / add_noise / classify does.
-        if batch_rows is not None:
-            monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
         levels = (50.0, 30.0, 20.0, 10.0)
         cfg = demo_config(demo_data, noise_d_prime=2, noise_bins=5, noise_levels=levels)
         runner = _Runner(cfg)
+        self.resize_test_scenes(runner, n_pixels)
         model = ill_pca_model(runner, 2, 5)
         expected = [self.per_case_predictions(runner, model, db) for db in (None, *levels)]
         scenes = runner.test_features(model.projection, [None, *levels])
@@ -1172,38 +1210,35 @@ class TestBatchedEvaluation:
         expected = self.per_case_predictions(runner, model, noise_db)
         assert self.sweep_predictions(runner, model, noise_db) == expected
 
-    @pytest.mark.parametrize("batch_rows", [None, 1, 5, 100])
+    @pytest.mark.parametrize("n_pixels", [None, 1, 5, 100])
     @pytest.mark.parametrize("noise_db", [None, 20.0])
-    def test_test_features_score_as_their_stacks(
-        self, demo_data, noise_db, batch_rows, monkeypatch
-    ):
-        # The runner featurizes each run of cases, or of one case's rows, by
-        # its own call and scores every scene at every B in one call; scene
-        # i's scores must equal scoring each run of its per-case relit (and
-        # noisy) images' stack.
-        if batch_rows is not None:
-            monkeypatch.setattr(cbc, "BATCH_ROWS", batch_rows)
+    def test_test_features_score_as_their_stacks(self, demo_data, noise_db, n_pixels):
+        # The runner featurizes a scene's clean cases by one folded call and
+        # each noisy case by its own call, and scores every scene at every B
+        # in one call. Each case's scores must equal scoring its relit (and
+        # noisy) image alone, and a noisy case's features must be bitwise
+        # that image's own `block_features`, at any scene size.
         runner = _Runner(demo_config(demo_data))
-        master = runner.config.noise_master_seed
+        self.resize_test_scenes(runner, n_pixels)
+        master, n = runner.config.noise_master_seed, len(runner.full)
         proj = fit_ill_pca(runner.proj_set, 2)
         models = [build_model(runner.train_eval, runner.full, proj, b) for b in (5, 10)]
         (scenes,) = runner.test_features(proj, [noise_db])
         assert scenes.projection is proj
-        assert scenes.kept.shape[:2] == (len(runner.test_eval), len(runner.full))
+        assert scenes.kept.shape[:2] == (len(runner.test_eval), n)
         scores = [score(model, scenes) for model in models]
+        feats = np.split(scenes.feats, np.cumsum(scenes.kept.sum(axis=2).ravel())[:-1])
         for i, img in enumerate(runner.test_eval):
-            cases = []
+            assert not scenes.kept[i, :, len(img.valid_pixels()) :].any()  # padding is unkept
             for j, ill in enumerate(runner.full):
                 radiance = relight(img, ill.normalized_spd())
                 if noise_db is not None:
                     radiance = add_noise(radiance, noise_db, mix_seed(master, i, j))
-                cases.append(radiance.valid_pixels())
-            stack = np.stack(cases)
-            assert not scenes.kept[i, :, stack.shape[1] :].any()  # padding is unkept
-            runs = cbc.batch_runs(*stack.shape[:2])
-            for model, scored in zip(models, scores):
-                stacks = [score(model, stack[run.start : run.stop]) for run in runs]
-                assert scored[i].tobytes() == np.concatenate(stacks).tobytes()
+                    alone = cbc.block_features(proj, radiance)
+                    assert feats[i * n + j].tobytes() == alone.feats.tobytes()
+                    assert scenes.kept[i, j, : alone.kept.size].tobytes() == alone.kept.tobytes()
+                for model, scored in zip(models, scores):
+                    assert scored[i, j].tobytes() == score(model, radiance).tobytes()
 
     def test_ties_resolve_to_the_lowest_index(self, demo_data):
         runner = _Runner(demo_config(demo_data))

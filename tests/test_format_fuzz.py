@@ -1,4 +1,5 @@
-"""Truncated and bit-flipped binary files load or raise FormatError, nothing else.
+"""Truncated and bit-flipped binary and text files load or raise
+FormatError, nothing else.
 
 Each file is small, so random flips land in headers and counts as often as
 in payload.
@@ -12,7 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from illumest.cbc import SENTINEL_CELL, CorrelationModel, read_model, write_model
-from illumest.io import FormatError, read_scube, write_scube
+from illumest.evaluation import parse_config
+from illumest.io import (
+    FormatError,
+    read_dataset_manifest,
+    read_illuminant_manifest,
+    read_name_list,
+    read_scube,
+    read_spd_csv,
+    write_scube,
+)
 from illumest.projections import (
     Projection,
     fit_rand,
@@ -151,3 +161,56 @@ def test_repeated_candidate_name_rejected(work, sources):
     path.write_bytes(sources["cbcm_duplicate_name"])
     with pytest.raises(FormatError, match="unique"):
         read_model(path)
+
+
+# ---------------------------------------------------------------------------
+# Text inputs: SPD CSVs, manifests, name lists and run configurations
+# ---------------------------------------------------------------------------
+
+SPD_TEXT = b"wavelength_nm,value\n400,1.0\n410,0.5\n420,0.25\n"
+CONFIG_TEXT = b"""# a grid run
+dataset = data/manifest.txt
+illuminants = ills.txt
+methods = rand, pca
+d_primes = 1, 2
+bins = 5, 10
+smoothing = 1e-9
+allow_overlap = false
+noise_levels = 30, 10.5
+"""
+
+#: Each text reader and a file it loads.
+TEXT_READERS = {
+    "spd_csv": (read_spd_csv, SPD_TEXT),
+    "illuminant_manifest": (read_illuminant_manifest, b"a.csv,a\n# comment\n\nsub/b.csv, b\n"),
+    "dataset_manifest": (read_dataset_manifest, b"train,a.scube\ntrain,b.scube\ntest,c.scube\n"),
+    "name_list": (read_name_list, b"d65\nillum a\n"),
+    "config": (parse_config, CONFIG_TEXT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_READERS))
+def test_text_sources_load(work, name):
+    reader, text = TEXT_READERS[name]
+    (work / f"{name}.txt").write_bytes(text)
+    reader(work / f"{name}.txt")
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_READERS))
+@pytest.mark.parametrize("bad", [b"\xff", b"\x00"], ids=["not_utf8", "nul"])
+def test_undecodable_text_names_its_file(work, name, bad):
+    # a byte that is not UTF-8, or a NUL, in the middle of a file that loads
+    reader, text = TEXT_READERS[name]
+    path = work / f"{name}_bad.txt"
+    path.write_bytes(text[:10] + bad + text[10:])
+    with pytest.raises(FormatError, match=f"{path.name}: (not UTF-8|NUL)"):
+        reader(path)
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_READERS))
+@settings(max_examples=200, deadline=None)
+@given(corruption=CORRUPTIONS)
+@example(corruption=("flip", [(0, 7)]))  # a byte of 0x80 or more opens no UTF-8 sequence
+def test_corrupted_text(work, name, corruption):
+    reader, text = TEXT_READERS[name]
+    load_or_format_error(reader, work / f"{name}_x.txt", corrupt(text, corruption))

@@ -1,13 +1,10 @@
-"""Smoke test of scripts/score_batch_rss.py, which drives the grid runner
-(`_Runner(config)` and its one-cell `grid()`) directly, so a runner change
-that breaks it fails here rather than at its next manual run."""
+"""Smoke test of scripts/score_batch_rss.py, which drives `run_noise` and the
+grid runner's `fit_matrix` directly, so a runner change that breaks it fails
+here rather than at its next manual run."""
 
 import importlib.util
-import math
 import sys
 from pathlib import Path
-
-from illumest import cbc
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "score_batch_rss.py"
 
@@ -25,15 +22,16 @@ def load_script():
     return module
 
 
-def test_measure_runs_on_small_scenes(tmp_path, monkeypatch):
-    # measure() sets cbc.BATCH_ROWS; restore it for the tests that follow
-    monkeypatch.setattr(cbc, "BATCH_ROWS", cbc.BATCH_ROWS)
-    r = load_script().measure(32, 2048, tmp_path)
-    assert r["side"] == 32 and r["cap"] == 2048
-    # six 32x32 scenes split into test scenes of 8x8 pixels after downsampling
-    assert r["test_pixels"] and all(n == 64 for n in r["test_pixels"])
-    assert math.isfinite(r["mean_error_deg"]) and r["mean_error_deg"] >= 0
-    assert r["peak_rss_mb"] >= r["rss_before_grid_mb"] > 0 and r["grid_s"] > 0
-    assert len(r["report_sha256"]) == 64
-    # the same cell and data give the same report bytes
-    assert load_script().measure(32, 2048, tmp_path / "again")["report_sha256"] == r["report_sha256"]
+def test_measure_runs_on_small_scenes(tmp_path):
+    script = load_script()
+    manifest = script.write_dataset(32, tmp_path)
+    noise = script.measure(manifest, "noise")
+    # six 32x32 scenes split into two test scenes of 8x8 pixels after downsampling
+    assert noise["test_pixels"] and all(n == 64 for n in noise["test_pixels"])
+    assert noise["noise_maxrss_mb"] > 0 and noise["noise_s"] > 0 and noise["noise_peak_mib"] > 0
+    fit = script.measure(manifest, "fit")
+    assert fit["fit_peak_mib"] > 0 and fit["fit_rows"] > 0
+    # the same data give the same report bytes and fit matrix
+    assert script.measure(manifest, "noise")["report_sha256"] == noise["report_sha256"]
+    assert script.measure(manifest, "fit")["fit_sha256"] == fit["fit_sha256"]
+    assert all(len(r[k]) == 64 for r, k in ((noise, "report_sha256"), (fit, "fit_sha256")))
