@@ -7,11 +7,13 @@ Run from the repository root:
 Each checkout runs in a fresh interpreter on its own sources and bench inputs:
 one warm `run_grid` + `run_noise` pass, then --passes timed passes. Wrappers at
 the sites the sweep resolves sum each pass's time and calls in: the fits
-(`evaluation.fit_*`), `training_features`, `_Runner.test_features`, and the
-binning fold, which is `cbc.feature_cells` plus, where the checkout has it, the
-time spent inside the `prefix_cells` generators the sweep steps (its calls
-count the prefixes they yield). Prints one JSON object: per checkout and
-stage, each pass's milliseconds and calls.
+(`evaluation.fit_*`), `training_features`, `_Runner.test_features`, the
+conversion to unit coordinates (`unit_coordinates`, or `unit_features` in
+older checkouts) as the `unit` stage, and the binning fold, which is
+`cbc.feature_cells` plus, where the checkout has it, the time spent inside the
+`prefix_cells` generators the sweep steps (its calls count the prefixes they
+yield). Prints one JSON object: per checkout and stage, each pass's
+milliseconds and calls.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ def probe(checkout: Path, seed: int, passes: int) -> dict:
         timed(evaluation, f"fit_{kind}", "fits")
     timed(evaluation, "training_features", "training_features")
     timed(evaluation._Runner, "test_features", "test_features")
+    for name in ("unit_coordinates", "unit_features"):
+        if hasattr(evaluation, name):
+            timed(evaluation, name, "unit")
     timed(cbc, "feature_cells", "feature_cells")
     if hasattr(evaluation, "prefix_cells"):
         timed_generator(evaluation, "prefix_cells", "prefix_cells")

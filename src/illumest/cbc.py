@@ -170,7 +170,7 @@ def bin_indices(
 ) -> np.ndarray:
     """Flat row-major cell index per coordinate row, clamping to edge bins:
     one whole-array pass of `(x - lo) / (hi - lo) * n_bins` left to right,
-    clamped, floored and folded into int64. `unit_features` stores the
+    clamped, floored and folded into int64. `unit_coordinates` stores the
     quotient, so unit coordinates bin to these cells at any B, bit for bit."""
     coords = np.asarray(coords, dtype=np.float64)
     _check_coords(coords, lo, hi)
@@ -335,8 +335,8 @@ def build_model(
     unseen cells get smoothing / (total + smoothing * n_cells). `features`
     may carry that value computed ahead of time, so builds of one projection
     at several resolutions share it; features of another projection raise
-    ValueError. Unit coordinates (`unit_features`) carry their bounds, which
-    the model takes instead of calibrating, so a build only bins and counts.
+    ValueError. Features that carry their cells carry their bounds too, which
+    the model takes instead of calibrating, so a build only counts.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
@@ -353,10 +353,7 @@ def build_model(
     counts = features.kept.sum(axis=-1)
     if counts.sum() != len(features.feats) or not counts.all():
         raise ValueError("every candidate needs rows, and the counts must cover them")
-    if features.bounds is None:
-        lo, hi = calibrate_bounds(features.feats, d_out)
-    else:
-        lo, hi = features.bounds
+    lo, hi, *_ = features.cells or calibrate_bounds(features.feats, d_out)
     cells, slots = _union_slots(feature_cells(features, lo, hi, n_bins), counts, n_cells)
     # unit weights count exactly in float64, with no int64 table to convert
     probs = np.bincount(slots, np.ones(slots.size), len(counts) * cells.size)
@@ -383,60 +380,52 @@ def build_model(
 class BlockFeatures:
     """A stack's histogram coordinates under `projection`: `feats` holds the
     kept rows' coordinates in row order, and `kept` (..., N) marks them. With
-    `bounds=(lo, hi)` they are unit coordinates (`unit_features`) that bin only
-    for a model with those bounds, and `cells=(B, flat)` their flat cells at B."""
+    `cells=(lo, hi, B, flat)` the rows carry their flat cells on those bounds
+    at B, and bin only for a model of those bounds and B."""
 
     projection: Projection
     feats: np.ndarray
     kept: np.ndarray
-    bounds: Optional[tuple[np.ndarray, np.ndarray]] = None
-    cells: Optional[tuple[int, np.ndarray]] = None
+    cells: Optional[tuple[np.ndarray, np.ndarray, int, np.ndarray]] = None
 
 
-def unit_features(features: BlockFeatures, lo: np.ndarray, hi: np.ndarray) -> BlockFeatures:
-    """`features` as unit coordinates u = (x - lo) / (hi - lo), converted in
-    place, so `features` holds raw ones no longer. Binning u at any B only
-    multiplies, clamps and floors, and gives `bin_indices`' cells bit for
-    bit. Unit or non-finite coordinates raise ValueError."""
-    if features.bounds is not None:
-        raise ValueError("features are unit coordinates already")
-    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-    _check_coords(features.feats, lo, hi)
-    for x, l, w in zip(features.feats.T, lo, hi - lo):  # long strided columns beat short rows
+def unit_coordinates(feats: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Convert the (N, d') coordinates `feats` in place to unit coordinates
+    u = (x - lo) / (hi - lo), which bin at any B by a multiply, clamp and floor
+    to `bin_indices`' cells bit for bit. Non-finite coordinates raise ValueError."""
+    _check_coords(feats, lo, hi)
+    for x, l, w in zip(feats.T, lo, hi - lo):  # long strided columns beat short rows
         x -= l
         x /= w
-    return replace(features, bounds=(lo, hi))
 
 
-def prefix_cells(units: np.ndarray, n_bins: int, ks: Sequence[int] = ()):
+def prefix_cells(units: np.ndarray, n_bins: int, ks: Sequence[int]):
     """Fold the (N, d') unit coordinates `units` a column at a time (cheaper
     than whole-array passes at training sizes): after each column k in `ks`,
-    or every column, yield each row's flat cell on its first k coordinates at
-    B = n_bins, one array updated in place, so use it before the next."""
+    yield each row's flat cell on its first k coordinates at B = n_bins, one
+    array updated in place, so use it before the next."""
     flat = np.zeros(len(units), dtype=np.int64)
     for k, column in enumerate(units.T, 1):
         flat *= n_bins
         flat += _bin_digits(column * n_bins, n_bins)
-        if not ks or k in ks:
+        if k in ks:
             yield flat
 
 
 def feature_cells(
     features: BlockFeatures, lo: np.ndarray, hi: np.ndarray, n_bins: int
 ) -> np.ndarray:
-    """The flat cell of each row of `features` on the bounds (lo, hi), from raw
-    or unit coordinates or the cells they carry; unit coordinates on other
-    bounds, or cells of another B, raise ValueError."""
-    if features.bounds is None:
-        return bin_indices(features.feats, lo, hi, n_bins)
-    if not all(map(np.array_equal, features.bounds, (lo, hi))):
-        raise ValueError("features are unit coordinates on other bounds than the model's")
+    """The flat cell of each row of `features` on the bounds (lo, hi) at
+    B = n_bins: its raw coordinates' `bin_indices`, or the cells it carries;
+    cells on other bounds or at another B raise ValueError."""
     if features.cells is None:
-        *_, flat = prefix_cells(features.feats, n_bins)  # after the last column
-        return flat
-    if features.cells[0] != n_bins:
-        raise ValueError(f"features carry cells at B = {features.cells[0]}, not {n_bins}")
-    return features.cells[1]
+        return bin_indices(features.feats, lo, hi, n_bins)
+    *bounds, carried_bins, flat = features.cells
+    if not all(map(np.array_equal, bounds, (lo, hi))):
+        raise ValueError("features carry cells on other bounds than the model's")
+    if carried_bins != n_bins:
+        raise ValueError(f"features carry cells at B = {carried_bins}, not {n_bins}")
+    return flat
 
 
 def block_features(projection: Projection, pixels: SpectralImage | np.ndarray) -> BlockFeatures:
@@ -471,8 +460,8 @@ def score(
     shape (..., N, bands): every (N, bands) block along the leading axes is
     scored as one image. Both are featurized by `block_features` first, or
     `pixels` is its value made ahead of time, so that models of every B share
-    one featurization (as unit coordinates on the model's bounds, if at
-    all); features of another projection raise ValueError. A
+    one featurization (carrying its cells on the model's bounds at its B, if
+    at all); features of another projection raise ValueError. A
     block's histogram is normalized without smoothing over its usable rows;
     `log` mode gives sum(h_test * log(h_candidate)) over the block's occupied
     cells, `dot` mode the plain dot product of the two histograms. All blocks

@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: The least value of each integer option, by subcommand: `main` rejects a
-#: smaller one before the command reads or writes any file.
+#: The least value of each integer option, by subcommand; one bin would tie every
+#: candidate. `main` rejects a smaller one before the command reads or writes any file.
 _LEAST = {
     "synth": {
         "seed": 0, "scenes": 3, "width": 1, "height": 1, "basis": 1, "bands": 1, "patches": 0,
@@ -314,7 +314,7 @@ _LEAST = {
         "projection_set_k": 2, "projection_set_seed": 0, "d_prime": 1, "seed": 0,
         "downsample": 1, "nnmf_max_iter": 1,
     },
-    "build-model": {"bins": 1, "downsample": 1},
+    "build-model": {"bins": 2, "downsample": 1},
     "classify": {"downsample": 1},
     "export-pca-coords": {"components": 1},
 }

@@ -31,7 +31,7 @@ from .cbc import (
     prefix_cells,
     training_features,
     training_pixels,
-    unit_features,
+    unit_coordinates,
 )
 from .illuminants import IlluminantSet, load_illuminants, select_projection_set
 from .io import (
@@ -261,12 +261,12 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-#: The least value of each integer GridConfig field, or of every value of a
-#: list field; an empty list has none and is rejected too.
+#: The least value of each integer GridConfig field, or of every value of a list
+#: field (an empty list is rejected too); one bin would tie every candidate.
 _LEAST = {
-    "d_primes": 1, "bins": 1, "rand_seeds": 0, "projection_set_k": 2, "projection_set_seed": 0,
+    "d_primes": 1, "bins": 2, "rand_seeds": 0, "projection_set_k": 2, "projection_set_seed": 0,
     "downsample_fit": 1, "downsample_lda": 1, "downsample_eval": 1, "nnmf_seed": 0,
-    "nnmf_max_iter": 1, "noise_master_seed": 0, "noise_d_prime": 1, "noise_bins": 1,
+    "nnmf_max_iter": 1, "noise_master_seed": 0, "noise_d_prime": 1, "noise_bins": 2,
 }
 
 
@@ -696,9 +696,9 @@ class _Runner:
         fold, the test features when this returns; each model before the next."""
         features = training_features(self.train_eval, self.full, proj)
         lo, hi = calibrate_bounds(features.feats, proj.output_dim)
-        features = unit_features(features, lo, hi)
         tests = self.test_features(proj, [noise_db for _, noise_db in levels])
-        tests = [unit_features(scenes, lo, hi) for scenes in tests]
+        for held in (features, *tests):
+            unit_coordinates(held.feats, lo, hi)
         rows, smoothing, mode = [], self.config.smoothing, self.config.score_mode
         for n_bins in bins:
             trains = prefix_cells(features.feats, n_bins, d_primes)
@@ -706,7 +706,7 @@ class _Runner:
             for k in sorted(d_primes):
                 sub = leading_projection(proj, k) if method in NESTED_KINDS else proj
                 prefix = lambda f, cells: BlockFeatures(
-                    sub, f.feats[:, :k], f.kept, (lo[:k], hi[:k]), (n_bins, cells))
+                    sub, f.feats[:, :k], f.kept, (lo[:k], hi[:k], n_bins, cells))
                 model = build_model(self.train_eval, self.full, sub, n_bins, smoothing=smoothing,
                                     features=prefix(features, next(trains)))
                 if (n_bins, k) == (bins[-1], proj.output_dim):

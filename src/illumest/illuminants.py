@@ -104,7 +104,10 @@ def load_illuminants(manifest_path) -> IlluminantSet:
         neg = np.flatnonzero(col < 0)
         if neg.size:
             raise FormatError(f"{csv_path}:{neg[0] + 2}: negative SPD value")
-        members.append(Illuminant(name, Spectrum(axis, col)))
+        try:
+            members.append(Illuminant(name, Spectrum(axis, col)))
+        except ValueError as exc:  # an all-zero SPD
+            raise FormatError(f"{csv_path}: {exc}") from exc
     return IlluminantSet(tuple(members))
 
 

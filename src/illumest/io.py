@@ -178,7 +178,10 @@ def read_sensitivities(path, camera_name: Optional[str] = None) -> SensitivityFu
     if neg.size:
         raise FormatError(f"{path}:{neg[0][0] + 2}: negative sensitivity value")
     name = camera_name if camera_name is not None else path.stem
-    return SensitivityFunctions(axis, values.T.copy(), camera_name=name)
+    try:
+        return SensitivityFunctions(axis, values.T.copy(), camera_name=name)
+    except ValueError as exc:  # an all-zero channel
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -425,10 +425,14 @@ def projection_to_bytes(proj: Projection) -> bytes:
     if proj.mean is not None:
         parts.append(proj.mean.astype("<f8", copy=False).tobytes())
     parts.append(np.ascontiguousarray(proj.basis, dtype="<f8").tobytes())
-    parts.append(
-        json.dumps(proj.metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
+    metadata = json.dumps(proj.metadata, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    parts.append(metadata.encode("utf-8"))
     return b"".join(parts)
+
+
+def _reject_constant(name: str):
+    """JSON's non-standard NaN and infinities, which no written file holds."""
+    raise ValueError(f"non-finite constant {name}")
 
 
 def projection_from_bytes(blob: bytes, source: str = "<bytes>") -> Projection:
@@ -461,8 +465,8 @@ def projection_from_bytes(blob: bytes, source: str = "<bytes>") -> Projection:
     basis = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
     tail = blob[end:]
     try:
-        metadata = json.loads(tail.decode("utf-8")) if tail else {}
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        metadata = json.loads(tail.decode("utf-8"), parse_constant=_reject_constant) if tail else {}
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed, non-finite or too deep
         raise FormatError(f"{source}: bad metadata block: {exc}") from exc
     if not isinstance(metadata, dict):
         raise FormatError(f"{source}: metadata must be a JSON object")

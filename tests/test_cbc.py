@@ -726,6 +726,20 @@ class TestBuildAndClassify:
             name, _ = classify(model, test)
             assert name == ill.name
 
+    @pytest.mark.parametrize("mode", ["log", "dot"])
+    def test_one_bin_model_scores_every_candidate_equally(self, mode):
+        # one cell holds every coordinate, so every candidate's probability
+        # there is 1 and the argmax is index 0 whatever the light: the
+        # setting the runners and the CLI reject before any work
+        axis, candidates, images = tiny_problem()
+        model = build_model(images, candidates, fit_rand(4, 2, seed=42), n_bins=1)
+        stack = np.stack([relight(img, ill.spd).valid_pixels() for img in images for ill in candidates])
+        names, scores = classify(model, stack, mode=mode)
+        assert model.cells.tolist() == [0, cbc.SENTINEL_CELL]
+        assert model.probs[:, 0].tolist() == [1, 1]
+        assert (scores == scores[:, :1]).all()
+        assert names.tolist() == [model.candidate_names[0]] * len(stack)
+
     def test_precomputed_features_give_identical_model(self, tmp_path):
         axis, candidates, images = tiny_problem()
         proj = fit_rand(4, 2, seed=42)
@@ -894,21 +908,32 @@ def edge_cases(draw):
 
 
 class TestUnitCoordinates:
-    """Unit coordinates on a projection's bounds bin at every B exactly as
-    the raw coordinates do through `bin_indices`; the occupancy union is
-    np.unique's; and a model built or scored from them is the raw one's."""
+    """Unit coordinates on a projection's bounds fold at every B to the cells
+    the raw coordinates bin to through `bin_indices`; the occupancy union is
+    np.unique's; and a model built or scored from the cells they carry is the
+    raw one's."""
+
+    @staticmethod
+    def units(coords, lo, hi):
+        """A converted copy of `coords`, the raw rows left as they are."""
+        units = coords.copy()
+        cbc.unit_coordinates(units, lo, hi)
+        return units
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(binning_cases(), edge_cases()), st.integers(1, 40))
     def test_unit_binning_is_bin_indices(self, case, other_bins):
         coords, lo, hi, n_bins = case
         proj, _, kept = identity_setup(lo.size, [len(coords)])
-        unit = cbc.unit_features(BlockFeatures(proj, coords.copy(), kept), lo, hi)
-        assert unit.feats.tobytes() == ((coords - lo) / (hi - lo)).tobytes()
+        units = self.units(coords, lo, hi)
+        assert units.tobytes() == ((coords - lo) / (hi - lo)).tobytes()
         for b in (n_bins, other_bins):
             want = bin_indices(coords, lo, hi, b)
-            assert cbc.feature_cells(unit, lo, hi, b).tobytes() == want.tobytes()
+            (flat,) = cbc.prefix_cells(units, b, (lo.size,))
+            assert flat.dtype == want.dtype and flat.tobytes() == want.tobytes()
             assert want.tolist() == reference_cells(coords, lo, hi, b)
+            carried = BlockFeatures(proj, units, kept, (lo, hi, b, flat))
+            assert cbc.feature_cells(carried, lo, hi, b) is flat
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(binning_cases(), edge_cases()), st.integers(1, 40), st.data())
@@ -916,10 +941,10 @@ class TestUnitCoordinates:
         # the sweep serves d' = k from prefix k of one fold of the unit
         # coordinates: the leading k raw columns binned on the leading k bounds
         coords, lo, hi, n_bins = case
-        proj, _, kept = identity_setup(lo.size, [len(coords)])
-        units = cbc.unit_features(BlockFeatures(proj, coords.copy(), kept), lo, hi).feats
+        units = self.units(coords, lo, hi)
+        every = range(1, lo.size + 1)
         for b in (n_bins, other_bins):
-            prefixes = [flat.copy() for flat in cbc.prefix_cells(units, b)]  # one array, updated
+            prefixes = [flat.copy() for flat in cbc.prefix_cells(units, b, every)]  # one array
             assert len(prefixes) == lo.size
             for k, got in enumerate(prefixes, 1):
                 want = bin_indices(coords[:, :k], lo[:k], hi[:k], b)
@@ -945,6 +970,8 @@ class TestUnitCoordinates:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(binning_cases(), edge_cases()), st.data())
     def test_model_from_unit_features_is_the_raw_model(self, case, data):
+        # a model built from the cells the unit coordinates fold to, carried
+        # with their bounds, neither calibrates nor differs by a bit
         coords, _, _, n_bins = case
         n_cand = data.draw(st.integers(1, 3))
         counts = [len(coords) // n_cand] * (n_cand - 1)
@@ -952,18 +979,18 @@ class TestUnitCoordinates:
         if not all(counts):
             return
         proj, candidates, kept = identity_setup(coords.shape[1], counts)
+        lo, hi = calibrate_bounds(coords, coords.shape[1])
         try:
             raw = build_model([], candidates, proj, n_bins, features=BlockFeatures(proj, coords, kept))
         except ValueError as exc:  # bounds of far coordinates can span past the float range
             with pytest.raises(ValueError, match=str(exc)):
-                cbc.unit_features(
-                    BlockFeatures(proj, coords.copy(), kept), *calibrate_bounds(coords, coords.shape[1])
-                )
+                self.units(coords, lo, hi)
             return
-        lo, hi = calibrate_bounds(coords, coords.shape[1])
-        unit = cbc.unit_features(BlockFeatures(proj, coords.copy(), kept), lo, hi)
+        units = self.units(coords, lo, hi)
+        (flat,) = cbc.prefix_cells(units, n_bins, (lo.size,))
+        carried = BlockFeatures(proj, units, kept, (lo, hi, n_bins, flat))
         with mock.patch.object(cbc, "calibrate_bounds", side_effect=AssertionError):
-            model = build_model([], candidates, proj, n_bins, features=unit)
+            model = build_model([], candidates, proj, n_bins, features=carried)
         for name in ("lo", "hi", "cells", "probs", "occupied"):
             a, b = getattr(model, name), getattr(raw, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -974,16 +1001,21 @@ class TestUnitCoordinates:
         model = build_model(images, candidates, proj, n_bins=8)
         stack = np.stack([relight(img, ill.spd).valid_pixels() for img in images for ill in candidates])
         want = score(model, stack)
-        unit = cbc.unit_features(block_features(proj, stack), model.lo, model.hi)
-        assert score(model, unit).tobytes() == want.tobytes()
+
+        def carried(lo, hi, n_bins=8):
+            features = block_features(proj, stack)
+            cbc.unit_coordinates(features.feats, lo, hi)
+            (flat,) = cbc.prefix_cells(features.feats, n_bins, (2,))
+            return replace(features, cells=(lo, hi, n_bins, flat))
+
+        assert score(model, carried(model.lo, model.hi)).tobytes() == want.tobytes()
         copies = (model.lo.copy(), model.hi.copy())  # equal bounds, other arrays
-        assert score(model, cbc.unit_features(block_features(proj, stack), *copies)).tobytes() == want.tobytes()
+        assert score(model, carried(*copies)).tobytes() == want.tobytes()
         for lo, hi in ((model.lo - 0.5, model.hi), (model.lo, np.nextafter(model.hi, np.inf))):
-            other = cbc.unit_features(block_features(proj, stack), lo, hi)
             with pytest.raises(ValueError, match="other bounds"):
-                score(model, other)
-        with pytest.raises(ValueError, match="already"):
-            cbc.unit_features(unit, model.lo, model.hi)
+                score(model, carried(lo, hi))
+        with pytest.raises(ValueError, match="cells at B = 9, not 8"):
+            score(model, carried(model.lo, model.hi, 9))
 
     def test_carried_cells_are_taken_at_their_bounds_and_b_only(self):
         axis, candidates, images = tiny_problem()
@@ -991,17 +1023,18 @@ class TestUnitCoordinates:
         features = training_features(images, candidates, proj)
         lo, hi = calibrate_bounds(features.feats, 2)
         want = build_model(images, candidates, proj, 8, features=features)
-        unit = cbc.unit_features(features, lo, hi)
-        (cells,) = cbc.prefix_cells(unit.feats, 8, (2,))
-        carried = replace(unit, cells=(8, cells.copy()))
+        cbc.unit_coordinates(features.feats, lo, hi)
+        (cells,) = cbc.prefix_cells(features.feats, 8, (2,))
+        carried = replace(features, cells=(lo, hi, 8, cells.copy()))
         with mock.patch.object(cbc, "_bin_digits", side_effect=AssertionError):
             model = build_model(images, candidates, proj, 8, features=carried)
         for name in ("lo", "hi", "cells", "probs", "occupied"):
             assert getattr(model, name).tobytes() == getattr(want, name).tobytes(), name
         stack = np.stack([relight(img, ill.spd).valid_pixels() for img in images for ill in candidates])
-        tests = cbc.unit_features(block_features(proj, stack), lo, hi)
+        tests = block_features(proj, stack)
+        cbc.unit_coordinates(tests.feats, lo, hi)
         (test_cells,) = cbc.prefix_cells(tests.feats, 8, (2,))
-        scored = score(model, replace(tests, cells=(8, test_cells.copy())))
+        scored = score(model, replace(tests, cells=(lo, hi, 8, test_cells.copy())))
         assert scored.tobytes() == score(want, stack).tobytes()
         with pytest.raises(ValueError, match="cells at B = 8, not 9"):
             build_model(images, candidates, proj, 9, features=carried)
@@ -1009,10 +1042,9 @@ class TestUnitCoordinates:
             cbc.feature_cells(carried, lo, np.nextafter(hi, np.inf), 8)
 
     def test_unit_features_reject_non_finite_coordinates(self):
-        proj, _, kept = identity_setup(2, [2])
         feats = np.array([[0.5, np.nan], [0.1, 0.2]])
         with pytest.raises(ValueError, match="finite"):
-            cbc.unit_features(BlockFeatures(proj, feats, kept), np.zeros(2), np.ones(2))
+            cbc.unit_coordinates(feats, np.zeros(2), np.ones(2))
 
 
 def training_scenes(axis, seed):

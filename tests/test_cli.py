@@ -332,14 +332,18 @@ class TestSettingsRejectedBeforeAnyRead:
     @pytest.mark.parametrize(
         "option, value, message",
         [
-            ("--bins", "0", "--bins must be >= 1, got 0"),
+            ("--bins", "0", "--bins must be >= 2, got 0"),
+            ("--bins", "1", "--bins must be >= 2, got 1"),
             ("--downsample", "0", "--downsample must be >= 1, got 0"),
             ("--smoothing", "nan", "--smoothing must be finite and > 0, got nan"),
             ("--smoothing", "inf", "--smoothing must be finite and > 0, got inf"),
             ("--smoothing", "0", "--smoothing must be finite and > 0, got 0.0"),
             ("--smoothing", "-1", "--smoothing must be finite and > 0, got -1.0"),
         ],
-        ids=["bins", "downsample", "smoothing-nan", "smoothing-inf", "smoothing-0", "smoothing-neg"],
+        ids=[
+            "bins", "bins-one", "downsample", "smoothing-nan", "smoothing-inf", "smoothing-0",
+            "smoothing-neg",
+        ],
     )
     def test_build_model(self, fitted, tmp_path, capsys, reads, option, value, message):
         proj_path, _, dataset = fitted
@@ -531,6 +535,24 @@ class TestReports:
         rows = noise_out.read_text().splitlines()
         assert rows[1].startswith("ill_pca,2,5,-,clean,")
         assert rows[2].startswith("ill_pca,2,5,-,20,")
+
+    @pytest.mark.parametrize("command, key", [("grid", "bins"), ("noise", "noise_bins")])
+    def test_one_bin_rejected_before_any_scene_is_read(
+        self, workspace, tmp_path, capsys, reads, command, key
+    ):
+        # one bin ties every candidate, so its argmax would be index 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"dataset = {workspace / 'scenes' / 'dataset.txt'}\n"
+            f"illuminants = {bundled_illuminant_manifest()}\n"
+            f"methods = ill_pca\n{key} = 1\n"
+        )
+        out = tmp_path / "out.csv"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+        assert f"{key} must be >= 2, got " in err
+        assert reads == ["parse_config"] and not out.exists()
 
     def test_error_is_one_line_diagnostic(self, tmp_path, capsys):
         rc = main(["grid", "--config", str(tmp_path / "missing.cfg"), "--out", "x"])

@@ -247,10 +247,10 @@ class TestGridConfig:
     @pytest.mark.parametrize(
         "key, least",
         [
-            ("d_primes", 1), ("bins", 1), ("rand_seeds", 0), ("projection_set_k", 2),
+            ("d_primes", 1), ("bins", 2), ("rand_seeds", 0), ("projection_set_k", 2),
             ("projection_set_seed", 0), ("downsample_fit", 1), ("downsample_lda", 1),
             ("downsample_eval", 1), ("nnmf_seed", 0), ("nnmf_max_iter", 1),
-            ("noise_master_seed", 0), ("noise_d_prime", 1), ("noise_bins", 1),
+            ("noise_master_seed", 0), ("noise_d_prime", 1), ("noise_bins", 2),
         ],
     )
     def test_values_below_their_least_rejected(self, tmp_path, key, least):
@@ -852,11 +852,12 @@ class TestSweepCalls:
     calibrates the projection's bounds once, from its training features,
     and turns those and each level's test features into unit coordinates on
     them once. It builds one model per (B, served d') from the leading
-    columns of those training features, without calibrating again, and
-    scores every test scene in one classify call per model and noise level
-    from the held test features. Each noisy case's noise is drawn once,
-    from its own (scene, candidate) seed, and serves every level: the
-    counts the benchmark's traces rely on."""
+    columns of those training features, carrying their cells on views of
+    the bounds, without calibrating again, and scores every test scene in
+    one classify call per model and noise level from the held test
+    features. Each noisy case's noise is drawn once, from its own (scene,
+    candidate) seed, and serves every level: the counts the benchmark's
+    traces rely on."""
 
     N_CANDIDATES = 28  # bundled illuminants
 
@@ -864,7 +865,7 @@ class TestSweepCalls:
     def events(self, monkeypatch):
         log = []
         names = [f"fit_{kind}" for kind in ("rgb", "rand", "pca", "ill_pca", "nnmf", "lda")]
-        names += ["training_features", "calibrate_bounds", "unit_features", "build_model"]
+        names += ["training_features", "calibrate_bounds", "unit_coordinates", "build_model"]
         names += ["classify", "mix_seed", "noise_draw"]
         owners = [(evaluation, name) for name in names]
         # cbc's own calibrate_bounds is the one a build that calibrates would call
@@ -877,7 +878,7 @@ class TestSweepCalls:
                 positional = args[1] if _name == "classify" else None
                 if _name == "pixel_features":  # rows, and the SPDs of a folded call
                     positional = (args[1], args[2] if len(args) > 2 else None)
-                elif _name in ("unit_features", "mix_seed"):
+                elif _name in ("unit_coordinates", "mix_seed"):
                     positional = args
                 elif _name == "test_features":
                     positional = args[2]
@@ -890,17 +891,17 @@ class TestSweepCalls:
     @classmethod
     def expected(cls, fits, n_bins, n_noisy, n_scenes):
         """Per (fit, number of d' it serves): its training features, one
-        folded call, then the bounds and their unit coordinates; per test
-        scene one folded clean call, and for noisy levels per case one seed,
-        one draw and one relit call per noisy level; the levels' unit
-        coordinates; then per B and served d' a model and one classify per
-        level."""
+        folded call, then the bounds; per test scene one folded clean call,
+        and for noisy levels per case one seed, one draw and one relit call
+        per noisy level; the unit coordinates of the training features and
+        then of each level; then per B and served d' a model and one
+        classify per level."""
         out = []
         case = ["mix_seed", "noise_draw"] + ["pixel_features"] * n_noisy
         scene = ["pixel_features"] + (case * cls.N_CANDIDATES if n_noisy else [])
         for fit, n_served in fits:
-            training = ["pixel_features", "training_features", "calibrate_bounds", "unit_features"]
-            tests = scene * n_scenes + ["test_features"] + ["unit_features"] * (1 + n_noisy)
+            training = ["pixel_features", "training_features", "calibrate_bounds"]
+            tests = scene * n_scenes + ["test_features"] + ["unit_coordinates"] * (2 + n_noisy)
             per_model = ["build_model"] + ["classify"] * (1 + n_noisy)
             out += [fit] + training + tests + per_model * (n_bins * n_served)
         return out
@@ -1034,11 +1035,12 @@ class TestSweepCalls:
         place once; so does each level's test features, made by one
         `test_features` call. Each model is built from the leading d'
         columns of the training unit coordinates, at each B and served d' in
-        turn, carrying their cells at that B; each projection's models score
-        the same columns of the levels' unit coordinates, in the order they
-        were made. A folded call takes the 256 training pixels or a test
-        scene's 16 under all 28 SPDs; a relit call takes one noisy case's 16
-        rows."""
+        turn, carrying their cells at that B on views of the leading d'
+        bounds; each projection's models score the same columns of the
+        levels' unit coordinates, carrying their cells at the model's B on
+        views of the same bounds, in the order they were made. A folded call
+        takes the 256 training pixels or a test scene's 16 under all 28 SPDs;
+        a relit call takes one noisy case's 16 rows."""
         training, bounds, units, tests, scored, builds = None, None, [], [], [], []
         for name, passed, result in events + [("fit_end", None, None)]:
             if name == "pixel_features":
@@ -1065,26 +1067,29 @@ class TestSweepCalls:
             elif name == "test_features":
                 assert len(passed) == len(result) == n_levels
                 units += result
-            elif name == "unit_features":
-                raw, lo, hi = passed
-                assert raw is units.pop(0)
+            elif name == "unit_coordinates":
+                feats, lo, hi = passed
+                raw = units.pop(0)
+                assert feats is raw.feats and result is None  # converted in place, no copy
                 assert lo is bounds[0] and hi is bounds[1]
-                assert result.bounds[0] is lo and result.bounds[1] is hi
-                assert result.feats is raw.feats  # converted in place, no copy
-                if raw is training:
-                    training = result
-                else:
-                    tests.append(result)
+                if raw is not training:
+                    tests.append(raw)
             elif name == "build_model":
                 k = passed.feats.shape[1]
                 assert leading_view(passed.feats, training.feats)
-                assert passed.kept is training.kept and training.bounds[0] is bounds[0]
-                assert all(b.base is whole and b.size == k for b, whole in zip(passed.bounds, bounds))
-                builds.append((passed.cells[0], k))
+                assert passed.kept is training.kept
+                *carried, at_b, _ = passed.cells
+                assert all(b.base is whole and b.size == k for b, whole in zip(carried, bounds))
+                assert at_b == result.n_bins and result.lo is carried[0] and result.hi is carried[1]
+                builds.append((at_b, k))
+                model = result
             elif name == "classify":
                 (level,) = [i for i, t in enumerate(tests) if leading_view(passed.feats, t.feats)]
                 assert passed.kept is tests[level].kept
-                assert (passed.cells[0], passed.feats.shape[1]) == builds[-1]
+                *carried, at_b, _ = passed.cells
+                k = passed.feats.shape[1]
+                assert all(b.base is whole and b.size == k for b, whole in zip(carried, bounds))
+                assert (at_b, k) == (model.n_bins, model.n_dims) == builds[-1]
                 scored.append(level)
             if name.startswith("fit_"):
                 bounds = None

@@ -6,6 +6,7 @@ in payload.
 """
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,34 @@ def test_corrupted_scube(work, sources, corruption):
 def test_corrupted_projection(work, sources, which, corruption):
     blob = corrupt(sources["proj"][which], corruption)
     load_or_format_error(read_projection, work / "x.proj", blob)
+
+
+@pytest.mark.parametrize(
+    "tail, match",
+    [
+        (b'{"a":' + b"[" * 100_000, "maximum recursion depth"),  # nested past the limit
+        (b'{"seed":NaN}', "non-finite constant NaN"),
+        (b'{"seed":Infinity}', "non-finite constant Infinity"),
+        (b'{"seed":[-Infinity]}', "non-finite constant -Infinity"),
+    ],
+    ids=["deep", "nan", "inf", "neg-inf"],
+)
+def test_bad_metadata_names_its_file(work, sources, tail, match):
+    blob, metadata = sources["proj"][0], b'{"seed":3}'
+    assert blob.endswith(metadata)
+    path = work / "meta.proj"
+    path.write_bytes(blob[: -len(metadata)] + tail)
+    with pytest.raises(FormatError, match=f"{path.name}: bad metadata block: .*{match}"):
+        read_projection(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_metadata_is_never_written(work, value):
+    # a file that could not read back is not written
+    path = work / "non_finite.proj"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_projection(path, replace(fit_rand(4, 2, seed=3), metadata={"loss": value}))
+    assert not path.exists()
 
 
 @settings(max_examples=300, deadline=None)

@@ -87,6 +87,13 @@ class TestLoadIlluminants:
         with pytest.raises(FormatError):
             load_illuminants(man)
 
+    def test_all_zero_spd_names_its_file(self, tmp_path):
+        write_spd_csv(tmp_path / "dark.csv", SpectralAxis(400, 100, 3), np.zeros(3))
+        man = tmp_path / "manifest.txt"
+        write_illuminant_manifest(man, [("dark.csv", "Dark")])
+        with pytest.raises(FormatError, match="dark.csv: illuminant 'Dark': SPD is all zero"):
+            load_illuminants(man)
+
     def test_negative_value_located(self, tmp_path):
         p = tmp_path / "neg.csv"
         p.write_text("wavelength_nm,value\n400,1.0\n410,-0.25\n")

@@ -170,6 +170,14 @@ class TestSensitivities:
         with pytest.raises(FormatError):
             read_sensitivities(p)
 
+    def test_all_zero_channel_names_its_file(self, tmp_path):
+        p = tmp_path / "dark_green.csv"
+        p.write_text("wavelength_nm,value,value2,value3\n400,0.1,0,0.3\n410,0.4,0,0.6\n")
+        with pytest.raises(
+            FormatError, match="dark_green.csv: each sensitivity row needs at least one positive"
+        ):
+            read_sensitivities(p)
+
     def test_negative_value_rejected_with_line(self, tmp_path):
         p = tmp_path / "neg.csv"
         p.write_text("wavelength_nm,value,value2,value3\n400,0.1,0.2,0.3\n410,-0.4,0.5,0.6\n")
