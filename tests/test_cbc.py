@@ -46,9 +46,11 @@ from illumest.spectral import (
     SpectralAxis,
     SpectralImage,
     Spectrum,
+    add_noise,
     chromaticity_rows,
     relight,
 )
+from illumest.synth import SceneRecipe, generate_scene
 
 
 def image_from_pixels(pixels):
@@ -1314,6 +1316,56 @@ class TestFoldedFeatures:
         for spds in (np.ones(4), np.ones((2, 3))):
             with pytest.raises(ValueError, match="SPDs"):
                 pixel_features(proj, np.ones((5, 4)), spds)
+
+
+class TestScoreBytes:
+    """Request scores pinned: every kind's model scores relit and noisy test
+    images to the bytes below, so a change to how a request is featurized
+    shows here unless no coordinate crosses a bin edge."""
+
+    @pytest.fixture(scope="class")
+    def problem(self, bundled_set, bundled_cameras):
+        axis = bundled_set.axis
+        scenes = [generate_scene(SceneRecipe(8, 8, seed=seed), axis) for seed in range(6)]
+        train, test = scenes[:4], scenes[4:]
+        rows = training_chromaticities(train, bundled_set, labelled=True)
+        unlabelled = replace(rows, labels=None)
+        projections = {
+            "rgb": fit_rgb(read_sensitivities(bundled_cameras[0])),
+            "rand": fit_rand(axis.count, 3, seed=3),
+            "pca": fit_pca(unlabelled, 3),
+            "ill_pca": fit_ill_pca(bundled_set, 3),
+            "nnmf": fit_nnmf(unlabelled, 3, max_iter=30),
+            "lda": fit_lda(rows, 3),
+        }
+        images = [relight(img, ill.spd) for img in test for ill in bundled_set]
+        images += [add_noise(img, 20.0, seed) for seed, img in enumerate(images[::5])]
+        return train, projections, images
+
+    @pytest.mark.parametrize(
+        "kind, mode, sha256",
+        [
+            ("rgb", "log", "e21e980dd5afbf98d958926ec7e7feb64058e0fe8402b11908dff0a96b78e5b5"),
+            ("rgb", "dot", "0ef9cd9dd97a8dde76929107917657fc7d0763b33dca9a5b7102c2d9cdc8f1f9"),
+            ("rand", "log", "8670f087602bac6c4f3fed9be283d9512b3d47c092d2c108d3d8150da11108e2"),
+            ("rand", "dot", "2579d921060be6c854caad541d64a0aa47c783553f86387d7a6b031f702a1cb4"),
+            ("pca", "log", "6cef2bd65a72678bbc63e571468ba19e06367349a536cb3ff77d25a6acb807a4"),
+            ("pca", "dot", "99803a5c2b52924ddfec5b0a62943e8fe749f8b48701b9fef80d2e00edc3d650"),
+            ("ill_pca", "log", "eb52e4233d88bcd379de3b55d91c579e6f23d5d5ba32cb841f594fa851099902"),
+            ("ill_pca", "dot", "26d12b855916934c6d6898b15e810de1caa2bd977ff72ccaa6b5e49140cf5c72"),
+            ("nnmf", "log", "9600382afff1c7df3f5899eed0ea358c7d67b60bf6f9f426d1c4fe754aee8b50"),
+            ("nnmf", "dot", "964228161d5cf7df1f7524aa01162fa97f99af2cf461a693f03815094a3fd4af"),
+            ("lda", "log", "c528cb163e8e2834776b7bda8f25ca59878953e6e373b004ea150267d637b2ba"),
+            ("lda", "dot", "27ce3652284a481ee7e7602f84bd5d2b3cad234a0ec988e3c6e2906cf9a4b5d1"),
+        ],
+    )
+    def test_request_scores_pinned(self, problem, bundled_set, kind, mode, sha256):
+        # sha256 of each image's `score` in turn, on numpy's scipy-openblas
+        # build; another BLAS may round the fits apart
+        train, projections, images = problem
+        model = build_model(train, bundled_set, projections[kind], n_bins=16)
+        blob = b"".join(score(model, img, mode=mode).tobytes() for img in images)
+        assert hashlib.sha256(blob).hexdigest() == sha256
 
 
 def cbcm_bytes(n_dims, n_bins, records, lo=None, hi=None, smoothing=0.5, digest=bytes(32)):
