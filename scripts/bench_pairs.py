@@ -14,10 +14,11 @@ pass counts, `failed` and the report sha256 of every run. `gain_resolved`
 holds when the change read lower in at least 9 of every 10 pairs and its
 median sits below the parent's by more than the parent's interquartile
 range. With --memory-passes K it also runs, once per checkout in a fresh
-interpreter on that checkout's sources, one warm pass of --memory-workload
-(grid_hist: `run_grid` + `run_noise`, the default; grid_nnmf: `run_grid`) on
-the seed's inputs, then the tracemalloc peak of each call (and of both), then
-ru_maxrss after each of K passes whose reports are kept, as the benchmark
+interpreter on that checkout's sources, the set-up and one warm pass of
+--memory-workload on the seed's inputs (grid_hist: `run_grid` + `run_noise`,
+the default; grid_nnmf: `run_grid`; classify: the workload's `run_pass`, one
+pass of requests), then the tracemalloc peak of each call (and of both), then
+ru_maxrss after each of K passes whose results are kept, as the benchmark
 keeps its passes.
 """
 
@@ -98,28 +99,30 @@ def memory_probe(checkout: Path, seed: int, kept_passes: int, name: str) -> dict
     with tempfile.TemporaryDirectory() as tmp:
         workload = workloads.make_workload(name, workloads.make_inputs(Path(tmp), seed))
         workload.setup()
-        config = workload.config
-        calls = {"run_grid": evaluation.run_grid}
-        if workload.with_noise:
-            calls["run_noise"] = evaluation.run_noise
+        if name == "classify":
+            calls = {"run_pass": lambda: workload.run_pass(Path(tmp))}
+        else:
+            calls = {"run_grid": lambda: evaluation.run_grid(workload.config)}
+            if workload.with_noise:
+                calls["run_noise"] = lambda: evaluation.run_noise(workload.config)
         for run in calls.values():
-            run(config)
+            run()
         peaks = {}
         tracemalloc.start()
         for call, run in calls.items():
             tracemalloc.reset_peak()
-            run(config)
+            run()
             peaks[call] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         if len(calls) > 1:
             tracemalloc.start()
             for run in calls.values():
-                run(config)
+                run()
             peaks["both"] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         kept, rss = [], []
         for _ in range(kept_passes):
-            kept.append([run(config) for run in calls.values()])
+            kept.append([run() for run in calls.values()])
             rss.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     return {
         "workload": name,
@@ -136,7 +139,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--memory-passes", type=int, default=0)
     parser.add_argument("--memory-workload", default="grid_hist",
-                        choices=("grid_hist", "grid_nnmf"))
+                        choices=("grid_hist", "grid_nnmf", "classify"))
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--memory-probe", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

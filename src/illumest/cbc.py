@@ -4,7 +4,8 @@ For every candidate light source, the projected chromaticities of all usable
 training pixels under its SPD are histogrammed on a shared, calibrated grid.
 Each projection folds each SPD into its basis, so one product of the training
 pixels with the folded bases gives every candidate's features (nnmf's NNLS
-then solves on that product).
+then solves on that product); a test image's radiance takes the same product
+with a unit SPD.
 A test image is classified by correlating its own histogram against each
 candidate's (log-likelihood by default) and taking the best-scoring candidate.
 """
@@ -61,38 +62,35 @@ def pixel_features(
     of the rows kept.
 
     Without `spds`, `rows` are (N, bands) radiance and the mask is (N,).
-    Camera-sensitivity projections integrate the raw radiance first and then
-    L1-normalize the 3-channel response; every other kind L1-normalizes the
-    spectral pixel first and projects the chromaticity.
-
     With `spds`, a (C, bands) table, `rows` are reflectances lit by each SPD
-    in turn: the features come candidate-major and the mask is (C, N). Each
-    SPD s folds into the basis B, so one matmul of the rows with the
+    in turn: the features come candidate-major and the mask is (C, N).
+
+    Each SPD s folds into the basis B, so one matmul of the rows with the
     (C, bands, d' + 1) stack of s * B and s gives every candidate's
     (r . (s * B)) / (r . s), with r . s the L1 sum the black test reads: the
-    B . c of the chromaticity c = (r * s) / (r . s). A linear kind's features
-    are those, minus mean . B for a centered kind; nnmf's are their NNLS
-    solutions, from one `nnls_rows` call. rgb folds s into its three channels
-    and normalizes their responses. No kind builds a relit stack.
+    B . c of the chromaticity c = (r * s) / (r . s). Radiance rows are the
+    unit-SPD case: one matmul with B and a ones column, which gives their L1
+    sums. A linear kind's features are those, minus mean . B for a centered
+    kind; nnmf's are their NNLS solutions, from one `nnls_rows` call. rgb
+    folds s into its three channels and normalizes their responses. No kind
+    builds a relit stack, and none projects chromaticities by `apply_rows`.
 
     Rows whose L1 sum is at or below ZERO_NORM_EPS are skipped.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != projection.input_dim:
         raise ValueError(f"expected (N, {projection.input_dim}) pixels, got {rows.shape}")
-    if spds is None:
-        if projection.kind == KIND_RGB:
-            return chromaticity_rows(rows @ projection.basis.T)
-        chroma, kept = chromaticity_rows(rows)
-        return projection.apply_rows(chroma), kept
-    spds = np.asarray(spds, dtype=np.float64)
-    if spds.ndim != 2 or spds.shape[1] != rows.shape[1]:
-        raise ValueError(f"expected (C, {rows.shape[1]}) SPDs, got {spds.shape}")
     # the basis as (bands, d') columns: the centered kinds, with a mean, store it so
     columns = projection.basis if projection.mean is not None else projection.basis.T
     if projection.kind != KIND_RGB:
         columns = np.hstack([columns, np.ones((len(columns), 1))])
-    product = rows @ (spds[:, :, None] * columns)  # (C, N, width), one product per SPD
+    if spds is None:
+        product = rows @ columns  # (N, width)
+    else:
+        spds = np.asarray(spds, dtype=np.float64)
+        if spds.ndim != 2 or spds.shape[1] != rows.shape[1]:
+            raise ValueError(f"expected (C, {rows.shape[1]}) SPDs, got {spds.shape}")
+        product = rows @ (spds[:, :, None] * columns)  # (C, N, width), one product per SPD
     flat = product.reshape(-1, product.shape[-1])
     if projection.kind == KIND_RGB:
         feats, kept = chromaticity_rows(flat)
@@ -102,7 +100,7 @@ def pixel_features(
             feats -= projection.mean @ projection.basis
         elif projection.kind == KIND_NNMF:
             feats = linalg.nnls_rows(projection.basis, feats)  # the site bench/spans.py wraps
-    return feats, kept.reshape(product.shape[:2])
+    return feats, kept.reshape(product.shape[:-1])
 
 
 def training_pixels(images: Sequence[SpectralImage], candidates: IlluminantSet) -> np.ndarray:

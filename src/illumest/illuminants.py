@@ -96,6 +96,11 @@ def load_illuminants(manifest_path) -> IlluminantSet:
     members = []
     for csv_path, name in entries:
         axis, values = read_spd_csv(csv_path)
+        if members and axis != members[0].spd.axis:
+            raise FormatError(
+                f"{manifest_path}: {csv_path}: grid [{axis}] does not match "
+                f"[{members[0].spd.axis}] of {entries[0][0]}"
+            )
         if values.shape[1] != 1:
             raise FormatError(
                 f"{csv_path}: illuminant files need exactly 1 value column"

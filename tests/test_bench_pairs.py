@@ -1,8 +1,11 @@
 """The pair summary of scripts/bench_pairs.py: the parent's interquartile
-range and when a claimed gain counts as resolved."""
+range and when a claimed gain counts as resolved; and its memory probe."""
 
 import importlib.util
+import json
+import os
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +68,25 @@ def test_one_pair_has_no_spread():
     summary = load_script().summarize(runs_of([0.5], [0.4]))
     assert summary["wall_s"]["parent_iqr"] == 0.0
     assert summary["wall_s"]["gain_resolved"] is True
+
+
+def test_classify_memory_probe_keeps_its_passes(tmp_path):
+    # no pairs: only the probe, once per checkout, both this one
+    root = SCRIPT.parents[1]
+    out = tmp_path / "pairs.json"
+    subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", str(root), "--change", str(root),
+         "--workloads", "", "--seed", "1", "--memory-passes", "2",
+         "--memory-workload", "classify", "--out", str(out)],
+        cwd=root, capture_output=True, timeout=600, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    report = json.loads(out.read_text())
+    assert report["pairs"] == {}
+    for side in ("parent", "change"):
+        probe = report["memory"][side]
+        assert probe["workload"] == "classify"
+        assert list(probe["tracemalloc_peak_mib"]) == ["run_pass"]
+        assert probe["tracemalloc_peak_mib"]["run_pass"] > 0
+        rss = probe["maxrss_mb_after_kept_pass"]
+        assert len(rss) == 2 and 0 < rss[0] <= rss[1]

@@ -1063,6 +1063,17 @@ def training_scenes(axis, seed):
     return images
 
 
+def reference_features(proj, rows):
+    """The relit reference for `pixel_features` of radiance rows, as
+    (features, kept): each non-black row L1-normalized by its own sum and
+    then projected by `Projection.apply_rows`; rgb normalizes the row's
+    camera response instead."""
+    if proj.kind == "rgb":
+        return chromaticity_rows(rows @ proj.basis.T)
+    chroma, kept = chromaticity_rows(rows)
+    return proj.apply_rows(chroma), kept
+
+
 def reference_training_blocks(images, candidates, featurize):
     """Per candidate, `featurize` of each image relit alone, concatenated."""
     return [
@@ -1171,12 +1182,12 @@ class TestRelitTrainingStacks:
         # one folded call on all training pixels, whatever the cap, and no relit call
         assert calls == [(n_pixels, 3)]
         expected = reference_training_blocks(
-            scenes, candidates, lambda rows: pixel_features(proj, rows)
+            scenes, candidates, lambda rows: reference_features(proj, rows)
         )
         assert len({len(b) for b in expected}) > 1
         assert feats.projection is proj and feats.kept.shape == (28, n_pixels)
         kept = reference_training_blocks(
-            scenes, candidates, lambda rows: (pixel_features(proj, rows)[1], None)
+            scenes, candidates, lambda rows: (reference_features(proj, rows)[1], None)
         )
         assert feats.kept.tobytes() == np.stack(kept).tobytes()
         counts = feats.kept.sum(axis=1)
@@ -1289,7 +1300,7 @@ class TestFoldedFeatures:
     def test_folded_features_match_the_relit_stack(self, case):
         proj, rows, spds = case
         feats, kept = pixel_features(proj, rows, spds)
-        per_candidate = [pixel_features(proj, rows * s) for s in spds]
+        per_candidate = [reference_features(proj, rows * s) for s in spds]
         want = np.concatenate([f for f, _ in per_candidate])
         want_kept = np.stack([m for _, m in per_candidate])
         assert kept.shape == (len(spds), len(rows))
@@ -1303,13 +1314,32 @@ class TestFoldedFeatures:
     def test_folded_nnmf_features_match_per_candidate_features(self, case):
         proj, rows, spds = case
         feats, kept = pixel_features(proj, rows, spds)
-        per_candidate = [pixel_features(proj, rows * s) for s in spds]
+        per_candidate = [reference_features(proj, rows * s) for s in spds]
         assert kept.tobytes() == np.stack([m for _, m in per_candidate]).tobytes()
         want = np.concatenate([f for f, _ in per_candidate])
         assert feats.shape == want.shape == (kept.sum(), proj.output_dim)
         z_norm = np.maximum(np.linalg.norm(feats, axis=1), np.linalg.norm(want, axis=1))
         bound = nnmf_fold_bound(proj, z_norm)
         assert np.all(np.abs(feats - want) <= bound[:, None])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(folding_cases(kinds=("rand", "lda", "pca", "ill_pca", "rgb", "nnmf")))
+    def test_radiance_features_match_the_reference(self, case):
+        # radiance rows take the fold as its one unit SPD, and round within
+        # the fold's bounds of the relit reference
+        proj, rows, _ = case
+        feats, kept = pixel_features(proj, rows)
+        want, want_kept = reference_features(proj, rows)
+        assert kept.shape == (len(rows),)
+        assert kept.tobytes() == want_kept.tobytes()
+        assert feats.shape == want.shape == (kept.sum(), proj.output_dim)
+        if proj.kind == "nnmf":
+            z_norm = np.maximum(np.linalg.norm(feats, axis=1), np.linalg.norm(want, axis=1))
+            bound = nnmf_fold_bound(proj, z_norm)[:, None]
+        else:
+            bound = fold_bound(proj)
+        assert np.all(np.abs(feats - want) <= bound)
 
     def test_spd_table_shape_checked(self):
         proj = fit_rand(4, 2, seed=0)
@@ -1366,6 +1396,13 @@ class TestScoreBytes:
         model = build_model(train, bundled_set, projections[kind], n_bins=16)
         blob = b"".join(score(model, img, mode=mode).tobytes() for img in images)
         assert hashlib.sha256(blob).hexdigest() == sha256
+
+    def test_no_kind_features_by_apply_rows(self, problem, bundled_set, monkeypatch):
+        # training pixels and requests take one featurization path, the fold
+        train, projections, images = problem
+        monkeypatch.setattr(Projection, "apply_rows", mock.Mock(side_effect=AssertionError))
+        for proj in projections.values():
+            score(build_model(train, bundled_set, proj, n_bins=16), images[0])
 
 
 def cbcm_bytes(n_dims, n_bins, records, lo=None, hi=None, smoothing=0.5, digest=bytes(32)):

@@ -94,6 +94,21 @@ class TestLoadIlluminants:
         with pytest.raises(FormatError, match="dark.csv: illuminant 'Dark': SPD is all zero"):
             load_illuminants(man)
 
+    @pytest.mark.parametrize(
+        "other", [SpectralAxis(400, 100, 3), SpectralAxis(410, 100, 4)], ids=["bands", "start"]
+    )
+    def test_mixed_grids_name_the_manifest_and_both_files(self, tmp_path, other):
+        axis = SpectralAxis(400, 100, 4)
+        write_spd_csv(tmp_path / "one.csv", axis, np.ones(4))
+        write_spd_csv(tmp_path / "two.csv", other, np.ones(other.count))
+        man = tmp_path / "manifest.txt"
+        write_illuminant_manifest(man, [("one.csv", "One"), ("two.csv", "Two")])
+        with pytest.raises(FormatError) as exc:
+            load_illuminants(man)
+        message = str(exc.value)
+        assert message.startswith(f"{man}: {tmp_path / 'two.csv'}: grid [{other}]")
+        assert message.endswith(f"does not match [{axis}] of {tmp_path / 'one.csv'}")
+
     def test_negative_value_located(self, tmp_path):
         p = tmp_path / "neg.csv"
         p.write_text("wavelength_nm,value\n400,1.0\n410,-0.25\n")
