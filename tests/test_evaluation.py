@@ -1302,6 +1302,27 @@ class TestReportBytes:
             "fa7b7194c9a945ac21a20e348b6c2cb1efce851dc5cb6982c0239756f495d213",
         ]
 
+    def test_demo_report_bytes_pinned(self, demo_data, tmp_path):
+        # sha256 of both CSVs of a demo grid (rand with two seeds, so `avg`
+        # rows, plus sgw and ill_pca) and of its noise report, in that order
+        cfg = demo_config(
+            demo_data, methods=("rand", "sgw", "ill_pca"), rand_seeds=(42, 43),
+            d_primes=(1, 2), bins=(5, 10), noise_method="rand", noise_levels=(20.0, 10.0),
+            noise_d_prime=2, noise_bins=5,
+        )
+        digests = []
+        for report in (run_grid(cfg), run_noise(cfg)):
+            for write in (report.write_csv, report.write_raw_csv):
+                path = tmp_path / "out.csv"
+                write(path)
+                digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests == [
+            "1d6fb8ac009628dbafc7e848f98ccf76cfb42e08e62aa87f24f730109d880c12",
+            "227fd52b51435197b8d0da450bd2c5643fecca665f5392b32c05850cc751cc53",
+            "7e5b6c46d71d0663e9af5dac63d40d2a01ddffe627452f8701ed1db1b238649b",
+            "728970a4d1bfc4b341446664c30869bc32a4ff78462814fa3fce60eca5a146ab",
+        ]
+
     def test_nnmf_report_bytes_pinned_at_larger_d_primes(self, tmp_path, bundled_cameras):
         # at d' 3-5 `nnls_rows` enumerates 7 to 31 supports, against at most
         # 3 in the grid above
