@@ -12,8 +12,10 @@ conversion to unit coordinates (`unit_coordinates`, or `unit_features` in
 older checkouts) as the `unit` stage, and the binning fold, which is
 `cbc.feature_cells` plus, where the checkout has it, the time spent inside the
 `prefix_cells` generators the sweep steps (its calls count the prefixes they
-yield). Prints one JSON object: per checkout and stage, each pass's
-milliseconds and calls.
+yield), and the report rows' summaries as the `summaries` stage: the one
+`summarize_rows` call per report, or in older checkouts the per-row
+`summarize` calls. Prints one JSON object: per checkout and stage, each
+pass's milliseconds and calls.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ def probe(checkout: Path, seed: int, passes: int) -> dict:
     timed(cbc, "feature_cells", "feature_cells")
     if hasattr(evaluation, "prefix_cells"):
         timed_generator(evaluation, "prefix_cells", "prefix_cells")
+    summary = "summarize_rows" if hasattr(evaluation, "summarize_rows") else "summarize"
+    timed(evaluation, summary, "summaries")
     with tempfile.TemporaryDirectory() as tmp:
         workload = workloads.make_workload("grid_hist", workloads.make_inputs(Path(tmp), seed))
         workload.setup()

@@ -17,6 +17,7 @@ from .evaluation import (
     GridConfig,
     angular_error_deg,
     check_fittable,
+    downsample_cube,
     fit_projection,
     parse_config,
     projection_set,
@@ -41,7 +42,7 @@ from .projections import (
     read_projection,
     write_projection,
 )
-from .spectral import SpectralAxis, downsample
+from .spectral import SpectralAxis
 from .synth import synth_dataset
 
 
@@ -112,7 +113,7 @@ def _cmd_fit(args) -> int:
         default = GridConfig.downsample_lda if labelled else GridConfig.downsample_fit
         factor = default if args.downsample is None else args.downsample
         train_paths, _ = read_dataset_manifest(args.dataset)
-        images = [downsample(read_scube(p), factor) for p in train_paths]
+        images = [downsample_cube(p, read_scube(p), factor, "--downsample") for p in train_paths]
         return training_chromaticities(images, proj_set, labelled=labelled)
 
     proj = fit_projection(
@@ -132,11 +133,9 @@ def _cmd_build_model(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--bins {args.bins} at d' = {proj.output_dim}: {exc}") from None
     full = load_illuminants(_illuminants(args))
-    train_paths, _ = read_dataset_manifest(args.dataset)
-    images = [downsample(read_scube(p), args.downsample) for p in train_paths]
-    model = build_model(
-        images, full, proj, args.bins, smoothing=args.smoothing
-    )
+    paths, _ = read_dataset_manifest(args.dataset)
+    images = [downsample_cube(p, read_scube(p), args.downsample, "--downsample") for p in paths]
+    model = build_model(images, full, proj, args.bins, smoothing=args.smoothing)
     write_model(args.out, model)
     print(
         f"wrote model ({model.n_dims}-D, {model.n_bins} bins, "
@@ -154,7 +153,7 @@ def _cmd_classify(args) -> int:
         missing = sorted(set(model.candidate_names) - spds.keys())
         if missing:
             raise ValueError(f"model candidates not in the illuminant set: {', '.join(missing)}")
-    image = downsample(read_scube(args.cube), args.downsample)
+    image = downsample_cube(args.cube, read_scube(args.cube), args.downsample, "--downsample")
     name, scores = classify(model, image, mode=args.mode)
     print(f"predicted: {name}")
     for cand, s in zip(model.candidate_names, scores):

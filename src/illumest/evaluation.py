@@ -9,7 +9,7 @@ configuration reproduces the report files byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from functools import cached_property, partial
 from itertools import combinations
 from pathlib import Path
@@ -115,25 +115,26 @@ class ErrorSummary:
 
 
 def summarize(errors: np.ndarray) -> ErrorSummary:
-    """Mean, median, Tukey trimean, and best/worst-25% means.
+    """The `summarize_rows` summary of a non-empty 1-D error array."""
+    errs = np.asarray(errors, dtype=np.float64)
+    if errs.ndim != 1 or errs.size == 0:
+        raise ValueError("need a non-empty 1-D error array")
+    return summarize_rows(errs[None])[0]
+
+
+def summarize_rows(errors: np.ndarray) -> list[ErrorSummary]:
+    """Mean, median, Tukey trimean, and best/worst-25% means of each row of
+    a (rows, n) error matrix, n >= 1, each one reduction along the rows.
 
     The trimean is (Q1 + 2*Q2 + Q3) / 4 with linearly interpolated
     quartiles. Best/worst-25% average the ceil(n/4) smallest/largest values.
     """
-    errs = np.asarray(errors, dtype=np.float64)
-    if errs.ndim != 1 or errs.size == 0:
-        raise ValueError("need a non-empty 1-D error array")
-    q1, q2, q3 = np.quantile(errs, [0.25, 0.5, 0.75])
-    m = math.ceil(errs.size / 4)
-    ordered = np.sort(errs)
-    return ErrorSummary(
-        mean=float(errs.mean()),
-        median=float(np.median(errs)),
-        trimean=float((q1 + 2 * q2 + q3) / 4),
-        best25=float(ordered[:m].mean()),
-        worst25=float(ordered[-m:].mean()),
-        n=int(errs.size),
-    )
+    n, m = errors.shape[-1], math.ceil(errors.shape[-1] / 4)
+    q1, q2, q3 = np.quantile(errors, [0.25, 0.5, 0.75], axis=-1)
+    ordered = np.sort(errors, axis=-1)
+    stats = (errors.mean(axis=-1), np.median(errors, axis=-1), (q1 + 2 * q2 + q3) / 4,
+             ordered[:, :m].mean(axis=-1), ordered[:, -m:].mean(axis=-1))
+    return [ErrorSummary(*row, n) for row in np.column_stack(stats).tolist()]
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,14 +156,18 @@ class CaseTable:
     candidates: tuple[str, ...]
     errors: np.ndarray
 
-    def row(self, predicted: np.ndarray, *key) -> "ReportRow":
-        """The row at `key` of `predicted`, summarizing its errors scene-major."""
-        errors = self.errors[predicted, np.arange(len(self.candidates))]
-        return ReportRow(*key, summarize(errors.ravel()), predicted, self)
+    def report_rows(self, predictions) -> list["ReportRow"]:
+        """The row of each (key, predicted) pair of `predictions`: every row's
+        errors, scene-major, gathered at once and summarized in one pass."""
+        keys, predicted = zip(*predictions)
+        errors = self.errors[np.stack(predicted), np.arange(len(self.candidates))]
+        summaries = summarize_rows(errors.reshape(len(keys), -1))
+        return [ReportRow(*key, s, p, self) for key, s, p in zip(keys, summaries, predicted)]
 
     @cached_property
     def error_rows(self) -> list[list[float]]:
-        """`errors` as lists of floats, made once so that every case shares them."""
+        """`errors` as floats made once, which every row's `CaseResult`s share:
+        one float per (predicted, true) pair, not one per case."""
         return self.errors.tolist()
 
     @cached_property
@@ -235,11 +240,8 @@ class EvalReport:
     def write_csv(self, path) -> None:
         lines = [_REPORT_HEADER]
         for r in self.sorted_rows():
-            s = r.summary
-            stats = (s.mean, s.median, s.trimean, s.best25, s.worst25)
-            lines.append(
-                ",".join(r.key_columns() + [format_float(v) for v in stats] + [str(s.n)])
-            )
+            *stats, n = astuple(r.summary)
+            lines.append(",".join(r.key_columns() + [format_float(v) for v in stats] + [str(n)]))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def write_raw_csv(self, path) -> None:
@@ -452,6 +454,15 @@ def training_chromaticities(
     return TrainingMatrix(rows)
 
 
+def downsample_cube(path, image: SpectralImage, factor: int, option: str) -> SpectralImage:
+    """`downsample` of the cube read from `path`; a factor that does not
+    divide it fails naming `option` and the file."""
+    try:
+        return downsample(image, factor)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {option} {exc}") from None
+
+
 def projection_set(
     full: IlluminantSet, names_file, k: int, seed: int, k_option: str = "projection_set_k"
 ) -> IlluminantSet:
@@ -552,10 +563,8 @@ class _Runner:
         for p in dict.fromkeys(self.train_paths + self.test_paths):
             img = read_scube(p)
             if img.axis != self.full.axis:
-                raise ValueError(
-                    f"{p}: scene grid [{img.axis}] does not match illuminants"
-                )
-            scenes[p] = downsample(img, factor)
+                raise ValueError(f"{p}: scene grid [{img.axis}] does not match illuminants")
+            scenes[p] = downsample_cube(p, img, factor, "downsample_eval")
         for p in self.test_paths:
             if not scenes[p].mask.any():
                 raise ValueError(f"{p}: test scene has no valid pixel at downsample_eval {factor}")
@@ -668,7 +677,7 @@ class _Runner:
             factor = getattr(cfg, key) if method in (KIND_PCA, KIND_NNMF, KIND_LDA) else 1
             if any(n % factor for n in sides):
                 raise ValueError(f"{key} {factor} does not divide every training scene side")
-        rows = []
+        predictions = []
         for method in methods:
             if method == METHOD_SGW:
                 spds = [ill.normalized_spd() for ill in self.full]
@@ -677,29 +686,29 @@ class _Runner:
                      for spd in spds]
                     for img in self.test_eval
                 ])
-                rows.append(self.table.row(predicted, method, None, None, NO_VARIANT, NO_VARIANT))
+                predictions.append(((method, None, None, NO_VARIANT, NO_VARIANT), predicted))
                 continue
             nested = [tuple(d_primes)] if method in NESTED_KINDS else [(d,) for d in d_primes]
             for served in [(3,)] if method == KIND_RGB else nested:
                 for variant, proj in self._projections(method, max(served)):
-                    rows += self._projection_rows(proj, served, bins, levels, method, variant)
-        rows.extend(_average_rows(rows))
-        return EvalReport(rows)
+                    predictions += self._predictions(proj, served, bins, levels, method, variant)
+        rows = self.table.report_rows(predictions)
+        return EvalReport(rows + _average_rows(rows))
 
-    def _projection_rows(self, proj, d_primes, bins, levels, method, variant) -> list[ReportRow]:
-        """The rows of one fitted projection at every B, d' of `d_primes` and
-        noise level, each from one `classify` call over every test scene's
-        cases. Its training features fix the bounds once, and they and each
-        level's `test_features` become unit coordinates on them once, in
-        place. Each B folds each once (`prefix_cells`); prefix k serves d' = k
-        under `leading_projection`. The training features go after their last
-        fold, the test features when this returns; each model before the next."""
+    def _predictions(self, proj, d_primes, bins, levels, method, variant) -> list[tuple]:
+        """The (row key, predicted) pairs of one fitted projection at every B, d' of
+        `d_primes` and noise level, each from one `classify` call over every test
+        scene's cases. Its training features fix the bounds once, and they and each
+        level's `test_features` become unit coordinates on them once, in place. Each
+        B folds each once (`prefix_cells`); prefix k serves d' = k under
+        `leading_projection`. The training features go after their last fold, the
+        test features when this returns; each model before the next."""
         features = training_features(self.train_eval, self.full, proj)
         lo, hi = calibrate_bounds(features.feats, proj.output_dim)
         tests = self.test_features(proj, [noise_db for _, noise_db in levels])
         for held in (features, *tests):
             unit_coordinates(held.feats, lo, hi)
-        rows, smoothing, mode = [], self.config.smoothing, self.config.score_mode
+        predictions, smoothing, mode = [], self.config.smoothing, self.config.score_mode
         for n_bins in bins:
             trains = prefix_cells(features.feats, n_bins, d_primes)
             folds = [prefix_cells(scenes.feats, n_bins, d_primes) for scenes in tests]
@@ -718,9 +727,9 @@ class _Runner:
                     if k == proj.output_dim:
                         fold.close()
                     predicted = np.argmax(scores, axis=-1)  # classify's tie rule
-                    rows.append(self.table.row(predicted, method, k, n_bins, variant, label))
+                    predictions.append(((method, k, n_bins, variant, label), predicted))
                 del model, scores  # before the next build
-        return rows
+        return predictions
 
     def grid(self) -> EvalReport:
         cfg = self.config
@@ -738,25 +747,16 @@ def _noise_label(level: float) -> str:
 
 
 def _average_rows(rows: Sequence[ReportRow]) -> list[ReportRow]:
-    """Per-(method, d', B, noise) mean of aggregates when variants exist."""
+    """Per-(method, d', B, noise) mean of each statistic when variants exist."""
     groups: dict = {}
     for r in rows:
-        if r.variant == AVG_VARIANT:
-            continue
-        groups.setdefault((r.method, r.d_prime, r.n_bins, r.noise_label), []).append(r)
+        groups.setdefault((r.method, r.d_prime, r.n_bins, r.noise_label), []).append(r.summary)
     out = []
     for (method, d_prime, n_bins, noise_label), members in groups.items():
-        if len(members) < 2:
-            continue
-        s = ErrorSummary(
-            mean=float(np.mean([m.summary.mean for m in members])),
-            median=float(np.mean([m.summary.median for m in members])),
-            trimean=float(np.mean([m.summary.trimean for m in members])),
-            best25=float(np.mean([m.summary.best25 for m in members])),
-            worst25=float(np.mean([m.summary.worst25 for m in members])),
-            n=int(sum(m.summary.n for m in members)),
-        )
-        out.append(ReportRow(method, d_prime, n_bins, AVG_VARIANT, noise_label, s))
+        if len(members) > 1:
+            stats = np.mean([astuple(m)[:5] for m in members], axis=0).tolist()
+            s = ErrorSummary(*stats, sum(m.n for m in members))
+            out.append(ReportRow(method, d_prime, n_bins, AVG_VARIANT, noise_label, s))
     return out
 
 

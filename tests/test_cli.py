@@ -370,6 +370,41 @@ class TestSettingsRejectedBeforeAnyRead:
         assert reads.count("read_scube") == 4  # the counter sees a valid build's scenes
 
 
+class TestDownsampleThatDoesNotDivideNamesOptionAndCube:
+    """A --downsample that does not divide a cube fails naming the option
+    and the cube, before any output."""
+
+    def test_fit(self, demo_data, tmp_path, capsys):
+        out = tmp_path / "p.proj"
+        argv = ["fit", "--method", "pca", "--dataset", str(demo_data[0]), "--out", str(out)]
+        assert main(argv + ["--downsample", "3"]) == 1
+        first = read_dataset_manifest(demo_data[0])[0][0]
+        assert capsys.readouterr().err == (
+            f"error: {first}: --downsample factor 3 does not divide image size 32x32\n"
+        )
+        assert not out.exists()
+
+    def test_build_model(self, fitted, tmp_path, capsys):
+        proj_path, _, dataset = fitted
+        out = tmp_path / "m.cbcm"
+        argv = ["build-model", "--projection", str(proj_path), "--dataset", str(dataset)]
+        assert main(argv + ["--bins", "8", "--downsample", "3", "--out", str(out)]) == 1
+        first = read_dataset_manifest(dataset)[0][0]
+        assert capsys.readouterr().err == (
+            f"error: {first}: --downsample factor 3 does not divide image size 8x8\n"
+        )
+        assert not out.exists()
+
+    def test_classify(self, fitted, capsys):
+        proj_path, model_path, dataset = fitted
+        cube = read_dataset_manifest(dataset)[1][0]
+        argv = ["classify", "--model", str(model_path), "--projection", str(proj_path)]
+        assert main(argv + ["--cube", str(cube), "--downsample", "3"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {cube}: --downsample factor 3 does not divide image size 8x8\n"
+        )
+
+
 class TestBoundsFromTheIlluminantsNameTheirOption:
     """A setting past a bound that only the illuminant set fixes fails with
     a one-line diagnostic that names its option, before any output."""

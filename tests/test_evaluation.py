@@ -1,11 +1,14 @@
 """Metrics, report formatting, configuration, and the evaluation runners."""
 
 import hashlib
+import math
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illumest import cbc, evaluation, linalg, synth_dataset
 from illumest.bundled import bundled_illuminant_manifest
@@ -22,7 +25,9 @@ from illumest.evaluation import (
     run_grid,
     run_noise,
     summarize,
+    summarize_rows,
     _Runner,
+    _average_rows,
     training_chromaticities,
 )
 from illumest.illuminants import Illuminant, IlluminantSet
@@ -91,7 +96,71 @@ class TestAngularError:
             angular_error_deg(np.ones(3), np.ones(4))
 
 
+def oracle_summary(errors) -> ErrorSummary:
+    """One row's summary, each statistic on the 1-D array alone: the oracle
+    for `summarize_rows`."""
+    errs = np.asarray(errors, dtype=np.float64)
+    q1, q2, q3 = np.quantile(errs, [0.25, 0.5, 0.75])
+    m = math.ceil(errs.size / 4)
+    ordered = np.sort(errs)
+    return ErrorSummary(
+        mean=float(errs.mean()),
+        median=float(np.median(errs)),
+        trimean=float((q1 + 2 * q2 + q3) / 4),
+        best25=float(ordered[:m].mean()),
+        worst25=float(ordered[-m:].mean()),
+        n=int(errs.size),
+    )
+
+
+def summary_bytes(summary: ErrorSummary) -> bytes:
+    """The five statistics' float bytes and n, to compare bit for bit."""
+    return np.array(astuple(summary)[:5]).tobytes() + str(summary.n).encode()
+
+
+@st.composite
+def error_matrices(draw):
+    """(rows, n) angular errors, n from 1 to 40, drawn partly from a few
+    shared values so that rows repeat them."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    angle = st.floats(0.0, 180.0, allow_nan=False)
+    shared = draw(st.lists(angle, min_size=1, max_size=4))
+    values = st.one_of(st.sampled_from(shared), angle)
+    return np.array(draw(st.lists(values, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+
+
 class TestSummarize:
+    @settings(max_examples=300, deadline=None)
+    @given(error_matrices())
+    def test_rows_match_the_one_row_oracle_bit_for_bit(self, errors):
+        summaries = summarize_rows(errors)
+        assert len(summaries) == len(errors)
+        for summary, row in zip(summaries, errors):
+            assert summary_bytes(summary) == summary_bytes(oracle_summary(row))
+            assert summary_bytes(summarize(row)) == summary_bytes(summary)
+
+    @pytest.mark.parametrize("members", [2, 3])
+    def test_average_rows_match_the_per_field_mean_bit_for_bit(self, members):
+        rng = np.random.default_rng(members)
+        rows = []
+        for g in range(50):  # 50 groups of `members` variants, plus a lone row
+            for v in range(members):
+                stats = rng.random(5) * rng.choice([1e-3, 1.0, 180.0])
+                rows.append(ReportRow("rand", g, 5, str(v), "-", ErrorSummary(*stats, 224)))
+        rows.append(ReportRow("ill_pca", 2, 5, "-", "-", ErrorSummary(*rng.random(5), 224)))
+        averaged = _average_rows(rows)
+        assert [(r.method, r.d_prime, r.variant) for r in averaged] == [
+            ("rand", g, "avg") for g in range(50)
+        ]
+        for r in averaged:
+            group = [m.summary for m in rows if m.d_prime == r.d_prime and m.method == "rand"]
+            expected = ErrorSummary(
+                *(float(np.mean([getattr(m, f) for m in group]))
+                  for f in ("mean", "median", "trimean", "best25", "worst25")),
+                n=members * 224,
+            )
+            assert summary_bytes(r.summary) == summary_bytes(expected)
+
     def test_four_values(self):
         s = summarize(np.array([1.0, 2.0, 3.0, 4.0]))
         assert s.mean == pytest.approx(2.5)
@@ -141,14 +210,18 @@ class TestReport:
 
     def test_row_summary_gathers_the_error_table(self):
         table = CaseTable(("s0", "s1"), ("A", "B"), np.array([[0.0, 7.5], [3.25, 0.0]]))
-        predicted = np.array([[1, 0], [0, 0]])
-        row = table.row(predicted, "pca", 3, 30, "-", "-")
+        predicted, exact = np.array([[1, 0], [0, 0]]), np.array([[0, 1], [0, 1]])
+        row, other = table.report_rows(
+            [(("pca", 3, 30, "-", "-"), predicted), (("pca", 3, 30, "-", "20"), exact)]
+        )
         assert (row.method, row.d_prime, row.n_bins, row.variant, row.noise_label) == (
             "pca", 3, 30, "-", "-"
         )
         assert row.predicted is predicted and row.table is table
+        assert other.noise_label == "20" and other.predicted is exact and other.table is table
         # scene-major: s0 (A -> B, B -> A), then s1 (A -> A, B -> A)
         assert row.summary == summarize(np.array([3.25, 7.5, 0.0, 7.5]))
+        assert other.summary == summarize(np.zeros(4))
 
     def test_csv_golden_lines(self, tmp_path):
         report = EvalReport([self.row()])
@@ -616,6 +689,29 @@ class TestRunners:
         assert made == []
         row = reports[0].sorted_rows()[0]
         assert len(row.cases) == len(made) == row.summary.n
+
+    def test_cases_share_one_error_float_per_pair(self, demo_data):
+        # every row's cases read `CaseTable.error_rows`, so a report holds one
+        # float per (predicted, true) pair, not one per case
+        cfg = demo_config(
+            demo_data, methods=("rand", "sgw", "ill_pca"), rand_seeds=(42, 43), d_primes=(1, 2)
+        )
+        case_rows = [r.cases for r in run_grid(cfg).rows if r.cases is not None]
+        assert len(case_rows) == 2 * 2 + 1 + 2
+        shared = {}
+        for cases in case_rows:
+            for c in cases:
+                assert shared.setdefault((c.predicted, c.true_name), c.error_deg) is c.error_deg
+        assert len(shared) > 28  # wrong answers too, not just the diagonal
+
+    @pytest.mark.parametrize("run", [run_grid, run_noise])
+    def test_eval_downsample_that_does_not_divide_names_option_and_scene(self, demo_data, run):
+        first = read_dataset_manifest(demo_data[0])[0][0]
+        with pytest.raises(ValueError) as info:
+            run(demo_config(demo_data, downsample_eval=3))
+        assert str(info.value) == (
+            f"{first}: downsample_eval factor 3 does not divide image size 32x32"
+        )
 
     def test_noise_rows_labeled_and_ordered(self, demo_data):
         cfg = demo_config(

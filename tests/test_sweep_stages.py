@@ -9,7 +9,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STAGES = ("fits", "training_features", "test_features", "unit", "feature_cells", "prefix_cells")
+STAGES = (
+    "fits", "training_features", "test_features", "unit", "feature_cells", "prefix_cells",
+    "summaries",
+)
 
 
 def test_every_stage_reports_calls():
