@@ -75,11 +75,20 @@ def pixel_features(
     folds s into its three channels and normalizes their responses. No kind
     builds a relit stack, and none projects chromaticities by `apply_rows`.
 
-    Rows whose L1 sum is at or below ZERO_NORM_EPS are skipped.
+    What a call holds: the rows, the product and the kept rows' features
+    until the black test has read the product's sums; then the product goes,
+    and nnmf's NNLS writes its solutions over the features (`out=feats`), a
+    block of at most `linalg.BATCH_ROWS` rows copied at a time. So a folded
+    call peaks at about one product plus one feature matrix.
+
+    Rows whose L1 sum is at or below ZERO_NORM_EPS are skipped. Non-finite
+    rows or SPDs raise ValueError.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != projection.input_dim:
         raise ValueError(f"expected (N, {projection.input_dim}) pixels, got {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError("radiance must be finite")
     # the basis as (bands, d') columns: the centered kinds, with a mean, store it so
     columns = projection.basis if projection.mean is not None else projection.basis.T
     if projection.kind != KIND_RGB:
@@ -90,17 +99,20 @@ def pixel_features(
         spds = np.asarray(spds, dtype=np.float64)
         if spds.ndim != 2 or spds.shape[1] != rows.shape[1]:
             raise ValueError(f"expected (C, {rows.shape[1]}) SPDs, got {spds.shape}")
+        if not np.isfinite(spds).all():
+            raise ValueError("SPDs must be finite")
         product = rows @ (spds[:, :, None] * columns)  # (C, N, width), one product per SPD
-    flat = product.reshape(-1, product.shape[-1])
+    shape, product = product.shape[:-1], product.reshape(-1, product.shape[-1])
     if projection.kind == KIND_RGB:
-        feats, kept = chromaticity_rows(flat)
+        feats, kept = chromaticity_rows(product)
     else:
-        feats, kept = chromaticity_rows(flat[:, :-1], flat[:, -1])
-        if projection.mean is not None:
-            feats -= projection.mean @ projection.basis
-        elif projection.kind == KIND_NNMF:
-            feats = linalg.nnls_rows(projection.basis, feats)  # the site bench/spans.py wraps
-    return feats, kept.reshape(product.shape[:-1])
+        feats, kept = chromaticity_rows(product[:, :-1], product[:, -1])
+    del product  # the black test has read it: only the features are held from here
+    if projection.mean is not None:
+        feats -= projection.mean @ projection.basis
+    elif projection.kind == KIND_NNMF:
+        linalg.nnls_rows(projection.basis, feats, out=feats)  # the site bench/spans.py wraps
+    return feats, kept.reshape(shape)
 
 
 def training_pixels(images: Sequence[SpectralImage], candidates: IlluminantSet) -> np.ndarray:
@@ -428,13 +440,11 @@ def feature_cells(
 
 def block_features(projection: Projection, pixels: SpectralImage | np.ndarray) -> BlockFeatures:
     """One `pixel_features` call over an image's valid pixels or over radiance
-    rows of shape (..., N, bands). Non-finite radiance raises ValueError."""
+    rows of shape (..., N, bands). Non-finite radiance raises ValueError
+    there."""
     if isinstance(pixels, SpectralImage):
-        pixels = pixels.valid_pixels()  # finite by construction
-    else:
-        pixels = np.asarray(pixels, dtype=np.float64)
-        if not np.isfinite(pixels).all():
-            raise ValueError("radiance must be finite")
+        pixels = pixels.valid_pixels()
+    pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.ndim < 2:
         raise ValueError(f"expected (..., N, bands) pixels, got {pixels.shape}")
     feats, kept = pixel_features(projection, pixels.reshape(-1, pixels.shape[-1]))

@@ -440,15 +440,20 @@ def training_chromaticities(
     index as the class label, which is what the supervised fit needs.
     """
     pixels = training_pixels(images, candidates)
-    parts = [chromaticity_rows(pixels * spd)[0] for spd in candidates.spd_matrix()]
-    counts = np.array([len(part) for part in parts])
-    if not counts.any():
+    spds = candidates.spd_matrix()
+    # one matrix, filled as each candidate's rows arrive; black rows leave its tail unused
+    rows, filled, counts = np.empty((len(spds) * len(pixels), pixels.shape[1])), 0, []
+    for spd in spds:
+        part = chromaticity_rows(pixels * spd)[0]
+        rows[filled : filled + len(part)] = part
+        filled += len(part)
+        counts.append(len(part))
+    if not filled:
         raise ValueError("training scenes contain no usable pixels")
-    rows = np.concatenate(parts)
-    del parts
+    rows = rows[:filled]
     rows /= rows.sum(axis=1, keepdims=True)  # force exact unit row sums
     if labelled:
-        if not counts.all():
+        if not all(counts):
             raise ValueError("every candidate needs at least one training pixel")
         return TrainingMatrix(rows, labels=np.repeat(np.arange(len(counts)), counts))
     return TrainingMatrix(rows)
@@ -631,29 +636,37 @@ class _Runner:
         SPDs come clean from one folded `pixel_features` call. A noisy case,
         the pixels relit by one SPD, draws its noise once from its own
         (scene, candidate) seed and is featurized by one call per noisy
-        level, so one case's draw is held at a time."""
+        level, so one case's draw is held at a time. Each level's features
+        fill one matrix as they arrive, sized for every row kept; rows found
+        black leave its tail unused."""
         featurize = partial(cbc.pixel_features, projection)  # the module global, traced
         master, scenes = self.config.noise_master_seed, self.test_eval
-        shape = (len(scenes), len(self.full), max(int(img.mask.sum()) for img in scenes))
-        levels = [(noise_db, [], np.zeros(shape, dtype=bool)) for noise_db in noise_dbs]
-        noisy = [level for level in levels if level[0] is not None]
+        counts = [int(img.mask.sum()) for img in scenes]
+        shape = (len(scenes), len(self.full), max(counts))
+        capacity = (len(self.full) * sum(counts), projection.output_dim)
+        levels = [(db, np.empty(capacity), np.zeros(shape, dtype=bool)) for db in noise_dbs]
+        ends = [0] * len(levels)  # the rows each level's matrix holds so far
+        noisy = [n for n, (noise_db, *_) in enumerate(levels) if noise_db is not None]
+
+        def fill(n, part):  # one call's features go straight into level n's matrix
+            levels[n][1][ends[n] : ends[n] + len(part)] = part
+            ends[n] += len(part)
+
         for i, img in enumerate(scenes):
             px = img.valid_pixels()
-            for noise_db, feats, kept in levels:
+            for n, (noise_db, _, kept) in enumerate(levels):
                 if noise_db is None:
                     part, kept[i, :, : len(px)] = featurize(px, self._spd_rows)
-                    feats.append(part)
+                    fill(n, part)
             for j, spd in enumerate(self._spd_rows if noisy else ()):
                 radiance = px * spd
                 draw = noise_draw(img.mask, px.shape[1], mix_seed(master, i, j))
-                for noise_db, feats, kept in noisy:
+                for n in noisy:
+                    noise_db, _, kept = levels[n]
                     part, kept[i, j, : len(px)] = featurize(noisy_rows(radiance, draw, noise_db))
-                    feats.append(part)
-        out = []
-        for _, feats, kept in levels:
-            out.append(BlockFeatures(projection, np.concatenate(feats), kept))
-            feats.clear()  # each level's parts go once it is stacked
-        return out
+                    fill(n, part)
+        return [BlockFeatures(projection, feats[:end], kept)
+                for (_, feats, kept), end in zip(levels, ends)]
 
     # -- entry points -------------------------------------------------------
 
@@ -662,7 +675,9 @@ class _Runner:
         variant averages. `levels` holds (noise label, dB or None) pairs.
         Each method's settings are checked before the first fit, and all but
         the downsampling factors before any scene is read. Each variant of a
-        nested kind is fitted once, at the largest d', and serves every d'."""
+        nested kind is fitted once, at the largest d', and serves every d'.
+        Every projection is fitted before the first features are made, and the
+        cached fit matrices go then, so no feature pass holds them."""
         cfg = self.config
         for method in methods:
             cameras = self.cameras.values() if method == KIND_RGB else ()
@@ -677,8 +692,18 @@ class _Runner:
             factor = getattr(cfg, key) if method in (KIND_PCA, KIND_NNMF, KIND_LDA) else 1
             if any(n % factor for n in sides):
                 raise ValueError(f"{key} {factor} does not divide every training scene side")
-        predictions = []
+        fits = []  # per method, its (served d', variant, projection) triples
         for method in methods:
+            nested = [tuple(d_primes)] if method in NESTED_KINDS else [(d,) for d in d_primes]
+            fits.append([] if method == METHOD_SGW else [
+                (served, variant, proj)
+                for served in ([(3,)] if method == KIND_RGB else nested)
+                for variant, proj in self._projections(method, max(served))
+            ])
+        for name in ("fit_matrix", "lda_matrix"):  # only the fits read them
+            vars(self).pop(name, None)
+        predictions = []
+        for method, fitted in zip(methods, fits):
             if method == METHOD_SGW:
                 spds = [ill.normalized_spd() for ill in self.full]
                 predicted = np.array([
@@ -687,11 +712,8 @@ class _Runner:
                     for img in self.test_eval
                 ])
                 predictions.append(((method, None, None, NO_VARIANT, NO_VARIANT), predicted))
-                continue
-            nested = [tuple(d_primes)] if method in NESTED_KINDS else [(d,) for d in d_primes]
-            for served in [(3,)] if method == KIND_RGB else nested:
-                for variant, proj in self._projections(method, max(served)):
-                    predictions += self._predictions(proj, served, bins, levels, method, variant)
+            for served, variant, proj in fitted:
+                predictions += self._predictions(proj, served, bins, levels, method, variant)
         rows = self.table.report_rows(predictions)
         return EvalReport(rows + _average_rows(rows))
 

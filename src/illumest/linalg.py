@@ -98,6 +98,8 @@ def nnls(gram: np.ndarray, atb: np.ndarray, max_iter: Optional[int] = None) -> n
     atb = np.asarray(atb, dtype=np.float64)
     if atb.ndim != 1 or g.shape != (len(atb), len(atb)):
         raise ValueError(f"incompatible shapes {g.shape} and {atb.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("Gram must be finite")
     if not np.all(np.isfinite(atb)):
         raise ValueError("right-hand side must be finite")
     k = len(atb)
@@ -216,31 +218,49 @@ def _enumerate_supports(
     return best
 
 
-def nnls_rows(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def nnls_rows(basis: np.ndarray, rhs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-wise NNLS from right-hand sides: row i is nnls(V V^T, rhs[i]) for
     the (k, d) `basis` V and the (n, k) `rhs` = targets @ V^T.
 
-    Consecutive blocks of at most BATCH_ROWS rows are solved each on its own.
-    In a block, any row whose unconstrained normal-equations solution is
-    non-negative takes it; that LAPACK solve rounds a row by its block. With
-    at most NNLS_ENUM_MAX_K basis vectors the other rows are solved exactly
-    from fixed-order products with the sub-Gram inverses of every regular
-    support, made once a call (`_support_layers`, `_enumerate_supports`), so
-    an enumerated row depends only on itself. It must then pass the KKT
-    certificate, with tol = KKT_TOL * max(1, |rhs row|_inf): |gradient| <= tol
-    on the support and gradient <= tol off it. Rows that fail it, and every
-    remaining row when the basis exceeds the cap, go to the scalar `nnls`.
+    Consecutive blocks of at most BATCH_ROWS rows are solved each on its own,
+    from a copy of the block's rows. In a block, any row whose unconstrained
+    normal-equations solution is non-negative takes it; that LAPACK solve
+    rounds a row by its block. With at most NNLS_ENUM_MAX_K basis vectors the
+    other rows are solved exactly from fixed-order products with the
+    sub-Gram inverses of every regular support, made once a call
+    (`_support_layers`, `_enumerate_supports`), so an enumerated row depends
+    only on itself. It must then pass the KKT certificate, with tol = KKT_TOL
+    * max(1, |rhs row|_inf): |gradient| <= tol on the support and gradient
+    <= tol off it. Rows that fail it, and every remaining row when the basis
+    exceeds the cap, go to the scalar `nnls`.
+
+    The solutions go to `out`, a writable float64 array of rhs' shape, or to
+    a new one; `out` may be `rhs` itself, which is then overwritten block by
+    block, but may not otherwise share memory with it. Besides `out` a call
+    holds one block's copy, its solutions and the support layers, so solving
+    in place adds nothing that grows with n. A non-finite basis or rhs
+    raises ValueError.
     """
     v = np.asarray(basis, dtype=np.float64)
     b = np.asarray(rhs, dtype=np.float64)
     if v.ndim != 2 or b.ndim != 2 or b.shape[1] != v.shape[0]:
         raise ValueError(f"incompatible shapes {v.shape} and {b.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("basis must be finite")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand sides must be finite")
+    if out is None:
+        out = np.zeros(b.shape)
+    elif not isinstance(out, np.ndarray) or out.shape != b.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {b.shape}")
+    elif not out.flags.writeable:
+        raise ValueError("out must be writable")
+    elif out is not b and np.shares_memory(out, b):
+        raise ValueError("out may be rhs itself but must not otherwise overlap it")
     gram, layers = v @ v.T, None
-    out = np.zeros(b.shape)
     for start in range(0, len(b), BATCH_ROWS):
-        block, z = b[start : start + BATCH_ROWS], out[start : start + BATCH_ROWS]
+        block = b[start : start + BATCH_ROWS].copy()  # out may be overwriting b
+        z = out[start : start + BATCH_ROWS]
         pending = np.arange(len(block))
         try:
             candidate = np.linalg.solve(gram, block.T).T
@@ -261,3 +281,4 @@ def nnls_rows(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         for i in pending:
             z[i] = nnls(gram, block[i])
     return out
+

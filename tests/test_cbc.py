@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -101,6 +102,50 @@ class TestPixelFeatures:
             feats, kept = pixel_features(p, np.zeros((4, axis.count)))
             assert feats.shape == (0, p.output_dim), p.kind
             assert not kept.any()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["rand", "nnmf"])
+    def test_non_finite_rows_raise_when_called_directly(self, bad, kind):
+        # A NaN row's L1 sum is not above the black threshold, so it was
+        # dropped as black; an inf row gave non-finite features.
+        rng = np.random.default_rng(8)
+        proj = Projection(kind, 5, 2, basis=rng.random((2, 5)))
+        rows = rng.random((6, 5))
+        rows[2, 3] = bad
+        for spds in (None, rng.random((3, 5))):
+            with pytest.raises(ValueError, match="radiance must be finite"):
+                pixel_features(proj, rows, spds)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spds_raise(self, bad):
+        rng = np.random.default_rng(9)
+        spds = rng.random((3, 5))
+        spds[1, 0] = bad
+        proj = Projection("rand", 5, 2, basis=rng.random((2, 5)))
+        with pytest.raises(ValueError, match="SPDs must be finite"):
+            pixel_features(proj, rng.random((4, 5)), spds)
+
+    def test_folded_nnmf_call_holds_one_product_and_one_feature_matrix(self):
+        # The product goes once the black test has read it, and the NNLS
+        # solutions overwrite the features they solve: a C = 28, N = 2048,
+        # d' = 5 call stays near the (C, N, d' + 1) product plus the C.N
+        # feature rows, where the product, features and a second solution
+        # matrix held together came to about 1.9 times that.
+        rng = np.random.default_rng(10)
+        n_spds, n_rows, d = 28, 2048, 5
+        proj = Projection("nnmf", 31, d, basis=rng.random((d, 31)))
+        rows, spds = rng.random((n_rows, 31)), 0.5 + rng.random((n_spds, 31))
+        held = n_spds * n_rows * (2 * d + 1) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            feats, kept = pixel_features(proj, rows, spds)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert kept.all() and feats.shape == (n_spds * n_rows, d)
+        assert np.any(feats == 0)  # some rows clip, so the NNLS enumerates supports
+        assert peak < 1.4 * held, peak / held
 
 
 class TestCalibrateBounds:
@@ -695,6 +740,12 @@ class TestBlockFeatures:
         stack[1, 2, 5] = bad
         with pytest.raises(ValueError, match="finite"):
             block_features(models["rand"][0].projection, stack)
+
+    def test_a_request_is_checked_for_finite_radiance_once(self, models):
+        stack = np.ones((2, 3, 31))
+        with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+            classify(models["rand"][0], stack)
+        assert [np.size(c.args[0]) for c in isfinite.call_args_list].count(stack.size) == 1
 
     def test_shape_checks(self, models):
         proj = models["rand"][0].projection

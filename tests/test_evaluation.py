@@ -986,20 +986,20 @@ class TestSweepCalls:
 
     @classmethod
     def expected(cls, fits, n_bins, n_noisy, n_scenes):
-        """Per (fit, number of d' it serves): its training features, one
-        folded call, then the bounds; per test scene one folded clean call,
-        and for noisy levels per case one seed, one draw and one relit call
-        per noisy level; the unit coordinates of the training features and
-        then of each level; then per B and served d' a model and one
-        classify per level."""
-        out = []
+        """Every fit first, in report order; then per (fit, number of d' it
+        serves): its training features, one folded call, then the bounds;
+        per test scene one folded clean call, and for noisy levels per case
+        one seed, one draw and one relit call per noisy level; the unit
+        coordinates of the training features and then of each level; then
+        per B and served d' a model and one classify per level."""
+        out = [fit for fit, _ in fits]
         case = ["mix_seed", "noise_draw"] + ["pixel_features"] * n_noisy
         scene = ["pixel_features"] + (case * cls.N_CANDIDATES if n_noisy else [])
         for fit, n_served in fits:
             training = ["pixel_features", "training_features", "calibrate_bounds"]
             tests = scene * n_scenes + ["test_features"] + ["unit_coordinates"] * (2 + n_noisy)
             per_model = ["build_model"] + ["classify"] * (1 + n_noisy)
-            out += [fit] + training + tests + per_model * (n_bins * n_served)
+            out += training + tests + per_model * (n_bins * n_served)
         return out
 
     def test_one_fit_and_featurization_per_projection(
@@ -1063,6 +1063,25 @@ class TestSweepCalls:
         run_noise(cfg)
         # nnmf's fit matrix, then each of the 8 scenes' 28 cases at 20 dB
         assert relit() == fit_matrix + [("pixel_features", "test_features")] * 8 * 28
+
+    def test_fit_matrices_go_before_the_first_features(self, demo_data, monkeypatch):
+        # Every fit comes first, and only fits read the cached training
+        # matrices: neither is held by the time any features are made.
+        cfg = demo_config(demo_data, methods=("pca", "lda", "nnmf"), d_primes=(2, 3),
+                          nnmf_max_iter=20)
+        runner = _Runner(cfg)
+        made, held = [], []
+        for owner, name, log in ((_Runner, "_training_rows", made),
+                                 (evaluation, "training_features", held)):
+            def recorded(*args, _original=getattr(owner, name), _log=log):
+                _log.append(sorted({"fit_matrix", "lda_matrix"} & set(vars(runner))))
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, recorded)
+        runner.grid()
+        assert made == [[], ["fit_matrix"]]  # pca's matrix, which nnmf shares, then lda's
+        assert held == [[]] * (1 + 1 + 2)  # pca and lda once at d' = 3, nnmf at each d'
+        assert runner.fit_matrix.rows.shape[1] == 31  # still made on request, after a sweep
 
     def test_sweeps_keep_no_module_state_and_add_no_setting(self, demo_data, bundled_cameras):
         # The shared work is held by the sweep for one projection, not cached
@@ -1138,7 +1157,8 @@ class TestSweepCalls:
         takes the 256 training pixels or a test scene's 16 under all 28 SPDs;
         a relit call takes one noisy case's 16 rows."""
         training, bounds, units, tests, scored, builds = None, None, [], [], [], []
-        for name, passed, result in events + [("fit_end", None, None)]:
+        # every fit comes first; each projection's work starts at its training features
+        for name, passed, result in events + [("training_features", None, None)]:
             if name == "pixel_features":
                 rows, spds = passed
                 if spds is None:
@@ -1146,16 +1166,16 @@ class TestSweepCalls:
                 else:
                     assert len(rows) in (256, 16) and spds.shape == (28, rows.shape[1])
                     assert result[1].shape == (28, len(rows))
-            elif name.startswith("fit_"):
-                # B-major, then every served d' in ascending order
-                served = sorted({k for _, k in builds})
-                assert builds == [(b, k) for b in dict.fromkeys(b for b, _ in builds) for k in served]
-                assert len(builds) == n_bins * len(served)
-                assert scored == list(range(n_levels)) * len(builds)
-                assert units == []  # every held feature set was converted, once
-                training, tests, scored, builds = None, [], [], []
             elif name == "training_features":
-                training = result
+                if training is not None:
+                    # the last projection's models: B-major, then every served d' in ascending order
+                    served = sorted({k for _, k in builds})
+                    order = [(b, k) for b in dict.fromkeys(b for b, _ in builds) for k in served]
+                    assert builds == order
+                    assert len(builds) == n_bins * len(served)
+                    assert scored == list(range(n_levels)) * len(builds)
+                    assert units == []  # every held feature set was converted, once
+                training, bounds, tests, scored, builds = result, None, [], [], []
                 units = [result]
             elif name == "calibrate_bounds":
                 assert passed is None and bounds is None
@@ -1187,8 +1207,6 @@ class TestSweepCalls:
                 assert all(b.base is whole and b.size == k for b, whole in zip(carried, bounds))
                 assert (at_b, k) == (model.n_bins, model.n_dims) == builds[-1]
                 scored.append(level)
-            if name.startswith("fit_"):
-                bounds = None
 
 class TestNestedSweep:
     """A sweep fits rand, pca, ill_pca and lda once, at its largest d', and

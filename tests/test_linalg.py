@@ -239,10 +239,39 @@ class TestNnls:
         with pytest.raises(ValueError, match="finite"):
             nnls(np.eye(3), np.array([1.0, bad, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gram_raises(self, bad):
+        # a NaN gradient is never positive, so such a Gram read as solved at zero
+        with pytest.raises(ValueError, match="Gram must be finite"):
+            nnls(np.array([[bad]]), np.array([1.0]))
+        gram = np.eye(3)
+        gram[0, 2] = gram[2, 0] = bad
+        with pytest.raises(ValueError, match="Gram must be finite"):
+            nnls(gram, np.ones(3))
+
     def test_shapes_checked(self):
         for gram, atb in ((np.eye(3), np.ones(2)), (np.ones((2, 3)), np.ones(2))):
             with pytest.raises(ValueError, match="incompatible shapes"):
                 nnls(gram, atb)
+
+
+def bad_outs():
+    """(name, rhs, out) triples `nnls_rows` must refuse as `out`."""
+    buffer = np.ones((9, 3))
+    read_only = np.zeros((8, 3))
+    read_only.flags.writeable = False
+    strided = np.ones((8, 6))
+    yield "shape", np.ones((8, 3)), np.zeros((8, 2))
+    yield "rows", np.ones((8, 3)), np.zeros((7, 3))
+    yield "dtype", np.ones((8, 3)), np.zeros((8, 3), dtype=np.float32)
+    yield "list", np.ones((8, 3)), np.zeros((8, 3)).tolist()
+    yield "read-only", np.ones((8, 3)), read_only
+    yield "shifted a row", buffer[:8], buffer[1:]
+    yield "shifted a column", strided[:, :3], strided[:, 1:4]
+    yield "reversed", buffer[:8], buffer[:8][::-1]
+
+
+BAD_OUTS = list(bad_outs())
 
 
 class TestNnlsRows:
@@ -387,6 +416,17 @@ class TestNnlsRows:
         with pytest.raises(ValueError, match="finite"):
             nnls_rows(basis, rhs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("k", [1, 2, NNLS_ENUM_MAX_K + 1])
+    def test_non_finite_basis_raises(self, bad, k):
+        rng = np.random.default_rng(17)
+        basis = rng.random((k, 7))
+        basis[k - 1, 3] = bad
+        with pytest.raises(ValueError, match="basis must be finite"):
+            nnls_rows(basis, rng.random((3, k)))
+        with pytest.raises(ValueError, match="basis must be finite"):
+            nnls_rows([[bad, 1.0]], np.ones((3, 1)))
+
     def test_shapes_checked(self):
         for rhs in (np.ones((4, 2)), np.ones(3)):
             with pytest.raises(ValueError, match="incompatible shapes"):
@@ -420,6 +460,24 @@ class TestNnlsRows:
         blocks = [nnls_rows(basis, rhs[s : s + BATCH_ROWS]) for s in range(0, n, BATCH_ROWS)]
         assert [len(b) for b in blocks] == [BATCH_ROWS, BATCH_ROWS, 300]
         assert z.tobytes() == np.concatenate(blocks).tobytes()
+        # solved in place, block by block, the rows give the same bytes
+        assert nnls_rows(basis, rhs, out=rhs) is rhs
+        assert rhs.tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("name, rhs, out", BAD_OUTS, ids=[name for name, *_ in BAD_OUTS])
+    def test_bad_out_raises(self, name, rhs, out):
+        before = np.array(out, copy=True)
+        with pytest.raises(ValueError, match="out"):
+            nnls_rows(np.eye(3), rhs, out=out)
+        np.testing.assert_array_equal(out, before)  # refused before any write
+
+    def test_out_may_be_a_disjoint_view(self):
+        # interleaved columns of one buffer share no element, so they may pair
+        buffer = np.random.default_rng(18).random((50, 6))
+        rhs, out = buffer[:, ::2], buffer[:, 1::2]
+        want = nnls_rows(np.eye(3) + 0.5, rhs)
+        assert nnls_rows(np.eye(3) + 0.5, rhs, out=out) is out
+        assert out.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -510,3 +568,40 @@ class TestNnlsRowsProperties:
         got = objective(basis, targets[rows], z[rows])
         want = objective(basis, targets[rows], oracle)
         assert np.all(np.abs(got - want) <= 1e-9 * scale)
+
+
+@st.composite
+def in_place_batches(draw):
+    """A (k, d) basis for k from 1 to one past the enumeration cap, half of
+    them products of dyadic factors of rank below k (for k > 1), whose Gram
+    is exactly singular and mostly fails the LAPACK fast path; right-hand
+    sides spanning one to three blocks of a drawn block size; and whether
+    `out` is the rhs itself or a separate array."""
+    k, d = draw(st.integers(1, NNLS_ENUM_MAX_K + 1)), draw(st.integers(1, 12))
+    rows_per_block = draw(st.sampled_from([3, 16]))
+    n = draw(st.integers(1, 3 * rows_per_block))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, max(1, k - 1)))
+        basis = (rng.integers(-4, 5, size=(k, rank)) / 2.0) @ (
+            rng.integers(-4, 5, size=(rank, d)) / 2.0
+        )
+    else:
+        basis = rng.standard_normal((k, d))
+    rhs = rhs_of(basis, rng.standard_normal((n, d)))
+    return basis, rhs, rows_per_block, draw(st.booleans())
+
+
+class TestNnlsRowsInPlace:
+    @settings(max_examples=300, deadline=None)
+    @given(in_place_batches())
+    def test_out_gives_the_fresh_bytes(self, batch):
+        # Each block is solved from a copy of its rows, so writing over rhs
+        # changes no row's solution, on the fast, enumerated and scalar paths.
+        basis, rhs, rows_per_block, in_place = batch
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "BATCH_ROWS", rows_per_block)
+            fresh = nnls_rows(basis, rhs)
+            out = rhs if in_place else np.full_like(rhs, np.nan)
+            assert nnls_rows(basis, rhs, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
