@@ -9,8 +9,9 @@ sides V . t of the rows the unconstrained fast path leaves, once by support
 enumeration (NNLS_ENUM_MAX_K raised to k) and once by the Gram-form scalar
 Lawson-Hanson solver (NNLS_ENUM_MAX_K set to 0), and checks that the two
 reach the same objective. The last column is the traced peak memory of
-solving one large batch. `nnls_rows` enumerates it in blocks of BATCH_ROWS
-rows, so the peak grows with the largest support layer of one block (about
+solving one large batch, above the batch itself, which `nnls_rows`
+overwrites with its solutions. It enumerates the batch in blocks of
+BATCH_ROWS rows, so the peak grows with the largest support layer of one block (about
 C(k, k/2) * k/2 floats a row), not with the batch.
 """
 
@@ -87,7 +88,7 @@ def main() -> None:
         clipped = targets[np.any(unconstrained < 0, axis=1)]
         rhs, big_rhs = rhs_of(v, clipped), rhs_of(v, big)
         linalg.NNLS_ENUM_MAX_K = k
-        t_enum, z_enum = timed(linalg.nnls_rows, v, rhs)
+        t_enum, z_enum = timed(linalg.nnls_rows, v, rhs.copy())  # solved over its rhs
         peak = traced_peak_mib(linalg.nnls_rows, v, big_rhs)
         linalg.NNLS_ENUM_MAX_K = 0
         t_scalar, z_scalar = timed(linalg.nnls_rows, v, rhs)

@@ -77,9 +77,9 @@ def pixel_features(
 
     What a call holds: the rows, the product and the kept rows' features
     until the black test has read the product's sums; then the product goes,
-    and nnmf's NNLS writes its solutions over the features (`out=feats`), a
-    block of at most `linalg.BATCH_ROWS` rows copied at a time. So a folded
-    call peaks at about one product plus one feature matrix.
+    and nnmf's NNLS writes its solutions over the features, a block of at
+    most `linalg.BATCH_ROWS` rows copied at a time. So a folded call peaks at
+    about one product plus one feature matrix.
 
     Rows whose L1 sum is at or below ZERO_NORM_EPS are skipped. Non-finite
     rows or SPDs raise ValueError.
@@ -111,7 +111,7 @@ def pixel_features(
     if projection.mean is not None:
         feats -= projection.mean @ projection.basis
     elif projection.kind == KIND_NNMF:
-        linalg.nnls_rows(projection.basis, feats, out=feats)  # the site bench/spans.py wraps
+        feats = linalg.nnls_rows(projection.basis, feats)  # the site bench/spans.py wraps
     return feats, kept.reshape(shape)
 
 

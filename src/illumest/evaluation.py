@@ -636,37 +636,29 @@ class _Runner:
         SPDs come clean from one folded `pixel_features` call. A noisy case,
         the pixels relit by one SPD, draws its noise once from its own
         (scene, candidate) seed and is featurized by one call per noisy
-        level, so one case's draw is held at a time. Each level's features
-        fill one matrix as they arrive, sized for every row kept; rows found
-        black leave its tail unused."""
+        level, so one case's draw is held at a time."""
         featurize = partial(cbc.pixel_features, projection)  # the module global, traced
         master, scenes = self.config.noise_master_seed, self.test_eval
-        counts = [int(img.mask.sum()) for img in scenes]
-        shape = (len(scenes), len(self.full), max(counts))
-        capacity = (len(self.full) * sum(counts), projection.output_dim)
-        levels = [(db, np.empty(capacity), np.zeros(shape, dtype=bool)) for db in noise_dbs]
-        ends = [0] * len(levels)  # the rows each level's matrix holds so far
-        noisy = [n for n, (noise_db, *_) in enumerate(levels) if noise_db is not None]
-
-        def fill(n, part):  # one call's features go straight into level n's matrix
-            levels[n][1][ends[n] : ends[n] + len(part)] = part
-            ends[n] += len(part)
-
+        shape = (len(scenes), len(self.full), max(int(img.mask.sum()) for img in scenes))
+        levels = [(noise_db, [], np.zeros(shape, dtype=bool)) for noise_db in noise_dbs]
+        noisy = [level for level in levels if level[0] is not None]
         for i, img in enumerate(scenes):
             px = img.valid_pixels()
-            for n, (noise_db, _, kept) in enumerate(levels):
+            for noise_db, feats, kept in levels:
                 if noise_db is None:
                     part, kept[i, :, : len(px)] = featurize(px, self._spd_rows)
-                    fill(n, part)
+                    feats.append(part)
             for j, spd in enumerate(self._spd_rows if noisy else ()):
                 radiance = px * spd
                 draw = noise_draw(img.mask, px.shape[1], mix_seed(master, i, j))
-                for n in noisy:
-                    noise_db, _, kept = levels[n]
+                for noise_db, feats, kept in noisy:
                     part, kept[i, j, : len(px)] = featurize(noisy_rows(radiance, draw, noise_db))
-                    fill(n, part)
-        return [BlockFeatures(projection, feats[:end], kept)
-                for (_, feats, kept), end in zip(levels, ends)]
+                    feats.append(part)
+        out = []
+        for _, feats, kept in levels:
+            out.append(BlockFeatures(projection, np.concatenate(feats), kept))
+            feats.clear()  # each level's parts go once it is stacked
+        return out
 
     # -- entry points -------------------------------------------------------
 

@@ -218,7 +218,7 @@ def _enumerate_supports(
     return best
 
 
-def nnls_rows(basis: np.ndarray, rhs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def nnls_rows(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Row-wise NNLS from right-hand sides: row i is nnls(V V^T, rhs[i]) for
     the (k, d) `basis` V and the (n, k) `rhs` = targets @ V^T.
 
@@ -234,33 +234,24 @@ def nnls_rows(basis: np.ndarray, rhs: np.ndarray, out: Optional[np.ndarray] = No
     <= tol off it. Rows that fail it, and every remaining row when the basis
     exceeds the cap, go to the scalar `nnls`.
 
-    The solutions go to `out`, a writable float64 array of rhs' shape, or to
-    a new one; `out` may be `rhs` itself, which is then overwritten block by
-    block, but may not otherwise share memory with it. Besides `out` a call
-    holds one block's copy, its solutions and the support layers, so solving
-    in place adds nothing that grows with n. A non-finite basis or rhs
-    raises ValueError.
+    The solutions are written over `rhs` when it is a writable float64
+    array, block by block, and returned; pass a copy to keep it. Besides rhs
+    a call holds one block's copy, its solutions and the support layers, so
+    it adds nothing that grows with n. A non-finite basis or rhs raises
+    ValueError.
     """
     v = np.asarray(basis, dtype=np.float64)
-    b = np.asarray(rhs, dtype=np.float64)
+    b = np.require(rhs, np.float64, "W")  # the array the solutions go to
     if v.ndim != 2 or b.ndim != 2 or b.shape[1] != v.shape[0]:
         raise ValueError(f"incompatible shapes {v.shape} and {b.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("basis must be finite")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand sides must be finite")
-    if out is None:
-        out = np.zeros(b.shape)
-    elif not isinstance(out, np.ndarray) or out.shape != b.shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {b.shape}")
-    elif not out.flags.writeable:
-        raise ValueError("out must be writable")
-    elif out is not b and np.shares_memory(out, b):
-        raise ValueError("out may be rhs itself but must not otherwise overlap it")
     gram, layers = v @ v.T, None
     for start in range(0, len(b), BATCH_ROWS):
-        block = b[start : start + BATCH_ROWS].copy()  # out may be overwriting b
-        z = out[start : start + BATCH_ROWS]
+        block = b[start : start + BATCH_ROWS].copy()  # z overwrites these rows
+        z = b[start : start + BATCH_ROWS]
         pending = np.arange(len(block))
         try:
             candidate = np.linalg.solve(gram, block.T).T
@@ -280,5 +271,4 @@ def nnls_rows(basis: np.ndarray, rhs: np.ndarray, out: Optional[np.ndarray] = No
             pending = pending[np.any(violation > tol[:, None], axis=1)]
         for i in pending:
             z[i] = nnls(gram, block[i])
-    return out
-
+    return b

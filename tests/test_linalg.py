@@ -255,25 +255,6 @@ class TestNnls:
                 nnls(gram, atb)
 
 
-def bad_outs():
-    """(name, rhs, out) triples `nnls_rows` must refuse as `out`."""
-    buffer = np.ones((9, 3))
-    read_only = np.zeros((8, 3))
-    read_only.flags.writeable = False
-    strided = np.ones((8, 6))
-    yield "shape", np.ones((8, 3)), np.zeros((8, 2))
-    yield "rows", np.ones((8, 3)), np.zeros((7, 3))
-    yield "dtype", np.ones((8, 3)), np.zeros((8, 3), dtype=np.float32)
-    yield "list", np.ones((8, 3)), np.zeros((8, 3)).tolist()
-    yield "read-only", np.ones((8, 3)), read_only
-    yield "shifted a row", buffer[:8], buffer[1:]
-    yield "shifted a column", strided[:, :3], strided[:, 1:4]
-    yield "reversed", buffer[:8], buffer[:8][::-1]
-
-
-BAD_OUTS = list(bad_outs())
-
-
 class TestNnlsRows:
     def test_matches_single_row_solver(self):
         rng = np.random.default_rng(7)
@@ -386,7 +367,7 @@ class TestNnlsRows:
         unconstrained = np.linalg.solve(gram, rhs.T).T
         clipped = np.flatnonzero(np.any(unconstrained < 0, axis=1))
         calls = counting_scalar_solver(monkeypatch)
-        z = nnls_rows(basis, rhs)
+        z = nnls_rows(basis, rhs.copy())
         assert len(calls) == len(clipped) > 0
         for i, atb in zip(clipped, calls):
             assert atb.tobytes() == rhs[i].tobytes()
@@ -449,7 +430,7 @@ class TestNnlsRows:
 
         monkeypatch.setattr(linalg, "_enumerate_supports", recorded)
         built = recorded_layers(monkeypatch)
-        z = nnls_rows(basis, rhs)
+        z = nnls_rows(basis, rhs.copy())
         monkeypatch.undo()
         assert 0 < np.count_nonzero(np.any(z == 0, axis=1)) < n  # some rows clip
         # within the enumeration cap, one enumeration per block, of that block's
@@ -457,27 +438,21 @@ class TestNnlsRows:
         assert len(enumerated) == (3 if k <= NNLS_ENUM_MAX_K else 0)
         assert len(built) == (1 if k <= NNLS_ENUM_MAX_K else 0)
         assert all(0 < m <= BATCH_ROWS and layers is built[0] for m, layers in enumerated)
-        blocks = [nnls_rows(basis, rhs[s : s + BATCH_ROWS]) for s in range(0, n, BATCH_ROWS)]
+        starts = range(0, n, BATCH_ROWS)
+        blocks = [nnls_rows(basis, rhs[s : s + BATCH_ROWS].copy()) for s in starts]
         assert [len(b) for b in blocks] == [BATCH_ROWS, BATCH_ROWS, 300]
         assert z.tobytes() == np.concatenate(blocks).tobytes()
-        # solved in place, block by block, the rows give the same bytes
-        assert nnls_rows(basis, rhs, out=rhs) is rhs
+        # solved over rhs, block by block, the rows give the same bytes
+        assert nnls_rows(basis, rhs) is rhs
         assert rhs.tobytes() == z.tobytes()
 
-    @pytest.mark.parametrize("name, rhs, out", BAD_OUTS, ids=[name for name, *_ in BAD_OUTS])
-    def test_bad_out_raises(self, name, rhs, out):
-        before = np.array(out, copy=True)
-        with pytest.raises(ValueError, match="out"):
-            nnls_rows(np.eye(3), rhs, out=out)
-        np.testing.assert_array_equal(out, before)  # refused before any write
-
-    def test_out_may_be_a_disjoint_view(self):
-        # interleaved columns of one buffer share no element, so they may pair
-        buffer = np.random.default_rng(18).random((50, 6))
-        rhs, out = buffer[:, ::2], buffer[:, 1::2]
-        want = nnls_rows(np.eye(3) + 0.5, rhs)
-        assert nnls_rows(np.eye(3) + 0.5, rhs, out=out) is out
-        assert out.tobytes() == want.tobytes()
+    def test_a_read_only_rhs_is_kept(self):
+        rhs = np.random.default_rng(18).random((50, 3))
+        want = nnls_rows(np.eye(3) + 0.5, rhs.copy())
+        rhs.flags.writeable = False
+        before = rhs.copy()
+        assert nnls_rows(np.eye(3) + 0.5, rhs).tobytes() == want.tobytes()
+        assert rhs.tobytes() == before.tobytes()
 
 
 @st.composite
@@ -560,7 +535,7 @@ class TestNnlsRowsProperties:
         rhs = rhs_of(basis, targets)
         with pytest.MonkeyPatch.context() as patch:
             calls = counting_scalar_solver(patch)
-            z = nnls_rows(basis, rhs)
+            z = nnls_rows(basis, rhs.copy())
         rows = [int(np.flatnonzero((rhs == atb).all(axis=1))[0]) for atb in calls]
         oracle = np.array([target_nnls(basis, targets[i]) for i in rows]).reshape(-1, 6)
         assert_kkt(basis, targets[rows], z[rows], support_tol=1e-6)
@@ -574,9 +549,8 @@ class TestNnlsRowsProperties:
 def in_place_batches(draw):
     """A (k, d) basis for k from 1 to one past the enumeration cap, half of
     them products of dyadic factors of rank below k (for k > 1), whose Gram
-    is exactly singular and mostly fails the LAPACK fast path; right-hand
-    sides spanning one to three blocks of a drawn block size; and whether
-    `out` is the rhs itself or a separate array."""
+    is exactly singular and mostly fails the LAPACK fast path; and right-hand
+    sides spanning one to three blocks of a drawn block size."""
     k, d = draw(st.integers(1, NNLS_ENUM_MAX_K + 1)), draw(st.integers(1, 12))
     rows_per_block = draw(st.sampled_from([3, 16]))
     n = draw(st.integers(1, 3 * rows_per_block))
@@ -588,20 +562,18 @@ def in_place_batches(draw):
         )
     else:
         basis = rng.standard_normal((k, d))
-    rhs = rhs_of(basis, rng.standard_normal((n, d)))
-    return basis, rhs, rows_per_block, draw(st.booleans())
+    return basis, rhs_of(basis, rng.standard_normal((n, d))), rows_per_block
 
 
 class TestNnlsRowsInPlace:
     @settings(max_examples=300, deadline=None)
     @given(in_place_batches())
-    def test_out_gives_the_fresh_bytes(self, batch):
+    def test_solved_over_rhs_gives_the_fresh_bytes(self, batch):
         # Each block is solved from a copy of its rows, so writing over rhs
         # changes no row's solution, on the fast, enumerated and scalar paths.
-        basis, rhs, rows_per_block, in_place = batch
+        basis, rhs, rows_per_block = batch
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linalg, "BATCH_ROWS", rows_per_block)
-            fresh = nnls_rows(basis, rhs)
-            out = rhs if in_place else np.full_like(rhs, np.nan)
-            assert nnls_rows(basis, rhs, out=out) is out
-        assert out.tobytes() == fresh.tobytes()
+            fresh = nnls_rows(basis, rhs.copy())
+            assert nnls_rows(basis, rhs) is rhs
+        assert rhs.tobytes() == fresh.tobytes()

@@ -134,7 +134,7 @@ class TestApply:
         rhs = np.einsum("nd,kd->nk", rows, basis)
         seen = []
         monkeypatch.setattr(
-            projections, "nnls_rows", lambda v, b: seen.append(b) or nnls_rows(v, b)
+            projections, "nnls_rows", lambda v, b: seen.append(b.copy()) or nnls_rows(v, b)
         )
         z = Projection(KIND_NNMF, 8, 3, basis=basis).apply_rows(rows)
         assert seen[0].tobytes() == rhs.tobytes()
