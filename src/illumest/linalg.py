@@ -235,13 +235,13 @@ def nnls_rows(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     exceeds the cap, go to the scalar `nnls`.
 
     The solutions are written over `rhs` when it is a writable float64
-    array, block by block, and returned; pass a copy to keep it. Besides rhs
+    ndarray, block by block, and returned; pass a copy to keep it. Besides rhs
     a call holds one block's copy, its solutions and the support layers, so
     it adds nothing that grows with n. A non-finite basis or rhs raises
     ValueError.
     """
     v = np.asarray(basis, dtype=np.float64)
-    b = np.require(rhs, np.float64, "W")  # the array the solutions go to
+    b = np.require(rhs, np.float64, "WE")  # the ndarray the solutions go to
     if v.ndim != 2 or b.ndim != 2 or b.shape[1] != v.shape[0]:
         raise ValueError(f"incompatible shapes {v.shape} and {b.shape}")
     if not np.all(np.isfinite(v)):
