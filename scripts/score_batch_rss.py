@@ -14,9 +14,10 @@ candidate at a time:
   eval downsample of 4), which featurizes every noisy test case. An untraced
   run gives its wall time, ru_maxrss and the sha256 of its report CSV
   followed by its raw CSV; a second, traced run gives its tracemalloc peak.
-- the pca fit matrix (`training_chromaticities` of the training scenes at the
-  fit downsample of 8): its tracemalloc peak and the sha256 of its rows, and
-  the peak of `training_chromaticities` alone, above the scenes it is given.
+- the pca fit matrix (`training_chromaticities` of the training scenes read
+  and downsampled by the fit downsample of 8, all through public calls): its
+  tracemalloc peak, reads included, and the sha256 of its rows, and the peak
+  of `training_chromaticities` alone, above the scenes it is given.
 
 It also runs one `run_grid` cell per method, nnmf and pca (d' = 5, B = 20,
 `nnmf_max_iter` 20), each in its own interpreter: a sweep's fit, training
@@ -101,7 +102,8 @@ def measure(manifest: Path, path: str) -> dict:
     """Measure `path` ("noise", "fit", or "grid_" and a method of
     GRID_METHODS) in this interpreter, with whichever illumest it imports."""
     from illumest import evaluation
-    from illumest.io import read_scube
+    from illumest.illuminants import load_illuminants
+    from illumest.io import read_dataset_manifest, read_scube
     from illumest.spectral import downsample
 
     cfg = config(manifest)
@@ -110,12 +112,18 @@ def measure(manifest: Path, path: str) -> dict:
         grid = grid_config(manifest, path.removeprefix("grid_"))
         peak = traced_peak_mib(lambda: reports.append(evaluation.run_grid(grid)))
         return {f"{path}_peak_mib": round(peak, 2), f"{path}_sha256": report_sha256(reports[0])}
+    train, test = read_dataset_manifest(cfg.dataset)
+    scenes = lambda paths, factor: [downsample(read_scube(p), factor) for p in paths]
     if path == "fit":
+        proj_set = evaluation.projection_set(
+            load_illuminants(cfg.illuminants), cfg.projection_set, cfg.projection_set_k,
+            cfg.projection_set_seed,
+        )
+        fit = lambda images: evaluation.training_chromaticities(images, proj_set)
         rows = []
-        peak = traced_peak_mib(lambda: rows.append(evaluation._Runner(cfg).fit_matrix.rows))
-        runner = evaluation._Runner(cfg)
-        images = [downsample(read_scube(p), cfg.downsample_fit) for p in runner.train_paths]
-        chroma = traced_peak_mib(lambda: evaluation.training_chromaticities(images, runner.proj_set))
+        peak = traced_peak_mib(lambda: rows.append(fit(scenes(train, cfg.downsample_fit)).rows))
+        images = scenes(train, cfg.downsample_fit)
+        chroma = traced_peak_mib(lambda: fit(images))
         return {
             "fit_peak_mib": round(peak, 2),
             "chroma_peak_mib": round(chroma, 2),
@@ -131,7 +139,7 @@ def measure(manifest: Path, path: str) -> dict:
         "noise_s": round(noise_s, 3),
         "noise_maxrss_mb": round(maxrss, 1),
         "noise_peak_mib": round(peak, 2),
-        "test_pixels": [len(img.valid_pixels()) for img in evaluation._Runner(cfg).test_eval],
+        "test_pixels": [int(img.mask.sum()) for img in scenes(test, cfg.downsample_eval)],
         "report_sha256": report_sha256(report),
     }
 

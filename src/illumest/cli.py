@@ -9,18 +9,20 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .bundled import bundled_illuminant_manifest
 from .cbc import MODE_LOG, SCORE_MODES, build_model, cell_count, classify, read_model, write_model
 from .evaluation import (
+    FIT_OPTIONS,
     GridConfig,
     angular_error_deg,
     check_fittable,
-    downsample_cube,
     fit_projection,
     parse_config,
     projection_set,
+    read_scenes,
     run_grid,
     run_noise,
     training_chromaticities,
@@ -30,7 +32,6 @@ from .io import (
     format_float,
     read_dataset_manifest,
     read_name_list,
-    read_scube,
     read_sensitivities,
     write_name_list,
 )
@@ -106,16 +107,14 @@ def _cmd_fit(args) -> int:
         raise ValueError("--camera is required for the rgb method")
     camera = read_sensitivities(args.camera) if args.method == KIND_RGB else None
     check_fittable(args.method, (args.d_prime,), proj_set, [camera] if camera else [])
-
-    def training(labelled):
+    images = None  # the training scenes of a method that fits from them
+    if args.method in FIT_OPTIONS:
         if args.dataset is None:
             raise ValueError(f"--dataset is required for the {args.method} method")
-        default = GridConfig.downsample_lda if labelled else GridConfig.downsample_fit
-        factor = default if args.downsample is None else args.downsample
-        train_paths, _ = read_dataset_manifest(args.dataset)
-        images = [downsample_cube(p, read_scube(p), factor, "--downsample") for p in train_paths]
-        return training_chromaticities(images, proj_set, labelled=labelled)
-
+        factor = args.downsample or getattr(GridConfig, FIT_OPTIONS[args.method])
+        paths, _ = read_dataset_manifest(args.dataset)
+        images = read_scenes({"--downsample": (factor, paths)}, proj_set.axis)["--downsample"]
+    training = partial(training_chromaticities, images, proj_set)
     proj = fit_projection(
         args.method, args.d_prime, proj_set, training, args.seed, args.nnmf_max_iter, camera
     )
@@ -134,7 +133,7 @@ def _cmd_build_model(args) -> int:
         raise ValueError(f"--bins {args.bins} at d' = {proj.output_dim}: {exc}") from None
     full = load_illuminants(_illuminants(args))
     paths, _ = read_dataset_manifest(args.dataset)
-    images = [downsample_cube(p, read_scube(p), args.downsample, "--downsample") for p in paths]
+    images = read_scenes({"--downsample": (args.downsample, paths)}, full.axis)["--downsample"]
     model = build_model(images, full, proj, args.bins, smoothing=args.smoothing)
     write_model(args.out, model)
     print(
@@ -153,7 +152,7 @@ def _cmd_classify(args) -> int:
         missing = sorted(set(model.candidate_names) - spds.keys())
         if missing:
             raise ValueError(f"model candidates not in the illuminant set: {', '.join(missing)}")
-    image = downsample_cube(args.cube, read_scube(args.cube), args.downsample, "--downsample")
+    (image,) = read_scenes({"--downsample": (args.downsample, [args.cube])})["--downsample"]
     name, scores = classify(model, image, mode=args.mode)
     print(f"predicted: {name}")
     for cand, s in zip(model.candidate_names, scores):

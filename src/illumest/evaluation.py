@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, astuple, dataclass, field, fields
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -62,6 +62,7 @@ from .projections import (
     leading_projection,
 )
 from .spectral import (
+    SpectralAxis,
     SpectralImage,
     Spectrum,
     add_noise,  # noqa: F401  (not called here: a bench/spans.py trace site)
@@ -74,6 +75,8 @@ from .spectral import (
 )
 
 METHOD_SGW = "sgw"
+#: The GridConfig factor each kind that fits from the training scenes reads them at.
+FIT_OPTIONS = {KIND_PCA: "downsample_fit", KIND_NNMF: "downsample_fit", KIND_LDA: "downsample_lda"}
 GRID_METHODS = (KIND_RGB, KIND_RAND, KIND_PCA, KIND_ILL_PCA, KIND_NNMF, KIND_LDA)
 ALL_METHODS = GRID_METHODS + (METHOD_SGW,)
 
@@ -459,22 +462,38 @@ def training_chromaticities(
     return TrainingMatrix(rows)
 
 
-def downsample_cube(path, image: SpectralImage, factor: int, option: str) -> SpectralImage:
-    """`downsample` of the cube read from `path`; a factor that does not
-    divide it fails naming `option` and the file."""
-    try:
-        return downsample(image, factor)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {option} {exc}") from None
+def read_scenes(
+    wanted: dict[str, tuple[int, Sequence[Path]]], axis: Optional[SpectralAxis] = None
+) -> dict[str, list[SpectralImage]]:
+    """The cubes of `wanted`, {option: (factor, paths)}, as {option: their
+    images in `paths` order}: each distinct cube is read once and downsampled
+    by the factor of every option that names it. A cube off `axis` (when
+    given) fails naming its file, and a factor that does not divide it fails
+    naming the option and the file."""
+    images = {}
+    for path in dict.fromkeys(p for _, paths in wanted.values() for p in paths):
+        cube = read_scube(path)
+        if axis is not None and cube.axis != axis:
+            raise ValueError(f"{path}: scene grid [{cube.axis}] does not match illuminants")
+        for option, (factor, paths) in wanted.items():
+            try:
+                if path in paths:
+                    images[path, option] = downsample(cube, factor)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {option} {exc}") from None
+    return {option: [images[p, option] for p in paths] for option, (_, paths) in wanted.items()}
 
 
 def projection_set(
     full: IlluminantSet, names_file, k: int, seed: int, k_option: str = "projection_set_k"
 ) -> IlluminantSet:
     """The candidates named in `names_file`, or else k-means picks from `full`;
-    a k past the set fails naming `k_option`."""
+    a name not in `full` fails naming the file, a k past the set `k_option`."""
     if names_file is not None:
-        return full.subset(read_name_list(names_file))
+        try:
+            return full.subset(read_name_list(names_file))
+        except KeyError as exc:
+            raise FormatError(f"{names_file}: {exc.args[0]}") from None
     try:
         return select_projection_set(full, k=k, seed=seed)
     except ValueError as exc:
@@ -534,8 +553,8 @@ class _Runner:
     which the report writers sort, scoring each cell's model at every noise level."""
 
     def __init__(self, config: GridConfig):
-        """Read the illuminants and the dataset manifest; scenes are read
-        when the sweep first needs them, after its settings are checked."""
+        """Read the illuminants and the dataset manifest; each sweep reads the
+        scenes (`_read`) once its settings are checked."""
         self.config = config
         self.full = load_illuminants(config.illuminants)
         self.proj_set = projection_set(
@@ -557,31 +576,23 @@ class _Runner:
         scenes = tuple(p.stem for p in test_paths)
         self.table = CaseTable(scenes, tuple(self.full.names()), errors)
 
-    # -- lazy inputs --------------------------------------------------------
+    # -- inputs -------------------------------------------------------------
 
-    @cached_property
-    def _scenes(self) -> tuple[list[SpectralImage], list[SpectralImage]]:
-        """The training and the test scenes at downsample_eval, each read
-        once; a test scene must keep a valid pixel. Only these stay;
-        training fits re-read theirs."""
-        scenes, factor = {}, self.config.downsample_eval
-        for p in dict.fromkeys(self.train_paths + self.test_paths):
-            img = read_scube(p)
-            if img.axis != self.full.axis:
-                raise ValueError(f"{p}: scene grid [{img.axis}] does not match illuminants")
-            scenes[p] = downsample_cube(p, img, factor, "downsample_eval")
-        for p in self.test_paths:
-            if not scenes[p].mask.any():
+    def _read(self, methods=()) -> dict[str, list[SpectralImage]]:
+        """Read each scene once (`read_scenes`): hold the training and the test
+        scenes at downsample_eval as `train_eval` and `test_eval`, a test scene
+        keeping a valid pixel, and return the training scenes at the fit
+        factor of each method of `methods` that fits from them, by option."""
+        cfg, train, test = self.config, self.train_paths, self.test_paths
+        wanted = {"downsample_eval": train + test}
+        wanted.update((FIT_OPTIONS[m], train) for m in methods if m in FIT_OPTIONS)
+        images = read_scenes({o: (getattr(cfg, o), ps) for o, ps in wanted.items()}, self.full.axis)
+        scenes, factor = images.pop("downsample_eval"), cfg.downsample_eval
+        for p, img in zip(test, scenes[len(train):]):
+            if not img.mask.any():
                 raise ValueError(f"{p}: test scene has no valid pixel at downsample_eval {factor}")
-        return [scenes[p] for p in self.train_paths], [scenes[p] for p in self.test_paths]
-
-    @property
-    def train_eval(self) -> list[SpectralImage]:
-        return self._scenes[0]
-
-    @property
-    def test_eval(self) -> list[SpectralImage]:
-        return self._scenes[1]
+        self.train_eval, self.test_eval = scenes[: len(train)], scenes[len(train):]
+        return images
 
     @cached_property
     def cameras(self) -> dict:
@@ -593,36 +604,32 @@ class _Runner:
             cams[sens.camera_name] = sens
         return cams
 
-    def _training_rows(self, factor: int, labelled: bool) -> TrainingMatrix:
-        images = [downsample(read_scube(p), factor) for p in self.train_paths]
-        return training_chromaticities(images, self.proj_set, labelled=labelled)
-
-    @cached_property
-    def fit_matrix(self) -> TrainingMatrix:
-        return self._training_rows(self.config.downsample_fit, False)
-
-    @cached_property
-    def lda_matrix(self) -> TrainingMatrix:
-        return self._training_rows(self.config.downsample_lda, True)
-
     # -- fitting ------------------------------------------------------------
 
-    def _projections(self, method: str, d_prime: int):
-        """Yield (variant, projection) for each variant of `method` at d', in
-        report order: cameras by name, rand seeds as configured, else one
-        unnamed variant. Each is fitted by `fit_projection` when it is
-        reached, from the cached `fit_matrix` or `lda_matrix`."""
+    def _fits(self, methods, d_primes, images) -> list[list[tuple]]:
+        """Per method, its (served d', variant, projection) triples in report
+        order (cameras by name, rand seeds as configured, else one unnamed
+        variant): a nested kind fitted once at the largest d' serves every d',
+        nnmf fits at each d'. pca and nnmf share one fit matrix and lda has its
+        labelled one, each built on first need from its fit-factor `images`."""
         cfg = self.config
-        training = lambda labelled: self.lda_matrix if labelled else self.fit_matrix
-        fit = partial(fit_projection, method, d_prime, self.proj_set, training)
-        if method == KIND_RGB:
-            for name, sens in sorted(self.cameras.items()):
-                yield name, fit(None, cfg.nnmf_max_iter, sens)
-        elif method == KIND_RAND:
-            for seed in cfg.rand_seeds:
-                yield str(seed), fit(seed, cfg.nnmf_max_iter, None)
-        else:
-            yield NO_VARIANT, fit(cfg.nnmf_seed, cfg.nnmf_max_iter, None)
+        training = cache(lambda labelled: training_chromaticities(
+            images["downsample_lda" if labelled else "downsample_fit"], self.proj_set, labelled))
+        fits = []
+        for method in methods:
+            variants = [] if method == METHOD_SGW else [(NO_VARIANT, cfg.nnmf_seed, None)]
+            if method == KIND_RGB:
+                variants = [(name, None, sens) for name, sens in sorted(self.cameras.items())]
+            elif method == KIND_RAND:
+                variants = [(str(seed), seed, None) for seed in cfg.rand_seeds]
+            nested = [tuple(d_primes)] if method in NESTED_KINDS else [(d,) for d in d_primes]
+            fits.append([
+                (served, variant, fit_projection(method, max(served), self.proj_set, training,
+                                                 seed, cfg.nnmf_max_iter, camera))
+                for served in ([(3,)] if method == KIND_RGB else nested)
+                for variant, seed, camera in variants
+            ])
+        return fits
 
     # -- evaluation ---------------------------------------------------------
 
@@ -665,35 +672,19 @@ class _Runner:
     def _sweep(self, methods, d_primes, bins, levels) -> EvalReport:
         """One row per (method, variant, B, d', noise level), then the
         variant averages. `levels` holds (noise label, dB or None) pairs.
-        Each method's settings are checked before the first fit, and all but
-        the downsampling factors before any scene is read. Each variant of a
-        nested kind is fitted once, at the largest d', and serves every d'.
-        Every projection is fitted before the first features are made, and the
-        cached fit matrices go then, so no feature pass holds them."""
-        cfg = self.config
+        Each method's settings are checked before any scene is read; one read
+        then gives every scene at downsample_eval and the training scenes at
+        each fit factor the methods use. Every projection is fitted
+        (`_fits`) before the first features are made, and the fit-factor
+        scenes and fit matrices go then, so no feature pass holds them."""
         for method in methods:
             cameras = self.cameras.values() if method == KIND_RGB else ()
             check_fittable(method, d_primes, self.proj_set, cameras)
             if method != METHOD_SGW:
                 cell_count(max(bins), 3 if method == KIND_RGB else max(d_primes))
-        # downsample_eval divided every scene, so these are the training scenes' sides
-        sides = {n * cfg.downsample_eval for im in self.train_eval for n in (im.height, im.width)}
-        for method in methods:
-            # pca and nnmf fit from `fit_matrix`, lda from `lda_matrix`
-            key = "downsample_lda" if method == KIND_LDA else "downsample_fit"
-            factor = getattr(cfg, key) if method in (KIND_PCA, KIND_NNMF, KIND_LDA) else 1
-            if any(n % factor for n in sides):
-                raise ValueError(f"{key} {factor} does not divide every training scene side")
-        fits = []  # per method, its (served d', variant, projection) triples
-        for method in methods:
-            nested = [tuple(d_primes)] if method in NESTED_KINDS else [(d,) for d in d_primes]
-            fits.append([] if method == METHOD_SGW else [
-                (served, variant, proj)
-                for served in ([(3,)] if method == KIND_RGB else nested)
-                for variant, proj in self._projections(method, max(served))
-            ])
-        for name in ("fit_matrix", "lda_matrix"):  # only the fits read them
-            vars(self).pop(name, None)
+        images = self._read(methods)
+        fits = self._fits(methods, d_primes, images)
+        del images  # the fit-factor scenes: only the fits read them
         predictions = []
         for method, fitted in zip(methods, fits):
             if method == METHOD_SGW:

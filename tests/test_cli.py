@@ -1,9 +1,11 @@
 """End-to-end command-line workflows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from illumest import cli
+from illumest import cli, evaluation
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cli import main
 from illumest.evaluation import GridConfig, _Runner, run_grid
@@ -13,6 +15,7 @@ from illumest.io import (
     read_name_list,
     read_scube,
     read_sensitivities,
+    write_dataset_manifest,
     write_illuminant_manifest,
     write_name_list,
     write_scube,
@@ -136,25 +139,26 @@ class TestFit:
         assert proj.metadata["camera"] == "camera_a"
 
 
-#: Every file reader the commands call, by its name in `cli`.
-READERS = (
+#: Every file reader the commands call, by (module, name): each in `cli`, and
+#: the cube reader of `evaluation.read_scenes`, which reads their cubes.
+READERS = tuple((cli, name) for name in (
     "load_illuminants", "parse_config", "read_dataset_manifest", "read_model",
-    "read_name_list", "read_projection", "read_scube", "read_sensitivities",
-)
+    "read_name_list", "read_projection", "read_sensitivities",
+)) + ((evaluation, "read_scube"),)
 
 
 @pytest.fixture
 def reads(monkeypatch):
     """The name of each file reader call the commands make, in order."""
     log = []
-    for name in READERS:
-        original = getattr(cli, name)
+    for owner, name in READERS:
+        original = getattr(owner, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             log.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return log
 
 
@@ -184,7 +188,8 @@ class TestFitSharesTheRunnersPath:
         cfg = self.config(
             demo_data, methods=(method,), cameras=(camera,), rand_seeds=(0,)
         )
-        [(_, proj)] = _Runner(cfg)._projections(method, 3)
+        runner = _Runner(cfg)
+        [[(_, _, proj)]] = runner._fits((method,), (3,), runner._read((method,)))
         assert out.read_bytes() == projection_to_bytes(proj)
 
     def test_camera_on_another_grid_rejected_by_both(
@@ -212,7 +217,7 @@ class TestFitSharesTheRunnersPath:
             reads.append(path)
             return read_scube(path)
 
-        monkeypatch.setattr(cli, "read_scube", counted)
+        monkeypatch.setattr(evaluation, "read_scube", counted)
         argv = ["fit", "--method", "lda", "--dataset", str(demo_data[0])]
         rc = main(argv + ["--d-prime", "10", "--out", str(tmp_path / "bad.proj")])
         err = capsys.readouterr().err
@@ -403,6 +408,67 @@ class TestDownsampleThatDoesNotDivideNamesOptionAndCube:
         assert capsys.readouterr() == (
             "", f"error: {cube}: --downsample factor 3 does not divide image size 8x8\n"
         )
+
+
+class TestCubesReadThroughTheLoader:
+    """`fit`, `build-model` and `classify` read their cubes through the
+    runner's loader: each cube once, a cube off the illuminants' grid failing
+    by its file name, before any output."""
+
+    @pytest.mark.parametrize("method", ["pca", "nnmf", "lda"])
+    def test_fit_reads_each_training_cube_once(
+        self, method, workspace, tmp_path, capsys, monkeypatch
+    ):
+        paths = []
+        read = evaluation.read_scube
+        monkeypatch.setattr(evaluation, "read_scube", lambda p: paths.append(p) or read(p))
+        dataset = workspace / "scenes" / "dataset.txt"
+        run_ok(capsys, [
+            "fit", "--method", method, "--d-prime", "2", "--nnmf-max-iter", "5",
+            "--dataset", str(dataset), "--downsample", "2", "--out", str(tmp_path / "p.proj"),
+        ])
+        assert paths == read_dataset_manifest(dataset)[0]
+
+    @pytest.mark.parametrize("command", ["fit", "build-model"])
+    def test_training_cube_off_the_grid_named(self, command, workspace, fitted, tmp_path, capsys):
+        train, test = read_dataset_manifest(workspace / "scenes" / "dataset.txt")
+        img = read_scube(train[1])
+        shifted = tmp_path / "shifted.scube"
+        write_scube(shifted, replace(img, axis=SpectralAxis(410.0, 10.0, img.n_bands)))
+        train[1] = shifted
+        manifest = tmp_path / "dataset.txt"
+        write_dataset_manifest(manifest, [str(p) for p in train], [str(p) for p in test])
+        out = tmp_path / "out"
+        argv = {
+            "fit": ["fit", "--method", "pca", "--d-prime", "2"],
+            "build-model": ["build-model", "--projection", str(fitted[0]), "--bins", "8"],
+        }[command]
+        assert main(argv + ["--dataset", str(manifest), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {shifted}: scene grid [410..710 nm step 10 (31 bands)] "
+            "does not match illuminants\n"
+        ))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "grid"])
+    def test_projection_set_naming_an_unknown_illuminant(
+        self, command, demo_data, tmp_path, capsys
+    ):
+        names = tmp_path / "pset.txt"
+        write_name_list(names, ["D65", "x", "A"])
+        out = tmp_path / "out.csv"
+        if command == "fit":
+            argv = ["fit", "--method", "ill_pca", "--projection-set", str(names)]
+        else:
+            config = tmp_path / "grid.cfg"
+            config.write_text(
+                f"dataset = {demo_data[0]}\nilluminants = {bundled_illuminant_manifest()}\n"
+                f"methods = ill_pca\nprojection_set = {names}\n", encoding="utf-8",
+            )
+            argv = ["grid", "--config", str(config)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {names}: names not in set: ['x']\n")
+        assert not out.exists()
 
 
 class TestBoundsFromTheIlluminantsNameTheirOption:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import weakref
 from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from illumest.io import (
     read_scube,
     read_sensitivities,
     write_dataset_manifest,
+    write_name_list,
     write_scube,
     write_spd_csv,
 )
@@ -867,18 +869,24 @@ class TestRejectedBeforeAnyWork:
     @pytest.mark.parametrize(
         "overrides, match",
         [
-            (dict(methods=("ill_pca", "pca"), downsample_fit=5), "downsample_fit 5 does not"),
-            (dict(methods=("ill_pca", "nnmf"), downsample_fit=3), "downsample_fit 3 does not"),
-            (dict(methods=("ill_pca", "lda"), downsample_lda=3), "downsample_lda 3 does not"),
+            (dict(methods=("ill_pca", "pca"), downsample_fit=5),
+             "downsample_fit factor 5 does not"),
+            (dict(methods=("ill_pca", "nnmf"), downsample_fit=3),
+             "downsample_fit factor 3 does not"),
+            (dict(methods=("ill_pca", "lda"), downsample_lda=3),
+             "downsample_lda factor 3 does not"),
             (dict(d_primes=(1, 5), bins=(5, 10**4)), "cell space is too large to index"),
         ],
         ids=["pca", "nnmf", "lda", "cell-space"],
     )
     def test_sweep_rejects_before_the_first_fit(self, demo_data, calls, overrides, match):
         cfg = demo_config(demo_data, **overrides)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as info:
             run_grid(cfg)
         assert calls == []
+        if "factor" in match:  # the scene read names the first training scene
+            first = read_dataset_manifest(demo_data[0])[0][0]
+            assert str(info.value) == f"{first}: {match} divide image size 32x32"
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -922,6 +930,71 @@ class TestRejectedBeforeAnyWork:
         )
         assert len(run_grid(cfg).rows) == 5  # ill_pca, three rand seeds and their average
         assert len(calls) == 4 + 4  # four fits, and one classify per model
+
+    def test_projection_set_naming_an_unknown_illuminant(self, demo_data, tmp_path, calls):
+        names = tmp_path / "pset.txt"
+        write_name_list(names, ["D65", "y", "A", "x"])
+        for run in (run_grid, run_noise):
+            with pytest.raises(FormatError) as info:
+                run(demo_config(demo_data, projection_set=names))
+            assert str(info.value) == f"{names}: names not in set: ['x', 'y']"
+        assert calls == []
+
+
+class TestSceneReads:
+    """A run reads each cube of its manifest once, after its settings are
+    checked, and downsamples it to every factor the run's fits need: every
+    scene to downsample_eval, and the training scenes to downsample_fit for
+    pca and nnmf and to downsample_lda for lda, never to a factor no method
+    of the run uses."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Each (path, factor) pair the runner downsamples, and each path it reads."""
+        log = {"read": [], "downsample": []}
+        read, downsample = evaluation.read_scube, evaluation.downsample
+        monkeypatch.setattr(evaluation, "read_scube", lambda p: log["read"].append(p) or read(p))
+
+        def downsampled(image, factor):
+            log["downsample"].append((log["read"][-1], factor))
+            return downsample(image, factor)
+
+        monkeypatch.setattr(evaluation, "downsample", downsampled)
+        return log
+
+    @pytest.mark.parametrize(
+        "run, methods, train_factors",
+        [
+            (run_grid, ("pca", "nnmf", "lda"), [8, 4, 2]),
+            (run_grid, ("nnmf", "ill_pca"), [8, 4]),
+            (run_grid, ("ill_pca", "rand", "sgw"), [8]),
+            (run_noise, ("lda", "pca"), [8, 2]),  # noise_method lda
+            (run_noise, ("rand", "pca", "lda"), [8]),  # noise_method rand
+        ],
+        ids=["grid-pca-nnmf-lda", "grid-nnmf", "grid-no-training-fit", "noise-lda", "noise-rand"],
+    )
+    def test_each_cube_read_once_per_run(self, demo_data, reads, run, methods, train_factors):
+        train, test = read_dataset_manifest(demo_data[0])
+        cfg = demo_config(demo_data, methods=methods, d_primes=(2,), nnmf_max_iter=20,
+                          downsample_fit=4, downsample_lda=2, noise_method=methods[0],
+                          noise_d_prime=2, noise_levels=(20.0,))
+        run(cfg)
+        assert reads["read"] == train + test
+        assert reads["downsample"] == (
+            [(p, f) for p in train for f in train_factors] + [(p, 8) for p in test]
+        )
+
+    def test_scene_in_both_splits_read_once(self, demo_data, reads, tmp_path):
+        train, test = read_dataset_manifest(demo_data[0])
+        manifest = tmp_path / "overlap.txt"
+        write_dataset_manifest(
+            manifest, [str(p) for p in train], [str(p) for p in [train[0], *test]]
+        )
+        cfg = demo_config((manifest, None), methods=("pca",), allow_overlap=True,
+                          downsample_fit=4)
+        run_grid(cfg)
+        assert reads["read"] == train + test
+        assert [f for p, f in reads["downsample"] if p == train[0]] == [8, 4]
 
 
 class TestCaseTable:
@@ -1065,23 +1138,42 @@ class TestSweepCalls:
         assert relit() == fit_matrix + [("pixel_features", "test_features")] * 8 * 28
 
     def test_fit_matrices_go_before_the_first_features(self, demo_data, monkeypatch):
-        # Every fit comes first, and only fits read the cached training
-        # matrices: neither is held by the time any features are made.
+        # Every fit comes first, from the one read of the scenes: pca and nnmf
+        # share one fit matrix and lda has its own, each built once, and
+        # neither matrix nor any fit-factor scene is alive by the time any
+        # features are made.
         cfg = demo_config(demo_data, methods=("pca", "lda", "nnmf"), d_primes=(2, 3),
                           nnmf_max_iter=20)
-        runner = _Runner(cfg)
-        made, held = [], []
-        for owner, name, log in ((_Runner, "_training_rows", made),
-                                 (evaluation, "training_features", held)):
-            def recorded(*args, _original=getattr(owner, name), _log=log):
-                _log.append(sorted({"fit_matrix", "lda_matrix"} & set(vars(runner))))
-                return _original(*args)
+        made, scenes, alive = [], [], []
+        chroma, read, features = (
+            evaluation.training_chromaticities, evaluation.read_scenes, evaluation.training_features
+        )
 
-            monkeypatch.setattr(owner, name, recorded)
-        runner.grid()
-        assert made == [[], ["fit_matrix"]]  # pca's matrix, which nnmf shares, then lda's
-        assert held == [[]] * (1 + 1 + 2)  # pca and lda once at d' = 3, nnmf at each d'
-        assert runner.fit_matrix.rows.shape[1] == 31  # still made on request, after a sweep
+        def training_chromaticities(images, candidates, labelled=False):
+            matrix = chroma(images, candidates, labelled)
+            made.append((labelled, weakref.ref(matrix), weakref.ref(matrix.rows)))
+            return matrix
+
+        def read_scenes(wanted, axis=None):
+            images = read(wanted, axis)
+            scenes.extend(weakref.ref(img) for option, imgs in images.items()
+                          if option != "downsample_eval" for img in imgs)
+            return images
+
+        def training_features(*args):
+            refs = [ref for _, *refs in made for ref in refs] + scenes
+            alive.append(sum(ref() is not None for ref in refs))
+            return features(*args)
+
+        for name, wrapper in (("training_chromaticities", training_chromaticities),
+                              ("read_scenes", read_scenes),
+                              ("training_features", training_features)):
+            monkeypatch.setattr(evaluation, name, wrapper)
+        run_grid(cfg)
+        assert [labelled for labelled, *_ in made] == [False, True]  # pca's (nnmf's too), lda's
+        n_train = len(read_dataset_manifest(demo_data[0])[0])
+        assert len(scenes) == 2 * n_train  # at downsample_fit and at downsample_lda
+        assert alive == [0] * (1 + 1 + 2)  # pca and lda once at d' = 3, nnmf at each d'
 
     def test_sweeps_keep_no_module_state_and_add_no_setting(self, demo_data, bundled_cameras):
         # The shared work is held by the sweep for one projection, not cached
@@ -1262,16 +1354,23 @@ class TestBatchedEvaluation:
 
     @staticmethod
     def resize_test_scenes(runner, n_pixels):
-        """Give each of the runner's test scenes `n_pixels` valid pixels, its
-        own cycled in one row; None leaves the scenes as they are."""
-        if n_pixels is None:
-            return
-        train, test = runner._scenes
-        sized = []
-        for img in test:
-            rows = np.resize(img.valid_pixels(), (n_pixels, img.n_bands))
-            sized.append(SpectralImage(img.axis, rows[None], np.ones((1, n_pixels), bool)))
-        runner.__dict__["_scenes"] = (train, sized)
+        """Read the runner's scenes, and in every read it makes (a sweep's
+        too) give each test scene `n_pixels` valid pixels, its own cycled in
+        one row; None leaves the scenes as they are."""
+        read = runner._read
+
+        def resized(methods=()):
+            images = read(methods)
+            if n_pixels is not None:
+                sized = []
+                for img in runner.test_eval:
+                    rows = np.resize(img.valid_pixels(), (n_pixels, img.n_bands))
+                    sized.append(SpectralImage(img.axis, rows[None], np.ones((1, n_pixels), bool)))
+                runner.test_eval = sized
+            return images
+
+        runner._read = resized
+        runner._read()
 
     @pytest.mark.parametrize("n_pixels", [None, 1, 5, 100])
     @pytest.mark.parametrize("noise_db", [None, 20.0])
@@ -1313,13 +1412,13 @@ class TestBatchedEvaluation:
         # Masking a different number of each 16-pixel test scene's pixels (one
         # scene keeps one) pads the stacked features' rows scene by scene.
         runner = _Runner(demo_config(demo_data))
-        train, test = runner._scenes
+        runner._read()
         ragged = []
-        for i, img in enumerate(test):
+        for i, img in enumerate(runner.test_eval):
             mask = img.mask.copy()
             mask.reshape(-1)[: i * 5 % 16] = False
             ragged.append(replace(img, mask=mask))
-        runner.__dict__["_scenes"] = (train, ragged)
+        runner.test_eval = ragged
         sizes = [16, 11, 6, 1, 12, 7, 2, 13]
         assert [len(img.valid_pixels()) for img in runner.test_eval] == sizes
         model = ill_pca_model(runner, 2, 5)
@@ -1361,6 +1460,7 @@ class TestBatchedEvaluation:
 
     def test_ties_resolve_to_the_lowest_index(self, demo_data):
         runner = _Runner(demo_config(demo_data))
+        runner._read()
         model = ill_pca_model(runner, 2, 5)
         # every candidate shares the first one's histogram, so all scores tie
         n = len(model.candidate_names)

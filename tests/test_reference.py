@@ -130,7 +130,8 @@ def reference_ties(runner, row, radiance):
     d_prime = row.d_prime
     if row.method in NESTED_KINDS:  # fitted once, at the largest d' of the row's sweep
         d_prime = max(cfg.d_primes) if row.noise_label == NO_VARIANT else cfg.noise_d_prime
-    (proj,) = [p for v, p in runner._projections(row.method, d_prime) if v == row.variant]
+    fits = runner._fits((row.method,), (d_prime,), runner._read((row.method,)))
+    (proj,) = [p for _, v, p in fits[0] if v == row.variant]
     if row.method in NESTED_KINDS:
         proj = leading_projection(proj, row.d_prime)
     train = [
@@ -224,8 +225,8 @@ def test_sweep_predictions_lie_in_the_reference_tie_sets(name, tmp_path, bundled
         **spec["config"],
     )
     runner = _Runner(cfg)
-    n_cases = len(runner.test_eval) * len(runner.full)
     grid = runner.grid()
+    n_cases = len(runner.test_eval) * len(runner.full)
     checked, single = check_report(runner, grid, {"-": None})
     assert checked == len([r for r in grid.rows if r.variant != AVG_VARIANT]) * n_cases
     levels = {"clean": None, **{f"{db:g}": db for db in cfg.noise_levels}}

@@ -1,6 +1,6 @@
 """Smoke test of scripts/score_batch_rss.py, which drives `run_noise`, one
-`run_grid` cell per method and the grid runner's `fit_matrix` directly, so a
-runner change that breaks it fails here rather than at its next manual run."""
+`run_grid` cell per method and the pca fit matrix through public calls, so a
+change that breaks it fails here rather than at its next manual run."""
 
 import importlib.util
 import sys

@@ -239,6 +239,42 @@ class TestDownsample:
         np.testing.assert_array_equal(out.data, img.data)
 
 
+class TestLayouts:
+    """`read_scube` returns a band-major view of the file's planes (bands the
+    slowest axis), and a C-order (H, W, bands) copy holds the same values:
+    the pixel primitives give the same bytes on both layouts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        blocks=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        bands=st.integers(1, 33),
+        factor=st.integers(1, 5),
+        masked=st.floats(0.0, 0.9),
+        snr_db=st.one_of(st.none(), st.floats(-10.0, 60.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_on_both_layouts(self, blocks, bands, factor, masked, snr_db, seed):
+        rng = np.random.default_rng(seed)
+        h, w = blocks[0] * factor, blocks[1] * factor
+        planes = rng.random((bands, h, w)).astype(np.float32).astype(np.float64)  # as stored
+        mask = rng.random((h, w)) >= masked
+        mask[0, 0] = True  # a noise level needs a valid pixel
+        axis = SpectralAxis(400.0, 10.0, bands)
+        sens = SensitivityFunctions(axis, rng.random((3, bands)) + 0.01)
+        layouts = planes.transpose(1, 2, 0), np.ascontiguousarray(planes.transpose(1, 2, 0))
+        assert layouts[1].flags.c_contiguous and layouts[0].strides[2] == h * w * 8
+        outputs = []
+        for data in layouts:
+            img = SpectralImage(axis, data, mask)
+            assert img.data.strides == data.strides  # the image keeps the layout
+            small = downsample(img, factor)
+            outputs.append([
+                small.data.tobytes(), small.mask.tobytes(), sensor_project(img, sens).tobytes(),
+                img.valid_pixels().tobytes(), add_noise(img, snr_db, seed).data.tobytes(),
+            ])
+        assert outputs[0] == outputs[1]
+
+
 class TestNoise:
     def test_sigma_follows_snr_definition(self):
         assert noise_sigma(1.0, 20.0) == 0.1
