@@ -14,8 +14,10 @@ older checkouts) as the `unit` stage, and the binning fold, which is
 `prefix_cells` generators the sweep steps (its calls count the prefixes they
 yield), and the report rows' summaries as the `summaries` stage: the one
 `summarize_rows` call per report, or in older checkouts the per-row
-`summarize` calls. Prints one JSON object: per checkout and stage, each
-pass's milliseconds and calls.
+`summarize` calls. Two stages are inclusive, each holding the stages it
+calls: `builds`, the sweep's `build_model` calls, and `scores`, its `classify`
+calls. Prints one JSON object: per checkout and stage, each pass's
+milliseconds and calls.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ def probe(checkout: Path, seed: int, passes: int) -> dict:
         timed_generator(evaluation, "prefix_cells", "prefix_cells")
     summary = "summarize_rows" if hasattr(evaluation, "summarize_rows") else "summarize"
     timed(evaluation, summary, "summaries")
+    timed(evaluation, "build_model", "builds")
+    timed(evaluation, "classify", "scores")
     with tempfile.TemporaryDirectory() as tmp:
         workload = workloads.make_workload("grid_hist", workloads.make_inputs(Path(tmp), seed))
         workload.setup()

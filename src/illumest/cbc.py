@@ -191,32 +191,45 @@ def bin_indices(
     return _bin_digits(scaled, n_bins) @ powers
 
 
-def cell_union(cells: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """`np.unique(cells, return_inverse=True)` of flat int64 cells below
-    `n_cells`. Where the space has at most three cells per row, an occupancy
-    flag and an index per cell give it in O(N + n_cells) with no sort, in 9
-    bytes a cell: less than the 33 a row np.unique holds (its flattened copy,
-    sort order, sorted copy, run flags and their cumsum). A larger space
-    keeps np.unique."""
-    if n_cells > 3 * cells.size:
-        return np.unique(cells, return_inverse=True)
-    seen = np.zeros(n_cells, dtype=bool)
-    seen[cells] = True
-    union = np.flatnonzero(seen)
-    index = np.empty(n_cells, dtype=np.intp)  # read only at the union's cells
-    index[union] = np.arange(union.size)
-    return union, index[cells]
+def _cell_runs(kept: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The histograms of the blocks of the (blocks, N) mask `kept`, whose kept
+    rows have the flat cells `flat` in row order: each block's occupied cells
+    in ascending order, block by block, their row counts and their block.
+
+    Each block's cells are sorted along its own row, unkept rows (-1) first;
+    the runs of equal cells are the block's occupied cells, in order."""
+    n_rows = kept.shape[1]
+    cells = np.full(kept.shape, -1, dtype=np.int64)
+    cells[kept] = flat
+    cells.sort(axis=1)
+    first = np.ones(cells.shape, dtype=bool)
+    first[:, 1:] = cells[:, 1:] != cells[:, :-1]
+    first &= cells >= 0
+    start = np.flatnonzero(first)
+    block = start // n_rows
+    # A run ends where the next one starts or where its block ends.
+    stop = np.minimum(np.append(start[1:], cells.size), (block + 1) * n_rows)
+    return cells.ravel()[start], stop - start, block
 
 
-def _union_slots(
-    cells: np.ndarray, counts: Sequence[int], n_cells: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The `cell_union` of flat `cells` below `n_cells`, closed by
-    SENTINEL_CELL, and each cell's flat slot in a model's (candidates,
-    union) table, the cells stored candidate-major, counts[i] of candidate i."""
-    union, slots = cell_union(cells, n_cells)
-    slots += np.repeat(np.arange(len(counts)) * (union.size + 1), counts)
-    return np.append(union, SENTINEL_CELL), slots
+def _cell_table(
+    cells: np.ndarray, values: np.ndarray, block: np.ndarray, n_blocks: int,
+    base: float | Sequence[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A model's table of (cell, value, block) entries, no cell twice in a
+    block, as `_cell_runs` gives them: the sorted union of `cells` closed by
+    SENTINEL_CELL, the (n_blocks, union) table holding each entry's value at
+    its block's row and cell's column and `base` (a scalar or one per block)
+    everywhere else, and the (n_blocks, union - 1) mask of the entries."""
+    union = np.sort(np.append(cells, SENTINEL_CELL))  # past every cell, so last
+    union = union[np.append(True, union[1:] != union[:-1])]
+    slots = np.searchsorted(union, cells)  # one flat index into the table per entry
+    slots += block * union.size
+    table = np.full((n_blocks, union.size), np.reshape(base, (-1, 1)), dtype=np.float64)
+    table.reshape(-1)[slots] = values
+    occupied = np.zeros(table.shape, dtype=bool)
+    occupied.reshape(-1)[slots] = True
+    return union, table, occupied[:, :-1]
 
 
 @dataclass
@@ -364,11 +377,8 @@ def build_model(
     if counts.sum() != len(features.feats) or not counts.all():
         raise ValueError("every candidate needs rows, and the counts must cover them")
     lo, hi, *_ = features.cells or calibrate_bounds(features.feats, d_out)
-    cells, slots = _union_slots(feature_cells(features, lo, hi, n_bins), counts, n_cells)
-    # unit weights count exactly in float64, with no int64 table to convert
-    probs = np.bincount(slots, np.ones(slots.size), len(counts) * cells.size)
-    probs = probs.reshape(-1, cells.size)
-    occupied = probs[:, :-1] > 0
+    runs = _cell_runs(features.kept, feature_cells(features, lo, hi, n_bins))
+    cells, probs, occupied = _cell_table(*runs, len(counts), 0.0)
     probs += smoothing
     probs /= (counts + smoothing * n_cells)[:, None]
     return CorrelationModel(
@@ -473,7 +483,8 @@ def score(
     block's histogram is normalized without smoothing over its usable rows;
     `log` mode gives sum(h_test * log(h_candidate)) over the block's occupied
     cells, `dot` mode the plain dot product of the two histograms. All blocks
-    share one `pixel_features`, one binning and one sort call. Blocks
+    share one `pixel_features`, one binning and one `_cell_runs` pass, which
+    counts a model's candidates too. Blocks
     with the same number of occupied cells share one gather from the model's
     union table and one `np.vecdot`, which dots each (candidate, block) pair
     on its own, so a block's scores are bitwise its scores alone. Unkept
@@ -489,28 +500,16 @@ def score(
     if not isinstance(pixels, BlockFeatures):
         pixels = block_features(model.projection, pixels)
     _require_projection(pixels, model.projection, model.projection_digest)
-    kept = pixels.kept
-    batch, n_rows = kept.shape[:-1], kept.shape[-1]
-    n_blocks = math.prod(batch)
-    totals = kept.reshape(n_blocks, n_rows).sum(axis=1)
+    batch = pixels.kept.shape[:-1]
+    kept = pixels.kept.reshape(math.prod(batch), pixels.kept.shape[-1])  # (blocks, N)
+    n_blocks, totals = len(kept), kept.sum(axis=1)
     if not totals.all():
         raise ValueError("test image has no usable pixels")
-    # Each block's cells sorted along its own row, black rows (-1) first;
-    # the runs of equal cells are the block's occupied cells, in order.
-    cells = np.full(kept.shape, -1, dtype=np.int64)
-    cells[kept] = feature_cells(pixels, model.lo, model.hi, model.n_bins)
-    cells = np.sort(cells.reshape(n_blocks, n_rows), axis=1)
-    first = np.empty(cells.shape, dtype=bool)
-    first[:, :1] = True
-    first[:, 1:] = cells[:, 1:] != cells[:, :-1]
-    start = np.flatnonzero(first & (cells >= 0))
-    key_block = start // n_rows
-    # A run ends where the next one starts or where its block ends.
-    stop = np.minimum(np.append(start[1:], cells.size), (key_block + 1) * n_rows)
-    occupied = cells.ravel()[start]
+    flat = feature_cells(pixels, model.lo, model.hi, model.n_bins)
+    occupied, counts, key_block = _cell_runs(kept, flat)
     pos = np.searchsorted(model.cells, occupied)
     pos[model.cells[pos] != occupied] = model.cells.size - 1
-    weights = (stop - start) / totals[key_block]
+    weights = counts / totals[key_block]
     n_runs = np.bincount(key_block, minlength=n_blocks)  # each block's occupied cells
     run_counts = n_runs[key_block]
     table = model.log_probs if mode == MODE_LOG else model.probs
@@ -626,12 +625,11 @@ def read_model(path) -> CorrelationModel:
             stored_probs.append(probs)
         if offset != len(blob):
             raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+        block = np.repeat(np.arange(len(stored)), [c.size for c in stored])
         flat = np.concatenate([np.empty(0, np.int64), *stored])
-        union, slots = _union_slots(flat, [c.size for c in stored], total_cells)
-        table = np.repeat(np.array(bases)[:, None], union.size, axis=1)
-        table.reshape(-1)[slots] = np.concatenate([np.empty(0), *stored_probs])
-        occupied = np.zeros(table.shape, dtype=bool)
-        occupied.reshape(-1)[slots] = True
+        union, table, occupied = _cell_table(
+            flat, np.concatenate([np.empty(0), *stored_probs]), block, len(stored), bases
+        )
         return CorrelationModel(
             n_dims=n_dims,
             n_bins=n_bins,
@@ -641,7 +639,7 @@ def read_model(path) -> CorrelationModel:
             candidate_names=tuple(names),
             cells=union,
             probs=table,
-            occupied=occupied[:, :-1],
+            occupied=occupied,
             projection_digest=digest,
         )
     except (struct.error, ValueError, UnicodeDecodeError) as exc:

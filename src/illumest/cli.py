@@ -31,7 +31,6 @@ from .illuminants import load_illuminants, select_projection_set
 from .io import (
     format_float,
     read_dataset_manifest,
-    read_name_list,
     read_sensitivities,
     write_name_list,
 )
@@ -145,14 +144,16 @@ def _cmd_build_model(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = read_model(args.model).with_projection(read_projection(args.projection))
+    full = load_illuminants(_illuminants(args))  # its grid is the cube's
     if args.truth is not None:  # resolved before anything is printed
-        spds = {ill.name: ill.spd for ill in load_illuminants(_illuminants(args))}
+        spds = {ill.name: ill.spd for ill in full}
         if args.truth not in spds:
             raise ValueError(f"--truth {args.truth!r} is not in the illuminant set")
         missing = sorted(set(model.candidate_names) - spds.keys())
         if missing:
             raise ValueError(f"model candidates not in the illuminant set: {', '.join(missing)}")
-    (image,) = read_scenes({"--downsample": (args.downsample, [args.cube])})["--downsample"]
+    wanted = {"--downsample": (args.downsample, [args.cube])}
+    (image,) = read_scenes(wanted, full.axis)["--downsample"]
     name, scores = classify(model, image, mode=args.mode)
     print(f"predicted: {name}")
     for cand, s in zip(model.candidate_names, scores):
@@ -184,10 +185,8 @@ def _cmd_noise(args) -> int:
 
 def _cmd_export_pca(args) -> int:
     full = load_illuminants(_illuminants(args))
-    fitted_on = (
-        full.subset(read_name_list(args.projection_set))
-        if args.projection_set is not None
-        else full
+    fitted_on = full if args.projection_set is None else projection_set(
+        full, args.projection_set, k=len(full), seed=0  # with a names file, k and seed go unread
     )
     try:
         check_fittable(KIND_ILL_PCA, (args.components,), fitted_on)

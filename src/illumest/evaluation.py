@@ -467,9 +467,9 @@ def read_scenes(
 ) -> dict[str, list[SpectralImage]]:
     """The cubes of `wanted`, {option: (factor, paths)}, as {option: their
     images in `paths` order}: each distinct cube is read once and downsampled
-    by the factor of every option that names it. A cube off `axis` (when
-    given) fails naming its file, and a factor that does not divide it fails
-    naming the option and the file."""
+    once by each factor of the options that name it, so options of one factor
+    share its images. A cube off `axis` (when given) fails naming its file,
+    and a factor that does not divide it fails naming the option and the file."""
     images = {}
     for path in dict.fromkeys(p for _, paths in wanted.values() for p in paths):
         cube = read_scube(path)
@@ -477,11 +477,11 @@ def read_scenes(
             raise ValueError(f"{path}: scene grid [{cube.axis}] does not match illuminants")
         for option, (factor, paths) in wanted.items():
             try:
-                if path in paths:
-                    images[path, option] = downsample(cube, factor)
+                if path in paths and (path, factor) not in images:
+                    images[path, factor] = downsample(cube, factor)
             except ValueError as exc:
                 raise ValueError(f"{path}: {option} {exc}") from None
-    return {option: [images[p, option] for p in paths] for option, (_, paths) in wanted.items()}
+    return {option: [images[p, f] for p in paths] for option, (f, paths) in wanted.items()}
 
 
 def projection_set(

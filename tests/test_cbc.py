@@ -1007,18 +1007,45 @@ class TestUnitCoordinates:
             assert [c.tobytes() for c in served] == [prefixes[k - 1].tobytes() for k in ks]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 300), st.lists(st.integers(0, 10**6), max_size=80), st.booleans())
-    @example(n_cells=3, picks=[2], last=False)  # one cell, the space's last: dense
-    @example(n_cells=4, picks=[3], last=False)  # one cell, the space's last: np.unique
-    @example(n_cells=7, picks=[5, 5, 5], last=True)
-    def test_cell_union_is_np_unique(self, n_cells, picks, last):
-        cells = np.array([p % n_cells for p in picks] + [n_cells - 1] * last, dtype=np.int64)
-        want = np.unique(cells, return_inverse=True)
-        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
-            got = cbc.cell_union(cells, n_cells)
-        assert unique.called == (n_cells > 3 * cells.size)  # the switch rule
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    @given(
+        # spaces on both sides of three cells per row, and near 2**62
+        st.one_of(st.integers(1, 400), st.integers(2**62 - 4, 2**62 + 4)),
+        st.lists(st.lists(st.one_of(st.none(), st.integers(0, 2**63 - 1)), max_size=40),
+                 min_size=1, max_size=4),
+        st.booleans(),
+        st.data(),
+    )
+    @example(n_cells=3, rows=[[2]], last=False, data=None)  # one run, the space's last cell
+    @example(n_cells=300, rows=[[5, None, 5], [None, 7, 7, 7]], last=True, data=None)
+    @example(n_cells=2**62, rows=[[None, 9, 1]], last=True, data=None)
+    def test_cell_table_is_np_unique_per_candidate(self, n_cells, rows, last, data):
+        # each candidate's row of kept cells (None: unkept), counted by
+        # np.unique(return_counts=True) into a dense {cell: count} dict
+        rows = [[None if c is None else c % n_cells for c in r] + [n_cells - 1] * last
+                for r in rows]
+        rows = [r if any(c is not None for c in r) else r + [0] for r in rows]
+        width = max(map(len, rows))
+        kept = np.array([[c is not None for c in r] + [False] * (width - len(r)) for r in rows])
+        flat = np.array([c for r in rows for c in r if c is not None], dtype=np.int64)
+        dense = [
+            dict(zip(*(a.tolist() for a in np.unique(np.array(
+                [c for c in r if c is not None], dtype=np.int64), return_counts=True))))
+            for r in rows
+        ]
+        union = sorted(set().union(*dense)) + [cbc.SENTINEL_CELL]
+        bases = [0.0] * len(rows) if data is None else data.draw(
+            st.lists(st.floats(0, 1), min_size=len(rows), max_size=len(rows)))
+        runs = cbc._cell_runs(kept, flat)
+        for base in (0.0, bases):
+            got = cbc._cell_table(*runs, len(rows), base)
+            want = (
+                np.array(union, dtype=np.int64),
+                np.array([[float(d.get(c, b)) for c in union[:-1]] + [float(b)]
+                          for d, b in zip(dense, np.broadcast_to(base, len(rows)))]),
+                np.array([[c in d for c in union[:-1]] for d in dense]).reshape(len(rows), -1),
+            )
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(binning_cases(), edge_cases()), st.data())
@@ -1562,6 +1589,22 @@ class TestModelSerialization:
         assert loaded.occupied.tolist() == [[True, False], [False, True]]
         assert loaded.probs.tolist() == [[0.25, 0.25, 0.25], [0.1, 0.7, 0.1]]
         assert [g.cells.tolist() for g in loaded.grids] == [[1], [2]]
+        write_model(p2, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_candidates_that_store_no_cell(self, tmp_path):
+        # every cell at the base: the union is the sentinel alone, which every test cell reads
+        proj = Projection("rand", 4, 1, basis=np.eye(1, 4))
+        records = [("a", 0.25, [], []), ("b", 0.25, [], [])]
+        p1, p2 = tmp_path / "a.cbcm", tmp_path / "b.cbcm"
+        p1.write_bytes(cbcm_bytes(1, 4, records, digest=projection_hash(proj)))
+        loaded = read_model(p1)
+        assert loaded.cells.tolist() == [cbc.SENTINEL_CELL]
+        assert loaded.probs.tolist() == [[0.25], [0.25]]
+        assert loaded.occupied.shape == (2, 0)
+        assert [g.cells.size for g in loaded.grids] == [0, 0]
+        scores = score(loaded.with_projection(proj), np.array([[1.0, 2, 3, 4], [4, 3, 2, 1]]))
+        assert scores.tolist() == [math.log(0.25)] * 2
         write_model(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 

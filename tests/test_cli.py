@@ -139,12 +139,13 @@ class TestFit:
         assert proj.metadata["camera"] == "camera_a"
 
 
-#: Every file reader the commands call, by (module, name): each in `cli`, and
-#: the cube reader of `evaluation.read_scenes`, which reads their cubes.
+#: Every file reader the commands call, by (module, name): each in `cli`, the
+#: cube reader of `evaluation.read_scenes`, which reads their cubes, and the
+#: names-file reader of `evaluation.projection_set`.
 READERS = tuple((cli, name) for name in (
     "load_illuminants", "parse_config", "read_dataset_manifest", "read_model",
-    "read_name_list", "read_projection", "read_sensitivities",
-)) + ((evaluation, "read_scube"),)
+    "read_projection", "read_sensitivities",
+)) + ((evaluation, "read_scube"), (evaluation, "read_name_list"))
 
 
 @pytest.fixture
@@ -450,15 +451,29 @@ class TestCubesReadThroughTheLoader:
         ))
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["fit", "grid"])
+    def test_classify_cube_off_the_grid_named(self, fitted, tmp_path, capsys):
+        # same band count as the model's projection, on another grid than the illuminants'
+        proj_path, model_path, dataset = fitted
+        img = read_scube(read_dataset_manifest(dataset)[1][0])
+        shifted = tmp_path / "shifted.scube"
+        write_scube(shifted, replace(img, axis=SpectralAxis(410.0, 10.0, img.n_bands)))
+        argv = ["classify", "--model", str(model_path), "--projection", str(proj_path)]
+        assert main(argv + ["--cube", str(shifted)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {shifted}: scene grid [410..710 nm step 10 (31 bands)] "
+            "does not match illuminants\n"
+        ))
+
+    @pytest.mark.parametrize("command", ["fit", "grid", "export-pca-coords"])
     def test_projection_set_naming_an_unknown_illuminant(
         self, command, demo_data, tmp_path, capsys
     ):
         names = tmp_path / "pset.txt"
         write_name_list(names, ["D65", "x", "A"])
         out = tmp_path / "out.csv"
-        if command == "fit":
-            argv = ["fit", "--method", "ill_pca", "--projection-set", str(names)]
+        if command != "grid":
+            argv = [command, "--projection-set", str(names)]
+            argv += ["--method", "ill_pca"] if command == "fit" else []
         else:
             config = tmp_path / "grid.cfg"
             config.write_text(

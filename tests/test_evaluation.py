@@ -996,6 +996,30 @@ class TestSceneReads:
         assert reads["read"] == train + test
         assert [f for p, f in reads["downsample"] if p == train[0]] == [8, 4]
 
+    @pytest.mark.parametrize("run", [run_grid, run_noise])
+    @pytest.mark.parametrize(
+        "fit, lda, train_factors", [(8, 8, [8]), (8, 2, [8, 2]), (4, 4, [8, 4])],
+        ids=["all-equal", "fit-equals-eval", "fit-equals-lda"],
+    )
+    def test_options_of_one_factor_share_one_downsample(
+        self, demo_data, reads, run, fit, lda, train_factors
+    ):
+        train, test = read_dataset_manifest(demo_data[0])
+        cfg = demo_config(demo_data, methods=("lda", "pca"), d_primes=(2,), downsample_fit=fit,
+                          downsample_lda=lda, noise_method="lda", noise_d_prime=2,
+                          noise_levels=(20.0,))
+        run(cfg)
+        assert reads["read"] == train + test
+        assert reads["downsample"] == (
+            [(p, f) for p in train for f in train_factors] + [(p, 8) for p in test]
+        )
+
+    def test_options_of_one_factor_get_the_same_images(self, demo_data):
+        train, test = read_dataset_manifest(demo_data[0])
+        images = evaluation.read_scenes({"a": (4, train), "b": (4, train[1:] + test), "c": (2, test)})
+        assert all(x is y for x, y in zip(images["a"][1:], images["b"]))
+        assert not any(x is y for x, y in zip(images["b"][-len(test):], images["c"]))
+
 
 class TestCaseTable:
     def test_errors_are_the_full_pairwise_angles(self, demo_data):
@@ -1141,9 +1165,8 @@ class TestSweepCalls:
         # Every fit comes first, from the one read of the scenes: pca and nnmf
         # share one fit matrix and lda has its own, each built once, and
         # neither matrix nor any fit-factor scene is alive by the time any
-        # features are made.
-        cfg = demo_config(demo_data, methods=("pca", "lda", "nnmf"), d_primes=(2, 3),
-                          nnmf_max_iter=20)
+        # features are made, but for the scenes a downsample_fit equal to
+        # downsample_eval (8) shares with the run.
         made, scenes, alive = [], [], []
         chroma, read, features = (
             evaluation.training_chromaticities, evaluation.read_scenes, evaluation.training_features
@@ -1156,8 +1179,9 @@ class TestSweepCalls:
 
         def read_scenes(wanted, axis=None):
             images = read(wanted, axis)
+            held = set(map(id, images["downsample_eval"]))
             scenes.extend(weakref.ref(img) for option, imgs in images.items()
-                          if option != "downsample_eval" for img in imgs)
+                          if option != "downsample_eval" for img in imgs if id(img) not in held)
             return images
 
         def training_features(*args):
@@ -1169,11 +1193,14 @@ class TestSweepCalls:
                               ("read_scenes", read_scenes),
                               ("training_features", training_features)):
             monkeypatch.setattr(evaluation, name, wrapper)
-        run_grid(cfg)
-        assert [labelled for labelled, *_ in made] == [False, True]  # pca's (nnmf's too), lda's
         n_train = len(read_dataset_manifest(demo_data[0])[0])
-        assert len(scenes) == 2 * n_train  # at downsample_fit and at downsample_lda
-        assert alive == [0] * (1 + 1 + 2)  # pca and lda once at d' = 3, nnmf at each d'
+        for fit_factor, own in ((4, 2), (8, 1)):  # the scenes at factors other than 8
+            made.clear(), scenes.clear(), alive.clear()
+            run_grid(demo_config(demo_data, methods=("pca", "lda", "nnmf"), d_primes=(2, 3),
+                                 nnmf_max_iter=20, downsample_fit=fit_factor))
+            assert [labelled for labelled, *_ in made] == [False, True]  # pca's (nnmf's), lda's
+            assert len(scenes) == own * n_train  # at downsample_fit and at downsample_lda
+            assert alive == [0] * (1 + 1 + 2)  # pca and lda once at d' = 3, nnmf at each d'
 
     def test_sweeps_keep_no_module_state_and_add_no_setting(self, demo_data, bundled_cameras):
         # The shared work is held by the sweep for one projection, not cached

@@ -11,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = (
     "fits", "training_features", "test_features", "unit", "feature_cells", "prefix_cells",
-    "summaries",
+    "summaries", "builds", "scores",
 )
 
 
