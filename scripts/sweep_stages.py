@@ -1,11 +1,15 @@
-"""In-process stage times of warm grid_hist passes, per checkout.
+"""In-process stage times of warm grid_hist or classify passes, per checkout.
 
 Run from the repository root:
 
     python scripts/sweep_stages.py --checkout ../parent --checkout . --seed 11 --passes 5
+    python scripts/sweep_stages.py --mode classify --checkout ../parent --checkout . \
+        --rounds 6 --passes 60
 
-Each checkout runs in a fresh interpreter on its own sources and bench inputs:
-one warm `run_grid` + `run_noise` pass, then --passes timed passes. Wrappers at
+Each checkout runs in a fresh interpreter on its own sources and bench inputs,
+once per round, the checkouts in turn and their order reversed every other
+round. In the grid mode (the default) a run makes one warm `run_grid` +
+`run_noise` pass, then --passes timed passes. Wrappers at
 the sites the sweep resolves sum each pass's time and calls in: the fits
 (`evaluation.fit_*`), `training_features`, `_Runner.test_features`, the
 conversion to unit coordinates (`unit_coordinates`, or `unit_features` in
@@ -16,8 +20,19 @@ yield), and the report rows' summaries as the `summaries` stage: the one
 `summarize_rows` call per report, or in older checkouts the per-row
 `summarize` calls. Two stages are inclusive, each holding the stages it
 calls: `builds`, the sweep's `build_model` calls, and `scores`, its `classify`
-calls. Prints one JSON object: per checkout and stage, each pass's
-milliseconds and calls.
+calls.
+
+The classify mode sets up the classify workload (its model and its requests,
+224 at the full size) and classifies every request once to warm up. Each
+timed pass then classifies every request twice: once unwrapped, timed whole
+as the `pass` stage, and once with wrappers on `cbc.block_features` (which
+takes the valid pixels), the binning (`cbc.feature_cells`), `cbc._cell_runs`
+and `cbc.score`. `score_rest` is what `score` spends outside those three
+stages.
+
+--size smoke runs either mode on the bench self-test's small scenes.
+Prints one JSON object: per checkout and stage, each pass's milliseconds
+(every round's passes in turn) and calls.
 """
 
 from __future__ import annotations
@@ -33,19 +48,17 @@ from pathlib import Path
 FIT_KINDS = ("rgb", "rand", "pca", "ill_pca", "nnmf", "lda")
 
 
-def probe(checkout: Path, seed: int, passes: int) -> dict:
-    """Runs inside a fresh interpreter on `checkout`'s sources."""
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
-    import workloads
-    from illumest import cbc, evaluation
+class Stages:
+    """Per-stage sums of milliseconds and calls, fed by wrappers at module sites."""
 
-    totals: dict = {}
+    def __init__(self):
+        self.totals: dict = {}
 
-    def add(stage, seconds, calls=1):
-        ms, n = totals.get(stage, (0.0, 0))
-        totals[stage] = (ms + 1e3 * seconds, n + calls)
+    def add(self, stage, seconds, calls=1):
+        ms, n = self.totals.get(stage, (0.0, 0))
+        self.totals[stage] = (ms + 1e3 * seconds, n + calls)
 
-    def timed(owner, name, stage):
+    def timed(self, owner, name, stage):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
@@ -53,9 +66,25 @@ def probe(checkout: Path, seed: int, passes: int) -> dict:
             try:
                 return original(*args, **kwargs)
             finally:
-                add(stage, time.perf_counter() - start)
+                self.add(stage, time.perf_counter() - start)
 
         setattr(owner, name, wrapper)
+
+    def record(self, out: dict) -> None:
+        """Append this pass's sums to `out` and start the next pass."""
+        for stage, (ms, calls) in self.totals.items():
+            out.setdefault(stage, {"ms": [], "calls": calls})["ms"].append(round(ms, 2))
+        self.totals.clear()
+
+
+def probe(checkout: Path, seed: int, passes: int, size: str) -> dict:
+    """Runs inside a fresh interpreter on `checkout`'s sources."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    import workloads
+    from illumest import cbc, evaluation
+
+    stages = Stages()
+    add, timed = stages.add, stages.timed
 
     def timed_generator(owner, name, stage):
         original = getattr(owner, name)
@@ -90,43 +119,89 @@ def probe(checkout: Path, seed: int, passes: int) -> dict:
     timed(evaluation, "build_model", "builds")
     timed(evaluation, "classify", "scores")
     with tempfile.TemporaryDirectory() as tmp:
-        workload = workloads.make_workload("grid_hist", workloads.make_inputs(Path(tmp), seed))
+        inputs = workloads.make_inputs(Path(tmp), seed, getattr(workloads, size.upper()))
+        workload = workloads.make_workload("grid_hist", inputs)
         workload.setup()
         config = workload.config
         evaluation.run_grid(config)
         evaluation.run_noise(config)
         out: dict = {}
         for _ in range(passes):
-            totals.clear()
+            stages.totals.clear()
             start = time.perf_counter()
             evaluation.run_grid(config)
             evaluation.run_noise(config)
             add("pass", time.perf_counter() - start)
-            for stage, (ms, calls) in totals.items():
-                out.setdefault(stage, {"ms": [], "calls": calls})["ms"].append(round(ms, 2))
+            stages.record(out)
+    return out
+
+
+def probe_classify(checkout: Path, seed: int, passes: int, size: str) -> dict:
+    """Runs inside a fresh interpreter on `checkout`'s sources."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    import workloads
+    from illumest import cbc
+
+    stages = Stages()
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = workloads.make_inputs(Path(tmp), seed, getattr(workloads, size.upper()))
+        workload = workloads.make_workload("classify", inputs)
+        workload.setup()
+    model, requests = workload.model, [radiance for *_, radiance in workload.requests]
+    classify = cbc.classify
+    for radiance in requests:
+        classify(model, radiance)
+    inner = ("block_features", "feature_cells", "_cell_runs")
+    originals = {name: getattr(cbc, name) for name in (*inner, "score")}
+    out: dict = {}
+    for _ in range(passes):
+        start = time.perf_counter()
+        for radiance in requests:
+            classify(model, radiance)
+        stages.add("pass", time.perf_counter() - start, len(requests))
+        for name in originals:
+            stages.timed(cbc, name, name)
+        for radiance in requests:
+            classify(model, radiance)
+        for name, original in originals.items():
+            setattr(cbc, name, original)
+        ms, calls = stages.totals.pop("score")
+        stages.add("score_rest", (ms - sum(stages.totals[n][0] for n in inner)) / 1e3, calls)
+        stages.record(out)
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, action="append", required=True)
+    parser.add_argument("--mode", choices=tuple(PROBES), default="grid")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--passes", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=1)
+    parser.add_argument("--size", choices=("full", "smoke"), default="full")
     parser.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.probe:
-        print(json.dumps(probe(args.checkout[0], args.seed, args.passes)))
+        print(json.dumps(PROBES[args.mode](args.checkout[0], args.seed, args.passes, args.size)))
         return 0
-    report = {}
-    for checkout in args.checkout:
-        done = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--probe", "--checkout",
-             str(checkout.resolve()), "--seed", str(args.seed), "--passes", str(args.passes)],
-            capture_output=True, text=True, timeout=900, check=True,
-        )
-        report[str(checkout)] = json.loads(done.stdout.strip().splitlines()[-1])
+    report: dict = {str(checkout): {} for checkout in args.checkout}
+    for round_ in range(args.rounds):
+        for checkout in args.checkout[:: -1 if round_ % 2 else 1]:
+            done = subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "--probe", "--mode", args.mode,
+                 "--checkout", str(checkout.resolve()), "--seed", str(args.seed),
+                 "--passes", str(args.passes), "--size", args.size],
+                capture_output=True, text=True, timeout=900, check=True,
+            )
+            stages = report[str(checkout)]
+            for stage, timing in json.loads(done.stdout.strip().splitlines()[-1]).items():
+                stages.setdefault(stage, {"ms": [], "calls": timing["calls"]})
+                stages[stage]["ms"] += timing["ms"]
     print(json.dumps(report, indent=1))
     return 0
+
+
+PROBES = {"grid": probe, "classify": probe_classify}
 
 
 if __name__ == "__main__":

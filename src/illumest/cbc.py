@@ -79,7 +79,10 @@ def pixel_features(
     until the black test has read the product's sums; then the product goes,
     and nnmf's NNLS writes its solutions over the features, a block of at
     most `linalg.BATCH_ROWS` rows copied at a time. So a folded call peaks at
-    about one product plus one feature matrix.
+    about one product plus one feature matrix. The features are column-major
+    (`chromaticity_rows`); the [B | 1] columns and a centered kind's shift
+    mean . B are made once and held with the projection (`Projection.columns`,
+    `Projection.shift`), not per call.
 
     Rows whose L1 sum is at or below ZERO_NORM_EPS are skipped. Non-finite
     rows or SPDs raise ValueError.
@@ -89,10 +92,7 @@ def pixel_features(
         raise ValueError(f"expected (N, {projection.input_dim}) pixels, got {rows.shape}")
     if not np.isfinite(rows).all():
         raise ValueError("radiance must be finite")
-    # the basis as (bands, d') columns: the centered kinds, with a mean, store it so
-    columns = projection.basis if projection.mean is not None else projection.basis.T
-    if projection.kind != KIND_RGB:
-        columns = np.hstack([columns, np.ones((len(columns), 1))])
+    columns = projection.columns
     if spds is None:
         product = rows @ columns  # (N, width)
     else:
@@ -108,8 +108,8 @@ def pixel_features(
     else:
         feats, kept = chromaticity_rows(product[:, :-1], product[:, -1])
     del product  # the black test has read it: only the features are held from here
-    if projection.mean is not None:
-        feats -= projection.mean @ projection.basis
+    if projection.shift is not None:
+        feats -= projection.shift
     elif projection.kind == KIND_NNMF:
         feats = linalg.nnls_rows(projection.basis, feats)  # the site bench/spans.py wraps
     return feats, kept.reshape(shape)
@@ -169,26 +169,35 @@ def _check_coords(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
 
 def _bin_digits(scaled: np.ndarray, n_bins: int) -> np.ndarray:
     """The int64 bin of each coordinate scaled to n_bins bins per unit,
-    clamped to the edge bins; `scaled` is overwritten."""
+    clamped to the edge bins, in the layout of `scaled`, which is overwritten.
+    The clamp leaves values in [0, n_bins - 1], where the cast's truncation
+    is the floor, so no floor pass runs."""
     # clamp before the cast: a scaled value past the int64 range casts to int64 min
-    np.minimum(np.maximum(scaled, 0, out=scaled), n_bins - 1, out=scaled)
-    return np.floor(scaled, out=scaled).astype(np.int64)
+    np.clip(scaled, 0, n_bins - 1, out=scaled)
+    return scaled.astype(np.int64)
 
 
 def bin_indices(
     coords: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_bins: int
 ) -> np.ndarray:
     """Flat row-major cell index per coordinate row, clamping to edge bins:
-    one whole-array pass of `(x - lo) / (hi - lo) * n_bins` left to right,
-    clamped, floored and folded into int64. `unit_coordinates` stores the
-    quotient, so unit coordinates bin to these cells at any B, bit for bit."""
+    whole-array passes of `(x - lo) / (hi - lo) * n_bins` left to right,
+    clamped and cast to int64 bins (`_bin_digits`), whose columns fold into
+    the flat index one at a time. The passes keep the layout of `coords`, so
+    column-major features (`pixel_features`) run over contiguous columns.
+    `unit_coordinates` stores the quotient, so unit coordinates bin to these
+    cells at any B, bit for bit."""
     coords = np.asarray(coords, dtype=np.float64)
     _check_coords(coords, lo, hi)
     scaled = coords - lo
     scaled /= hi - lo
     scaled *= n_bins
-    powers = n_bins ** np.arange(lo.size - 1, -1, -1, dtype=np.int64)
-    return _bin_digits(scaled, n_bins) @ powers
+    digits = _bin_digits(scaled, n_bins)
+    flat = digits[:, 0].copy()
+    for column in digits.T[1:]:
+        flat *= n_bins
+        flat += column
+    return flat
 
 
 def _cell_runs(kept: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,19 +205,29 @@ def _cell_runs(kept: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarr
     rows have the flat cells `flat` in row order: each block's occupied cells
     in ascending order, block by block, their row counts and their block.
 
-    Each block's cells are sorted along its own row, unkept rows (-1) first;
-    the runs of equal cells are the block's occupied cells, in order."""
+    Each block's cells are sorted along its own row; the runs of equal cells
+    are the block's occupied cells, in order. When every row is kept that
+    sorts a copy of `flat` as it is; otherwise unkept rows are filled in as
+    -1, which sorts first and starts no run."""
     n_rows = kept.shape[1]
-    cells = np.full(kept.shape, -1, dtype=np.int64)
-    cells[kept] = flat
-    cells.sort(axis=1)
-    first = np.ones(cells.shape, dtype=bool)
-    first[:, 1:] = cells[:, 1:] != cells[:, :-1]
-    first &= cells >= 0
+    padded = not kept.all()
+    if padded:
+        cells = np.full(kept.shape, -1, dtype=np.int64)
+        cells[kept] = flat
+        cells.sort(axis=1)
+    else:
+        cells = np.sort(flat.reshape(kept.shape), axis=1)
+    first = np.empty(cells.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(cells[:, 1:], cells[:, :-1], out=first[:, 1:])
+    if padded:
+        first &= cells >= 0
     start = np.flatnonzero(first)
     block = start // n_rows
-    # A run ends where the next one starts or where its block ends.
-    stop = np.minimum(np.append(start[1:], cells.size), (block + 1) * n_rows)
+    # A run ends where the next one starts, or, in a padded block, where its block ends.
+    stop = np.append(start[1:], cells.size)
+    if padded:
+        np.minimum(stop, (block + 1) * n_rows, out=stop)
     return cells.ravel()[start], stop - start, block
 
 
@@ -315,6 +334,11 @@ class CorrelationModel:
         )
 
     @cached_property
+    def names(self) -> np.ndarray:
+        """`candidate_names` as an object array, made once on first use (`classify`)."""
+        return np.array(self.candidate_names, dtype=object)
+
+    @cached_property
     def log_probs(self) -> np.ndarray:
         """`probs` in log space, made once on first use (log mode)."""
         with np.errstate(divide="ignore"):
@@ -411,10 +435,10 @@ class BlockFeatures:
 
 def unit_coordinates(feats: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     """Convert the (N, d') coordinates `feats` in place to unit coordinates
-    u = (x - lo) / (hi - lo), which bin at any B by a multiply, clamp and floor
+    u = (x - lo) / (hi - lo), which bin at any B by a multiply, clamp and cast
     to `bin_indices`' cells bit for bit. Non-finite coordinates raise ValueError."""
     _check_coords(feats, lo, hi)
-    for x, l, w in zip(feats.T, lo, hi - lo):  # long strided columns beat short rows
+    for x, l, w in zip(feats.T, lo, hi - lo):  # long columns, contiguous when column-major
         x -= l
         x /= w
 
@@ -484,10 +508,11 @@ def score(
     `log` mode gives sum(h_test * log(h_candidate)) over the block's occupied
     cells, `dot` mode the plain dot product of the two histograms. All blocks
     share one `pixel_features`, one binning and one `_cell_runs` pass, which
-    counts a model's candidates too. Blocks
-    with the same number of occupied cells share one gather from the model's
-    union table and one `np.vecdot`, which dots each (candidate, block) pair
-    on its own, so a block's scores are bitwise its scores alone. Unkept
+    counts a model's candidates too. One stable sort of the blocks by their
+    number of occupied cells groups them; the blocks of a group share one
+    gather from the model's union table and one `np.vecdot`, which dots each
+    (candidate, block) pair on its own, so a block's scores are bitwise its
+    scores alone. Unkept
     rows pad blocks of fewer rows and are skipped. BLAS may round a row of
     a batched product by its position in the batch, so radiance blocks
     featurized together can score apart from one alone only where a
@@ -510,17 +535,21 @@ def score(
     pos = np.searchsorted(model.cells, occupied)
     pos[model.cells[pos] != occupied] = model.cells.size - 1
     weights = counts / totals[key_block]
-    n_runs = np.bincount(key_block, minlength=n_blocks)  # each block's occupied cells
-    run_counts = n_runs[key_block]
+    # one stable sort groups the runs by their block's count; blocks stay whole and in order
+    run_counts = np.bincount(key_block, minlength=n_blocks)[key_block]
+    by_count = np.argsort(run_counts, kind="stable")
+    run_counts, pos, weights, key_block = (
+        run_counts[by_count], pos[by_count], weights[by_count], key_block[by_count])
+    edges = [0, *(np.flatnonzero(run_counts[1:] != run_counts[:-1]) + 1).tolist(), len(pos)]
     table = model.log_probs if mode == MODE_LOG else model.probs
     out = np.empty((n_blocks, len(model.candidate_names)))
-    for n in set(n_runs.tolist()):  # a set, not np.unique: cheap for one block
-        runs = run_counts == n  # the runs of every block with n of them, block by block
+    for start, stop in zip(edges, edges[1:]):  # the runs of every block with n of them
+        n = int(run_counts[start])
         # np.take keeps each (candidate, block) row C-contiguous, and vecdot
         # does one dot per row, which rounds exactly as a dot over that
         # candidate's own probability vector for that block alone.
-        gathered = np.take(table, pos[runs].reshape(-1, n), axis=1)
-        out[n_runs == n] = np.vecdot(gathered, weights[runs].reshape(-1, n)).T
+        gathered = np.take(table, pos[start:stop].reshape(-1, n), axis=1)
+        out[key_block[start:stop:n]] = np.vecdot(gathered, weights[start:stop].reshape(-1, n)).T
     return out.reshape(batch + out.shape[1:])
 
 
@@ -535,8 +564,7 @@ def classify(
     array of the stack's leading shape.
     """
     scores = score(model, pixels, mode=mode)
-    names = np.array(model.candidate_names, dtype=object)
-    return names[np.argmax(scores, axis=-1)], scores
+    return model.names[np.argmax(scores, axis=-1)], scores
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -104,6 +105,22 @@ class Projection:
                 raise ValueError(f"{self.kind} basis columns must be orthonormal")
         elif self.mean is not None:
             raise ValueError(f"{self.kind} projections do not carry a mean")
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The basis as (input_dim, output_dim) columns, then a ones column for
+        every kind but rgb: the [B | 1] that `cbc.pixel_features` multiplies
+        rows by, made on first use and held with the projection."""
+        columns = self.basis if self.mean is not None else self.basis.T
+        if self.kind == KIND_RGB:
+            return columns
+        return np.hstack([columns, np.ones((len(columns), 1))])
+
+    @cached_property
+    def shift(self) -> Optional[np.ndarray]:
+        """mean @ basis, which a centered kind's features subtract (None for
+        the other kinds), made on first use and held with the projection."""
+        return None if self.mean is None else self.mean @ self.basis
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Project (N, input_dim) vectors to (N, output_dim) coordinates."""
@@ -302,11 +319,13 @@ def nnmf_factorize(
     u = rng.random((n, rank)) * amp
     v = rng.random((rank, d)) * amp
     guard = 1e-9  # keeps multiplicative denominators away from zero
-    xx = float(np.vdot(x, x))
+    # numpy's own sums, not BLAS dots: their order, and so the losses the
+    # stopping rule reads, must not depend on the BLAS thread count
+    xx = float(np.sum(np.square(x)))
     err_scale = 4 * (n + rank) * (d + rank) * np.finfo(np.float64).eps
 
     def direct() -> float:
-        return float(np.linalg.norm(x - u @ v) ** 2)
+        return float(np.sum(np.square(x - u @ v)))
 
     losses, err = [direct()], 0.0  # err bounds losses[-1]'s distance to direct()
     for _ in range(max_iter):

@@ -186,13 +186,19 @@ def chromaticity_rows(
     image of wider pixels passes those pixels' sums. Rows whose sum is at or
     below ZERO_NORM_EPS are dropped; every other row is divided by its sum.
     This is the one place pixels are judged black and normalized.
+
+    The chromaticities come column-major, so a pass over one coordinate reads
+    contiguous memory. When every row is kept they are divided straight into
+    place; otherwise the kept rows are gathered there first.
     """
     if sums is None:
         sums = rows.sum(axis=1)
     keep = sums > ZERO_NORM_EPS
-    chroma = rows[keep]
-    chroma /= sums[keep][:, None]
-    return chroma, keep
+    chroma = np.empty((rows.shape[1], np.count_nonzero(keep)))  # (k, kept): one row a coordinate
+    if chroma.shape[1] < len(keep):
+        rows, sums = np.compress(keep, rows, axis=0, out=chroma.T), sums[keep]
+    np.divide(rows.T, sums, out=chroma)
+    return chroma.T, keep
 
 
 def downsample(image: SpectralImage, factor: int) -> SpectralImage:

@@ -312,6 +312,68 @@ class TestBinIndicesProperties:
             assert bin_indices(row[None], lo, hi, n_bins)[0] == flat[k]
 
 
+def oracle_bin_indices(coords, lo, hi, n_bins):
+    """The whole-array binning that clamped, floored and folded by a matmul:
+    (x - lo) / (hi - lo) * B, clamped to [0, B - 1], `np.floor`, cast to
+    int64 and folded with the int64 powers of B."""
+    scaled = coords - lo
+    scaled /= hi - lo
+    scaled *= n_bins
+    np.minimum(np.maximum(scaled, 0, out=scaled), n_bins - 1, out=scaled)
+    powers = n_bins ** np.arange(lo.size - 1, -1, -1, dtype=np.int64)
+    return np.floor(scaled, out=scaled).astype(np.int64) @ powers
+
+
+#: (d', B) grids whose cell space lies within a few cells of 2**62.
+HUGE_GRIDS = [(1, 2**62 - c) for c in range(4)] + [(2, 2**31), (2, 2**31 - 1)]
+
+
+@st.composite
+def oracle_cases(draw):
+    """(coords, lo, hi, B) at B 2..40 and d' 1..6, or on a `HUGE_GRIDS` grid:
+    row-major or column-major coordinates inside the bounds, on bin edges,
+    on lo and hi, below lo, above hi, far past the int64 range once scaled,
+    and -0.0 on bounds whose lo is 0."""
+    if draw(st.integers(0, 4)):
+        n_dims, n_bins = draw(st.integers(1, 6)), draw(st.integers(2, 40))
+    else:
+        n_dims, n_bins = draw(st.sampled_from(HUGE_GRIDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.uniform(-5.0, 5.0, n_dims)
+    lo[rng.random(n_dims) < 0.3] = 0.0
+    hi = lo + rng.uniform(1e-3, 10.0, n_dims)
+    n_rows = draw(st.integers(1, 30))
+    coords = lo + rng.uniform(-0.5, 1.5, (n_rows, n_dims)) * (hi - lo)
+    kind = rng.integers(0, 7, coords.shape)
+    edges = rng.integers(0, n_bins + 1, coords.shape) / n_bins
+    coords = np.where(kind == 1, lo + edges * (hi - lo), coords)
+    coords = np.where(kind == 2, lo, coords)
+    coords = np.where(kind == 3, hi, coords)
+    far = rng.choice([-1.0, 1.0], coords.shape) * 10.0 ** rng.uniform(1, 280, coords.shape)
+    coords = np.where(kind == 4, far, coords)
+    coords = np.where((kind == 5) & (lo == 0.0), -0.0, coords)
+    return np.asarray(coords, order=draw(st.sampled_from("CF"))), lo, hi, n_bins
+
+
+class TestBinningOracle:
+    """`bin_indices` and `prefix_cells` of unit coordinates give the oracle's
+    int64 cells bit for bit: the cast of the clamped values is the floor,
+    and the column fold is the powers matmul."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_cases())
+    def test_cells_are_the_oracle_cells(self, case):
+        coords, lo, hi, n_bins = case
+        want = oracle_bin_indices(coords, lo, hi, n_bins)
+        got = bin_indices(coords, lo, hi, n_bins)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        units = coords.copy(order="K")
+        cbc.unit_coordinates(units, lo, hi)
+        (flat,) = cbc.prefix_cells(units, n_bins, (lo.size,))
+        assert flat.dtype == want.dtype and flat.tobytes() == want.tobytes()
+
+
 def table_model(proj, n_bins, names, cells, probs, occupied, smoothing=0.0):
     """A model under `proj`, on bounds [0, 1] in each dimension, from its
     table: `cells` without the sentinel, `probs` with the base column last."""
@@ -486,6 +548,38 @@ def assert_rows_match_single_blocks(model, stack, mode):
         assert row.tobytes() == alone.tobytes()
 
 
+def stack_with_run_counts(rng, model, runs, dark, n_rows):
+    """Non-negative radiance blocks for `model`'s identity projection, stacked
+    to (blocks, n_rows, bands): block b's rows fall in runs[b] distinct
+    cells, away from bin edges, and where dark[b] some of its other rows are
+    black, so it has padding rows in a stack."""
+    shape = (model.n_bins,) * model.n_dims
+    # cells whose coordinates sum below 1, so the last band stays non-negative
+    reachable = np.flatnonzero(
+        np.sum(np.indices(shape), axis=0).ravel() + 0.9 * model.n_dims < model.n_bins)
+    stack = np.zeros((len(runs), n_rows, model.n_dims + 1))
+    for block, n, black in zip(stack, runs, dark):
+        cells = rng.choice(reachable, size=n, replace=False)
+        n_lit = n + int(rng.integers(0, n_rows - n)) if black else n_rows
+        cells = np.concatenate([cells, rng.choice(cells, size=n_lit - n)])
+        digits = np.stack(np.unravel_index(cells, shape), axis=1)
+        coords = (digits + rng.uniform(0.1, 0.9, digits.shape)) / model.n_bins
+        rows = np.append(coords, 1.0 - coords.sum(axis=1, keepdims=True), axis=1)
+        block[rng.permutation(n_rows)[:n_lit]] = rows * rng.uniform(0.1, 10.0)
+    return stack
+
+
+def assert_blocks_score_alone_and_as_the_oracle(model, stack, mode, runs):
+    """Each block of the stack has runs[b] occupied cells, scores in the
+    stack as it does alone, and alone as `oracle_score` does."""
+    assert_rows_match_single_blocks(model, stack, mode)
+    batched = score(model, stack, mode).reshape(len(runs), -1)
+    for row, block, n in zip(batched, stack.reshape(len(runs), *stack.shape[-2:]), runs):
+        feats, _ = pixel_features(model.projection, block)
+        assert np.unique(bin_indices(feats, model.lo, model.hi, model.n_bins)).size == n
+        assert row.tobytes() == oracle_score(model, feats, mode).tobytes()
+
+
 def bin_edge_distance(model, feats):
     """Smallest distance of any feature coordinate to a bin edge."""
     width = (model.hi - model.lo) / model.n_bins
@@ -594,6 +688,52 @@ class TestBatchedScore:
         stack = stack_with_black_rows(np.random.default_rng(3), (3,), 12, 4)
         for mode in ("log", "dot"):
             assert_rows_match_single_blocks(model, stack, mode)
+
+
+class TestGroupedScore:
+    """`score` groups a stack's blocks by their number of occupied cells
+    with one stable sort; the grouping must not show in any block's scores."""
+
+    @staticmethod
+    def model(n_bins=6):
+        """A 2-D identity model whose candidates store different cells."""
+        rng = np.random.default_rng(8)
+        n_cells, n_cand = n_bins**2, 4
+        stored = rng.random((n_cand, n_cells)) < 0.5
+        counts = rng.integers(1, 20, (n_cand, n_cells)) * stored
+        probs = (counts + 0.1) / (counts.sum(axis=1, keepdims=True) + 0.1 * n_cells)
+        base = 0.1 / (counts.sum(axis=1) + 0.1 * n_cells)
+        proj = Projection("rand", 3, 2, basis=np.eye(2, 3))
+        return table_model(proj, n_bins, [f"c{j}" for j in range(n_cand)], np.arange(n_cells),
+                           np.append(probs, base[:, None], axis=1), stored, 0.1)
+
+    @pytest.mark.parametrize("mode", ["log", "dot"])
+    @pytest.mark.parametrize(
+        "runs, dark",
+        [
+            ((3, 1, 3, 2, 1, 2), (False, True, False, True, True, False)),  # counts out of order
+            ((5, 2, 5, 5, 2), (True, False, False, True, False)),
+            ((4,), (False,)),  # a one-block stack, fully kept
+            ((4,), (True,)),  # a one-block stack with black rows
+            ((2, 2, 2), (True, False, True)),  # one count: kept and padded blocks alike
+        ],
+    )
+    def test_blocks_score_as_they_do_alone(self, runs, dark, mode):
+        model = self.model()
+        stack = stack_with_run_counts(np.random.default_rng(len(runs)), model, runs, dark, 9)
+        assert_blocks_score_alone_and_as_the_oracle(model, stack, mode, runs)
+        # a lone block scored without leading axes, as a request is
+        assert_blocks_score_alone_and_as_the_oracle(model, stack[0], mode, runs[:1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(["log", "dot"]))
+    def test_any_run_counts_and_black_rows(self, data, mode):
+        model = self.model()
+        runs = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+        dark = data.draw(st.lists(st.booleans(), min_size=len(runs), max_size=len(runs)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        stack = stack_with_run_counts(rng, model, runs, dark, max(runs) + 4)
+        assert_blocks_score_alone_and_as_the_oracle(model, stack, mode, runs)
 
 
 @st.composite

@@ -1,7 +1,11 @@
 """Projection fitting, application, and serialization."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,13 +356,13 @@ def direct_nnmf(x, rank, seed, max_iter, tol):
     v = rng.random((rank, d)) * amp
     xx = float(np.sum(x * x))
     ulp = 4 * (n + rank) * (d + rank) * np.finfo(np.float64).eps
-    losses, errs, margins, vs = [float(np.linalg.norm(x - u @ v) ** 2)], [0.0], [None], [v]
+    losses, errs, margins, vs = [float(np.sum(np.square(x - u @ v)))], [0.0], [None], [v]
     for _ in range(max_iter):
         u = u * ((x @ v.T) / (u @ (v @ v.T) + 1e-9))
         v = v * ((u.T @ x) / ((u.T @ u) @ v + 1e-9))
         uv = u @ v
         prev = losses[-1]
-        losses.append(float(np.linalg.norm(x - uv) ** 2))
+        losses.append(float(np.sum(np.square(x - uv))))
         errs.append(ulp * (xx + float(np.vdot(uv, uv))))
         margins.append(prev - losses[-1] - tol * max(prev, TINY))
         vs.append(v)
@@ -431,23 +435,48 @@ class TestNnmfGramLoss:
 
     def test_proj_bytes_pinned(self, tmp_path, bundled_set):
         # sha256 of each `.proj` from the direct-loss fit, on numpy's
-        # scipy-openblas build; another BLAS may round the products apart
+        # scipy-openblas build at any thread count; another BLAS may round
+        # the products apart
         manifest, _ = synth_dataset(
             tmp_path, 3, bundled_set.axis, base_seed=17, width=8, height=8
         )
         train, _ = read_dataset_manifest(manifest)
         rows = training_chromaticities([read_scube(p) for p in train], bundled_set)
         pinned = {
-            1: "930755ccc9f57baa716a4550fda25499ef3b6164b3fb7c76655080a4a4e69790",
+            1: "4340c1eec32479c322e1bc6e1e8b2484cbbece25793349c8bbeec58f809448b8",
             2: "96f3a7ead0e3c17399f18265268ec6738c7cc982c2ca95712f63318b380fe4e5",
             3: "3299f3c99295b852e46120cffc7c90c1201b749db84fed5798495b0e84a138d9",
-            4: "ae381273483bde8a54f30d96874f760bb1fb4e1e8c765d6155243d9ad7930ac2",
-            5: "5b1b30e106206d41b1dacc73a5e4da11c264589d9ba849742f2458b6882d501d",
+            4: "5e8f3960034367dcba92bb3df6c9db6bb2c1ed39a8ce183e7503c31fc313be7b",
+            5: "d8a15a939966e3a721ab3d2f6e6c0983765e2c5de12f17f958fbe8f340194387",
         }
         for d_prime, digest in pinned.items():
             path = tmp_path / f"nnmf{d_prime}.proj"
             write_projection(path, fit_nnmf(rows, d_prime, seed=d_prime))
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+    def test_proj_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a long dot product across threads, which sums it in
+        # another order; ||X||^2 and the direct losses are numpy's own sums,
+        # so a fit matrix of the grid_nnmf size writes one `.proj` at 1 and
+        # at 2 threads
+        script = (
+            "import sys, numpy as np\n"
+            "from illumest.projections import TrainingMatrix, fit_nnmf, projection_to_bytes\n"
+            "rows = np.random.default_rng(11).random((2560, 31))\n"
+            "rows /= rows.sum(axis=1, keepdims=True)\n"
+            "proj = fit_nnmf(TrainingMatrix(rows), 3, max_iter=40)\n"
+            "sys.stdout.write(projection_to_bytes(proj).hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        blobs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=300, check=True)
+            blobs.append(done.stdout)
+        assert len(blobs[0]) > 0 and blobs[0] == blobs[1]
 
 
 class TestFitLda:

@@ -104,6 +104,25 @@ class TestChromaticityRows:
         b, _ = chromaticity_rows(37.5 * v)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans(),
+           st.booleans())
+    def test_gather_then_divide_bit_for_bit_in_column_major(self, n, k, seed, black, own_sums):
+        # every row kept divides in place, black rows gather the kept rows
+        # first; both give the rows' own quotients, column-major
+        rng = np.random.default_rng(seed)
+        wide = rng.random((n, k + 1)) * rng.uniform(0.1, 10.0)
+        if black:
+            wide[rng.random(n) < 0.3] = 0.0
+        rows, sums = (wide, None) if own_sums else (wide[:, :-1], wide[:, -1])
+        chroma, keep = chromaticity_rows(rows, sums)
+        sums = rows.sum(axis=1) if sums is None else sums
+        want = sums > ZERO_NORM_EPS
+        assert keep.tolist() == want.tolist()
+        expected = rows[want] / sums[want][:, None]
+        assert chroma.shape == expected.shape and chroma.tobytes() == expected.tobytes()
+        assert chroma.flags.f_contiguous
+
     def test_black_and_masked_pixels_skipped(self):
         data = np.zeros((2, 2, 3))
         data[0, 0] = [2.0, 3.0, 5.0]

@@ -15,14 +15,33 @@ STAGES = (
 )
 
 
-def test_every_stage_reports_calls():
+CLASSIFY_STAGES = ("block_features", "feature_cells", "_cell_runs", "score_rest")
+
+
+def sweep_stages(*args):
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "sweep_stages.py"), "--checkout", ".",
-         "--passes", "1"],
+        [sys.executable, str(ROOT / "scripts" / "sweep_stages.py"), "--checkout", ".", *args],
         cwd=ROOT, capture_output=True, text=True, timeout=600, check=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     (report,) = json.loads(done.stdout).values()
+    return report
+
+
+def test_every_stage_reports_calls():
+    report = sweep_stages("--passes", "1")
     assert set(report) == {"pass", *STAGES}
     for stage, timing in report.items():
         assert timing["calls"] > 0 and len(timing["ms"]) == 1 and timing["ms"][0] >= 0, stage
+
+
+def test_classify_mode_times_each_request_stage_in_every_round():
+    report = sweep_stages("--mode", "classify", "--size", "smoke", "--rounds", "2",
+                          "--passes", "2")
+    assert set(report) == {"pass", *CLASSIFY_STAGES}
+    requests = report["pass"]["calls"]
+    assert requests > 0
+    for stage, timing in report.items():
+        # each request passes every stage once; two rounds of two passes each
+        assert timing["calls"] == requests and len(timing["ms"]) == 4, stage
+        assert all(ms >= 0 for ms in timing["ms"]), stage
