@@ -20,7 +20,10 @@ yield), and the report rows' summaries as the `summaries` stage: the one
 `summarize_rows` call per report, or in older checkouts the per-row
 `summarize` calls. Two stages are inclusive, each holding the stages it
 calls: `builds`, the sweep's `build_model` calls, and `scores`, its `classify`
-calls.
+calls. The projection work is two stages named after their functions, each
+counted wherever it is called: `projection_to_bytes` (a projection's file
+bytes, which its digest hashes) and `Projection.__post_init__` (the checks of
+each projection made).
 
 The classify mode sets up the classify workload (its model and its requests,
 224 at the full size) and classifies every request once to warm up. Each
@@ -81,7 +84,7 @@ def probe(checkout: Path, seed: int, passes: int, size: str) -> dict:
     """Runs inside a fresh interpreter on `checkout`'s sources."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import workloads
-    from illumest import cbc, evaluation
+    from illumest import cbc, evaluation, projections
 
     stages = Stages()
     add, timed = stages.add, stages.timed
@@ -118,6 +121,8 @@ def probe(checkout: Path, seed: int, passes: int, size: str) -> dict:
     timed(evaluation, summary, "summaries")
     timed(evaluation, "build_model", "builds")
     timed(evaluation, "classify", "scores")
+    timed(projections, "projection_to_bytes", "projection_to_bytes")
+    timed(projections.Projection, "__post_init__", "Projection.__post_init__")
     with tempfile.TemporaryDirectory() as tmp:
         inputs = workloads.make_inputs(Path(tmp), seed, getattr(workloads, size.upper()))
         workload = workloads.make_workload("grid_hist", inputs)

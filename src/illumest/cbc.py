@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .illuminants import IlluminantSet
-from .projections import KIND_NNMF, KIND_RGB, Projection, projection_hash
+from .projections import KIND_NNMF, KIND_RGB, Projection
 from .spectral import SpectralImage, chromaticity_rows, require_same_axis
 
 DEFAULT_SMOOTHING = 1e-9
@@ -46,12 +46,21 @@ MASS_TOL = 1e-9
 #: Closes a model's cell union, past any real cell: unseen cells read the base column.
 SENTINEL_CELL = np.iinfo(np.int64).max
 
+#: The largest B: a .cbcm file stores B as a u32, and up to it B - 1, the
+#: clamp's upper bound, is exact in float64.
+MAX_BINS = 2**32 - 1
+
 
 def cell_count(n_bins: int, n_dims: int) -> int:
-    """Cells of an n_bins ** n_dims grid, which flat int64 indices must address."""
-    n_cells = n_bins**n_dims
-    if n_cells > np.iinfo(np.int64).max:
+    """Cells of an n_bins ** n_dims grid, the one rule for the (B, d') of a model and a
+    binning: d' >= 1, 1 <= B <= MAX_BINS, cells int64-addressable, else ValueError."""
+    if n_dims < 1 or n_bins < 1:
+        raise ValueError(f"n_dims and n_bins must be >= 1, got {n_dims}, {n_bins}")
+    n_cells = int(n_bins) ** min(n_dims, 64)  # any B > 1 overflows by d' = 64
+    if n_cells > SENTINEL_CELL:  # the int64 max: every cell then lies below the sentinel
         raise ValueError("histogram cell space is too large to index")
+    if n_bins > MAX_BINS:
+        raise ValueError(f"n_bins must be <= MAX_BINS = {MAX_BINS}, got {n_bins}")
     return n_cells
 
 
@@ -187,6 +196,7 @@ def bin_indices(
     column-major features (`pixel_features`) run over contiguous columns.
     `unit_coordinates` stores the quotient, so unit coordinates bin to these
     cells at any B, bit for bit."""
+    cell_count(n_bins, len(lo))
     coords = np.asarray(coords, dtype=np.float64)
     _check_coords(coords, lo, hi)
     scaled = coords - lo
@@ -283,14 +293,13 @@ class CorrelationModel:
     SENTINEL_CELL; `probs` the C-contiguous (candidates, cells) table whose
     sentinel column holds each candidate's base probability; `occupied` marks
     the cells each candidate stores, which may hold its base probability.
-    `grids` views the table as read-only per-candidate records.
+    `grids` views the table as read-only per-candidate records. Its (B, d')
+    obey `cell_count`, d' being the number of bounds (`n_dims`).
 
-    The file format stores only a digest of the projection, so a loaded
-    model starts with `projection=None`; `with_projection` re-attaches and
-    verifies the projection before the model can score images.
+    A loaded model starts with `projection=None`, as its file stores only the
+    projection's digest; `with_projection` re-attaches and verifies it, which scoring needs.
     """
 
-    n_dims: int
     n_bins: int
     lo: np.ndarray
     hi: np.ndarray
@@ -303,12 +312,11 @@ class CorrelationModel:
     projection: Optional[Projection] = None
 
     def __post_init__(self) -> None:
-        if self.n_dims < 1 or self.n_bins < 1:
-            raise ValueError(f"n_dims and n_bins must be >= 1, got {self.n_dims}, {self.n_bins}")
         self.lo = np.asarray(self.lo, dtype=np.float64)
         self.hi = np.asarray(self.hi, dtype=np.float64)
-        if self.lo.shape != (self.n_dims,) or self.hi.shape != (self.n_dims,):
+        if self.lo.ndim != 1 or self.hi.shape != self.lo.shape:
             raise ValueError("bounds must have one (lo, hi) pair per dimension")
+        cell_count(self.n_bins, self.n_dims)
         _check_bounds(self.lo, self.hi)
         self.candidate_names = tuple(self.candidate_names)
         n, n_cells = len(self.candidate_names), self.cells.size
@@ -321,8 +329,13 @@ class CorrelationModel:
         proj = self.projection
         if proj is not None and proj.output_dim != self.n_dims:
             raise ValueError(f"{proj.output_dim}-D projection for a {self.n_dims}-D model")
-        if proj is not None and projection_hash(proj) != self.projection_digest:
+        if proj is not None and proj.digest != self.projection_digest:
             raise ValueError("projection does not match the model's digest")
+
+    @property
+    def n_dims(self) -> int:
+        """d', the number of bounds."""
+        return self.lo.size
 
     @property
     def grids(self) -> tuple[HistogramGrid, ...]:
@@ -385,28 +398,23 @@ def build_model(
     ValueError. Features that carry their cells carry their bounds too, which
     the model takes instead of calibrating, so a build only counts.
     """
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     if not (np.isfinite(smoothing) and smoothing > 0):
         raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
-    d_out = projection.output_dim
-    n_cells = cell_count(n_bins, d_out)
-    digest = projection_hash(projection)
+    n_cells = cell_count(n_bins, projection.output_dim)
     if features is None:
         features = training_features(images, candidates, projection)
-    _require_projection(features, projection, digest)
+    _require_projection(features, projection.digest)
     if features.kept.shape[:-1] != (len(candidates),):
         raise ValueError(f"features must hold the rows of {len(candidates)} candidates")
     counts = features.kept.sum(axis=-1)
     if counts.sum() != len(features.feats) or not counts.all():
         raise ValueError("every candidate needs rows, and the counts must cover them")
-    lo, hi, *_ = features.cells or calibrate_bounds(features.feats, d_out)
+    lo, hi, *_ = features.cells or calibrate_bounds(features.feats, projection.output_dim)
     runs = _cell_runs(features.kept, feature_cells(features, lo, hi, n_bins))
     cells, probs, occupied = _cell_table(*runs, len(counts), 0.0)
     probs += smoothing
     probs /= (counts + smoothing * n_cells)[:, None]
     return CorrelationModel(
-        n_dims=d_out,
         n_bins=n_bins,
         lo=lo,
         hi=hi,
@@ -415,7 +423,7 @@ def build_model(
         cells=cells,
         probs=probs,
         occupied=occupied,
-        projection_digest=digest,
+        projection_digest=projection.digest,
         projection=projection,
     )
 
@@ -448,6 +456,7 @@ def prefix_cells(units: np.ndarray, n_bins: int, ks: Sequence[int]):
     than whole-array passes at training sizes): after each column k in `ks`,
     yield each row's flat cell on its first k coordinates at B = n_bins, one
     array updated in place, so use it before the next."""
+    cell_count(n_bins, units.shape[1])
     flat = np.zeros(len(units), dtype=np.int64)
     for k, column in enumerate(units.T, 1):
         flat *= n_bins
@@ -485,9 +494,9 @@ def block_features(projection: Projection, pixels: SpectralImage | np.ndarray) -
     return BlockFeatures(projection, feats, kept.reshape(pixels.shape[:-1]))
 
 
-def _require_projection(features: BlockFeatures, projection: Projection, digest: bytes) -> None:
-    """Reject features made under a projection other than `projection` or one equal to it."""
-    if features.projection is not projection and projection_hash(features.projection) != digest:
+def _require_projection(features: BlockFeatures, digest: bytes) -> None:
+    """Reject features made under a projection whose digest is not `digest`."""
+    if features.projection.digest != digest:
         raise ValueError("features come from another projection than the model's")
 
 
@@ -524,7 +533,7 @@ def score(
         raise ValueError("model has no projection attached; call with_projection")
     if not isinstance(pixels, BlockFeatures):
         pixels = block_features(model.projection, pixels)
-    _require_projection(pixels, model.projection, model.projection_digest)
+    _require_projection(pixels, model.projection_digest)
     batch = pixels.kept.shape[:-1]
     kept = pixels.kept.reshape(math.prod(batch), pixels.kept.shape[-1])  # (blocks, N)
     n_blocks, totals = len(kept), kept.sum(axis=1)
@@ -659,7 +668,6 @@ def read_model(path) -> CorrelationModel:
             flat, np.concatenate([np.empty(0), *stored_probs]), block, len(stored), bases
         )
         return CorrelationModel(
-            n_dims=n_dims,
             n_bins=n_bins,
             lo=lo,
             hi=hi,

@@ -705,20 +705,21 @@ class _Runner:
         `d_primes` and noise level, each from one `classify` call over every test
         scene's cases. Its training features fix the bounds once, and they and each
         level's `test_features` become unit coordinates on them once, in place. Each
-        B folds each once (`prefix_cells`); prefix k serves d' = k under
-        `leading_projection`. The training features go after their last fold, the
-        test features when this returns; each model before the next."""
+        B folds each once (`prefix_cells`); prefix k serves d' = k under one
+        `leading_projection` for every B. The training features go after their last
+        fold, the test features when this returns; each model before the next."""
         features = training_features(self.train_eval, self.full, proj)
         lo, hi = calibrate_bounds(features.feats, proj.output_dim)
         tests = self.test_features(proj, [noise_db for _, noise_db in levels])
         for held in (features, *tests):
             unit_coordinates(held.feats, lo, hi)
         predictions, smoothing, mode = [], self.config.smoothing, self.config.score_mode
+        subs = {k: leading_projection(proj, k) if method in NESTED_KINDS else proj
+                for k in sorted(d_primes)}
         for n_bins in bins:
             trains = prefix_cells(features.feats, n_bins, d_primes)
             folds = [prefix_cells(scenes.feats, n_bins, d_primes) for scenes in tests]
-            for k in sorted(d_primes):
-                sub = leading_projection(proj, k) if method in NESTED_KINDS else proj
+            for k, sub in subs.items():
                 prefix = lambda f, cells: BlockFeatures(
                     sub, f.feats[:, :k], f.kept, (lo[:k], hi[:k], n_bins, cells))
                 model = build_model(self.train_eval, self.full, sub, n_bins, smoothing=smoothing,

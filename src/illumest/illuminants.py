@@ -105,12 +105,8 @@ def load_illuminants(manifest_path) -> IlluminantSet:
             raise FormatError(
                 f"{csv_path}: illuminant files need exactly 1 value column"
             )
-        col = values[:, 0]
-        neg = np.flatnonzero(col < 0)
-        if neg.size:
-            raise FormatError(f"{csv_path}:{neg[0] + 2}: negative SPD value")
         try:
-            members.append(Illuminant(name, Spectrum(axis, col)))
+            members.append(Illuminant(name, Spectrum(axis, values[:, 0])))
         except ValueError as exc:  # an all-zero SPD
             raise FormatError(f"{csv_path}: {exc}") from exc
     return IlluminantSet(tuple(members))
@@ -121,6 +117,9 @@ def load_illuminants(manifest_path) -> IlluminantSet:
 # break to the lowest index and empty clusters are reseeded to the point
 # farthest from its centroid.
 # ---------------------------------------------------------------------------
+
+#: Lloyd iterations at most, if the assignments have not settled before.
+KMEANS_MAX_ITER = 100
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -163,13 +162,8 @@ def _fix_empty(assign: np.ndarray, d2: np.ndarray, k: int) -> None:
             assign[int(np.argmax(cur))] = c
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster rows of `points` into k groups.
+def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster rows of `points` into k groups, in at most KMEANS_MAX_ITER Lloyd iterations.
 
     Returns (assignments (n,), centroids (k, dim)). Assignments use the
     final centroids; every cluster is non-empty. Within-cluster squared
@@ -184,7 +178,7 @@ def kmeans(
     rng = np.random.default_rng(seed)
     centers = pts[_plus_plus_init(pts, k, rng)].copy()
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _sq_dists(pts, centers)
         new_assign = np.argmin(d2, axis=1)
         _fix_empty(new_assign, d2, k)

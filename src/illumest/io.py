@@ -106,20 +106,20 @@ _AXIS_TOL_NM = 1e-6
 
 
 def read_spd_csv(path) -> tuple[SpectralAxis, np.ndarray]:
-    """Read a spectral CSV. Returns (axis, values) with values (count, n_cols)."""
+    """Read a spectral CSV: (axis, values), values (count, n_cols) and none negative."""
     path = Path(path)
-    lines = [ln.strip() for ln in read_text(path).splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [(n, ln.strip()) for n, ln in enumerate(read_text(path).splitlines(), 1)]
+    lines = [(n, ln) for n, ln in lines if ln]
     if not lines:
         raise FormatError(f"{path}: empty file")
-    header = [f.strip() for f in lines[0].split(",")]
+    header = [f.strip() for f in lines[0][1].split(",")]
     if header[0] != "wavelength_nm" or len(header) < 2:
         raise FormatError(
-            f"{path}: header must be 'wavelength_nm,value[,...]', got {lines[0]!r}"
+            f"{path}: header must be 'wavelength_nm,value[,...]', got {lines[0][1]!r}"
         )
     n_cols = len(header) - 1
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         fields = [f.strip() for f in ln.split(",")]
         if len(fields) != n_cols + 1:
             raise FormatError(
@@ -129,6 +129,8 @@ def read_spd_csv(path) -> tuple[SpectralAxis, np.ndarray]:
             rows.append([float(f) for f in fields])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if min(rows[-1][1:]) < 0:
+            raise FormatError(f"{path}:{lineno}: negative value")
     if len(rows) < 2:
         raise FormatError(f"{path}: need at least two wavelength rows")
     table = np.asarray(rows, dtype=np.float64)
@@ -174,9 +176,6 @@ def read_sensitivities(path, camera_name: Optional[str] = None) -> SensitivityFu
         raise FormatError(
             f"{path}: sensitivity files need exactly 3 value columns, got {values.shape[1]}"
         )
-    neg = np.argwhere(values < 0)
-    if neg.size:
-        raise FormatError(f"{path}:{neg[0][0] + 2}: negative sensitivity value")
     name = camera_name if camera_name is not None else path.stem
     try:
         return SensitivityFunctions(axis, values.T.copy(), camera_name=name)

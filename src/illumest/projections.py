@@ -51,6 +51,8 @@ _ORTHO_TOL = 1e-8
 _RANK_TOL = 1e-10
 #: LDA's within-scatter shrinkage, relative to its mean variance.
 _LDA_GAMMA_SCALE = 1e-6
+#: The relative loss improvement at which an nnmf fit stops.
+NNMF_TOL = 1e-9
 
 
 @dataclass
@@ -121,6 +123,12 @@ class Projection:
         """mean @ basis, which a centered kind's features subtract (None for
         the other kinds), made on first use and held with the projection."""
         return None if self.mean is None else self.mean @ self.basis
+
+    @cached_property
+    def digest(self) -> bytes:
+        """sha256 of the projection's file bytes (32 bytes): what a model
+        stores to name its projection, made once and held with it."""
+        return hashlib.sha256(projection_to_bytes(self)).digest()
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Project (N, input_dim) vectors to (N, output_dim) coordinates."""
@@ -284,7 +292,7 @@ def nnmf_factorize(
     rank: int,
     seed: int = 0,
     max_iter: int = 300,
-    tol: float = 1e-9,
+    tol: float = NNMF_TOL,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Multiplicative-update factorization X ~ U V with U, V >= 0.
 
@@ -346,16 +354,10 @@ def nnmf_factorize(
 
 
 def fit_nnmf(
-    training: TrainingMatrix,
-    output_dim: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-9,
+    training: TrainingMatrix, output_dim: int, seed: int = 0, max_iter: int = 300
 ) -> Projection:
-    """Non-negative basis from multiplicative updates; encoding solves NNLS."""
-    _, v, losses = nnmf_factorize(
-        training.rows, output_dim, seed=seed, max_iter=max_iter, tol=tol
-    )
+    """Non-negative basis from multiplicative updates (to NNMF_TOL); encoding solves NNLS."""
+    _, v, losses = nnmf_factorize(training.rows, output_dim, seed=seed, max_iter=max_iter)
     return Projection(
         kind=KIND_NNMF,
         input_dim=training.n_dims,
@@ -510,7 +512,3 @@ def read_projection(path) -> Projection:
     path = Path(path)
     return projection_from_bytes(path.read_bytes(), source=str(path))
 
-
-def projection_hash(proj: Projection) -> bytes:
-    """sha256 digest of the serialized projection (32 bytes)."""
-    return hashlib.sha256(projection_to_bytes(proj)).digest()

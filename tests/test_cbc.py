@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -39,7 +40,6 @@ from illumest.projections import (
     fit_rand,
     fit_rgb,
     projection_from_bytes,
-    projection_hash,
     projection_to_bytes,
 )
 from illumest.spectral import (
@@ -324,8 +324,9 @@ def oracle_bin_indices(coords, lo, hi, n_bins):
     return np.floor(scaled, out=scaled).astype(np.int64) @ powers
 
 
-#: (d', B) grids whose cell space lies within a few cells of 2**62.
-HUGE_GRIDS = [(1, 2**62 - c) for c in range(4)] + [(2, 2**31), (2, 2**31 - 1)]
+#: (d', B) grids at the largest B, or whose cell space lies within a few
+#: cells of 2**62.
+HUGE_GRIDS = [(1, cbc.MAX_BINS - c) for c in range(4)] + [(2, 2**31), (2, 2**31 - 1)]
 
 
 @st.composite
@@ -379,11 +380,11 @@ def table_model(proj, n_bins, names, cells, probs, occupied, smoothing=0.0):
     table: `cells` without the sentinel, `probs` with the base column last."""
     n_dims = proj.output_dim
     return CorrelationModel(
-        n_dims=n_dims, n_bins=n_bins, lo=np.zeros(n_dims), hi=np.ones(n_dims),
+        n_bins=n_bins, lo=np.zeros(n_dims), hi=np.ones(n_dims),
         smoothing=smoothing, candidate_names=tuple(names),
         cells=np.append(np.asarray(cells, dtype=np.int64), cbc.SENTINEL_CELL),
         probs=np.array(probs, dtype=np.float64), occupied=np.array(occupied, dtype=bool),
-        projection_digest=projection_hash(proj), projection=proj,
+        projection_digest=proj.digest, projection=proj,
     )
 
 
@@ -1675,7 +1676,7 @@ def table_from_counts(n_dims, n_bins, candidates):
             k = union.index(cell)
             probs[j, k], occupied[j, k] = (count + pseudo) / total, True
     return CorrelationModel(
-        n_dims=n_dims, n_bins=n_bins, lo=np.linspace(-1.0, 0.0, n_dims),
+        n_bins=n_bins, lo=np.linspace(-1.0, 0.0, n_dims),
         hi=np.linspace(0.5, 2.0, n_dims), smoothing=0.25,
         candidate_names=tuple(name for name, _, _ in candidates),
         cells=np.append(np.array(union, dtype=np.int64), cbc.SENTINEL_CELL),
@@ -1737,7 +1738,7 @@ class TestModelSerialization:
         proj = Projection("rand", 4, 1, basis=np.eye(1, 4))
         records = [("a", 0.25, [], []), ("b", 0.25, [], [])]
         p1, p2 = tmp_path / "a.cbcm", tmp_path / "b.cbcm"
-        p1.write_bytes(cbcm_bytes(1, 4, records, digest=projection_hash(proj)))
+        p1.write_bytes(cbcm_bytes(1, 4, records, digest=proj.digest))
         loaded = read_model(p1)
         assert loaded.cells.tolist() == [cbc.SENTINEL_CELL]
         assert loaded.probs.tolist() == [[0.25], [0.25]]
@@ -1921,14 +1922,15 @@ class TestModelSerialization:
     @pytest.mark.parametrize("key", ["n_dims", "n_bins"])
     def test_model_needs_a_dimension_and_a_bin(self, key):
         proj, model = self.build()
-        lo_hi = {"lo": np.zeros(0), "hi": np.zeros(0)} if key == "n_dims" else {}
+        # d' is the number of bounds: a model without any has no dimension
+        empty = {"lo": np.zeros(0), "hi": np.zeros(0)} if key == "n_dims" else {"n_bins": 0}
         with pytest.raises(ValueError, match="n_dims and n_bins must be >= 1"):
-            replace(model, **{key: 0}, **lo_hi)
+            replace(model, **empty)
 
     def test_projection_of_another_dimension_rejected(self, tmp_path):
         # a 2-D model whose digest names a 3-D projection
         proj = fit_rand(4, 3, seed=0)
-        path = self.header_model(tmp_path / "m.cbcm", 2, 4, ("a", "b"), projection_hash(proj))
+        path = self.header_model(tmp_path / "m.cbcm", 2, 4, ("a", "b"), proj.digest)
         loaded = read_model(path)
         with pytest.raises(ValueError, match="3-D projection for a 2-D model"):
             loaded.with_projection(proj)
@@ -1942,3 +1944,73 @@ class TestModelSerialization:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError):
             read_model(path)
+
+
+def bin_coords(n_dims, n_bins, tmp_path):
+    return bin_indices(np.zeros((1, n_dims)), np.zeros(n_dims), np.ones(n_dims), n_bins)
+
+
+def fold_units(n_dims, n_bins, tmp_path):
+    return next(cbc.prefix_cells(np.zeros((1, n_dims)), n_bins, (n_dims,)))
+
+
+def build_tiny(n_dims, n_bins, tmp_path):
+    _, candidates, images = tiny_problem()
+    # the grid is checked before any feature is made
+    with mock.patch.object(cbc, "training_features", side_effect=AssertionError("work began")):
+        return build_model(images, candidates, fit_rand(4, n_dims, seed=0), n_bins)
+
+
+def rebin_model(n_dims, n_bins, tmp_path):
+    _, candidates, images = tiny_problem()
+    return replace(build_model(images, candidates, fit_rand(4, n_dims, seed=0), 2), n_bins=n_bins)
+
+
+def read_header(n_dims, n_bins, tmp_path):
+    path = TestModelSerialization.header_model(tmp_path / "m.cbcm", n_dims, n_bins, ("a", "b"))
+    return read_model(path)
+
+
+#: (d', B) each entry rejects, and the message: no B, a B past the .cbcm
+#: u32 and a cell space past int64, also for a numpy B, whose power wraps.
+BAD_GRIDS = {
+    "no-bins": (1, 0, "n_dims and n_bins must be >= 1, got 1, 0"),
+    "past-max-bins": (1, 2**32, "n_bins must be <= MAX_BINS = 4294967295, got 4294967296"),
+    "cell-space": (3, 2**21, "histogram cell space is too large to index"),
+    "numpy-cell-space": (3, np.int64(2**31), "histogram cell space is too large to index"),
+}
+
+
+class TestOneGridRule:
+    """`cell_count` is the one rule for the (B, d') of a model and of every
+    binning: each entry rejects the same grids, with ValueError (FormatError
+    for a file) and never a raw struct.error, before any work."""
+
+    @pytest.mark.parametrize("entry, grid", [
+        pytest.param(entry, grid, id=f"{entry.__name__}-{grid}")
+        for entry in (bin_coords, fold_units, build_tiny, rebin_model, read_header)
+        for grid in sorted(BAD_GRIDS)
+        if (entry, grid) != (read_header, "past-max-bins")  # a u32 header cannot hold it
+    ])
+    def test_every_entry_rejects_the_grid(self, tmp_path, entry, grid):
+        n_dims, n_bins, message = BAD_GRIDS[grid]
+        error = FormatError if entry is read_header else ValueError
+        with pytest.raises(error, match=re.escape(message)):
+            entry(n_dims, n_bins, tmp_path)
+
+    def test_largest_b_builds_writes_and_reads_back(self, tmp_path):
+        _, candidates, images = tiny_problem()
+        proj = fit_rand(4, 1, seed=0)
+        model = build_model(images, candidates, proj, cbc.MAX_BINS)
+        assert model.n_bins == cbc.MAX_BINS and model.n_dims == 1
+        assert 0 <= model.cells[-2] < cbc.MAX_BINS  # the last stored cell lies in the grid
+        first, again = tmp_path / "m.cbcm", tmp_path / "again.cbcm"
+        write_model(first, model)
+        loaded = read_model(first).with_projection(proj)
+        write_model(again, loaded)
+        assert again.read_bytes() == first.read_bytes()
+        assert loaded.cells.tobytes() == model.cells.tobytes()
+        assert loaded.probs.tobytes() == model.probs.tobytes()
+        # the clamp bound B - 1 is exact in float64: hi bins to the last cell
+        last = bin_indices(np.ones((1, 1)), np.zeros(1), np.ones(1), cbc.MAX_BINS)
+        assert last.tolist() == [cbc.MAX_BINS - 1]

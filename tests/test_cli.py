@@ -7,6 +7,7 @@ import pytest
 
 from illumest import cli, evaluation
 from illumest.bundled import bundled_illuminant_manifest
+from illumest.cbc import read_model
 from illumest.cli import main
 from illumest.evaluation import GridConfig, _Runner, run_grid
 from illumest.illuminants import load_illuminants
@@ -374,6 +375,23 @@ class TestSettingsRejectedBeforeAnyRead:
         assert reads == ["read_projection"] and not out.exists()
         run_ok(capsys, argv + ["--bins", str(2**31), "--downsample", "2", "--out", str(out)])
         assert reads.count("read_scube") == 4  # the counter sees a valid build's scenes
+
+    def test_build_model_takes_b_up_to_max_bins(self, fitted, tmp_path, capsys, reads):
+        # a 1-D projection: 2**32 bins fit int64 cells but not the .cbcm u32
+        _, _, dataset = fitted
+        proj_path, out = tmp_path / "one.proj", tmp_path / "m.cbcm"
+        run_ok(capsys, ["fit", "--method", "ill_pca", "--d-prime", "1", "--out", str(proj_path)])
+        reads.clear()
+        argv = ["build-model", "--projection", str(proj_path), "--dataset", str(dataset),
+                "--downsample", "2", "--out", str(out)]
+        assert main(argv + ["--bins", str(2**32)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --bins 4294967296 at d' = 1: "
+            "n_bins must be <= MAX_BINS = 4294967295, got 4294967296\n"
+        )
+        assert reads == ["read_projection"] and not out.exists()
+        run_ok(capsys, argv + ["--bins", str(2**32 - 1)])
+        assert read_model(out).n_bins == 2**32 - 1
 
 
 class TestDownsampleThatDoesNotDivideNamesOptionAndCube:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illumest import cbc, evaluation, linalg, synth_dataset
+from illumest import cbc, evaluation, linalg, projections, synth_dataset
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cbc import build_model, classify, score
 from illumest.evaluation import (
@@ -876,8 +876,9 @@ class TestRejectedBeforeAnyWork:
             (dict(methods=("ill_pca", "lda"), downsample_lda=3),
              "downsample_lda factor 3 does not"),
             (dict(d_primes=(1, 5), bins=(5, 10**4)), "cell space is too large to index"),
+            (dict(d_primes=(1,), bins=(5, 2**32)), "n_bins must be <= MAX_BINS = 4294967295"),
         ],
-        ids=["pca", "nnmf", "lda", "cell-space"],
+        ids=["pca", "nnmf", "lda", "cell-space", "max-bins"],
     )
     def test_sweep_rejects_before_the_first_fit(self, demo_data, calls, overrides, match):
         cfg = demo_config(demo_data, **overrides)
@@ -913,6 +914,12 @@ class TestRejectedBeforeAnyWork:
             run_grid(demo_config(demo_data, **overrides))
         assert str(info.value) == message
         assert reads == [] and calls == []
+
+    def test_noise_bins_past_max_bins(self, demo_data, calls):
+        cfg = demo_config(demo_data, noise_d_prime=1, noise_bins=2**32)
+        with pytest.raises(ValueError, match="n_bins must be <= MAX_BINS = 4294967295"):
+            run_noise(cfg)
+        assert calls == []
 
     def test_rgb_cell_space_counts_three_dimensions(self, demo_data, bundled_cameras, calls):
         # (3 * 10**6) ** 3 passes the int64 range; d' = 1 alone would not
@@ -1355,6 +1362,19 @@ class TestNestedSweep:
             assert row.summary == alone[k].summary, k
             if row.predicted is not None:
                 assert row.predicted.tobytes() == alone[k].predicted.tobytes(), k
+
+    def test_each_projection_is_serialized_once(self, demo_data, bundled_cameras, monkeypatch):
+        # a projection's digest is held with it, and each d' of a nested fit is
+        # one leading projection for every B: a warm run serializes each once
+        cfg = demo_config(demo_data, methods=("rgb", "rand", "ill_pca"), d_primes=(1, 2, 3),
+                          bins=(5, 10), cameras=tuple(bundled_cameras[:2]))
+        run_grid(cfg)
+        serialized, to_bytes = [], projections.projection_to_bytes
+        monkeypatch.setattr(projections, "projection_to_bytes",
+                            lambda proj: serialized.append(to_bytes(proj)) or serialized[-1])
+        run_grid(cfg)
+        # rgb: one per camera; rand: one per seed and d'; ill_pca: one per d'
+        assert len(serialized) == len(set(serialized)) == 2 + 3 * 3 + 3
 
 
 class TestBatchedEvaluation:

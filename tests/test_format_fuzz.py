@@ -27,7 +27,6 @@ from illumest.io import (
 from illumest.projections import (
     Projection,
     fit_rand,
-    projection_hash,
     read_projection,
     write_projection,
 )
@@ -61,12 +60,12 @@ def model_bytes(tmp):
     # counts (3, 1) in cells 0 and 4, and 2 in cell 8, of a 3x3 grid,
     # smoothed by 0.1
     model = CorrelationModel(
-        n_dims=2, n_bins=3, lo=np.zeros(2), hi=np.ones(2), smoothing=0.1,
+        n_bins=3, lo=np.zeros(2), hi=np.ones(2), smoothing=0.1,
         candidate_names=("a", "b"),
         cells=np.array([0, 4, 8, SENTINEL_CELL]),
         probs=np.array([[3.1, 1.1, 0.1, 0.1], [0.1, 0.1, 2.1, 0.1]]) / [[4.9], [2.9]],
         occupied=np.array([[True, True, False], [False, False, True]]),
-        projection_digest=projection_hash(proj),
+        projection_digest=proj.digest,
     )
     write_model(tmp / "src.cbcm", model)
     return (tmp / "src.cbcm").read_bytes()

@@ -118,6 +118,14 @@ class TestLoadIlluminants:
             load_illuminants(man)
         assert ":3" in str(exc.value)
 
+    def test_negative_value_after_a_blank_line_names_its_line(self, tmp_path):
+        p = tmp_path / "neg.csv"
+        p.write_text("\nwavelength_nm,value\n400,1.0\n\n410,-0.25\n")
+        man = tmp_path / "manifest.txt"
+        write_illuminant_manifest(man, [("neg.csv", "N")])
+        with pytest.raises(FormatError, match="neg.csv:5: negative value"):
+            load_illuminants(man)
+
 
 class TestKmeans:
     def test_separated_blobs_recovered(self):

@@ -145,6 +145,22 @@ class TestSpdCsv:
         with pytest.raises(FormatError):
             read_spd_csv(p)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("wavelength_nm,value\n400,1\n\n410,-2\n", 4, "negative value"),
+            ("\nwavelength_nm,value\n400,1\n410,x\n", 4, "could not convert"),
+            ("wavelength_nm,value\n\n400,1\n\n410,1,2\n", 5, "expected 2 fields, got 3"),
+            ("wavelength_nm,value,value2\n400,1,1\n \n410,1,-0.5\n", 4, "negative value"),
+        ],
+        ids=["negative", "leading-blank", "field-count", "negative-second-column"],
+    )
+    def test_errors_name_the_file_line_past_blank_lines(self, tmp_path, text, line, message):
+        p = tmp_path / "blank.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=f"blank.csv:{line}: {message}"):
+            read_spd_csv(p)
+
 
 class TestSensitivities:
     def test_reads_three_channels(self, tmp_path):
@@ -184,6 +200,12 @@ class TestSensitivities:
         with pytest.raises(FormatError) as exc:
             read_sensitivities(p)
         assert ":3" in str(exc.value)
+
+    def test_negative_value_after_a_blank_line_names_its_line(self, tmp_path):
+        p = tmp_path / "neg.csv"
+        p.write_text("wavelength_nm,value,value2,value3\n400,0.1,0.2,0.3\n\n410,0.4,-0.5,0.6\n")
+        with pytest.raises(FormatError, match="neg.csv:4: negative value"):
+            read_sensitivities(p)
 
 
 class TestManifests:

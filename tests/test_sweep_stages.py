@@ -11,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = (
     "fits", "training_features", "test_features", "unit", "feature_cells", "prefix_cells",
-    "summaries", "builds", "scores",
+    "summaries", "builds", "scores", "projection_to_bytes", "Projection.__post_init__",
 )
 
 
@@ -33,6 +33,8 @@ def test_every_stage_reports_calls():
     assert set(report) == {"pass", *STAGES}
     for stage, timing in report.items():
         assert timing["calls"] > 0 and len(timing["ms"]) == 1 and timing["ms"][0] >= 0, stage
+    # a projection's digest is made once, so no projection is serialized twice
+    assert report["projection_to_bytes"]["calls"] <= report["Projection.__post_init__"]["calls"]
 
 
 def test_classify_mode_times_each_request_stage_in_every_round():
