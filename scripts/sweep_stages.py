@@ -29,9 +29,11 @@ The classify mode sets up the classify workload (its model and its requests,
 224 at the full size) and classifies every request once to warm up. Each
 timed pass then classifies every request twice: once unwrapped, timed whole
 as the `pass` stage, and once with wrappers on `cbc.block_features` (which
-takes the valid pixels), the binning (`cbc.feature_cells`), `cbc._cell_runs`
+featurizes the request), the binning (`cbc.feature_cells`), `cbc._cell_runs`
 and `cbc.score`. `score_rest` is what `score` spends outside those three
-stages.
+stages. `valid_pixels` is the time and calls of `SpectralImage.valid_pixels`
+in the wrapped pass, inside `block_features` where it gathers a request's
+valid pixels; a checkout that takes no gather reports 0 calls.
 
 --size smoke runs either mode on the bench self-test's small scenes.
 Prints one JSON object: per checkout and stage, each pass's milliseconds
@@ -145,7 +147,7 @@ def probe_classify(checkout: Path, seed: int, passes: int, size: str) -> dict:
     """Runs inside a fresh interpreter on `checkout`'s sources."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import workloads
-    from illumest import cbc
+    from illumest import cbc, spectral
 
     stages = Stages()
     with tempfile.TemporaryDirectory() as tmp:
@@ -157,19 +159,21 @@ def probe_classify(checkout: Path, seed: int, passes: int, size: str) -> dict:
     for radiance in requests:
         classify(model, radiance)
     inner = ("block_features", "feature_cells", "_cell_runs")
-    originals = {name: getattr(cbc, name) for name in (*inner, "score")}
+    sites = [(cbc, name) for name in (*inner, "score")] + [(spectral.SpectralImage, "valid_pixels")]
+    originals = {site: getattr(*site) for site in sites}
     out: dict = {}
     for _ in range(passes):
         start = time.perf_counter()
         for radiance in requests:
             classify(model, radiance)
         stages.add("pass", time.perf_counter() - start, len(requests))
-        for name in originals:
-            stages.timed(cbc, name, name)
+        stages.add("valid_pixels", 0.0, 0)  # reported even where no request gathers
+        for owner, name in sites:
+            stages.timed(owner, name, name)
         for radiance in requests:
             classify(model, radiance)
-        for name, original in originals.items():
-            setattr(cbc, name, original)
+        for (owner, name), original in originals.items():
+            setattr(owner, name, original)
         ms, calls = stages.totals.pop("score")
         stages.add("score_rest", (ms - sum(stages.totals[n][0] for n in inner)) / 1e3, calls)
         stages.record(out)

@@ -65,7 +65,8 @@ def cell_count(n_bins: int, n_dims: int) -> int:
 
 
 def pixel_features(
-    projection: Projection, rows: np.ndarray, spds: Optional[np.ndarray] = None
+    projection: Projection, rows: np.ndarray, spds: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram coordinates of pixel rows, black rows dropped, and the mask
     of the rows kept.
@@ -73,6 +74,8 @@ def pixel_features(
     Without `spds`, `rows` are (N, bands) radiance and the mask is (N,).
     With `spds`, a (C, bands) table, `rows` are reflectances lit by each SPD
     in turn: the features come candidate-major and the mask is (C, N).
+    `mask` (N,) keeps only its rows of the (N, width) product, and N counts
+    those: an image's whole cube is multiplied, then its valid rows kept.
 
     Each SPD s folds into the basis B, so one matmul of the rows with the
     (C, bands, d' + 1) stack of s * B and s gives every candidate's
@@ -94,23 +97,26 @@ def pixel_features(
     `Projection.shift`), not per call.
 
     Rows whose L1 sum is at or below ZERO_NORM_EPS are skipped. Non-finite
-    rows or SPDs raise ValueError.
+    SPDs raise ValueError, as does a kept row whose product's last column,
+    which every band enters, is not finite (a non-finite band, or overflow).
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != projection.input_dim:
         raise ValueError(f"expected (N, {projection.input_dim}) pixels, got {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise ValueError("radiance must be finite")
     columns = projection.columns
-    if spds is None:
-        product = rows @ columns  # (N, width)
-    else:
+    if spds is not None:
         spds = np.asarray(spds, dtype=np.float64)
         if spds.ndim != 2 or spds.shape[1] != rows.shape[1]:
             raise ValueError(f"expected (C, {rows.shape[1]}) SPDs, got {spds.shape}")
         if not np.isfinite(spds).all():
             raise ValueError("SPDs must be finite")
-        product = rows @ (spds[:, :, None] * columns)  # (C, N, width), one product per SPD
+        columns = spds[:, :, None] * columns  # (C, bands, width), one product per SPD
+    with np.errstate(invalid="ignore", over="ignore"):  # a bad row raises just below
+        product = rows @ columns  # (N, width) or (C, N, width)
+    if mask is not None:
+        product = np.compress(mask, product, axis=-2)
+    if not np.isfinite(product[..., -1]).all():  # 0 * nan and 0 * inf are nan
+        raise ValueError("radiance must be finite")
     shape, product = product.shape[:-1], product.reshape(-1, product.shape[-1])
     if projection.kind == KIND_RGB:
         feats, kept = chromaticity_rows(product)
@@ -482,11 +488,15 @@ def feature_cells(
 
 
 def block_features(projection: Projection, pixels: SpectralImage | np.ndarray) -> BlockFeatures:
-    """One `pixel_features` call over an image's valid pixels or over radiance
-    rows of shape (..., N, bands). Non-finite radiance raises ValueError
-    there."""
+    """One `pixel_features` call over an image's whole cube, keeping its valid
+    pixels' rows of the product, or over radiance rows of shape (..., N,
+    bands). Non-finite radiance raises ValueError there. An image's features
+    are its gathered pixels' wherever BLAS rounds a product row alike in both
+    (a narrow product, width <= 4, can round by its row count and layout)."""
     if isinstance(pixels, SpectralImage):
-        pixels = pixels.valid_pixels()
+        data = pixels.data  # (N, bands) below is a view of a band-major or C-order cube
+        rows, mask = data.reshape(-1, data.shape[-1]), pixels.mask.reshape(-1)
+        return BlockFeatures(projection, *pixel_features(projection, rows, mask=mask))
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.ndim < 2:
         raise ValueError(f"expected (..., N, bands) pixels, got {pixels.shape}")

@@ -669,19 +669,25 @@ class _Runner:
 
     # -- entry points -------------------------------------------------------
 
-    def _sweep(self, methods, d_primes, bins, levels) -> EvalReport:
+    def _sweep(self, methods, d_primes, bins, levels, option="bins") -> EvalReport:
         """One row per (method, variant, B, d', noise level), then the
         variant averages. `levels` holds (noise label, dB or None) pairs.
-        Each method's settings are checked before any scene is read; one read
-        then gives every scene at downsample_eval and the training scenes at
-        each fit factor the methods use. Every projection is fitted
-        (`_fits`) before the first features are made, and the fit-factor
-        scenes and fit matrices go then, so no feature pass holds them."""
+        Each method's settings are checked before any scene is read; a
+        (B, d') grid past `cell_count`'s rule is named by `option`, the
+        setting that gave `bins`. One read then gives every scene at
+        downsample_eval and the training scenes at each fit factor the
+        methods use. Every projection is fitted (`_fits`) before the first
+        features are made, and the fit-factor scenes and fit matrices go
+        then, so no feature pass holds them."""
         for method in methods:
             cameras = self.cameras.values() if method == KIND_RGB else ()
             check_fittable(method, d_primes, self.proj_set, cameras)
             if method != METHOD_SGW:
-                cell_count(max(bins), 3 if method == KIND_RGB else max(d_primes))
+                d_prime = 3 if method == KIND_RGB else max(d_primes)
+                try:
+                    cell_count(max(bins), d_prime)
+                except ValueError as exc:
+                    raise ValueError(f"{option} {max(bins)} at d' = {d_prime}: {exc}") from None
         images = self._read(methods)
         fits = self._fits(methods, d_primes, images)
         del images  # the fit-factor scenes: only the fits read them
@@ -745,7 +751,7 @@ class _Runner:
         cfg = self.config
         levels = [(_noise_label(db), float(db)) for db in cfg.noise_levels]
         cell = (cfg.noise_method,), (cfg.noise_d_prime,), (cfg.noise_bins,)
-        return self._sweep(*cell, [("clean", None)] + levels)
+        return self._sweep(*cell, [("clean", None)] + levels, "noise_bins")
 
 
 def _noise_label(level: float) -> str:

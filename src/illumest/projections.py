@@ -13,9 +13,11 @@ import hashlib
 import json
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -55,14 +57,30 @@ _LDA_GAMMA_SCALE = 1e-6
 NNMF_TOL = 1e-9
 
 
-@dataclass
+def _read_only(value):
+    """A read-only copy of an array (as float64, in its layout) or a JSON
+    value, whose objects become mappings and arrays tuples."""
+    if isinstance(value, np.ndarray):
+        value = np.array(value, dtype=np.float64)
+        value.flags.writeable = False
+        return value
+    if isinstance(value, Mapping):
+        return MappingProxyType({key: _read_only(v) for key, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_read_only, value))
+    return value
+
+
+@dataclass(frozen=True)
 class Projection:
     """A fitted spectral-dimension reducer.
 
     basis shape by kind: (output_dim, input_dim) for rgb/rand/nnmf/lda,
     (input_dim, output_dim) for the centered PCA kinds, which also carry a
-    mean vector. `metadata` is a small JSON-serializable dict (seed, source
-    counts, final loss, ...) preserved by the file format.
+    mean vector. `metadata` is a small JSON-serializable mapping (seed, source
+    counts, final loss, ...) preserved by the file format. A projection is
+    frozen and holds read-only copies of all three, so its file bytes, and
+    the digest, columns and shift made from them once, cannot go stale.
     """
 
     kind: str
@@ -70,14 +88,15 @@ class Projection:
     output_dim: int
     basis: np.ndarray
     mean: Optional[np.ndarray] = None
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown projection kind {self.kind!r}")
         if self.output_dim < 1 or self.input_dim < 1:
             raise ValueError("dimensions must be positive")
-        self.basis = np.asarray(self.basis, dtype=np.float64)
+        object.__setattr__(self, "basis", _read_only(np.asarray(self.basis)))
+        object.__setattr__(self, "metadata", _read_only(dict(self.metadata)))
         if not np.all(np.isfinite(self.basis)):
             raise ValueError("basis must be finite")
         if self.kind in _CENTERED_KINDS:
@@ -95,7 +114,7 @@ class Projection:
         if self.kind in _CENTERED_KINDS:
             if self.mean is None:
                 raise ValueError(f"{self.kind} projections need a mean vector")
-            self.mean = np.asarray(self.mean, dtype=np.float64)
+            object.__setattr__(self, "mean", _read_only(np.asarray(self.mean)))
             if self.mean.shape != (self.input_dim,):
                 raise ValueError(
                     f"mean must have shape ({self.input_dim},), got {self.mean.shape}"
@@ -107,6 +126,12 @@ class Projection:
                 raise ValueError(f"{self.kind} basis columns must be orthonormal")
         elif self.mean is not None:
             raise ValueError(f"{self.kind} projections do not carry a mean")
+
+    def __reduce__(self):
+        # pickle and deepcopy remake it from its fields: a read-only mapping does not pickle
+        metadata = json.loads(json.dumps(self.metadata, default=dict))
+        fields = self.kind, self.input_dim, self.output_dim, self.basis, self.mean, metadata
+        return Projection, fields
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -313,7 +338,7 @@ def nnmf_factorize(
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)  # C order: the sums add in memory order
     if x.ndim != 2 or not np.all(np.isfinite(x)) or np.any(x < 0):
         raise ValueError("x must be a finite, non-negative 2-D array")
     n, d = x.shape
@@ -422,7 +447,7 @@ def leading_projection(proj: Projection, k: int) -> Projection:
     if proj.kind not in NESTED_KINDS or not 1 <= k <= proj.output_dim:
         raise ValueError(f"no leading {k} components of a {proj.output_dim}-D {proj.kind} fit")
     basis = proj.basis[:, :k] if proj.mean is not None else proj.basis[:k]
-    return proj if k == proj.output_dim else replace(proj, output_dim=k, basis=basis.copy())
+    return proj if k == proj.output_dim else replace(proj, output_dim=k, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +471,9 @@ def projection_to_bytes(proj: Projection) -> bytes:
     if proj.mean is not None:
         parts.append(proj.mean.astype("<f8", copy=False).tobytes())
     parts.append(np.ascontiguousarray(proj.basis, dtype="<f8").tobytes())
-    metadata = json.dumps(proj.metadata, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    metadata = json.dumps(  # default: the held read-only mappings, written as dicts
+        proj.metadata, default=dict, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
     parts.append(metadata.encode("utf-8"))
     return b"".join(parts)
 
@@ -473,7 +500,7 @@ def projection_from_bytes(blob: bytes, source: str = "<bytes>") -> Projection:
         end = offset + 8 * input_dim
         if len(blob) < end:
             raise FormatError(f"{source}: truncated mean vector")
-        mean = np.frombuffer(blob, dtype="<f8", count=input_dim, offset=offset).copy()
+        mean = np.frombuffer(blob, dtype="<f8", count=input_dim, offset=offset)
         offset = end
     if kind in _CENTERED_KINDS:
         shape = (input_dim, output_dim)
@@ -496,7 +523,7 @@ def projection_from_bytes(blob: bytes, source: str = "<bytes>") -> Projection:
             kind=kind,
             input_dim=input_dim,
             output_dim=output_dim,
-            basis=basis.copy(),
+            basis=basis,
             mean=mean,
             metadata=metadata,
         )

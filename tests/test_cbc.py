@@ -883,10 +883,12 @@ class TestBlockFeatures:
             block_features(models["rand"][0].projection, stack)
 
     def test_a_request_is_checked_for_finite_radiance_once(self, models):
+        # one check of the product's last column, an entry a pixel, none of the bands
         stack = np.ones((2, 3, 31))
         with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
             classify(models["rand"][0], stack)
-        assert [np.size(c.args[0]) for c in isfinite.call_args_list].count(stack.size) == 1
+        sizes = [np.size(c.args[0]) for c in isfinite.call_args_list]
+        assert sizes.count(stack.size // 31) == 1 and stack.size not in sizes
 
     def test_shape_checks(self, models):
         proj = models["rand"][0].projection
@@ -1565,6 +1567,114 @@ class TestFoldedFeatures:
         for spds in (np.ones(4), np.ones((2, 3))):
             with pytest.raises(ValueError, match="SPDs"):
                 pixel_features(proj, np.ones((5, 4)), spds)
+
+
+@st.composite
+def masked_images(draw):
+    """A projection of any kind (`folding_cases`) and an image on its bands:
+    a C-order or band-major cube with black pixels, every pixel kept, a
+    random part masked, or its edge rows and columns masked, and at least
+    one valid pixel: (projection, image)."""
+    kinds = ("rand", "lda", "pca", "ill_pca", "rgb", "nnmf")
+    proj, _, _ = draw(folding_cases(kinds=kinds))
+    bands, (h, w) = proj.input_dim, draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cube = rng.uniform(1e-3, 1.0, (bands, h, w)) * (rng.random((bands, h, w)) >= 0.3)
+    cube[:, rng.random((h, w)) < 0.2] = 0.0
+    cube = cube.transpose(1, 2, 0)  # band-major, as `read_scube` returns a cube
+    if draw(st.booleans()):
+        cube = np.ascontiguousarray(cube)
+    mask = np.ones((h, w), dtype=bool)
+    how = draw(st.sampled_from(["all", "part", "edges"]))
+    if how == "part":
+        mask = rng.random((h, w)) >= draw(st.sampled_from([0.1, 0.5, 0.9]))
+    elif how == "edges":
+        top, bottom, left, right = (draw(st.integers(0, 2)) for _ in range(4))
+        mask[:top], mask[h - bottom:], mask[:, :left], mask[:, w - right:] = False, False, False, False
+    mask.flat[draw(st.integers(0, h * w - 1))] = True
+    return proj, SpectralImage(SpectralAxis(400, 10, bands), cube, mask)
+
+
+class TestImageFeatures:
+    """An image is featurized from one product over its whole cube, whose
+    rows its mask then keeps: as its gathered valid pixels are, bit for bit
+    wherever BLAS rounds the cube's rows as it rounds the gathered ones, and
+    within twice the fold's bounds where it does not (narrow products,
+    width <= 4, can round by their row count and layout)."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(masked_images())
+    def test_an_image_featurizes_as_its_gathered_pixels(self, case):
+        proj, image = case
+        got, want = block_features(proj, image), block_features(proj, image.valid_pixels())
+        assert got.kept.tobytes() == want.kept.tobytes()
+        assert got.feats.shape == want.feats.shape == (want.kept.sum(), proj.output_dim)
+        cube_rows = image.data.reshape(-1, image.n_bands) @ proj.columns
+        gathered = image.valid_pixels() @ proj.columns
+        if cube_rows[image.mask.reshape(-1)].tobytes() == gathered.tobytes():
+            assert got.feats.tobytes() == want.feats.tobytes()
+            return
+        if proj.kind == "nnmf":
+            z_norm = np.maximum(*(np.linalg.norm(f, axis=1) for f in (got.feats, want.feats)))
+            bound = 2 * nnmf_fold_bound(proj, z_norm)[:, None]
+        else:
+            bound = 2 * fold_bound(proj)
+        assert np.all(np.abs(got.feats - want.feats) <= bound)
+
+    def test_bench_sized_requests_featurize_as_their_gathered_pixels(self, bundled_set):
+        # a 32 x 32 cube relit from band-major reflectance, as the classify
+        # requests are, under a d' = 5 projection: its six-column product
+        # rounds each row alone on numpy's scipy-openblas build
+        proj = fit_ill_pca(bundled_set, 5)
+        for seed in range(3):
+            scene = generate_scene(SceneRecipe(32, 32, seed=seed), bundled_set.axis)
+            band_major = np.ascontiguousarray(scene.data.transpose(2, 0, 1)).transpose(1, 2, 0)
+            cube = SpectralImage(scene.axis, band_major, scene.mask)
+            for ill in bundled_set:
+                image = relight(cube, ill.normalized_spd())
+                got = block_features(proj, image)
+                want = block_features(proj, image.valid_pixels())
+                assert got.kept.tobytes() == want.kept.tobytes()
+                assert got.feats.tobytes() == want.feats.tobytes()
+
+    @staticmethod
+    def dark_band_camera(bands):
+        """An rgb projection whose three channels all weight band 0 at 0."""
+        rows = np.random.default_rng(5).uniform(0.1, 1.0, (3, bands))
+        rows[:, 0] = 0.0
+        return fit_rgb(SensitivityFunctions(SpectralAxis(400, 10, bands), rows, "dark"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("band", [0, 3])
+    @pytest.mark.parametrize("kind", ["rgb", "rand"])
+    def test_a_non_finite_valid_pixel_raises(self, bad, band, kind):
+        # band 0 is weighted 0 by every rgb column: 0 * nan and 0 * inf are nan
+        proj = self.dark_band_camera(6) if kind == "rgb" else fit_rand(6, 2, seed=1)
+        mask = np.ones((3, 4), dtype=bool)
+        mask[0, 0] = False
+        image = SpectralImage(SpectralAxis(400, 10, 6), np.full((3, 4, 6), 0.5), mask)
+        stack = np.full((2, 5, 6), 0.5)
+        stack[1, 2, band] = bad
+        image.data[2, 1, band] = bad  # changed after the image was built
+        for pixels in (image, stack, stack[1]):
+            with pytest.raises(ValueError, match="radiance must be finite"):
+                block_features(proj, pixels)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_masked_out_pixel_is_never_read(self, bad):
+        proj = self.dark_band_camera(6)
+        rng = np.random.default_rng(2)
+        mask = rng.random((4, 4)) > 0.3
+        mask[0, 0] = False
+        image = SpectralImage(SpectralAxis(400, 10, 6), rng.random((4, 4, 6)), mask)
+        want = block_features(proj, image)
+        image.data[0, 0] = bad
+        got = block_features(proj, image)
+        assert got.feats.tobytes() == want.feats.tobytes()
+        assert got.kept.tobytes() == want.kept.tobytes()
 
 
 class TestScoreBytes:

@@ -921,6 +921,32 @@ class TestRejectedBeforeAnyWork:
             run_noise(cfg)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "run, overrides, message",
+        [
+            (run_grid, dict(d_primes=(1,), bins=(5, 2**32)),
+             "bins 4294967296 at d' = 1: n_bins must be <= MAX_BINS = 4294967295, got 4294967296"),
+            (run_grid, dict(d_primes=(1, 5), bins=(5, 10**4)),
+             "bins 10000 at d' = 5: histogram cell space is too large to index"),
+            (run_noise, dict(noise_d_prime=1, noise_bins=2**32),
+             "noise_bins 4294967296 at d' = 1: "
+             "n_bins must be <= MAX_BINS = 4294967295, got 4294967296"),
+        ],
+        ids=["bins", "bins-cell-space", "noise-bins"],
+    )
+    def test_a_grid_past_the_rule_names_its_option_before_any_scene_is_read(
+        self, demo_data, calls, monkeypatch, run, overrides, message
+    ):
+        reads = []
+        read_scube = evaluation.read_scube
+        monkeypatch.setattr(
+            evaluation, "read_scube", lambda *a, **k: reads.append(1) or read_scube(*a, **k)
+        )
+        with pytest.raises(ValueError) as info:
+            run(demo_config(demo_data, **overrides))
+        assert str(info.value) == message
+        assert reads == [] and calls == []
+
     def test_rgb_cell_space_counts_three_dimensions(self, demo_data, bundled_cameras, calls):
         # (3 * 10**6) ** 3 passes the int64 range; d' = 1 alone would not
         cfg = demo_config(

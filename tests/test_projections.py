@@ -1,7 +1,9 @@
 """Projection fitting, application, and serialization."""
 
+import copy
 import hashlib
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -298,6 +300,21 @@ class TestNnmf:
         np.testing.assert_array_equal(u1, u2)
         np.testing.assert_array_equal(v1, v2)
         assert l1 == l2
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_factors_do_not_depend_on_the_input_layout(self, rank):
+        # np.sum and a rank-1 product add in memory order, so a column-major
+        # or strided x must be read as its C-order copy
+        rng = np.random.default_rng(3)
+        x = rng.random((600, 31)) ** 3
+        x /= x.sum(axis=1, keepdims=True)
+        wide = np.zeros((600, 62))
+        wide[:, ::2] = x
+        want = nnmf_factorize(x, rank, seed=0, max_iter=50)
+        for layout in (np.asfortranarray(x), wide[:, ::2]):
+            u, v, losses = nnmf_factorize(layout, rank, seed=0, max_iter=50)
+            assert u.tobytes() == want[0].tobytes() and v.tobytes() == want[1].tobytes()
+            assert np.array(losses).tobytes() == np.array(want[2]).tobytes()
 
     def test_rejects_negative_input_and_bad_rank(self):
         with pytest.raises(ValueError):
@@ -643,6 +660,32 @@ class TestSerialization:
         assert len(a.digest) == 32
         # held, like `columns`: a digest is made once per projection
         assert a.digest is a.digest
+
+    def test_a_held_digest_cannot_go_stale(self):
+        # a projection is frozen and holds read-only copies of what it was given
+        basis, metadata = np.eye(2, 6), {"seed": 1, "runs": [{"n": 2}]}
+        p = Projection(KIND_RAND, 6, 2, basis=basis, metadata=metadata)
+        digest = p.digest
+        basis[0, 0], metadata["note"] = 5.0, "x"
+        with pytest.raises(TypeError):
+            p.metadata["note"] = "x"
+        with pytest.raises(TypeError):
+            p.metadata["runs"][0]["n"] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            p.basis[0, 0] = 5.0
+        with pytest.raises(AttributeError):
+            p.output_dim = 1
+        assert hashlib.sha256(projection_to_bytes(p)).digest() == digest
+        assert projection_to_bytes(p).endswith(b'{"runs":[{"n":2}],"seed":1}')
+        centered = self.sample_projections()[2]
+        with pytest.raises(ValueError, match="read-only"):
+            centered.mean[0] = 1.0
+        # `leading_projection`, a read back, pickle and deepcopy make projections of their own
+        assert projection_from_bytes(projection_to_bytes(p)).digest == digest
+        assert leading_projection(p, 1).basis.flags.writeable is False
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(centered)):
+            assert q.digest == (p if q.kind == KIND_RAND else centered).digest
+            assert not q.basis.flags.writeable
 
     def test_bad_magic_and_truncation(self):
         blob = projection_to_bytes(fit_rand(4, 2, seed=0))
