@@ -23,7 +23,9 @@ calls: `builds`, the sweep's `build_model` calls, and `scores`, its `classify`
 calls. The projection work is two stages named after their functions, each
 counted wherever it is called: `projection_to_bytes` (a projection's file
 bytes, which its digest hashes) and `Projection.__post_init__` (the checks of
-each projection made).
+each projection made). `gray_world` is the sweep's `spectral_gray_world` calls,
+one per sgw case, and `relight` the sweep's calls of `relight`, reported with
+0 calls in a checkout whose sweep lights no case by it.
 
 The classify mode sets up the classify workload (its model and its requests,
 224 at the full size) and classifies every request once to warm up. Each
@@ -125,6 +127,8 @@ def probe(checkout: Path, seed: int, passes: int, size: str) -> dict:
     timed(evaluation, "classify", "scores")
     timed(projections, "projection_to_bytes", "projection_to_bytes")
     timed(projections.Projection, "__post_init__", "Projection.__post_init__")
+    timed(evaluation, "spectral_gray_world", "gray_world")
+    timed(evaluation, "relight", "relight")
     with tempfile.TemporaryDirectory() as tmp:
         inputs = workloads.make_inputs(Path(tmp), seed, getattr(workloads, size.upper()))
         workload = workloads.make_workload("grid_hist", inputs)
@@ -135,6 +139,7 @@ def probe(checkout: Path, seed: int, passes: int, size: str) -> dict:
         out: dict = {}
         for _ in range(passes):
             stages.totals.clear()
+            add("relight", 0.0, 0)  # reported even where the sweep relights nothing
             start = time.perf_counter()
             evaluation.run_grid(config)
             evaluation.run_noise(config)

@@ -64,6 +64,16 @@ def cell_count(n_bins: int, n_dims: int) -> int:
     return n_cells
 
 
+def check_smoothing(smoothing: float, n_cells: int, name: str = "smoothing") -> None:
+    """The one smoothing rule, for a model of `n_cells` cells: finite, > 0, and
+    smoothing * n_cells finite, so every cell's probability is > 0; `name`
+    names the setting in the ValueError."""
+    if not (np.isfinite(smoothing) and smoothing > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {smoothing}")
+    if not math.isfinite(smoothing * n_cells):
+        raise ValueError(f"{name} {smoothing} times {n_cells} cells is not finite")
+
+
 def pixel_features(
     projection: Projection, rows: np.ndarray, spds: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
@@ -291,7 +301,7 @@ class HistogramGrid:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelationModel:
     """Calibrated candidate histograms as one table, plus the projection binding.
 
@@ -304,6 +314,8 @@ class CorrelationModel:
 
     A loaded model starts with `projection=None`, as its file stores only the
     projection's digest; `with_projection` re-attaches and verifies it, which scoring needs.
+    A model is frozen and its arrays read-only (flagged in place, not copied), so
+    the names and log table it makes once cannot go stale.
     """
 
     n_bins: int
@@ -318,13 +330,15 @@ class CorrelationModel:
     projection: Optional[Projection] = None
 
     def __post_init__(self) -> None:
-        self.lo = np.asarray(self.lo, dtype=np.float64)
-        self.hi = np.asarray(self.hi, dtype=np.float64)
+        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=np.float64))
+        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=np.float64))
         if self.lo.ndim != 1 or self.hi.shape != self.lo.shape:
             raise ValueError("bounds must have one (lo, hi) pair per dimension")
         cell_count(self.n_bins, self.n_dims)
         _check_bounds(self.lo, self.hi)
-        self.candidate_names = tuple(self.candidate_names)
+        object.__setattr__(self, "candidate_names", tuple(self.candidate_names))
+        for array in (self.lo, self.hi, self.cells, self.probs, self.occupied):
+            array.flags.writeable = False
         n, n_cells = len(self.candidate_names), self.cells.size
         if not n or self.probs.shape != (n, n_cells) or self.occupied.shape != (n, n_cells - 1):
             raise ValueError("need one table row per candidate name")
@@ -404,9 +418,8 @@ def build_model(
     ValueError. Features that carry their cells carry their bounds too, which
     the model takes instead of calibrating, so a build only counts.
     """
-    if not (np.isfinite(smoothing) and smoothing > 0):
-        raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
     n_cells = cell_count(n_bins, projection.output_dim)
+    check_smoothing(smoothing, n_cells)
     if features is None:
         features = training_features(images, candidates, projection)
     _require_projection(features, projection.digest)

@@ -13,7 +13,10 @@ from functools import partial
 from pathlib import Path
 
 from .bundled import bundled_illuminant_manifest
-from .cbc import MODE_LOG, SCORE_MODES, build_model, cell_count, classify, read_model, write_model
+from .cbc import (
+    MODE_LOG, SCORE_MODES, build_model, cell_count, check_smoothing, classify, read_model,
+    write_model,
+)
 from .evaluation import (
     FIT_OPTIONS,
     GridConfig,
@@ -123,13 +126,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_build_model(args) -> int:
-    if not (math.isfinite(args.smoothing) and args.smoothing > 0):
-        raise ValueError(f"--smoothing must be finite and > 0, got {args.smoothing}")
+    check_smoothing(args.smoothing, 1, "--smoothing")  # and on the cell count once it is known
     proj = read_projection(args.projection)
     try:
-        cell_count(args.bins, proj.output_dim)
+        n_cells = cell_count(args.bins, proj.output_dim)
     except ValueError as exc:
         raise ValueError(f"--bins {args.bins} at d' = {proj.output_dim}: {exc}") from None
+    check_smoothing(args.smoothing, n_cells, "--smoothing")
     full = load_illuminants(_illuminants(args))
     paths, _ = read_dataset_manifest(args.dataset)
     images = read_scenes({"--downsample": (args.downsample, paths)}, full.axis)["--downsample"]

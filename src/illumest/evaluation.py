@@ -27,6 +27,7 @@ from .cbc import (
     build_model,
     calibrate_bounds,
     cell_count,
+    check_smoothing,
     classify,
     prefix_cells,
     training_features,
@@ -70,8 +71,9 @@ from .spectral import (
     downsample,
     mix_seed,
     noise_draw,
+    noise_sigma,
     noisy_rows,
-    relight,
+    relight,  # noqa: F401  (not called here: a bench/spans.py trace site)
 )
 
 METHOD_SGW = "sgw"
@@ -327,14 +329,16 @@ class GridConfig:
                 raise ValueError(f"{name} must be >= {least}, got {value!r}")
         if self.score_mode not in SCORE_MODES:
             raise ValueError(f"score_mode must be one of {SCORE_MODES}")
-        if not (np.isfinite(self.smoothing) and self.smoothing > 0):
-            raise ValueError(f"smoothing must be finite and > 0, got {self.smoothing}")
+        check_smoothing(self.smoothing, 1)  # each sweep checks it on its cell count too
         if self.projection_set is not None:
             self.projection_set = Path(self.projection_set)
         if self.noise_method not in GRID_METHODS:
             raise ValueError(f"noise_method must be one of {GRID_METHODS}")
-        if any(not np.isfinite(l) for l in self.noise_levels):
-            raise ValueError("noise_levels must be finite dB values")
+        for level in self.noise_levels:
+            try:
+                noise_sigma(0.0, level)
+            except ValueError as exc:
+                raise ValueError(f"noise_levels: {exc}") from None
 
 
 def _split_list(raw: str) -> list[str]:
@@ -463,17 +467,17 @@ def training_chromaticities(
 
 
 def read_scenes(
-    wanted: dict[str, tuple[int, Sequence[Path]]], axis: Optional[SpectralAxis] = None
+    wanted: dict[str, tuple[int, Sequence[Path]]], axis: SpectralAxis
 ) -> dict[str, list[SpectralImage]]:
     """The cubes of `wanted`, {option: (factor, paths)}, as {option: their
     images in `paths` order}: each distinct cube is read once and downsampled
     once by each factor of the options that name it, so options of one factor
-    share its images. A cube off `axis` (when given) fails naming its file,
-    and a factor that does not divide it fails naming the option and the file."""
+    share its images. A cube off `axis` fails naming its file, and a factor
+    that does not divide it fails naming the option and the file."""
     images = {}
     for path in dict.fromkeys(p for _, paths in wanted.values() for p in paths):
         cube = read_scube(path)
-        if axis is not None and cube.axis != axis:
+        if cube.axis != axis:
             raise ValueError(f"{path}: scene grid [{cube.axis}] does not match illuminants")
         for option, (factor, paths) in wanted.items():
             try:
@@ -685,7 +689,7 @@ class _Runner:
             if method != METHOD_SGW:
                 d_prime = 3 if method == KIND_RGB else max(d_primes)
                 try:
-                    cell_count(max(bins), d_prime)
+                    check_smoothing(self.config.smoothing, cell_count(max(bins), d_prime))
                 except ValueError as exc:
                     raise ValueError(f"{option} {max(bins)} at d' = {d_prime}: {exc}") from None
         images = self._read(methods)
@@ -693,12 +697,11 @@ class _Runner:
         del images  # the fit-factor scenes: only the fits read them
         predictions = []
         for method, fitted in zip(methods, fits):
-            if method == METHOD_SGW:
-                spds = [ill.normalized_spd() for ill in self.full]
+            if method == METHOD_SGW:  # each case's rows lit as a noisy case's are
                 predicted = np.array([
-                    [self.full.index_of(spectral_gray_world(relight(img, spd), self.full)[0])
-                     for spd in spds]
-                    for img in self.test_eval
+                    [self.full.index_of(spectral_gray_world(px * spd, self.full)[0])
+                     for spd in self._spd_rows]
+                    for px in map(SpectralImage.valid_pixels, self.test_eval)
                 ])
                 predictions.append(((method, None, None, NO_VARIANT, NO_VARIANT), predicted))
             for served, variant, proj in fitted:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -168,17 +168,16 @@ def write_spd_csv(path, axis: SpectralAxis, values: np.ndarray) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def read_sensitivities(path, camera_name: Optional[str] = None) -> SensitivityFunctions:
-    """Read a 3-column sensitivity CSV (columns: R, G, B)."""
+def read_sensitivities(path) -> SensitivityFunctions:
+    """Read a 3-column sensitivity CSV (columns: R, G, B); the file's stem names the camera."""
     path = Path(path)
     axis, values = read_spd_csv(path)
     if values.shape[1] != 3:
         raise FormatError(
             f"{path}: sensitivity files need exactly 3 value columns, got {values.shape[1]}"
         )
-    name = camera_name if camera_name is not None else path.stem
     try:
-        return SensitivityFunctions(axis, values.T.copy(), camera_name=name)
+        return SensitivityFunctions(axis, values.T.copy(), camera_name=path.stem)
     except ValueError as exc:  # an all-zero channel
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -6,6 +6,7 @@ the types defined here. All arrays are float64; wavelength grids are uniform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -227,10 +228,20 @@ def downsample(image: SpectralImage, factor: int) -> SpectralImage:
 
 
 def noise_sigma(mean_signal: float, snr_db: float) -> float:
-    """Gaussian noise level giving the requested SNR against a mean signal."""
+    """Gaussian noise level giving the requested SNR against a mean signal:
+    mean_signal / 10^(snr_db / 20). This is the one noise-level rule: a level
+    whose 10^(snr_db / 20) or its inverse is not a finite float > 0 raises
+    ValueError, so neither the ratio nor sigma per unit of signal overflows."""
     if mean_signal < 0:
         raise ValueError("mean signal must be non-negative")
-    return mean_signal / 10.0 ** (snr_db / 20.0)
+    try:
+        ratio = 10.0 ** (float(snr_db) / 20.0)
+    except OverflowError:
+        ratio = math.inf
+    if not (0.0 < ratio < math.inf and 1.0 / ratio < math.inf):  # nan fails too
+        raise ValueError(
+            f"snr_db must keep 10^(snr_db / 20) and its inverse finite, got {snr_db!r}")
+    return mean_signal / ratio
 
 
 def mix_seed(master_seed: int, *stream_keys: int) -> int:
@@ -253,12 +264,10 @@ def noise_draw(mask: np.ndarray, bands: int, seed: int) -> np.ndarray:
 
 def noisy_rows(rows: np.ndarray, draw: np.ndarray, snr_db: Optional[float]) -> np.ndarray:
     """The (N, bands) valid rows of an image plus noise clipped at 0: sigma =
-    mean(rows) / 10^(snr_db / 20) times `draw`, the image's `noise_draw`, so
+    noise_sigma(mean(rows), snr_db) times `draw`, the image's `noise_draw`, so
     one draw serves every level. `snr_db=None` (or +inf) gives a clean copy."""
     if snr_db is None or snr_db == np.inf:
         return rows.copy()
-    if not np.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db!r}")
     if rows.size == 0:
         raise ValueError("cannot set a noise level on a fully masked image")
     if draw.shape != rows.shape:

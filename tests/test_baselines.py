@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illumest.baselines import spectral_gray_world
 from illumest.evaluation import angular_error_deg
@@ -77,3 +79,55 @@ class TestSpectralGrayWorld:
         cands = IlluminantSet((Illuminant("x", Spectrum(axis, [1.0, 1.0])),))
         with pytest.raises(ValueError):
             spectral_gray_world(img, cands)
+
+
+def gray_world_outcome(pixels, candidates):
+    """The (name, estimate bytes) gray world gives, or its ValueError's message."""
+    try:
+        name, estimate = spectral_gray_world(pixels, candidates)
+    except ValueError as exc:
+        return str(exc)
+    return name, estimate.values.tobytes()
+
+
+class TestGrayWorldRows:
+    """An image and its valid rows are one input: rows are what the sweep
+    passes, a test scene's valid pixels times each candidate's SPD."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_valid_rows_give_the_image_estimate_bit_for_bit(self, data):
+        bands = data.draw(st.integers(2, 5))
+        h, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        axis = SpectralAxis(400, 10, bands)
+        value = st.floats(0.0, 1e3, allow_subnormal=False)
+        pixels = np.array(data.draw(st.lists(value, min_size=h * w * bands, max_size=h * w * bands)))
+        pixels = pixels.reshape(h, w, bands)
+        black = np.array(data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
+        pixels[black.reshape(h, w)] = 0.0
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
+        img = SpectralImage(axis, pixels, mask.reshape(h, w))
+        spds = data.draw(st.lists(
+            st.lists(st.floats(0.01, 10.0), min_size=bands, max_size=bands), min_size=1, max_size=4))
+        cands = IlluminantSet(tuple(
+            Illuminant(f"c{i}", Spectrum(axis, spd)) for i, spd in enumerate(spds)))
+        assert gray_world_outcome(img.valid_pixels(), cands) == gray_world_outcome(img, cands)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (np.array([[1.0, 2.0], [np.nan, 1.0]]), "must be finite"),
+            (np.array([[1.0, 2.0], [np.inf, 1.0]]), "must be finite"),
+            (np.array([[np.nan, np.nan]]), "must be finite"),  # not dropped as black
+            (np.array([[1.0, 2.0], [-1.0, 1.0]]), "non-negative"),
+            (np.array([1.0, 2.0]), "expected \\(N, 2\\) pixels"),
+            (np.ones((1, 1, 2)), "expected \\(N, 2\\) pixels"),
+            (np.ones((2, 3)), "expected \\(N, 2\\) pixels"),
+        ],
+        ids=["nan", "inf", "nan-row", "negative", "1-D", "3-D", "bands"],
+    )
+    def test_rows_that_are_not_an_image_rejected(self, rows, message):
+        axis = SpectralAxis(400, 10, 2)
+        cands = IlluminantSet((Illuminant("x", Spectrum(axis, [1.0, 1.0])),))
+        with pytest.raises(ValueError, match=message):
+            spectral_gray_world(rows, cands)

@@ -993,11 +993,53 @@ class TestBuildAndClassify:
         with pytest.raises(ValueError, match="smoothing"):
             build_model(images, candidates, proj, n_bins=8, smoothing=smoothing)
 
+    def test_smoothing_that_overflows_its_cells_rejected(self, tmp_path):
+        # 1e305 * 30**3 overflows, which left every probability 0: an
+        # all-zero model that answers the first candidate and does not read back
+        axis, candidates, images = tiny_problem()
+        proj = fit_rand(4, 3, seed=42)
+        with pytest.raises(ValueError, match="smoothing 1e\\+305 times 27000 cells is not finite"):
+            build_model(images, candidates, proj, n_bins=30, smoothing=1e305)
+        model = build_model(images, candidates, proj, n_bins=30, smoothing=1e300)
+        assert (model.probs > 0).all()
+        write_model(tmp_path / "m.cbcm", model)
+        assert read_model(tmp_path / "m.cbcm").probs.tobytes() == model.probs.tobytes()
+
     def test_band_count_mismatch_rejected(self):
         axis, candidates, images = tiny_problem()
         proj = fit_rand(5, 2, seed=0)
         with pytest.raises(ValueError):
             build_model(images, candidates, proj, n_bins=8)
+
+
+class TestFrozenModel:
+    def test_names_and_log_table_cannot_go_stale(self):
+        axis, candidates, images = tiny_problem()
+        model = build_model(images, candidates, fit_rand(4, 2, seed=42), n_bins=8)
+        red = relight(images[0], candidates[1].spd)
+        assert classify(model, red)[0] == "red"  # makes the names and log table
+        with pytest.raises(AttributeError):
+            model.candidate_names = tuple(reversed(model.candidate_names))
+        for name in ("lo", "hi", "cells", "probs", "occupied"):
+            array = getattr(model, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
+        assert classify(model, red)[0] == "red"
+        # a changed model is a new one, which makes its own names and log table
+        swapped = replace(model, candidate_names=("red", "blue"))
+        assert classify(swapped, red)[0] == "blue"
+        assert model.with_projection(model.projection).probs is model.probs
+
+    def test_arrays_are_flagged_in_place_not_copied(self):
+        proj = Projection("rand", 3, 2, basis=np.eye(2, 3))
+        cells, probs = np.array([1, cbc.SENTINEL_CELL]), np.array([[0.5, 0.5]])
+        occupied = np.ones((1, 1), dtype=bool)
+        model = CorrelationModel(
+            n_bins=2, lo=np.zeros(2), hi=np.ones(2), smoothing=0.0, candidate_names=("a",),
+            cells=cells, probs=probs, occupied=occupied, projection_digest=proj.digest,
+        )
+        assert model.cells is cells and model.probs is probs and model.occupied is occupied
+        assert not (cells.flags.writeable or probs.flags.writeable or occupied.flags.writeable)
 
 
 def model_from_rows(rows, counts, lo, hi, n_bins, smoothing):

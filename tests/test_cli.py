@@ -376,6 +376,24 @@ class TestSettingsRejectedBeforeAnyRead:
         run_ok(capsys, argv + ["--bins", str(2**31), "--downsample", "2", "--out", str(out)])
         assert reads.count("read_scube") == 4  # the counter sees a valid build's scenes
 
+    def test_build_model_smoothing_past_its_cells_needs_only_the_projection(
+        self, fitted, tmp_path, capsys, reads
+    ):
+        # 1e305 * 1000**2 overflows: the model it built had every probability
+        # 0 and failed to read back
+        proj_path, _, dataset = fitted
+        out = tmp_path / "m.cbcm"
+        argv = ["build-model", "--projection", str(proj_path), "--dataset", str(dataset),
+                "--downsample", "2", "--out", str(out)]
+        rc = main(argv + ["--bins", "1000", "--smoothing", "1e305"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --smoothing 1e+305 times 1000000 cells is not finite\n"
+        )
+        assert reads == ["read_projection"] and not out.exists()
+        run_ok(capsys, argv + ["--bins", "1000", "--smoothing", "1e300"])
+        assert (read_model(out).probs > 0).all()
+
     def test_build_model_takes_b_up_to_max_bins(self, fitted, tmp_path, capsys, reads):
         # a 1-D projection: 2**32 bins fit int64 cells but not the .cbcm u32
         _, _, dataset = fitted

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from illumest import cbc, evaluation, linalg, projections, synth_dataset
+from illumest.baselines import spectral_gray_world
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cbc import build_model, classify, score
 from illumest.evaluation import (
@@ -349,6 +350,12 @@ class TestGridConfig:
     def test_repeated_sweep_values_rejected(self, tmp_path, key, values):
         with pytest.raises(ValueError, match=f"{key} must be unique"):
             GridConfig(**{**self.base_kwargs(tmp_path), key: values})
+
+    @pytest.mark.parametrize("level", [7000.0, -7000.0, -6200.0, math.inf, -math.inf, math.nan])
+    def test_noise_level_past_float_range_rejected(self, tmp_path, level):
+        # 7000 dB overflowed only in run_noise, after the scenes were read and fitted
+        with pytest.raises(ValueError, match="noise_levels: snr_db must keep 10"):
+            GridConfig(**{**self.base_kwargs(tmp_path), "noise_levels": (20.0, level)})
 
 
 class TestParseConfig:
@@ -931,8 +938,13 @@ class TestRejectedBeforeAnyWork:
             (run_noise, dict(noise_d_prime=1, noise_bins=2**32),
              "noise_bins 4294967296 at d' = 1: "
              "n_bins must be <= MAX_BINS = 4294967295, got 4294967296"),
+            # smoothing * cells overflowed, which built every probability 0
+            (run_grid, dict(d_primes=(3,), bins=(5, 30), smoothing=1e305),
+             "bins 30 at d' = 3: smoothing 1e+305 times 27000 cells is not finite"),
+            (run_noise, dict(noise_d_prime=3, noise_bins=30, smoothing=1e305),
+             "noise_bins 30 at d' = 3: smoothing 1e+305 times 27000 cells is not finite"),
         ],
-        ids=["bins", "bins-cell-space", "noise-bins"],
+        ids=["bins", "bins-cell-space", "noise-bins", "smoothing", "noise-smoothing"],
     )
     def test_a_grid_past_the_rule_names_its_option_before_any_scene_is_read(
         self, demo_data, calls, monkeypatch, run, overrides, message
@@ -1049,7 +1061,8 @@ class TestSceneReads:
 
     def test_options_of_one_factor_get_the_same_images(self, demo_data):
         train, test = read_dataset_manifest(demo_data[0])
-        images = evaluation.read_scenes({"a": (4, train), "b": (4, train[1:] + test), "c": (2, test)})
+        wanted = {"a": (4, train), "b": (4, train[1:] + test), "c": (2, test)}
+        images = evaluation.read_scenes(wanted, SpectralAxis())
         assert all(x is y for x, y in zip(images["a"][1:], images["b"]))
         assert not any(x is y for x, y in zip(images["b"][-len(test):], images["c"]))
 
@@ -1210,7 +1223,7 @@ class TestSweepCalls:
             made.append((labelled, weakref.ref(matrix), weakref.ref(matrix.rows)))
             return matrix
 
-        def read_scenes(wanted, axis=None):
+        def read_scenes(wanted, axis):
             images = read(wanted, axis)
             held = set(map(id, images["downsample_eval"]))
             scenes.extend(weakref.ref(img) for option, imgs in images.items()
@@ -1545,6 +1558,24 @@ class TestBatchedEvaluation:
         predicted = self.sweep_predictions(runner, tied, None)
         assert set(predicted) == {tied.candidate_names[0]}
         assert predicted == self.per_case_predictions(runner, tied, None)
+
+    @pytest.mark.parametrize("seed", [1, 3, 11])
+    def test_gray_world_lights_each_case_from_its_scene_rows(self, tmp_path, monkeypatch, seed):
+        # grid_hist's scenes (24 at 32 x 32, 8 for test, downsample_eval 4):
+        # each of the 224 cases is its scene's valid rows times a normalized
+        # SPD, which is bitwise the per-case relit image's valid pixels
+        manifest, _ = synth_dataset(
+            tmp_path / "scenes", 24, SpectralAxis(), base_seed=seed, width=32, height=32)
+        cfg = GridConfig(dataset=manifest, illuminants=bundled_illuminant_manifest(),
+                         methods=("sgw",), downsample_eval=4)
+        runner, relit = _Runner(cfg), []
+        monkeypatch.setattr(evaluation, "relight", lambda *a: relit.append(a) or relight(*a))
+        (row,) = runner.grid().rows
+        assert relit == []
+        full = runner.full
+        oracle = [[full.index_of(spectral_gray_world(relight(img, ill.normalized_spd()), full)[0])
+                   for ill in full] for img in runner.test_eval]
+        assert row.predicted.tolist() == oracle
 
 
 def report_config(tmp_path, cameras):

@@ -175,11 +175,6 @@ class TestSensitivities:
         np.testing.assert_array_equal(sens.rows[0], [0.1, 0.4])
         np.testing.assert_array_equal(sens.rows[2], [0.3, 0.6])
 
-    def test_explicit_name_wins(self, tmp_path):
-        p = tmp_path / "cam_x.csv"
-        p.write_text("wavelength_nm,value,value2,value3\n400,0.1,0.2,0.3\n410,0.4,0.5,0.6\n")
-        assert read_sensitivities(p, "alpha").camera_name == "alpha"
-
     def test_channel_count_enforced(self, tmp_path):
         p = tmp_path / "two.csv"
         p.write_text("wavelength_nm,value,value2\n400,0.1,0.2\n410,0.4,0.5\n")

@@ -294,11 +294,31 @@ class TestLayouts:
         assert outputs[0] == outputs[1]
 
 
+NOISE_RULE = r"snr_db must keep 10\^\(snr_db / 20\) and its inverse finite"
+
+
 class TestNoise:
     def test_sigma_follows_snr_definition(self):
         assert noise_sigma(1.0, 20.0) == 0.1
         assert noise_sigma(2.0, 40.0) == 0.02
         assert noise_sigma(3.0, 0.0) == 3.0
+
+    @pytest.mark.parametrize("level", [7000.0, -7000.0, -6200.0, np.inf, -np.inf, np.nan])
+    def test_level_past_float_range_rejected(self, level):
+        # 10^(7000 / 20) overflows, 10^(-7000 / 20) underflows to 0, and
+        # 10^(-6200 / 20) is subnormal: sigma per unit of signal overflows
+        with pytest.raises(ValueError, match=NOISE_RULE):
+            noise_sigma(0.5, level)
+
+    @pytest.mark.parametrize("level", [7000.0, -7000.0, -6200.0])
+    def test_noisy_rows_apply_the_rule(self, level):
+        img = make_image(np.full((2, 2, 3), 2.0))
+        with pytest.raises(ValueError, match=NOISE_RULE):
+            noisy_rows(img.valid_pixels(), noise_draw(img.mask, 3, 1), level)
+
+    def test_level_near_float_range_kept(self):
+        assert noise_sigma(0.5, -6000.0) == 0.5 / 10.0**-300
+        assert noise_sigma(0.5, 6000.0) == 0.5 / 10.0**300
 
     def test_mix_seed_is_stable_and_distinct(self):
         a = mix_seed(1234, 0, 0)
@@ -359,9 +379,9 @@ class TestNoise:
     def test_non_finite_level_rejected(self, level):
         # -inf is the noisiest level of all, not a clean one
         img = make_image(np.full((2, 2, 3), 2.0))
-        with pytest.raises(ValueError, match="snr_db must be finite, \\+inf or None"):
+        with pytest.raises(ValueError, match=NOISE_RULE):
             add_noise(img, level, 1)
-        with pytest.raises(ValueError, match="snr_db must be finite"):
+        with pytest.raises(ValueError, match=NOISE_RULE):
             noisy_rows(img.valid_pixels(), noise_draw(img.mask, 3, 1), level)
 
     @settings(max_examples=200, deadline=None)

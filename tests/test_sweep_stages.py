@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 STAGES = (
     "fits", "training_features", "test_features", "unit", "feature_cells", "prefix_cells",
     "summaries", "builds", "scores", "projection_to_bytes", "Projection.__post_init__",
+    "gray_world", "relight",
 )
 
 
@@ -32,7 +33,10 @@ def test_every_stage_reports_calls():
     report = sweep_stages("--passes", "1")
     assert set(report) == {"pass", *STAGES}
     for stage, timing in report.items():
-        assert timing["calls"] > 0 and len(timing["ms"]) == 1 and timing["ms"][0] >= 0, stage
+        # no case is relit: gray world takes each case as its scene's rows times an SPD
+        calls = timing["calls"] == 0 if stage == "relight" else timing["calls"] > 0
+        assert calls and len(timing["ms"]) == 1 and timing["ms"][0] >= 0, stage
+    assert report["gray_world"]["calls"] == 8 * 28  # grid_hist's 8 test scenes, 28 lights
     # a projection's digest is made once, so no projection is serialized twice
     assert report["projection_to_bytes"]["calls"] <= report["Projection.__post_init__"]["calls"]
 
