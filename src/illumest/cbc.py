@@ -412,7 +412,8 @@ def build_model(
     All rows of `training_features(images, candidates, projection)` are binned
     on bounds calibrated over them and counted in one pass. Each cell of the
     grid gets `smoothing` pseudo-mass before normalization, so a candidate's
-    unseen cells get smoothing / (total + smoothing * n_cells). `features`
+    unseen cells get smoothing / (total + smoothing * n_cells), which must not
+    underflow to 0 (ValueError naming the candidate). `features`
     may carry that value computed ahead of time, so builds of one projection
     at several resolutions share it; features of another projection raise
     ValueError. Features that carry their cells carry their bounds too, which
@@ -433,6 +434,9 @@ def build_model(
     cells, probs, occupied = _cell_table(*runs, len(counts), 0.0)
     probs += smoothing
     probs /= (counts + smoothing * n_cells)[:, None]
+    for name, base in zip(candidates.names(), probs[:, -1]):  # else log mode scores -inf
+        if base == 0:
+            raise ValueError(f"smoothing {smoothing} underflows {name!r}'s base probability to 0")
     return CorrelationModel(
         n_bins=n_bins,
         lo=lo,
@@ -471,10 +475,11 @@ def unit_coordinates(feats: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
 
 
 def prefix_cells(units: np.ndarray, n_bins: int, ks: Sequence[int]):
-    """Fold the (N, d') unit coordinates `units` a column at a time (cheaper
-    than whole-array passes at training sizes): after each column k in `ks`,
-    yield each row's flat cell on its first k coordinates at B = n_bins, one
-    array updated in place, so use it before the next."""
+    """Fold the (N, d') unit coordinates `units` a column at a time (no
+    faster than whole-array passes, but holding one column's digits, not the
+    whole array's): after each column k in `ks`, yield each row's flat cell
+    on its first k coordinates at B = n_bins, one array updated in place, so
+    use it before the next."""
     cell_count(n_bins, units.shape[1])
     flat = np.zeros(len(units), dtype=np.int64)
     for k, column in enumerate(units.T, 1):
@@ -605,8 +610,8 @@ def classify(
 # magic "CBCM1", u32 n_dims, u32 n_bins, u32 n_candidates, n_dims pairs of
 # f64 (lo, hi), f64 smoothing, 32-byte sha256 of the projection file bytes,
 # then per candidate: u32 name length + UTF-8 name, f64 base_prob,
-# u64 cell count, and (u64 flat cell, f64 prob) pairs for cells observed in
-# training. Little-endian; cells are strictly increasing.
+# u64 cell count n, then the n u64 flat cells observed in training and after
+# them their n f64 probabilities. Little-endian; cells are strictly increasing.
 # ---------------------------------------------------------------------------
 
 

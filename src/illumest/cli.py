@@ -53,13 +53,9 @@ def _add_illuminants_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--illuminants",
         type=Path,
-        default=None,
+        default=bundled_illuminant_manifest(),
         help="illuminant manifest (path,name lines); defaults to the bundled 28",
     )
-
-
-def _illuminants(args) -> Path:
-    return args.illuminants if args.illuminants is not None else bundled_illuminant_manifest()
 
 
 def _cmd_synth(args) -> int:
@@ -89,7 +85,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    full = load_illuminants(_illuminants(args))
+    full = load_illuminants(args.illuminants)
     try:
         picked = select_projection_set(full, k=args.k, seed=args.seed)
     except ValueError as exc:
@@ -100,7 +96,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    full = load_illuminants(_illuminants(args))
+    full = load_illuminants(args.illuminants)
     proj_set = projection_set(
         full, args.projection_set, args.projection_set_k, args.projection_set_seed,
         k_option="--projection-set-k",
@@ -133,7 +129,7 @@ def _cmd_build_model(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--bins {args.bins} at d' = {proj.output_dim}: {exc}") from None
     check_smoothing(args.smoothing, n_cells, "--smoothing")
-    full = load_illuminants(_illuminants(args))
+    full = load_illuminants(args.illuminants)
     paths, _ = read_dataset_manifest(args.dataset)
     images = read_scenes({"--downsample": (args.downsample, paths)}, full.axis)["--downsample"]
     model = build_model(images, full, proj, args.bins, smoothing=args.smoothing)
@@ -147,7 +143,7 @@ def _cmd_build_model(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = read_model(args.model).with_projection(read_projection(args.projection))
-    full = load_illuminants(_illuminants(args))  # its grid is the cube's
+    full = load_illuminants(args.illuminants)  # its grid is the cube's
     if args.truth is not None:  # resolved before anything is printed
         spds = {ill.name: ill.spd for ill in full}
         if args.truth not in spds:
@@ -168,26 +164,16 @@ def _cmd_classify(args) -> int:
 
 
 def _run_report(args, runner) -> int:
-    config = parse_config(args.config)
-    report = runner(config)
-    out = Path(args.out)
-    raw = Path(args.raw) if args.raw else out.with_name(out.stem + "_raw" + out.suffix)
-    report.write_csv(out)
+    report = runner(parse_config(args.config))
+    raw = args.raw or args.out.with_name(args.out.stem + "_raw" + args.out.suffix)
+    report.write_csv(args.out)
     report.write_raw_csv(raw)
-    print(f"wrote {len(report.rows)} rows: {out} (raw: {raw})")
+    print(f"wrote {len(report.rows)} rows: {args.out} (raw: {raw})")
     return 0
 
 
-def _cmd_grid(args) -> int:
-    return _run_report(args, run_grid)
-
-
-def _cmd_noise(args) -> int:
-    return _run_report(args, run_noise)
-
-
 def _cmd_export_pca(args) -> int:
-    full = load_illuminants(_illuminants(args))
+    full = load_illuminants(args.illuminants)
     fitted_on = full if args.projection_set is None else projection_set(
         full, args.projection_set, k=len(full), seed=0  # with a names file, k and seed go unread
     )
@@ -279,17 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_illuminants_arg(p)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("grid", help="run the full evaluation grid from a config")
-    p.add_argument("--config", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="aggregate CSV path")
-    p.add_argument("--raw", type=Path, default=None, help="per-case CSV path")
-    p.set_defaults(func=_cmd_grid)
-
-    p = sub.add_parser("noise", help="run the pinned cell across noise levels")
-    p.add_argument("--config", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--raw", type=Path, default=None)
-    p.set_defaults(func=_cmd_noise)
+    for name, runner, summary in (
+        ("grid", run_grid, "run the full evaluation grid from a config"),
+        ("noise", run_noise, "run the pinned cell across noise levels"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", type=Path, required=True)
+        p.add_argument("--out", type=Path, required=True, help="aggregate CSV path")
+        p.add_argument("--raw", type=Path, default=None, help="per-case CSV path")
+        p.set_defaults(func=partial(_run_report, runner=runner))
 
     p = sub.add_parser(
         "export-pca-coords", help="candidate coordinates in an SPD principal basis"

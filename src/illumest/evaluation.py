@@ -37,12 +37,12 @@ from .cbc import (
 from .illuminants import IlluminantSet, load_illuminants, select_projection_set
 from .io import (
     FormatError,
+    content_lines,
     format_float,
     read_dataset_manifest,
     read_name_list,
     read_scube,
     read_sensitivities,
-    read_text,
 )
 from .projections import (
     KIND_ILL_PCA,
@@ -400,15 +400,12 @@ def parse_config(path) -> GridConfig:
     The keys are GridConfig's fields. Unknown or duplicate keys and empty
     paths are errors. Relative paths resolve against the config file's
     directory. Lists are comma-separated; booleans are true/false. Lines
-    starting with '#' and blank lines are skipped.
+    are read by `io.content_lines`: blank and '#' lines are skipped.
     """
     path = Path(path)
     base = path.parent
     values: dict = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(path):
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected 'key = value'")
         key, _, rhs = line.partition("=")

@@ -188,13 +188,10 @@ def read_sensitivities(path) -> SensitivityFunctions:
 # ---------------------------------------------------------------------------
 
 
-def _content_lines(path: Path) -> list[tuple[int, str]]:
-    out = []
-    for lineno, ln in enumerate(read_text(path).splitlines(), 1):
-        ln = ln.strip()
-        if ln and not ln.startswith("#"):
-            out.append((lineno, ln))
-    return out
+def content_lines(path: Path) -> list[tuple[int, str]]:
+    """(number from 1, stripped text) of each line that is not blank or a '#' comment."""
+    lines = ((n, ln.strip()) for n, ln in enumerate(read_text(path).splitlines(), 1))
+    return [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
 
 
 def read_illuminant_manifest(path) -> list[tuple[Path, str]]:
@@ -203,7 +200,7 @@ def read_illuminant_manifest(path) -> list[tuple[Path, str]]:
     base = path.parent
     entries = []
     seen = set()
-    for lineno, ln in _content_lines(path):
+    for lineno, ln in content_lines(path):
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise FormatError(f"{path}:{lineno}: expected 'path,name'")
@@ -228,7 +225,7 @@ def read_dataset_manifest(path) -> tuple[list[Path], list[Path]]:
     base = path.parent
     train: list[Path] = []
     test: list[Path] = []
-    for lineno, ln in _content_lines(path):
+    for lineno, ln in content_lines(path):
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 2 or parts[0] not in ("train", "test") or not parts[1]:
             raise FormatError(f"{path}:{lineno}: expected 'train,path' or 'test,path'")
@@ -246,7 +243,7 @@ def write_dataset_manifest(path, train: Sequence[str], test: Sequence[str]) -> N
 def read_name_list(path) -> list[str]:
     """One name per line (projection-set membership files)."""
     path = Path(path)
-    names = [ln for _, ln in _content_lines(path)]
+    names = [ln for _, ln in content_lines(path)]
     if not names:
         raise FormatError(f"{path}: empty name list")
     if len(set(names)) != len(names):

@@ -71,6 +71,12 @@ def _read_only(value):
     return value
 
 
+def _basis_shape(kind: str, input_dim: int, output_dim: int) -> tuple[int, int]:
+    """The one basis layout: (input_dim, output_dim) columns for a centered
+    kind, (output_dim, input_dim) rows for the others."""
+    return (input_dim, output_dim) if kind in _CENTERED_KINDS else (output_dim, input_dim)
+
+
 @dataclass(frozen=True)
 class Projection:
     """A fitted spectral-dimension reducer.
@@ -99,10 +105,7 @@ class Projection:
         object.__setattr__(self, "metadata", _read_only(dict(self.metadata)))
         if not np.all(np.isfinite(self.basis)):
             raise ValueError("basis must be finite")
-        if self.kind in _CENTERED_KINDS:
-            want = (self.input_dim, self.output_dim)
-        else:
-            want = (self.output_dim, self.input_dim)
+        want = _basis_shape(self.kind, self.input_dim, self.output_dim)
         if self.basis.shape != want:
             raise ValueError(
                 f"{self.kind} basis must have shape {want}, got {self.basis.shape}"
@@ -454,8 +457,8 @@ def leading_projection(proj: Projection, k: int) -> Projection:
 # .proj serialization
 #
 # magic "PROJ1", u8 kind code, u32 input_dim, u32 output_dim, u8 has_mean
-# (+ input_dim f64 means), basis as row-major f64 in the kind's natural
-# shape, then sorted-key JSON metadata to end of file. Little-endian.
+# (+ input_dim f64 means), basis as row-major f64 in the kind's
+# `_basis_shape`, then sorted-key JSON metadata to end of file. Little-endian.
 # ---------------------------------------------------------------------------
 
 
@@ -502,10 +505,7 @@ def projection_from_bytes(blob: bytes, source: str = "<bytes>") -> Projection:
             raise FormatError(f"{source}: truncated mean vector")
         mean = np.frombuffer(blob, dtype="<f8", count=input_dim, offset=offset)
         offset = end
-    if kind in _CENTERED_KINDS:
-        shape = (input_dim, output_dim)
-    else:
-        shape = (output_dim, input_dim)
+    shape = _basis_shape(kind, input_dim, output_dim)
     count = shape[0] * shape[1]
     end = offset + 8 * count
     if len(blob) < end:

@@ -218,8 +218,10 @@ def downsample(image: SpectralImage, factor: int) -> SpectralImage:
     if h % factor or w % factor:
         raise ValueError(f"factor {factor} does not divide image size {h}x{w}")
     h2, w2 = h // factor, w // factor
-    masked = image.data * image.mask[:, :, None]
-    sums = masked.reshape(h2, factor, w2, factor, image.n_bands).sum(axis=(1, 3))
+    sums = np.empty_like(image.data, shape=(h2, w2, image.n_bands))  # in the cube's layout
+    for i, rows in enumerate(range(0, h, factor)):  # a masked copy of one row of blocks at a time
+        strip = image.data[rows : rows + factor] * image.mask[rows : rows + factor, :, None]
+        sums[i] = strip.reshape(factor, w2, factor, -1).sum(axis=(0, 2))
     counts = image.mask.reshape(h2, factor, w2, factor).sum(axis=(1, 3))
     out_mask = counts > 0
     out = np.zeros_like(sums)

@@ -52,18 +52,27 @@ def test_every_traced_site_resolves():
 
 def test_every_marked_import_is_a_traced_site():
     """An import that its module never reads carries `# noqa: F401` only to
-    stay an attribute the benchmark traces, so it must be a traced site."""
+    stay an attribute the benchmark traces, so it must be a traced site, and
+    every `# noqa: F401` line must mark such an import: neither a marker nor
+    its import outlives the site."""
     spans = load_bench("spans")
     traced = {s for group, _ in spans.SPAN_SITES.values() for s in group}
     traced.update(s for group in spans.COUNT_SITES.values() for s in group)
-    marked = [
-        f"illumest.{path.stem}:{name}"
-        for path in sorted(SRC.glob("*.py"))
-        for _, name, is_marked in unread_imports(path.read_text(encoding="utf-8"))
-        if is_marked
+    marked, stale = [], []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        found = [(line, name) for line, name, is_marked in unread_imports(source) if is_marked]
+        marked += [f"illumest.{path.stem}:{name}" for _, name in found]
+        stale += [
+            f"{path.name}:{n}"
+            for n, text in enumerate(source.splitlines(), 1)
+            if "# noqa: F401" in text and n not in {line for line, _ in found}
+        ]
+    assert sorted(marked) == [
+        "illumest.evaluation:add_noise", "illumest.evaluation:relight", "illumest.projections:nnls"
     ]
-    assert "illumest.evaluation:add_noise" in marked
     assert [site for site in marked if site not in traced] == []
+    assert stale == []
 
 
 def test_model_sizing_reads_every_stored_cell(tmp_path):

@@ -1005,6 +1005,19 @@ class TestBuildAndClassify:
         write_model(tmp_path / "m.cbcm", model)
         assert read_model(tmp_path / "m.cbcm").probs.tobytes() == model.probs.tobytes()
 
+    def test_smoothing_that_underflows_a_base_probability_rejected(self):
+        # 5e-324 / (total + 5e-324 * 900) is 0, which scored a scene with an
+        # unseen cell -inf for every candidate and answered the first
+        axis, candidates, images = tiny_problem()
+        proj = fit_rand(4, 2, seed=42)
+        with pytest.raises(ValueError, match="smoothing 5e-324 underflows 'blue'"):
+            build_model(images, candidates, proj, n_bins=30, smoothing=5e-324)
+        model = build_model(images, candidates, proj, n_bins=30, smoothing=1e-300)
+        assert (model.probs[:, -1] > 0).all()
+        rng = np.random.default_rng(7)
+        held_out = SpectralImage(axis, 0.1 + 0.9 * rng.random((6, 6, 4)), np.ones((6, 6), bool))
+        assert classify(model, relight(held_out, candidates[1].spd))[0] == "red"
+
     def test_band_count_mismatch_rejected(self):
         axis, candidates, images = tiny_problem()
         proj = fit_rand(5, 2, seed=0)

@@ -9,7 +9,7 @@ from illumest import cli, evaluation
 from illumest.bundled import bundled_illuminant_manifest
 from illumest.cbc import read_model
 from illumest.cli import main
-from illumest.evaluation import GridConfig, _Runner, run_grid
+from illumest.evaluation import GridConfig, _Runner, parse_config, run_grid, run_noise
 from illumest.illuminants import load_illuminants
 from illumest.io import (
     read_dataset_manifest,
@@ -688,6 +688,32 @@ class TestReports:
         assert rows[1].startswith("ill_pca,2,5,-,clean,")
         assert rows[2].startswith("ill_pca,2,5,-,20,")
 
+    @pytest.mark.parametrize("command, runner", [("grid", run_grid), ("noise", run_noise)])
+    def test_csv_bytes_equal_the_runners(self, demo_data, tmp_path, capsys, command, runner):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"dataset = {demo_data[0]}\nilluminants = {bundled_illuminant_manifest()}\n"
+            "methods = ill_pca, sgw\nd_primes = 2\nbins = 5\n"
+            "noise_d_prime = 2\nnoise_bins = 5\nnoise_levels = 20\n"
+        )
+        out, raw = tmp_path / "cli.csv", tmp_path / "cli_raw.csv"
+        printed = run_ok(
+            capsys, [command, "--config", str(cfg), "--out", str(out), "--raw", str(raw)]
+        )
+        report = runner(parse_config(cfg))
+        report.write_csv(tmp_path / "api.csv")
+        report.write_raw_csv(tmp_path / "api_raw.csv")
+        assert out.read_bytes() == (tmp_path / "api.csv").read_bytes()
+        assert raw.read_bytes() == (tmp_path / "api_raw.csv").read_bytes()
+        assert printed == f"wrote {len(report.rows)} rows: {out} (raw: {raw})\n"
+
+    @pytest.mark.parametrize("command", ["grid", "noise"])
+    def test_report_commands_share_their_options(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert "aggregate CSV path" in text and "per-case CSV path" in text
+
     @pytest.mark.parametrize("command, key", [("grid", "bins"), ("noise", "noise_bins")])
     def test_one_bin_rejected_before_any_scene_is_read(
         self, workspace, tmp_path, capsys, reads, command, key
@@ -711,6 +737,33 @@ class TestReports:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ")
+
+
+class TestBundledIlluminants:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select-projection-set", "--out", "o"],
+            ["fit", "--method", "rand", "--out", "o"],
+            ["build-model", "--projection", "p", "--dataset", "d", "--bins", "2", "--out", "o"],
+            ["classify", "--model", "m", "--projection", "p", "--cube", "c"],
+            ["export-pca-coords", "--out", "o"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_omitted_manifest_is_the_bundled_one(self, argv):
+        assert cli.build_parser().parse_args(argv).illuminants == bundled_illuminant_manifest()
+
+    def test_omitted_manifest_is_read(self, tmp_path, capsys, monkeypatch):
+        paths = []
+
+        def read(path):
+            paths.append(path)
+            return load_illuminants(path)
+
+        monkeypatch.setattr(cli, "load_illuminants", read)
+        run_ok(capsys, ["export-pca-coords", "--out", str(tmp_path / "c.csv")])
+        assert paths == [bundled_illuminant_manifest()]
 
 
 class TestExportCoords:

@@ -377,6 +377,23 @@ class TestParseConfig:
         assert cfg.dataset == (tmp_path / "scenes/dataset.txt").resolve()
         assert cfg.illuminants == (tmp_path / "lights/manifest.txt").resolve()
 
+    def test_lines_read_as_manifest_lines(self, tmp_path):
+        # blank, indented, '#' and CRLF lines are read as every manifest's are
+        plain = "dataset = d.txt\nilluminants = i.txt\nmethods = pca, rand\nbins = 7\n"
+        padded = (
+            "# a run\r\n\n  dataset = d.txt\n\t# indented comment\n   \n"
+            "illuminants = i.txt  \r\n  methods = pca, rand\n\n\tbins = 7"
+        )
+        want = parse_config(self.write(tmp_path, plain))
+        assert parse_config(self.write(tmp_path, padded)) == want
+        # a malformed line is named by its own number, blank and comment lines counted
+        p = self.write(tmp_path, "# a run\n\n  dataset = d.txt\n   \n  bins\n")
+        with pytest.raises(FormatError, match=r"run\.cfg:5: expected 'key = value'$"):
+            parse_config(p)
+        p = self.write(tmp_path, "#\n\n\tbins = two\n")
+        with pytest.raises(FormatError, match=r"run\.cfg:3: "):
+            parse_config(p)
+
     def test_typed_values(self, tmp_path):
         p = self.write(
             tmp_path,

@@ -632,6 +632,20 @@ class TestSerialization:
             assert q.metadata == p.metadata
             assert projection_to_bytes(q) == blob
 
+    def test_every_kind_reads_its_basis_layout(self):
+        # one layout rule: (input_dim, output_dim) for the centered kinds,
+        # (output_dim, input_dim) for the others, when built and when read
+        for p in self.sample_projections():
+            centered = p.kind in (KIND_PCA, KIND_ILL_PCA)
+            assert p.basis.shape == ((5, p.output_dim) if centered else (p.output_dim, 5))
+            with pytest.raises(ValueError, match=f"{p.kind} basis must have shape"):
+                Projection(p.kind, 5, p.output_dim, basis=p.basis.T, mean=p.mean)
+            blob = projection_to_bytes(p)
+            end = 15 + 8 * (0 if p.mean is None else 5) + 8 * p.basis.size
+            assert projection_from_bytes(blob[:end]).basis.tobytes() == p.basis.tobytes()
+            with pytest.raises(FormatError, match="truncated basis"):
+                projection_from_bytes(blob[: end - 1])
+
     def test_kind_codes_are_frozen(self):
         # byte 5 of the serialization is the kind code; the mapping is part
         # of the on-disk contract and must never drift

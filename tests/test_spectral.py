@@ -222,7 +222,49 @@ class TestSensorProject:
         np.testing.assert_allclose(rgb[0, 0], [10.0, 20.0, 30.0], atol=1e-12)
 
 
+def masked_copy_downsample(image: SpectralImage, factor: int):
+    """`downsample` as it was written over a full-size masked copy of the
+    cube: (block averages, block mask), which the block sums must equal."""
+    h2, w2 = image.height // factor, image.width // factor
+    masked = image.data * image.mask[:, :, None]
+    sums = masked.reshape(h2, factor, w2, factor, image.n_bands).sum(axis=(1, 3))
+    counts = image.mask.reshape(h2, factor, w2, factor).sum(axis=(1, 3))
+    out = np.zeros_like(sums)
+    np.divide(sums, counts[:, :, None], out=out, where=counts[:, :, None] > 0)
+    return out, counts > 0
+
+
 class TestDownsample:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        blocks=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        factor=st.integers(2, 8),
+        bands=st.integers(1, 39),
+        masked=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        band_major=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_masked_copy_bit_for_bit(
+        self, blocks, factor, bands, masked, band_major, seed
+    ):
+        # float64 samples over six decades, whose block sums round by their
+        # order (a `.scube`'s float32 samples mostly sum exactly in any order)
+        rng = np.random.default_rng(seed)
+        h, w = blocks[0] * factor, blocks[1] * factor
+        planes = rng.random((bands, h, w)) * 10.0 ** rng.uniform(-3, 3, (bands, h, w))
+        data = planes.transpose(1, 2, 0)  # as `read_scube` lays a cube out
+        if not band_major:
+            data = np.ascontiguousarray(data)
+        mask = rng.random((h, w)) >= masked
+        if masked == 0.8:  # a whole row of empty blocks
+            mask[:factor, :] = False
+        img = SpectralImage(SpectralAxis(400.0, 10.0, bands), data, mask)
+        small = downsample(img, factor)
+        out, out_mask = masked_copy_downsample(img, factor)
+        assert small.data.tobytes() == out.tobytes()
+        assert small.data.strides == out.strides  # a later product rounds by its layout
+        assert small.mask.tobytes() == out_mask.tobytes()
+
     def test_box_average(self):
         data = np.zeros((2, 2, 1))
         data[:, :, 0] = [[1.0, 3.0], [5.0, 7.0]]
